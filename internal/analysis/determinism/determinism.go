@@ -77,11 +77,6 @@ var randConstructors = map[string]bool{
 // §"Parallel engine and the determinism contract".
 var shardRuntimeAllowlist = map[string]bool{
 	"sim/shard": true,
-	// ixnet's green-thread fibers are goroutines, but only one ever runs
-	// at a time: park/resume hand a baton over unbuffered channels, and
-	// the FIFO run queue is drained from the simulation thread. See
-	// DESIGN.md §"ixnet: blocking facade and deterministic fibers".
-	"ixnet": true,
 }
 
 // syncImports are the import paths whose presence means OS-level

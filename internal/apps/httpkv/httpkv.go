@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strconv"
@@ -55,7 +54,7 @@ func HTTPServerFactory(port uint16) app.Factory {
 func serveHTTP(n *ixnet.Net, c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	var resp bytes.Buffer
+	var resp []byte
 	for {
 		method, _, body, keep, err := readHTTPRequest(br)
 		if err != nil {
@@ -65,21 +64,41 @@ func serveHTTP(n *ixnet.Net, c net.Conn) {
 		if method == "GET" {
 			body = []byte("ixnet httpkv\n")
 		}
-		resp.Reset()
-		fmt.Fprintf(&resp, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n", len(body))
-		if keep {
-			resp.WriteString("Connection: keep-alive\r\n\r\n")
-		} else {
-			resp.WriteString("Connection: close\r\n\r\n")
-		}
-		resp.Write(body)
-		if _, err := c.Write(resp.Bytes()); err != nil {
+		resp = appendHTTPResponse(resp[:0], body, keep)
+		if _, err := c.Write(resp); err != nil {
 			return
 		}
 		if !keep {
 			return
 		}
 	}
+}
+
+// appendHTTPResponse appends a 200 response carrying body to dst.
+func appendHTTPResponse(dst, body []byte, keep bool) []byte {
+	dst = append(dst, "HTTP/1.1 200 OK\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	if keep {
+		dst = append(dst, "\r\nConnection: keep-alive\r\n\r\n"...)
+	} else {
+		dst = append(dst, "\r\nConnection: close\r\n\r\n"...)
+	}
+	return append(dst, body...)
+}
+
+// appendHTTPRequest appends a request carrying body to dst; keep-alive
+// is HTTP/1.1's default, so only its absence is spelled out.
+func appendHTTPRequest(dst []byte, method, target string, body []byte, keep bool) []byte {
+	dst = append(dst, method...)
+	dst = append(dst, ' ')
+	dst = append(dst, target...)
+	dst = append(dst, " HTTP/1.1\r\nHost: ix\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	if !keep {
+		dst = append(dst, "\r\nConnection: close"...)
+	}
+	dst = append(dst, "\r\n\r\n"...)
+	return append(dst, body...)
 }
 
 // readHTTPRequest parses one request off br: request line, headers
@@ -95,33 +114,12 @@ func readHTTPRequest(br *bufio.Reader) (method, target string, body []byte, keep
 	if sp1 < 0 || sp2 <= sp1 {
 		return "", "", nil, false, errMalformed
 	}
+	// line aliases br's buffer: copy out before the next read.
 	method = string(line[:sp1])
 	target = string(line[sp1+1 : sp2])
-	keep = true // HTTP/1.1 default
-	clen := 0
-	for {
-		h, err := readLine(br)
-		if err != nil {
-			return "", "", nil, false, err
-		}
-		if len(h) == 0 {
-			break
-		}
-		col := bytes.IndexByte(h, ':')
-		if col < 0 {
-			return "", "", nil, false, errMalformed
-		}
-		name := string(bytes.ToLower(bytes.TrimSpace(h[:col])))
-		val := string(bytes.TrimSpace(h[col+1:]))
-		switch name {
-		case "content-length":
-			clen, err = strconv.Atoi(val)
-			if err != nil || clen < 0 {
-				return "", "", nil, false, errMalformed
-			}
-		case "connection":
-			keep = val != "close"
-		}
+	clen, keep, err := readHeaders(br)
+	if err != nil {
+		return "", "", nil, false, err
 	}
 	if clen > 0 {
 		body = make([]byte, clen)
@@ -132,12 +130,55 @@ func readHTTPRequest(br *bufio.Reader) (method, target string, body []byte, keep
 	return method, target, body, keep, nil
 }
 
+// readHeaders consumes header lines up to and including the blank one.
+// Names match case-insensitively and values are trimmed; absent
+// headers read as Content-Length 0 and keep-alive, HTTP/1.1's defaults.
+func readHeaders(br *bufio.Reader) (int, bool, error) {
+	clen, keep := 0, true
+	for {
+		h, err := readLine(br)
+		if err != nil {
+			return 0, false, err
+		}
+		if len(h) == 0 {
+			return clen, keep, nil
+		}
+		col := bytes.IndexByte(h, ':')
+		if col < 0 {
+			return 0, false, errMalformed
+		}
+		name, val := bytes.TrimSpace(h[:col]), bytes.TrimSpace(h[col+1:])
+		switch {
+		case bytes.EqualFold(name, []byte("content-length")):
+			if clen, err = parseLen(val); err != nil {
+				return 0, false, err
+			}
+		case bytes.EqualFold(name, []byte("connection")):
+			keep = string(val) != "close"
+		}
+	}
+}
+
+// maxBody bounds a length field read off the wire: a peer cannot make
+// the parser allocate more than this on the strength of a few digits.
+const maxBody = 1 << 20
+
+// parseLen parses a non-negative decimal length no larger than maxBody.
+func parseLen(b []byte) (int, error) {
+	n, err := strconv.Atoi(string(b))
+	if err != nil || n < 0 || n > maxBody {
+		return 0, errMalformed
+	}
+	return n, nil
+}
+
 var errMalformed = errors.New("httpkv: malformed request")
 
 // readLine reads one CRLF-terminated line, returning it without the
-// terminator.
+// terminator. The line aliases br's buffer and is valid only until the
+// next read; one longer than that buffer fails (bufio.ErrBufferFull).
 func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, err
 	}
@@ -187,49 +228,47 @@ func KVServerFactory(port uint16, store *Store) app.Factory {
 func serveKV(n *ixnet.Net, c net.Conn, store *Store) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	var resp bytes.Buffer
+	var resp []byte
 	for {
 		line, err := readLine(br)
 		if err != nil {
 			return
 		}
 		n.Charge(serveCost + time.Duration(float64(len(line))*perByteCost))
-		resp.Reset()
-		sp := bytes.IndexByte(line, ' ')
-		cmd := line
-		if sp >= 0 {
-			cmd = line[:sp]
-		}
-		switch string(cmd) {
-		case "SET":
-			rest := line[sp+1:]
-			vsp := bytes.IndexByte(rest, ' ')
-			if sp < 0 || vsp < 0 {
-				resp.WriteString("-ERR\r\n")
-				break
-			}
-			store.m[string(rest[:vsp])] = string(rest[vsp+1:])
-			store.Sets++
-			resp.WriteString("+OK\r\n")
-		case "GET":
-			if sp < 0 {
-				resp.WriteString("-ERR\r\n")
-				break
-			}
-			store.Gets++
-			if v, ok := store.m[string(line[sp+1:])]; ok {
-				store.Hits++
-				fmt.Fprintf(&resp, "$%d\r\n%s\r\n", len(v), v)
-			} else {
-				resp.WriteString("$-1\r\n")
-			}
-		default:
-			resp.WriteString("-ERR\r\n")
-		}
-		if _, err := c.Write(resp.Bytes()); err != nil {
+		resp = store.exec(resp[:0], line)
+		if _, err := c.Write(resp); err != nil {
 			return
 		}
 	}
+}
+
+// exec applies one command line to the store and appends the reply to
+// dst. Anything that is not a well-formed SET or GET gets -ERR.
+func (s *Store) exec(dst, line []byte) []byte {
+	cmd, rest, ok := bytes.Cut(line, []byte(" "))
+	switch {
+	case ok && string(cmd) == "SET":
+		key, val, ok := bytes.Cut(rest, []byte(" "))
+		if !ok {
+			break
+		}
+		s.m[string(key)] = string(val)
+		s.Sets++
+		return append(dst, "+OK\r\n"...)
+	case ok && string(cmd) == "GET":
+		s.Gets++
+		v, hit := s.m[string(rest)]
+		if !hit {
+			return append(dst, "$-1\r\n"...)
+		}
+		s.Hits++
+		dst = append(dst, '$')
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, "\r\n"...)
+		dst = append(dst, v...)
+		return append(dst, "\r\n"...)
+	}
+	return append(dst, "-ERR\r\n"...)
 }
 
 // Metrics aggregates client-side results across every client thread of
@@ -261,12 +300,20 @@ func (m *Metrics) ResetWindow() {
 	m.Latency.Reset()
 }
 
+// PooledConn is what the pool hands out: the connection and the
+// buffered reader that travels with it, so a pooled connection keeps
+// one reader for its life whichever worker holds it.
+type PooledConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
 // Pool is a trivial connection pool: Get reuses an idle connection or
 // dials a new one; Put returns it. Fibers of one thread share it (one
 // runs at a time, so no locking).
 type Pool struct {
 	dial func() (net.Conn, error)
-	idle []net.Conn
+	idle []*PooledConn
 }
 
 // NewPool returns a pool dialing with dial.
@@ -275,18 +322,22 @@ func NewPool(dial func() (net.Conn, error)) *Pool {
 }
 
 // Get pops an idle connection or dials.
-func (p *Pool) Get() (net.Conn, error) {
+func (p *Pool) Get() (*PooledConn, error) {
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
 		p.idle[n-1] = nil
 		p.idle = p.idle[:n-1]
 		return c, nil
 	}
-	return p.dial()
+	c, err := p.dial()
+	if err != nil {
+		return nil, err
+	}
+	return &PooledConn{Conn: c, br: bufio.NewReader(c)}, nil
 }
 
 // Put returns a healthy connection to the pool.
-func (p *Pool) Put(c net.Conn) { p.idle = append(p.idle, c) }
+func (p *Pool) Put(c *PooledConn) { p.idle = append(p.idle, c) }
 
 // Close closes every idle connection.
 func (p *Pool) Close() {
@@ -338,15 +389,13 @@ func worker(n *ixnet.Net, d *ixnet.Dialer, pool *Pool, cfg ClientConfig, id int)
 	for i := range body {
 		body[i] = byte('a' + (id+i)%23)
 	}
-	var req bytes.Buffer
+	var req, key, val []byte // reused every round
 	seq := 0
 	for m.Running {
 		// HTTP echo round.
 		t0 := n.Now()
-		req.Reset()
-		fmt.Fprintf(&req, "POST /echo HTTP/1.1\r\nHost: ix\r\nContent-Length: %d\r\n\r\n", len(body))
-		req.Write(body)
-		if _, err := hc.Write(req.Bytes()); err != nil {
+		req = appendHTTPRequest(req[:0], "POST", "/echo", body, true)
+		if _, err := hc.Write(req); err != nil {
 			m.Errors.Inc()
 			return
 		}
@@ -367,17 +416,21 @@ func worker(n *ixnet.Net, d *ixnet.Dialer, pool *Pool, cfg ClientConfig, id int)
 			m.Errors.Inc()
 			return
 		}
-		key := fmt.Sprintf("t%d-w%d-%d", n.Thread(), id, seq%32)
-		val := fmt.Sprintf("v%d", seq)
+		// Key t<thread>-w<worker>-<seq mod 32>, value v<seq>.
+		key = strconv.AppendInt(append(key[:0], 't'), int64(n.Thread()), 10)
+		key = strconv.AppendInt(append(key, "-w"...), int64(id), 10)
+		key = strconv.AppendInt(append(key, '-'), int64(seq%32), 10)
+		val = strconv.AppendInt(append(val[:0], 'v'), int64(seq), 10)
 		seq++
 		t0 = n.Now()
-		got, err := kvSetGet(n, kc, key, val)
+		req = appendSetGet(req[:0], key, val)
+		got, err := kvSetGet(kc, req)
 		if err != nil {
 			m.Errors.Inc()
 			kc.Close()
 			return
 		}
-		if got != val {
+		if !bytes.Equal(got, val) {
 			m.VerifyErrors.Inc()
 		}
 		m.Latency.Record(n.Now().Sub(t0))
@@ -396,25 +449,9 @@ func readHTTPResponse(br *bufio.Reader) ([]byte, error) {
 	if !bytes.HasPrefix(line, []byte("HTTP/1.1 200")) {
 		return nil, errMalformed
 	}
-	clen := 0
-	for {
-		h, err := readLine(br)
-		if err != nil {
-			return nil, err
-		}
-		if len(h) == 0 {
-			break
-		}
-		col := bytes.IndexByte(h, ':')
-		if col < 0 {
-			return nil, errMalformed
-		}
-		if string(bytes.ToLower(bytes.TrimSpace(h[:col]))) == "content-length" {
-			clen, err = strconv.Atoi(string(bytes.TrimSpace(h[col+1:])))
-			if err != nil || clen < 0 {
-				return nil, errMalformed
-			}
-		}
+	clen, _, err := readHeaders(br)
+	if err != nil {
+		return nil, err
 	}
 	body := make([]byte, clen)
 	if _, err := io.ReadFull(br, body); err != nil {
@@ -423,40 +460,51 @@ func readHTTPResponse(br *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// kvSetGet issues SET key val, then GET key, returning the read value.
-// br is per-call because pooled connections migrate between workers;
-// the protocol is strictly request-response, so no bytes straddle ops.
-func kvSetGet(n *ixnet.Net, kc net.Conn, key, val string) (string, error) {
-	var req bytes.Buffer
-	fmt.Fprintf(&req, "SET %s %s\r\nGET %s\r\n", key, val, key)
-	if _, err := kc.Write(req.Bytes()); err != nil {
-		return "", err
+// appendSetGet appends the command pair "SET key val", "GET key" to dst.
+func appendSetGet(dst, key, val []byte) []byte {
+	dst = append(append(dst, "SET "...), key...)
+	dst = append(append(dst, ' '), val...)
+	dst = append(append(dst, "\r\nGET "...), key...)
+	return append(dst, "\r\n"...)
+}
+
+// kvSetGet sends req, a SET and a GET of the same key, and returns the
+// value read back, nil on a miss. The protocol is strictly
+// request-response, so kc's reader holds no bytes between calls.
+func kvSetGet(kc *PooledConn, req []byte) ([]byte, error) {
+	if _, err := kc.Write(req); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReader(kc)
-	ok, err := readLine(br)
+	ok, err := readLine(kc.br)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if string(ok) != "+OK" {
-		return "", errMalformed
+		return nil, errMalformed
 	}
+	return readKVValue(kc.br)
+}
+
+// readKVValue parses a GET reply: $<len>\r\n<value>\r\n, or $-1\r\n
+// for a miss (nil value, nil error).
+func readKVValue(br *bufio.Reader) ([]byte, error) {
 	hdr, err := readLine(br)
 	if err != nil {
-		return "", err
+		return nil, err
+	}
+	if string(hdr) == "$-1" {
+		return nil, nil
 	}
 	if len(hdr) < 1 || hdr[0] != '$' {
-		return "", errMalformed
+		return nil, errMalformed
 	}
-	vlen, err := strconv.Atoi(string(hdr[1:]))
+	vlen, err := parseLen(hdr[1:])
 	if err != nil {
-		return "", errMalformed
-	}
-	if vlen < 0 {
-		return "", nil // miss
+		return nil, err
 	}
 	buf := make([]byte, vlen+2)
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(buf[:vlen]), nil
+	return buf[:vlen], nil
 }

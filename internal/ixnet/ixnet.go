@@ -12,9 +12,8 @@
 // writers, timer-service deadlines fire os.ErrDeadlineExceeded, accept
 // events wake acceptors. Wakeups drain from a FIFO run queue, so the
 // interleaving is a pure function of the event sequence and fixed-seed
-// runs stay byte-identical. The package is sanctioned by the
-// determinism analyzer the same way sim/shard is: its goroutines
-// synchronize exclusively through the baton channels.
+// runs stay byte-identical. Fibers are coroutines, not scheduled
+// goroutines: this package has no go statement, channel or sync import.
 package ixnet
 
 import (
@@ -29,7 +28,7 @@ import (
 // its timer callbacks) — never across threads.
 type Net struct {
 	env     app.Env
-	s       *sched
+	s       sched
 	thread  int
 	threads int
 	lis     *Listener
@@ -42,7 +41,7 @@ type Net struct {
 // stack event. One main instance runs per elastic thread.
 func Factory(main func(n *Net)) app.Factory {
 	return func(env app.Env, thread, threads int) app.Handler {
-		n := &Net{env: env, s: newSched(), thread: thread, threads: threads}
+		n := &Net{env: env, thread: thread, threads: threads}
 		n.s.spawn(func() { main(n) })
 		// Run the root fiber to its first park at start of day so
 		// listeners exist before the first SYN arrives.
@@ -96,7 +95,7 @@ func (n *Net) after(d time.Duration, fn func()) {
 // thread's: under IX connection migration events can arrive on a
 // different elastic thread than the one whose fibers own the conn, and
 // threads on one host share an engine, so running the owner's fibers
-// from here preserves the baton discipline.
+// from here keeps exactly one party running.
 type handler struct {
 	n *Net
 }
@@ -113,7 +112,7 @@ func (h *handler) conn(ac app.Conn) *Conn {
 
 func (h *handler) OnAccept(ac app.Conn) {
 	l := h.n.lis
-	if l == nil || l.closed || len(l.backlog) >= l.maxBacklog {
+	if l == nil || l.closed || l.backlog.len() >= l.maxBacklog {
 		// No listener (or backlog full): refuse, as a kernel would
 		// once the accept queue overflows.
 		ac.Abort()
@@ -121,7 +120,7 @@ func (h *handler) OnAccept(ac app.Conn) {
 	}
 	c := newConn(h.n, ac)
 	ac.SetCookie(c)
-	l.backlog = append(l.backlog, c)
+	l.backlog.push(c)
 	l.wakeAcceptor()
 	h.n.s.pump()
 }

@@ -18,9 +18,9 @@ const DefaultBacklog = 128
 type Listener struct {
 	n          *Net
 	addr       Addr
-	backlog    []*Conn
+	backlog    fifo[*Conn]
 	maxBacklog int
-	waiters    []*fiber // parked acceptor fibers, FIFO
+	waiters    fifo[*fiber] // parked acceptor fibers
 	closed     bool
 }
 
@@ -52,19 +52,13 @@ func (n *Net) ListenBacklog(port uint16, backlog int) (*Listener, error) {
 // Accept blocks until a connection is ready or the listener closes.
 func (l *Listener) Accept() (net.Conn, error) {
 	for {
-		if len(l.backlog) > 0 {
-			c := l.backlog[0]
-			l.backlog[0] = nil
-			l.backlog = l.backlog[1:]
-			if len(l.backlog) == 0 {
-				l.backlog = nil
-			}
-			return c, nil
+		if l.backlog.len() > 0 {
+			return l.backlog.pop(), nil
 		}
 		if l.closed {
 			return nil, net.ErrClosed
 		}
-		l.waiters = append(l.waiters, l.n.s.current())
+		l.waiters.push(l.n.s.current())
 		l.n.s.park()
 	}
 }
@@ -77,10 +71,9 @@ func (l *Listener) Close() error {
 		return net.ErrClosed
 	}
 	l.closed = true
-	for _, f := range l.waiters {
-		l.n.s.wake(f)
+	for l.waiters.len() > 0 {
+		l.n.s.wake(l.waiters.pop())
 	}
-	l.waiters = nil
 	l.n.s.pump()
 	return nil
 }
@@ -90,16 +83,9 @@ func (l *Listener) Addr() net.Addr { return l.addr }
 
 // wakeAcceptor pops one parked acceptor, if any.
 func (l *Listener) wakeAcceptor() {
-	if len(l.waiters) == 0 {
-		return
+	if l.waiters.len() > 0 {
+		l.n.s.wake(l.waiters.pop())
 	}
-	f := l.waiters[0]
-	l.waiters[0] = nil
-	l.waiters = l.waiters[1:]
-	if len(l.waiters) == 0 {
-		l.waiters = nil
-	}
-	l.n.s.wake(f)
 }
 
 // Dialer blocks a fiber until its connection attempt resolves.
