@@ -222,21 +222,28 @@ type ClientConfig struct {
 	Fleet *Fleet
 }
 
-// clientConn tracks one RPC stream.
+// clientConn tracks one RPC stream. One exists per open connection, so
+// it carries only what every mode needs; verify-mode state sits behind
+// a pointer that is nil unless ClientConfig.Verify. rounds and got are
+// int32: a connection's round count and a message's size fit easily.
 type clientConn struct {
-	rounds int
-	got    int
-	t0     int64
+	t0 int64
+	// v is the verify-mode state (nil unless Verify).
+	v      *verifyState
+	rounds int32
+	got    int32
 	busy   bool
 	// retiring marks a connection being torn down by a fleet retarget
 	// (paced FIN); its death is expected and must not trigger the
 	// dead-connection replacement path.
 	retiring bool
+}
 
-	// Verify mode: pat seeds this connection's request pattern, buf
-	// holds the current round's request bytes, unsent its not-yet-
-	// accepted tail, txSum/rxSum are running FNV-1a checksums of the
-	// whole sent/received streams.
+// verifyState is a connection's verify-mode state: pat seeds its
+// request pattern, buf holds the current round's request bytes, unsent
+// its not-yet-accepted tail, txSum/rxSum are running FNV-1a checksums
+// of the whole sent/received streams.
+type verifyState struct {
 	pat          uint64
 	buf          []byte
 	unsent       []byte
@@ -398,9 +405,11 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 	st := &clientConn{}
 	if cl.cfg.Verify {
 		cl.connSeq++
-		st.pat = (cl.cfg.VerifySeed + cl.connSeq) * 0xbf58476d1ce4e5b9
-		st.buf = make([]byte, cl.cfg.MsgSize)
-		st.txSum, st.rxSum = fnvOffset, fnvOffset
+		st.v = &verifyState{
+			pat:   (cl.cfg.VerifySeed + cl.connSeq) * 0xbf58476d1ce4e5b9,
+			buf:   make([]byte, cl.cfg.MsgSize),
+			txSum: fnvOffset, rxSum: fnvOffset,
+		}
 	}
 	c.SetCookie(st)
 	if cl.cfg.Outstanding > 0 {
@@ -460,13 +469,13 @@ func (cl *client) sendReq(c app.Conn, st *clientConn) {
 	st.got = 0
 	st.busy = true
 	cl.env.Charge(serverMsgCost)
-	if st.buf != nil {
-		fillPattern(st.buf, st.pat, st.rounds)
-		n := c.Send(st.buf)
-		st.txSum = fnvAdd(st.txSum, st.buf[:n])
+	if v := st.v; v != nil {
+		fillPattern(v.buf, v.pat, int(st.rounds))
+		n := c.Send(v.buf)
+		v.txSum = fnvAdd(v.txSum, v.buf[:n])
 		// A short accept leaves a tail to push as OnSent reopens the
 		// send budget.
-		st.unsent = st.buf[n:]
+		v.unsent = v.buf[n:]
 		return
 	}
 	c.Send(zeros(&cl.zb, cl.cfg.MsgSize))
@@ -477,24 +486,25 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	if st == nil {
 		return
 	}
-	if st.buf != nil {
+	if v := st.v; v != nil {
 		// Integrity invariant: the response stream must equal the
 		// request stream byte-for-byte, at the right positions.
 		m := cl.cfg.Metrics
-		if st.got+len(data) > len(st.buf) {
-			m.VerifyErrors.Add(uint64(st.got + len(data) - len(st.buf)))
-			data = data[:len(st.buf)-st.got]
+		got := int(st.got)
+		if got+len(data) > len(v.buf) {
+			m.VerifyErrors.Add(uint64(got + len(data) - len(v.buf)))
+			data = data[:len(v.buf)-got]
 		}
 		for i, b := range data {
-			if b != st.buf[st.got+i] {
+			if b != v.buf[got+i] {
 				m.VerifyErrors.Inc()
 			}
 		}
-		st.rxSum = fnvAdd(st.rxSum, data)
+		v.rxSum = fnvAdd(v.rxSum, data)
 	}
-	st.got += len(data)
+	st.got += int32(len(data))
 	cl.env.Charge(time.Duration(float64(len(data)) * perByteCost))
-	if st.got < cl.cfg.MsgSize {
+	if int(st.got) < cl.cfg.MsgSize {
 		return
 	}
 	m := cl.cfg.Metrics
@@ -504,7 +514,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	if m.Tap != nil {
 		m.Tap.Record(rtt)
 	}
-	if st.buf != nil && st.rxSum != st.txSum {
+	if v := st.v; v != nil && v.rxSum != v.txSum {
 		// Whole-transfer checksum over everything this connection ever
 		// sent vs received: equal iff the echoed stream is intact.
 		m.SumMismatches.Inc()
@@ -526,7 +536,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 		return
 	}
 	st.rounds++
-	if st.rounds < cl.cfg.Rounds || cl.cfg.Rounds <= 0 {
+	if int(st.rounds) < cl.cfg.Rounds || cl.cfg.Rounds <= 0 {
 		cl.sendReq(c, st)
 		return
 	}
@@ -543,10 +553,11 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 // verify mode it also pushes any request tail a short accept left over.
 func (cl *client) OnSent(c app.Conn, n int) {
 	cl.cfg.Metrics.TxAcked.Add(uint64(n))
-	if st, _ := c.Cookie().(*clientConn); st != nil && len(st.unsent) > 0 {
-		k := c.Send(st.unsent)
-		st.txSum = fnvAdd(st.txSum, st.unsent[:k])
-		st.unsent = st.unsent[k:]
+	if st, _ := c.Cookie().(*clientConn); st != nil && st.v != nil && len(st.v.unsent) > 0 {
+		v := st.v
+		k := c.Send(v.unsent)
+		v.txSum = fnvAdd(v.txSum, v.unsent[:k])
+		v.unsent = v.unsent[k:]
 	}
 }
 func (cl *client) OnEOF(c app.Conn) { c.Close() }
@@ -584,7 +595,7 @@ func (cl *client) OnClosed(c app.Conn) {
 	}
 	// RST-closed connections already accounted in OnRecv; unexpected
 	// deaths trigger a reconnect to sustain load.
-	if st != nil && st.rounds < cl.cfg.Rounds && cl.cfg.Metrics.Running && !cl.cfg.NoReconnect {
+	if st != nil && int(st.rounds) < cl.cfg.Rounds && cl.cfg.Metrics.Running && !cl.cfg.NoReconnect {
 		cl.cfg.Metrics.Failures.Inc()
 		cl.connect()
 	}
@@ -640,12 +651,12 @@ func (cl *client) retarget(conns, outstanding int, seed uint64) {
 		// (no RPC in flight), so no round straddles the reset.
 		for _, c := range cl.ring {
 			st, _ := c.Cookie().(*clientConn)
-			if st == nil {
+			if st == nil || st.v == nil {
 				continue
 			}
 			cl.connSeq++
-			st.pat = (seed + cl.connSeq) * 0xbf58476d1ce4e5b9
-			st.txSum, st.rxSum = fnvOffset, fnvOffset
+			st.v.pat = (seed + cl.connSeq) * 0xbf58476d1ce4e5b9
+			st.v.txSum, st.v.rxSum = fnvOffset, fnvOffset
 			st.rounds = 0
 		}
 	}

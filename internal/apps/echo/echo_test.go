@@ -1,6 +1,9 @@
 package echo
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestFillPatternDeterministic(t *testing.T) {
 	a, b := make([]byte, 256), make([]byte, 256)
@@ -59,5 +62,14 @@ func TestMetricsWindow(t *testing.T) {
 	m.Msgs.Add(5)
 	if m.Msgs.Since() != 5 || m.Msgs.Total() != 15 {
 		t.Fatal("window accounting broken")
+	}
+}
+
+// TestConnStateSizes pins the per-connection client state: one exists
+// per open connection of a Fig. 4 fleet, so growth is a reviewed
+// decision (DESIGN.md, "Per-connection memory budget").
+func TestConnStateSizes(t *testing.T) {
+	if got := unsafe.Sizeof(clientConn{}); got > 32 {
+		t.Fatalf("echo.clientConn is %d bytes, budget 32", got)
 	}
 }

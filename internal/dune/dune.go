@@ -103,7 +103,13 @@ func makeHandle(thread int, gen uint16, idx uint32) uint64 {
 
 func handleThread(h uint64) int { return int(h >> 48) }
 func handleGen(h uint64) uint16 { return uint16(h >> 32) }
-func handleIdx(h uint64) uint32 { return uint32(h) }
+
+// HandleIndex returns the capability-table slot a handle names. Within
+// one elastic thread's namespace the indices of live handles are dense
+// (freed slots recycle first), so a user-level library can key its own
+// per-flow table by it — checking the full handle on lookup, since a
+// recycled slot serves a new generation.
+func HandleIndex(h uint64) uint32 { return uint32(h) }
 
 // capEntry is one capability-table slot. Field order packs it into 24
 // bytes (interface word pair, then the narrow scalars): with one entry
@@ -168,7 +174,7 @@ func (g *Gate) Lookup(h uint64) (any, error) {
 		g.violations[VioForeignHandle]++
 		return nil, ErrForeignHandle
 	}
-	idx := handleIdx(h)
+	idx := HandleIndex(h)
 	if int(idx) >= len(g.entries) {
 		g.violations[VioBadHandle]++
 		return nil, ErrBadHandle
@@ -191,7 +197,7 @@ func (g *Gate) Revoke(h uint64) {
 	if handleThread(h) != g.thread {
 		return
 	}
-	idx := handleIdx(h)
+	idx := HandleIndex(h)
 	if int(idx) >= len(g.entries) {
 		return
 	}
@@ -205,7 +211,7 @@ func (g *Gate) Revoke(h uint64) {
 
 // Delivered accounts bytes passed read-only to the application on h.
 func (g *Gate) Delivered(h uint64, n int) {
-	idx := handleIdx(h)
+	idx := HandleIndex(h)
 	if int(idx) < len(g.entries) && g.entries[idx].live {
 		g.entries[idx].delivered += int32(n)
 	}
@@ -220,7 +226,7 @@ func (g *Gate) RecvDone(h uint64, n int) error {
 		return err
 	}
 	_ = obj
-	e := &g.entries[handleIdx(h)]
+	e := &g.entries[HandleIndex(h)]
 	if int32(n) > e.delivered {
 		g.violations[VioRecvDoneOverrun]++
 		return ErrRecvDone

@@ -183,10 +183,10 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 		t.Skip("1M-connection establishment ramp")
 	}
 	const total = 1_000_000
-	// Ceilings are the PR 10 acceptance bounds (≥30% under the pre-PR
-	// measurement); amortization means 1M should do no worse per conn
-	// than 250k.
-	ceiling := map[Arch]float64{ArchIX: 464.5, ArchLinux: 343.3}
+	// Ceilings are the measurement at this point plus 5% (IX 290.7,
+	// Linux 242.9 bytes/conn with the connection tables counted, once
+	// idle connections stopped holding I/O state; 424.0 / 338.1 before).
+	ceiling := map[Arch]float64{ArchIX: 305.2, ArchLinux: 255.0}
 	for _, arch := range []Arch{ArchIX, ArchLinux} {
 		t.Run(arch.String(), func(t *testing.T) {
 			threads := fig4FleetHosts * fig4FleetCores

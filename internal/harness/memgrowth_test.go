@@ -13,12 +13,74 @@ import (
 // one: live traffic pins transient state (arena chunks, recycle batches,
 // spilled retransmission backings) by design.
 func drainedFootprint(b *EchoBench) (int64, int) {
+	drain(b)
+	f := b.cl.HostFootprint(b.cl.hosts[0])
+	return f.Bytes, f.Conns
+}
+
+// drain pauses the fleet and runs until nothing is in flight anywhere.
+func drain(b *EchoBench) {
 	b.fleet.Pause()
 	db := drainBudget + time.Duration(b.fleet.InFlight())*drainPerMsg
 	b.runUntil(db, drainStep, func() bool { return b.fleet.InFlight() == 0 })
 	b.cl.Run(5 * time.Millisecond)
-	f := b.cl.HostFootprint(b.cl.hosts[0])
-	return f.Bytes, f.Conns
+}
+
+// TestIdleConnsHoldNoIOState is the idle-field rule end to end, on each
+// of the three stacks as the server (and linuxstack as every client): a
+// 10k-connection population with a handful of RPCs rotating over it is
+// drained, after which no connection on any host holds an in-flight
+// side object — retransmission state, reassembly queue, borrowed
+// connIO or socket buffers — and what the pools retain is bounded by
+// how many connections ever had something in flight at once, not by the
+// population.
+func TestIdleConnsHoldNoIOState(t *testing.T) {
+	const (
+		conns       = 10_240
+		outstanding = 3
+		hosts       = 4
+		cores       = 4
+	)
+	for _, arch := range []Arch{ArchIX, ArchLinux, ArchMTCP} {
+		t.Run(arch.String(), func(t *testing.T) {
+			b := NewEchoBench(EchoSetup{
+				ServerArch: arch, ServerCores: 4,
+				ClientArch: ArchLinux, ClientHosts: hosts, ClientCores: cores,
+				MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(arch, hosts*cores),
+				ExpectedConns: conns,
+			})
+			defer b.Stop()
+			res := b.MeasurePoint(conns, outstanding, 3*time.Millisecond)
+			if res.ServerConns < conns || res.MsgsPerSec <= 0 {
+				t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
+			}
+			if busy := b.cl.HostFootprint(b.cl.hosts[0]); busy.Attached == 0 {
+				t.Fatal("no side object attached under load — the probe is not seeing them")
+			}
+			drain(b)
+			total := 0
+			for i, h := range b.cl.hosts {
+				f := b.cl.HostFootprint(h)
+				total += f.Conns
+				if f.Attached != 0 {
+					t.Errorf("host %d: %d side objects still attached across %d idle connections", i, f.Attached, f.Conns)
+				}
+				// A pool only ever holds objects that were attached at the
+				// same instant: RPCs in flight plus responses awaiting the
+				// client's delayed ACK — a property of the load (tens to a
+				// few hundred here), where a per-connection cost would be
+				// one or two objects per connection.
+				if f.Pooled*8 > f.Conns {
+					t.Errorf("host %d: pools retain %d objects for %d connections — scaling with the population, not the load",
+						i, f.Pooled, f.Conns)
+				}
+				t.Logf("host %d: conns=%d bytes/conn=%.1f pooled=%d", i, f.Conns, f.PerConn(), f.Pooled)
+			}
+			if total < 2*conns {
+				t.Fatalf("probed %d connection ends, want %d", total, 2*conns)
+			}
+		})
+	}
 }
 
 // TestFootprintRecoveryAfterBurstLoss drives the inline→spill→release

@@ -10,7 +10,8 @@
 //     space, so send-window policy lives entirely in user space;
 //   - enforces a maximum pending-send byte limit (the paper's "very
 //     basic" buffer sizing policy);
-//   - owns a per-connection zero-copy TX arena: Send appends the message
+//   - owns a per-connection zero-copy TX arena (borrowed from a pool
+//     while the connection has bytes in flight): Send appends the message
 //     into pooled arena chunks (one warm-cache copy, no allocation), the
 //     transmit vector and the kernel's retransmission queue reference
 //     arena bytes in place, and the `sent` event condition's release
@@ -27,6 +28,7 @@ import (
 
 	"ix/internal/app"
 	"ix/internal/core"
+	"ix/internal/dune"
 	"ix/internal/mem"
 	"ix/internal/wire"
 )
@@ -64,7 +66,9 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 			txchunk: api.TxChunks(),
 			tab:     tab,
 			first:   thread == 0,
-			conns:   make(map[uint64]*conn),
+		}
+		if n := api.ExpectedConns(); n > 0 && threads > 0 {
+			p.byHandle = make([]*conn, 0, n/threads)
 		}
 		p.handler = factory(p, thread, threads)
 		p.sendReady, _ = p.handler.(app.SendReadyHandler)
@@ -129,44 +133,38 @@ type program struct {
 	// the shared bytes are charged exactly once per host.
 	tab   *connTable
 	first bool
-	conns map[uint64]*conn
-	dirty     []*conn // connections with work to flush this round
+	// byHandle resolves a kernel flow handle to its connection: indexed
+	// by the handle's dense slot index in this thread's capability
+	// namespace, verified against the full handle (slots recycle under a
+	// new generation). Needed where no cookie travels — sendv return
+	// codes, and events raised before the accept syscall has executed.
+	byHandle []*conn
+	// ioFree recycles connIO objects between connections with I/O in
+	// flight (LIFO, so the hot ones stay cache-warm).
+	ioFree []*connIO
+	dirty  []*conn // connections with work to flush this round
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
 	waiters []*conn
 }
 
-// conn is the user-level connection state: the zero-copy TX arena, the
-// transmit vector over it, and receive recycling state.
+// conn is the user-level connection descriptor. It holds only what an
+// idle established connection needs — identity, the application's tag,
+// byte counters and flags; everything that exists only while I/O is in
+// flight lives in a connIO borrowed from the program's pool (DESIGN.md,
+// "Per-connection memory budget"). txBytes/rdBytes are int32: both are
+// bounded by MaxPendingSend and the receive window.
 type conn struct {
 	p      *program
 	handle uint64
 	cookie any
 
-	// arena holds the connection's outgoing bytes; txq entries and the
-	// kernel's retransmission segments reference it in place. Released
-	// by the sent event condition's cumulative-ACK count.
-	arena mem.TxArena
+	// io is non-nil from the first Send or EvRecv until the arena, the
+	// transmit vector and the receive recycle list are all empty again.
+	io *connIO
 
-	// Transmit vector: arena views not yet accepted by the kernel.
-	// txHead is the consumption cursor. On full drain the backing is
-	// released unless it is a single slot (the request-response steady
-	// state, kept so the steady cycle stays allocation-free) — an idle
-	// connection retains at most one entry of transmit state, which is
-	// what keeps the Fig. 4 bytes/conn budget flat as the population
-	// grows (DESIGN.md, "Per-connection memory budget"). txHead/txBytes
-	// are int32: both are bounded by MaxPendingSend, and the narrower
-	// fields pack the descriptor.
-	txq     [][]byte
-	txHead  int32
-	txBytes int32
-
-	// Receive recycling accumulated during this round; the batch issued
-	// to recv_done is consumed within the same cycle and the backing is
-	// released with it, so only connections with in-flight receives pin
-	// recycle state.
-	rdBufs  []*mem.Mbuf
-	rdBytes int32
+	txBytes int32 // bytes in the transmit vector
+	rdBytes int32 // bytes consumed this round, owed to recv_done
 
 	issued  bool // a sendv is in the current batch
 	stalled bool // last sendv was trimmed; wait for a sent event
@@ -181,6 +179,100 @@ type conn struct {
 	wantReady   bool
 	blockedPool bool
 	inDirty     bool
+}
+
+// connIO is the in-flight I/O state of one connection: the zero-copy TX
+// arena, the transmit vector over it, and the receive recycle list. A
+// program pools them; of a 250k-connection population only the few
+// hundred connections with an RPC in flight hold one.
+type connIO struct {
+	// arena holds the connection's outgoing bytes; txq entries and the
+	// kernel's retransmission segments reference it in place. Released
+	// by the sent event condition's cumulative-ACK count.
+	arena mem.TxArena
+
+	// Transmit vector: arena views not yet accepted by the kernel.
+	// txHead is the consumption cursor. On full drain a one-entry backing
+	// (the request-response steady state) is kept and anything larger —
+	// grown by a bulk or flow-controlled send — is released, so a pooled
+	// object retains at most one entry of transmit state.
+	txq    [][]byte
+	txHead int32
+
+	// Receive recycling accumulated during this round; the batch issued
+	// to recv_done is consumed within the same cycle.
+	rdBufs []*mem.Mbuf
+}
+
+// getIO returns the connection's I/O state, borrowing one from the
+// program's pool on first use. The arena is pointed at the borrowing
+// thread's chunk pool each time: a pooled object may have arrived with
+// a migrated connection.
+//
+//ix:hotpath
+func (c *conn) getIO() *connIO {
+	if c.io != nil {
+		return c.io
+	}
+	p := c.p
+	var io *connIO
+	if n := len(p.ioFree); n > 0 {
+		io = p.ioFree[n-1]
+		p.ioFree[n-1] = nil
+		p.ioFree = p.ioFree[:n-1]
+	} else {
+		//ixvet:ignore(hotpath) pool miss: once per unit of peak concurrency, steady state hits the free list
+		io = &connIO{}
+	}
+	io.arena.Init(p.txchunk)
+	c.io = io
+	return io
+}
+
+// putIO returns the I/O state to the owning program's pool once nothing
+// is in flight: no unacknowledged arena bytes, an empty transmit vector,
+// nothing owed to recv_done.
+//
+//ix:hotpath
+func (c *conn) putIO() {
+	io := c.io
+	if io == nil || c.rdBytes > 0 || io.arena.Chunks() > 0 || len(io.txq) > 0 || len(io.rdBufs) > 0 {
+		return
+	}
+	c.io = nil
+	c.p.ioFree = append(c.p.ioFree, io)
+}
+
+// dropIO tears the I/O state down with the connection: nothing
+// references the arena any more (the kernel dropped the flow's
+// retransmission queue), and receive buffers still pending recycle
+// locally.
+func (c *conn) dropIO() {
+	io := c.io
+	if io == nil {
+		return
+	}
+	io.arena.ReleaseAll()
+	for _, b := range io.rdBufs {
+		b.Unref()
+	}
+	clear(io.rdBufs)
+	io.rdBufs = keepOneSlot(io.rdBufs)
+	clear(io.txq)
+	io.txq = keepOneSlot(io.txq)
+	io.txHead = 0
+	c.putIO()
+}
+
+// keepOneSlot empties a drained vector: a one-slot backing — the
+// request-response steady state — is kept so the steady cycle stays
+// allocation-free, anything larger was grown by a burst and is
+// released, bounding what a pooled connIO retains.
+func keepOneSlot[T any](s []T) []T {
+	if cap(s) > 1 {
+		return nil
+	}
+	return s[:0]
 }
 
 var _ app.Conn = (*conn)(nil)
@@ -211,13 +303,14 @@ func (c *conn) Send(b []byte) int {
 	}
 	accepted := 0
 	pool := false
+	io := c.getIO()
 	for len(b) > 0 {
-		v := c.arena.Append(b)
+		v := io.arena.Append(b)
 		if len(v) == 0 {
 			pool = true
 			break // chunk pool exhausted: accept what we have
 		}
-		c.pushTx(v)
+		io.pushTx(v)
 		accepted += len(v)
 		b = b[len(v):]
 	}
@@ -225,6 +318,7 @@ func (c *conn) Send(b []byte) int {
 		c.armSendReady(pool)
 	}
 	if accepted == 0 {
+		c.putIO()
 		return 0
 	}
 	c.p.api.Charge(time.Duration(float64(accepted) * copyPerByte))
@@ -240,18 +334,18 @@ func (c *conn) Send(b []byte) int {
 // out, so any number of consecutive views coalesce, not just pairs.
 //
 //ix:hotpath
-func (c *conn) pushTx(v []byte) {
-	if n := len(c.txq); n > int(c.txHead) {
-		tail := c.txq[n-1]
+func (io *connIO) pushTx(v []byte) {
+	if n := len(io.txq); n > int(io.txHead) {
+		tail := io.txq[n-1]
 		if len(tail) > 0 && cap(tail) >= len(tail)+len(v) {
 			ext := tail[:len(tail)+len(v)]
 			if &ext[len(tail)] == &v[0] {
-				c.txq[n-1] = ext
+				io.txq[n-1] = ext
 				return
 			}
 		}
 	}
-	c.txq = append(c.txq, v)
+	io.txq = append(io.txq, v)
 }
 
 // armSendReady arms the writable-again condition after a short Send; a
@@ -345,18 +439,42 @@ func (p *program) Listen(port uint16) error { return p.api.Listen(port) }
 // After schedules fn on the thread's timer service.
 func (p *program) After(d time.Duration, fn func()) { p.api.After(d, fn) }
 
-// newConn builds a connection with its arena wired to the thread pool.
-func (p *program) newConn(handle uint64, cookie any) *conn {
-	c := &conn{p: p, handle: handle, cookie: cookie}
-	c.arena.Init(p.txchunk)
-	return c
-}
-
 // Connect initiates a connection; OnConnected reports the outcome.
 func (p *program) Connect(dst wire.IPv4, port uint16, cookie any) error {
-	c := p.newConn(0, cookie)
+	c := &conn{p: p, cookie: cookie}
 	p.api.Connect(p.tab.grant(c), dst, port)
 	return nil
+}
+
+// bindHandle records c under its kernel flow handle.
+//
+//ix:hotpath
+func (p *program) bindHandle(c *conn) {
+	i := int(dune.HandleIndex(c.handle))
+	for len(p.byHandle) <= i {
+		p.byHandle = append(p.byHandle, nil)
+	}
+	p.byHandle[i] = c
+}
+
+// byHandleLookup resolves a flow handle; unknown and stale handles (the
+// slot now serves another generation) return nil.
+//
+//ix:hotpath
+func (p *program) byHandleLookup(h uint64) *conn {
+	if i := int(dune.HandleIndex(h)); i < len(p.byHandle) {
+		if c := p.byHandle[i]; c != nil && c.handle == h {
+			return c
+		}
+	}
+	return nil
+}
+
+// unbindHandle forgets c's handle (flow dead or migrated away).
+func (p *program) unbindHandle(c *conn) {
+	if p.byHandleLookup(c.handle) == c {
+		p.byHandle[dune.HandleIndex(c.handle)] = nil
+	}
 }
 
 // Run is the ring-3 phase of the run-to-completion cycle: consume return
@@ -381,25 +499,24 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 	// recv_done recycling.
 	for _, c := range p.dirty {
 		c.inDirty = false
-		if c.rdBytes > 0 || len(c.rdBufs) > 0 {
-			api.RecvDone(c.handle, int(c.rdBytes), c.rdBufs)
+		io := c.io
+		if io == nil {
+			continue // died since it was marked
+		}
+		if c.rdBytes > 0 || len(io.rdBufs) > 0 {
+			api.RecvDone(c.handle, int(c.rdBytes), io.rdBufs)
 			c.rdBytes = 0
 			// The issued batch is consumed by the kernel phase of this
-			// same cycle — before the next user round can append — so a
-			// one-slot backing (the request-response steady state) is
-			// reused in place and the steady cycle stays allocation-free.
-			// Larger batch backings are released: an idle connection pins
-			// at most one pointer slot of recycle state.
-			if cap(c.rdBufs) > 1 {
-				c.rdBufs = nil
-			} else {
-				c.rdBufs = c.rdBufs[:0]
-			}
+			// same cycle — before any user round can append, on this
+			// connection or on the next borrower of the object — so a kept
+			// one-slot backing is safely reused in place.
+			io.rdBufs = keepOneSlot(io.rdBufs)
 		}
 		if c.txBytes > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
 			c.issued = true
-			api.Sendv(c.handle, c.txq[c.txHead:])
+			api.Sendv(c.handle, io.txq[io.txHead:])
 		}
+		c.putIO()
 	}
 	p.dirty = p.dirty[:0]
 }
@@ -419,11 +536,11 @@ func (p *program) processResult(r *core.SyscallResult) {
 			return
 		}
 		c.handle = r.Handle
-		p.conns[c.handle] = c
+		p.bindHandle(c)
 		// Outcome arrives via the connected event condition.
 	case core.SysSendv:
-		c, ok := p.conns[r.Handle]
-		if !ok {
+		c := p.byHandleLookup(r.Handle)
+		if c == nil {
 			return
 		}
 		c.issued = false
@@ -472,56 +589,56 @@ func (p *program) fireSendReady() {
 	}
 }
 
+// consumeTx retires n bytes the kernel accepted from the transmit
+// vector. Pending bytes imply a non-empty vector, so the I/O state is
+// attached whenever a sendv result arrives.
 func (c *conn) consumeTx(n int) {
 	c.txBytes -= int32(n)
 	if c.txBytes < 0 {
 		c.txBytes = 0
 	}
-	head := int(c.txHead)
-	for n > 0 && head < len(c.txq) {
-		e := c.txq[head]
+	c.io.consumeTx(n)
+}
+
+func (io *connIO) consumeTx(n int) {
+	head := int(io.txHead)
+	for n > 0 && head < len(io.txq) {
+		e := io.txq[head]
 		if len(e) <= n {
 			n -= len(e)
-			c.txq[head] = nil
+			io.txq[head] = nil
 			head++
 		} else {
-			c.txq[head] = e[n:]
+			io.txq[head] = e[n:]
 			n = 0
 		}
 	}
-	if head == len(c.txq) {
-		// Fully drained. A one-entry backing — the request-response
-		// steady state, where contiguous views merge into a single
-		// scatter-gather entry — is kept so the steady cycle stays
-		// allocation-free; anything larger was grown by a bulk or
-		// flow-controlled send and is released, bounding what an idle
-		// connection retains to one slice header's backing.
-		if cap(c.txq) > 1 {
-			c.txq = nil
-		} else {
-			c.txq = c.txq[:0]
-		}
+	if head == len(io.txq) {
+		// Fully drained (every entry nil'd above). In the request-response
+		// steady state contiguous views merge into a single scatter-gather
+		// entry, which is the backing that is kept.
+		io.txq = keepOneSlot(io.txq)
 		head = 0
-	} else if head >= 32 && head*2 >= len(c.txq) {
+	} else if head >= 32 && head*2 >= len(io.txq) {
 		// A flow-controlled connection that never fully drains would
 		// otherwise grow the dead prefix forever; compact the live
 		// entries to the front.
-		k := copy(c.txq, c.txq[head:])
-		for i := k; i < len(c.txq); i++ {
-			c.txq[i] = nil
+		k := copy(io.txq, io.txq[head:])
+		for i := k; i < len(io.txq); i++ {
+			io.txq[i] = nil
 		}
-		c.txq = c.txq[:k]
+		io.txq = io.txq[:k]
 		head = 0
 	}
-	c.txHead = int32(head)
+	io.txHead = int32(head)
 }
 
 func (p *program) processEvent(ev *core.Event) {
 	p.api.Charge(dispatchCost)
 	switch ev.Type {
 	case core.EvKnock:
-		c := p.newConn(ev.Handle, nil)
-		p.conns[ev.Handle] = c
+		c := &conn{p: p, handle: ev.Handle}
+		p.bindHandle(c)
 		// Accept with the conn's table id as kernel cookie so later
 		// events resolve with one bounds-checked indexed load (the
 		// Table 1 cookie design, minus the interface box).
@@ -533,10 +650,10 @@ func (p *program) processEvent(ev *core.Event) {
 			return
 		}
 		if !ev.Outcome {
-			delete(p.conns, c.handle)
+			p.unbindHandle(c)
 			p.tab.revoke(ev.Cookie)
 			c.closed = true
-			c.arena.ReleaseAll()
+			c.dropIO()
 			p.handler.OnConnected(c, false)
 			return
 		}
@@ -555,8 +672,9 @@ func (p *program) processEvent(ev *core.Event) {
 		// Recycle as soon as the handler returns (copying semantics);
 		// batched into one recv_done per round.
 		c.rdBytes += int32(ev.Bytes)
+		io := c.getIO()
 		if ev.Mbuf != nil {
-			c.rdBufs = append(c.rdBufs, ev.Mbuf)
+			io.rdBufs = append(io.rdBufs, ev.Mbuf)
 		}
 		c.markDirty()
 	case core.EvSent:
@@ -568,8 +686,9 @@ func (p *program) processEvent(ev *core.Event) {
 		// its references to these arena bytes when the cumulative ACK
 		// trimmed its retransmission queue; advance the release cursor,
 		// returning drained chunks to the pool.
-		if ev.Released > 0 {
-			c.arena.Release(ev.Released)
+		if ev.Released > 0 && c.io != nil {
+			c.io.arena.Release(ev.Released)
+			c.putIO()
 		}
 		if c.stalled && ev.Window > 0 {
 			c.stalled = false
@@ -589,21 +708,17 @@ func (p *program) processEvent(ev *core.Event) {
 		if c == nil {
 			return
 		}
-		delete(p.conns, c.handle)
+		p.unbindHandle(c)
 		p.tab.revoke(ev.Cookie)
 		c.closed = true
 		// The kernel dropped the connection's retransmission queue with
-		// the flow; nothing references the arena any more.
-		c.arena.ReleaseAll()
-		// Recycle receive buffers still pending from this batch locally:
-		// the handle is already revoked, so a recv_done for it would be
+		// the flow, so nothing references the arena any more; receive
+		// buffers still pending from this batch recycle locally — the
+		// handle is already revoked, so a recv_done for it would be
 		// rejected before the kernel's own Unref loop ran (leaking the
 		// delivery references taken for EvRecv).
-		for _, b := range c.rdBufs {
-			b.Unref()
-		}
-		c.rdBufs = nil
 		c.rdBytes = 0
+		c.dropIO()
 		p.handler.OnClosed(c)
 	case core.EvTimer:
 		if ev.Fn != nil {
@@ -620,14 +735,17 @@ func (p *program) processEvent(ev *core.Event) {
 		// Re-home the connection: it now belongs to this thread's
 		// program and namespace.
 		if c.p != nil && c.p != p {
-			delete(c.p.conns, c.handle)
+			c.p.unbindHandle(c)
 			c.inDirty = false
 		}
 		c.p = p
 		c.handle = ev.Handle
 		c.issued = false
-		p.conns[ev.Handle] = c
-		if c.txBytes > 0 || c.rdBytes > 0 || len(c.rdBufs) > 0 {
+		p.bindHandle(c)
+		// In-flight I/O state travels with the connection (and, once
+		// drained, joins this program's pool); work it still owes a
+		// syscall for is flushed from its new home.
+		if c.txBytes > 0 || c.rdBytes > 0 {
 			c.markDirty()
 		}
 		// An armed send-ready condition migrates with the connection:
@@ -645,14 +763,14 @@ func (p *program) processEvent(ev *core.Event) {
 }
 
 // resolve finds the libix conn for an event via its cookie (fast path) or
-// the handle map.
+// its handle.
 //
 //ix:hotpath
 func (p *program) resolve(ev *core.Event) *conn {
 	if c := p.tab.lookup(ev.Cookie); c != nil {
 		return c
 	}
-	return p.conns[ev.Handle]
+	return p.byHandleLookup(ev.Handle)
 }
 
 // String aids debugging.

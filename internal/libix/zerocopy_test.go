@@ -145,21 +145,20 @@ func TestZeroAllocLibixEchoSteadyState(t *testing.T) {
 // (flow-controlled connection sending within budget) must compact its
 // consumed prefix rather than growing with connection lifetime.
 func TestTxqBoundedWithoutDrain(t *testing.T) {
-	c := &conn{}
+	io := &connIO{}
 	for i := 0; i < 2000; i++ {
-		c.pushTx(make([]byte, 64))
-		c.txBytes += 64
+		io.pushTx(make([]byte, 64))
 		if i > 0 {
 			// Consume one entry, always leaving the newest pending.
-			c.consumeTx(64)
+			io.consumeTx(64)
 		}
-		if live := len(c.txq) - int(c.txHead); live < 1 || live > 2 {
+		if live := len(io.txq) - int(io.txHead); live < 1 || live > 2 {
 			t.Fatalf("iteration %d: %d live entries, want 1-2", i, live)
 		}
 	}
-	if len(c.txq) > 96 {
+	if len(io.txq) > 96 {
 		t.Fatalf("txq backing holds %d entries for %d live; dead prefix not compacted",
-			len(c.txq), len(c.txq)-int(c.txHead))
+			len(io.txq), len(io.txq)-int(io.txHead))
 	}
 }
 
@@ -169,19 +168,19 @@ func TestTxqBoundedWithoutDrain(t *testing.T) {
 // engine's heap-allocated extra-fragment path).
 func TestPushTxMergesContiguousRuns(t *testing.T) {
 	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
-	c := &conn{}
-	c.arena.Init(pool)
+	io := &connIO{}
+	io.arena.Init(pool)
 	for i := 0; i < 5; i++ {
-		v := c.arena.Append(make([]byte, 64))
+		v := io.arena.Append(make([]byte, 64))
 		if len(v) != 64 {
 			t.Fatal("append failed")
 		}
-		c.pushTx(v)
+		io.pushTx(v)
 	}
-	if got := len(c.txq) - int(c.txHead); got != 1 {
+	if got := len(io.txq) - int(io.txHead); got != 1 {
 		t.Fatalf("5 contiguous appends produced %d SG entries, want 1", got)
 	}
-	if got := len(c.txq[c.txHead]); got != 320 {
+	if got := len(io.txq[io.txHead]); got != 320 {
 		t.Fatalf("merged entry holds %d bytes, want 320", got)
 	}
 }

@@ -40,22 +40,29 @@ func (h *Host) sockOf(c *tcp.Conn) *sock {
 }
 
 // Footprint implements the memprobe accounting contract for the Linux
-// host model: the shared kernel stack's TCP tally plus, per
-// connection, the socket adapter struct and the capacities of its
+// host model: the shared kernel stack's TCP tally plus the socket table
+// and, per connection, the socket adapter struct — and, only while one
+// is attached, the borrowed sockBuf with the capacities of its
 // kernel-side receive and send staging buffers.
 func (h *Host) Footprint() memprobe.Footprint {
 	const (
 		sockBytes = int64(unsafe.Sizeof(sock{}))
+		bufBytes  = int64(unsafe.Sizeof(sockBuf{}))
 		slotBytes = int64(unsafe.Sizeof((*sock)(nil)))
 	)
 	f := h.ns.TCP().Footprint()
 	f.Bytes += int64(cap(h.socks))*slotBytes + int64(cap(h.sockFree))*4
-	for _, c := range h.ns.TCP().Conns() {
+	f.Pooled += len(h.bufFree)
+	h.ns.TCP().EachConn(func(c *tcp.Conn) {
 		s := h.sockOf(c)
 		if s == nil {
-			continue // embryonic: no socket until accept
+			return // embryonic: no socket until accept
 		}
-		f.Bytes += sockBytes + int64(cap(s.rcvbuf)) + int64(cap(s.sndbuf))
-	}
+		f.Bytes += sockBytes
+		if b := s.buf; b != nil {
+			f.Attached++
+			f.Bytes += bufBytes + int64(cap(b.rcvbuf)) + int64(cap(b.sndbuf))
+		}
+	})
 	return f
 }

@@ -89,6 +89,9 @@ type Host struct {
 	// rather than an interface box. Freed slots recycle LIFO.
 	socks    []*sock
 	sockFree []uint32
+	// bufFree recycles sockBuf objects between sockets with bytes queued
+	// (LIFO, so the hot ones stay cache-warm).
+	bufFree []*sockBuf
 
 	listening map[uint16]bool
 	timerWake *sim.Event
@@ -277,6 +280,10 @@ type kcore struct {
 	txPending []*fabric.Frame
 	txSpare   []*fabric.Frame
 	napiMore  bool
+
+	// sg is the one-element scatter-gather scratch a socket's sndbuf
+	// flush hands the TCP engine (which consumes it before returning).
+	sg [1][]byte
 
 	// Bound methods, created once (method values allocate).
 	napiFn   func(*sim.Meter)
@@ -501,26 +508,25 @@ func (k *kcore) dispatch(s *sock) {
 			return
 		}
 	}
-	for int(s.rcvOff) < len(s.rcvbuf) {
-		n := len(s.rcvbuf) - int(s.rcvOff)
+	for b := s.buf; b != nil && int(b.rcvOff) < len(b.rcvbuf); {
+		n := len(b.rcvbuf) - int(b.rcvOff)
 		if n > readChunk {
 			n = readChunk
 		}
-		chunk := s.rcvbuf[s.rcvOff : int(s.rcvOff)+n]
-		s.rcvOff += int32(n)
-		if int(s.rcvOff) == len(s.rcvbuf) {
-			// Fully drained: release the backing so an idle socket holds
-			// no receive buffer; it re-materializes on the next arrival.
-			// chunk stays valid through the OnRecv call below — nothing
-			// can append to rcvbuf while the app thread occupies the core.
-			s.rcvbuf = nil
-			s.rcvOff = 0
-		}
+		chunk := b.rcvbuf[b.rcvOff : int(b.rcvOff)+n]
+		b.rcvOff += int32(n)
 		k.chargeK(c.SyscallEntry + c.SockRead + c.CopyPerByte.Cost(n))
 		if s.conn != nil {
 			s.conn.RecvDone(n) // window opens as the app consumes
 		}
 		k.handler.OnRecv(s, chunk)
+		if int(b.rcvOff) == len(b.rcvbuf) {
+			// Fully drained, and the reader is done with the last chunk:
+			// an idle socket holds no receive buffer (nothing can append
+			// to rcvbuf while the app thread occupies the core, so the
+			// object is still this socket's).
+			s.rcvDrained()
+		}
 		if s.dead {
 			return
 		}
@@ -543,6 +549,12 @@ func (k *kcore) dispatch(s *sock) {
 	if s.deadPending {
 		s.deadPending = false
 		s.dead = true
+		if b := s.buf; b != nil {
+			// Unsent bytes die with the socket (read data was delivered
+			// above); the engine dropped its references with the flow.
+			b.sndbuf = nil
+			s.putBuf()
+		}
 		k.handler.OnClosed(s)
 	}
 }

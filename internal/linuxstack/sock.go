@@ -14,24 +14,27 @@ import (
 // constraints and applies flow control inside the kernel, §4.3).
 const sndbufMax = 4 << 20
 
+// rcvKeep bounds the receive backing a drained sockBuf keeps for its
+// next borrower: request-response messages fit and recycle
+// allocation-free, while a bulk transfer's grown buffer is released —
+// retaining those measurably raises the live heap of a streaming host.
+const rcvKeep = 2 << 10
+
 // sock is a kernel socket plus its epoll registration: the Linux analogue
-// of an IX flow handle + libix conn.
+// of an IX flow handle + libix conn. It holds only what an idle
+// established socket needs; the staging buffers exist only while bytes
+// are queued and live in a sockBuf borrowed from the host's pool
+// (DESIGN.md, "Per-connection memory budget").
 type sock struct {
 	k      *kcore
 	conn   *tcp.Conn
 	cookie any
 
-	// rcvbuf holds bytes copied out of skbs, awaiting read(); rcvOff is
-	// the read cursor. The backing is materialized only while data is
-	// queued and released the moment the reader drains it, so an idle
-	// socket holds no receive buffer — part of the per-connection byte
-	// budget (DESIGN.md). rcvOff and sentPending are int32 (both bounded
-	// by buffer sizes) so the socket packs a word tighter.
-	rcvbuf []byte
-	rcvOff int32
-	// sndbuf holds bytes written by the app beyond the TCP window.
-	sndbuf []byte
+	// buf is non-nil from the first queued byte in either direction
+	// until both staging buffers are empty again.
+	buf *sockBuf
 
+	// sentPending is int32 (bounded by sndbufMax).
 	sentPending int32
 
 	inReady          bool
@@ -57,6 +60,70 @@ type sock struct {
 
 var _ app.Conn = (*sock)(nil)
 
+// sockBuf is the kernel-side staging of one socket with bytes queued.
+type sockBuf struct {
+	// rcvbuf holds bytes copied out of skbs, awaiting read(); rcvOff is
+	// the read cursor. A drained backing of at most rcvKeep stays with
+	// the object for its next borrower.
+	rcvbuf []byte
+	// sndbuf holds bytes written by the app beyond the TCP window. Its
+	// backing is never recycled: retransmission segments reference the
+	// transmitted prefix in place until acknowledged, so a drained
+	// sndbuf is dropped and the next write allocates afresh.
+	sndbuf []byte
+	rcvOff int32
+}
+
+// getBuf returns the socket's staging buffers, borrowing a sockBuf from
+// the host's pool (LIFO free list; one host lives in one shard) when
+// none is attached.
+//
+//ix:hotpath
+func (s *sock) getBuf() *sockBuf {
+	if s.buf != nil {
+		return s.buf
+	}
+	h := s.k.h
+	if n := len(h.bufFree); n > 0 {
+		s.buf = h.bufFree[n-1]
+		h.bufFree[n-1] = nil
+		h.bufFree = h.bufFree[:n-1]
+	} else {
+		//ixvet:ignore(hotpath) pool miss: once per unit of peak concurrency, steady state hits the free list
+		s.buf = &sockBuf{}
+	}
+	return s.buf
+}
+
+// putBuf returns the staging buffers to the host's pool once both are
+// empty. A receive buffer counts as empty only after rcvDrained reset
+// it — never while the reader still holds the last chunk.
+//
+//ix:hotpath
+func (s *sock) putBuf() {
+	b := s.buf
+	if b == nil || len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
+		return
+	}
+	s.buf = nil
+	s.k.h.bufFree = append(s.k.h.bufFree, b)
+}
+
+// rcvDrained resets a fully read receive buffer, after the OnRecv that
+// was handed its last chunk has returned.
+//
+//ix:hotpath
+func (s *sock) rcvDrained() {
+	b := s.buf
+	if cap(b.rcvbuf) > rcvKeep {
+		b.rcvbuf = nil
+	} else {
+		b.rcvbuf = b.rcvbuf[:0]
+	}
+	b.rcvOff = 0
+	s.putBuf()
+}
+
 // Send is write(2): syscall entry, kernel copy, inline TCP transmit of
 // whatever the window takes, kernel sndbuf for the rest.
 func (s *sock) Send(b []byte) int {
@@ -66,7 +133,7 @@ func (s *sock) Send(b []byte) int {
 	k := s.k
 	c := &k.h.cfg.Cost
 	k.chargeK(c.SyscallEntry + c.SockWrite + c.CopyPerByte.Cost(len(b)))
-	room := sndbufMax - len(s.sndbuf)
+	room := sndbufMax - s.Unsent()
 	if room <= 0 {
 		s.armSendReady()
 		return 0
@@ -76,7 +143,8 @@ func (s *sock) Send(b []byte) int {
 		s.armSendReady()
 	}
 	// The kernel owns a copy of the data from here on.
-	s.sndbuf = append(s.sndbuf, b...)
+	sb := s.getBuf()
+	sb.sndbuf = append(sb.sndbuf, b...)
 	s.flushSnd()
 	return len(b)
 }
@@ -84,20 +152,24 @@ func (s *sock) Send(b []byte) int {
 // flushSnd pushes sndbuf into the TCP engine as the window allows;
 // runs inline on write() and from softirq on ACKs.
 func (s *sock) flushSnd() {
-	if len(s.sndbuf) == 0 || s.conn == nil {
+	b := s.buf
+	if b == nil || len(b.sndbuf) == 0 || s.conn == nil {
 		return
 	}
-	n := s.conn.Sendv([][]byte{s.sndbuf})
+	k := s.k
+	k.sg[0] = b.sndbuf
+	n := s.conn.Sendv(k.sg[:])
+	k.sg[0] = nil
 	if n > 0 {
-		k := s.k
 		segs := (n + wire.MSS - 1) / wire.MSS
 		k.chargeK(time.Duration(segs) * k.h.cfg.Cost.TxPerPkt)
 		// Note: the transmitted prefix must stay immutable until acked
 		// (zero-copy contract of the engine); the kernel model honors
 		// that by never mutating consumed prefixes.
-		s.sndbuf = s.sndbuf[n:]
-		if len(s.sndbuf) == 0 {
-			s.sndbuf = nil
+		b.sndbuf = b.sndbuf[n:]
+		if len(b.sndbuf) == 0 {
+			b.sndbuf = nil
+			s.putBuf()
 		}
 	}
 }
@@ -112,7 +184,12 @@ func (s *sock) armSendReady() {
 }
 
 // Unsent reports kernel-buffered bytes not yet accepted by TCP.
-func (s *sock) Unsent() int { return len(s.sndbuf) }
+func (s *sock) Unsent() int {
+	if s.buf == nil {
+		return 0
+	}
+	return len(s.buf.sndbuf)
+}
 
 // Close is close(2) → FIN. Bytes still in the kernel sndbuf are not
 // dropped: the ACK-driven flush keeps running and the FIN is issued
@@ -125,7 +202,7 @@ func (s *sock) Close() {
 	s.k.chargeK(s.k.h.cfg.Cost.SyscallEntry)
 	s.closing = true
 	s.wantReady = false
-	if len(s.sndbuf) == 0 {
+	if s.Unsent() == 0 {
 		s.finSent = true
 		s.conn.Close()
 	}
@@ -206,7 +283,8 @@ func (ke *kernelEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 	// skb → socket buffer. The byte copy cost is charged at read()
 	// time (CopyPerByte covers the single kernel→user copy; queueing
 	// here models skb retention without holding the mbuf).
-	s.rcvbuf = append(s.rcvbuf, data...)
+	b := s.getBuf()
+	b.rcvbuf = append(b.rcvbuf, data...)
 	s.k.enqueueReady(s)
 }
 
@@ -220,21 +298,21 @@ func (ke *kernelEvents) Sent(c *tcp.Conn, acked, released int) {
 	// ACK-clocked transmit from softirq context.
 	s.flushSnd()
 	// A deferred close(2) issues its FIN the moment the buffer drains.
-	if s.closing && !s.finSent && len(s.sndbuf) == 0 {
+	if s.closing && !s.finSent && s.Unsent() == 0 {
 		s.finSent = true
 		s.conn.Close()
 		return
 	}
 	// Only wake the app for write-readiness when it still has buffered
 	// data (libevent-style write events are enabled on demand).
-	if acked > 0 && len(s.sndbuf) > 0 && !s.closing {
+	if acked > 0 && s.Unsent() > 0 && !s.closing {
 		s.sentPending += int32(acked)
 		s.k.enqueueReady(s)
 	}
 	// Writable-again edge: a writer that saw a short write wakes once —
 	// and only once the buffer has actually reopened, so a fully drained
 	// sndbuf (which the wake above never covers) still signals.
-	if s.wantReady && len(s.sndbuf) < sndbufMax {
+	if s.wantReady && s.Unsent() < sndbufMax {
 		s.wantReady = false
 		s.readyPending = true
 		s.k.enqueueReady(s)

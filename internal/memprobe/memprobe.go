@@ -24,6 +24,13 @@ type Footprint struct {
 	Conns int
 	// Bytes is the live per-conn bytes summed over those connections.
 	Bytes int64
+	// Attached counts the in-flight side objects those connections hold
+	// right now (retransmission state, reassembly queues, borrowed I/O
+	// buffers); their bytes are in Bytes. Zero on a drained host.
+	Attached int
+	// Pooled counts side objects parked on their owners' free lists —
+	// not in Bytes, and bounded by peak concurrency, not population.
+	Pooled int
 }
 
 // Add accumulates o into f. Layers of one host share a connection
@@ -32,13 +39,15 @@ type Footprint struct {
 // report Conns; AddLayer does that.
 func (f *Footprint) Add(o Footprint) {
 	f.Conns += o.Conns
-	f.Bytes += o.Bytes
+	f.AddLayer(o)
 }
 
 // AddLayer accumulates a secondary layer's bytes for the same
 // connection population (Conns is not double-counted).
 func (f *Footprint) AddLayer(o Footprint) {
 	f.Bytes += o.Bytes
+	f.Attached += o.Attached
+	f.Pooled += o.Pooled
 }
 
 // PerConn returns bytes per connection, zero for an empty population.

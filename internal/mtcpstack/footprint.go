@@ -41,12 +41,14 @@ func (m *mcore) connOf(c *tcp.Conn) *mconn {
 }
 
 // Footprint implements the memprobe accounting contract for the mTCP
-// host model: each core's TCP engine tally plus, per connection, the
-// user-level connection struct and the capacities of its staging
-// buffers.
+// host model: each core's TCP engine tally plus its connection table
+// and, per connection, the user-level connection struct — and, only
+// while one is attached, the borrowed connBuf with the capacities of
+// its staging buffers.
 func (h *Host) Footprint() memprobe.Footprint {
 	const (
 		mconnBytes = int64(unsafe.Sizeof(mconn{}))
+		bufBytes   = int64(unsafe.Sizeof(connBuf{}))
 		slotBytes  = int64(unsafe.Sizeof((*mconn)(nil)))
 	)
 	var f memprobe.Footprint
@@ -54,13 +56,18 @@ func (h *Host) Footprint() memprobe.Footprint {
 		st := mc.ns.TCP()
 		f.Add(st.Footprint())
 		f.Bytes += int64(cap(mc.mconns))*slotBytes + int64(cap(mc.mconnFree))*4
-		for _, c := range st.Conns() {
+		f.Pooled += len(mc.bufFree)
+		st.EachConn(func(c *tcp.Conn) {
 			u := mc.connOf(c)
 			if u == nil {
-				continue // embryonic: no mconn until accept
+				return // embryonic: no mconn until accept
 			}
-			f.Bytes += mconnBytes + int64(cap(u.rcvbuf)) + int64(cap(u.sndbuf))
-		}
+			f.Bytes += mconnBytes
+			if b := u.buf; b != nil {
+				f.Attached++
+				f.Bytes += bufBytes + int64(cap(b.rcvbuf)) + int64(cap(b.sndbuf))
+			}
+		})
 	}
 	return f
 }

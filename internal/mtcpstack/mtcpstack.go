@@ -34,6 +34,11 @@ const pollBatch = 2048
 // sndbufMax bounds the per-connection user-level send buffer.
 const sndbufMax = 4 << 20
 
+// rcvKeep bounds the receive backing a drained connBuf keeps for its
+// next borrower: request-response messages fit and recycle
+// allocation-free, while a bulk transfer's grown buffer is released.
+const rcvKeep = 2 << 10
+
 // Config describes an mTCP host.
 type Config struct {
 	Name string
@@ -172,6 +177,12 @@ type mcore struct {
 	// shared-nothing design). Freed slots recycle LIFO.
 	mconns    []*mconn
 	mconnFree []uint32
+	// bufFree recycles connBuf objects between connections with bytes
+	// queued (LIFO, so the hot ones stay cache-warm).
+	bufFree []*connBuf
+	// sg is the one-element scatter-gather scratch a connection's
+	// sndbuf flush hands the TCP engine (consumed before it returns).
+	sg [1][]byte
 
 	// Event queue: TCP thread → app thread (batched).
 	evQ        []*mconn
@@ -377,17 +388,21 @@ func (m *mcore) dispatch(mc *mconn, meter *sim.Meter) {
 			return
 		}
 	}
-	for len(mc.rcvbuf) > 0 {
-		chunk := mc.rcvbuf
-		// Release the backing so an idle connection holds no receive
-		// buffer (it re-materializes on the next arrival); chunk stays
-		// valid through the OnRecv call (the TCP thread cannot append
-		// while the app thread occupies the core).
-		mc.rcvbuf = nil
+	if b := mc.buf; b != nil && len(b.rcvbuf) > 0 {
+		chunk := b.rcvbuf
 		// mtcp_read: API call + copy into the app buffer.
 		meter.Charge(c.AppCall + c.CopyPerByte.Cost(len(chunk)))
 		mc.conn.RecvDone(len(chunk))
 		m.handler.OnRecv(mc, chunk)
+		// The reader is done with the chunk (the TCP thread cannot append
+		// while the app thread occupies the core, so the object is still
+		// this connection's): an idle connection holds no receive buffer.
+		if cap(chunk) > rcvKeep {
+			b.rcvbuf = nil
+		} else {
+			b.rcvbuf = chunk[:0]
+		}
+		mc.putBuf()
 		if mc.dead {
 			return
 		}
@@ -412,6 +427,12 @@ func (m *mcore) dispatch(mc *mconn, meter *sim.Meter) {
 	if mc.deadPending {
 		mc.deadPending = false
 		mc.dead = true
+		if b := mc.buf; b != nil {
+			// Unsent bytes die with the connection (read data was
+			// delivered above); the engine dropped its references.
+			b.sndbuf = nil
+			mc.putBuf()
+		}
 		m.handler.OnClosed(mc)
 	}
 }
@@ -525,17 +546,21 @@ func (m *mcore) enqueueEv(mc *mconn) {
 	m.kickApp()
 }
 
-// mconn is an mTCP connection as the application sees it.
+// mconn is an mTCP connection as the application sees it. It holds only
+// what an idle established connection needs; the user-level staging
+// buffers exist only while bytes are queued and live in a connBuf
+// borrowed from the core's pool (DESIGN.md, "Per-connection memory
+// budget").
 type mconn struct {
 	m      *mcore
 	conn   *tcp.Conn
 	cookie any
 
-	rcvbuf []byte
-	sndbuf []byte
+	// buf is non-nil from the first queued byte in either direction
+	// until both staging buffers are empty again.
+	buf *connBuf
 
-	// sentPending is int32 (bounded by sndbufMax) so the descriptor
-	// packs tighter — part of the per-connection byte budget.
+	// sentPending is int32 (bounded by sndbufMax).
 	sentPending int32
 
 	inEvQ            bool
@@ -559,6 +584,50 @@ type mconn struct {
 
 var _ app.Conn = (*mconn)(nil)
 
+// connBuf is the user-level staging of one connection with bytes
+// queued. A drained rcvbuf backing of at most rcvKeep stays with the
+// object for its next borrower; a drained sndbuf is dropped —
+// retransmission segments reference its transmitted prefix in place
+// until acknowledged, so the backing is never recycled.
+type connBuf struct {
+	rcvbuf []byte
+	sndbuf []byte
+}
+
+// getBuf returns the connection's staging buffers, borrowing a connBuf
+// from the core's pool (LIFO free list) when none is attached.
+//
+//ix:hotpath
+func (c *mconn) getBuf() *connBuf {
+	if c.buf != nil {
+		return c.buf
+	}
+	m := c.m
+	if n := len(m.bufFree); n > 0 {
+		c.buf = m.bufFree[n-1]
+		m.bufFree[n-1] = nil
+		m.bufFree = m.bufFree[:n-1]
+	} else {
+		//ixvet:ignore(hotpath) pool miss: once per unit of peak concurrency, steady state hits the free list
+		c.buf = &connBuf{}
+	}
+	return c.buf
+}
+
+// putBuf returns the staging buffers to the core's pool once both are
+// empty. dispatch empties rcvbuf only after the OnRecv holding it has
+// returned, so the reader's chunk never aliases a pooled object.
+//
+//ix:hotpath
+func (c *mconn) putBuf() {
+	b := c.buf
+	if b == nil || len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
+		return
+	}
+	c.buf = nil
+	c.m.bufFree = append(c.m.bufFree, b)
+}
+
 // Send is mtcp_write: copy into the user-level send buffer and queue a
 // write job for the TCP thread.
 func (c *mconn) Send(b []byte) int {
@@ -570,7 +639,7 @@ func (c *mconn) Send(b []byte) int {
 	if m.curMeter != nil {
 		m.curMeter.Charge(cc.AppCall + cc.CopyPerByte.Cost(len(b)))
 	}
-	room := sndbufMax - len(c.sndbuf)
+	room := sndbufMax - c.Unsent()
 	if room <= 0 {
 		c.armSendReady()
 		return 0
@@ -579,7 +648,8 @@ func (c *mconn) Send(b []byte) int {
 		b = b[:room]
 		c.armSendReady()
 	}
-	c.sndbuf = append(c.sndbuf, b...)
+	sb := c.getBuf()
+	sb.sndbuf = append(sb.sndbuf, b...)
 	m.queueJob(c.flushSnd)
 	return len(b)
 }
@@ -595,25 +665,34 @@ func (c *mconn) armSendReady() {
 
 // flushSnd runs on the TCP thread.
 func (c *mconn) flushSnd() {
-	if len(c.sndbuf) == 0 || c.conn == nil || c.dead {
+	b := c.buf
+	if b == nil || len(b.sndbuf) == 0 || c.conn == nil || c.dead {
 		return
 	}
-	n := c.conn.Sendv([][]byte{c.sndbuf})
+	m := c.m
+	m.sg[0] = b.sndbuf
+	n := c.conn.Sendv(m.sg[:])
+	m.sg[0] = nil
 	if n > 0 {
-		m := c.m
 		segs := (n + wire.MSS - 1) / wire.MSS
 		if m.curMeter != nil {
 			m.curMeter.ChargeN(segs, m.h.cfg.Cost.ProtoTx)
 		}
-		c.sndbuf = c.sndbuf[n:]
-		if len(c.sndbuf) == 0 {
-			c.sndbuf = nil
+		b.sndbuf = b.sndbuf[n:]
+		if len(b.sndbuf) == 0 {
+			b.sndbuf = nil
+			c.putBuf()
 		}
 	}
 }
 
 // Unsent reports user-level buffered bytes.
-func (c *mconn) Unsent() int { return len(c.sndbuf) }
+func (c *mconn) Unsent() int {
+	if c.buf == nil {
+		return 0
+	}
+	return len(c.buf.sndbuf)
+}
 
 // Close queues an orderly close job. Bytes still in the user-level
 // sndbuf are not dropped: the FIN is deferred until the ACK-driven
@@ -634,7 +713,7 @@ func (c *mconn) finishClose() {
 	if !c.closing || c.finSent || c.dead || c.conn == nil {
 		return
 	}
-	if len(c.sndbuf) > 0 {
+	if c.Unsent() > 0 {
 		return
 	}
 	c.finSent = true
@@ -698,7 +777,8 @@ func (me *mtcpEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 	}
 	// Copy into the user-level receive buffer (mTCP's socket-like API
 	// is not zero-copy); the copy itself is charged at mtcp_read.
-	mc.rcvbuf = append(mc.rcvbuf, data...)
+	b := mc.getBuf()
+	b.rcvbuf = append(b.rcvbuf, data...)
 	m.enqueueEv(mc)
 }
 
@@ -715,13 +795,13 @@ func (me *mtcpEvents) Sent(c *tcp.Conn, acked, released int) {
 	if mc.closing {
 		mc.finishClose()
 	}
-	if acked > 0 && len(mc.sndbuf) > 0 && !mc.closing {
+	if acked > 0 && mc.Unsent() > 0 && !mc.closing {
 		mc.sentPending += int32(acked)
 		m.enqueueEv(mc)
 	}
 	// Writable-again edge: a writer that saw a short Send wakes once the
 	// buffer has actually reopened.
-	if mc.wantReady && len(mc.sndbuf) < sndbufMax {
+	if mc.wantReady && mc.Unsent() < sndbufMax {
 		mc.wantReady = false
 		mc.readyPending = true
 		m.enqueueEv(mc)

@@ -56,7 +56,7 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 			Window: 0xffff, MSS: wire.MSS, WScale: 0,
 		}
 		inject()
-		c := s.conns[key]
+		c := s.conns.get(key)
 		if c == nil || c.state != StateSynRcvd {
 			t.Fatalf("SYN not admitted: %+v", c)
 		}
@@ -78,8 +78,8 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 			Window: 0xffff, WScale: -1,
 		}
 		inject()
-		if len(s.conns) != 0 {
-			t.Fatalf("RST did not tear down: %d conns live", len(s.conns))
+		if s.conns.n != 0 {
+			t.Fatalf("RST did not tear down: %d conns live", s.conns.n)
 		}
 		// Skim the timer heap's dead entries, as cycleEnd does.
 		wheel.NextDeadline()
@@ -129,7 +129,7 @@ func TestEphemeralPortFullRange(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	if len(s.conns) != want {
-		t.Fatalf("%d conns live, want %d", len(s.conns), want)
+	if s.conns.n != want {
+		t.Fatalf("%d conns live, want %d", s.conns.n, want)
 	}
 }

@@ -1,0 +1,185 @@
+package tcp
+
+import (
+	"math/rand"
+	"testing"
+
+	"ix/internal/wire"
+)
+
+// tableKey builds the i-th key of a small, deliberately regular key
+// space: one server address and port against sequential client ports
+// from a handful of client addresses — the population shape the table
+// actually serves.
+func tableKey(i int) wire.FlowKey {
+	return wire.FlowKey{
+		SrcIP: wire.Addr4(10, 0, 0, 1), DstIP: wire.Addr4(10, 0, 1, byte(i>>12)),
+		SrcPort: 80, DstPort: uint16(1024 + i&0xfff),
+		Proto: wire.ProtoTCP,
+	}
+}
+
+// checkTable verifies the table against the oracle: same population,
+// every member reachable by its key, and the probe invariant — no empty
+// slot between a member's home and where it sits (what backward-shift
+// deletion must preserve, including across the wrap).
+func checkTable(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn) {
+	t.Helper()
+	if tab.n != len(oracle) {
+		t.Fatalf("table holds %d, oracle %d", tab.n, len(oracle))
+	}
+	if tab.n*4 > len(tab.slots)*3 {
+		t.Fatalf("load %d/%d exceeds 3/4", tab.n, len(tab.slots))
+	}
+	mask := uint64(len(tab.slots) - 1)
+	live := 0
+	for i, c := range tab.slots {
+		if c == nil {
+			continue
+		}
+		live++
+		if oracle[c.key] != c {
+			t.Fatalf("slot %d holds %v, not the oracle's entry", i, c.key)
+		}
+		for j := hashFlow(c.key) & mask; j != uint64(i); j = (j + 1) & mask {
+			if tab.slots[j] == nil {
+				t.Fatalf("hole at %d between home and slot %d of %v", j, i, c.key)
+			}
+		}
+	}
+	if live != tab.n {
+		t.Fatalf("%d live slots, count says %d", live, tab.n)
+	}
+	for k, c := range oracle {
+		if tab.get(k) != c {
+			t.Fatalf("get(%v) misses", k)
+		}
+	}
+}
+
+// applyTableOp runs one put/get/del step on both the table and the
+// oracle and cross-checks the observable result.
+func applyTableOp(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn, op, id int) {
+	k := tableKey(id)
+	switch op % 3 {
+	case 0:
+		c := &Conn{key: k}
+		tab.put(c)
+		oracle[k] = c
+	case 1:
+		if got, want := tab.get(k), oracle[k]; got != want {
+			t.Fatalf("get(%v) = %p, oracle %p", k, got, want)
+		}
+	case 2:
+		tab.del(k)
+		delete(oracle, k)
+		if tab.get(k) != nil {
+			t.Fatalf("get(%v) finds a deleted key", k)
+		}
+	}
+}
+
+// TestFlowTableOracle drives the table against a Go map over 240k
+// random steps: a key space small enough that deletes hit and deleted
+// keys come back, phases that fill the table to its load bound and
+// drain it again, starting from the smallest backing so growth runs
+// repeatedly and clusters wrap the array's end at every size.
+func TestFlowTableOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140611))
+	tab := newFlowTable(0)
+	oracle := map[wire.FlowKey]*Conn{}
+	const steps = 240_000
+	for i := 0; i < steps; i++ {
+		space := 1 << (4 + uint(i/30_000)) // 16 … 2048 keys
+		op := rng.Intn(3)
+		if phase := i / 5_000 % 4; phase == 0 {
+			op = 0 // fill burst
+		} else if phase == 2 && op == 0 {
+			op = 2 // drain burst
+		}
+		applyTableOp(t, &tab, oracle, op, rng.Intn(space))
+		if i%997 == 0 {
+			checkTable(t, &tab, oracle)
+		}
+	}
+	checkTable(t, &tab, oracle)
+}
+
+// TestFlowTableWrapCluster pins the wrap-around case directly: keys
+// whose home is the last slot form a cluster that spills into slots
+// 0, 1, …; deleting members in every order must leave the rest
+// reachable, and a deleted key must reinsert cleanly.
+func TestFlowTableWrapCluster(t *testing.T) {
+	const slots = 16
+	var ids []int
+	for i := 0; len(ids) < 5; i++ {
+		if hashFlow(tableKey(i))&(slots-1) == slots-1 {
+			ids = append(ids, i)
+		}
+	}
+	for victim := range ids {
+		tab := newFlowTable(slots * 3 / 4)
+		if len(tab.slots) != slots {
+			t.Fatalf("presize gave %d slots, want %d", len(tab.slots), slots)
+		}
+		oracle := map[wire.FlowKey]*Conn{}
+		for _, id := range ids {
+			applyTableOp(t, &tab, oracle, 0, id)
+		}
+		if tab.slots[0] == nil || tab.slots[slots-1] == nil {
+			t.Fatal("cluster does not span the wrap")
+		}
+		applyTableOp(t, &tab, oracle, 2, ids[victim])
+		checkTable(t, &tab, oracle)
+		applyTableOp(t, &tab, oracle, 0, ids[victim])
+		checkTable(t, &tab, oracle)
+	}
+}
+
+// FuzzFlowTable decodes put/get/del steps from the input (one byte of
+// opcode, two of key id per step) and holds the table to the oracle
+// after every input. The checked-in corpus under testdata/fuzz replays
+// as an ordinary test.
+func FuzzFlowTable(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 2, 0, 1, 1, 0, 1, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tab := newFlowTable(0)
+		oracle := map[wire.FlowKey]*Conn{}
+		for ; len(in) >= 3; in = in[3:] {
+			applyTableOp(t, &tab, oracle, int(in[0]), int(in[1])<<8|int(in[2]))
+		}
+		checkTable(t, &tab, oracle)
+	})
+}
+
+// TestZeroAllocFlowTable: inserts into a presized table, lookups and
+// deletes allocate nothing — the table's share of the establishment
+// fast path's one-allocation-per-connection contract.
+func TestZeroAllocFlowTable(t *testing.T) {
+	const n = 1000
+	conns := make([]*Conn, n)
+	for i := range conns {
+		conns[i] = &Conn{key: tableKey(i)}
+	}
+	tab := newFlowTable(n)
+	slots := len(tab.slots)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, c := range conns {
+			tab.put(c)
+		}
+		for _, c := range conns {
+			if tab.get(c.key) != c {
+				t.Fatal("lookup missed")
+			}
+		}
+		for _, c := range conns {
+			tab.del(c.key)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("presized table cycle allocates %.1f, want 0", allocs)
+	}
+	if len(tab.slots) != slots || tab.n != 0 {
+		t.Fatalf("table grew to %d slots (n=%d) within its presized population", len(tab.slots), tab.n)
+	}
+}

@@ -161,7 +161,7 @@ type Config struct {
 	SynBacklog int
 	// ExpectedConns presizes the connection table for the anticipated
 	// steady-state flow population (0 = grow on demand). Presizing
-	// avoids the rehash/doubling churn of ramping to a large population
+	// avoids the doubling churn of ramping to a large population
 	// and keeps growth deterministic across shard counts.
 	ExpectedConns int
 	// DelAck, when positive, enables delayed acknowledgments: a pure
@@ -180,6 +180,9 @@ const (
 	defaultTW      = time.Millisecond
 	defaultBacklog = 1024
 	initialRTO     = time.Millisecond
+	// maxRTO caps the retransmission timeout (and with it the stored RTT
+	// estimator: 4 s of nanoseconds fits 32 bits).
+	maxRTO = 4 * time.Second
 	// initialCwnd is IW10 in segments.
 	initialCwnd = 10
 	// wscale used on both directions (fixed shift covering 256 KB).
@@ -189,7 +192,7 @@ const (
 // Stack is a shared-nothing TCP instance: one per elastic thread.
 type Stack struct {
 	cfg   Config
-	conns map[wire.FlowKey]*Conn
+	conns flowTable
 	// listeners is keyed by local port.
 	listeners map[uint16]*Listener
 	needsAck  []*Conn
@@ -251,7 +254,7 @@ func NewStack(cfg Config) *Stack {
 	}
 	return &Stack{
 		cfg:       cfg,
-		conns:     make(map[wire.FlowKey]*Conn, cfg.ExpectedConns),
+		conns:     newFlowTable(cfg.ExpectedConns),
 		listeners: make(map[uint16]*Listener),
 		isn:       cfg.Seed | 1,
 		nextPort:  32768,
@@ -273,6 +276,16 @@ func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
 	l := &Listener{stack: s, Port: port, Cookie: cookie}
+	// Connections a previous listener on this port admitted and left in
+	// SynRcvd still complete (or die) against the port: they count
+	// against the new listener's backlog from the start.
+	if s.conns.n > 0 {
+		s.EachConn(func(c *Conn) {
+			if c.state == StateSynRcvd && c.key.SrcPort == port {
+				l.embryonic++
+			}
+		})
+	}
 	s.listeners[port] = l
 	return l, nil
 }
@@ -280,9 +293,19 @@ func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
 // CloseListener stops accepting new connections.
 func (s *Stack) CloseListener(l *Listener) { delete(s.listeners, l.Port) }
 
+// embryonicDone takes a connection leaving SynRcvd — the state only
+// passiveOpen enters — off its port's backlog count. Connections find
+// their listener by port rather than carry a pointer to it; a port
+// whose listener has closed has no count to maintain.
+func (s *Stack) embryonicDone(port uint16) {
+	if l := s.listeners[port]; l != nil {
+		l.embryonic--
+	}
+}
+
 // ConnCount returns the number of live (non-TimeWait) connections, which
 // the cost model uses for the DDIO working-set term.
-func (s *Stack) ConnCount() int { return len(s.conns) }
+func (s *Stack) ConnCount() int { return s.conns.n }
 
 // nextISS returns a deterministic initial send sequence.
 func (s *Stack) nextISS() uint32 {
@@ -388,12 +411,25 @@ type rxSeg struct {
 	buf  *mem.Mbuf
 }
 
+// reasmQ is a connection's out-of-order hold queue. It exists only
+// while segments are held: allocated on the first out-of-order arrival,
+// dropped when the queue drains — reordering is the exception on this
+// fabric, so a connection that never sees one pays a nil pointer for it.
+type reasmQ struct {
+	segs []rxSeg
+}
+
 // Conn is a TCP connection. Fields are owned by the stack's thread.
+//
+// The layout rule, here and in every layer above (DESIGN.md,
+// "Per-connection memory budget"): a field lives in the connection only
+// if an idle established connection needs it. State that exists only
+// while something is in flight — the retransmission queue, held
+// out-of-order segments — sits behind a pointer that is nil when idle.
+// Fields are ordered by alignment, widest first, so the struct carries
+// no interior padding; TestConnStateSizes pins the result.
 type Conn struct {
 	stack *Stack
-	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
-	key   wire.FlowKey
-	state State
 
 	// Cookie is the user's opaque connection tag (Table 1). A compact
 	// integer handle into the owner's connection table rather than an
@@ -402,48 +438,13 @@ type Conn struct {
 	// Handle is assigned by the OS layer (kernel-level flow identifier).
 	Handle uint64
 
-	// Send state. The retransmission queue lives in a pooled txState
-	// side-object: idle connections (nothing in flight) hold none at
-	// all, which is what keeps the Fig. 4 bytes/conn budget flat at
-	// 250k+ connections — see DESIGN.md "Per-connection memory budget".
-	iss        uint32
-	sndUna     uint32
-	sndNxt     uint32
-	sndWnd     uint32 // peer-advertised, scaled
-	peerWShift uint8
-	finQueued  bool
-	tx         *txState
+	// tx is the retransmission queue, a pooled side-object held only
+	// while data is in flight.
+	tx *txState
+	// reasm holds out-of-order segments; nil unless some are held.
+	reasm *reasmQ
 
-	// Congestion control. dupAcks is uint16: one increment per received
-	// duplicate ACK, reset on any advance, so it is bounded by the
-	// segments a single flight can produce (window/MSS ≪ 64k).
-	cwnd     uint32
-	ssthresh uint32
-	dupAcks  uint16
-	// Loss recovery (NewReno, RFC 6582): while inRecovery, a partial ACK
-	// (one below recoverSeq, the sndNxt at loss detection) means the
-	// next hole is already known lost, so it is retransmitted
-	// immediately instead of waiting out another full RTO — without this
-	// a k-segment burst loss costs k serial timeouts, which at a 200 µs
-	// MinRTO floor is exactly the incast collapse of §5.
-	inRecovery bool
-	recoverSeq uint32
-
-	// RTT estimation.
-	srtt, rttvar time.Duration
-	rto          time.Duration
-	rttSeq       uint32
-	rttStart     int64
-	rttPending   bool
-	rexmitCount  uint16
-
-	// Receive state. unconsumed and reasmBytes are bounded by the
-	// receive window, so 32 bits hold them.
-	rcvNxt     uint32
-	unconsumed int32 // delivered to app, not yet RecvDone'd
-	reasm      []rxSeg
-	reasmBytes int32
-	finRcvd    bool
+	rttStart int64
 
 	// Timers. Callbacks are package-level trampolines passed through
 	// timerwheel.AddArg with the connection as the argument: a bound
@@ -453,14 +454,58 @@ type Conn struct {
 	rtoTimer *timerwheel.Timer
 	twTimer  *timerwheel.Timer
 	daTimer  *timerwheel.Timer
-	daSegs   uint8 // in-order segments since last ACK sent (reset at 2)
 
-	needAck bool
+	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
+	key wire.FlowKey
+
+	// Send state.
+	iss    uint32
+	sndUna uint32
+	sndNxt uint32
+	sndWnd uint32 // peer-advertised, scaled
+
+	// Congestion control. Loss recovery is NewReno (RFC 6582): while
+	// inRecovery, a partial ACK (one below recoverSeq, the sndNxt at loss
+	// detection) means the next hole is already known lost, so it is
+	// retransmitted immediately instead of waiting out another full RTO —
+	// without this a k-segment burst loss costs k serial timeouts, which
+	// at a 200 µs MinRTO floor is exactly the incast collapse of §5.
+	cwnd       uint32
+	ssthresh   uint32
+	recoverSeq uint32
+
+	// RTT estimation. srtt, rttvar and rto are nanoseconds in 32 bits:
+	// the RTO is capped at maxRTO (4 s), so nothing an estimator can
+	// usefully hold exceeds it. The arithmetic runs in time.Duration and
+	// clamps on store (rttNs).
+	srtt, rttvar uint32
+	rto          uint32
+	rttSeq       uint32
+
+	// Receive state. unconsumed and reasmBytes are bounded by the
+	// receive window, so 32 bits hold them.
+	rcvNxt     uint32
+	unconsumed int32 // delivered to app, not yet RecvDone'd
+	reasmBytes int32
+
+	// dupAcks is uint16: one increment per received duplicate ACK, reset
+	// on any advance, so it is bounded by the segments a single flight
+	// can produce (window/MSS ≪ 64k).
+	dupAcks     uint16
+	rexmitCount uint16
+
+	state      State
+	peerWShift uint8
+	daSegs     uint8 // in-order segments since last ACK sent (reset at 2)
+	finQueued  bool
+	inRecovery bool
+	rttPending bool
+	finRcvd    bool
+	needAck    bool
 	// synAckOwed marks an admitted embryonic connection whose SYN-ACK
 	// is owed to the next Flush (batched SYN admission).
 	synAckOwed bool
 	inAckLst   bool
-	listener   *Listener
 }
 
 // Key returns the connection 4-tuple from the local perspective.
@@ -521,7 +566,7 @@ func (c *Conn) rcvWndAvail() int {
 // It is on the establishment fast path — the large Fig. 4 ramps open
 // millions of connections through it — so beyond the connection object
 // itself (newConn) it must not allocate: the table insert lands in
-// presized buckets and the SYN is assembled in the stack's shared
+// presized slots and the SYN is assembled in the stack's shared
 // header scratch (TestZeroAllocConnEstablish pins this).
 //
 //ix:hotpath
@@ -538,7 +583,7 @@ func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error
 	c.Cookie = cookie
 	c.state = StateSynSent
 	c.sndNxt = c.iss + 1
-	s.conns[c.key] = c
+	s.conns.put(c)
 	s.ActiveOpens++
 	c.sendFlags(wire.TCPSyn, c.iss, 0, true)
 	c.armRTO()
@@ -570,7 +615,7 @@ func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
 			continue
 		}
 		k := wire.FlowKey{SrcIP: s.cfg.LocalIP, DstIP: dst, SrcPort: p, DstPort: dport, Proto: wire.ProtoTCP}
-		if _, used := s.conns[k]; used {
+		if s.conns.get(k) != nil {
 			continue
 		}
 		if s.cfg.PortOK != nil && !s.cfg.PortOK(p, dst, dport) {
@@ -588,7 +633,7 @@ func (s *Stack) newConn(key wire.FlowKey) *Conn {
 		iss:      s.nextISS(),
 		cwnd:     uint32(initialCwnd * s.cfg.MSS),
 		ssthresh: 1 << 30,
-		rto:      initialRTO,
+		rto:      rttNs(initialRTO),
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -627,7 +672,7 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 		SrcPort: hdr.DstPort, DstPort: hdr.SrcPort,
 		Proto: wire.ProtoTCP,
 	}
-	if c, ok := s.conns[key]; ok {
+	if c := s.conns.get(key); c != nil {
 		c.input(&hdr, payload, buf)
 		return
 	}
@@ -651,7 +696,7 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 // header scratch at the batch boundary (where pure ACKs already leave).
 // The retransmission timer armed here covers the reply either way.
 // Beyond the connection object itself (newConn) the SYN-accept path must
-// not allocate: the table insert lands in presized buckets
+// not allocate: the table insert lands in presized slots
 // (TestZeroAllocConnEstablish pins the whole passive handshake).
 //
 //ix:hotpath
@@ -664,12 +709,11 @@ func (s *Stack) passiveOpen(l *Listener, key wire.FlowKey, hdr *wire.TCPHeader) 
 		return
 	}
 	c := s.newConn(key)
-	c.listener = l
 	c.state = StateSynRcvd
 	c.rcvNxt = hdr.Seq + 1
 	c.applyPeerOptions(hdr)
 	c.sndNxt = c.iss + 1
-	s.conns[key] = c
+	s.conns.put(c)
 	l.embryonic++
 	s.SynsAdmitted++
 	c.scheduleSynAck()
@@ -724,9 +768,7 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 			c.applyPeerOptions(hdr)
 			c.state = StateEstablished
 			c.cancelRTO()
-			if c.listener != nil {
-				c.listener.embryonic--
-			}
+			s.embryonicDone(c.key.SrcPort)
 			s.AcceptedConns++
 			s.cfg.Events.Accepted(c)
 			// Fall through: the ACK may carry data.
@@ -865,21 +907,32 @@ func (c *Conn) updateRTT(ack uint32) {
 	if sample <= 0 {
 		return
 	}
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
+	srtt, rttvar := time.Duration(c.srtt), time.Duration(c.rttvar)
+	if srtt == 0 {
+		srtt = sample
+		rttvar = sample / 2
 	} else {
-		delta := c.srtt - sample
+		delta := srtt - sample
 		if delta < 0 {
 			delta = -delta
 		}
-		c.rttvar = (3*c.rttvar + delta) / 4
-		c.srtt = (7*c.srtt + sample) / 8
+		rttvar = (3*rttvar + delta) / 4
+		srtt = (7*srtt + sample) / 8
 	}
-	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.stack.cfg.MinRTO {
-		c.rto = c.stack.cfg.MinRTO
+	rto := srtt + 4*rttvar
+	if rto < c.stack.cfg.MinRTO {
+		rto = c.stack.cfg.MinRTO
 	}
+	c.srtt, c.rttvar, c.rto = rttNs(srtt), rttNs(rttvar), rttNs(rto)
+}
+
+// rttNs narrows an estimator value to its stored form, clamping at
+// maxRTO: the timeout never exceeds it, so neither need its inputs.
+func rttNs(d time.Duration) uint32 {
+	if d > maxRTO {
+		d = maxRTO
+	}
+	return uint32(d)
 }
 
 // growCwnd applies slow start or congestion avoidance.
@@ -993,10 +1046,15 @@ func (c *Conn) deliver(payload []byte, buf *mem.Mbuf) {
 // insertReasm stores an out-of-order segment (bounded queue, sorted).
 func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 	const maxReasm = 64
-	if len(c.reasm) >= maxReasm {
+	q := c.reasm
+	if q == nil {
+		q = &reasmQ{}
+		c.reasm = q
+	}
+	if len(q.segs) >= maxReasm {
 		return
 	}
-	for _, rs := range c.reasm {
+	for _, rs := range q.segs {
 		if rs.seq == seq {
 			return // duplicate
 		}
@@ -1005,27 +1063,31 @@ func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 		buf.Ref()
 	}
 	ins := rxSeg{seq: seq, data: payload, buf: buf}
-	pos := len(c.reasm)
-	for i, rs := range c.reasm {
+	pos := len(q.segs)
+	for i, rs := range q.segs {
 		if seqLT(seq, rs.seq) {
 			pos = i
 			break
 		}
 	}
-	c.reasm = append(c.reasm, rxSeg{})
-	copy(c.reasm[pos+1:], c.reasm[pos:])
-	c.reasm[pos] = ins
+	q.segs = append(q.segs, rxSeg{})
+	copy(q.segs[pos+1:], q.segs[pos:])
+	q.segs[pos] = ins
 	c.reasmBytes += int32(len(payload))
 }
 
 // drainReasm delivers now-in-order segments from the reassembly queue.
 func (c *Conn) drainReasm() {
-	for len(c.reasm) > 0 {
-		rs := c.reasm[0]
+	q := c.reasm
+	if q == nil {
+		return
+	}
+	for len(q.segs) > 0 {
+		rs := q.segs[0]
 		if seqGT(rs.seq, c.rcvNxt) {
 			return
 		}
-		c.reasm = c.reasm[1:]
+		q.segs = q.segs[1:]
 		c.reasmBytes -= int32(len(rs.data))
 		data := rs.data
 		if seqLT(rs.seq, c.rcvNxt) {
@@ -1043,7 +1105,7 @@ func (c *Conn) drainReasm() {
 			rs.buf.Unref() // deliver took its own semantics; see Recv contract
 		}
 	}
-	// Fully drained: drop the backing. Reordering is the exception on
+	// Fully drained: drop the queue. Reordering is the exception on
 	// this fabric, so holding a burst's worth of rxSeg capacity on every
 	// connection that ever saw one would bleed the bytes/conn budget.
 	c.reasm = nil
@@ -1452,9 +1514,17 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	// connections are not normally migrated, but the owed reply must
 	// not be lost if one is).
 	reownSynAck := c.synAckOwed
-	delete(s.conns, c.key)
+	if c.state == StateSynRcvd {
+		// The backlog count follows the connection to the destination's
+		// listener on the port.
+		s.embryonicDone(c.key.SrcPort)
+		if l := dst.listeners[c.key.SrcPort]; l != nil {
+			l.embryonic++
+		}
+	}
+	s.conns.del(c.key)
 	c.stack = dst
-	dst.conns[c.key] = c
+	dst.conns.put(c)
 	if c.rtoTimer == nil && c.state != StateTimeWait && c.retransLen() > 0 {
 		// Unacked data without a live timer (should not happen, but a
 		// lost RTO would hang the flow forever): re-arm defensively.
@@ -1466,16 +1536,24 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	}
 }
 
+// EachConn calls fn for every live connection (any state) in table slot
+// order, without allocating: the walk for tallies that do not care about
+// order. fn must not open, close or migrate connections.
+func (s *Stack) EachConn(fn func(*Conn)) {
+	for _, c := range s.conns.slots {
+		if c != nil {
+			fn(c)
+		}
+	}
+}
+
 // Conns returns the live connections (any state), for control-plane
 // rebalancing sweeps. The slice is freshly allocated and sorted by flow
-// key: migration walks it, and a map-iteration order here would leak
-// into handle numbering and event order, breaking run-to-run
-// determinism.
+// key: migration walks it, and its order reaches handle numbering and
+// event order, so it is defined by the keys alone, not by table layout.
 func (s *Stack) Conns() []*Conn {
-	out := make([]*Conn, 0, len(s.conns))
-	for _, c := range s.conns {
-		out = append(out, c)
-	}
+	out := make([]*Conn, 0, s.conns.n)
+	s.EachConn(func(c *Conn) { out = append(out, c) })
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].key, out[j].key
 		if a.SrcIP != b.SrcIP {
@@ -1522,10 +1600,7 @@ func (c *Conn) onRTO() {
 	}
 	c.stack.Retransmits++
 	// Exponential backoff; collapse cwnd (Tahoe-style on timeout).
-	c.rto *= 2
-	if c.rto > 4*time.Second {
-		c.rto = 4 * time.Second
-	}
+	c.rto = rttNs(2 * time.Duration(c.rto))
 	mss := uint32(c.mss())
 	half := c.flight() / 2
 	if half < 2*mss {
@@ -1582,16 +1657,18 @@ func (c *Conn) destroy(reason Reason) {
 		c.stack.cfg.Wheel.Cancel(c.twTimer)
 		c.twTimer = nil
 	}
-	if c.listener != nil && prev == StateSynRcvd {
-		c.listener.embryonic--
+	if prev == StateSynRcvd {
+		c.stack.embryonicDone(c.key.SrcPort)
 	}
 	// Release reassembly references.
-	for _, rs := range c.reasm {
-		if rs.buf != nil {
-			rs.buf.Unref()
+	if q := c.reasm; q != nil {
+		for _, rs := range q.segs {
+			if rs.buf != nil {
+				rs.buf.Unref()
+			}
 		}
+		c.reasm = nil
 	}
-	c.reasm = nil
 	// Drop the retransmission queue's payload references: after Dead the
 	// sender reclaims its arena wholesale. putTxState zeroes the inline
 	// array and drops any spilled backing, so the references die with it.
@@ -1599,7 +1676,7 @@ func (c *Conn) destroy(reason Reason) {
 		c.stack.putTxState(c.tx)
 		c.tx = nil
 	}
-	delete(c.stack.conns, c.key)
+	c.stack.conns.del(c.key)
 	if prev == StateSynSent {
 		c.stack.cfg.Events.Connected(c, false)
 		return

@@ -640,11 +640,11 @@ func TestRTTEstimation(t *testing.T) {
 	if c.srtt == 0 {
 		t.Fatal("no RTT sample taken")
 	}
-	if c.srtt < 200*time.Microsecond || c.srtt > 400*time.Microsecond {
-		t.Fatalf("srtt = %v, want ~300µs", c.srtt)
+	if srtt := time.Duration(c.srtt); srtt < 200*time.Microsecond || srtt > 400*time.Microsecond {
+		t.Fatalf("srtt = %v, want ~300µs", srtt)
 	}
-	if c.rto < c.stack.cfg.MinRTO {
-		t.Fatalf("rto %v below floor", c.rto)
+	if rto := time.Duration(c.rto); rto < c.stack.cfg.MinRTO {
+		t.Fatalf("rto %v below floor", rto)
 	}
 }
 
