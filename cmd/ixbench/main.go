@@ -22,7 +22,6 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment name (fig2, fig3a, fig3b, fig3c, fig4, fig5, fig6, table2, elastic, incast, chaos, tenants, httpkv) or 'all'")
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	window := flag.Duration("window", 0, "override measurement window")
-	shards := flag.Int("shards", 1, "parallel engine shards for shard-aware experiments (1 = serial)")
 	flag.Parse()
 
 	sc := harness.Quick
@@ -32,7 +31,6 @@ func main() {
 	if *window > 0 {
 		sc.Window = *window
 	}
-	sc.Shards = *shards
 
 	names := []string{*exp}
 	if *exp == "all" {

@@ -2,15 +2,8 @@
 // contract (DESIGN.md §Determinism) at build time: inside sim-visible
 // packages nothing may consult a wall clock, the global math/rand state,
 // spawn goroutines, import sync primitives, or let Go's randomized map
-// iteration order reach simulation state, events or output.
-//
-// The parallel engine's shard runtime (ix/internal/sim/shard) is the one
-// sanctioned home for OS-level concurrency: goroutines, sync/atomic and
-// wall-clock telemetry live there behind the epoch-barrier protocol, so
-// those checks are relaxed for the packages in shardRuntimeAllowlist —
-// a package-granularity decision recorded here, not a per-line
-// suppression. The global-PRNG and map-iteration checks still apply in
-// relaxed packages: nondeterminism there would leak into merge order.
+// iteration order reach simulation state, events or output. No package
+// is exempt.
 package determinism
 
 import (
@@ -27,15 +20,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: `forbids wall clocks, global PRNG state, goroutines, sync imports and unordered map iteration in sim-visible packages.
-Each simulation shard is single-goroutine and a fixed seed must
-reproduce byte-identical output (DESIGN.md §Determinism). Sanctioned
-idioms: injector/engine-owned seeded *rand.Rand instances
+The simulation runs on one goroutine and a fixed seed must reproduce
+byte-identical output (DESIGN.md §Determinism). Sanctioned idioms:
+injector/engine-owned seeded *rand.Rand instances
 (rand.New(rand.NewSource(seed))), and map iteration that either only
 performs commutative updates or collects keys into a slice that is
-sorted before use. The shard runtime packages (shardRuntimeAllowlist)
-may spawn goroutines, import sync and read the wall clock — OS-level
-concurrency is their whole job — but stay subject to the PRNG and
-map-iteration checks.`,
+sorted before use.`,
 	Run: run,
 }
 
@@ -67,64 +57,37 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
-// shardRuntimeAllowlist names the packages (paths relative to
-// ix/internal/, matched exactly) that implement the parallel engine's
-// OS-thread runtime. Concurrency inside them is the mechanism that keeps
-// every other sim-visible package single-goroutine, so the go-statement,
-// sync-import and wall-clock checks do not apply; the global-PRNG and
-// map-iteration checks still do. Extending this list is a design
-// decision — new entries need the epoch-barrier analysis in DESIGN.md
-// §"Parallel engine and the determinism contract".
-var shardRuntimeAllowlist = map[string]bool{
-	"sim/shard": true,
-}
-
 // syncImports are the import paths whose presence means OS-level
-// synchronization — mutexes, atomics, channels of control — which only
-// the shard runtime may use.
+// synchronization — mutexes, atomics, channels of control — which a
+// single-goroutine simulation has no use for.
 var syncImports = map[string]bool{
 	"sync": true, "sync/atomic": true,
 }
 
-func trimScope(pkgPath string) string {
+func inScope(pkgPath string) bool {
 	rest, ok := strings.CutPrefix(pkgPath, "ix/internal/")
 	if !ok {
 		rest = pkgPath
 	}
-	return rest
-}
-
-func inScope(pkgPath string) bool {
-	first, _, _ := strings.Cut(trimScope(pkgPath), "/")
+	first, _, _ := strings.Cut(rest, "/")
 	return scopeRoots[first]
-}
-
-// shardRuntime reports whether pkgPath is an allowlisted shard-runtime
-// package (relaxed checks).
-func shardRuntime(pkgPath string) bool {
-	return shardRuntimeAllowlist[trimScope(pkgPath)]
 }
 
 func run(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path()) {
 		return nil
 	}
-	relaxed := shardRuntime(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
-		if !relaxed {
-			checkSyncImports(pass, f)
-		}
+		checkSyncImports(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !relaxed {
-					pass.Reportf(n.Pos(), "go statement in sim-visible package %s: the simulation is single-goroutine; concurrency here breaks fixed-seed determinism (only the shard runtime may spawn workers)", pass.Pkg.Name())
-				}
+				pass.Reportf(n.Pos(), "go statement in sim-visible package %s: the simulation is single-goroutine; concurrency here breaks fixed-seed determinism", pass.Pkg.Name())
 			case *ast.SelectorExpr:
-				checkSelector(pass, n, relaxed)
+				checkSelector(pass, n)
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkMapRanges(pass, n.Body)
@@ -137,7 +100,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkSyncImports flags sync/atomic imports outside the shard runtime.
+// checkSyncImports flags sync and sync/atomic imports.
 func checkSyncImports(pass *analysis.Pass, f *ast.File) {
 	for _, imp := range f.Imports {
 		path, err := strconv.Unquote(imp.Path.Value)
@@ -145,15 +108,13 @@ func checkSyncImports(pass *analysis.Pass, f *ast.File) {
 			continue
 		}
 		if syncImports[path] {
-			pass.Reportf(imp.Pos(), "import %q in sim-visible package %s: mutexes and atomics imply cross-goroutine sharing, which breaks the single-goroutine shard model; shared sinks go through ix/internal/sim/shard's exported primitives", path, pass.Pkg.Name())
+			pass.Reportf(imp.Pos(), "import %q in sim-visible package %s: mutexes and atomics imply cross-goroutine sharing, which the single-goroutine simulation never does; shared sinks are plain fields", path, pass.Pkg.Name())
 		}
 	}
 }
 
-// checkSelector flags wall-clock reads and global math/rand draws. The
-// wall-clock check is waived for shard-runtime packages (barrier idle
-// telemetry measures real time by design); the PRNG check never is.
-func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr, relaxed bool) {
+// checkSelector flags wall-clock reads and global math/rand draws.
+func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	obj := pass.TypesInfo.Uses[sel.Sel]
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -164,7 +125,7 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr, relaxed bool) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if !relaxed && wallClockFuncs[fn.Name()] {
+		if wallClockFuncs[fn.Name()] {
 			pass.Reportf(sel.Pos(), "time.%s in sim-visible package %s: wall-clock time breaks fixed-seed determinism; use the engine's virtual clock (sim.Time)", fn.Name(), pass.Pkg.Name())
 		}
 	case "math/rand", "math/rand/v2":

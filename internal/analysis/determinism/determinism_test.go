@@ -11,8 +11,11 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, determinism.Analyzer, "sim")
 }
 
-func TestShardRuntimeAllowlist(t *testing.T) {
-	analysistest.Run(t, determinism.Analyzer, "sim/shard")
+// TestNoPackageExemption: a package that looks like an OS-thread runtime
+// gets the goroutine, sync-import and wall-clock diagnostics like any
+// other sim-visible package — the analyzer has no allowlist.
+func TestNoPackageExemption(t *testing.T) {
+	analysistest.Run(t, determinism.Analyzer, "sim/noexempt")
 }
 
 func TestOutOfScopePackagesIgnored(t *testing.T) {

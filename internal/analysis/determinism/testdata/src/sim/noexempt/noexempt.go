@@ -1,15 +1,14 @@
-// Package shard is the determinism-analyzer fixture for the
-// shard-runtime allowlist: its bare path "sim/shard" matches
-// shardRuntimeAllowlist exactly, so OS-level concurrency — goroutines,
-// sync imports, wall-clock telemetry — is sanctioned here at package
-// granularity. The global-PRNG and map-iteration checks still apply:
-// nondeterminism in the runtime would leak into cross-shard merge order.
-package shard
+// Package noexempt is the determinism-analyzer fixture for the rule that
+// no package is exempt: it sits below a sim-visible root and looks like
+// an OS-thread runtime — workers, a barrier, wall-clock idle telemetry —
+// and every check fires on it exactly as on any other sim-visible
+// package.
+package noexempt
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"sync"        // want `import "sync" in sim-visible package`
+	"sync/atomic" // want `import "sync/atomic" in sim-visible package`
 	"time"
 )
 
@@ -20,14 +19,11 @@ type runtime struct {
 	queue map[int][]int
 }
 
-// --- green: goroutines, sync and wall-clock telemetry are this
-// package's job ---
-
 func (r *runtime) spawnWorkers(n int, body func(int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(id int) { // want `go statement in sim-visible package`
 			defer wg.Done()
 			body(id)
 		}(i)
@@ -36,16 +32,14 @@ func (r *runtime) spawnWorkers(n int, body func(int)) {
 }
 
 func (r *runtime) barrierIdle(f func()) {
-	t0 := time.Now()
+	t0 := time.Now() // want `time\.Now in sim-visible package`
 	f()
 	r.mu.Lock()
-	r.idle += time.Since(t0)
+	r.idle += time.Since(t0) // want `time\.Since in sim-visible package`
 	r.mu.Unlock()
 }
 
 func (r *runtime) post() { r.posts.Add(1) }
-
-// --- red: the PRNG and map-order checks are NOT relaxed ---
 
 func (r *runtime) shuffleSeq(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `global rand\.Shuffle in sim-visible package`

@@ -1,11 +1,10 @@
 package sim
 
-// --- red: sync primitives outside the shard runtime ---
+// --- red: sync primitives ---
 //
 // A mutex or atomic in a sim-visible package means state is shared
-// across goroutines, which the single-goroutine shard model forbids.
-// Shared sinks (stats counters) go through ix/internal/sim/shard's
-// exported primitives instead.
+// across goroutines, which the single-goroutine simulation never does.
+// Shared sinks (stats counters) are plain fields.
 
 import (
 	"sync"        // want `import "sync" in sim-visible package`
@@ -23,7 +22,7 @@ func (c *counters) bump() {
 	c.mu.Unlock()
 }
 
-// --- red: goroutines stay banned here too ---
+// --- red: goroutines ---
 
 func spawnWorker(fn func()) {
 	go fn() // want `go statement in sim-visible package`

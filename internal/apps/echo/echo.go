@@ -751,9 +751,8 @@ func (f *Fleet) Threads() int { return len(f.clients) }
 
 // zeros returns a read-only buffer of n zero bytes backed by *buf,
 // growing it on demand (applications treat transmitted buffers as
-// immutable). Each server/client instance carries its own backing buffer:
-// a package-global grow-on-demand block would race when instances on
-// different shards resize it concurrently.
+// immutable). Each server/client instance carries its own backing
+// buffer, so instances share no mutable package-level state.
 func zeros(buf *[]byte, n int) []byte {
 	for cap(*buf) < n {
 		*buf = make([]byte, n)

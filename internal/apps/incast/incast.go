@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"ix/internal/app"
-	"ix/internal/sim/shard"
 	"ix/internal/stats"
 	"ix/internal/wire"
 )
@@ -56,14 +55,8 @@ type Metrics struct {
 	// Running gates reconnects and new rounds.
 	Running bool
 
-	// mu guards the per-round tracking maps: senders live on different
-	// shards, so barrier bookkeeping can race in real time. The guarded
-	// updates are order-independent (start keeps the virtual-time
-	// minimum, lastFin the maximum, the rest are counts), so the lock
-	// serializes without ordering and fixed-seed results stay exact.
-	mu      shard.Mutex
+	// Per-round tracking, keyed by round number.
 	start   map[int]int64
-	lastFin map[int]int64
 	entered map[int]int
 	skipped map[int]int
 	done    map[int]int
@@ -76,7 +69,6 @@ func NewMetrics() *Metrics {
 		Completion: stats.NewHistogram(),
 		Running:    true,
 		start:      map[int]int64{},
-		lastFin:    map[int]int64{},
 		entered:    map[int]int{},
 		skipped:    map[int]int{},
 		done:       map[int]int{},
@@ -89,35 +81,25 @@ func NewMetrics() *Metrics {
 // always land in RoundsDone or RoundsFailed and the tracking maps stay
 // bounded.
 
-// enter records the round's burst start as the minimum entering virtual
-// time (in serial runs the first caller has it; in parallel runs callers
-// arrive in arbitrary real order, so min-write makes the result
-// order-independent and serial-identical).
+// enter records the round's burst start: the first sender to enter has
+// the earliest virtual time.
 func (m *Metrics) enter(round int, now int64) {
-	m.mu.Lock()
-	if v, ok := m.start[round]; !ok || now < v {
+	if _, ok := m.start[round]; !ok {
 		m.start[round] = now
 	}
 	m.entered[round]++
-	m.mu.Unlock()
 }
 
-// finish records a confirmation: completion time is the maximum
-// finishing virtual time minus the round start (the serial last-caller's
-// value, computed order-independently).
+// finish records a confirmation: completion time is the last sender's
+// finishing virtual time minus the round start.
 func (m *Metrics) finish(round int, now int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, live := m.start[round]; !live {
 		return // already settled (e.g. failed and forgotten)
-	}
-	if now > m.lastFin[round] {
-		m.lastFin[round] = now
 	}
 	m.done[round]++
 	if m.done[round] == m.Senders && m.entered[round] == m.Senders && !m.failed[round] {
 		m.RoundsDone.Inc()
-		m.Completion.Record(time.Duration(m.lastFin[round] - m.start[round]))
+		m.Completion.Record(time.Duration(now - m.start[round]))
 		m.forget(round)
 		return
 	}
@@ -128,19 +110,15 @@ func (m *Metrics) finish(round int, now int64) {
 // or it was behind after a reconnect): the round can no longer complete
 // cleanly.
 func (m *Metrics) skip(round int) {
-	m.mu.Lock()
 	m.skipped[round]++
 	if !m.failed[round] {
 		m.failed[round] = true
 		m.RoundsFailed.Inc()
 	}
 	m.settle(round)
-	m.mu.Unlock()
 }
 
 func (m *Metrics) fail(round int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if round < 0 || m.failed[round] {
 		return
 	}
@@ -152,11 +130,8 @@ func (m *Metrics) fail(round int) {
 	m.settle(round)
 }
 
-// forget and settle run with mu held.
-
 func (m *Metrics) forget(round int) {
 	delete(m.start, round)
-	delete(m.lastFin, round)
 	delete(m.entered, round)
 	delete(m.skipped, round)
 	delete(m.done, round)
@@ -386,9 +361,8 @@ func (s *sender) OnClosed(c app.Conn) {
 }
 
 // burstBytes returns an immutable zero block (zero-copy senders must not
-// mutate transmitted buffers). The buffer is per-sender: a global shared
-// grow-on-demand block would race when senders on different shards
-// resize it concurrently.
+// mutate transmitted buffers). The buffer is per-sender: each sender
+// sizes its own block, so senders share no mutable state.
 func (s *sender) burstBytes(n int) []byte {
 	for cap(s.burstBuf) < n {
 		s.burstBuf = make([]byte, n)

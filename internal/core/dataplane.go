@@ -85,11 +85,6 @@ type Dataplane struct {
 	// missFloor_ is the handshake-frame miss charge, a run constant.
 	missFloor_ time.Duration
 
-	// shard/releaser: frame-pool ownership on a parallel engine (see
-	// SetShard); zero-valued on the serial engine.
-	shard    int
-	releaser fabric.RemoteReleaser
-
 	// Migration accounting (control-plane observability).
 	//
 	// Migrations counts flow-group (RETA bucket) migrations completed;
@@ -200,27 +195,12 @@ func (d *Dataplane) Start() {
 func (d *Dataplane) spawnThread(id int) {
 	et := newElasticThread(d, id)
 	// Tag at spawn, not just at Start: threads granted later by the
-	// control plane charge the same tenant (and, on a sharded engine,
-	// return remote frame releases to the same shard).
+	// control plane charge the same tenant.
 	et.ns.FramePool().SetTenant(d.cfg.Tenant)
-	if d.releaser != nil {
-		et.ns.FramePool().SetShard(d.shard, d.releaser)
-	}
 	d.threads = append(d.threads, et)
 	et.user = d.cfg.User(et.api, id, d.cfg.Threads)
 	// Kick once so programs that queued work at construction run.
 	et.wake()
-}
-
-// SetShard declares the shard owning this dataplane's frame pools on a
-// parallel engine. It must be called before Start; every thread spawned
-// afterwards — including elastic threads granted mid-run — tags its
-// pool at spawn, so cross-shard releases route home through r.
-func (d *Dataplane) SetShard(sh int, r fabric.RemoteReleaser) {
-	d.shard, d.releaser = sh, r
-	for _, et := range d.threads {
-		et.ns.FramePool().SetShard(sh, r)
-	}
 }
 
 // Threads returns the active elastic thread count.

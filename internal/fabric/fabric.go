@@ -50,13 +50,6 @@ type Frame struct {
 	pool *FramePool
 	free bool
 
-	// remote marks a pooled frame currently held by a shard other than
-	// its pool's owner. It is restamped at every cross-shard link
-	// crossing (the ownership-transfer boundary) and never changes on
-	// intra-shard hops, so it always answers "would releasing here touch
-	// a foreign pool?". Serial runs never set it.
-	remote bool
-
 	// In-flight routing state, so delivery and switch forwarding run as
 	// pooled one-shot engine events without closure allocations.
 	dst *Port // delivery target (set while traversing a link)
@@ -84,15 +77,6 @@ func (f *Frame) Detach() {
 	if f.pool == nil {
 		return
 	}
-	if f.remote {
-		// Foreign shard: the accounting decrement must run on the pool
-		// owner's worker. Queue it; the owner drains at its next barrier.
-		p := f.pool
-		f.pool = nil
-		f.remote = false
-		p.releaser.DetachRemote(p)
-		return
-	}
 	f.pool.inUse--
 	f.pool = nil
 }
@@ -116,17 +100,6 @@ func (f *Frame) Release() {
 	}
 	f.free = true
 	f.dst, f.via = nil, nil
-	if f.remote {
-		// Released on a foreign shard: the free list and in-use count
-		// belong to the owner's worker, so the frame rides a return box
-		// home and the owner completes the release at its next epoch
-		// barrier (CompleteRemoteRelease).
-		if f.pool.releaser == nil {
-			panic(fmt.Sprintf("fabric: remote release of a frame owned by shard %d, but its pool has no releaser", f.pool.shard))
-		}
-		f.pool.releaser.ReleaseRemote(f)
-		return
-	}
 	f.pool.inUse--
 	if f.buf == nil {
 		// Oversized one-off: accounted, but not recycled.
@@ -136,28 +109,11 @@ func (f *Frame) Release() {
 	f.pool.free = append(f.pool.free, f)
 }
 
-// A RemoteReleaser queues frames (or pool accounting decrements) whose
-// Release or Detach ran on a shard other than the pool owner's. The
-// sharded runtime implements it with per-owner return boxes drained at
-// epoch barriers; serial runs never touch it.
-type RemoteReleaser interface {
-	ReleaseRemote(f *Frame)
-	DetachRemote(p *FramePool)
-}
-
 // A FramePool recycles frame buffers for one sender (a network stack
-// instance). A pool is owned by one shard: all allocation and free-list
-// mutation runs on the owner's worker (serially, lock-free); releases
-// from other shards detour through the RemoteReleaser.
+// instance).
 type FramePool struct {
 	free  []*Frame
 	inUse int
-
-	// Sharded-runtime ownership: the owning shard's index and the return
-	// box frames released elsewhere come home through. Zero-valued (and
-	// unused) in serial runs.
-	shard    int
-	releaser RemoteReleaser
 
 	// tenant tags every frame allocated from this pool (multi-tenant
 	// isolation accounting; 0 = untagged).
@@ -167,34 +123,6 @@ type FramePool struct {
 	// (pool misses and oversized frames).
 	Gets, News uint64
 }
-
-// SetShard declares the pool's owning shard and the return box for
-// frames released on other shards. The harness calls it at cluster
-// construction when running sharded.
-func (p *FramePool) SetShard(shard int, r RemoteReleaser) {
-	p.shard, p.releaser = shard, r
-}
-
-// CompleteRemoteRelease finishes, on the owner's worker, a release that
-// was initiated on a foreign shard: the in-use count drops and the
-// buffer rejoins the free list. Called only by the shard runtime's
-// barrier drain.
-func (f *Frame) CompleteRemoteRelease() {
-	p := f.pool
-	f.remote = false
-	p.inUse--
-	if f.buf == nil {
-		// Oversized one-off: accounted, but not recycled.
-		f.pool = nil
-		return
-	}
-	p.free = append(p.free, f)
-}
-
-// CompleteRemoteDetach finishes a Detach initiated on a foreign shard
-// (accounting only; the detached frame never returns). Called only by
-// the shard runtime's barrier drain.
-func (p *FramePool) CompleteRemoteDetach() { p.inUse-- }
 
 // SetTenant tags the pool: every frame subsequently allocated carries
 // this isolation-accounting tag.
@@ -251,16 +179,6 @@ type Port struct {
 	side int
 	ep   Endpoint
 
-	// Sharded-runtime wiring. eng is the engine driving this port's
-	// transmit side (the link's engine unless SetShard overrode it);
-	// remote, when non-nil, is the cross-shard post queue to the peer's
-	// shard — delivery becomes an enqueue instead of a local event, and
-	// frame ownership transfers at this boundary.
-	eng       *sim.Engine
-	remote    sim.Remote
-	shard     int
-	peerShard int
-
 	busyUntil sim.Time // transmit serialization
 
 	// txBuffer, when positive, bounds the transmit queue in bytes: a
@@ -310,22 +228,6 @@ func (p *Port) TenantTxStats(tag int) TenantTx {
 // (tags 0..TenantTags()-1 may hold traffic).
 func (p *Port) TenantTags() int { return len(p.txTenant) }
 
-// SetShard places the port's transmit side on a shard: eng is the
-// owning shard's engine, and remote (non-nil iff the peer lives on a
-// different shard) carries deliveries across the boundary. The harness
-// calls it at cluster construction when running sharded.
-func (p *Port) SetShard(eng *sim.Engine, shard, peerShard int, remote sim.Remote) {
-	p.eng = eng
-	p.shard, p.peerShard = shard, peerShard
-	p.remote = remote
-}
-
-// Shard returns the index of the shard driving this port.
-func (p *Port) Shard() int { return p.shard }
-
-// Engine returns the engine driving this port's transmit side.
-func (p *Port) Engine() *sim.Engine { return p.eng }
-
 // Attach sets the endpoint that receives frames arriving at this port.
 func (p *Port) Attach(ep Endpoint) { p.ep = ep }
 
@@ -368,7 +270,7 @@ func deliverFrame(a any) {
 // has already copied out of mbufs at the NIC).
 func (p *Port) Send(f *Frame) {
 	l := p.link
-	now := p.eng.Now()
+	now := l.eng.Now()
 	if p.txBuffer > 0 && p.queuedBytes(now)+wire.WireLen(len(f.Data)) > p.txBuffer {
 		// Shallow egress buffer full: tail drop at the switch port,
 		// exactly the incast failure mode (§5, 16 µs RTO discussion).
@@ -392,16 +294,7 @@ func (p *Port) Send(f *Frame) {
 	arrive := depart.Add(l.latency)
 	f.SentAt = now
 	f.dst = p.Peer()
-	if p.remote != nil {
-		// Cross-shard boundary: ownership transfers with the frame. The
-		// stamp records whether the frame will be foreign to its pool on
-		// the far side; intra-shard hops never touch it, so it stays
-		// correct across any number of local forwards.
-		f.remote = f.pool != nil && f.pool.shard != p.peerShard
-		p.remote.Post(arrive, deliverFrame, f)
-		return
-	}
-	p.eng.Call(arrive, deliverFrame, f)
+	l.eng.Call(arrive, deliverFrame, f)
 }
 
 // Busy returns the time until which the port's transmit side is
@@ -420,14 +313,10 @@ type Link struct {
 // propagation latency.
 func NewLink(eng *sim.Engine, bps float64, latency time.Duration) *Link {
 	l := &Link{eng: eng, bps: bps, latency: latency}
-	l.ports[0] = Port{link: l, side: 0, eng: eng}
-	l.ports[1] = Port{link: l, side: 1, eng: eng}
+	l.ports[0] = Port{link: l, side: 0}
+	l.ports[1] = Port{link: l, side: 1}
 	return l
 }
-
-// Latency returns the link's one-way propagation latency (the harness
-// derives the sharded runtime's lookahead from it).
-func (l *Link) Latency() time.Duration { return l.latency }
 
 // Port returns side i (0 or 1) of the link.
 func (l *Link) Port(i int) *Port { return &l.ports[i] }
@@ -451,9 +340,7 @@ type Switch struct {
 	// sealed freezes the FDB and bond tables. Topology is static in
 	// every experiment, so learning belongs to cluster construction; the
 	// seal (explicit via Seal, or implicit on the first forwarded frame)
-	// guarantees no frame can ever observe a partially built table —
-	// which is also what makes the read-only maps safe under the sharded
-	// runtime.
+	// guarantees no frame can ever observe a partially built table.
 	sealed bool
 
 	// Forwarded counts frames switched.

@@ -343,8 +343,8 @@ func TestTenantEgressAccounting(t *testing.T) {
 // TestSwitchSealFreezesFDB: the forwarding database is a
 // construction-time artifact. Once traffic flows (or Seal is called
 // explicitly), Learn/Bond must panic rather than mutate the FDB under
-// in-flight frames — on the parallel engine the switch's shard would
-// otherwise observe a partially-built table.
+// in-flight frames, which would otherwise be forwarded by a
+// partially-built table.
 func TestSwitchSealFreezesFDB(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng)

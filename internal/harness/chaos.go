@@ -7,7 +7,6 @@ import (
 
 	"ix/internal/apps/echo"
 	"ix/internal/faults"
-	"ix/internal/sim/shard"
 )
 
 // ChaosSetup configures the randomized fault-schedule experiment: an
@@ -33,8 +32,6 @@ type ChaosSetup struct {
 	PhaseLen time.Duration
 	Warmup   time.Duration
 	Seed     int64
-	// Shards runs the cluster on the sharded engine (0/1 = serial).
-	Shards int
 }
 
 // ChaosResult is the outcome plus every invariant input.
@@ -56,9 +53,6 @@ type ChaosResult struct {
 	// FramesLeaked is the cluster frame-pool imbalance after heal+drain
 	// (must be zero: the frame-conservation invariant).
 	FramesLeaked int
-	// Telemetry is the parallel engine's per-run instrumentation
-	// (Shards==1 for serial runs).
-	Telemetry shard.Telemetry
 }
 
 // chaosMenu returns the impairment for one phase draw (clean with
@@ -117,7 +111,7 @@ func RunChaos(s ChaosSetup) ChaosResult {
 	if s.Warmup <= 0 {
 		s.Warmup = 2 * time.Millisecond
 	}
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	m := echo.NewMetrics()
 	const port = 9000
 	server := cl.AddHost("server", HostSpec{
@@ -227,7 +221,6 @@ func RunChaos(s ChaosSetup) ChaosResult {
 		}
 	}
 	res.FramesLeaked = cl.FramesInUse()
-	res.Telemetry = cl.Telemetry()
 	return res
 }
 
@@ -244,7 +237,7 @@ func Chaos(sc Scale) *Result {
 	if sc.Window >= 20*time.Millisecond {
 		phases = 16
 	}
-	res := RunChaos(ChaosSetup{Phases: phases, Seed: 23, Shards: sc.Shards})
+	res := RunChaos(ChaosSetup{Phases: phases, Seed: 23})
 	for i, rate := range res.PhaseRates {
 		r.AddPoint("msgs/s", float64(i), rate)
 	}
@@ -265,9 +258,6 @@ func Chaos(sc Scale) *Result {
 			{"frames leaked", fmt.Sprint(res.FramesLeaked)},
 		},
 	})
-	if sc.Shards > 1 {
-		r.Notes = append(r.Notes, fmt.Sprintf("parallel engine: %v", res.Telemetry))
-	}
 	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.FramesLeaked != 0 {
 		r.Notes = append(r.Notes, "INVARIANT VIOLATION — see table")
 	} else {

@@ -20,7 +20,6 @@ import (
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
-	"ix/internal/sim/shard"
 	"ix/internal/wire"
 )
 
@@ -76,7 +75,6 @@ type hostAdapter struct {
 	// footprint samples the host's per-connection memory under the
 	// memprobe contract (read-only; never perturbs the simulation).
 	footprint func() memprobe.Footprint
-	setShard  func(sh int, r fabric.RemoteReleaser)
 }
 
 func (h *hostAdapter) NIC() *nicsim.NIC        { return h.nic }
@@ -117,20 +115,9 @@ type HostSpec struct {
 
 // Cluster is the experiment testbed.
 type Cluster struct {
-	// Eng is the coordinator's engine: the only engine in serial runs,
-	// shard 0's (the switch shard's) engine in sharded runs.
+	// Eng is the one engine every host, link and the switch run on.
 	Eng    *sim.Engine
 	Switch *fabric.Switch
-
-	// Sharded-runtime state (nil/empty for serial clusters): engines[i]
-	// drives shard i; hostShard[i] is host i's shard. The switch and all
-	// its ports live on shard 0, hosts round-robin over shards 1..N-1, so
-	// every host↔switch cable crosses at full link latency — the widest
-	// conservative lookahead this topology offers.
-	rt        *shard.Runtime
-	engines   []*sim.Engine
-	hostShard []int
-	nshards   int
 
 	hosts []Host
 	// links[i] holds host i's cables, in port order: Port(0) faces the
@@ -152,62 +139,16 @@ const LinkBandwidth = 10 * fabric.Gbps
 // linkLatency is NIC traversal plus propagation, one way.
 const linkLatency = fabric.NICLatency + fabric.PropDelay
 
-// NewCluster creates an empty serial testbed.
+// NewCluster creates an empty testbed.
 func NewCluster(seed int64) *Cluster {
-	return NewClusterShards(seed, 1)
-}
-
-// NewClusterShards creates a testbed that runs on shards OS workers.
-// shards ≤ 1 yields the exact serial cluster (one engine, no runtime —
-// fixed-seed output stays byte-identical to every previous PR); shards
-// N > 1 places the switch on shard 0 and round-robins hosts over shards
-// 1..N-1, coupling them only through the cross-shard link latency.
-func NewClusterShards(seed int64, shards int) *Cluster {
-	if shards <= 1 {
-		eng := sim.NewEngine(seed)
-		return &Cluster{
-			Eng:     eng,
-			Switch:  fabric.NewSwitch(eng),
-			nextIP:  uint32(wire.Addr4(10, 10, 0, 10)),
-			nextMAC: 0x02_00_00_00_00_10,
-			seed:    uint64(seed)*0x9e3779b97f4a7c15 + 1,
-		}
-	}
-	engines := make([]*sim.Engine, shards)
-	for i := range engines {
-		// Engine RNGs are currently unused (hosts and injectors carry
-		// their own seeded streams), but keep the per-shard seeds
-		// deterministic and distinct anyway.
-		engines[i] = sim.NewEngine(seed + int64(i)*0x51_7c_c1_b7_27_22_0a95)
-	}
-	c := &Cluster{
-		Eng:     engines[0],
-		Switch:  fabric.NewSwitch(engines[0]),
-		rt:      shard.New(engines),
-		engines: engines,
-		nshards: shards,
+	eng := sim.NewEngine(seed)
+	return &Cluster{
+		Eng:     eng,
+		Switch:  fabric.NewSwitch(eng),
 		nextIP:  uint32(wire.Addr4(10, 10, 0, 10)),
 		nextMAC: 0x02_00_00_00_00_10,
 		seed:    uint64(seed)*0x9e3779b97f4a7c15 + 1,
 	}
-	return c
-}
-
-// Shards returns the shard count (1 for serial clusters).
-func (c *Cluster) Shards() int {
-	if c.rt == nil {
-		return 1
-	}
-	return c.nshards
-}
-
-// Telemetry returns the sharded runtime's counters (zero Telemetry with
-// Shards==1 for serial clusters).
-func (c *Cluster) Telemetry() shard.Telemetry {
-	if c.rt == nil {
-		return shard.Telemetry{Shards: 1}
-	}
-	return c.rt.Telemetry()
 }
 
 func (c *Cluster) nextAddrs() (wire.IPv4, wire.MAC) {
@@ -234,14 +175,6 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 	}
 	c.seed = c.seed*6364136223846793005 + 1442695040888963407
 	seed := c.seed
-	// Shard placement: hosts round-robin over shards 1..N-1 (shard 0 is
-	// the switch's). The host's stacks, NIC and pools all live on heng.
-	sh := 0
-	heng := c.Eng
-	if c.rt != nil {
-		sh = 1 + len(c.hosts)%(c.nshards-1)
-		heng = c.engines[sh]
-	}
 	var h *hostAdapter
 	switch spec.Arch {
 	case ArchIX:
@@ -263,7 +196,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		if spec.IXCost != nil {
 			ccfg.Cost = *spec.IXCost
 		}
-		dp := core.New(heng, ccfg)
+		dp := core.New(c.Eng, ccfg)
 		c.ixs = append(c.ixs, dp)
 		h = &hostAdapter{nic: dp.NIC(), arp: dp.ARP(), ip: ip, mac: mac, start: dp.Start,
 			frames: func() int {
@@ -280,10 +213,9 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 				}
 				return n
 			},
-			footprint: dp.Footprint,
-			setShard:  dp.SetShard}
+			footprint: dp.Footprint}
 	case ArchLinux:
-		lh := linuxstack.New(heng, linuxstack.Config{
+		lh := linuxstack.New(c.Eng, linuxstack.Config{
 			Name:    name,
 			IP:      ip,
 			MAC:     mac,
@@ -300,12 +232,9 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		h = &hostAdapter{nic: lh.NIC(), arp: lh.ARP(), ip: ip, mac: mac, start: lh.Start,
 			frames:    func() int { return lh.Stack().FramePool().InUse() },
 			chunks:    func() int { return 0 },
-			footprint: lh.Footprint,
-			setShard: func(sh int, r fabric.RemoteReleaser) {
-				lh.Stack().FramePool().SetShard(sh, r)
-			}}
+			footprint: lh.Footprint}
 	case ArchMTCP:
-		mh := mtcpstack.New(heng, mtcpstack.Config{
+		mh := mtcpstack.New(c.Eng, mtcpstack.Config{
 			Name:    name,
 			IP:      ip,
 			MAC:     mac,
@@ -330,34 +259,16 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 				return n
 			},
 			chunks:    func() int { return 0 },
-			footprint: mh.Footprint,
-			setShard:  mh.SetShard}
+			footprint: mh.Footprint}
 	default:
 		panic(fmt.Sprintf("harness: unknown arch %d", spec.Arch))
 	}
 	h.tenant = spec.Tenant
-	if c.rt != nil {
-		// Frame pools belong to the host's shard: releases from other
-		// shards route home through the runtime's return boxes. The hook
-		// stores the assignment in the host, which tags each pool as its
-		// owning thread spawns (IX and mTCP build stacks at Start, and IX
-		// elastic threads can be granted mid-run).
-		h.setShard(sh, c.rt.Releaser(sh))
-	}
 	// Cable the NIC's ports to the switch.
 	var portIdxs []int
 	var hostLinks []*fabric.Link
 	for p := 0; p < spec.Ports; p++ {
 		link := fabric.NewLink(c.Eng, LinkBandwidth, linkLatency)
-		if c.rt != nil {
-			// The host side transmits on the host's shard, the switch
-			// side on shard 0; both directions cross, so frame delivery
-			// becomes a cross-shard post and this cable's latency bounds
-			// the epoch lookahead.
-			link.Port(0).SetShard(heng, sh, 0, c.rt.Remote(sh, 0))
-			link.Port(1).SetShard(c.Eng, 0, sh, c.rt.Remote(0, sh))
-			c.rt.ObserveLink(link.Latency())
-		}
 		h.NIC().AttachPort(link.Port(0))
 		idx := c.Switch.AddPort(link.Port(1))
 		portIdxs = append(portIdxs, idx)
@@ -369,14 +280,10 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		c.Switch.Bond(mac, portIdxs)
 	}
 	c.hosts = append(c.hosts, h)
-	c.hostShard = append(c.hostShard, sh)
 	c.links = append(c.links, hostLinks)
 	c.sites = append(c.sites, nil)
 	return h
 }
-
-// HostShard returns the shard index of h (0 in serial clusters).
-func (c *Cluster) HostShard(h Host) int { return c.hostShard[c.hostIndex(h)] }
 
 // hostIndex finds h's position in the cluster.
 func (c *Cluster) hostIndex(h Host) int {
@@ -406,13 +313,10 @@ func (c *Cluster) Faults(h Host) *faults.Site {
 			c.seed = c.seed*6364136223846793005 + 1442695040888963407
 			// Port(0)'s endpoint is the host NIC: impairs traffic
 			// toward the host. Port(1)'s endpoint is the switch:
-			// impairs traffic from the host. Each injector runs on the
-			// engine of the shard that owns its port (delivery side),
-			// keeping its PRNG stream on one worker; in serial runs both
-			// engines are c.Eng, so schedules replay byte for byte.
+			// impairs traffic from the host.
 			site.Injectors = append(site.Injectors,
-				faults.Interpose(link.Port(0).Engine(), link.Port(0), c.seed),
-				faults.Interpose(link.Port(1).Engine(), link.Port(1), c.seed^0xa5a5a5a5a5a5a5a5))
+				faults.Interpose(c.Eng, link.Port(0), c.seed),
+				faults.Interpose(c.Eng, link.Port(1), c.seed^0xa5a5a5a5a5a5a5a5))
 		}
 		c.sites[idx] = site
 	}
@@ -574,12 +478,5 @@ func (c *Cluster) Start() {
 	c.Switch.Seal()
 }
 
-// Run advances the simulation by d (all shards in lockstep when
-// sharded).
-func (c *Cluster) Run(d time.Duration) {
-	if c.rt != nil {
-		c.rt.RunFor(d)
-		return
-	}
-	c.Eng.RunFor(d)
-}
+// Run advances the simulation by d.
+func (c *Cluster) Run(d time.Duration) { c.Eng.RunFor(d) }

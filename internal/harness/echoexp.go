@@ -47,12 +47,6 @@ type EchoSetup struct {
 
 	Warmup, Window time.Duration
 	Seed           int64
-
-	// Shards runs the cluster on the sharded engine (0/1 = serial; the
-	// serial path is byte-identical to every previous PR). Experiment
-	// statistics are equivalent across shard counts; see DESIGN.md
-	// "Parallel engine and the determinism contract".
-	Shards int
 }
 
 // EchoResult is the measured steady-state behaviour.
@@ -92,7 +86,7 @@ func buildEchoCluster(s *EchoSetup, m *echo.Metrics, fl *echo.Fleet) *Cluster {
 	if s.ServerPorts == 0 {
 		s.ServerPorts = 1
 	}
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	// The server's steady-state population is known up front — the
 	// fleet's full connection count — so its tables are presized
 	// instead of doubling their way up during the ramp.
@@ -196,8 +190,5 @@ func RunEcho(s EchoSetup) EchoResult {
 	cl.Run(s.Window)
 	res := collectEcho(cl, &s, m, s.Window)
 	m.Running = false
-	if s.Shards > 1 {
-		lastFig4Telemetry = cl.Telemetry()
-	}
 	return res
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ix/internal/apps/incast"
-	"ix/internal/sim/shard"
 )
 
 // IncastSetup describes one N-to-1 synchronized-burst measurement: N
@@ -34,8 +33,6 @@ type IncastSetup struct {
 	Period time.Duration
 	Warmup time.Duration
 	Seed   int64
-	// Shards runs the cluster on the sharded engine (0/1 = serial).
-	Shards int
 }
 
 // IncastResult is one measured incast point.
@@ -56,9 +53,6 @@ type IncastResult struct {
 	// FramesLeaked is the cluster frame-pool imbalance after drain
 	// (must be 0: drops and retransmissions must conserve frames).
 	FramesLeaked int
-	// Telemetry is the parallel engine's per-run instrumentation
-	// (Shards==1 for serial runs).
-	Telemetry shard.Telemetry
 }
 
 // RunIncast executes one synchronized incast configuration.
@@ -84,7 +78,7 @@ func RunIncast(s IncastSetup) IncastResult {
 	if s.Warmup <= 0 {
 		s.Warmup = time.Millisecond
 	}
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	m := incast.NewMetrics()
 	const port = 5001
 	sink := cl.AddHost("sink", HostSpec{
@@ -123,7 +117,6 @@ func RunIncast(s IncastSetup) IncastResult {
 		EgressDrops:    cl.EgressDrops(sink),
 		SinkBytes:      m.SinkBytes.Total(),
 		FramesLeaked:   cl.FramesInUse(),
-		Telemetry:      cl.Telemetry(),
 	}
 	for _, lh := range cl.linuxes {
 		res.Retransmits += lh.Stack().TCP().Retransmits
@@ -179,9 +172,7 @@ func Incast(sc Scale) *Result {
 				MinRTO:     rto,
 				Rounds:     rounds,
 				Seed:       31,
-				Shards:     sc.Shards,
 			})
-			lastIncastTelemetry = res.Telemetry
 			r.AddPoint(fmt.Sprintf("MinRTO=%v", rto), float64(n), res.GoodputBps/1e9)
 			if res.FramesLeaked != 0 {
 				r.Notes = append(r.Notes, fmt.Sprintf(
@@ -192,12 +183,5 @@ func Incast(sc Scale) *Result {
 	}
 	r.Notes = append(r.Notes,
 		"whole-window egress tail drops stall flows for MinRTO; 16µs floor recovers goodput")
-	if sc.Shards > 1 {
-		r.Notes = append(r.Notes, fmt.Sprintf("parallel engine: %v", lastIncastTelemetry))
-	}
 	return r
 }
-
-// lastIncastTelemetry is the most recent sharded incast run's engine
-// telemetry, for the experiment footer.
-var lastIncastTelemetry = shard.Telemetry{}

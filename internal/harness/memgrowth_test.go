@@ -142,27 +142,22 @@ func TestFootprintRecoveryAfterBurstLoss(t *testing.T) {
 	t.Logf("drained footprint: baseline=%d after-burst=%d (rexmit=%d)", baseBytes, afterBytes, rexmit)
 }
 
-// TestPresizeGrowShrinkDeterminism pins the presized-table contract on
-// both engines with a grow → shrink → regrow cycle and ExpectedConns
-// set. Two properties, matching the DESIGN.md determinism contract:
-// reruns at a fixed shard count are byte-identical (drained footprints
-// included — the accounting must not depend on map iteration or
-// scheduling); across shard counts the established populations are
-// identical and the drained footprints equivalent (teardown
-// interleavings may shift free-stack peak capacities by a hair, never
-// the per-connection story).
+// TestPresizeGrowShrinkDeterminism pins the presized-table contract
+// with a grow → shrink → regrow cycle and ExpectedConns set: a fixed-seed
+// rerun is identical sample for sample, drained footprints included —
+// the accounting must not depend on map iteration or scheduling.
 func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 	type sample struct {
 		bytes int64
 		conns int
 	}
-	run := func(shards int) []sample {
+	run := func() []sample {
 		threads := 4 * 4
 		b := NewEchoBench(EchoSetup{
 			ServerArch: ArchIX, ServerCores: 4,
 			ClientArch: ArchLinux, ClientHosts: 4, ClientCores: 4,
 			MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(ArchIX, threads),
-			ExpectedConns: 2400, Shards: shards,
+			ExpectedConns: 2400,
 		})
 		defer b.Stop()
 		var out []sample
@@ -173,28 +168,11 @@ func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	for _, shards := range []int{1, 4} {
-		a, b := run(shards), run(shards)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("shards=%d point %d: rerun diverged: %+v vs %+v", shards, i, a[i], b[i])
-			}
+	a, b := run(), run()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("point %d: rerun diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	serial, sharded := run(1), run(4)
-	for i := range serial {
-		if serial[i].conns != sharded[i].conns {
-			t.Errorf("point %d: established %d conns at shards=1 vs %d at shards=4",
-				i, serial[i].conns, sharded[i].conns)
-		}
-		diff := serial[i].bytes - sharded[i].bytes
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff*100 > serial[i].bytes {
-			t.Errorf("point %d: drained footprint %d bytes at shards=1 vs %d at shards=4 (>1%% apart)",
-				i, serial[i].bytes, sharded[i].bytes)
-		}
-	}
-	t.Logf("grow/shrink samples (shards=1): %+v", serial)
+	t.Logf("grow/shrink samples: %+v", a)
 }

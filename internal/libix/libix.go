@@ -54,8 +54,8 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 	// One cookie table per dataplane, shared by every elastic thread's
 	// program: kernel cookies must survive EvMigrated re-homing across
 	// threads (the destination thread resolves the migrated flow's
-	// cookie), and all threads of one host execute within a single
-	// simulation shard, so the shared table needs no locking.
+	// cookie), and the whole simulation runs on one goroutine, so the
+	// shared table needs no locking.
 	tab := &connTable{}
 	return func(api *core.UserAPI, thread, threads int) core.UserProgram {
 		if n := api.ExpectedConns(); n > 0 && cap(tab.slots) == 0 {

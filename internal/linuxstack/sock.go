@@ -75,8 +75,8 @@ type sockBuf struct {
 }
 
 // getBuf returns the socket's staging buffers, borrowing a sockBuf from
-// the host's pool (LIFO free list; one host lives in one shard) when
-// none is attached.
+// the host's pool (a plain LIFO free list: the simulation is
+// single-goroutine, so it needs no locking) when none is attached.
 //
 //ix:hotpath
 func (s *sock) getBuf() *sockBuf {

@@ -74,10 +74,6 @@ type Host struct {
 	// missFloor is the handshake-frame miss charge (batched SYN
 	// admission), a run constant hoisted out of the poll loop.
 	missFloor time.Duration
-	// shard/releaser: frame-pool ownership on a parallel engine (see
-	// SetShard); zero-valued on the serial engine.
-	shard    int
-	releaser fabric.RemoteReleaser
 }
 
 // New builds an mTCP host. Attach NIC ports before Start.
@@ -116,16 +112,6 @@ func (h *Host) IP() wire.IPv4 { return h.cfg.IP }
 
 // MAC returns the hardware address.
 func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
-
-// SetShard declares the shard owning this host's frame pools on a
-// parallel engine; must be called before Start (cores tag their pools
-// at spawn, so cross-shard releases route home through r).
-func (h *Host) SetShard(sh int, r fabric.RemoteReleaser) {
-	h.shard, h.releaser = sh, r
-	for _, m := range h.cores {
-		m.ns.FramePool().SetShard(sh, r)
-	}
-}
 
 // Start spawns the per-core thread pairs.
 func (h *Host) Start() {
@@ -245,9 +231,6 @@ func newMcore(h *Host, id int) *mcore {
 			return h.nic.RSSQueue(ret) == id
 		},
 	})
-	if h.releaser != nil {
-		m.ns.FramePool().SetShard(h.shard, h.releaser)
-	}
 	return m
 }
 

@@ -391,11 +391,9 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // ringLive reports whether a live same-instant event is queued,
-// discarding lazily-cancelled entries from the ring front. RunBefore and
-// NextEventAt must not trust raw ring occupancy: a cancelled-only ring
-// would make Step fall through to a heap event possibly at or past an
-// epoch boundary (RunBefore), or understate the next event time
-// (NextEventAt).
+// discarding lazily-cancelled entries from the ring front. NextEventAt
+// must not trust raw ring occupancy: a cancelled-only ring would
+// understate the next event time.
 func (e *Engine) ringLive() bool {
 	for e.ringHead < len(e.ring) {
 		ev := e.ring[e.ringHead]
@@ -413,25 +411,6 @@ func (e *Engine) ringLive() bool {
 	return false
 }
 
-// RunBefore executes events with time strictly less than t and leaves the
-// clock at the last executed event (it does NOT pad the clock to t). This
-// is the epoch body of the sharded runtime: an epoch [T, T+L) owns every
-// event before its end and must not touch the boundary instant, which the
-// next epoch (after cross-shard merges) owns.
-func (e *Engine) RunBefore(t Time) {
-	for {
-		if e.ringLive() {
-			// Same-instant events are due at e.now, which is < t.
-			e.Step()
-			continue
-		}
-		if len(e.events) == 0 || e.events[0].at >= t {
-			return
-		}
-		e.Step()
-	}
-}
-
 // NextEventAt returns the time of the earliest pending event. When the
 // engine is drained it returns (0, false). Heap cancellation is eager
 // and ringLive skips cancelled ring entries, so the answer is exact.
@@ -443,17 +422,6 @@ func (e *Engine) NextEventAt() (Time, bool) {
 		return e.events[0].at, true
 	}
 	return 0, false
-}
-
-// A Remote posts one-shot events into another shard's engine. Cross-shard
-// producers (fabric links whose two ports live on different shards) hand
-// (at, fn, arg) to the destination shard's inbound queue; the shard
-// runtime merges queued posts into the destination engine at epoch
-// barriers in deterministic (at, source shard, source sequence) order.
-// Implementations live in the shard runtime package — the simulation side
-// only ever calls Post.
-type Remote interface {
-	Post(at Time, fn func(any), arg any)
 }
 
 // Pending reports the number of queued (non-cancelled) events.

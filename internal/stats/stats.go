@@ -4,20 +4,15 @@
 // counters/rates.
 //
 // Sinks are host Go memory shared by all client threads of an
-// experiment, which under the sharded runtime means shared across OS
-// workers. Recording therefore uses the commutative atomics exported by
-// internal/sim/shard — the final values are independent of worker
-// interleaving, so fixed-seed determinism is preserved. Reads
-// (quantiles, rates, Reset/Merge) belong between runs, on the
-// coordinating goroutine.
+// experiment. The simulation runs on one goroutine, so recording is
+// plain arithmetic with no locking.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
-
-	"ix/internal/sim/shard"
 )
 
 // Histogram is a log-linear histogram of time.Duration samples, similar in
@@ -44,24 +39,12 @@ func bucketOf(v int64) int {
 	if v < 1 {
 		v = 1
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	if exp < 5 { // values < 32 map linearly
 		return int(v)
 	}
 	sub := (v >> (uint(exp) - 5)) & (subBuckets - 1)
 	return (exp-4)*subBuckets + int(sub)
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketLow returns a representative (lower-bound) value for bucket i.
@@ -74,7 +57,7 @@ func bucketLow(i int) int64 {
 	return (1 << uint(exp)) + int64(sub)<<(uint(exp)-5)
 }
 
-// Record adds one sample. Safe to call concurrently from shard workers.
+// Record adds one sample.
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -83,15 +66,19 @@ func (h *Histogram) Record(d time.Duration) {
 	if b >= len(h.counts) {
 		b = len(h.counts) - 1
 	}
-	shard.Add64(&h.counts[b], 1)
-	shard.Add64(&h.total, 1)
-	shard.AddI64(&h.sum, int64(d))
-	shard.MinI64(&h.min, int64(d))
-	shard.MaxI64(&h.max, int64(d))
+	h.counts[b]++
+	h.total++
+	h.sum += int64(d)
+	if int64(d) < h.min {
+		h.min = int64(d)
+	}
+	if int64(d) > h.max {
+		h.max = int64(d)
+	}
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return shard.Load64(&h.total) }
+func (h *Histogram) Count() uint64 { return h.total }
 
 // Mean returns the average sample, or 0 with no samples.
 func (h *Histogram) Mean() time.Duration {
@@ -143,7 +130,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Reset clears all samples. Between runs only.
+// Reset clears all samples.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i] = 0
@@ -154,7 +141,7 @@ func (h *Histogram) Reset() {
 	h.max = 0
 }
 
-// Merge adds all samples of o into h. Between runs only.
+// Merge adds all samples of o into h.
 func (h *Histogram) Merge(o *Histogram) {
 	for i, c := range o.counts {
 		h.counts[i] += c
@@ -177,26 +164,25 @@ func (h *Histogram) String() string {
 
 // Counter is a monotonically increasing event counter with a measurement
 // epoch, used for throughput (events per second of virtual time).
-// Increments are safe from shard workers; Reset belongs between runs.
 type Counter struct {
 	n     uint64
 	epoch uint64 // value at last Reset
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { shard.Add64(&c.n, 1) }
+func (c *Counter) Inc() { c.n++ }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { shard.Add64(&c.n, n) }
+func (c *Counter) Add(n uint64) { c.n += n }
 
 // Total returns the all-time count.
-func (c *Counter) Total() uint64 { return shard.Load64(&c.n) }
+func (c *Counter) Total() uint64 { return c.n }
 
 // Reset marks the start of a measurement window.
-func (c *Counter) Reset() { c.epoch = shard.Load64(&c.n) }
+func (c *Counter) Reset() { c.epoch = c.n }
 
 // Since returns the count accumulated since the last Reset.
-func (c *Counter) Since() uint64 { return shard.Load64(&c.n) - c.epoch }
+func (c *Counter) Since() uint64 { return c.n - c.epoch }
 
 // Rate returns events per second over a window of virtual duration d.
 func Rate(events uint64, d time.Duration) float64 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,11 +29,117 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != time.Microsecond || h.Max() != 100*time.Microsecond {
 		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
 	}
+
+	// Record → Merge → Reset → Record: the summary fields (in particular
+	// min's MaxInt64 sentinel) come back exactly at every step.
+	check := func(step string, h *Histogram, n uint64, min, max, mean time.Duration) {
+		t.Helper()
+		if h.Count() != n || h.Min() != min || h.Max() != max || h.Mean() != mean {
+			t.Fatalf("%s: count/min/max/mean = %d/%v/%v/%v, want %d/%v/%v/%v",
+				step, h.Count(), h.Min(), h.Max(), h.Mean(), n, min, max, mean)
+		}
+	}
+	o := NewHistogram()
+	check("empty", o, 0, 0, 0, 0)
+	o.Record(-5) // negative samples clamp to 0
+	o.Record(7 * time.Nanosecond)
+	check("record", o, 2, 0, 7, 3)
+	h.Merge(o)
+	check("merge", h, 102, 0, 100*time.Microsecond, 49509)
+	h.Merge(NewHistogram()) // an empty histogram's sentinel min must not leak
+	check("merge empty", h, 102, 0, 100*time.Microsecond, 49509)
+	h.Reset()
+	check("reset", h, 0, 0, 0, 0)
+	h.Record(3 * time.Millisecond)
+	h.Record(5 * time.Millisecond)
+	check("record after reset", h, 2, 3*time.Millisecond, 5*time.Millisecond, 4*time.Millisecond)
 }
 
 // TestQuantileBounds: quantiles are within the recorded range and
 // monotone in q, for arbitrary sample sets.
 func TestQuantileBounds(t *testing.T) {
+	// Bucket boundaries, pinned value by value. The expected indices are
+	// literals recorded from a reference run, not recomputed from
+	// bucketOf's own formula, so a change to the exponent arithmetic
+	// cannot move them silently.
+	for _, c := range []struct {
+		v int64
+		b int
+	}{{0, 1}, {1, 1}, {31, 31}, {32, 32}, {33, 33}, {math.MaxInt64, 1887}} {
+		if got := bucketOf(c.v); got != c.b {
+			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.b)
+		}
+	}
+	for _, c := range []struct{ k, below, at, above int }{ // 2^k-1, 2^k, 2^k+1
+		{1, 1, 2, 3},
+		{2, 3, 4, 5},
+		{3, 7, 8, 9},
+		{4, 15, 16, 17},
+		{5, 31, 32, 33},
+		{6, 63, 64, 64},
+		{7, 95, 96, 96},
+		{8, 127, 128, 128},
+		{9, 159, 160, 160},
+		{10, 191, 192, 192},
+		{11, 223, 224, 224},
+		{12, 255, 256, 256},
+		{13, 287, 288, 288},
+		{14, 319, 320, 320},
+		{15, 351, 352, 352},
+		{16, 383, 384, 384},
+		{17, 415, 416, 416},
+		{18, 447, 448, 448},
+		{19, 479, 480, 480},
+		{20, 511, 512, 512},
+		{21, 543, 544, 544},
+		{22, 575, 576, 576},
+		{23, 607, 608, 608},
+		{24, 639, 640, 640},
+		{25, 671, 672, 672},
+		{26, 703, 704, 704},
+		{27, 735, 736, 736},
+		{28, 767, 768, 768},
+		{29, 799, 800, 800},
+		{30, 831, 832, 832},
+		{31, 863, 864, 864},
+		{32, 895, 896, 896},
+		{33, 927, 928, 928},
+		{34, 959, 960, 960},
+		{35, 991, 992, 992},
+		{36, 1023, 1024, 1024},
+		{37, 1055, 1056, 1056},
+		{38, 1087, 1088, 1088},
+		{39, 1119, 1120, 1120},
+		{40, 1151, 1152, 1152},
+		{41, 1183, 1184, 1184},
+		{42, 1215, 1216, 1216},
+		{43, 1247, 1248, 1248},
+		{44, 1279, 1280, 1280},
+		{45, 1311, 1312, 1312},
+		{46, 1343, 1344, 1344},
+		{47, 1375, 1376, 1376},
+		{48, 1407, 1408, 1408},
+		{49, 1439, 1440, 1440},
+		{50, 1471, 1472, 1472},
+		{51, 1503, 1504, 1504},
+		{52, 1535, 1536, 1536},
+		{53, 1567, 1568, 1568},
+		{54, 1599, 1600, 1600},
+		{55, 1631, 1632, 1632},
+		{56, 1663, 1664, 1664},
+		{57, 1695, 1696, 1696},
+		{58, 1727, 1728, 1728},
+		{59, 1759, 1760, 1760},
+		{60, 1791, 1792, 1792},
+		{61, 1823, 1824, 1824},
+		{62, 1855, 1856, 1856},
+	} {
+		p := int64(1) << uint(c.k)
+		if b, a, ab := bucketOf(p-1), bucketOf(p), bucketOf(p+1); b != c.below || a != c.at || ab != c.above {
+			t.Errorf("bucketOf(2^%d -1/+0/+1) = %d/%d/%d, want %d/%d/%d", c.k, b, a, ab, c.below, c.at, c.above)
+		}
+	}
+
 	f := func(samples []uint32) bool {
 		if len(samples) == 0 {
 			return true

@@ -161,8 +161,7 @@ type Config struct {
 	SynBacklog int
 	// ExpectedConns presizes the connection table for the anticipated
 	// steady-state flow population (0 = grow on demand). Presizing
-	// avoids the doubling churn of ramping to a large population
-	// and keeps growth deterministic across shard counts.
+	// avoids the doubling churn of ramping to a large population.
 	ExpectedConns int
 	// DelAck, when positive, enables delayed acknowledgments: a pure
 	// ACK for in-order data is deferred up to this long (or until a
