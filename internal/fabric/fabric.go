@@ -50,10 +50,9 @@ type Frame struct {
 	pool *FramePool
 	free bool
 
-	// In-flight routing state, so delivery and switch forwarding run as
-	// pooled one-shot engine events without closure allocations.
-	dst *Port // delivery target (set while traversing a link)
-	via *Port // egress port (set while crossing the switch)
+	// via is the egress port while the frame crosses the switch, so
+	// forwarding runs as a pooled one-shot engine event without a closure.
+	via *Port
 
 	// tenant is the isolation-accounting tag stamped from the
 	// originating pool at Get time (frames recycle, so the stamp is
@@ -99,7 +98,7 @@ func (f *Frame) Release() {
 		return
 	}
 	f.free = true
-	f.dst, f.via = nil, nil
+	f.via = nil
 	f.pool.inUse--
 	if f.buf == nil {
 		// Oversized one-off: accounted, but not recycled.
@@ -181,6 +180,13 @@ type Port struct {
 
 	busyUntil sim.Time // transmit serialization
 
+	// stream holds the frames sent through this port that have not yet
+	// arrived at the peer. Arrival order is send order (one serializer,
+	// one constant latency), so only the head has an engine event; each
+	// frame keeps the sequence number it reserved at Send, so deliveries
+	// fire exactly where per-frame events would have.
+	stream flightRing
+
 	// txBuffer, when positive, bounds the transmit queue in bytes: a
 	// shallow-buffer egress (the switch ASIC's per-port share) that
 	// tail-drops under incast fan-in. Zero means unbounded (the
@@ -252,12 +258,57 @@ func (p *Port) queuedBytes(now sim.Time) int {
 // Peer returns the port at the other end of the link.
 func (p *Port) Peer() *Port { return &p.link.ports[1-p.side] }
 
-// deliverFrame is the arrival trampoline for Port.Send's pooled event.
-func deliverFrame(a any) {
-	f := a.(*Frame)
-	dst := f.dst
-	f.dst = nil
-	if dst.ep != nil {
+// flight is one frame on the wire: its arrival time at the peer and the
+// engine sequence number it reserved when it was sent.
+type flight struct {
+	f   *Frame
+	at  sim.Time
+	seq uint64
+}
+
+// flightRing is a circular FIFO of frames in flight. A port that always
+// has a frame on the wire never drains it, so it wraps rather than
+// appending behind a dead prefix; its backing grows only with the
+// port's peak backlog and is kept.
+type flightRing struct {
+	buf  []flight // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *flightRing) push(x flight) {
+	if r.n == len(r.buf) {
+		grown := make([]flight, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
+}
+
+func (r *flightRing) front() *flight { return &r.buf[r.head] }
+
+func (r *flightRing) pop() *Frame {
+	f := r.buf[r.head].f
+	r.buf[r.head] = flight{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return f
+}
+
+// deliverHead is the arrival trampoline of a port's stream: the head
+// frame reaches the peer, and the next frame's event is queued under the
+// sequence number it reserved at Send.
+func deliverHead(a any) {
+	p := a.(*Port)
+	f := p.stream.pop()
+	if p.stream.n > 0 {
+		next := p.stream.front()
+		p.link.eng.CallReserved(next.at, next.seq, deliverHead, p)
+	}
+	if dst := p.Peer(); dst.ep != nil {
 		dst.ep.Deliver(f)
 	} else {
 		f.Release()
@@ -293,8 +344,11 @@ func (p *Port) Send(f *Frame) {
 	slot.Bytes += uint64(len(f.Data))
 	arrive := depart.Add(l.latency)
 	f.SentAt = now
-	f.dst = p.Peer()
-	l.eng.Call(arrive, deliverFrame, f)
+	seq := l.eng.ReserveSeq()
+	p.stream.push(flight{f: f, at: arrive, seq: seq})
+	if p.stream.n == 1 {
+		l.eng.CallReserved(arrive, seq, deliverHead, p)
+	}
 }
 
 // Busy returns the time until which the port's transmit side is

@@ -56,6 +56,13 @@ func TestBaselineCapture(t *testing.T) {
 			ConnsPerThread: 1, Rounds: 0, MsgSize: 262144,
 			Warmup: 2 * time.Millisecond, Window: 4 * time.Millisecond,
 		}},
+		// Bulk over the Linux socket staging on both ends (the slab path).
+		{"linux-bulk-64k", EchoSetup{
+			ServerArch: ArchLinux, ServerCores: 2,
+			ClientArch: ArchLinux, ClientHosts: 2, ClientCores: 2,
+			ConnsPerThread: 2, Rounds: 0, MsgSize: 65536,
+			Warmup: 2 * time.Millisecond, Window: 4 * time.Millisecond,
+		}},
 	}
 	for _, c := range cases {
 		res := RunEcho(c.s)

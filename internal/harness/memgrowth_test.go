@@ -79,7 +79,43 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 			if total < 2*conns {
 				t.Fatalf("probed %d connection ends, want %d", total, 2*conns)
 			}
+			for i := range b.cl.linuxes {
+				if inUse, _ := b.cl.LinuxHost(i).Slabs(); inUse != 0 {
+					t.Errorf("Linux host %d: %d staging slabs attached after the drain", i, inUse)
+				}
+			}
 		})
+	}
+}
+
+// TestLinuxBulkSlabsDrain: 64 KiB echoes with Linux on both ends stage
+// every message through slabs, on the server and on every client. After
+// the drain no slab is attached anywhere, each pool holds at most a few
+// slabs per connection it served, and no frame was dropped at a TX ring.
+func TestLinuxBulkSlabsDrain(t *testing.T) {
+	const conns = 16
+	b := NewEchoBench(EchoSetup{
+		ServerArch: ArchLinux, ServerCores: 2,
+		ClientArch: ArchLinux, ClientHosts: 2, ClientCores: 2,
+		MsgSize: 64 << 10, ExpectedConns: conns,
+	})
+	defer b.Stop()
+	res := b.MeasurePoint(conns, 1, 4*time.Millisecond)
+	if res.ServerConns < conns || res.MsgsPerSec <= 0 {
+		t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
+	}
+	drain(b)
+	for i := range b.cl.linuxes {
+		inUse, free := b.cl.LinuxHost(i).Slabs()
+		if inUse != 0 {
+			t.Errorf("Linux host %d: %d slabs attached after the drain", i, inUse)
+		}
+		if free == 0 || free > 4*conns {
+			t.Errorf("Linux host %d: pool holds %d slabs for %d connections", i, free, conns)
+		}
+	}
+	if d := b.cl.TxRingDrops(); d != 0 {
+		t.Errorf("%d frames dropped at full TX rings", d)
 	}
 }
 

@@ -43,7 +43,8 @@ func (h *Host) sockOf(c *tcp.Conn) *sock {
 // host model: the shared kernel stack's TCP tally plus the socket table
 // and, per connection, the socket adapter struct — and, only while one
 // is attached, the borrowed sockBuf with the capacities of its
-// kernel-side receive and send staging buffers.
+// kernel-side receive and send staging buffers, and each staging slab
+// attached to it (one side object of readChunk bytes apiece).
 func (h *Host) Footprint() memprobe.Footprint {
 	const (
 		sockBytes = int64(unsafe.Sizeof(sock{}))
@@ -52,16 +53,27 @@ func (h *Host) Footprint() memprobe.Footprint {
 	)
 	f := h.ns.TCP().Footprint()
 	f.Bytes += int64(cap(h.socks))*slotBytes + int64(cap(h.sockFree))*4
-	f.Pooled += len(h.bufFree)
+	f.Pooled += len(h.bufFree) + len(h.slabFree)
 	h.ns.TCP().EachConn(func(c *tcp.Conn) {
 		s := h.sockOf(c)
 		if s == nil {
 			return // embryonic: no socket until accept
 		}
 		f.Bytes += sockBytes
-		if b := s.buf; b != nil {
-			f.Attached++
-			f.Bytes += bufBytes + int64(cap(b.rcvbuf)) + int64(cap(b.sndbuf))
+		b := s.buf
+		if b == nil {
+			return
+		}
+		f.Attached++
+		f.Bytes += bufBytes + int64(cap(b.rcvbuf))
+		st := b.slabs
+		if st == nil || st.snd == nil {
+			f.Bytes += int64(cap(b.sndbuf)) // a slab-backed sndbuf is counted with its slab
+		}
+		if st != nil {
+			n := st.count()
+			f.Attached += n
+			f.Bytes += int64(n) * readChunk
 		}
 	})
 	return f

@@ -92,6 +92,10 @@ type Host struct {
 	// bufFree recycles sockBuf objects between sockets with bytes queued
 	// (LIFO, so the hot ones stay cache-warm).
 	bufFree []*sockBuf
+	// slabFree recycles the readChunk-sized bulk staging slabs the same
+	// way; slabsMade counts every slab ever allocated.
+	slabFree  [][]byte
+	slabsMade int
 
 	listening map[uint16]bool
 	timerWake *sim.Event
@@ -508,25 +512,21 @@ func (k *kcore) dispatch(s *sock) {
 			return
 		}
 	}
-	for b := s.buf; b != nil && int(b.rcvOff) < len(b.rcvbuf); {
-		n := len(b.rcvbuf) - int(b.rcvOff)
-		if n > readChunk {
-			n = readChunk
+	// One read() per chunk, each at most readChunk bytes. Nothing can
+	// stage more bytes while the app thread occupies the core, so the
+	// chunk is still this socket's when readDone drops it.
+	for s.buf != nil {
+		chunk := s.buf.nextRead()
+		n := len(chunk)
+		if n == 0 {
+			break
 		}
-		chunk := b.rcvbuf[b.rcvOff : int(b.rcvOff)+n]
-		b.rcvOff += int32(n)
 		k.chargeK(c.SyscallEntry + c.SockRead + c.CopyPerByte.Cost(n))
 		if s.conn != nil {
 			s.conn.RecvDone(n) // window opens as the app consumes
 		}
 		k.handler.OnRecv(s, chunk)
-		if int(b.rcvOff) == len(b.rcvbuf) {
-			// Fully drained, and the reader is done with the last chunk:
-			// an idle socket holds no receive buffer (nothing can append
-			// to rcvbuf while the app thread occupies the core, so the
-			// object is still this socket's).
-			s.rcvDrained()
-		}
+		s.readDone()
 		if s.dead {
 			return
 		}
@@ -549,12 +549,9 @@ func (k *kcore) dispatch(s *sock) {
 	if s.deadPending {
 		s.deadPending = false
 		s.dead = true
-		if b := s.buf; b != nil {
-			// Unsent bytes die with the socket (read data was delivered
-			// above); the engine dropped its references with the flow.
-			b.sndbuf = nil
-			s.putBuf()
-		}
+		// Unsent bytes die with the socket (read data was delivered
+		// above); the engine dropped its references with the flow.
+		s.dropStaging()
 		k.handler.OnClosed(s)
 	}
 }

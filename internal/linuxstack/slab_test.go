@@ -1,0 +1,294 @@
+package linuxstack
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"ix/internal/app"
+	"ix/internal/fabric"
+	"ix/internal/faults"
+	"ix/internal/sim"
+	"ix/internal/wire"
+)
+
+// bulkEcho is a byte-exact bulk echo: the client keeps depth msg-byte
+// messages in flight, each with its own pattern, and checks every echoed
+// byte; the server returns each message once it has all of it, in one
+// write.
+type bulkEcho struct {
+	env    app.Env
+	server bool
+	msg    int
+	rounds int
+	depth  int
+	// onConn, if set, runs on every new socket (OnAccept / OnConnected).
+	onConn func(env app.Env, c app.Conn)
+
+	conn app.Conn
+	out  []byte // client: scratch for the message being sent or checked
+	pend []byte // bytes received but not yet a whole message
+	sent int
+	done int
+	bad  int
+}
+
+// pattern fills the client's scratch with message k's bytes.
+func (e *bulkEcho) pattern(k int) []byte {
+	for i := range e.out {
+		e.out[i] = byte(i*7 + k*13 + 1)
+	}
+	return e.out
+}
+
+func (e *bulkEcho) OnAccept(c app.Conn) {
+	e.conn = c
+	if e.onConn != nil {
+		e.onConn(e.env, c)
+	}
+}
+
+func (e *bulkEcho) OnConnected(c app.Conn, ok bool) {
+	if !ok {
+		return
+	}
+	e.conn = c
+	if e.onConn != nil {
+		e.onConn(e.env, c)
+	}
+	for i := 0; i < max(e.depth, 1) && e.sent < e.rounds; i++ {
+		c.Send(e.pattern(e.sent))
+		e.sent++
+	}
+}
+
+func (e *bulkEcho) OnRecv(c app.Conn, data []byte) {
+	e.pend = append(e.pend, data...)
+	for len(e.pend) >= e.msg {
+		if e.server {
+			c.Send(e.pend[:e.msg])
+		} else {
+			if !bytes.Equal(e.pend[:e.msg], e.pattern(e.done)) {
+				e.bad++
+			}
+			e.done++
+			if e.sent < e.rounds {
+				c.Send(e.pattern(e.sent))
+				e.sent++
+			}
+		}
+		e.pend = append(e.pend[:0], e.pend[e.msg:]...)
+	}
+}
+
+func (e *bulkEcho) OnSent(app.Conn, int) {}
+func (e *bulkEcho) OnEOF(c app.Conn)     { c.Close() }
+func (e *bulkEcho) OnClosed(app.Conn)    {}
+
+// bulkPair is a one-core Linux server and client cabled back to back,
+// running one bulkEcho connection.
+type bulkPair struct {
+	eng      *sim.Engine
+	link     *fabric.Link
+	srv, cli *Host
+	se, ce   *bulkEcho
+}
+
+// newBulkPair builds the pair; tune may adjust either host's config. The
+// hosts start on the first run.
+func newBulkPair(msg, rounds int, tune func(srv, cli *Config)) *bulkPair {
+	p := &bulkPair{
+		eng: sim.NewEngine(25),
+		se:  &bulkEcho{server: true, msg: msg},
+		ce:  &bulkEcho{msg: msg, rounds: rounds, out: make([]byte, msg)},
+	}
+	srvIP := wire.Addr4(10, 0, 0, 2)
+	scfg := Config{
+		Name: "s", IP: srvIP, MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler {
+			_ = env.Listen(80)
+			p.se.env = env
+			return p.se
+		},
+	}
+	ccfg := Config{
+		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler {
+			p.ce.env = env
+			_ = env.Connect(srvIP, 80, nil)
+			return p.ce
+		},
+	}
+	if tune != nil {
+		tune(&scfg, &ccfg)
+	}
+	p.srv, p.cli = New(p.eng, scfg), New(p.eng, ccfg)
+	p.link = fabric.NewLink(p.eng, 10*fabric.Gbps, time.Microsecond)
+	p.srv.NIC().AttachPort(p.link.Port(0))
+	p.cli.NIC().AttachPort(p.link.Port(1))
+	p.srv.ARP().Learn(p.cli.IP(), p.cli.MAC())
+	p.cli.ARP().Learn(p.srv.IP(), p.srv.MAC())
+	return p
+}
+
+// run starts the hosts on first use and runs the engine until t.
+func (p *bulkPair) run(t time.Duration) {
+	if p.srv.Cores() == 0 {
+		p.srv.Start()
+		p.cli.Start()
+	}
+	p.eng.RunUntil(sim.Time(t))
+}
+
+// checkDrained fails t unless both hosts hold no slab and no side object.
+func (p *bulkPair) checkDrained(t *testing.T) {
+	t.Helper()
+	for name, h := range map[string]*Host{"server": p.srv, "client": p.cli} {
+		if inUse, free := h.Slabs(); inUse != 0 {
+			t.Errorf("%s: %d slabs still attached (%d free)", name, inUse, free)
+		}
+		if f := h.Footprint(); f.Attached != 0 {
+			t.Errorf("%s: %d side objects still attached", name, f.Attached)
+		}
+	}
+}
+
+// TestBulkEchoSlabsCycle: 200 byte-exact 64 KiB echoes over one Linux
+// pair draw at most four slabs between the two hosts — the pool recycles
+// rather than allocating per message — drop nothing at the TX rings, and
+// leave every slab back on a free list once the last echo is acknowledged.
+func TestBulkEchoSlabsCycle(t *testing.T) {
+	p := newBulkPair(64<<10, 200, nil)
+	p.run(200 * time.Millisecond)
+	if p.ce.done != 200 || p.ce.bad != 0 {
+		t.Fatalf("%d of 200 echoes completed, %d corrupted", p.ce.done, p.ce.bad)
+	}
+	if made := p.srv.slabsMade + p.cli.slabsMade; made > 4 {
+		t.Errorf("allocated %d slabs for one connection's echoes, want at most 4", made)
+	}
+	if d := p.srv.NIC().TxDrops() + p.cli.NIC().TxDrops(); d != 0 {
+		t.Errorf("%d frames dropped at the TX rings", d)
+	}
+	p.checkDrained(t)
+}
+
+// TestBulkEchoIntactUnderLoss: with two messages pipelined and frames
+// lost in both directions, TCP retransmits from parked slabs while newer
+// bytes are staged. A slab returned to the pool before the engine
+// released its last byte would be refilled — by a later write or by
+// received bytes — while a retransmission still read it; the byte-exact
+// echo catches that. Several loss schedules, because the overlap needs a
+// loss at the right moment.
+func TestBulkEchoIntactUnderLoss(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		p := newBulkPair(64<<10, 200, nil)
+		p.ce.depth = 2
+		for i := 0; i < 2; i++ {
+			faults.Interpose(p.eng, p.link.Port(i), 2*seed+uint64(i)).Apply(faults.Config{LossP: 0.05})
+		}
+		p.run(500 * time.Millisecond)
+		if p.ce.done != p.ce.rounds || p.ce.bad != 0 {
+			t.Fatalf("loss schedule %d: %d of %d echoes completed, %d corrupted", seed, p.ce.done, p.ce.rounds, p.ce.bad)
+		}
+		if p.srv.Stack().TCP().Retransmits+p.cli.Stack().TCP().Retransmits == 0 {
+			t.Fatalf("loss schedule %d: no retransmission", seed)
+		}
+		p.checkDrained(t)
+	}
+}
+
+// abortWhen polls a socket every simulated microsecond and aborts it the
+// first time its slabs satisfy cond, recording that in *hit.
+func abortWhen(hit *bool, cond func(*sockSlabs) bool) func(app.Env, app.Conn) {
+	return func(env app.Env, c app.Conn) {
+		var poll func()
+		poll = func() {
+			s := c.(*sock)
+			if s.dead {
+				return
+			}
+			if b := s.buf; b != nil && b.slabs != nil && cond(b.slabs) {
+				*hit = true
+				c.Abort()
+				return
+			}
+			env.After(time.Microsecond, poll)
+		}
+		env.After(time.Microsecond, poll)
+	}
+}
+
+// TestSlabsReturnOnTeardown: a flow that dies with slabs attached — a
+// send slab TCP has not fully taken, a parked one awaiting its ACK,
+// received bytes in the chain — returns every slab on both hosts to the
+// pool, whether it was aborted locally, reset by the peer, or reset while
+// its unsent bytes sat behind a closed window.
+func TestSlabsReturnOnTeardown(t *testing.T) {
+	unsent := func(st *sockSlabs) bool { return st.snd != nil }
+	parked := func(st *sockSlabs) bool { return len(st.parked) > 0 }
+	chained := func(st *sockSlabs) bool { return len(st.rcv) > 0 }
+	cases := []struct {
+		name     string
+		srv, cli func(*bool, *bulkEcho)
+		tune     func(srv, cli *Config)
+	}{
+		{name: "abort-unsent", cli: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, unsent) }},
+		{name: "abort-parked", cli: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, parked) }},
+		{name: "peer-rst-mid-chain", srv: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, chained) }},
+		{
+			// A window far below one message keeps the client's send slab
+			// holding untaken bytes when the server's reset arrives.
+			name: "peer-rst-closed-window",
+			srv: func(hit *bool, e *bulkEcho) {
+				e.onConn = func(env app.Env, c app.Conn) {
+					env.After(300*time.Microsecond, func() { *hit = true; c.Abort() })
+				}
+			},
+			tune: func(srv, cli *Config) { srv.RcvWnd = 8 << 10 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newBulkPair(64<<10, 1000, tc.tune)
+			var hit bool
+			if tc.srv != nil {
+				tc.srv(&hit, p.se)
+			}
+			if tc.cli != nil {
+				tc.cli(&hit, p.ce)
+			}
+			if tc.name == "peer-rst-closed-window" {
+				p.run(250 * time.Microsecond)
+				s := p.ce.conn.(*sock)
+				if s.buf == nil || s.buf.slabs == nil || s.buf.slabs.snd == nil {
+					t.Fatal("client holds no partly sent slab before the reset")
+				}
+			}
+			p.run(20 * time.Millisecond)
+			if !hit {
+				t.Fatal("the abort condition never held")
+			}
+			if n := p.srv.ConnCount() + p.cli.ConnCount(); n != 0 {
+				t.Fatalf("%d connections still open", n)
+			}
+			p.checkDrained(t)
+		})
+	}
+}
+
+// TestTxRingDropsCounted: a TX ring smaller than one congestion window
+// drops frames at Post — counted by the NIC, recovered by TCP's
+// retransmission, the bytes still delivered intact.
+func TestTxRingDropsCounted(t *testing.T) {
+	p := newBulkPair(64<<10, 1, func(srv, cli *Config) { cli.NICRing = 4 })
+	p.run(100 * time.Millisecond)
+	if d := p.cli.NIC().TxDrops(); d == 0 {
+		t.Fatal("a 4-descriptor ring took a 64 KiB burst without a drop")
+	}
+	if d := p.srv.NIC().TxDrops(); d != 0 {
+		t.Fatalf("the server's default ring dropped %d frames", d)
+	}
+	if p.ce.done != 1 || p.ce.bad != 0 {
+		t.Fatalf("echo completed %d times, %d corrupted", p.ce.done, p.ce.bad)
+	}
+}

@@ -1,33 +1,45 @@
 package linuxstack
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"unsafe"
+
+	"ix/internal/app"
+	"ix/internal/wire"
 )
 
 // TestConnStateSizes pins the socket adapter's size: one exists per
 // established connection, so growth is a reviewed decision (DESIGN.md,
-// "Per-connection memory budget").
+// "Per-connection memory budget"). The sockBuf is charged per attached
+// socket by Footprint, so its size is pinned too.
 func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(sock{}); got > 64 {
 		t.Fatalf("linuxstack.sock is %d bytes, budget 64", got)
+	}
+	if got := unsafe.Sizeof(sockBuf{}); got != 56 {
+		t.Fatalf("linuxstack.sockBuf is %d bytes, want 56", got)
 	}
 }
 
 // TestZeroAllocSockBufPool: once warm, a request-response socket's
 // receive staging cycles borrow → fill → read → return without
-// allocating — the small backing stays with the pooled object — while
-// a bulk-sized backing is released rather than retained.
+// allocating — the small backing stays with the pooled object — and so
+// does a bulk receive through the slab chain; a small backing grown past
+// rcvKeep is released rather than retained.
 func TestZeroAllocSockBufPool(t *testing.T) {
 	h := &Host{}
 	k := &kcore{h: h}
 	a, b := &sock{k: k}, &sock{k: k}
 	msg := make([]byte, 64)
 	cycle := func(s *sock, data []byte) {
-		sb := s.getBuf()
-		sb.rcvbuf = append(sb.rcvbuf, data...)
-		sb.rcvOff = int32(len(sb.rcvbuf))
-		s.rcvDrained()
+		for off := 0; off < len(data); off += wire.MSS {
+			s.stageRcv(data[off:min(off+wire.MSS, len(data))])
+		}
+		for s.buf != nil && len(s.buf.nextRead()) > 0 {
+			s.readDone()
+		}
 	}
 	cycle(a, msg)
 	if a.buf != nil || len(h.bufFree) != 1 {
@@ -40,15 +52,108 @@ func TestZeroAllocSockBufPool(t *testing.T) {
 	if len(h.bufFree) != 1 {
 		t.Fatalf("pool grew to %d objects for one socket in flight at a time", len(h.bufFree))
 	}
-	cycle(a, make([]byte, rcvKeep+1))
-	if got := cap(h.bufFree[0].rcvbuf); got != 0 {
+	bulk := make([]byte, 3*readChunk/2)
+	cycle(a, bulk)
+	if allocs := testing.AllocsPerRun(100, func() { cycle(a, bulk) }); allocs != 0 {
+		t.Fatalf("warm bulk receive cycle allocates %.1f, want 0", allocs)
+	}
+	if inUse, free := h.Slabs(); inUse != 0 || free != 2 {
+		t.Fatalf("after bulk cycles: %d slabs in use, %d free; want 0 and 2", inUse, free)
+	}
+	// A small buffer appended past rcvKeep in one go (cap growth) is not
+	// what a pooled object keeps.
+	sb := a.getBuf()
+	sb.rcvbuf = append(sb.rcvbuf, make([]byte, rcvKeep+1)...)
+	a.readDone()
+	if got := cap(h.bufFree[0].rcvbuf); got > rcvKeep {
 		t.Fatalf("pooled object retains a %d-byte backing, want none above %d", got, rcvKeep)
 	}
 	// A socket with unsent bytes keeps its buffers across a read drain.
-	sb := a.getBuf()
+	sb = a.getBuf()
 	sb.sndbuf = append(sb.sndbuf, msg...)
 	cycle(a, msg)
 	if a.buf != sb {
 		t.Fatal("buffers returned to the pool with bytes still unsent")
+	}
+}
+
+// chunkRecorder is a handler that records every OnRecv chunk.
+type chunkRecorder struct{ chunks [][]byte }
+
+func (r *chunkRecorder) OnAccept(app.Conn)           {}
+func (r *chunkRecorder) OnConnected(app.Conn, bool)  {}
+func (r *chunkRecorder) OnRecv(_ app.Conn, d []byte) { r.chunks = append(r.chunks, bytes.Clone(d)) }
+func (r *chunkRecorder) OnSent(app.Conn, int)        {}
+func (r *chunkRecorder) OnEOF(app.Conn)              {}
+func (r *chunkRecorder) OnClosed(app.Conn)           {}
+
+// contiguousStaging is the receive staging the slab chain replaced, kept
+// as the reference: one buffer grown by append, read from a cursor a
+// readChunk at a time, released once read to the end.
+type contiguousStaging struct {
+	rcvbuf []byte
+	rcvOff int
+}
+
+func (c *contiguousStaging) arrive(data []byte) { c.rcvbuf = append(c.rcvbuf, data...) }
+
+func (c *contiguousStaging) readAll() (chunks [][]byte) {
+	for c.rcvOff < len(c.rcvbuf) {
+		n := min(len(c.rcvbuf)-c.rcvOff, readChunk)
+		chunks = append(chunks, c.rcvbuf[c.rcvOff:c.rcvOff+n])
+		c.rcvOff += n
+	}
+	c.rcvbuf, c.rcvOff = nil, 0
+	return chunks
+}
+
+// TestStagingMatchesContiguousAppend drives the receive staging through
+// the real dispatch loop with random arrival patterns — segments of 1 to
+// MSS bytes, several dispatches' worth per read, totals from a few bytes
+// to the full receive window — and checks every OnRecv chunk, length and
+// bytes, against the staging the slabs replaced: one buffer grown by
+// append and read a readChunk at a time.
+func TestStagingMatchesContiguousAppend(t *testing.T) {
+	const rcvWnd = 256 << 10 // the engine's default receive window
+	h := &Host{}
+	k := &kcore{h: h}
+	got := &chunkRecorder{}
+	k.handler = got
+	s := &sock{k: k}
+	rng := rand.New(rand.NewSource(25))
+	var ref contiguousStaging
+	var want [][]byte
+	var stream byte
+	for dispatch := 0; dispatch < 400; dispatch++ {
+		total := 1 + rng.Intn(rcvWnd)
+		if dispatch%3 == 0 {
+			total = 1 + rng.Intn(3*rcvKeep) // around the two-size threshold
+		}
+		for n := 0; n < total; {
+			seg := make([]byte, min(1+rng.Intn(wire.MSS), total-n))
+			for i := range seg {
+				seg[i] = stream
+				stream = stream*31 + 7
+			}
+			s.stageRcv(seg)
+			ref.arrive(seg)
+			n += len(seg)
+		}
+		want = append(want, ref.readAll()...)
+		k.dispatch(s)
+		if s.buf != nil {
+			t.Fatalf("dispatch %d: socket keeps its buffers after reading everything", dispatch)
+		}
+	}
+	if len(got.chunks) != len(want) {
+		t.Fatalf("%d chunks read, contiguous staging reads %d", len(got.chunks), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got.chunks[i], want[i]) {
+			t.Fatalf("chunk %d: %d bytes, contiguous staging reads %d (or the bytes differ)", i, len(got.chunks[i]), len(want[i]))
+		}
+	}
+	if inUse, _ := h.Slabs(); inUse != 0 {
+		t.Fatalf("%d slabs still attached after every read", inUse)
 	}
 }

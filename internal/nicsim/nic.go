@@ -404,6 +404,15 @@ func (n *NIC) RxQueue(i int) *RxQueue { return n.rx[i] }
 // TxQueue returns transmit queue i.
 func (n *NIC) TxQueue(i int) *TxQueue { return n.tx[i] }
 
+// TxDrops sums the frames dropped at a full TX ring over every queue.
+func (n *NIC) TxDrops() uint64 {
+	var d uint64
+	for _, t := range n.tx {
+		d += t.TxDrops
+	}
+	return d
+}
+
 // Queues returns the number of queue pairs.
 func (n *NIC) Queues() int { return n.cfg.Queues }
 

@@ -289,6 +289,40 @@ func (e *Engine) CallAfter(d time.Duration, fn func(any), arg any) {
 	e.Call(e.now.Add(d), fn, arg)
 }
 
+// ReserveSeq takes the next sequence number without scheduling anything:
+// the event's place in the (time, seq) order is fixed now, the event
+// itself is queued later by CallReserved. A FIFO whose entries fire in
+// the order they were reserved (a link's frames in flight) keeps only
+// its head in the heap this way and still fires exactly where per-entry
+// events would have.
+//
+//ix:hotpath
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// CallReserved schedules the one-shot fn(arg) at t under a sequence
+// number from ReserveSeq, with Call's pooled, non-cancellable semantics.
+// It must be queued before the engine reaches (t, seq): earlier is fine,
+// the order is by key, not by when the event was queued.
+//
+//ix:hotpath
+func (e *Engine) CallReserved(t Time, seq uint64, fn func(any), arg any) {
+	if t < e.now {
+		//ixvet:ignore(hotpath) panic path: scheduling in the past is a modelling bug, never steady state
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
+	ev := e.alloc()
+	ev.at = t
+	ev.seq = seq
+	ev.fnArg = fn
+	ev.arg = arg
+	// Always the heap: a reserved seq may be older than same-instant ring
+	// events, and next merges the two by seq.
+	e.events.push(ev)
+}
+
 // Cancel prevents ev from firing. Cancelling a nil or already-cancelled
 // event is a no-op. Heap events are removed eagerly and recycled (they
 // may be far in the future); same-instant ring events are marked and
@@ -313,11 +347,11 @@ func (e *Engine) next() *Event {
 	for {
 		var ev *Event
 		if e.ringHead < len(e.ring) {
-			// Ring events are due at the current instant; heap events at
-			// the same instant carry smaller sequence numbers (they were
-			// scheduled before the clock reached this instant) and fire
-			// first.
-			if len(e.events) > 0 && e.events[0].at <= e.now {
+			// Ring events are due at the current instant, in seq order. A
+			// heap event due now fires first when its seq is smaller —
+			// always true of one scheduled before the clock reached this
+			// instant, and decided by the key for a reserved seq.
+			if len(e.events) > 0 && e.events[0].at <= e.now && e.events[0].seq < e.ring[e.ringHead].seq {
 				ev = e.events.popMin()
 			} else {
 				ev = e.ring[e.ringHead]
@@ -422,20 +456,4 @@ func (e *Engine) NextEventAt() (Time, bool) {
 		return e.events[0].at, true
 	}
 	return 0, false
-}
-
-// Pending reports the number of queued (non-cancelled) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ent := range e.events {
-		if !ent.ev.canceled {
-			n++
-		}
-	}
-	for _, ev := range e.ring[e.ringHead:] {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
 }

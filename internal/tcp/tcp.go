@@ -1229,6 +1229,21 @@ func (c *Conn) Sendv(bufs [][]byte) int {
 	return total
 }
 
+// Unreleased returns the payload bytes the retransmission queue still
+// references: the sent events' released counts add up to this before
+// every byte accepted so far has been released.
+func (c *Conn) Unreleased() int {
+	t := c.tx
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, ts := range t.q[t.head:] {
+		n += ts.length
+	}
+	return n
+}
+
 // Send is a convenience wrapper over Sendv for a single buffer.
 func (c *Conn) Send(b []byte) int { return c.Sendv([][]byte{b}) }
 
