@@ -11,7 +11,10 @@
 //   - go and defer statements
 //   - any use of package fmt
 //   - new(T), make(...), &T{...}, and slice/map composite literals
-//   - string concatenation and string<->[]byte conversions
+//   - string concatenation and string<->[]byte conversions, except the
+//     two forms the compiler builds no string for: the key of a map
+//     index read (`v := m[string(b)]`, `v, ok := m[string(b)]`) and an
+//     operand of == or != (`string(b) == "get "`)
 //   - boxing a non-pointer-shaped value into an interface (pointer,
 //     chan, map and func values fit an interface word and do not
 //     allocate — the engine's `any`-typed event trampolines rely on
@@ -25,6 +28,7 @@ package hotpath
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -56,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil || !annotated(fn) {
 				continue
 			}
-			c := &checker{pass: pass, fn: fn}
+			c := &checker{pass: pass, fn: fn, writes: map[ast.Expr]bool{}, inPlace: map[*ast.CallExpr]bool{}}
 			c.block(fn.Body)
 		}
 	}
@@ -78,6 +82,12 @@ func annotated(fn *ast.FuncDecl) bool {
 type checker struct {
 	pass *analysis.Pass
 	fn   *ast.FuncDecl
+	// writes holds map index expressions being assigned to, whose
+	// converted key the compiler must build (the map may keep it).
+	writes map[ast.Expr]bool
+	// inPlace holds string([]byte) conversions the compiler compiles
+	// without a copy: map index reads and ==/!= operands.
+	inPlace map[*ast.CallExpr]bool
 }
 
 func (c *checker) report(n ast.Node, format string, args ...any) {
@@ -111,16 +121,33 @@ func (c *checker) block(b *ast.BlockStmt) {
 				}
 			}
 		case *ast.BinaryExpr:
-			if n.Op.String() == "+" {
+			switch n.Op {
+			case token.ADD:
 				if t := c.pass.TypesInfo.TypeOf(n); t != nil {
 					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
 						c.report(n, "string concatenation allocates per call")
 					}
 				}
+			case token.EQL, token.NEQ:
+				c.markInPlace(n.X)
+				c.markInPlace(n.Y)
 			}
+		case *ast.IndexExpr:
+			if t := c.pass.TypesInfo.TypeOf(n.X); t != nil && !c.writes[n] {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					c.markInPlace(n.Index)
+				}
+			}
+		case *ast.IncDecStmt:
+			c.writes[ast.Unparen(n.X)] = true
 		case *ast.CallExpr:
-			c.call(n)
+			if !c.inPlace[n] {
+				c.call(n)
+			}
 		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				c.writes[ast.Unparen(l)] = true
+			}
 			c.boxingInAssign(n)
 		case *ast.ReturnStmt:
 			c.boxingInReturn(n)
@@ -165,7 +192,12 @@ func (c *checker) call(call *ast.CallExpr) {
 		var pt types.Type
 		switch {
 		case sig.Variadic() && i >= np-1:
-			st := params.At(np - 1).Type().(*types.Slice)
+			// append(b, s...) with a string s records its final
+			// parameter as string, not a slice: nothing is boxed.
+			st, ok := params.At(np - 1).Type().(*types.Slice)
+			if !ok {
+				continue
+			}
 			pt = st.Elem()
 			if call.Ellipsis == 0 && isInterface(pt) && i == np-1 {
 				c.report(call, "call materializes a variadic %s slice per call", pt)
@@ -176,6 +208,23 @@ func (c *checker) call(call *ast.CallExpr) {
 			continue
 		}
 		c.boxing(a, pt)
+	}
+}
+
+// markInPlace records e if it is a string([]byte) conversion, which the
+// caller has found in a position the compiler reads without a copy.
+func (c *checker) markInPlace(e ast.Expr) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return
+	}
+	tv, ok := c.pass.TypesInfo.Types[call.Fun]
+	from := c.pass.TypesInfo.TypeOf(call.Args[0])
+	if !ok || !tv.IsType() || !isString(tv.Type.Underlying()) || from == nil {
+		return
+	}
+	if _, fromSlice := from.Underlying().(*types.Slice); fromSlice {
+		c.inPlace[call] = true
 	}
 }
 

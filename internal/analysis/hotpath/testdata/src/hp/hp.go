@@ -1,6 +1,8 @@
 // Package hp exercises the hotpath analyzer: every rejected allocation
 // shape under an //ix:hotpath annotation, and the sanctioned idioms
-// (hoisted buffers, bound method values, pointer-shaped `any` args).
+// (hoisted buffers, bound method values, pointer-shaped `any` args,
+// the string conversions the compiler makes without a copy). The
+// exported green cases are also run under testing.AllocsPerRun.
 package hp
 
 import "fmt"
@@ -14,9 +16,10 @@ type ring struct {
 
 type frame struct{ n int }
 
-func sinkAny(a any)      {}
-func variadic(xs ...any) {}
-func plain(n int) int    { return n }
+func sinkAny(a any)       {}
+func sinkString(s string) {}
+func variadic(xs ...any)  {}
+func plain(n int) int     { return n }
 
 // --- red cases ---
 
@@ -67,6 +70,26 @@ func stringConv(r *ring, b []byte) string {
 }
 
 //ix:hotpath
+func mapStore(m map[string]int, b []byte) {
+	m[string(b)] = 1 // want `string\(\.\.\.\) conversion copies and allocates per call`
+}
+
+//ix:hotpath
+func mapIncrement(m map[string]int, b []byte) {
+	m[string(b)]++ // want `string\(\.\.\.\) conversion copies and allocates per call`
+}
+
+//ix:hotpath
+func convConcat(b []byte) bool {
+	return string(b)+"x" == "yx" // want `string concatenation allocates per call` `string\(\.\.\.\) conversion copies and allocates per call`
+}
+
+//ix:hotpath
+func convArg(b []byte) {
+	sinkString(string(b)) // want `string\(\.\.\.\) conversion copies and allocates per call`
+}
+
+//ix:hotpath
 func boxesInt(r *ring, n int) {
 	sinkAny(n) // want `boxing int into any heap-allocates per call`
 }
@@ -89,6 +112,7 @@ func variadicBox(r *ring, n int) {
 func hoistedAppend(r *ring, b []byte) {
 	r.buf = r.buf[:0]
 	r.buf = append(r.buf, b...) // append into a hoisted buffer is sanctioned
+	r.buf = append(r.buf, "\r\n"...)
 	n := copy(r.scratch[:], b)
 	_ = n
 }
@@ -115,6 +139,29 @@ func constBox(r *ring, n int) {
 		panic("hp: negative count") // constants box into static data: no per-call allocation
 	}
 	sinkAny("tag") // likewise for any constant operand
+}
+
+// MapRead indexes a map with a converted key: the compiler looks the
+// bytes up in place.
+//
+//ix:hotpath
+func MapRead(m map[string]int, b []byte) int {
+	return m[string(b)]
+}
+
+// MapReadOK is MapRead in comma-ok form.
+//
+//ix:hotpath
+func MapReadOK(m map[string]int, b []byte) bool {
+	_, ok := m[(string(b))]
+	return ok
+}
+
+// Equal compares converted bytes with == and !=: no string is built.
+//
+//ix:hotpath
+func Equal(b []byte, s string) bool {
+	return len(b) > 4 && string(b[:4]) == "get " || s != string(b)
 }
 
 //ix:hotpath

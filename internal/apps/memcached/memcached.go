@@ -9,7 +9,8 @@
 package memcached
 
 import (
-	"fmt"
+	"bytes"
+	"math"
 	"strconv"
 	"time"
 
@@ -103,10 +104,13 @@ func (st *Store) lock(now int64, hold time.Duration) time.Duration {
 	return spin + hold + lockAcquire
 }
 
-// get returns the value for key, touching LRU.
-func (st *Store) get(key string) ([]byte, bool) {
+// get returns the value for key, touching LRU. The lookup reads the
+// map with key's bytes in place: no string is built.
+//
+//ix:hotpath
+func (st *Store) get(key []byte) ([]byte, bool) {
 	st.Gets++
-	it, ok := st.items[key]
+	it, ok := st.items[string(key)]
 	if !ok {
 		st.Misses++
 		return nil, false
@@ -116,19 +120,56 @@ func (st *Store) get(key string) ([]byte, bool) {
 	return it.value, true
 }
 
-// set inserts or replaces key.
+// set inserts or replaces key, taking ownership of val.
 func (st *Store) set(key string, val []byte) {
-	st.Sets++
 	if it, ok := st.items[key]; ok {
-		st.bytes += len(val) - len(it.value)
-		it.value = val
-		st.touch(it)
-	} else {
-		it := &item{key: key, value: val}
-		st.items[key] = it
-		st.bytes += len(key) + len(val)
-		st.pushFront(it)
+		st.replace(it, val)
+		return
 	}
+	st.insert(key, val)
+}
+
+// setCopy is set for a key and value that alias a receive buffer. A
+// replaced item keeps its value backing when the new value fits (a
+// workload's key always carries a value of the same length), so only a
+// new key builds a string and copies its value.
+//
+//ix:hotpath
+func (st *Store) setCopy(key, val []byte) {
+	it, ok := st.items[string(key)]
+	if !ok {
+		//ixvet:ignore(hotpath) a new item owns its key string and value copy; replacing one allocates nothing
+		st.insert(string(key), append([]byte(nil), val...))
+		return
+	}
+	if cap(it.value) >= len(val) {
+		// Only the backing is written here: replace still reads the old
+		// length from it.value.
+		st.replace(it, append(it.value[:0], val...))
+	} else {
+		st.replace(it, append([]byte(nil), val...))
+	}
+}
+
+func (st *Store) replace(it *item, val []byte) {
+	st.Sets++
+	st.bytes += len(val) - len(it.value)
+	it.value = val
+	st.touch(it)
+	st.evict()
+}
+
+func (st *Store) insert(key string, val []byte) {
+	st.Sets++
+	it := &item{key: key, value: val}
+	st.items[key] = it
+	st.bytes += len(key) + len(val)
+	st.pushFront(it)
+	st.evict()
+}
+
+// evict drops least recently used items until the store fits maxBytes.
+func (st *Store) evict() {
 	for st.bytes > st.maxBytes && st.tail != nil {
 		ev := st.tail
 		st.unlink(ev)
@@ -196,9 +237,12 @@ func ServerFactory(store *Store, port uint16) app.Factory {
 type server struct {
 	env   app.Env
 	store *Store
+	// hdr is the scratch a GET hit's VALUE line is built in; Send copies
+	// it out before returning.
+	hdr []byte
 }
 
-// connState buffers a partially received request stream.
+// connState holds the incomplete tail of a request stream.
 type connState struct {
 	buf []byte
 }
@@ -207,20 +251,27 @@ func (s *server) OnAccept(c app.Conn) { c.SetCookie(&connState{}) }
 
 func (s *server) OnConnected(c app.Conn, ok bool) {}
 
+// OnRecv executes every complete command in the stream. Commands are
+// parsed straight from data unless an earlier arrival left a tail, and
+// only what is still incomplete is copied out of data.
 func (s *server) OnRecv(c app.Conn, data []byte) {
 	st, _ := c.Cookie().(*connState)
 	if st == nil {
 		st = &connState{}
 		c.SetCookie(st)
 	}
-	st.buf = append(st.buf, data...)
+	if len(st.buf) > 0 {
+		st.buf = append(st.buf, data...)
+		data = st.buf
+	}
 	for {
-		n := s.process(c, st.buf)
+		n := s.process(c, data)
 		if n == 0 {
 			break
 		}
-		st.buf = st.buf[n:]
+		data = data[n:]
 	}
+	st.buf = append(st.buf[:0], data...)
 	if len(st.buf) == 0 {
 		st.buf = nil
 	}
@@ -228,16 +279,18 @@ func (s *server) OnRecv(c app.Conn, data []byte) {
 
 // process parses one complete command from buf, executes it, and returns
 // the bytes consumed (0 if incomplete).
+//
+//ix:hotpath
 func (s *server) process(c app.Conn, buf []byte) int {
-	nl := indexCRLF(buf)
+	nl := bytes.Index(buf, crlf)
 	if nl < 0 {
 		return 0
 	}
-	line := string(buf[:nl])
+	line := buf[:nl]
 	consumed := nl + 2
 	s.env.Charge(parseCost + time.Duration(float64(nl)*perByteCost))
 	switch {
-	case len(line) > 4 && line[:4] == "get ":
+	case len(line) > 4 && string(line[:4]) == "get ":
 		key := line[4:]
 		spin := s.store.lock(s.env.Now()+int64(s.env.Elapsed()), lockHoldGet)
 		s.env.Charge(spin + lookupCost)
@@ -245,40 +298,92 @@ func (s *server) process(c app.Conn, buf []byte) int {
 		s.env.Charge(respondCost)
 		if ok {
 			s.env.Charge(time.Duration(float64(len(val)) * perByteCost))
-			resp := fmt.Sprintf("VALUE %s 0 %d\r\n", key, len(val))
-			c.Send([]byte(resp))
+			h := append(s.hdr[:0], "VALUE "...)
+			h = append(h, key...)
+			h = append(h, " 0 "...)
+			h = strconv.AppendInt(h, int64(len(val)), 10)
+			s.hdr = append(h, crlf...)
+			c.Send(s.hdr)
 			c.Send(val)
 			c.Send(crlfEnd)
 		} else {
 			c.Send(endOnly)
 		}
 		return consumed
-	case len(line) > 4 && line[:4] == "set ":
-		// set <key> <flags> <exptime> <bytes>
-		var key string
-		var flags, exp, nbytes int
-		if _, err := fmt.Sscanf(line[4:], "%s %d %d %d", &key, &flags, &exp, &nbytes); err != nil {
-			c.Send([]byte("CLIENT_ERROR bad command line\r\n"))
+	case len(line) > 4 && string(line[:4]) == "set ":
+		key, nbytes, ok := parseSet(line[4:])
+		if !ok {
+			c.Send(clientError)
 			return consumed
 		}
 		total := consumed + nbytes + 2
 		if len(buf) < total {
 			return 0 // wait for the body
 		}
-		body := append([]byte(nil), buf[consumed:consumed+nbytes]...)
 		spin := s.store.lock(s.env.Now()+int64(s.env.Elapsed()), lockHoldSet)
 		s.env.Charge(spin + storeCost + time.Duration(float64(nbytes)*perByteCost))
-		s.store.set(key, body)
+		s.store.setCopy(key, buf[consumed:consumed+nbytes])
 		s.env.Charge(respondCost)
 		c.Send(stored)
 		return total
-	case line == "quit":
+	case string(line) == "quit":
 		c.Close()
 		return consumed
 	default:
-		c.Send([]byte("ERROR\r\n"))
+		c.Send(errorReply)
 		return consumed
 	}
+}
+
+// MaxItemSize is the largest value a set may carry: memcached's default
+// item size limit, 1 MiB.
+const MaxItemSize = 1 << 20
+
+// parseSet parses the arguments of `set <key> <flags> <exptime> <bytes>`:
+// exactly four fields separated by runs of spaces, flags and exptime
+// unsigned decimals within 32 bits (the server keeps neither), the byte
+// count an unsigned decimal no larger than MaxItemSize.
+func parseSet(args []byte) (key []byte, nbytes int, ok bool) {
+	key, args = field(args)
+	flags, args := field(args)
+	exp, args := field(args)
+	count, args := field(args)
+	if extra, _ := field(args); len(key) == 0 || len(extra) > 0 {
+		return nil, 0, false
+	}
+	_, okFlags := ParseCount(flags, math.MaxUint32)
+	_, okExp := ParseCount(exp, math.MaxUint32)
+	nbytes, okCount := ParseCount(count, MaxItemSize)
+	return key, nbytes, okFlags && okExp && okCount
+}
+
+// field splits the first space-delimited field off b.
+func field(b []byte) (f, rest []byte) {
+	for len(b) > 0 && b[0] == ' ' {
+		b = b[1:]
+	}
+	if i := bytes.IndexByte(b, ' '); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
+// ParseCount parses a protocol number: one or more decimal digits, no
+// sign, with a value no larger than limit.
+func ParseCount(b []byte, limit int) (int, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n > limit {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 func (s *server) OnSent(c app.Conn, n int) {}
@@ -286,39 +391,16 @@ func (s *server) OnEOF(c app.Conn)         { c.Close() }
 func (s *server) OnClosed(c app.Conn)      {}
 
 var (
-	crlfEnd = []byte("\r\nEND\r\n")
-	endOnly = []byte("END\r\n")
-	stored  = []byte("STORED\r\n")
+	crlf        = []byte("\r\n")
+	crlfEnd     = []byte("\r\nEND\r\n")
+	endOnly     = []byte("END\r\n")
+	stored      = []byte("STORED\r\n")
+	errorReply  = []byte("ERROR\r\n")
+	clientError = []byte("CLIENT_ERROR bad command line\r\n")
 )
-
-func indexCRLF(b []byte) int {
-	for i := 0; i+1 < len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' {
-			return i
-		}
-	}
-	return -1
-}
-
-// FormatGet renders a get request (client side).
-func FormatGet(key string) []byte {
-	return []byte("get " + key + "\r\n")
-}
-
-// FormatSet renders a set request (client side).
-func FormatSet(key string, val []byte) []byte {
-	b := make([]byte, 0, len(key)+len(val)+32)
-	b = append(b, "set "...)
-	b = append(b, key...)
-	b = append(b, " 0 0 "...)
-	b = strconv.AppendInt(b, int64(len(val)), 10)
-	b = append(b, "\r\n"...)
-	b = append(b, val...)
-	b = append(b, "\r\n"...)
-	return b
-}
 
 // SetDirect installs a key without lock or CPU modelling — used by the
 // harness to preload the keyspace before measurement, like mutilate's
-// --loadonly pass.
+// --loadonly pass. The store owns val from then on: a later set of the
+// same key may overwrite its bytes.
 func (st *Store) SetDirect(key string, val []byte) { st.set(key, val) }

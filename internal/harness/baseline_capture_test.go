@@ -9,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"ix/internal/mutilate"
 )
 
 func TestBaselineCapture(t *testing.T) {
@@ -69,5 +71,31 @@ func TestBaselineCapture(t *testing.T) {
 		fmt.Printf("%s: msgs=%.6f conns=%.6f p50=%v p99=%v mean=%v srvconns=%d kshare=%.9f batch=%.9f drops=%d kpm=%v\n",
 			c.name, res.MsgsPerSec, res.ConnsPerSec, res.RTTp50, res.RTTp99, res.RTTMean,
 			res.ServerConns, res.ServerKernelShare, res.MeanBatch, res.Drops, res.KernelPerMsg)
+	}
+	// memcached under mutilate (§5.5) on both server architectures, one
+	// fixed offered load per workload: the parser, the store and the
+	// request builders, end to end.
+	memc := func(arch Arch, batch int, w mutilate.Workload) MemcSetup {
+		return MemcSetup{
+			ServerArch: arch, ServerCores: 2, BatchBound: batch,
+			Workload: w, TargetRPS: 300_000,
+			ClientHosts: 4, ClientCores: 2, ConnsPerThread: 8,
+			Warmup: 3 * time.Millisecond, Window: 6 * time.Millisecond,
+		}
+	}
+	memcCases := []struct {
+		name string
+		s    MemcSetup
+	}{
+		{"ix-memc-etc", memc(ArchIX, 64, mutilate.ETC)},
+		{"ix-memc-usr", memc(ArchIX, 64, mutilate.USR)},
+		{"linux-memc-etc", memc(ArchLinux, 0, mutilate.ETC)},
+		{"linux-memc-usr", memc(ArchLinux, 0, mutilate.USR)},
+	}
+	for _, c := range memcCases {
+		res := RunMemcached(c.s)
+		fmt.Printf("%s: rps=%.6f agentp99=%v agentmean=%v loadp99=%v kshare=%.9f hits=%d misses=%d\n",
+			c.name, res.AchievedRPS, res.AgentP99, res.AgentMean, res.LoadP99,
+			res.ServerKernelShare, res.Hits, res.Misses)
 	}
 }

@@ -11,6 +11,7 @@
 package mutilate
 
 import (
+	"bytes"
 	"strconv"
 	"time"
 
@@ -41,24 +42,33 @@ var USR = Workload{Name: "USR", KeyMin: 8, KeyMax: 19, ValMin: 2, ValMax: 2, Get
 // KeyFor builds the deterministic key for index i: digits then 'k'
 // padding up to the workload's length for that index.
 func (w Workload) KeyFor(i int) string {
-	ln := w.KeyMin
-	if w.KeyMax > w.KeyMin {
-		ln += i % (w.KeyMax - w.KeyMin + 1)
-	}
-	s := strconv.Itoa(i)
-	if len(s) >= ln {
-		return s
-	}
-	b := make([]byte, ln)
-	copy(b, s)
-	for j := len(s); j < ln; j++ {
-		b[j] = 'k'
-	}
-	return string(b)
+	var buf [64]byte
+	return string(w.appendKey(buf[:0], i))
 }
 
 // ValFor builds the deterministic value for index i.
 func (w Workload) ValFor(i int) []byte {
+	return w.appendVal(make([]byte, 0, w.valLen(i)), i)
+}
+
+// appendKey appends KeyFor(i) to b.
+//
+//ix:hotpath
+func (w Workload) appendKey(b []byte, i int) []byte {
+	ln := w.KeyMin
+	if w.KeyMax > w.KeyMin {
+		ln += i % (w.KeyMax - w.KeyMin + 1)
+	}
+	start := len(b)
+	b = strconv.AppendInt(b, int64(i), 10)
+	for len(b)-start < ln {
+		b = append(b, 'k')
+	}
+	return b
+}
+
+// valLen is the length of ValFor(i).
+func (w Workload) valLen(i int) int {
 	ln := w.ValMin
 	if w.ValMax > w.ValMin {
 		// Log-skewed sizes: most values small, a tail of large ones.
@@ -68,11 +78,47 @@ func (w Workload) ValFor(i int) []byte {
 		frac = frac * frac // square to skew small
 		ln += int(frac * float64(span))
 	}
-	v := make([]byte, ln)
-	for j := range v {
-		v[j] = byte('a' + (i+j)%26)
+	return ln
+}
+
+// alphabet holds the value bytes: byte j of ValFor(i) is
+// alphabet[(i+j)%26].
+const alphabet = "abcdefghijklmnopqrstuvwxyz"
+
+// appendVal appends ValFor(i) to b, a run of the alphabet at a time.
+//
+//ix:hotpath
+func (w Workload) appendVal(b []byte, i int) []byte {
+	n := w.valLen(i)
+	run := alphabet[i%len(alphabet):]
+	for n > 0 {
+		if len(run) > n {
+			run = run[:n]
+		}
+		b = append(b, run...)
+		n -= len(run)
+		run = alphabet
 	}
-	return v
+	return b
+}
+
+// appendGet appends the get request for key i to b.
+//
+//ix:hotpath
+func (w Workload) appendGet(b []byte, i int) []byte {
+	b = w.appendKey(append(b, "get "...), i)
+	return append(b, "\r\n"...)
+}
+
+// appendSet appends the set request storing ValFor(i) under key i to b.
+//
+//ix:hotpath
+func (w Workload) appendSet(b []byte, i int) []byte {
+	b = w.appendKey(append(b, "set "...), i)
+	b = append(b, " 0 0 "...)
+	b = strconv.AppendInt(b, int64(w.valLen(i)), 10)
+	b = w.appendVal(append(b, "\r\n"...), i)
+	return append(b, "\r\n"...)
 }
 
 // Preload installs the full keyspace into a store (done out-of-band
@@ -158,9 +204,12 @@ type loadgen struct {
 	conns []app.Conn
 	rng   uint64
 	// pacing
-	budget  float64
-	next    int // round-robin cursor
-	appCost time.Duration
+	budget float64
+	next   int    // round-robin cursor
+	paceFn func() // g.pace, bound once: a method value made per tick allocates
+	// req is the scratch requests are built in; Send copies it out
+	// before returning.
+	req []byte
 }
 
 // clientReqCost is the client-side CPU per request (build + parse).
@@ -182,7 +231,8 @@ func LoadFactory(cfg LoadConfig) app.Factory {
 		// Stagger thread phases so independent generators don't tick in
 		// lock-step (synchronized bursts would inflate tails).
 		stagger := time.Duration(g.rand() % uint64(tick))
-		env.After(tick+stagger, g.pace)
+		g.paceFn = g.pace
+		env.After(tick+stagger, g.paceFn)
 		return g
 	}
 }
@@ -225,20 +275,23 @@ func (g *loadgen) pace() {
 		m.Dropped.Add(uint64(g.budget))
 		g.budget = 0
 	}
-	g.env.After(tick, g.pace)
+	g.env.After(tick, g.paceFn)
 }
 
 // issue sends one randomized request on c.
+//
+//ix:hotpath
 func (g *loadgen) issue(c app.Conn, st *lconn) {
-	w := g.cfg.Workload
+	w := &g.cfg.Workload
 	i := int(g.rand() % uint64(w.Keys))
 	get := float64(g.rand()%10000)/10000.0 < w.GetFrac
 	g.env.Charge(clientReqCost)
 	if get {
-		c.Send(memcached.FormatGet(w.KeyFor(i)))
+		g.req = w.appendGet(g.req[:0], i)
 	} else {
-		c.Send(memcached.FormatSet(w.KeyFor(i), w.ValFor(i)))
+		g.req = w.appendSet(g.req[:0], i)
 	}
+	c.Send(g.req)
 	st.q = append(st.q, pending{t0: g.env.Now(), get: get})
 }
 
@@ -252,14 +305,19 @@ func (g *loadgen) OnConnected(c app.Conn, ok bool) {
 	g.conns = append(g.conns, c)
 }
 
+// OnRecv matches complete responses to the pending queue, parsing
+// straight from data unless an earlier arrival left a tail.
 func (g *loadgen) OnRecv(c app.Conn, data []byte) {
 	st, _ := c.Cookie().(*lconn)
 	if st == nil {
 		return
 	}
-	st.buf = append(st.buf, data...)
+	if len(st.buf) > 0 {
+		st.buf = append(st.buf, data...)
+		data = st.buf
+	}
 	for len(st.q) > 0 {
-		n := consumeResponse(st.buf, st.q[0].get)
+		n := consumeResponse(data, st.q[0].get)
 		if n == 0 {
 			break
 		}
@@ -271,9 +329,12 @@ func (g *loadgen) OnRecv(c app.Conn, data []byte) {
 		if m.Tap != nil {
 			m.Tap.Record(rtt)
 		}
-		st.buf = st.buf[n:]
-		st.q = st.q[1:]
+		data = data[n:]
+		// Pop by copying down: the queue holds at most Pipeline entries
+		// and keeps its backing.
+		st.q = st.q[:copy(st.q, st.q[1:])]
 	}
+	st.buf = append(st.buf[:0], data...)
 	if len(st.buf) == 0 {
 		st.buf = nil
 	}
@@ -311,6 +372,7 @@ type agent struct {
 	rng uint64
 	t0  int64
 	buf []byte
+	req []byte // request scratch, as loadgen's
 }
 
 func (a *agent) rand() uint64 {
@@ -324,7 +386,8 @@ func (a *agent) issue(c app.Conn) {
 	w := a.cfg.Workload
 	a.t0 = a.env.Now()
 	a.env.Charge(clientReqCost)
-	c.Send(memcached.FormatGet(w.KeyFor(int(a.rand() % uint64(w.Keys)))))
+	a.req = w.appendGet(a.req[:0], int(a.rand()%uint64(w.Keys)))
+	c.Send(a.req)
 }
 
 func (a *agent) OnAccept(c app.Conn) {}
@@ -336,14 +399,17 @@ func (a *agent) OnConnected(c app.Conn, ok bool) {
 }
 
 func (a *agent) OnRecv(c app.Conn, data []byte) {
-	a.buf = append(a.buf, data...)
-	n := consumeResponse(a.buf, true)
-	if n == 0 {
-		return
+	if len(a.buf) > 0 {
+		a.buf = append(a.buf, data...)
+		data = a.buf
 	}
-	a.buf = a.buf[n:]
+	n := consumeResponse(data, true)
+	a.buf = append(a.buf[:0], data[n:]...)
 	if len(a.buf) == 0 {
 		a.buf = nil
+	}
+	if n == 0 {
+		return
 	}
 	a.cfg.Metrics.AgentLatency.Record(time.Duration(a.env.Now() - a.t0))
 	if a.cfg.Metrics.Running {
@@ -366,7 +432,9 @@ func (nopHandler) OnClosed(app.Conn)          {}
 
 // consumeResponse returns the byte length of one complete memcached
 // response at the front of buf, or 0 if incomplete. get selects the
-// expected response family.
+// expected response family. A malformed line counts as one response.
+//
+//ix:hotpath
 func consumeResponse(buf []byte, get bool) int {
 	if !get {
 		// STORED\r\n (or an error line)
@@ -382,19 +450,9 @@ func consumeResponse(buf []byte, get bool) int {
 		return nl
 	}
 	if len(line) > 6 && string(line[:6]) == "VALUE " {
-		// Parse the byte count (last space-separated field).
-		last := -1
-		for i := len(line) - 1; i >= 0; i-- {
-			if line[i] == ' ' {
-				last = i
-				break
-			}
-		}
-		if last < 0 {
-			return nl
-		}
-		n, err := strconv.Atoi(string(line[last+1:]))
-		if err != nil {
+		// The byte count is the last space-separated field.
+		n, ok := memcached.ParseCount(line[bytes.LastIndexByte(line, ' ')+1:], memcached.MaxItemSize)
+		if !ok {
 			return nl
 		}
 		total := nl + n + 2 + 5 // data + \r\n + END\r\n
@@ -409,10 +467,10 @@ func consumeResponse(buf []byte, get bool) int {
 // lineLen returns the length of the first CRLF-terminated line including
 // the CRLF, or 0.
 func lineLen(buf []byte) int {
-	for i := 0; i+1 < len(buf); i++ {
-		if buf[i] == '\r' && buf[i+1] == '\n' {
-			return i + 2
-		}
+	if i := bytes.Index(buf, crlf); i >= 0 {
+		return i + 2
 	}
 	return 0
 }
+
+var crlf = []byte("\r\n")
