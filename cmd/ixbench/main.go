@@ -1,6 +1,7 @@
 // Command ixbench regenerates the tables and figures of the IX paper's
 // evaluation (§5). Each experiment prints the same rows/series the paper
-// plots; see EXPERIMENTS.md for the paper-vs-measured record.
+// plots; the paper's numbers are quoted in each result's notes and
+// checked by internal/harness/claims_test.go.
 //
 // Usage:
 //
@@ -11,15 +12,18 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ix/internal/harness"
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment name (fig2, fig3a, fig3b, fig3c, fig4, fig5, fig6, table2, elastic, incast, chaos, tenants, httpkv) or 'all'")
+	all := slices.Sorted(maps.Keys(harness.Experiments))
+	exp := flag.String("experiment", "all", "experiment name ("+strings.Join(all, ", ")+") or 'all'")
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	window := flag.Duration("window", 0, "override measurement window")
 	flag.Parse()
@@ -34,11 +38,7 @@ func main() {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = names[:0]
-		for n := range harness.Experiments {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names = all
 	}
 	for _, n := range names {
 		fn, ok := harness.Experiments[n]

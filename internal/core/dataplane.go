@@ -320,9 +320,9 @@ func (d *Dataplane) RemoveElasticThread() error {
 	return nil
 }
 
-// MigrateFlowGroup moves one RSS flow group (RETA bucket) to the elastic
-// thread serving queue dstID. This is the §4.4 migration mechanism, in
-// four steps at one run-to-completion boundary:
+// applyRepartition executes a repartition plan: each entry moves one RSS
+// flow group (RETA bucket) to another elastic thread. This is the §4.4
+// migration mechanism, in four steps at one run-to-completion boundary:
 //
 //  1. quiesce the source thread — pending event conditions are delivered
 //     and batched system calls complete against their original handles;
@@ -334,25 +334,11 @@ func (d *Dataplane) RemoveElasticThread() error {
 //     and TIME_WAIT timers (original deadlines), protection-domain
 //     handles, and an EvMigrated event telling the destination's user
 //     program to adopt each flow.
-func (d *Dataplane) MigrateFlowGroup(bucket, dstID int) {
-	srcID := int(d.nic.RETA()[bucket])
-	if srcID == dstID {
-		return
-	}
-	if srcID >= len(d.threads) || dstID >= len(d.threads) {
-		panic("core: MigrateFlowGroup references a stopped thread")
-	}
-	d.applyRepartition([]nicsim.RetaChange{
-		{Bucket: bucket, From: uint8(srcID), To: uint8(dstID)},
-	})
-}
-
-// applyRepartition executes a repartition plan, amortizing the per-bucket
-// work: each distinct source thread is quiesced once, its RETA entries
-// flip together, its in-flight frames drain in one ring pass, and its
-// connection table is scanned once — O(sources × (ring + conns)) rather
-// than O(buckets × conns). The four-step migration contract of
-// MigrateFlowGroup holds for every bucket in the plan.
+//
+// The per-bucket work is amortized: each distinct source thread is
+// quiesced once, its RETA entries flip together, its in-flight frames
+// drain in one ring pass, and its connection table is scanned once —
+// O(sources × (ring + conns)) rather than O(buckets × conns).
 func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 	if len(plan) == 0 {
 		return

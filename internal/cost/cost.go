@@ -4,8 +4,8 @@
 // and application code in this repository executes as real Go code; these
 // constants determine how many virtual nanoseconds each stage charges to
 // its core. They were calibrated so that the microbenchmark *shapes* of
-// §5 hold (orderings, saturation points, crossovers); see EXPERIMENTS.md
-// for the calibration record.
+// §5 hold (orderings, saturation points, crossovers); the claims tests
+// in internal/harness pin those shapes.
 //
 // The constants are deliberately centralized and documented here rather
 // than scattered through the stacks, so every modelling assumption is

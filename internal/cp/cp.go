@@ -10,7 +10,6 @@
 package cp
 
 import (
-	"fmt"
 	"time"
 
 	"ix/internal/core"
@@ -133,8 +132,6 @@ type Controller struct {
 	// SvcTime is the distribution of the per-interval cycles-per-packet
 	// signal over the run.
 	SvcTime *stats.Histogram
-	// NonResponsive counts §4.5 timeout-interrupt reports.
-	NonResponsive int
 }
 
 // New builds a controller for dp.
@@ -160,12 +157,6 @@ func New(eng *sim.Engine, dp *core.Dataplane, policy Policy) *Controller {
 
 // Policy returns the controller's active policy.
 func (c *Controller) Policy() Policy { return c.policy }
-
-// ReportNonResponsive is the dataplane's §4.5 notification hook.
-func (c *Controller) ReportNonResponsive(thread int) {
-	c.NonResponsive++
-	c.Log = append(c.Log, Event{At: c.eng.Now(), Action: fmt.Sprintf("non-responsive thread %d", thread), Threads: c.dp.Threads()})
-}
 
 // Start begins the periodic policy loop.
 func (c *Controller) Start() {

@@ -12,9 +12,10 @@
 //     property of §4.4) and forged or stale handles are rejected;
 //   - recv_done accounting rejects double frees and over-returns of
 //     message buffers;
-//   - read-only mbuf mappings are checked on the write paths;
-//   - POSIX calls from the application are intermediated and validated
-//     before being forwarded to the Linux control plane (§4.1).
+//   - read-only mbuf mappings are checked on the write paths.
+//
+// The §4.1 intermediation of POSIX calls on their way to the Linux
+// control plane is not modelled: no experiment issues one.
 //
 // Violations never corrupt dataplane state: they return errors and bump
 // counters, which is exactly the paper's claim — "a malicious or
@@ -23,9 +24,6 @@ package dune
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"strings"
 	"unsafe"
 )
 
@@ -282,81 +280,4 @@ func (g *Gate) Live() int {
 		}
 	}
 	return n
-}
-
-// Passthrough intermediates POSIX system calls from dataplane threads to
-// the Linux control plane (§4.1: "Both elastic and background threads can
-// issue arbitrary POSIX system calls that are intermediated and validated
-// for security by the dataplane before being forwarded to the Linux
-// kernel"). The file namespace is an in-memory sandbox rooted at the
-// dataplane's granted prefix.
-type Passthrough struct {
-	prefix  string
-	files   map[string][]byte
-	allowed map[string]bool
-
-	Forwarded uint64
-	Denied    uint64
-	audit     []string
-}
-
-// NewPassthrough builds a gate for POSIX calls sandboxed under prefix.
-func NewPassthrough(prefix string) *Passthrough {
-	return &Passthrough{
-		prefix: prefix,
-		files:  make(map[string][]byte),
-		allowed: map[string]bool{
-			"open": true, "read": true, "write": true,
-			"close": true, "stat": true, "unlink": true,
-		},
-	}
-}
-
-// Call validates and executes op on path for the calling domain. Only
-// non-root domains may call (the control plane does not re-enter itself),
-// and elastic threads are expected to avoid blocking calls — the caller
-// models that cost; this gate enforces *permission*, not timing.
-func (p *Passthrough) Call(d *Domain, op, path string, data []byte) ([]byte, error) {
-	if d.Ring == RingVMXRoot0 {
-		p.Denied++
-		p.audit = append(p.audit, fmt.Sprintf("DENY %s %s %s (ring)", d.Name, op, path))
-		return nil, ErrDenied
-	}
-	if !p.allowed[op] || !strings.HasPrefix(path, p.prefix) {
-		p.Denied++
-		p.audit = append(p.audit, fmt.Sprintf("DENY %s %s %s", d.Name, op, path))
-		return nil, ErrDenied
-	}
-	p.Forwarded++
-	p.audit = append(p.audit, fmt.Sprintf("ALLOW %s %s %s", d.Name, op, path))
-	switch op {
-	case "write":
-		p.files[path] = append(p.files[path][:0:0], data...)
-		return nil, nil
-	case "read", "open", "stat":
-		b, ok := p.files[path]
-		if !ok {
-			return nil, fmt.Errorf("dune: %s: no such file", path)
-		}
-		return b, nil
-	case "unlink":
-		delete(p.files, path)
-		return nil, nil
-	case "close":
-		return nil, nil
-	}
-	return nil, ErrDenied
-}
-
-// Audit returns the ordered audit log.
-func (p *Passthrough) Audit() []string { return append([]string(nil), p.audit...) }
-
-// Files lists sandbox contents (sorted), for tests.
-func (p *Passthrough) Files() []string {
-	names := make([]string, 0, len(p.files))
-	for n := range p.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

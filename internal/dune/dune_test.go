@@ -85,40 +85,6 @@ func TestReadOnlyEnforcement(t *testing.T) {
 	}
 }
 
-func TestPassthroughSandbox(t *testing.T) {
-	p := NewPassthrough("/data/")
-	app := &Domain{Name: "memcached", Ring: Ring3}
-	cp := &Domain{Name: "linux", Ring: RingVMXRoot0}
-	if _, err := p.Call(app, "write", "/data/log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Call(app, "read", "/data/log", nil)
-	if err != nil || string(b) != "x" {
-		t.Fatalf("read: %q, %v", b, err)
-	}
-	if _, err := p.Call(app, "write", "/etc/passwd", nil); err != ErrDenied {
-		t.Fatal("escape from sandbox allowed")
-	}
-	if _, err := p.Call(app, "exec", "/data/x", nil); err != ErrDenied {
-		t.Fatal("disallowed op permitted")
-	}
-	if _, err := p.Call(cp, "read", "/data/log", nil); err != ErrDenied {
-		t.Fatal("control plane re-entry allowed")
-	}
-	if p.Denied != 3 || p.Forwarded != 2 {
-		t.Fatalf("denied=%d forwarded=%d", p.Denied, p.Forwarded)
-	}
-	if len(p.Audit()) != 5 {
-		t.Fatalf("audit entries = %d", len(p.Audit()))
-	}
-	if _, err := p.Call(app, "unlink", "/data/log", nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Files()) != 0 {
-		t.Fatal("unlink failed")
-	}
-}
-
 func TestRingStrings(t *testing.T) {
 	if RingVMXRoot0.String() == "" || Ring0NonRoot.String() == "" || Ring3.String() == "" {
 		t.Fatal("ring names empty")

@@ -317,7 +317,7 @@ func Fig6(sc Scale) *Result {
 	return r
 }
 
-// Experiments is the registry used by cmd/ixbench and the benches.
+// Experiments is the registry cmd/ixbench runs.
 var Experiments = map[string]func(Scale) *Result{
 	"fig2":    Fig2,
 	"fig3a":   Fig3a,
@@ -341,4 +341,7 @@ var Experiments = map[string]func(Scale) *Result{
 	// KV store written purely against net.Conn, bridged onto the
 	// event-driven stacks by ixnet's deterministic fibers.
 	"httpkv": HTTPKV,
+	// The §6 ablations: zero-copy vs copying, coalesced vs per-packet
+	// doorbells, each on the same fixed testbed.
+	"ablations": Ablations,
 }

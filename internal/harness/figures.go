@@ -320,9 +320,6 @@ func Fig4(sc Scale) *Result {
 		r.Notes = append(r.Notes,
 			fmt.Sprintf("%s: %d connections established at the largest point, %.0f bytes/conn",
 				cfgc.label, topConns, topBytesPerConn))
-		// Machine-readable form of the same footer for benchmark metrics
-		// and the CI bytes/conn gate.
-		r.AddScalar(cfgc.label+" bytes/conn", topBytesPerConn)
 	}
 	r.Notes = append(r.Notes,
 		"droop at high counts comes from the DDIO/L3 model: 1.4 misses/msg ≤10k conns → ~25 at 250k")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -33,32 +32,6 @@ type Result struct {
 	Series []Series
 	Tables []Table
 	Notes  []string
-	// Scalars are named headline values that are not series points —
-	// e.g. the Fig. 4 bytes/conn at the largest population. They feed
-	// benchmark metrics and CI gates; Fprint does not render them (the
-	// human-readable form already appears in Notes).
-	Scalars []Scalar
-}
-
-// Scalar is one named headline value.
-type Scalar struct {
-	Name  string
-	Value float64
-}
-
-// AddScalar records a named headline value.
-func (r *Result) AddScalar(name string, v float64) {
-	r.Scalars = append(r.Scalars, Scalar{Name: name, Value: v})
-}
-
-// Scalar returns the named headline value.
-func (r *Result) Scalar(name string) (float64, bool) {
-	for _, s := range r.Scalars {
-		if s.Name == name {
-			return s.Value, true
-		}
-	}
-	return 0, false
 }
 
 // AddPoint appends to the named series, creating it on first use.
@@ -86,22 +59,6 @@ func (r *Result) Get(label string, x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Max returns the maximum y of the labelled series.
-func (r *Result) Max(label string) float64 {
-	best := 0.0
-	for _, s := range r.Series {
-		if s.Label != label {
-			continue
-		}
-		for _, y := range s.Y {
-			if y > best {
-				best = y
-			}
-		}
-	}
-	return best
 }
 
 // Fprint renders the result as aligned text.
@@ -165,13 +122,6 @@ func (r *Result) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// String renders the result.
-func (r *Result) String() string {
-	var b strings.Builder
-	r.Fprint(&b)
-	return b.String()
 }
 
 // Scale controls experiment size so the same code serves `go test

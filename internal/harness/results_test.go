@@ -16,10 +16,7 @@ func TestResultSeriesOps(t *testing.T) {
 	if _, ok := r.Get("a", 3); ok {
 		t.Fatal("missing x found")
 	}
-	if r.Max("a") != 20 || r.Max("b") != 5 || r.Max("zzz") != 0 {
-		t.Fatal("Max broken")
-	}
-	out := r.String()
+	out := render(r)
 	for _, want := range []string{"Fig T", "a", "b", "20", "n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -35,11 +32,34 @@ func TestResultTableFormatting(t *testing.T) {
 		Rows:    [][]string{{"IX", "1550K"}, {"Linux", "550K"}},
 	})
 	r.Notes = append(r.Notes, "a note")
-	out := r.String()
+	out := render(r)
 	for _, want := range []string{"demo", "IX", "1550K", "note: a note"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
+	}
+}
+
+func render(r *Result) string {
+	var b strings.Builder
+	r.Fprint(&b)
+	return b.String()
+}
+
+// TestExperimentRegistry: every experiment cmd/ixbench documents is
+// registered, and nothing else is.
+func TestExperimentRegistry(t *testing.T) {
+	want := []string{
+		"fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table2",
+		"elastic", "incast", "chaos", "tenants", "httpkv", "ablations",
+	}
+	for _, name := range want {
+		if Experiments[name] == nil {
+			t.Errorf("experiment %q missing from the registry", name)
+		}
+	}
+	if len(Experiments) != len(want) {
+		t.Errorf("registry holds %d experiments, want %d", len(Experiments), len(want))
 	}
 }
 

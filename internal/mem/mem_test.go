@@ -120,21 +120,3 @@ func TestMbufUniqueness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGenericPool(t *testing.T) {
-	type pcb struct{ a, b int }
-	p := NewPool[pcb](NewRegion(1), 1024)
-	o := p.Get()
-	if o == nil {
-		t.Fatal("get failed")
-	}
-	o.a = 42
-	p.Put(o)
-	o2 := p.Get()
-	if o2.a != 0 {
-		t.Fatal("recycled object not zeroed")
-	}
-	if p.InUse() != 1 {
-		t.Fatalf("inuse = %d", p.InUse())
-	}
-}

@@ -1,8 +1,9 @@
 // Package netstack provides the per-core network stack instance that
 // surrounds the TCP engine: Ethernet framing, ARP (the paper implemented
 // its own RFC-compliant UDP, ARP and ICMP, §4.2), IPv4 with header
-// checksums, ICMP echo, a minimal UDP layer, and zero-copy frame assembly
-// for transmit. One Stack per elastic thread; the ARP table is the single
+// checksums, a minimal UDP layer, and zero-copy frame assembly for
+// transmit. ICMP is not modelled (no experiment sends it): an ICMP packet
+// counts as RxDropped, like any other unknown protocol. One Stack per elastic thread; the ARP table is the single
 // RCU-style shared structure between threads on a host (§4.4).
 package netstack
 
@@ -99,7 +100,6 @@ type Stack struct {
 	// Stats.
 	RxFrames    uint64
 	RxARP       uint64
-	RxICMP      uint64
 	RxUDP       uint64
 	RxTCP       uint64
 	RxDropped   uint64
@@ -213,9 +213,6 @@ func (s *Stack) inputIPv4(p []byte, buf *mem.Mbuf) {
 	case wire.ProtoUDP:
 		s.RxUDP++
 		s.inputUDP(iph.Src, body, buf)
-	case wire.ProtoICMP:
-		s.RxICMP++
-		s.inputICMP(iph.Src, body)
 	default:
 		s.RxDropped++
 	}
@@ -233,24 +230,6 @@ func (s *Stack) inputUDP(src wire.IPv4, p []byte, buf *mem.Mbuf) {
 		return
 	}
 	h(src, uh.SrcPort, uh.DstPort, p[wire.UDPHdrLen:uh.Length], buf)
-}
-
-func (s *Stack) inputICMP(src wire.IPv4, p []byte) {
-	var icmp wire.ICMPEcho
-	if icmp.Unmarshal(p) != nil {
-		s.RxDropped++
-		return
-	}
-	if icmp.Type != wire.ICMPEchoRequest {
-		return
-	}
-	// Echo reply with the same payload.
-	payload := p[wire.ICMPHdrLen:]
-	reply := wire.ICMPEcho{Type: wire.ICMPEchoReply, ID: icmp.ID, Seq: icmp.Seq}
-	s.sendIPv4(src, wire.ProtoICMP, wire.ICMPHdrLen+len(payload), func(b []byte) {
-		copy(b[wire.ICMPHdrLen:], payload)
-		reply.Marshal(b)
-	})
 }
 
 // RegisterUDP binds a handler to a local UDP port.

@@ -103,49 +103,6 @@ func TestARPResolution(t *testing.T) {
 	}
 }
 
-func TestICMPEcho(t *testing.T) {
-	now := int64(0)
-	arp := NewARPTable()
-	ipA, ipB := wire.Addr4(10, 0, 0, 1), wire.Addr4(10, 0, 0, 2)
-	macA, macB := wire.MAC{2, 0, 0, 0, 0, 1}, wire.MAC{2, 0, 0, 0, 0, 2}
-	b := newHost(&now, ipB, macB, arp)
-	arp.Learn(ipA, macA)
-	arp.Learn(ipB, macB)
-	// Build an ICMP echo request from a to b by crafting a frame.
-	msg := make([]byte, wire.ICMPHdrLen+8)
-	copy(msg[wire.ICMPHdrLen:], "payload!")
-	icmp := wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: 42, Seq: 7}
-	icmp.Marshal(msg)
-	frame := make([]byte, wire.EthHdrLen+wire.IPv4HdrLen+len(msg))
-	(&wire.EthHeader{Dst: macB, Src: macA, EtherType: wire.EtherTypeIPv4}).Marshal(frame)
-	iph := wire.IPv4Header{TotalLen: uint16(wire.IPv4HdrLen + len(msg)), TTL: 64, Proto: wire.ProtoICMP, Src: ipA, Dst: ipB}
-	iph.Marshal(frame[wire.EthHdrLen:])
-	copy(frame[wire.EthHdrLen+wire.IPv4HdrLen:], msg)
-	buf := b.pool.Alloc()
-	buf.SetData(frame)
-	b.s.Input(buf)
-	buf.Unref()
-	if len(b.out) != 1 {
-		t.Fatalf("echo reply frames = %d", len(b.out))
-	}
-	// Validate the reply.
-	reply := b.out[0]
-	var riph wire.IPv4Header
-	if err := riph.Unmarshal(reply[wire.EthHdrLen:]); err != nil {
-		t.Fatal(err)
-	}
-	if riph.Dst != ipA || riph.Proto != wire.ProtoICMP {
-		t.Fatalf("reply header: %+v", riph)
-	}
-	var re wire.ICMPEcho
-	if err := re.Unmarshal(reply[wire.EthHdrLen+wire.IPv4HdrLen : wire.EthHdrLen+riph.TotalLen]); err != nil {
-		t.Fatal(err)
-	}
-	if re.Type != wire.ICMPEchoReply || re.ID != 42 || re.Seq != 7 {
-		t.Fatalf("reply: %+v", re)
-	}
-}
-
 func TestTCPOverNetstack(t *testing.T) {
 	now := int64(0)
 	arp := NewARPTable()
@@ -207,6 +164,17 @@ func TestDropsCounted(t *testing.T) {
 	buf.Unref()
 	if h.s.RxDropped != 1 {
 		t.Fatalf("dropped = %d", h.s.RxDropped)
+	}
+	// An ICMP packet for us: the stack does not model ICMP, so it is
+	// dropped like any other unknown protocol.
+	iph.Proto, iph.Dst = 1, wire.Addr4(10, 0, 0, 1)
+	iph.Marshal(frame[wire.EthHdrLen:])
+	buf = h.pool.Alloc()
+	buf.SetData(frame)
+	h.s.Input(buf)
+	buf.Unref()
+	if h.s.RxDropped != 2 || len(h.out) != 0 {
+		t.Fatalf("ICMP: dropped = %d, frames sent = %d", h.s.RxDropped, len(h.out))
 	}
 	_ = time.Now
 }

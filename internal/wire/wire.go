@@ -1,6 +1,6 @@
 // Package wire implements byte-level encoding and decoding of the network
-// headers used by the IX reproduction: Ethernet, ARP, IPv4, ICMP, UDP and
-// TCP, plus the internet checksum. Frames exchanged across the simulated
+// headers used by the IX reproduction: Ethernet, ARP, IPv4, UDP and TCP,
+// plus the internet checksum. Frames exchanged across the simulated
 // fabric are real packets; the protocol stacks parse and validate them the
 // same way lwIP did for IX.
 package wire
@@ -17,15 +17,13 @@ const (
 	IPv4HdrLen = 20 // no options
 	TCPHdrLen  = 20 // without options
 	UDPHdrLen  = 8
-	ICMPHdrLen = 8
 	ARPLen     = 28
 
 	EtherTypeIPv4 = 0x0800
 	EtherTypeARP  = 0x0806
 
-	ProtoICMP = 1
-	ProtoTCP  = 6
-	ProtoUDP  = 17
+	ProtoTCP = 6
+	ProtoUDP = 17
 
 	// MTU is the standard Ethernet MTU; the paper never enables jumbo
 	// frames (§5.1).
@@ -355,48 +353,6 @@ func (h *UDPHeader) Unmarshal(b []byte) error {
 	h.DstPort = binary.BigEndian.Uint16(b[2:4])
 	h.Length = binary.BigEndian.Uint16(b[4:6])
 	h.Checksum = binary.BigEndian.Uint16(b[6:8])
-	return nil
-}
-
-// ICMP types.
-const (
-	ICMPEchoReply   = 0
-	ICMPEchoRequest = 8
-)
-
-// ICMPEcho is an ICMP echo request/reply header.
-type ICMPEcho struct {
-	Type, Code uint8
-	Checksum   uint16
-	ID, Seq    uint16
-}
-
-// Marshal writes the header into b (≥ ICMPHdrLen) and checksums the whole
-// message b (header + payload).
-func (h *ICMPEcho) Marshal(b []byte) {
-	b[0] = h.Type
-	b[1] = h.Code
-	b[2], b[3] = 0, 0
-	binary.BigEndian.PutUint16(b[4:6], h.ID)
-	binary.BigEndian.PutUint16(b[6:8], h.Seq)
-	h.Checksum = Checksum(b)
-	binary.BigEndian.PutUint16(b[2:4], h.Checksum)
-}
-
-// Unmarshal parses an ICMP echo header from b and verifies the checksum
-// over the full message.
-func (h *ICMPEcho) Unmarshal(b []byte) error {
-	if len(b) < ICMPHdrLen {
-		return fmt.Errorf("wire: short icmp header: %d bytes", len(b))
-	}
-	if Checksum(b) != 0 {
-		return fmt.Errorf("wire: bad icmp checksum")
-	}
-	h.Type = b[0]
-	h.Code = b[1]
-	h.Checksum = binary.BigEndian.Uint16(b[2:4])
-	h.ID = binary.BigEndian.Uint16(b[4:6])
-	h.Seq = binary.BigEndian.Uint16(b[6:8])
 	return nil
 }
 

@@ -141,24 +141,13 @@ func TestARPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUDPICMPRoundTrip(t *testing.T) {
+func TestUDPRoundTrip(t *testing.T) {
 	u := UDPHeader{SrcPort: 53, DstPort: 5353, Length: 20}
 	b := make([]byte, UDPHdrLen)
 	u.Marshal(b)
 	var gu UDPHeader
 	if err := gu.Unmarshal(b); err != nil || gu != u {
 		t.Fatalf("udp roundtrip: %+v err %v", gu, err)
-	}
-	msg := make([]byte, ICMPHdrLen+4)
-	copy(msg[ICMPHdrLen:], "ping")
-	ic := ICMPEcho{Type: ICMPEchoRequest, ID: 9, Seq: 1}
-	ic.Marshal(msg)
-	var gi ICMPEcho
-	if err := gi.Unmarshal(msg); err != nil {
-		t.Fatal(err)
-	}
-	if gi.ID != 9 || gi.Seq != 1 || gi.Type != ICMPEchoRequest {
-		t.Fatalf("icmp roundtrip: %+v", gi)
 	}
 }
 
