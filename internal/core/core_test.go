@@ -103,6 +103,61 @@ func TestDataplaneEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMeanBatchBelowOnePacketPerCycle: MeanBatch is the mean number of
+// frames a run-to-completion cycle takes, fractions included. Here the
+// server's own timers wake it far more often than packets arrive, so it
+// averages well under one frame per cycle, which an integer mean reads
+// as 0.
+func TestMeanBatchBelowOnePacketPerCycle(t *testing.T) {
+	server := func(api *UserAPI, thread, threads int) UserProgram {
+		_ = api.Listen(80)
+		ticks := 0
+		var tick func()
+		tick = func() {
+			if ticks++; ticks < 100 {
+				api.After(50*time.Microsecond, tick)
+			}
+		}
+		api.After(50*time.Microsecond, tick)
+		return &scriptProgram{run: func(api *UserAPI, events []Event, results []SyscallResult) {
+			for _, ev := range events {
+				switch ev.Type {
+				case EvKnock:
+					api.Accept(ev.Handle, 0)
+				case EvRecv:
+					api.Sendv(ev.Handle, [][]byte{[]byte("pong")})
+					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
+				case EvTimer:
+					ev.Fn()
+				}
+			}
+		}}
+	}
+	client := func(api *UserAPI, thread, threads int) UserProgram {
+		api.Connect(0, wire.Addr4(10, 0, 0, 2), 80)
+		return &scriptProgram{run: func(api *UserAPI, events []Event, results []SyscallResult) {
+			for _, ev := range events {
+				switch ev.Type {
+				case EvConnected:
+					api.Sendv(ev.Handle, [][]byte{[]byte("ping")})
+				case EvRecv:
+					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
+				}
+			}
+		}}
+	}
+	eng, a, b := twoDataplanes(t, client, server)
+	a.Start()
+	b.Start()
+	eng.RunUntil(sim.Time(10 * time.Millisecond))
+	th := b.Thread(0)
+	want := float64(th.RxPackets+th.PoolDrops) / float64(th.Cycles)
+	if got := b.MeanBatch(); got != want || got <= 0 || got >= 1 {
+		t.Fatalf("MeanBatch = %v, want %d frames / %d cycles = %v, in (0, 1)",
+			got, th.RxPackets+th.PoolDrops, th.Cycles, want)
+	}
+}
+
 // TestMaliciousApp verifies the §4.5 security model: forged, foreign and
 // stale handles, recv_done overruns, and writes to read-only buffers are
 // all rejected with violations counted, and the dataplane keeps working.

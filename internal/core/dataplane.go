@@ -473,7 +473,6 @@ func (d *Dataplane) ResetStats() {
 		et.PoolDrops = 0
 		et.KernelNs = 0
 		et.UserNs = 0
-		et.BatchHist.Reset()
 		et.core.ResetStats()
 	}
 }
@@ -501,18 +500,19 @@ func (d *Dataplane) BusyTotal() time.Duration {
 	return k + u
 }
 
-// MeanBatch returns the average adaptive batch size over the window.
+// MeanBatch returns the average adaptive batch size over the window: the
+// frames the live threads' cycles took off their RX rings (delivered or
+// dropped for want of an mbuf) per cycle.
 func (d *Dataplane) MeanBatch() float64 {
-	var sum float64
-	var n uint64
+	var frames, cycles uint64
 	for _, et := range d.threads {
-		sum += float64(et.BatchHist.Mean()) * float64(et.BatchHist.Count())
-		n += et.BatchHist.Count()
+		frames += et.RxPackets + et.PoolDrops
+		cycles += et.Cycles
 	}
-	if n == 0 {
+	if cycles == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return float64(frames) / float64(cycles)
 }
 
 // RxDrops reports NIC-edge drops (ring overflow) — where all queueing

@@ -9,7 +9,6 @@ import (
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
-	"ix/internal/stats"
 	"ix/internal/tcp"
 	"ix/internal/timerwheel"
 	"ix/internal/wire"
@@ -83,7 +82,6 @@ type ElasticThread struct {
 
 	// Measurements.
 	Cycles        uint64
-	BatchHist     *stats.Histogram // batch size per cycle (as duration units)
 	RxPackets     uint64
 	TxPackets     uint64
 	PoolDrops     uint64
@@ -126,7 +124,6 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		txpool:     mem.NewTxChunkPool(dp.region, id),
 		gate:       dune.NewGate(id, expected),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
-		BatchHist:  stats.NewHistogram(),
 		userTimers: make(map[*userTimer]struct{}),
 	}
 	et.cycleFn = et.cycle
@@ -189,7 +186,6 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 	// (1) Poll a bounded batch; batching is adaptive — we take whatever
 	// is present up to B, never waiting to accumulate (§3).
 	frames := et.rxq.Take(et.dp.cfg.BatchBound)
-	et.BatchHist.Record(time.Duration(len(frames)))
 	// Replenish descriptors, coalescing PCIe doorbell writes (§6).
 	et.descDebt += len(frames)
 	if c.NoDoorbellCoalesce {

@@ -64,7 +64,8 @@ type IX struct {
 	// multiplies this by MissesPerMsg(conns) (Fig. 4, DDIO discussion).
 	L3Miss time.Duration
 
-	// Ablation knobs (DESIGN.md §5) — both zero in the real IX model:
+	// Ablation knobs (the harness's "ablations" experiment) — both zero
+	// in the real IX model:
 	//
 	// CopyPerByte, when set, charges a per-byte copy on both RX and TX
 	// (disabling the zero-copy API, like a conventional socket layer).
