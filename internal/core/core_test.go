@@ -103,6 +103,58 @@ func TestDataplaneEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRecvDoneBehindAbortFreesMbufs: an application that aborts a flow
+// and, later in the same batch, returns the flow's received buffers (what
+// libix does when a handler aborts from OnRecv) names a handle the abort
+// has already revoked. The window update is refused, but the buffers
+// must still go back to the pool.
+func TestRecvDoneBehindAbortFreesMbufs(t *testing.T) {
+	server := func(api *UserAPI, thread, threads int) UserProgram {
+		_ = api.Listen(80)
+		return &scriptProgram{run: func(api *UserAPI, events []Event, results []SyscallResult) {
+			for _, ev := range events {
+				switch ev.Type {
+				case EvKnock:
+					api.Accept(ev.Handle, 0)
+				case EvRecv:
+					api.Sendv(ev.Handle, [][]byte{[]byte("pong")})
+					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
+				}
+			}
+		}}
+	}
+	var refused int
+	client := func(api *UserAPI, thread, threads int) UserProgram {
+		api.Connect(0, wire.Addr4(10, 0, 0, 2), 80)
+		return &scriptProgram{run: func(api *UserAPI, events []Event, results []SyscallResult) {
+			for _, r := range results {
+				if r.Type == SysRecvDone && r.Err != nil {
+					refused++
+				}
+			}
+			for _, ev := range events {
+				switch ev.Type {
+				case EvConnected:
+					api.Sendv(ev.Handle, [][]byte{[]byte("ping")})
+				case EvRecv:
+					api.Abort(ev.Handle)
+					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
+				}
+			}
+		}}
+	}
+	eng, a, b := twoDataplanes(t, client, server)
+	a.Start()
+	b.Start()
+	eng.RunUntil(sim.Time(10 * time.Millisecond))
+	if refused != 1 {
+		t.Fatalf("%d recv_done calls refused, want the 1 behind the abort", refused)
+	}
+	if n := a.Thread(0).Pool().InUse(); n != 0 {
+		t.Fatalf("%d mbufs still in use after a recv_done behind an abort", n)
+	}
+}
+
 // TestMeanBatchBelowOnePacketPerCycle: MeanBatch is the mean number of
 // frames a run-to-completion cycle takes, fractions included. Here the
 // server's own timers wake it far more often than packets arrive, so it

@@ -385,16 +385,15 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 		m.Charge(c.ProtoTxByte.Cost(n))
 		m.Charge(c.CopyPerByte.Cost(n)) // zero-copy ablation only
 	case SysRecvDone:
-		if err := et.gate.RecvDone(sc.Handle, sc.Bytes); err != nil {
-			res.Err = err
-			return res
+		// recv_done advances the flow's receive window and frees its
+		// buffers. The buffers are freed even when the handle is refused:
+		// a recv_done batched behind an abort of its own flow names a
+		// handle the abort has already revoked, yet the mbufs it returns
+		// were delivered from this thread's pool all the same.
+		if res.Err = et.gate.RecvDone(sc.Handle, sc.Bytes); res.Err == nil {
+			obj, _ := et.gate.Lookup(sc.Handle) // RecvDone has just resolved it
+			obj.(*tcp.Conn).RecvDone(sc.Bytes)
 		}
-		obj, err := et.gate.Lookup(sc.Handle)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		obj.(*tcp.Conn).RecvDone(sc.Bytes)
 		for _, b := range sc.Bufs {
 			if b.Owner != et.pool.Owner {
 				res.Err = et.gate.Deny()

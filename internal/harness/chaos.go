@@ -53,6 +53,9 @@ type ChaosResult struct {
 	// FramesLeaked is the cluster frame-pool imbalance after heal+drain
 	// (must be zero: the frame-conservation invariant).
 	FramesLeaked int
+	// MbufsLeaked is the receive-mbuf imbalance at the same point (must
+	// be zero too: an mbuf held past its reader pins its frame).
+	MbufsLeaked int
 }
 
 // chaosMenu returns the impairment for one phase draw (clean with
@@ -221,6 +224,7 @@ func RunChaos(s ChaosSetup) ChaosResult {
 		}
 	}
 	res.FramesLeaked = cl.FramesInUse()
+	res.MbufsLeaked = cl.MbufsInUse()
 	return res
 }
 
@@ -258,7 +262,7 @@ func Chaos(sc Scale) *Result {
 			{"frames leaked", fmt.Sprint(res.FramesLeaked)},
 		},
 	})
-	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.FramesLeaked != 0 {
+	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
 		r.Notes = append(r.Notes, "INVARIANT VIOLATION — see table")
 	} else {
 		r.Notes = append(r.Notes,

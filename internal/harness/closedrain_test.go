@@ -101,6 +101,9 @@ func TestCloseDrainsQueuedBytes(t *testing.T) {
 			if n := cl.FramesInUse(); n != 0 {
 				t.Errorf("%d frames leaked after drain", n)
 			}
+			if n := cl.MbufsInUse(); n != 0 {
+				t.Errorf("%d mbufs leaked after drain", n)
+			}
 			if n := cl.TxChunksInUse(); n != 0 {
 				t.Errorf("%d TX arena chunks leaked after drain", n)
 			}
@@ -201,6 +204,9 @@ func TestSendReadyCompletesBlockedWrite(t *testing.T) {
 			t.Logf("%v: %d bytes in %d wakes", arch, total, st.wakes)
 			if n := cl.FramesInUse(); n != 0 {
 				t.Errorf("%d frames leaked after drain", n)
+			}
+			if n := cl.MbufsInUse(); n != 0 {
+				t.Errorf("%d mbufs leaked after drain", n)
 			}
 			if n := cl.TxChunksInUse(); n != 0 {
 				t.Errorf("%d TX arena chunks leaked after drain", n)

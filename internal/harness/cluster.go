@@ -72,6 +72,7 @@ type hostAdapter struct {
 	tenant int
 	frames func() int
 	chunks func() int
+	mbufs  func() int
 	// footprint samples the host's per-connection memory under the
 	// memprobe contract (read-only; never perturbs the simulation).
 	footprint func() memprobe.Footprint
@@ -213,6 +214,13 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 				}
 				return n
 			},
+			mbufs: func() int {
+				n := 0
+				for i := 0; i < dp.Threads(); i++ {
+					n += dp.Thread(i).Pool().InUse()
+				}
+				return n
+			},
 			footprint: dp.Footprint}
 	case ArchLinux:
 		lh := linuxstack.New(c.Eng, linuxstack.Config{
@@ -232,6 +240,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		h = &hostAdapter{nic: lh.NIC(), arp: lh.ARP(), ip: ip, mac: mac, start: lh.Start,
 			frames:    func() int { return lh.Stack().FramePool().InUse() },
 			chunks:    func() int { return 0 },
+			mbufs:     lh.MbufsInUse,
 			footprint: lh.Footprint}
 	case ArchMTCP:
 		mh := mtcpstack.New(c.Eng, mtcpstack.Config{
@@ -259,6 +268,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 				return n
 			},
 			chunks:    func() int { return 0 },
+			mbufs:     mh.MbufsInUse,
 			footprint: mh.Footprint}
 	default:
 		panic(fmt.Sprintf("harness: unknown arch %d", spec.Arch))
@@ -361,6 +371,17 @@ func (c *Cluster) FramesInUse() int {
 	n := 0
 	for _, h := range c.hosts {
 		n += h.(*hostAdapter).frames()
+	}
+	return n
+}
+
+// MbufsInUse sums receive mbufs still referenced across every host's
+// pools. Once traffic has quiesced it must return to zero: an mbuf held
+// past its last reader also holds the frame it adopted.
+func (c *Cluster) MbufsInUse() int {
+	n := 0
+	for _, h := range c.hosts {
+		n += h.(*hostAdapter).mbufs()
 	}
 	return n
 }

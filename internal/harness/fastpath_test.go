@@ -133,6 +133,9 @@ func TestPacedTeardownConservation(t *testing.T) {
 	if n := b.cl.FramesInUse(); n != 0 {
 		t.Errorf("%d pooled frames leaked across mass teardown", n)
 	}
+	if n := b.cl.MbufsInUse(); n != 0 {
+		t.Errorf("%d mbufs leaked across mass teardown", n)
+	}
 	if n := b.cl.TxChunksInUse(); n != 0 {
 		t.Errorf("%d TX arena chunks leaked across mass teardown", n)
 	}
@@ -218,6 +221,9 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 			b.cl.Run(5 * time.Millisecond)
 			if n := b.cl.FramesInUse(); n != 0 {
 				t.Errorf("%d pooled frames leaked at 1M connections", n)
+			}
+			if n := b.cl.MbufsInUse(); n != 0 {
+				t.Errorf("%d mbufs leaked at 1M connections", n)
 			}
 			if n := b.cl.TxChunksInUse(); n != 0 {
 				t.Errorf("%d TX arena chunks leaked at 1M connections", n)

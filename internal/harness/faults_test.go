@@ -43,8 +43,8 @@ func TestClaimIncastRTOFloor(t *testing.T) {
 		if r.res.Retransmits == 0 {
 			t.Fatalf("%s: no retransmissions despite drops", r.name)
 		}
-		if r.res.FramesLeaked != 0 {
-			t.Fatalf("%s: %d frames leaked", r.name, r.res.FramesLeaked)
+		if r.res.FramesLeaked != 0 || r.res.MbufsLeaked != 0 {
+			t.Fatalf("%s: %d frames and %d mbufs leaked", r.name, r.res.FramesLeaked, r.res.MbufsLeaked)
 		}
 	}
 	if fast.GoodputBps < 1.3*slow.GoodputBps {
@@ -102,8 +102,8 @@ func TestClaimChaosInvariants(t *testing.T) {
 	if res.SumMismatches != 0 {
 		t.Fatalf("%d whole-transfer checksum mismatches", res.SumMismatches)
 	}
-	if res.FramesLeaked != 0 {
-		t.Fatalf("%d frames leaked across drops/duplicates/delays", res.FramesLeaked)
+	if res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
+		t.Fatalf("%d frames and %d mbufs leaked across drops/duplicates/delays", res.FramesLeaked, res.MbufsLeaked)
 	}
 	for i, rate := range res.PhaseRates {
 		if rate <= 0 {
@@ -211,6 +211,9 @@ func TestClaimStreamIntegrityUnderBurstLoss(t *testing.T) {
 			if leaked := cl.FramesInUse(); leaked != 0 {
 				t.Fatalf("%d frames leaked", leaked)
 			}
+			if leaked := cl.MbufsInUse(); leaked != 0 {
+				t.Fatalf("%d mbufs leaked", leaked)
+			}
 		})
 	}
 }
@@ -260,5 +263,8 @@ func TestPartitionHealsCleanly(t *testing.T) {
 	}
 	if leaked := cl.FramesInUse(); leaked != 0 {
 		t.Fatalf("%d frames leaked", leaked)
+	}
+	if leaked := cl.MbufsInUse(); leaked != 0 {
+		t.Fatalf("%d mbufs leaked", leaked)
 	}
 }

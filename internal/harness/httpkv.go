@@ -39,6 +39,7 @@ type HTTPKVResult struct {
 	// Leaked frame/chunk imbalance after the run winds down.
 	FramesLeaked   int
 	TxChunksLeaked int
+	MbufsLeaked    int
 }
 
 const (
@@ -117,6 +118,7 @@ func RunHTTPKV(s HTTPKVSetup) HTTPKVResult {
 	res.VerifyErrors = m.VerifyErrors.Total()
 	res.FramesLeaked = cl.FramesInUse()
 	res.TxChunksLeaked = cl.TxChunksInUse()
+	res.MbufsLeaked = cl.MbufsInUse()
 	return res
 }
 

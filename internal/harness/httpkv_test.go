@@ -41,9 +41,9 @@ func TestClaimHTTPKVAllStacks(t *testing.T) {
 		if res.KVHits == 0 {
 			t.Errorf("%v: KV store recorded no hits", arch)
 		}
-		if res.FramesLeaked != 0 || res.TxChunksLeaked != 0 {
-			t.Errorf("%v: leaked frames=%d txchunks=%d at drain", arch,
-				res.FramesLeaked, res.TxChunksLeaked)
+		if res.FramesLeaked != 0 || res.TxChunksLeaked != 0 || res.MbufsLeaked != 0 {
+			t.Errorf("%v: leaked frames=%d txchunks=%d mbufs=%d at drain", arch,
+				res.FramesLeaked, res.TxChunksLeaked, res.MbufsLeaked)
 		}
 		ops[arch] = res.HTTPPerSec + res.KVPerSec
 	}

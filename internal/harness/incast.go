@@ -53,6 +53,8 @@ type IncastResult struct {
 	// FramesLeaked is the cluster frame-pool imbalance after drain
 	// (must be 0: drops and retransmissions must conserve frames).
 	FramesLeaked int
+	// MbufsLeaked is the receive-mbuf imbalance at the same point.
+	MbufsLeaked int
 }
 
 // RunIncast executes one synchronized incast configuration.
@@ -117,6 +119,7 @@ func RunIncast(s IncastSetup) IncastResult {
 		EgressDrops:    cl.EgressDrops(sink),
 		SinkBytes:      m.SinkBytes.Total(),
 		FramesLeaked:   cl.FramesInUse(),
+		MbufsLeaked:    cl.MbufsInUse(),
 	}
 	for _, lh := range cl.linuxes {
 		res.Retransmits += lh.Stack().TCP().Retransmits
@@ -174,10 +177,10 @@ func Incast(sc Scale) *Result {
 				Seed:       31,
 			})
 			r.AddPoint(fmt.Sprintf("MinRTO=%v", rto), float64(n), res.GoodputBps/1e9)
-			if res.FramesLeaked != 0 {
+			if res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
 				r.Notes = append(r.Notes, fmt.Sprintf(
-					"INVARIANT VIOLATION: %d frames leaked at MinRTO=%v N=%d",
-					res.FramesLeaked, rto, n))
+					"INVARIANT VIOLATION: %d frames and %d mbufs leaked at MinRTO=%v N=%d",
+					res.FramesLeaked, res.MbufsLeaked, rto, n))
 			}
 		}
 	}

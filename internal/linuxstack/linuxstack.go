@@ -196,6 +196,16 @@ func (h *Host) Cores() int { return len(h.cores) }
 // ConnCount returns live connections.
 func (h *Host) ConnCount() int { return h.ns.TCP().ConnCount() }
 
+// MbufsInUse sums the receive mbufs still referenced across every core's
+// pool: zero once traffic has quiesced.
+func (h *Host) MbufsInUse() int {
+	n := 0
+	for _, k := range h.cores {
+		n += k.pool.InUse()
+	}
+	return n
+}
+
 // CPUBreakdown reports kernel vs user busy time since ResetStats.
 func (h *Host) CPUBreakdown() (kernel, user time.Duration) {
 	for _, k := range h.cores {

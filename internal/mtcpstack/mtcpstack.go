@@ -131,6 +131,16 @@ func (h *Host) Cores() int { return len(h.cores) }
 // Stack returns core i's network stack (started hosts only).
 func (h *Host) Stack(i int) *netstack.Stack { return h.cores[i].ns }
 
+// MbufsInUse sums the receive mbufs still referenced across every core's
+// pool: zero once traffic has quiesced.
+func (h *Host) MbufsInUse() int {
+	n := 0
+	for _, m := range h.cores {
+		n += m.pool.InUse()
+	}
+	return n
+}
+
 // ConnCount sums live connections.
 func (h *Host) ConnCount() int {
 	n := 0
