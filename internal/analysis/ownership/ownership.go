@@ -3,7 +3,10 @@
 // injection): a pooled value acquired in a function must, on every path
 // out of that function, be Released, Detached, or handed off (passed to
 // a callee, stored, or returned); a released value must never be used
-// again; Release must not run twice.
+// again; Release must not run twice. Handing a frame to an mbuf with
+// mem.Mbuf.Adopt is the one handoff the analyzer follows further: the
+// mbuf releases the frame at its last Unref, so a Release after the
+// Adopt is a double release.
 //
 // The analysis is intra-procedural and flow-sensitive over the AST:
 // if/else and switch branches fork the tracking state and merge
@@ -30,8 +33,9 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `tracks pooled fabric.Frame/mem.TxChunk values: use-after-Release, double Release, and early returns that leak an acquired value.
 Acquisition sites are FramePool.Get and TxChunkPool.Alloc; obligations
 are cleared by Release, Detach, a deferred Release, a handoff (call
-argument, store, return) — or an //ixvet:ignore(ownership) with a
-documented reason.`,
+argument, store, return, mbuf Adopt) — or an //ixvet:ignore(ownership)
+with a documented reason. Releasing a frame after an mbuf adopted it is
+a double release.`,
 	Run: run,
 }
 
@@ -54,6 +58,7 @@ const (
 	stDeferred              // defer x.Release() pending; obligations met
 	stDetached              // Detach ran; obligations met, uses fine
 	stEscaped               // handed off; obligations transferred
+	stAdopted               // adopted by an mbuf, which releases it; uses fine
 	stMuted                 // divergent merge or already reported
 )
 
@@ -74,20 +79,25 @@ func (e env) clone() env {
 }
 
 func isTrackedPtr(t types.Type) bool {
+	return trackedTypes[ptrName(t)]
+}
+
+// ptrName returns (package path tail, type name) of a pointer to a named
+// type, and two empty strings for anything else.
+func ptrName(t types.Type) [2]string {
 	p, ok := t.(*types.Pointer)
 	if !ok {
-		return false
+		return [2]string{}
 	}
 	n, ok := p.Elem().(*types.Named)
 	if !ok || n.Obj().Pkg() == nil {
-		return false
+		return [2]string{}
 	}
-	path := n.Obj().Pkg().Path()
-	tail := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		tail = path[i+1:]
+	tail := n.Obj().Pkg().Path()
+	if i := strings.LastIndexByte(tail, '/'); i >= 0 {
+		tail = tail[i+1:]
 	}
-	return trackedTypes[[2]string{tail, n.Obj().Name()}]
+	return [2]string{tail, n.Obj().Name()}
 }
 
 func run(pass *analysis.Pass) error {
@@ -363,6 +373,14 @@ func (w *walker) exprStmtCall(e ast.Expr, ev env) {
 		w.scan(e, ev, false)
 		return
 	}
+	if v := w.adopted(call); v != nil {
+		w.scan(call.Fun, ev, false)
+		w.use(call.Args[0].Pos(), ev, v)
+		if t := ev[v]; t == nil || t.st != stMuted {
+			ev[v] = &track{st: stAdopted, acqPos: call.Args[0].Pos()}
+		}
+		return
+	}
 	if v, m := w.receiverMethod(call, ev); v != nil {
 		t := ev[v]
 		switch m {
@@ -373,6 +391,9 @@ func (w *walker) exprStmtCall(e ast.Expr, ev env) {
 				t.st = stMuted
 			case stDeferred:
 				w.pass.Reportf(call.Pos(), "%s.Release() runs again when the deferred Release fires: double release", v.Name())
+				t.st = stMuted
+			case stAdopted:
+				w.pass.Reportf(call.Pos(), "Release of %s after an mbuf adopted it: the mbuf's last Unref releases it again (double release)", v.Name())
 				t.st = stMuted
 			case stMuted, stDetached:
 				// no report: divergent history or detached no-op
@@ -393,6 +414,19 @@ func (w *walker) exprStmtCall(e ast.Expr, ev env) {
 		return
 	}
 	w.scan(call, ev, false)
+}
+
+// adopted matches `m.Adopt(x)` on a mem.Mbuf receiver, where x is a
+// tracked variable, returning x.
+func (w *walker) adopted(call *ast.CallExpr) *types.Var {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Adopt" || len(call.Args) != 1 {
+		return nil
+	}
+	if ptrName(w.pass.TypesInfo.TypeOf(sel.X)) != [2]string{"mem", "Mbuf"} {
+		return nil
+	}
+	return w.varOf(call.Args[0])
 }
 
 // receiverMethod matches `x.M(...)` where x is a tracked variable,

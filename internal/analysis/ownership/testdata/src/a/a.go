@@ -38,6 +38,23 @@ func deferThenRelease(f *fabric.Frame) {
 	f.Release() // want `runs again when the deferred Release fires`
 }
 
+// --- red: Release after an mbuf adopted the frame ---
+
+func releaseAfterAdopt(p *mem.MbufPool, frames []*fabric.Frame) {
+	for _, f := range frames {
+		m := p.Alloc()
+		m.Adopt(f)
+		f.Release() // want `Release of f after an mbuf adopted it`
+		m.Unref()
+	}
+}
+
+func releaseAcquiredAfterAdopt(h *host, m *mem.Mbuf) {
+	f := h.pool.Get(64)
+	m.Adopt(f)
+	f.Release() // want `Release of f after an mbuf adopted it`
+}
+
 // --- red: error-path leak (the PR 3/PR 4 class) ---
 
 func errPathLeak(h *host, n int, bad bool) {
@@ -109,6 +126,24 @@ func releasedBothBranches(h *host, n int, bad bool) {
 		h.port.Send(f)
 	}
 	// merged state is divergent: no further obligations, no reports
+}
+
+func adoptHandsOff(h *host, m *mem.Mbuf) int {
+	f := h.pool.Get(64)
+	m.Adopt(f) // the mbuf releases it at its last Unref
+	return len(f.Data)
+}
+
+func adoptOrDrop(p *mem.MbufPool, frames []*fabric.Frame) {
+	for _, f := range frames {
+		m := p.Alloc()
+		if m == nil {
+			f.Release() // pool exhausted: the frame is dropped here
+			continue
+		}
+		m.Adopt(f)
+		m.Unref()
+	}
 }
 
 func consumerReleases(h *host, fs []*fabric.Frame) {

@@ -2,6 +2,20 @@
 // ix/internal/mem TxChunk surface.
 package mem
 
+import "fabric"
+
+// Mbuf mirrors the receive buffer that adopts a frame.
+type Mbuf struct {
+	f *fabric.Frame
+}
+
+func (m *Mbuf) Adopt(f *fabric.Frame) { m.f = f }
+func (m *Mbuf) Unref()                {}
+
+type MbufPool struct{}
+
+func (p *MbufPool) Alloc() *Mbuf { return &Mbuf{} }
+
 type TxChunk struct {
 	used int
 }

@@ -199,9 +199,10 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 		m.Charge(c.DescriptorPost)
 	}
 
-	// (2) Protocol processing, generating event conditions. Each frame's
-	// bytes are copied into a posted mbuf (the simulated DMA write) and
-	// the wire buffer returns to its sender's pool. Handshake frames
+	// (2) Protocol processing, generating event conditions. Each frame
+	// becomes a posted mbuf's data (the simulated DMA write is charged,
+	// not performed) and returns to its sender's pool when the mbuf's
+	// last reference drops. Handshake frames
 	// charge the miss floor, not the population-scaled DDIO curve
 	// (batched SYN admission: accept-path state stays LLC-resident
 	// across an establishment burst).
@@ -214,7 +215,7 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 			f.Release()
 			continue
 		}
-		buf.SetData(f.Data)
+		buf.Adopt(f)
 		et.RxPackets++
 		m.Charge(c.ProtoRx)
 		m.Charge(c.ProtoRxByte.Cost(len(f.Data)))
@@ -224,7 +225,6 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 		} else {
 			m.Charge(missNs)
 		}
-		f.Release()
 		et.ns.Input(buf)
 		buf.Unref()
 	}

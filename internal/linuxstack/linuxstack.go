@@ -428,7 +428,7 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 			f.Release()
 			continue
 		}
-		buf.SetData(f.Data)
+		buf.Adopt(f)
 		// Handshake frames charge the miss floor, not the population-
 		// scaled DDIO curve: the accept path's lines (listener, SYN
 		// backlog, fresh PCB) stay LLC-resident across an establishment
@@ -438,7 +438,6 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 		if nicsim.IsTCPSYN(f.Data) {
 			d = c.SoftIRQPerPkt + h.missFloor
 		}
-		f.Release()
 		m.Charge(d)
 		k.kernelNs += int64(d)
 		h.ns.Input(buf)

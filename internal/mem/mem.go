@@ -2,8 +2,9 @@
 // paper): memory is handed to a dataplane in 2 MB large pages, all hot-path
 // objects come from per-hardware-thread pools of identically sized objects
 // provisioned in page-sized blocks with simple free lists, and mbufs — the
-// storage object for network packets — are contiguous chunks of
-// bookkeeping data plus an MTU-sized buffer used for both RX and TX.
+// storage object for network packets — pair bookkeeping data with an
+// MTU-sized buffer. On the RX path that buffer is the received frame
+// itself, which the mbuf adopts instead of copying.
 //
 // The pools deliberately accept internal fragmentation for simplicity, and
 // allocation never synchronizes: every elastic thread owns its pools.
@@ -11,6 +12,8 @@ package mem
 
 import (
 	"fmt"
+
+	"ix/internal/fabric"
 )
 
 // PageSize is the large-page granularity at which the control plane grants
@@ -50,25 +53,33 @@ func (r *Region) Cap() int { return r.limitPages }
 // Grow adds pages to the region (control plane granting more memory).
 func (r *Region) Grow(pages int) { r.limitPages += pages }
 
-// MbufHeadroom is reserved at the front of each mbuf so the stack can
-// prepend ethernet/IP/TCP headers without copying the payload.
+// MbufHeadroom is reserved at the front of an mbuf's own storage so the
+// stack can prepend ethernet/IP/TCP headers without copying the payload.
 const MbufHeadroom = 64
 
-// MbufSize is the payload capacity of one mbuf: one MTU plus headroom,
-// so a full-sized frame fits in a single buffer.
+// MbufSize is the capacity of an mbuf's own storage: one MTU plus
+// headroom, so a full-sized frame fits in a single buffer. It is also
+// the unit of the pool's page accounting.
 const MbufSize = 1536 + MbufHeadroom
 
-// An Mbuf is a fixed-size packet buffer with reference-counted, zero-copy
+// An Mbuf is a packet buffer with reference-counted, zero-copy
 // semantics: incoming packets are mapped read-only into the application,
 // which may hold them and release them later via recv_done; outgoing
 // scatter-gather entries reference mbuf bytes that must stay immutable
 // until acked.
+//
+// A receive mbuf adopts the frame the NIC model took off the wire rather
+// than copying it: the simulated DMA write is a charge in the cost model,
+// not a reason to move host bytes. The frame goes back to its sender's
+// pool when the mbuf's last reference drops.
 type Mbuf struct {
-	buf  [MbufSize]byte
-	off  int // start of valid data
-	len  int // length of valid data
-	refs int
-	pool *MbufPool
+	data  []byte        // backing: the adopted frame's bytes, or own
+	frame *fabric.Frame // the adopted frame, released at the last Unref
+	own   []byte        // storage of the mbuf's own, made on first use
+	off   int           // start of valid data
+	len   int           // length of valid data
+	refs  int
+	pool  *MbufPool
 
 	// ReadOnly marks the buffer as mapped read-only into user space.
 	ReadOnly bool
@@ -81,25 +92,45 @@ type Mbuf struct {
 // Reset prepares a freshly allocated mbuf: data begins at the headroom
 // offset with zero length.
 func (m *Mbuf) Reset() {
+	m.data = m.own
 	m.off = MbufHeadroom
 	m.len = 0
 	m.ReadOnly = false
 }
 
 // Bytes returns the valid data in the mbuf.
-func (m *Mbuf) Bytes() []byte { return m.buf[m.off : m.off+m.len] }
+func (m *Mbuf) Bytes() []byte { return m.data[m.off : m.off+m.len] }
 
-// SetData copies b into the buffer body (after headroom) and sets the
-// length. It panics if b exceeds the buffer capacity.
+// Adopt makes the received frame f the mbuf's data, without copying.
+// The mbuf takes over the obligation to release f: its last Unref
+// returns the frame to its sender's pool.
 //
 //ix:hotpath
+func (m *Mbuf) Adopt(f *fabric.Frame) {
+	m.frame = f
+	m.data = f.Data[:cap(f.Data)]
+	m.off = 0
+	m.len = len(f.Data)
+}
+
+// store returns the mbuf's own storage, making it on first use.
+func (m *Mbuf) store() []byte {
+	if m.own == nil {
+		m.own = make([]byte, MbufSize)
+	}
+	return m.own
+}
+
+// SetData copies b into the mbuf's own storage (after headroom) and
+// sets the length: the entry point for bytes that did not arrive as a
+// frame. It panics if b exceeds the storage capacity.
 func (m *Mbuf) SetData(b []byte) {
 	if len(b) > MbufSize-MbufHeadroom {
-		//ixvet:ignore(hotpath) panic path: an oversized frame is a stack bug, never steady state
 		panic(fmt.Sprintf("mem: frame of %d bytes exceeds mbuf capacity", len(b)))
 	}
+	m.data = m.store()
 	m.off = MbufHeadroom
-	m.len = copy(m.buf[m.off:], b)
+	m.len = copy(m.data[m.off:], b)
 }
 
 // Append extends the valid data with b and returns the number of bytes
@@ -107,21 +138,25 @@ func (m *Mbuf) SetData(b []byte) {
 //
 //ix:hotpath
 func (m *Mbuf) Append(b []byte) int {
-	n := copy(m.buf[m.off+m.len:], b)
+	if m.data == nil {
+		m.data = m.store()
+	}
+	n := copy(m.data[m.off+m.len:], b)
 	m.len += n
 	return n
 }
 
 // Prepend grows the valid data forward into the headroom by n bytes and
 // returns the slice covering the new front. It panics if headroom is
-// insufficient — a stack bug, not a runtime condition.
+// insufficient — a stack bug, not a runtime condition. An adopted frame
+// has no headroom.
 func (m *Mbuf) Prepend(n int) []byte {
 	if n > m.off {
 		panic("mem: insufficient mbuf headroom")
 	}
 	m.off -= n
 	m.len += n
-	return m.buf[m.off : m.off+n]
+	return m.data[m.off : m.off+n]
 }
 
 // Trim shortens the valid data to length n.
@@ -140,9 +175,10 @@ func (m *Mbuf) Refs() int { return m.refs }
 // Ref takes an additional reference on the buffer.
 func (m *Mbuf) Ref() { m.refs++ }
 
-// Unref drops a reference, returning the buffer to its pool when the
-// count reaches zero. Unref of an already-free buffer panics: it is the
-// moral equivalent of a double free.
+// Unref drops a reference, returning the buffer to its pool — and an
+// adopted frame to its sender's pool — when the count reaches zero.
+// Unref of an already-free buffer panics: it is the moral equivalent of
+// a double free.
 //
 //ix:hotpath
 func (m *Mbuf) Unref() {
@@ -151,6 +187,11 @@ func (m *Mbuf) Unref() {
 	}
 	m.refs--
 	if m.refs == 0 {
+		if f := m.frame; f != nil {
+			m.frame = nil
+			m.data = nil
+			f.Release()
+		}
 		m.pool.put(m)
 	}
 }

@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"ix/internal/fabric"
 )
 
 func TestRegionAccounting(t *testing.T) {
@@ -43,6 +45,36 @@ func TestMbufLifecycle(t *testing.T) {
 	m.Unref()
 	if p.InUse() != 0 {
 		t.Fatalf("inuse = %d, want 0", p.InUse())
+	}
+}
+
+// TestMbufAdoptHoldsFrame: an adopted frame is the mbuf's data, not a
+// copy of it, and goes back to its sender's pool exactly when the last
+// reference to the mbuf drops.
+func TestMbufAdoptHoldsFrame(t *testing.T) {
+	p := NewMbufPool(NewRegion(1), 0)
+	frames := fabric.NewFramePool()
+	f := frames.Get(5)
+	copy(f.Data, "hello")
+	m := p.Alloc()
+	m.Adopt(f)
+	if string(m.Bytes()) != "hello" || &m.Bytes()[0] != &f.Data[0] {
+		t.Fatalf("data = %q, want the frame's own bytes", m.Bytes())
+	}
+	m.Ref() // a second holder, like a reassembly queue
+	m.Unref()
+	if frames.InUse() != 1 {
+		t.Fatalf("frame released while the mbuf is still referenced (in use %d)", frames.InUse())
+	}
+	m.Unref()
+	if frames.InUse() != 0 || p.InUse() != 0 {
+		t.Fatalf("after the last Unref: frames in use %d, mbufs in use %d", frames.InUse(), p.InUse())
+	}
+	// The recycled mbuf no longer refers to the frame.
+	m = p.Alloc()
+	m.SetData([]byte("own"))
+	if string(m.Bytes()) != "own" || string(f.Data[:5]) != "hello" {
+		t.Fatalf("recycled mbuf wrote through to the released frame: %q / %q", m.Bytes(), f.Data[:5])
 	}
 }
 

@@ -280,7 +280,7 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 			f.Release()
 			continue
 		}
-		buf.SetData(f.Data)
+		buf.Adopt(f)
 		// Handshake frames charge the miss floor (batched SYN
 		// admission); see the linuxstack napiPoll note.
 		if nicsim.IsTCPSYN(f.Data) {
@@ -288,7 +288,6 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 		} else {
 			meter.Charge(c.ProtoRx + miss)
 		}
-		f.Release()
 		m.ns.Input(buf)
 		buf.Unref()
 	}
