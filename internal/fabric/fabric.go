@@ -41,10 +41,22 @@ const FrameCap = 1600
 // Frames allocated from a FramePool are recycled: whoever consumes the
 // frame (receiving stack, dropping queue, flooding switch) must call
 // Release exactly once.
+//
+// The sealed-frame rule: a TCP frame leaves its sender Intact, with the
+// checksum offloaded. Anything that writes or copies an intact frame's
+// bytes in flight calls MaterializeChecksum first, so the bytes it
+// changes or hands on carry the sum the sender's NIC would have put on
+// the wire.
 type Frame struct {
 	Data []byte
 	// SentAt is when the sender posted the frame (for diagnostics).
 	SentAt sim.Time
+
+	// Intact marks a TCP frame whose checksum is pending: the sender left
+	// the checksum field zero and offloaded the sum, and no one has
+	// written the frame's bytes since. Verifying an intact frame cannot
+	// fail, so a receiver may skip it. Get clears the mark.
+	Intact bool
 
 	buf  []byte // full-capacity backing storage of pooled frames
 	pool *FramePool
@@ -64,6 +76,22 @@ type Frame struct {
 // Tenant returns the frame's isolation-accounting tag (0 = untagged
 // infrastructure traffic).
 func (f *Frame) Tenant() int { return f.tenant }
+
+// MaterializeChecksum writes an intact frame's pending TCP checksum into
+// its header, computed from the frame's own IPv4 header. The frame stays
+// intact: its bytes are still the sender's, now with the sum in place.
+// A frame that is not intact already carries its sum.
+func (f *Frame) MaterializeChecksum() {
+	if !f.Intact {
+		return
+	}
+	ip := f.Data[wire.EthHdrLen:]
+	var h wire.IPv4Header
+	if h.Unmarshal(ip) != nil {
+		return // not a header a stack built: nothing was offloaded
+	}
+	wire.SetTCPChecksum(h.Src, h.Dst, ip[wire.IPv4HdrLen:h.TotalLen])
+}
 
 // NewFrame wraps data in an unpooled frame (tests, broadcast replication).
 // Release on an unpooled frame is a no-op.
@@ -154,6 +182,7 @@ func (p *FramePool) Get(n int) *Frame {
 		p.free[ln-1] = nil
 		p.free = p.free[:ln-1]
 		f.free = false
+		f.Intact = false
 		f.Data = f.buf[:n]
 		f.tenant = p.tenant
 		return f

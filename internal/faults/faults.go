@@ -26,6 +26,11 @@
 //   - corruption mutates bytes in place on a frame the injector is
 //     about to deliver and still owns; pooled buffers are rewritten in
 //     full by the next sender, so no corruption outlives the frame.
+//
+// Both writers obey the sealed-frame rule (fabric.Frame): an intact
+// frame's offloaded checksum is materialized before its bytes are copied
+// or flipped. A corrupted frame is no longer intact, and a duplicate is a
+// plain frame, so the receiver verifies both.
 package faults
 
 import (
@@ -210,6 +215,7 @@ func (in *Injector) impair(f *fabric.Frame) {
 		// The duplicate is an unpooled copy so the original's pooled
 		// buffer is never aliased; it trails the original by nothing
 		// (same instant, later sequence number).
+		f.MaterializeChecksum()
 		dup := fabric.NewFrame(append([]byte(nil), f.Data...))
 		dup.SentAt = f.SentAt
 		in.stats.Duplicated++
@@ -243,8 +249,10 @@ func (in *Injector) corrupt(f *fabric.Frame) bool {
 	if len(d) <= hdr+1 || uint16(d[12])<<8|uint16(d[13]) != wire.EtherTypeIPv4 {
 		return false
 	}
+	f.MaterializeChecksum()
 	i := hdr + in.rng.Intn(len(d)-hdr)
 	d[i] ^= 1 << uint(in.rng.Intn(8))
+	f.Intact = false
 	return true
 }
 

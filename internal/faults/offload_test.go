@@ -1,0 +1,158 @@
+package faults
+
+import (
+	"testing"
+
+	"ix/internal/fabric"
+	"ix/internal/mem"
+	"ix/internal/netstack"
+	"ix/internal/sim"
+	"ix/internal/tcp"
+	"ix/internal/timerwheel"
+	"ix/internal/wire"
+)
+
+// recvLog records the payload a stack delivers.
+type recvLog struct{ got []byte }
+
+func (r *recvLog) Knock(*tcp.Listener, wire.FlowKey) bool { return true }
+func (r *recvLog) Accepted(*tcp.Conn)                     {}
+func (r *recvLog) Connected(*tcp.Conn, bool)              {}
+func (r *recvLog) Recv(_ *tcp.Conn, _ *mem.Mbuf, data []byte) {
+	r.got = append(r.got, data...)
+}
+func (r *recvLog) Sent(*tcp.Conn, int, int)   {}
+func (r *recvLog) RemoteClosed(*tcp.Conn)     {}
+func (r *recvLog) Dead(*tcp.Conn, tcp.Reason) {}
+
+// stackEnd feeds delivered frames into a stack the way every receive
+// loop does: an mbuf adopts the frame.
+type stackEnd struct {
+	s    *netstack.Stack
+	pool *mem.MbufPool
+	log  *recvLog
+	out  []*fabric.Frame // frames the stack sent, not yet on the wire
+}
+
+func (e *stackEnd) Deliver(f *fabric.Frame) {
+	buf := e.pool.Alloc()
+	buf.Adopt(f)
+	e.s.Input(buf)
+	buf.Unref()
+}
+
+// offloadPair is two stacks on one engine. Frames from a to b cross an
+// injector; frames from b to a cross a clean wire.
+type offloadPair struct {
+	eng  *sim.Engine
+	a, b *stackEnd
+	in   *Injector
+}
+
+func newOffloadPair(t *testing.T) *offloadPair {
+	t.Helper()
+	p := &offloadPair{eng: sim.NewEngine(1)}
+	arp := netstack.NewARPTable()
+	mk := func(ip wire.IPv4, mac wire.MAC) *stackEnd {
+		e := &stackEnd{pool: mem.NewMbufPool(mem.NewRegion(1), 0), log: &recvLog{}}
+		arp.Learn(ip, mac)
+		e.s = netstack.New(netstack.Config{
+			LocalIP: ip, LocalMAC: mac,
+			Now:       func() int64 { return int64(p.eng.Now()) },
+			Wheel:     timerwheel.New(timerwheel.DefaultTick, 0),
+			SendFrame: func(f *fabric.Frame) { e.out = append(e.out, f) },
+			Events:    e.log,
+			ARP:       arp,
+		})
+		return e
+	}
+	p.a = mk(wire.Addr4(10, 0, 0, 1), wire.MAC{2, 0, 0, 0, 0, 1})
+	p.b = mk(wire.Addr4(10, 0, 0, 2), wire.MAC{2, 0, 0, 0, 0, 2})
+	p.in = Wrap(p.eng, p.b, 5)
+	if _, err := p.b.s.TCP().Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// pump moves frames until both stacks are quiet.
+func (p *offloadPair) pump() {
+	for i := 0; i < 100; i++ {
+		ab, ba := p.a.out, p.b.out
+		p.a.out, p.b.out = nil, nil
+		for _, f := range ab {
+			p.in.Deliver(f)
+		}
+		for _, f := range ba {
+			p.a.Deliver(f)
+		}
+		p.eng.Run() // held frames: duplicates and delays
+		p.a.s.Flush()
+		p.b.s.Flush()
+		if len(p.a.out) == 0 && len(p.b.out) == 0 {
+			return
+		}
+	}
+}
+
+// connect opens a clean connection from a to b.
+func (p *offloadPair) connect(t *testing.T) *tcp.Conn {
+	t.Helper()
+	c, err := p.a.s.TCP().Connect(wire.Addr4(10, 0, 0, 2), 80, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.pump()
+	if c.State() != tcp.StateEstablished {
+		t.Fatalf("connection is %v, want established", c.State())
+	}
+	return c
+}
+
+// TestCorruptedIntactFrameCaught: a TCP frame leaves its sender intact,
+// with the checksum offloaded. Corruption in flight must clear the mark
+// so the receiver verifies the frame, drops it and counts it.
+func TestCorruptedIntactFrameCaught(t *testing.T) {
+	p := newOffloadPair(t)
+	c := p.connect(t)
+	p.in.Apply(Config{CorruptP: 1})
+	c.Send([]byte("hello"))
+	if f := p.a.out[0]; !f.Intact {
+		t.Fatal("a TCP data frame left its sender without the intact mark")
+	}
+	p.pump()
+	tc := p.b.s.TCP()
+	if p.in.Stats().Corrupted != 1 || tc.BadChecksums != 1 {
+		t.Fatalf("corrupted %d frames, receiver counted %d bad checksums; want 1 and 1",
+			p.in.Stats().Corrupted, tc.BadChecksums)
+	}
+	if len(p.b.log.got) != 0 {
+		t.Fatalf("corrupted payload %q reached the application", p.b.log.got)
+	}
+}
+
+// TestDuplicateOfIntactFrameDeliveredOnce: the duplicate is a copy of
+// the frame's bytes, so the injector must write the offloaded sum before
+// copying. The copy then passes verification and TCP discards it as old
+// data: the payload arrives exactly once and no checksum fails.
+func TestDuplicateOfIntactFrameDeliveredOnce(t *testing.T) {
+	p := newOffloadPair(t)
+	c := p.connect(t)
+	tc := p.b.s.TCP()
+	segsBefore := tc.SegsIn
+	p.in.Apply(Config{DupP: 1})
+	c.Send([]byte("hello"))
+	p.pump()
+	if p.in.Stats().Duplicated != 1 {
+		t.Fatalf("duplicated %d frames, want 1", p.in.Stats().Duplicated)
+	}
+	if tc.BadChecksums != 0 {
+		t.Fatalf("%d duplicates failed the checksum: the offloaded sum was not written before the copy", tc.BadChecksums)
+	}
+	if got := tc.SegsIn - segsBefore; got != 2 {
+		t.Fatalf("receiver took %d data segments, want the original and its duplicate", got)
+	}
+	if string(p.b.log.got) != "hello" {
+		t.Fatalf("application received %q, want %q exactly once", p.b.log.got, "hello")
+	}
+}

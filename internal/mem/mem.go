@@ -113,6 +113,11 @@ func (m *Mbuf) Adopt(f *fabric.Frame) {
 	m.len = len(f.Data)
 }
 
+// Intact reports whether the mbuf holds an adopted frame that is still
+// intact (fabric.Frame.Intact): its bytes are the sender's, with the
+// checksum offloaded, so verifying them cannot fail.
+func (m *Mbuf) Intact() bool { return m.frame != nil && m.frame.Intact }
+
 // store returns the mbuf's own storage, making it on first use.
 func (m *Mbuf) store() []byte {
 	if m.own == nil {

@@ -245,7 +245,10 @@ func (s *Stack) SendUDP(dst wire.IPv4, srcPort, dstPort uint16, payload []byte) 
 }
 
 // outputTCP assembles a TCP segment into a frame (the simulated DMA
-// gather of the zero-copy scatter/gather transmit path).
+// gather of the zero-copy scatter/gather transmit path). The checksum is
+// offloaded, as to a NIC: the frame leaves intact with its sum pending
+// (see fabric.Frame.Intact), and the receiver verifies only frames whose
+// bytes were written in flight.
 func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 	n := 0
 	for _, b := range payload {
@@ -259,7 +262,6 @@ func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 		for _, pb := range payload {
 			off += copy(b[off:], pb)
 		}
-		wire.SetTCPChecksum(s.cfg.LocalIP, dst, b[:segLen])
 	})
 }
 
@@ -283,6 +285,7 @@ func (s *Stack) sendIPv4(dst wire.IPv4, proto uint8, bodyLen int, fill func([]by
 	}
 	iph.Marshal(frame[wire.EthHdrLen:])
 	fill(frame[wire.EthHdrLen+wire.IPv4HdrLen:])
+	f.Intact = proto == wire.ProtoTCP
 	if mac, ok := s.cfg.ARP.Lookup(dst); ok {
 		s.finishEth(f, mac)
 		return

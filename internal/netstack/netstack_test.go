@@ -25,7 +25,7 @@ func (n *nullEvents) Dead(c *tcp.Conn, r tcp.Reason) {}
 
 type host struct {
 	s      *Stack
-	out    [][]byte
+	out    []*fabric.Frame
 	pool   *mem.MbufPool
 	events *nullEvents
 }
@@ -37,10 +37,7 @@ func newHost(now *int64, ip wire.IPv4, mac wire.MAC, arp *ARPTable) *host {
 		LocalMAC: mac,
 		Now:      func() int64 { return *now },
 		Wheel:    timerwheel.New(timerwheel.DefaultTick, 0),
-		SendFrame: func(f *fabric.Frame) {
-			h.out = append(h.out, append([]byte(nil), f.Data...))
-			f.Release()
-		},
+		SendFrame: func(f *fabric.Frame) { h.out = append(h.out, f) },
 		Events: h.events,
 		ARP:    arp,
 	})
@@ -53,7 +50,7 @@ func exchange(a, b *host) {
 		moved := false
 		for _, f := range a.out {
 			buf := b.pool.Alloc()
-			buf.SetData(f)
+			buf.Adopt(f)
 			b.s.Input(buf)
 			buf.Unref()
 			moved = true
@@ -61,7 +58,7 @@ func exchange(a, b *host) {
 		a.out = nil
 		for _, f := range b.out {
 			buf := a.pool.Alloc()
-			buf.SetData(f)
+			buf.Adopt(f)
 			a.s.Input(buf)
 			buf.Unref()
 			moved = true

@@ -648,13 +648,15 @@ func connDelAck(v any)   { v.(*Conn).onDelAck() }
 // Input processes one incoming TCP segment. seg is the TCP header+payload
 // bytes; buf is the backing mbuf (retained by reassembly/delivery via
 // refcounts); src/dst are the IP addresses. Invalid segments are counted
-// and dropped. The connection-table demux here is both the per-message
+// and dropped. The checksum is verified unless buf holds an intact frame
+// (fabric.Frame.Intact), whose sum is offloaded and cannot fail: every
+// frame whose bytes were written in flight is still checked. The connection-table demux here is both the per-message
 // path and the establishment fast path (every handshake segment of a
 // Fig. 4 ramp passes through it), so it must not allocate.
 //
 //ix:hotpath
 func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
-	if !wire.VerifyTCPChecksum(src, dst, seg) {
+	if (buf == nil || !buf.Intact()) && !wire.VerifyTCPChecksum(src, dst, seg) {
 		s.BadChecksums++
 		return
 	}
