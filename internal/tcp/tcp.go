@@ -360,9 +360,22 @@ func (ts *txSeg) appendPayload(sg [][]byte) [][]byte {
 // retransInline is the txState inline segment capacity: steady
 // request-response traffic keeps at most a couple of segments in
 // flight, so the queue almost never needs heap backing. Loss bursts
-// and deep pipelining spill to an ordinary slice, whose backing is
-// dropped again the moment the queue drains.
+// and deep pipelining spill to an ordinary slice.
 const retransInline = 2
+
+// maxPooledSpill bounds the spilled backing a pooled txState keeps when
+// its queue drains: the backing append grew for up to 64 segments is
+// kept, so a bulk sender's 64 KiB flights (45 full segments) reuse one
+// backing instead of regrowing it 2→64 per message. append rounds a
+// capacity up to its allocation size class, so that backing holds a few
+// more than 64; keepSpill accepts anything below the next doubling.
+// Anything larger was grown by an unusual burst and is dropped.
+const maxPooledSpill = 64
+
+// keepSpill reports whether a drained queue's backing stays pooled.
+func keepSpill(q []txSeg) bool {
+	return cap(q) > retransInline && cap(q) < 2*maxPooledSpill
+}
 
 // txState is the retransmission queue of one connection with data in
 // flight: a head-indexed ring over one backing array. The cumulative-ACK
@@ -370,7 +383,8 @@ const retransInline = 2
 // references die); q aliases the inline array until a burst spills it.
 // States are pooled per stack — a connection acquires one on first
 // transmit and releases it whenever the queue drains, so the 250k idle
-// connections of a Fig. 4 point carry no send-queue storage at all.
+// connections of a Fig. 4 point carry no send-queue storage at all. A
+// pooled state keeps a spilled backing of up to maxPooledSpill segments.
 type txState struct {
 	q    []txSeg
 	head int
@@ -390,15 +404,22 @@ func (s *Stack) getTxState() *txState {
 	return t
 }
 
-// putTxState returns a drained (or dead) state to the pool. Re-aliasing
-// q to the inline array drops any spilled backing — and with it every
-// payload reference the backing still held — fixing the leak where a
-// loss burst's spill capacity stayed pinned for the connection's
-// lifetime. The inline array is zeroed for the same reason: a spill
-// copies its contents aside but leaves stale fragment references behind.
+// putTxState returns a drained (or dead) state to the pool. No payload
+// reference may survive into the pool: a spilled backing grown for up to
+// maxPooledSpill segments is kept and zeroed (entries past len are
+// always zero: the trim and the compaction zero what they drop), a
+// larger one is dropped by re-aliasing q to the inline array. The inline
+// array is zeroed either way: a spill copies its contents aside but
+// leaves stale fragment references behind. The connection itself keeps
+// nothing, so a loss burst's spill is never pinned for its lifetime.
 func (s *Stack) putTxState(t *txState) {
 	t.inl = [retransInline]txSeg{}
-	t.q = t.inl[:0:retransInline]
+	if keepSpill(t.q) {
+		clear(t.q)
+		t.q = t.q[:0]
+	} else {
+		t.q = t.inl[:0:retransInline]
+	}
 	t.head = 0
 	s.txFree = append(s.txFree, t)
 }

@@ -124,16 +124,66 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 		t.Fatalf("footprint after recovery = %d bytes, want idle baseline %d (leak: %+d)",
 			got.Bytes, base.Bytes, got.Bytes-base.Bytes)
 	}
-	// The pooled state must come back clean: no stale payload references
-	// in the inline array, queue re-aliased to it.
+	// The pooled state must come back clean: empty, and no stale payload
+	// reference anywhere in the backing it kept or in the inline array.
 	st := s.getTxState()
-	if len(st.q) != 0 || cap(st.q) != retransInline || st.head != 0 {
+	if len(st.q) != 0 || (cap(st.q) != retransInline && !keepSpill(st.q)) || st.head != 0 {
 		t.Fatalf("recycled txState not reset: len=%d cap=%d head=%d", len(st.q), cap(st.q), st.head)
+	}
+	for i, ts := range st.q[:cap(st.q)] {
+		if ts.frag0 != nil || ts.frag1 != nil || ts.extra != nil {
+			t.Fatalf("recycled txState backing[%d] still references payload", i)
+		}
 	}
 	for i := range st.inl {
 		if st.inl[i].frag0 != nil || st.inl[i].extra != nil {
 			t.Fatalf("recycled txState inline[%d] still references payload", i)
 		}
+	}
+}
+
+// TestTxStateSpillReusedAcrossFlights: a bulk sender's flights of 40
+// segments (near a 64 KiB window) reuse the pooled spill instead of
+// regrowing it per message, so steady bulk transmit does not allocate;
+// a backing grown past maxPooledSpill is not kept.
+func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
+	s, c, _, _ := txTestConn(t, nil)
+	c.cwnd = 1 << 20 // past slow start: whole messages leave at once
+	msg := [][]byte{make([]byte, 40*wire.MSS)}
+	srcIP, dstIP := wire.Addr4(10, 0, 0, 2), wire.Addr4(10, 0, 0, 1)
+	ack := make([]byte, wire.TCPHdrLen) // reused: ackTo's buffer escapes
+	flight := func() {
+		if got := c.Sendv(msg); got != len(msg[0]) {
+			t.Fatalf("window accepted %d of %d bytes", got, len(msg[0]))
+		}
+		hdr := wire.TCPHeader{
+			SrcPort: c.key.DstPort, DstPort: c.key.SrcPort,
+			Seq: c.rcvNxt, Ack: c.sndNxt, Flags: wire.TCPAck,
+			Window: 0xffff, WScale: -1,
+		}
+		hdr.Marshal(ack)
+		wire.SetTCPChecksum(srcIP, dstIP, ack)
+		s.Input(srcIP, dstIP, ack, nil)
+		s.cfg.Wheel.NextDeadline() // the OS models' quiescence query trims the wheel's heap
+	}
+	flight() // grows the one pooled state's spill
+	if allocs := testing.AllocsPerRun(20, flight); allocs != 0 {
+		t.Fatalf("a 40-segment flight allocates %.1f times once the spill is pooled, want 0", allocs)
+	}
+	if len(s.txFree) != 1 || cap(s.txFree[0].q) < maxPooledSpill {
+		t.Fatalf("pool holds %d states (first cap %d), want 1 keeping the spill grown for %d segments",
+			len(s.txFree), cap(s.txFree[0].q), maxPooledSpill)
+	}
+
+	// A deeper flight outgrows the bound: its backing is dropped.
+	deep := [][]byte{make([]byte, 2*maxPooledSpill*wire.MSS)}
+	c.sndWnd = 1 << 20
+	if got := c.Sendv(deep); got != len(deep[0]) {
+		t.Fatalf("window accepted %d of %d bytes", got, len(deep[0]))
+	}
+	ackTo(s, c, c.sndNxt)
+	if got := cap(s.txFree[0].q); got != retransInline {
+		t.Fatalf("pooled state kept a %d-segment backing, want the inline array", got)
 	}
 }
 
