@@ -1610,11 +1610,16 @@ func (s *Stack) Conns() []*Conn {
 	return out
 }
 
-// armRTO (re)arms the retransmission timer.
+// armRTO (re)arms the retransmission timer. A pending timer is moved in
+// place (timerwheel.Wheel.Reset), which fires exactly where cancelling
+// it and adding a new one would.
 func (c *Conn) armRTO() {
-	c.cancelRTO()
+	w := c.stack.cfg.Wheel
 	deadline := c.stack.cfg.Now() + int64(c.rto)
-	c.rtoTimer = c.stack.cfg.Wheel.AddArg(deadline, connRTO, c)
+	if c.rtoTimer != nil && w.Reset(c.rtoTimer, deadline) {
+		return
+	}
+	c.rtoTimer = w.AddArg(deadline, connRTO, c)
 }
 
 func (c *Conn) cancelRTO() {

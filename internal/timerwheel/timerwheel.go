@@ -11,7 +11,9 @@
 // quiescence point — is served by a lazy-deletion min-heap of deadlines
 // maintained at Add/Transfer time: cancelled and fired timers are skimmed
 // off the heap top when encountered, so the query is O(1) amortized even
-// when thousands of timers share one wheel slot.
+// when thousands of timers share one wheel slot. Reset, the in-place
+// re-arm, pushes nothing when the deadline moves later: the timer's entry
+// stays behind as a lower bound and is re-keyed when it surfaces.
 package timerwheel
 
 import "time"
@@ -83,7 +85,10 @@ func unlink(t *Timer) {
 
 // minEntry is one lazy min-heap record: the deadline by value (so heap
 // sifts never chase the timer pointer) plus the timer — and its
-// generation at record time — it belonged to.
+// generation at record time — it belonged to. An entry is live only when
+// its timer is still pending on this wheel in the same generation and
+// the deadlines match; a live timer's entry with an earlier deadline is
+// a lower bound left by Reset.
 type minEntry struct {
 	deadline int64
 	gen      uint32
@@ -167,26 +172,32 @@ func (w *Wheel) heapPop() {
 	n := len(h) - 1
 	last := h[n]
 	h[n] = minEntry{}
-	h = h[:n]
+	w.minHeap = h[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := i<<1 + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].deadline < h[c].deadline {
-				c++
-			}
-			if h[c].deadline >= last.deadline {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
+		w.heapReplaceTop(last)
 	}
-	w.minHeap = h
+}
+
+// heapReplaceTop puts e in place of the top entry and sifts it down.
+func (w *Wheel) heapReplaceTop(e minEntry) {
+	h := w.minHeap
+	n := len(h)
+	i := 0
+	for {
+		c := i<<1 + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].deadline < h[c].deadline {
+			c++
+		}
+		if h[c].deadline >= e.deadline {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Add schedules fn to fire at absolute deadline ns. Deadlines at or before
@@ -236,6 +247,36 @@ func (w *Wheel) AddArg(deadline int64, fn func(any), arg any) *Timer {
 	w.count++
 	w.Added++
 	return t
+}
+
+// Reset moves the pending timer t to a new deadline in place, keeping
+// its callback: the re-arm a TCP connection performs on every segment it
+// transmits. It counts as one cancel plus one add, and t lands at the
+// tail of its new slot — exactly where Cancel followed by Add would put
+// it, since that Add reuses the just-cancelled timer from the free list.
+// It reports whether t was pending; a fired, cancelled or nil timer is
+// left alone, and the caller adds a new one.
+//
+// The min-heap is touched only when the deadline moves earlier. A later
+// deadline leaves t's entry behind as a lower bound, which NextDeadline
+// re-keys when it surfaces, so the common re-arm pushes nothing and
+// leaves no dead entry to skim.
+//
+//ix:hotpath
+func (w *Wheel) Reset(t *Timer, deadline int64) bool {
+	if t == nil || t.slot == nil {
+		return false
+	}
+	unlink(t)
+	earlier := deadline < t.deadline
+	t.deadline = deadline
+	w.place(t)
+	if earlier {
+		w.heapPush(t)
+	}
+	w.Cancelled++
+	w.Added++
+	return true
 }
 
 // recycle retires a dead timer into the free list, bumping its
@@ -356,9 +397,10 @@ func (w *Wheel) fireSlot(s *slotList) {
 
 // NextDeadline returns the earliest pending deadline in nanoseconds and
 // true, or zero and false if no timers are pending. Dead heap entries
-// (fired, cancelled, or transferred timers) surfacing at the top are
-// discarded; each Add pays for at most one such discard, so the query is
-// O(1) amortized.
+// (fired, cancelled, or transferred timers, or deadlines a Reset has
+// moved earlier) surfacing at the top are discarded, and a lower bound
+// left by Reset is re-keyed to its timer's deadline; each Add or Reset
+// pays for at most one such step, so the query is O(1) amortized.
 func (w *Wheel) NextDeadline() (int64, bool) {
 	if w.count == 0 {
 		// Nothing pending: every heap entry is stale. Truncate instead of
@@ -375,8 +417,14 @@ func (w *Wheel) NextDeadline() (int64, bool) {
 	}
 	for len(w.minHeap) > 0 {
 		top := w.minHeap[0]
-		if top.t.slot != nil && top.t.wheel == w && top.t.gen == top.gen {
-			return top.deadline, true
+		if t := top.t; t.slot != nil && t.wheel == w && t.gen == top.gen {
+			if top.deadline == t.deadline {
+				return top.deadline, true
+			}
+			if top.deadline < t.deadline {
+				w.heapReplaceTop(minEntry{deadline: t.deadline, gen: t.gen, t: t})
+				continue
+			}
 		}
 		w.heapPop()
 	}
