@@ -62,10 +62,6 @@ type Frame struct {
 	pool *FramePool
 	free bool
 
-	// via is the egress port while the frame crosses the switch, so
-	// forwarding runs as a pooled one-shot engine event without a closure.
-	via *Port
-
 	// tenant is the isolation-accounting tag stamped from the
 	// originating pool at Get time (frames recycle, so the stamp is
 	// refreshed per allocation). It rides the frame across every hop so
@@ -126,7 +122,6 @@ func (f *Frame) Release() {
 		return
 	}
 	f.free = true
-	f.via = nil
 	f.pool.inUse--
 	if f.buf == nil {
 		// Oversized one-off: accounted, but not recycled.
@@ -348,10 +343,17 @@ func deliverHead(a any) {
 // and propagation delay determine the arrival time at the peer endpoint.
 // The caller hands over ownership of the frame (the simulated DMA engine
 // has already copied out of mbufs at the NIC).
-func (p *Port) Send(f *Frame) {
+func (p *Port) Send(f *Frame) { p.sendAt(f, p.link.eng.Now()) }
+
+// sendAt transmits f as Send called at time at (now or later) would: the
+// switch's cut-through hop, which decides at arrival what the egress
+// does SwitchLatency later. It is exact as long as every sendAt to a
+// port comes in order of at — true of a switch, whose every frame waits
+// the same latency — because the port's state at at is then the state
+// it has now.
+func (p *Port) sendAt(f *Frame, at sim.Time) {
 	l := p.link
-	now := l.eng.Now()
-	if p.txBuffer > 0 && p.queuedBytes(now)+wire.WireLen(len(f.Data)) > p.txBuffer {
+	if p.txBuffer > 0 && p.queuedBytes(at)+wire.WireLen(len(f.Data)) > p.txBuffer {
 		// Shallow egress buffer full: tail drop at the switch port,
 		// exactly the incast failure mode (§5, 16 µs RTO discussion).
 		p.TxDropped++
@@ -359,7 +361,7 @@ func (p *Port) Send(f *Frame) {
 		f.Release()
 		return
 	}
-	start := now
+	start := at
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
@@ -372,7 +374,7 @@ func (p *Port) Send(f *Frame) {
 	slot.Frames++
 	slot.Bytes += uint64(len(f.Data))
 	arrive := depart.Add(l.latency)
-	f.SentAt = now
+	f.SentAt = at
 	seq := l.eng.ReserveSeq()
 	p.stream.push(flight{f: f, at: arrive, seq: seq})
 	if p.stream.n == 1 {
@@ -439,8 +441,8 @@ type switchPort struct {
 	port *Port
 }
 
-// Deliver implements Endpoint: a frame arriving on a switch port is
-// forwarded after the cut-through latency.
+// Deliver implements Endpoint: a frame arriving on a switch port leaves
+// its egress port after the cut-through latency.
 func (sp *switchPort) Deliver(f *Frame) {
 	sp.sw.forward(sp.idx, f)
 }
@@ -493,15 +495,11 @@ func (s *Switch) Seal() { s.sealed = true }
 // Sealed reports whether the switch tables are frozen.
 func (s *Switch) Sealed() bool { return s.sealed }
 
-// forwardFrame is the cut-through trampoline: the frame leaves through the
-// egress port chosen by forward.
-func forwardFrame(a any) {
-	f := a.(*Frame)
-	out := f.via
-	f.via = nil
-	out.Send(f)
-}
-
+// forward switches a frame arriving on port in. Every frame pays the same
+// SwitchLatency, so the egress send is made now for the instant the
+// latency ends (Port.sendAt) instead of as an engine event of its own:
+// the departures, arrivals and tail drops are the ones that event would
+// have produced.
 func (s *Switch) forward(in int, f *Frame) {
 	s.sealed = true // implicit seal: forwarding freezes the topology
 	var eth wire.EthHeader
@@ -509,6 +507,7 @@ func (s *Switch) forward(in int, f *Frame) {
 		f.Release()
 		return
 	}
+	at := s.eng.Now().Add(s.latency)
 	out := -1
 	if members, ok := s.bonds[eth.Dst]; ok && len(members) > 0 {
 		out = members[int(l3l4Hash(f.Data))%len(members)]
@@ -519,13 +518,11 @@ func (s *Switch) forward(in int, f *Frame) {
 		// replicas are unpooled frames sharing the payload bytes, so the
 		// original is detached from its pool (rare control-plane path).
 		f.Detach()
-		s.eng.After(s.latency, func() {
-			for i, sp := range s.ports {
-				if i != in {
-					sp.port.Send(NewFrame(f.Data))
-				}
+		for i, sp := range s.ports {
+			if i != in {
+				sp.port.sendAt(NewFrame(f.Data), at)
 			}
-		})
+		}
 		s.Forwarded++
 		return
 	}
@@ -535,8 +532,7 @@ func (s *Switch) forward(in int, f *Frame) {
 		return
 	}
 	s.Forwarded++
-	f.via = s.ports[out].port
-	s.eng.CallAfter(s.latency, forwardFrame, f)
+	s.ports[out].port.sendAt(f, at)
 }
 
 // l3l4Hash is the bond-member selection hash: a cheap fold over the IPv4
