@@ -202,10 +202,10 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 	// (2) Protocol processing, generating event conditions. Each frame
 	// becomes a posted mbuf's data (the simulated DMA write is charged,
 	// not performed) and returns to its sender's pool when the mbuf's
-	// last reference drops. Handshake frames
-	// charge the miss floor, not the population-scaled DDIO curve
-	// (batched SYN admission: accept-path state stays LLC-resident
-	// across an establishment burst).
+	// last reference drops. Handshake frames charge the miss floor, not
+	// the population-scaled DDIO curve (batched SYN admission:
+	// accept-path state stays LLC-resident across an establishment
+	// burst).
 	missNs := et.dp.missPenalty()
 	missFloor := et.dp.missFloor()
 	for _, f := range frames {

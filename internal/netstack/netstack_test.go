@@ -20,8 +20,8 @@ func (n *nullEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 	n.recvd = append(n.recvd, data...)
 }
 func (n *nullEvents) Sent(c *tcp.Conn, acked, released int) {}
-func (n *nullEvents) RemoteClosed(c *tcp.Conn)       {}
-func (n *nullEvents) Dead(c *tcp.Conn, r tcp.Reason) {}
+func (n *nullEvents) RemoteClosed(c *tcp.Conn)              {}
+func (n *nullEvents) Dead(c *tcp.Conn, r tcp.Reason)        {}
 
 type host struct {
 	s      *Stack
@@ -33,13 +33,13 @@ type host struct {
 func newHost(now *int64, ip wire.IPv4, mac wire.MAC, arp *ARPTable) *host {
 	h := &host{pool: mem.NewMbufPool(mem.NewRegion(4), 0), events: &nullEvents{}}
 	h.s = New(Config{
-		LocalIP:  ip,
-		LocalMAC: mac,
-		Now:      func() int64 { return *now },
-		Wheel:    timerwheel.New(timerwheel.DefaultTick, 0),
+		LocalIP:   ip,
+		LocalMAC:  mac,
+		Now:       func() int64 { return *now },
+		Wheel:     timerwheel.New(timerwheel.DefaultTick, 0),
 		SendFrame: func(f *fabric.Frame) { h.out = append(h.out, f) },
-		Events: h.events,
-		ARP:    arp,
+		Events:    h.events,
+		ARP:       arp,
 	})
 	return h
 }

@@ -671,9 +671,10 @@ func connDelAck(v any)   { v.(*Conn).onDelAck() }
 // refcounts); src/dst are the IP addresses. Invalid segments are counted
 // and dropped. The checksum is verified unless buf holds an intact frame
 // (fabric.Frame.Intact), whose sum is offloaded and cannot fail: every
-// frame whose bytes were written in flight is still checked. The connection-table demux here is both the per-message
-// path and the establishment fast path (every handshake segment of a
-// Fig. 4 ramp passes through it), so it must not allocate.
+// frame whose bytes were written in flight is still checked. The
+// connection-table demux here is both the per-message path and the
+// establishment fast path (every handshake segment of a Fig. 4 ramp
+// passes through it), so it must not allocate.
 //
 //ix:hotpath
 func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
