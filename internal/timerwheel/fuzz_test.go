@@ -1,6 +1,7 @@
 package timerwheel
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -93,9 +94,14 @@ func (f *wheelFuzz) transfer(o *oracleTimer) {
 	o.fireTick = f.fireTick(to, o.deadline)
 }
 
+// index is where id is, or would be, in the id-sorted oracle.
+func (f *wheelFuzz) index(id int) int {
+	return sort.Search(len(f.live), func(i int) bool { return f.live[i].id >= id })
+}
+
 func (f *wheelFuzz) drop(id int) {
-	i := sort.Search(len(f.live), func(i int) bool { return f.live[i].id >= id })
-	f.live = append(f.live[:i], f.live[i+1:]...)
+	i := f.index(id)
+	f.live = slices.Delete(f.live, i, i+1)
 	delete(f.sutT, id)
 	delete(f.refT, id)
 }
@@ -109,7 +115,7 @@ func (f *wheelFuzz) advance(to int64) {
 		f.ref[i].Advance(to)
 		f.curTick[i] = max(f.curTick[i], target)
 	}
-	if !equalInts(f.sutLog, f.refLog) {
+	if !slices.Equal(f.sutLog, f.refLog) {
 		f.t.Fatalf("advance to %d: Reset wheels fired %v, Cancel+Add wheels fired %v", to, f.sutLog, f.refLog)
 	}
 	// The oracle: nothing fires before its tick, and nothing more than a
@@ -120,7 +126,7 @@ func (f *wheelFuzz) advance(to int64) {
 	for _, id := range f.sutLog {
 		o := f.find(id)
 		if o == nil || fired[id] {
-			f.t.Fatalf("advance to %d: timer %d fired twice", to, id)
+			f.t.Fatalf("advance to %d: timer %d fired while not pending", to, id)
 		}
 		if o.fireTick > target {
 			f.t.Fatalf("advance to %d: timer %d (deadline %d) fired before tick %d", to, id, o.deadline, o.fireTick)
@@ -138,8 +144,7 @@ func (f *wheelFuzz) advance(to int64) {
 }
 
 func (f *wheelFuzz) find(id int) *oracleTimer {
-	i := sort.Search(len(f.live), func(i int) bool { return f.live[i].id >= id })
-	if i < len(f.live) && f.live[i].id == id {
+	if i := f.index(id); i < len(f.live) && f.live[i].id == id {
 		return f.live[i]
 	}
 	return nil
@@ -175,18 +180,6 @@ func (f *wheelFuzz) check(op string) {
 				op, i, s.Added, s.Cancelled, s.Fired, r.Added, r.Cancelled, r.Fired)
 		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // span turns a fuzz byte into a time offset: mostly within a few ticks
