@@ -39,6 +39,7 @@ var scopeRoots = map[string]bool{
 	"netstack": true, "faults": true, "cp": true, "harness": true,
 	"timerwheel": true, "mem": true, "wire": true, "apps": true,
 	"mutilate": true, "stats": true, "dune": true, "ixnet": true,
+	"sockcore": true,
 }
 
 // wallClockFuncs are the package time functions that read or arm the

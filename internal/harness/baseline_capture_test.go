@@ -65,6 +65,21 @@ func TestBaselineCapture(t *testing.T) {
 			ConnsPerThread: 2, Rounds: 0, MsgSize: 65536,
 			Warmup: 2 * time.Millisecond, Window: 4 * time.Millisecond,
 		}},
+		// Bulk over mTCP on both ends (the slab path). One connection never
+		// queues more than a slab between reads; four per thread do, so an
+		// mtcp_read spans several slabs.
+		{"mtcp-netpipe-256k", EchoSetup{
+			ServerArch: ArchMTCP, ServerCores: 1,
+			ClientArch: ArchMTCP, ClientHosts: 1, ClientCores: 1,
+			ConnsPerThread: 1, Rounds: 0, MsgSize: 262144,
+			Warmup: 2 * time.Millisecond, Window: 4 * time.Millisecond,
+		}},
+		{"mtcp-bulk-256k-x4", EchoSetup{
+			ServerArch: ArchMTCP, ServerCores: 1,
+			ClientArch: ArchMTCP, ClientHosts: 1, ClientCores: 1,
+			ConnsPerThread: 4, Rounds: 0, MsgSize: 262144,
+			Warmup: 2 * time.Millisecond, Window: 4 * time.Millisecond,
+		}},
 	}
 	for _, c := range cases {
 		res := RunEcho(c.s)

@@ -79,43 +79,66 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 			if total < 2*conns {
 				t.Fatalf("probed %d connection ends, want %d", total, 2*conns)
 			}
-			for i := range b.cl.linuxes {
-				if inUse, _ := b.cl.LinuxHost(i).Slabs(); inUse != 0 {
-					t.Errorf("Linux host %d: %d staging slabs attached after the drain", i, inUse)
+			for i, s := range baselineSlabs(b.cl) {
+				if s[0] != 0 {
+					t.Errorf("baseline host %d: %d staging slabs attached after the drain", i, s[0])
 				}
 			}
 		})
 	}
 }
 
-// TestLinuxBulkSlabsDrain: 64 KiB echoes with Linux on both ends stage
-// every message through slabs, on the server and on every client. After
-// the drain no slab is attached anywhere, each pool holds at most a few
-// slabs per connection it served, and no frame was dropped at a TX ring.
+// baselineSlabs lists each Linux and mTCP host's staging slabs, attached
+// and free.
+func baselineSlabs(cl *Cluster) [][2]int {
+	var out [][2]int
+	for i := range cl.linuxes {
+		inUse, free := cl.LinuxHost(i).Slabs()
+		out = append(out, [2]int{inUse, free})
+	}
+	for i := range cl.mtcps {
+		inUse, free := cl.MTCPHost(i).Slabs()
+		out = append(out, [2]int{inUse, free})
+	}
+	return out
+}
+
+// TestLinuxBulkSlabsDrain: 64 KiB echoes with Linux on both ends, then
+// with mTCP on both ends, stage every message through slabs, on the
+// server and on every client. After the drain no slab is attached
+// anywhere, each pool holds at most a few slabs per connection it served,
+// and no frame was dropped at a TX ring.
 func TestLinuxBulkSlabsDrain(t *testing.T) {
 	const conns = 16
-	b := NewEchoBench(EchoSetup{
-		ServerArch: ArchLinux, ServerCores: 2,
-		ClientArch: ArchLinux, ClientHosts: 2, ClientCores: 2,
-		MsgSize: 64 << 10, ExpectedConns: conns,
-	})
-	defer b.Stop()
-	res := b.MeasurePoint(conns, 1, 4*time.Millisecond)
-	if res.ServerConns < conns || res.MsgsPerSec <= 0 {
-		t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
-	}
-	drain(b)
-	for i := range b.cl.linuxes {
-		inUse, free := b.cl.LinuxHost(i).Slabs()
-		if inUse != 0 {
-			t.Errorf("Linux host %d: %d slabs attached after the drain", i, inUse)
-		}
-		if free == 0 || free > 4*conns {
-			t.Errorf("Linux host %d: pool holds %d slabs for %d connections", i, free, conns)
-		}
-	}
-	if d := b.cl.TxRingDrops(); d != 0 {
-		t.Errorf("%d frames dropped at full TX rings", d)
+	for _, arch := range []Arch{ArchLinux, ArchMTCP} {
+		t.Run(arch.String(), func(t *testing.T) {
+			b := NewEchoBench(EchoSetup{
+				ServerArch: arch, ServerCores: 2,
+				ClientArch: arch, ClientHosts: 2, ClientCores: 2,
+				MsgSize: 64 << 10, ExpectedConns: conns,
+			})
+			defer b.Stop()
+			res := b.MeasurePoint(conns, 1, 4*time.Millisecond)
+			if res.ServerConns < conns || res.MsgsPerSec <= 0 {
+				t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
+			}
+			drain(b)
+			slabs := baselineSlabs(b.cl)
+			if len(slabs) != 3 {
+				t.Fatalf("%d %v hosts, want 3", len(slabs), arch)
+			}
+			for i, s := range slabs {
+				if s[0] != 0 {
+					t.Errorf("host %d: %d slabs attached after the drain", i, s[0])
+				}
+				if s[1] == 0 || s[1] > 4*conns {
+					t.Errorf("host %d: pool holds %d slabs for %d connections", i, s[1], conns)
+				}
+			}
+			if d := b.cl.TxRingDrops(); d != 0 {
+				t.Errorf("%d frames dropped at full TX rings", d)
+			}
+		})
 	}
 }
 
@@ -133,7 +156,7 @@ func TestFootprintRecoveryAfterBurstLoss(t *testing.T) {
 	b := NewEchoBench(EchoSetup{
 		ServerArch: ArchIX, ServerCores: 2,
 		ClientArch: ArchLinux, ClientHosts: 4, ClientCores: 4,
-		MsgSize: 4096, // 3 segments per response: spill-prone under loss
+		MsgSize:   4096, // 3 segments per response: spill-prone under loss
 		RampBatch: 16, RampGap: Fig4QuietGap(ArchIX, threads),
 		ExpectedConns: conns,
 	})

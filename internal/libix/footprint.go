@@ -31,7 +31,7 @@ func (p *program) Footprint() memprobe.Footprint {
 	if p.first {
 		// The cookie table is shared by every thread's program; thread 0
 		// accounts its backing so the bytes are charged exactly once.
-		f.Bytes += int64(cap(p.tab.slots))*slotBytes + int64(cap(p.tab.free))*4
+		f.Bytes += p.tab.Bytes()
 	}
 	for _, c := range p.byHandle {
 		if c == nil {

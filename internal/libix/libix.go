@@ -30,6 +30,7 @@ import (
 	"ix/internal/core"
 	"ix/internal/dune"
 	"ix/internal/mem"
+	"ix/internal/sockcore"
 	"ix/internal/wire"
 )
 
@@ -55,12 +56,12 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 	// program: kernel cookies must survive EvMigrated re-homing across
 	// threads (the destination thread resolves the migrated flow's
 	// cookie), and the whole simulation runs on one goroutine, so the
-	// shared table needs no locking.
-	tab := &connTable{}
+	// shared table needs no locking. The kernel carries only the 8-byte
+	// id in its per-connection state, and the table resolves it back to
+	// the descriptor on each event.
+	tab := &sockcore.Table[conn]{}
 	return func(api *core.UserAPI, thread, threads int) core.UserProgram {
-		if n := api.ExpectedConns(); n > 0 && cap(tab.slots) == 0 {
-			tab.slots = make([]*conn, 0, n)
-		}
+		tab.Reserve(api.ExpectedConns())
 		p := &program{
 			api:     api,
 			txchunk: api.TxChunks(),
@@ -76,50 +77,6 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 	}
 }
 
-// connTable maps the kernel's compact uint64 cookies to user
-// connections. The kernel carries only the 8-byte id in its
-// per-connection state — no interface box, nothing for the GC to chase
-// — and the table resolves it back to the descriptor on each event.
-// Ids are slot index + 1, so 0 keeps its "no cookie" meaning; freed
-// slots recycle LIFO for cache locality and bounded growth.
-type connTable struct {
-	slots []*conn
-	free  []uint32
-}
-
-// grant registers c and returns its cookie id.
-//
-//ix:hotpath
-func (t *connTable) grant(c *conn) uint64 {
-	if n := len(t.free); n > 0 {
-		idx := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.slots[idx] = c
-		return uint64(idx) + 1
-	}
-	t.slots = append(t.slots, c)
-	return uint64(len(t.slots))
-}
-
-// lookup resolves a cookie id; 0 and stale ids return nil.
-//
-//ix:hotpath
-func (t *connTable) lookup(id uint64) *conn {
-	if id == 0 || id > uint64(len(t.slots)) {
-		return nil
-	}
-	return t.slots[id-1]
-}
-
-// revoke clears the slot and frees the id for reuse.
-func (t *connTable) revoke(id uint64) {
-	if id == 0 || id > uint64(len(t.slots)) {
-		return
-	}
-	t.slots[id-1] = nil
-	t.free = append(t.free, uint32(id-1))
-}
-
 // program is the per-elastic-thread event loop.
 type program struct {
 	api     *core.UserAPI
@@ -131,7 +88,7 @@ type program struct {
 	// tab is the dataplane-shared cookie table (see Program); first
 	// marks thread 0's program, which accounts the table's footprint so
 	// the shared bytes are charged exactly once per host.
-	tab   *connTable
+	tab   *sockcore.Table[conn]
 	first bool
 	// byHandle resolves a kernel flow handle to its connection: indexed
 	// by the handle's dense slot index in this thread's capability
@@ -442,7 +399,7 @@ func (p *program) After(d time.Duration, fn func()) { p.api.After(d, fn) }
 // Connect initiates a connection; OnConnected reports the outcome.
 func (p *program) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	c := &conn{p: p, cookie: cookie}
-	p.api.Connect(p.tab.grant(c), dst, port)
+	p.api.Connect(p.tab.Grant(c), dst, port)
 	return nil
 }
 
@@ -524,7 +481,7 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 func (p *program) processResult(r *core.SyscallResult) {
 	switch r.Type {
 	case core.SysConnect:
-		c := p.tab.lookup(r.Cookie)
+		c := p.tab.Lookup(r.Cookie)
 		if c == nil {
 			return
 		}
@@ -642,7 +599,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// Accept with the conn's table id as kernel cookie so later
 		// events resolve with one bounds-checked indexed load (the
 		// Table 1 cookie design, minus the interface box).
-		p.api.Accept(ev.Handle, p.tab.grant(c))
+		p.api.Accept(ev.Handle, p.tab.Grant(c))
 		p.handler.OnAccept(c)
 	case core.EvConnected:
 		c := p.resolve(ev)
@@ -651,7 +608,7 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		if !ev.Outcome {
 			p.unbindHandle(c)
-			p.tab.revoke(ev.Cookie)
+			p.tab.Revoke(ev.Cookie)
 			c.closed = true
 			c.dropIO()
 			p.handler.OnConnected(c, false)
@@ -709,7 +666,7 @@ func (p *program) processEvent(ev *core.Event) {
 			return
 		}
 		p.unbindHandle(c)
-		p.tab.revoke(ev.Cookie)
+		p.tab.Revoke(ev.Cookie)
 		c.closed = true
 		// The kernel dropped the connection's retransmission queue with
 		// the flow, so nothing references the arena any more; receive
@@ -728,7 +685,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// The id resolves in the shared table regardless of which
 		// thread's program granted it — the property that makes
 		// cross-thread flow migration safe under compact cookies.
-		c := p.tab.lookup(ev.Cookie)
+		c := p.tab.Lookup(ev.Cookie)
 		if c == nil {
 			return
 		}
@@ -767,7 +724,7 @@ func (p *program) processEvent(ev *core.Event) {
 //
 //ix:hotpath
 func (p *program) resolve(ev *core.Event) *conn {
-	if c := p.tab.lookup(ev.Cookie); c != nil {
+	if c := p.tab.Lookup(ev.Cookie); c != nil {
 		return c
 	}
 	return p.byHandleLookup(ev.Handle)

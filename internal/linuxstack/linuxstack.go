@@ -22,9 +22,11 @@ import (
 	"ix/internal/cost"
 	"ix/internal/fabric"
 	"ix/internal/mem"
+	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
+	"ix/internal/sockcore"
 	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
@@ -32,8 +34,8 @@ import (
 // napiBudget is the Linux NAPI poll budget (packets per softirq poll).
 const napiBudget = 64
 
-// readChunk is the bytes drained per read() call (application buffer).
-const readChunk = 64 << 10
+// readChunk is the bytes one read() drains: one staging slab.
+const readChunk = sockcore.SlabSize
 
 // Config describes a Linux host.
 type Config struct {
@@ -84,18 +86,8 @@ type Host struct {
 	// admission), a run constant hoisted out of the softirq loop.
 	missFloor time.Duration
 
-	// socks is the host-global fd-style socket table: the TCP engine's
-	// per-connection cookie is a compact slot id (index+1) into it
-	// rather than an interface box. Freed slots recycle LIFO.
-	socks    []*sock
-	sockFree []uint32
-	// bufFree recycles sockBuf objects between sockets with bytes queued
-	// (LIFO, so the hot ones stay cache-warm).
-	bufFree []*sockBuf
-	// slabFree recycles the readChunk-sized bulk staging slabs the same
-	// way; slabsMade counts every slab ever allocated.
-	slabFree  [][]byte
-	slabsMade int
+	// layer holds the host-global fd-style socket table.
+	layer sockcore.Layer
 
 	listening map[uint16]bool
 	timerWake *sim.Event
@@ -125,9 +117,10 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		region:    mem.NewRegion(cfg.MemPages),
 		listening: make(map[uint16]bool),
 	}
-	if cfg.ExpectedConns > 0 {
-		h.socks = make([]*sock, 0, cfg.ExpectedConns)
-	}
+	h.layer.Reserve(cfg.ExpectedConns)
+	// Affinity accept (§2.3): a socket belongs to the core whose queue
+	// received its handshake, and its events wake that core's thread.
+	h.layer.Accepting = func() *sockcore.Owner { return &h.curCore().sock }
 	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss))
 	h.timerFired = h.onTimerWake
 	h.timerTask = h.runTimerTask
@@ -143,13 +136,10 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		Now:      func() int64 { return int64(eng.Now()) },
 		Wheel:    h.wheel,
 		SendFrame: func(f *fabric.Frame) {
-			c := h.cur
-			if c == nil {
-				c = h.cores[0]
-			}
+			c := h.curCore()
 			c.outFrames = append(c.outFrames, f)
 		},
-		Events: (*kernelEvents)(h),
+		Events: &h.layer,
 		ARP:    h.arp,
 		Seed:   cfg.Seed,
 		RcvWnd: cfg.RcvWnd,
@@ -184,11 +174,26 @@ func (h *Host) Start() {
 		h.cores = append(h.cores, newKcore(h, i))
 	}
 	for _, k := range h.cores {
-		k.handler = h.cfg.Factory(k.env(), k.id, h.cfg.Cores)
-		k.sendReady, _ = k.handler.(app.SendReadyHandler)
+		k.sock.SetHandler(h.cfg.Factory(k.env(), k.id, h.cfg.Cores))
 		k.maybeWakeApp()
 	}
 }
+
+// curCore returns the core whose context is executing, for cost
+// attribution and output.
+func (h *Host) curCore() *kcore {
+	if h.cur != nil {
+		return h.cur
+	}
+	return h.cores[0]
+}
+
+// Footprint implements the memprobe accounting contract for the Linux
+// host model: the shared kernel stack's tally and its socket layer.
+func (h *Host) Footprint() memprobe.Footprint { return h.layer.Footprint(h.ns.TCP()) }
+
+// Slabs reports the host's staging slabs, attached and free.
+func (h *Host) Slabs() (inUse, free int) { return h.layer.Slabs() }
 
 // Cores returns the core count.
 func (h *Host) Cores() int { return len(h.cores) }
@@ -277,14 +282,7 @@ type kcore struct {
 	rxq  *nicsim.RxQueue
 	txq  *nicsim.TxQueue
 
-	handler app.Handler
-	// sendReady is the handler's optional writable-again extension
-	// (nil when not implemented; cached so sockets test once).
-	sendReady app.SendReadyHandler
-
-	// epoll state.
-	readyQ     []*sock
-	readyHead  int
+	sock       sockcore.Owner // the handler and the epoll ready list
 	appRunning bool
 	napiQueued bool
 
@@ -294,10 +292,6 @@ type kcore struct {
 	txPending []*fabric.Frame
 	txSpare   []*fabric.Frame
 	napiMore  bool
-
-	// sg is the one-element scatter-gather scratch a socket's sndbuf
-	// flush hands the TCP engine (which consumes it before returning).
-	sg [1][]byte
 
 	// Bound methods, created once (method values allocate).
 	napiFn   func(*sim.Meter)
@@ -319,7 +313,26 @@ func newKcore(h *Host, id int) *kcore {
 	}
 	k.napiFn = k.napiPoll
 	k.appRunFn = k.appRun
-	k.core.CtxSwitch = h.cfg.Cost.CtxSwitch
+	c := &h.cfg.Cost
+	k.sock = sockcore.Owner{
+		Layer: &h.layer,
+		Costs: sockcore.Costs{
+			Write:       c.SyscallEntry + c.SockWrite,
+			TxSeg:       c.TxPerPkt,
+			Close:       c.SyscallEntry,
+			Abort:       c.SyscallEntry,
+			Event:       c.EpollDispatch,
+			Accept:      c.SyscallEntry + c.ConnSetup, // accept4()
+			Read:        c.SyscallEntry + c.SockRead,
+			CopyPerByte: c.CopyPerByte,
+		},
+		ReadMax: readChunk,
+		// Syscalls run inline, in the calling thread's kernel context.
+		Charge: k.chargeK,
+		Run:    (*sockcore.Sock).Do,
+		Ready:  k.maybeWakeApp,
+	}
+	k.core.CtxSwitch = c.CtxSwitch
 	k.rxq = h.nic.RxQueue(id)
 	k.txq = h.nic.TxQueue(id)
 	k.rxq.Mode = nicsim.ModeInterrupt
@@ -455,18 +468,10 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	m.AtEndCall(kEndNapi, k)
 }
 
-// enqueueReady marks a socket eventful and wakes its owning core's app
-// thread if it is blocked in epoll_wait.
-func (k *kcore) enqueueReady(s *sock) {
-	if !s.inReady {
-		s.inReady = true
-		k.readyQ = append(k.readyQ, s)
-	}
-	k.maybeWakeApp()
-}
-
+// maybeWakeApp wakes the core's app thread if it is blocked in
+// epoll_wait with a socket ready.
 func (k *kcore) maybeWakeApp() {
-	if k.appRunning || k.readyHead >= len(k.readyQ) {
+	if k.appRunning || !k.sock.Pending() {
 		return
 	}
 	k.appRunning = true
@@ -484,18 +489,7 @@ func (k *kcore) appRun(m *sim.Meter) {
 	k.chargeK(c.SyscallEntry) // epoll_wait return
 	userStart := m.Elapsed()
 	preKernel := k.sysKernel
-	for k.readyHead < len(k.readyQ) {
-		s := k.readyQ[k.readyHead]
-		k.readyQ[k.readyHead] = nil
-		k.readyHead++
-		if k.readyHead == len(k.readyQ) {
-			k.readyQ = k.readyQ[:0]
-			k.readyHead = 0
-		}
-		s.inReady = false
-		k.chargeK(c.EpollDispatch)
-		k.dispatch(s)
-	}
+	k.sock.Dispatch()
 	userSpent := m.Elapsed() - userStart - (k.sysKernel - preKernel)
 	if userSpent > 0 {
 		k.userNs += int64(userSpent)
@@ -504,65 +498,6 @@ func (k *kcore) appRun(m *sim.Meter) {
 	h.cur = nil
 	k.stageTx()
 	m.AtEndCall(kEndApp, k)
-}
-
-// dispatch delivers one ready socket's events to the application.
-func (k *kcore) dispatch(s *sock) {
-	c := &k.h.cfg.Cost
-	if s.acceptPending {
-		s.acceptPending = false
-		k.chargeK(c.SyscallEntry + c.ConnSetup) // accept4()
-		k.handler.OnAccept(s)
-	}
-	if s.connectedPending {
-		s.connectedPending = false
-		k.handler.OnConnected(s, s.connectedOK)
-		if !s.connectedOK {
-			return
-		}
-	}
-	// One read() per chunk, each at most readChunk bytes. Nothing can
-	// stage more bytes while the app thread occupies the core, so the
-	// chunk is still this socket's when readDone drops it.
-	for s.buf != nil {
-		chunk := s.buf.nextRead()
-		n := len(chunk)
-		if n == 0 {
-			break
-		}
-		k.chargeK(c.SyscallEntry + c.SockRead + c.CopyPerByte.Cost(n))
-		if s.conn != nil {
-			s.conn.RecvDone(n) // window opens as the app consumes
-		}
-		k.handler.OnRecv(s, chunk)
-		s.readDone()
-		if s.dead {
-			return
-		}
-	}
-	if s.sentPending > 0 {
-		n := int(s.sentPending)
-		s.sentPending = 0
-		k.handler.OnSent(s, n)
-	}
-	if s.readyPending {
-		s.readyPending = false
-		if k.sendReady != nil && !s.dead && !s.closing {
-			k.sendReady.OnSendReady(s)
-		}
-	}
-	if s.eofPending {
-		s.eofPending = false
-		k.handler.OnEOF(s)
-	}
-	if s.deadPending {
-		s.deadPending = false
-		s.dead = true
-		// Unsent bytes die with the socket (read data was delivered
-		// above); the engine dropped its references with the flow.
-		s.dropStaging()
-		k.handler.OnClosed(s)
-	}
 }
 
 // env returns the app.Env for this core's application thread.
@@ -629,13 +564,7 @@ func (e *kenv) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	doConnect := func() {
 		k.chargeK(k.h.cfg.Cost.SyscallEntry + k.h.cfg.Cost.ConnSetup)
 		conn, err := k.h.ns.TCP().Connect(dst, port, 0)
-		if err != nil {
-			s := &sock{k: k, cookie: cookie, connectedPending: true, dead: true}
-			k.enqueueReady(s)
-			return
-		}
-		s := &sock{k: k, conn: conn, cookie: cookie}
-		conn.Cookie = k.h.grantSock(s)
+		k.sock.NewSock(cookie).Open(conn, err)
 	}
 	if k.curMeter != nil {
 		prev := k.h.cur

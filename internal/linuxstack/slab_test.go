@@ -8,7 +8,12 @@ import (
 	"ix/internal/app"
 	"ix/internal/fabric"
 	"ix/internal/faults"
+	"ix/internal/memprobe"
+	"ix/internal/mtcpstack"
+	"ix/internal/netstack"
+	"ix/internal/nicsim"
 	"ix/internal/sim"
+	"ix/internal/sockcore"
 	"ix/internal/wire"
 )
 
@@ -23,14 +28,15 @@ type bulkEcho struct {
 	rounds int
 	depth  int
 	// onConn, if set, runs on every new socket (OnAccept / OnConnected).
-	onConn func(env app.Env, c app.Conn)
+	onConn func(e *bulkEcho, c app.Conn)
 
-	conn app.Conn
-	out  []byte // client: scratch for the message being sent or checked
-	pend []byte // bytes received but not yet a whole message
-	sent int
-	done int
-	bad  int
+	conn   app.Conn
+	closed bool   // OnClosed was delivered
+	out    []byte // client: scratch for the message being sent or checked
+	pend   []byte // bytes received but not yet a whole message
+	sent   int
+	done   int
+	bad    int
 }
 
 // pattern fills the client's scratch with message k's bytes.
@@ -44,7 +50,7 @@ func (e *bulkEcho) pattern(k int) []byte {
 func (e *bulkEcho) OnAccept(c app.Conn) {
 	e.conn = c
 	if e.onConn != nil {
-		e.onConn(e.env, c)
+		e.onConn(e, c)
 	}
 }
 
@@ -54,7 +60,7 @@ func (e *bulkEcho) OnConnected(c app.Conn, ok bool) {
 	}
 	e.conn = c
 	if e.onConn != nil {
-		e.onConn(e.env, c)
+		e.onConn(e, c)
 	}
 	for i := 0; i < max(e.depth, 1) && e.sent < e.rounds; i++ {
 		c.Send(e.pattern(e.sent))
@@ -83,46 +89,82 @@ func (e *bulkEcho) OnRecv(c app.Conn, data []byte) {
 
 func (e *bulkEcho) OnSent(app.Conn, int) {}
 func (e *bulkEcho) OnEOF(c app.Conn)     { c.Close() }
-func (e *bulkEcho) OnClosed(app.Conn)    {}
+func (e *bulkEcho) OnClosed(app.Conn)    { e.closed = true }
 
-// bulkPair is a one-core Linux server and client cabled back to back,
-// running one bulkEcho connection.
+// stackHost is what the bulk tests use of a host, on either baseline
+// stack: both stage through the shared socket core.
+type stackHost interface {
+	NIC() *nicsim.NIC
+	ARP() *netstack.ARPTable
+	IP() wire.IPv4
+	MAC() wire.MAC
+	Start()
+	Cores() int
+	ConnCount() int
+	Slabs() (inUse, free int)
+	Footprint() memprobe.Footprint
+}
+
+// hostTune is what a test may adjust on either host of a pair.
+type hostTune struct{ rcvWnd, nicRing int }
+
+// stack builds one-core hosts of one stack model.
+type stack struct {
+	name        string
+	build       func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost
+	retransmits func(stackHost) uint64
+}
+
+var (
+	linux = stack{"linux",
+		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
+			return New(eng, Config{IP: ip, MAC: mac, Cores: 1, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing})
+		},
+		func(h stackHost) uint64 { return h.(*Host).Stack().TCP().Retransmits },
+	}
+	mtcp = stack{"mtcp",
+		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
+			return mtcpstack.New(eng, mtcpstack.Config{IP: ip, MAC: mac, Cores: 1, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing})
+		},
+		func(h stackHost) uint64 { return h.(*mtcpstack.Host).Stack(0).TCP().Retransmits },
+	}
+	stacks = []stack{linux, mtcp}
+)
+
+// bulkPair is a one-core server and client of one stack cabled back to
+// back, running one bulkEcho connection.
 type bulkPair struct {
+	st       stack
 	eng      *sim.Engine
 	link     *fabric.Link
-	srv, cli *Host
+	srv, cli stackHost
 	se, ce   *bulkEcho
 }
 
-// newBulkPair builds the pair; tune may adjust either host's config. The
-// hosts start on the first run.
-func newBulkPair(msg, rounds int, tune func(srv, cli *Config)) *bulkPair {
+// newBulkPair builds the pair; tune may adjust either host. The hosts
+// start on the first run.
+func newBulkPair(st stack, msg, rounds int, tune func(srv, cli *hostTune)) *bulkPair {
 	p := &bulkPair{
+		st:  st,
 		eng: sim.NewEngine(25),
 		se:  &bulkEcho{server: true, msg: msg},
 		ce:  &bulkEcho{msg: msg, rounds: rounds, out: make([]byte, msg)},
 	}
 	srvIP := wire.Addr4(10, 0, 0, 2)
-	scfg := Config{
-		Name: "s", IP: srvIP, MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
-		Factory: func(env app.Env, th, n int) app.Handler {
-			_ = env.Listen(80)
-			p.se.env = env
-			return p.se
-		},
-	}
-	ccfg := Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
-		Factory: func(env app.Env, th, n int) app.Handler {
-			p.ce.env = env
-			_ = env.Connect(srvIP, 80, nil)
-			return p.ce
-		},
-	}
+	var stu, ctu hostTune
 	if tune != nil {
-		tune(&scfg, &ccfg)
+		tune(&stu, &ctu)
 	}
-	p.srv, p.cli = New(p.eng, scfg), New(p.eng, ccfg)
+	p.srv = st.build(p.eng, srvIP, wire.MAC{2, 0, 0, 0, 0, 2}, func(env app.Env, th, n int) app.Handler {
+		_ = env.Listen(80)
+		p.se.env = env
+		return p.se
+	}, stu)
+	p.cli = st.build(p.eng, wire.Addr4(10, 0, 0, 1), wire.MAC{2, 0, 0, 0, 0, 1}, func(env app.Env, th, n int) app.Handler {
+		p.ce.env = env
+		_ = env.Connect(srvIP, 80, nil)
+		return p.ce
+	}, ctu)
 	p.link = fabric.NewLink(p.eng, 10*fabric.Gbps, time.Microsecond)
 	p.srv.NIC().AttachPort(p.link.Port(0))
 	p.cli.NIC().AttachPort(p.link.Port(1))
@@ -143,7 +185,7 @@ func (p *bulkPair) run(t time.Duration) {
 // checkDrained fails t unless both hosts hold no slab and no side object.
 func (p *bulkPair) checkDrained(t *testing.T) {
 	t.Helper()
-	for name, h := range map[string]*Host{"server": p.srv, "client": p.cli} {
+	for name, h := range map[string]stackHost{"server": p.srv, "client": p.cli} {
 		if inUse, free := h.Slabs(); inUse != 0 {
 			t.Errorf("%s: %d slabs still attached (%d free)", name, inUse, free)
 		}
@@ -153,23 +195,34 @@ func (p *bulkPair) checkDrained(t *testing.T) {
 	}
 }
 
-// TestBulkEchoSlabsCycle: 200 byte-exact 64 KiB echoes over one Linux
-// pair draw at most four slabs between the two hosts — the pool recycles
-// rather than allocating per message — drop nothing at the TX rings, and
-// leave every slab back on a free list once the last echo is acknowledged.
+// slabsMade counts the slabs h ever allocated.
+func slabsMade(h stackHost) int {
+	inUse, free := h.Slabs()
+	return inUse + free
+}
+
+// TestBulkEchoSlabsCycle: 200 byte-exact 64 KiB echoes over one pair of
+// either stack draw at most four slabs between the two hosts — the pool
+// recycles rather than allocating per message — drop nothing at the TX
+// rings, and leave every slab back on a free list once the last echo is
+// acknowledged.
 func TestBulkEchoSlabsCycle(t *testing.T) {
-	p := newBulkPair(64<<10, 200, nil)
-	p.run(200 * time.Millisecond)
-	if p.ce.done != 200 || p.ce.bad != 0 {
-		t.Fatalf("%d of 200 echoes completed, %d corrupted", p.ce.done, p.ce.bad)
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			p := newBulkPair(st, 64<<10, 200, nil)
+			p.run(200 * time.Millisecond)
+			if p.ce.done != 200 || p.ce.bad != 0 {
+				t.Fatalf("%d of 200 echoes completed, %d corrupted", p.ce.done, p.ce.bad)
+			}
+			if made := slabsMade(p.srv) + slabsMade(p.cli); made > 4 {
+				t.Errorf("allocated %d slabs for one connection's echoes, want at most 4", made)
+			}
+			if d := p.srv.NIC().TxDrops() + p.cli.NIC().TxDrops(); d != 0 {
+				t.Errorf("%d frames dropped at the TX rings", d)
+			}
+			p.checkDrained(t)
+		})
 	}
-	if made := p.srv.slabsMade + p.cli.slabsMade; made > 4 {
-		t.Errorf("allocated %d slabs for one connection's echoes, want at most 4", made)
-	}
-	if d := p.srv.NIC().TxDrops() + p.cli.NIC().TxDrops(); d != 0 {
-		t.Errorf("%d frames dropped at the TX rings", d)
-	}
-	p.checkDrained(t)
 }
 
 // TestBulkEchoIntactUnderLoss: with two messages pipelined and frames
@@ -180,41 +233,44 @@ func TestBulkEchoSlabsCycle(t *testing.T) {
 // echo catches that. Several loss schedules, because the overlap needs a
 // loss at the right moment.
 func TestBulkEchoIntactUnderLoss(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		p := newBulkPair(64<<10, 200, nil)
-		p.ce.depth = 2
-		for i := 0; i < 2; i++ {
-			faults.Interpose(p.eng, p.link.Port(i), 2*seed+uint64(i)).Apply(faults.Config{LossP: 0.05})
-		}
-		p.run(500 * time.Millisecond)
-		if p.ce.done != p.ce.rounds || p.ce.bad != 0 {
-			t.Fatalf("loss schedule %d: %d of %d echoes completed, %d corrupted", seed, p.ce.done, p.ce.rounds, p.ce.bad)
-		}
-		if p.srv.Stack().TCP().Retransmits+p.cli.Stack().TCP().Retransmits == 0 {
-			t.Fatalf("loss schedule %d: no retransmission", seed)
-		}
-		p.checkDrained(t)
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			for seed := uint64(0); seed < 8; seed++ {
+				p := newBulkPair(st, 64<<10, 200, nil)
+				p.ce.depth = 2
+				for i := 0; i < 2; i++ {
+					faults.Interpose(p.eng, p.link.Port(i), 2*seed+uint64(i)).Apply(faults.Config{LossP: 0.05})
+				}
+				p.run(500 * time.Millisecond)
+				if p.ce.done != p.ce.rounds || p.ce.bad != 0 {
+					t.Fatalf("loss schedule %d: %d of %d echoes completed, %d corrupted", seed, p.ce.done, p.ce.rounds, p.ce.bad)
+				}
+				if st.retransmits(p.srv)+st.retransmits(p.cli) == 0 {
+					t.Fatalf("loss schedule %d: no retransmission", seed)
+				}
+				p.checkDrained(t)
+			}
+		})
 	}
 }
 
 // abortWhen polls a socket every simulated microsecond and aborts it the
 // first time its slabs satisfy cond, recording that in *hit.
-func abortWhen(hit *bool, cond func(*sockSlabs) bool) func(app.Env, app.Conn) {
-	return func(env app.Env, c app.Conn) {
+func abortWhen(hit *bool, cond func(snd, parked, rcv int) bool) func(*bulkEcho, app.Conn) {
+	return func(e *bulkEcho, c app.Conn) {
 		var poll func()
 		poll = func() {
-			s := c.(*sock)
-			if s.dead {
+			if e.closed {
 				return
 			}
-			if b := s.buf; b != nil && b.slabs != nil && cond(b.slabs) {
+			if cond(c.(*sockcore.Sock).Slabs()) {
 				*hit = true
 				c.Abort()
 				return
 			}
-			env.After(time.Microsecond, poll)
+			e.env.After(time.Microsecond, poll)
 		}
-		env.After(time.Microsecond, poll)
+		e.env.After(time.Microsecond, poll)
 	}
 }
 
@@ -222,15 +278,15 @@ func abortWhen(hit *bool, cond func(*sockSlabs) bool) func(app.Env, app.Conn) {
 // send slab TCP has not fully taken, a parked one awaiting its ACK,
 // received bytes in the chain — returns every slab on both hosts to the
 // pool, whether it was aborted locally, reset by the peer, or reset while
-// its unsent bytes sat behind a closed window.
+// its unsent bytes sat behind a closed window; on either stack.
 func TestSlabsReturnOnTeardown(t *testing.T) {
-	unsent := func(st *sockSlabs) bool { return st.snd != nil }
-	parked := func(st *sockSlabs) bool { return len(st.parked) > 0 }
-	chained := func(st *sockSlabs) bool { return len(st.rcv) > 0 }
+	unsent := func(snd, _, _ int) bool { return snd > 0 }
+	parked := func(_, parked, _ int) bool { return parked > 0 }
+	chained := func(_, _, rcv int) bool { return rcv > 0 }
 	cases := []struct {
 		name     string
 		srv, cli func(*bool, *bulkEcho)
-		tune     func(srv, cli *Config)
+		tune     func(srv, cli *hostTune)
 	}{
 		{name: "abort-unsent", cli: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, unsent) }},
 		{name: "abort-parked", cli: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, parked) }},
@@ -240,38 +296,41 @@ func TestSlabsReturnOnTeardown(t *testing.T) {
 			// holding untaken bytes when the server's reset arrives.
 			name: "peer-rst-closed-window",
 			srv: func(hit *bool, e *bulkEcho) {
-				e.onConn = func(env app.Env, c app.Conn) {
-					env.After(300*time.Microsecond, func() { *hit = true; c.Abort() })
+				e.onConn = func(e *bulkEcho, c app.Conn) {
+					e.env.After(300*time.Microsecond, func() { *hit = true; c.Abort() })
 				}
 			},
-			tune: func(srv, cli *Config) { srv.RcvWnd = 8 << 10 },
+			tune: func(srv, cli *hostTune) { srv.rcvWnd = 8 << 10 },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := newBulkPair(64<<10, 1000, tc.tune)
-			var hit bool
-			if tc.srv != nil {
-				tc.srv(&hit, p.se)
+			for _, st := range stacks {
+				t.Run(st.name, func(t *testing.T) {
+					p := newBulkPair(st, 64<<10, 1000, tc.tune)
+					var hit bool
+					if tc.srv != nil {
+						tc.srv(&hit, p.se)
+					}
+					if tc.cli != nil {
+						tc.cli(&hit, p.ce)
+					}
+					if tc.name == "peer-rst-closed-window" {
+						p.run(250 * time.Microsecond)
+						if p.ce.conn == nil || !unsent(p.ce.conn.(*sockcore.Sock).Slabs()) {
+							t.Fatal("client holds no partly sent slab before the reset")
+						}
+					}
+					p.run(20 * time.Millisecond)
+					if !hit {
+						t.Fatal("the abort condition never held")
+					}
+					if n := p.srv.ConnCount() + p.cli.ConnCount(); n != 0 {
+						t.Fatalf("%d connections still open", n)
+					}
+					p.checkDrained(t)
+				})
 			}
-			if tc.cli != nil {
-				tc.cli(&hit, p.ce)
-			}
-			if tc.name == "peer-rst-closed-window" {
-				p.run(250 * time.Microsecond)
-				s := p.ce.conn.(*sock)
-				if s.buf == nil || s.buf.slabs == nil || s.buf.slabs.snd == nil {
-					t.Fatal("client holds no partly sent slab before the reset")
-				}
-			}
-			p.run(20 * time.Millisecond)
-			if !hit {
-				t.Fatal("the abort condition never held")
-			}
-			if n := p.srv.ConnCount() + p.cli.ConnCount(); n != 0 {
-				t.Fatalf("%d connections still open", n)
-			}
-			p.checkDrained(t)
 		})
 	}
 }
@@ -280,7 +339,7 @@ func TestSlabsReturnOnTeardown(t *testing.T) {
 // drops frames at Post — counted by the NIC, recovered by TCP's
 // retransmission, the bytes still delivered intact.
 func TestTxRingDropsCounted(t *testing.T) {
-	p := newBulkPair(64<<10, 1, func(srv, cli *Config) { cli.NICRing = 4 })
+	p := newBulkPair(linux, 64<<10, 1, func(srv, cli *hostTune) { cli.nicRing = 4 })
 	p.run(100 * time.Millisecond)
 	if d := p.cli.NIC().TxDrops(); d == 0 {
 		t.Fatal("a 4-descriptor ring took a 64 KiB burst without a drop")

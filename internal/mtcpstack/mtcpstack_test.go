@@ -120,3 +120,86 @@ func TestTimerWakeSkipsCurrentTick(t *testing.T) {
 		t.Fatalf("timer wake at %v, want next tick boundary %v", got, want)
 	}
 }
+
+// echoServer returns every chunk; pinger keeps one 64 B message in
+// flight. Neither allocates per message.
+type echoServer struct{}
+
+func (echoServer) OnAccept(app.Conn)              {}
+func (echoServer) OnConnected(app.Conn, bool)     {}
+func (echoServer) OnRecv(c app.Conn, data []byte) { c.Send(data) }
+func (echoServer) OnSent(app.Conn, int)           {}
+func (echoServer) OnEOF(c app.Conn)               { c.Close() }
+func (echoServer) OnClosed(app.Conn)              {}
+
+type pinger struct {
+	msg  []byte
+	rpcs int
+}
+
+func (p *pinger) OnAccept(app.Conn) {}
+func (p *pinger) OnConnected(c app.Conn, ok bool) {
+	if ok {
+		c.Send(p.msg)
+	}
+}
+func (p *pinger) OnRecv(c app.Conn, data []byte) {
+	p.rpcs++
+	c.Send(p.msg)
+}
+func (p *pinger) OnSent(app.Conn, int) {}
+func (p *pinger) OnEOF(c app.Conn)     { c.Close() }
+func (p *pinger) OnClosed(app.Conn)    {}
+
+// TestEchoAllocsPerRTT pins what an mTCP echo round trip allocates once
+// warm: the two writes' exact-size staging backings — dropped when TCP
+// has taken them, because retransmission segments reference them in
+// place — and nothing for the handoffs between the TCP and application
+// threads, which pass typed jobs and pooled events instead of closures.
+func TestEchoAllocsPerRTT(t *testing.T) {
+	eng := sim.NewEngine(4)
+	cli := &pinger{msg: make([]byte, 64)}
+	srv := New(eng, Config{
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler {
+			_ = env.Listen(80)
+			return echoServer{}
+		},
+	})
+	client := New(eng, Config{
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler {
+			_ = env.Connect(srv.IP(), 80, nil)
+			return cli
+		},
+	})
+	link := fabric.NewLink(eng, 10*fabric.Gbps, time.Microsecond)
+	srv.NIC().AttachPort(link.Port(0))
+	client.NIC().AttachPort(link.Port(1))
+	srv.ARP().Learn(client.IP(), client.MAC())
+	client.ARP().Learn(srv.IP(), srv.MAC())
+	srv.Start()
+	client.Start()
+	until := sim.Time(5 * time.Millisecond)
+	eng.RunUntil(until)
+	if cli.rpcs == 0 {
+		t.Fatal("ping-pong did not start")
+	}
+	// AllocsPerRun warms up with one unmeasured call, then measures one.
+	start := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		start = cli.rpcs
+		until = until.Add(20 * time.Millisecond)
+		eng.RunUntil(until)
+	})
+	rpcs := cli.rpcs - start
+	if rpcs < 100 {
+		t.Fatalf("only %d RPCs in the measured window", rpcs)
+	}
+	perRTT := allocs / float64(rpcs)
+	t.Logf("%d RPCs, %.3f allocs per round trip", rpcs, perRTT)
+	// A write in flight at either edge of the window counts too.
+	if allocs > 2*float64(rpcs)+2 {
+		t.Fatalf("an echo round trip allocates %.3f, want the 2 write backings", perRTT)
+	}
+}

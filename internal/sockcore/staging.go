@@ -1,0 +1,316 @@
+package sockcore
+
+import "math"
+
+// rcvKeep is the two-size staging rule's threshold: up to rcvKeep bytes
+// queued for reading, and a write of up to rcvKeep, stage in exact-size
+// buffers; anything larger in SlabSize slabs from the layer's pool
+// (DESIGN.md, "What a byte costs").
+const rcvKeep = 2 << 10
+
+// SlabSize is the size of one bulk staging slab.
+const SlabSize = 64 << 10
+
+// buf is the staging of one socket with bytes queued.
+type buf struct {
+	// rcvbuf holds received bytes while all of them fit rcvKeep; a read
+	// takes it whole, and a drained backing of at most rcvKeep stays with
+	// the pooled object, so request-response traffic recycles
+	// allocation-free.
+	rcvbuf []byte
+	// sndbuf holds bytes written beyond the TCP window: a view of bulk.snd
+	// for a bulk write into an empty buffer, else an exact-size heap
+	// backing. Retransmission segments reference the transmitted prefix in
+	// place until acknowledged, so a drained heap backing is dropped and a
+	// slab is parked until the released count passes its last byte.
+	sndbuf []byte
+}
+
+// bulk is the slab half of a socket's staging.
+type bulk struct {
+	// rcv is the receive chain in stream order; every slab but the last
+	// is full.
+	rcv [][]byte
+	// snd backs sndbuf until TCP has taken all of it.
+	snd []byte
+	// parked holds slabs TCP has taken and may still retransmit from,
+	// oldest first.
+	parked []parkedSlab
+}
+
+// parkedSlab is a send slab awaiting release: left is how many more
+// released bytes must be reported before its last byte is released.
+type parkedSlab struct {
+	b    []byte
+	left int
+}
+
+// count returns the slabs attached.
+func (bk *bulk) count() int {
+	n := len(bk.rcv) + len(bk.parked)
+	if bk.snd != nil {
+		n++
+	}
+	return n
+}
+
+// getSlab draws an empty slab from the pool.
+//
+//ix:hotpath
+func (l *Layer) getSlab() []byte {
+	if n := len(l.slabFree); n > 0 {
+		b := l.slabFree[n-1]
+		l.slabFree[n-1] = nil
+		l.slabFree = l.slabFree[:n-1]
+		return b
+	}
+	l.slabsMade++
+	//ixvet:ignore(hotpath) pool miss: once per unit of peak bulk concurrency, steady state hits the free list
+	return make([]byte, 0, SlabSize)
+}
+
+// putSlab returns a slab nothing references any more to the pool.
+//
+//ix:hotpath
+func (l *Layer) putSlab(b []byte) {
+	l.slabFree = append(l.slabFree, b[:0])
+}
+
+// getBuf returns the socket's staging buffers, borrowing them from the
+// pool when none are attached.
+//
+//ix:hotpath
+func (s *Sock) getBuf() *buf {
+	if s.buf != nil {
+		return s.buf
+	}
+	l := s.o.Layer
+	if n := len(l.bufFree); n > 0 {
+		s.buf = l.bufFree[n-1]
+		l.bufFree[n-1] = nil
+		l.bufFree = l.bufFree[:n-1]
+	} else {
+		//ixvet:ignore(hotpath) pool miss: once per unit of peak concurrency, steady state hits the free list
+		s.buf = &buf{}
+	}
+	return s.buf
+}
+
+// getBulk returns the socket's slab half, borrowing it from the pool on
+// the socket's first slab.
+//
+//ix:hotpath
+func (s *Sock) getBulk() *bulk {
+	if s.bulk != nil {
+		return s.bulk
+	}
+	l := s.o.Layer
+	if n := len(l.bulkFree); n > 0 {
+		s.bulk = l.bulkFree[n-1]
+		l.bulkFree[n-1] = nil
+		l.bulkFree = l.bulkFree[:n-1]
+	} else {
+		//ixvet:ignore(hotpath) pool miss: once per unit of peak bulk concurrency, steady state hits the free list
+		s.bulk = &bulk{}
+	}
+	return s.bulk
+}
+
+// putBuf returns the staging to the pools once nothing is queued: the
+// bulk half when no slab is attached, then the buffers when both drained.
+// Read bytes stay queued until readDone, after OnRecv has returned.
+//
+//ix:hotpath
+func (s *Sock) putBuf() {
+	l := s.o.Layer
+	if bk := s.bulk; bk != nil {
+		if bk.count() > 0 {
+			return
+		}
+		s.bulk = nil
+		l.bulkFree = append(l.bulkFree, bk)
+	}
+	b := s.buf
+	if b == nil || len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
+		return
+	}
+	s.buf = nil
+	l.bufFree = append(l.bufFree, b)
+}
+
+// stageRcv queues received bytes: in the small buffer while everything
+// queued fits rcvKeep, else in the slab chain, whose first slab takes the
+// small buffer's bytes so the stream stays in order, and which takes every
+// arrival until it is read empty.
+//
+//ix:hotpath
+func (s *Sock) stageRcv(data []byte) {
+	b := s.getBuf()
+	l := s.o.Layer
+	if s.bulk == nil || len(s.bulk.rcv) == 0 {
+		if len(b.rcvbuf)+len(data) <= rcvKeep {
+			b.rcvbuf = append(b.rcvbuf, data...)
+			return
+		}
+		bk := s.getBulk()
+		bk.rcv = append(bk.rcv, append(l.getSlab(), b.rcvbuf...))
+		b.rcvbuf = keepSmall(b.rcvbuf)
+	}
+	bk := s.bulk
+	for len(data) > 0 {
+		last := len(bk.rcv) - 1
+		if len(bk.rcv[last]) == SlabSize {
+			bk.rcv = append(bk.rcv, l.getSlab())
+			last++
+		}
+		n := min(len(data), SlabSize-len(bk.rcv[last]))
+		bk.rcv[last] = append(bk.rcv[last], data[:n]...)
+		data = data[n:]
+	}
+}
+
+// nextRead returns what one read takes, and how many slabs it drains:
+// whole slabs from the chain's head while they fit ReadMax (at least one;
+// several are gathered into the owner's scratch), else the whole small
+// buffer. As every slab but the last is full, reading a contiguous buffer
+// SlabSize bytes at a time would cut the same chunks.
+func (s *Sock) nextRead() (chunk []byte, slabs int) {
+	bk := s.bulk
+	if bk == nil || len(bk.rcv) == 0 {
+		return s.buf.rcvbuf, 0
+	}
+	n, size := 1, len(bk.rcv[0])
+	for n < len(bk.rcv) && size+len(bk.rcv[n]) <= s.o.ReadMax {
+		size += len(bk.rcv[n])
+		n++
+	}
+	if n == 1 {
+		return bk.rcv[0], 1
+	}
+	o := s.o
+	o.gather = o.gather[:0]
+	for _, slab := range bk.rcv[:n] {
+		o.gather = append(o.gather, slab...)
+	}
+	return o.gather, n
+}
+
+// readDone drops what nextRead returned, after the OnRecv it was handed to
+// has returned: drained slabs go back to the pool, the small buffer
+// resets, and a socket with nothing left queued returns its staging.
+//
+//ix:hotpath
+func (s *Sock) readDone(slabs int) {
+	if slabs == 0 {
+		s.buf.rcvbuf = keepSmall(s.buf.rcvbuf)
+	} else {
+		s.dropRcv(slabs)
+	}
+	s.putBuf()
+}
+
+// dropRcv returns the first n slabs of the receive chain to the pool.
+func (s *Sock) dropRcv(n int) {
+	bk := s.bulk
+	for _, slab := range bk.rcv[:n] {
+		s.o.Layer.putSlab(slab)
+	}
+	left := copy(bk.rcv, bk.rcv[n:])
+	clear(bk.rcv[left:])
+	bk.rcv = bk.rcv[:left]
+}
+
+// keepSmall empties a drained small buffer, keeping a backing of at most
+// rcvKeep for the next borrower and dropping a larger one.
+func keepSmall(b []byte) []byte {
+	if cap(b) > rcvKeep {
+		return nil
+	}
+	return b[:0]
+}
+
+// stageSnd copies a write into the send staging. A bulk write into an
+// empty buffer lands in a slab, capacity-capped so that a later append
+// moves the untaken rest to a heap backing instead of into the slab.
+func (s *Sock) stageSnd(b []byte) {
+	sb := s.getBuf()
+	if len(sb.sndbuf) == 0 && len(b) > rcvKeep && len(b) <= SlabSize {
+		bk := s.getBulk()
+		bk.snd = append(s.o.Layer.getSlab(), b...)
+		sb.sndbuf = bk.snd[:len(b):len(b)]
+		return
+	}
+	sb.sndbuf = append(sb.sndbuf, b...)
+	if bk := s.bulk; bk != nil && bk.snd != nil && len(b) > 0 {
+		// The append moved the slab's untaken rest to a heap backing.
+		s.parkSnd(bk)
+	}
+}
+
+// parkSnd parks the slab behind sndbuf once TCP has taken all it will of
+// it. Every byte TCP took is among those the engine still references, so
+// the slab is free once released counts add up to that many.
+func (s *Sock) parkSnd(bk *bulk) {
+	slab := bk.snd
+	bk.snd = nil
+	if left := s.conn.Unreleased(); left > 0 {
+		bk.parked = append(bk.parked, parkedSlab{b: slab, left: left})
+		return
+	}
+	s.o.Layer.putSlab(slab)
+}
+
+// releaseParked applies a sent event's released count to the parked
+// slabs, returning those whose last byte it covered.
+func (s *Sock) releaseParked(released int) {
+	bk := s.bulk
+	if released <= 0 || bk == nil || len(bk.parked) == 0 {
+		return
+	}
+	done := 0
+	for i := range bk.parked {
+		p := &bk.parked[i]
+		if p.left -= released; p.left <= 0 {
+			s.o.Layer.putSlab(p.b)
+			done = i + 1
+		}
+	}
+	n := copy(bk.parked, bk.parked[done:])
+	clear(bk.parked[n:])
+	bk.parked = bk.parked[:n]
+	s.putBuf()
+}
+
+// dropStaging tears a dead socket's staging down: the engine dropped its
+// references with the flow, so every slab returns to the pool and unread
+// or unsent bytes die with the socket.
+func (s *Sock) dropStaging() {
+	b := s.buf
+	if b == nil {
+		return
+	}
+	b.rcvbuf = keepSmall(b.rcvbuf)
+	b.sndbuf = nil
+	if bk := s.bulk; bk != nil {
+		s.dropRcv(len(bk.rcv))
+		if bk.snd != nil {
+			s.o.Layer.putSlab(bk.snd)
+			bk.snd = nil
+		}
+		s.releaseParked(math.MaxInt)
+	}
+	s.putBuf()
+}
+
+// Slabs reports the slabs attached to s: the send slab TCP has not taken
+// all of (0 or 1), those parked until released, and the receive chain.
+func (s *Sock) Slabs() (snd, parked, rcv int) {
+	bk := s.bulk
+	if bk == nil {
+		return 0, 0, 0
+	}
+	if bk.snd != nil {
+		snd = 1
+	}
+	return snd, len(bk.parked), len(bk.rcv)
+}
