@@ -1,159 +1,76 @@
 package linuxstack
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
-	"unsafe"
+	"time"
 
-	"ix/internal/app"
-	"ix/internal/wire"
+	"ix/internal/sim"
+	"ix/internal/sockcore"
 )
 
-// TestConnStateSizes pins the socket adapter's size: one exists per
-// established connection, so growth is a reviewed decision (DESIGN.md,
-// "Per-connection memory budget"). The sockBuf is charged per attached
-// socket by Footprint, so its size is pinned too.
+// TestConnStateSizes pins the socket state the Linux model charges per
+// established connection: the shared socket, one per connection, within
+// the 64 B budget of the adapter it replaced, and the staging buffer
+// Footprint charges per attached socket (DESIGN.md, "Per-connection
+// memory budget").
 func TestConnStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(sock{}); got > 64 {
-		t.Fatalf("linuxstack.sock is %d bytes, budget 64", got)
+	if sockcore.SockBytes > 64 {
+		t.Fatalf("a Linux socket is %d bytes, budget 64", sockcore.SockBytes)
 	}
-	if got := unsafe.Sizeof(sockBuf{}); got != 56 {
-		t.Fatalf("linuxstack.sockBuf is %d bytes, want 56", got)
+	if sockcore.BufBytes != 48 {
+		t.Fatalf("a Linux socket's attached buffer is %d bytes, want 48", sockcore.BufBytes)
 	}
 }
 
-// TestZeroAllocSockBufPool: once warm, a request-response socket's
-// receive staging cycles borrow → fill → read → return without
-// allocating — the small backing stays with the pooled object — and so
-// does a bulk receive through the slab chain; a small backing grown past
-// rcvKeep is released rather than retained.
+// echoAllocs runs one Linux echo connection of msg-byte messages until it
+// is warm, then counts the allocations of 20 ms more; it returns them with
+// the echoes completed meanwhile, and the pair.
+func echoAllocs(t *testing.T, msg int) (allocs float64, echoes int, p *bulkPair) {
+	t.Helper()
+	p = newBulkPair(linux, msg, 1<<30, nil)
+	until := 10 * time.Millisecond
+	p.run(until)
+	if p.ce.done == 0 {
+		t.Fatalf("%d B echo did not start", msg)
+	}
+	// AllocsPerRun warms up with one unmeasured call, then measures one.
+	start := 0
+	allocs = testing.AllocsPerRun(1, func() {
+		start = p.ce.done
+		until += 20 * time.Millisecond
+		p.eng.RunUntil(sim.Time(until))
+	})
+	if echoes = p.ce.done - start; echoes < 50 {
+		t.Fatalf("%d B: only %d echoes in the measured window", msg, echoes)
+	}
+	if p.ce.bad != 0 {
+		t.Fatalf("%d B: %d echoes corrupted", msg, p.ce.bad)
+	}
+	return allocs, echoes, p
+}
+
+// TestZeroAllocSockBufPool: once warm, a Linux echo connection's staging
+// cycles through the layer's pools. A 4 KiB echo — the small buffer
+// borrowed first, then a slab on each side for the bytes past it, and a
+// slab for each write — allocates nothing on either host. A 64 B echo
+// allocates only its two writes' exact-size backings, dropped once TCP
+// has taken them: receiving through the pooled small buffer costs
+// nothing, and each host's pool holds the one buffer object its one
+// socket needs.
 func TestZeroAllocSockBufPool(t *testing.T) {
-	h := &Host{}
-	k := &kcore{h: h}
-	a, b := &sock{k: k}, &sock{k: k}
-	msg := make([]byte, 64)
-	cycle := func(s *sock, data []byte) {
-		for off := 0; off < len(data); off += wire.MSS {
-			s.stageRcv(data[off:min(off+wire.MSS, len(data))])
+	if allocs, echoes, _ := echoAllocs(t, 4<<10); allocs != 0 {
+		t.Fatalf("%d warm 4 KiB echoes allocate %.0f times, want 0", echoes, allocs)
+	}
+	allocs, echoes, p := echoAllocs(t, 64)
+	// A write in flight at either edge of the window counts too.
+	if allocs > 2*float64(echoes)+2 {
+		t.Fatalf("a warm 64 B echo allocates %.3f times, want the 2 write backings", allocs/float64(echoes))
+	}
+	for name, h := range map[string]*Host{"server": p.srv.(*Host), "client": p.cli.(*Host)} {
+		// The socket layer's objects: the host's less its TCP engine's.
+		f, tf := h.Footprint(), h.Stack().TCP().Footprint()
+		if pooled, attached := f.Pooled-tf.Pooled, f.Attached-tf.Attached; pooled+attached != 1 {
+			t.Fatalf("%s: %d buffer objects pooled and %d attached for one socket, want 1 in all", name, pooled, attached)
 		}
-		for s.buf != nil && len(s.buf.nextRead()) > 0 {
-			s.readDone()
-		}
-	}
-	cycle(a, msg)
-	if a.buf != nil || len(h.bufFree) != 1 {
-		t.Fatalf("drained socket kept its buffers (pool holds %d)", len(h.bufFree))
-	}
-	// The next borrower — another socket — inherits the warm backing.
-	if allocs := testing.AllocsPerRun(100, func() { cycle(b, msg); cycle(a, msg) }); allocs != 0 {
-		t.Fatalf("warm receive cycle allocates %.1f, want 0", allocs)
-	}
-	if len(h.bufFree) != 1 {
-		t.Fatalf("pool grew to %d objects for one socket in flight at a time", len(h.bufFree))
-	}
-	bulk := make([]byte, 3*readChunk/2)
-	cycle(a, bulk)
-	if allocs := testing.AllocsPerRun(100, func() { cycle(a, bulk) }); allocs != 0 {
-		t.Fatalf("warm bulk receive cycle allocates %.1f, want 0", allocs)
-	}
-	if inUse, free := h.Slabs(); inUse != 0 || free != 2 {
-		t.Fatalf("after bulk cycles: %d slabs in use, %d free; want 0 and 2", inUse, free)
-	}
-	// A small buffer appended past rcvKeep in one go (cap growth) is not
-	// what a pooled object keeps.
-	sb := a.getBuf()
-	sb.rcvbuf = append(sb.rcvbuf, make([]byte, rcvKeep+1)...)
-	a.readDone()
-	if got := cap(h.bufFree[0].rcvbuf); got > rcvKeep {
-		t.Fatalf("pooled object retains a %d-byte backing, want none above %d", got, rcvKeep)
-	}
-	// A socket with unsent bytes keeps its buffers across a read drain.
-	sb = a.getBuf()
-	sb.sndbuf = append(sb.sndbuf, msg...)
-	cycle(a, msg)
-	if a.buf != sb {
-		t.Fatal("buffers returned to the pool with bytes still unsent")
-	}
-}
-
-// chunkRecorder is a handler that records every OnRecv chunk.
-type chunkRecorder struct{ chunks [][]byte }
-
-func (r *chunkRecorder) OnAccept(app.Conn)           {}
-func (r *chunkRecorder) OnConnected(app.Conn, bool)  {}
-func (r *chunkRecorder) OnRecv(_ app.Conn, d []byte) { r.chunks = append(r.chunks, bytes.Clone(d)) }
-func (r *chunkRecorder) OnSent(app.Conn, int)        {}
-func (r *chunkRecorder) OnEOF(app.Conn)              {}
-func (r *chunkRecorder) OnClosed(app.Conn)           {}
-
-// contiguousStaging is the receive staging the slab chain replaced, kept
-// as the reference: one buffer grown by append, read from a cursor a
-// readChunk at a time, released once read to the end.
-type contiguousStaging struct {
-	rcvbuf []byte
-	rcvOff int
-}
-
-func (c *contiguousStaging) arrive(data []byte) { c.rcvbuf = append(c.rcvbuf, data...) }
-
-func (c *contiguousStaging) readAll() (chunks [][]byte) {
-	for c.rcvOff < len(c.rcvbuf) {
-		n := min(len(c.rcvbuf)-c.rcvOff, readChunk)
-		chunks = append(chunks, c.rcvbuf[c.rcvOff:c.rcvOff+n])
-		c.rcvOff += n
-	}
-	c.rcvbuf, c.rcvOff = nil, 0
-	return chunks
-}
-
-// TestStagingMatchesContiguousAppend drives the receive staging through
-// the real dispatch loop with random arrival patterns — segments of 1 to
-// MSS bytes, several dispatches' worth per read, totals from a few bytes
-// to the full receive window — and checks every OnRecv chunk, length and
-// bytes, against the staging the slabs replaced: one buffer grown by
-// append and read a readChunk at a time.
-func TestStagingMatchesContiguousAppend(t *testing.T) {
-	const rcvWnd = 256 << 10 // the engine's default receive window
-	h := &Host{}
-	k := &kcore{h: h}
-	got := &chunkRecorder{}
-	k.handler = got
-	s := &sock{k: k}
-	rng := rand.New(rand.NewSource(25))
-	var ref contiguousStaging
-	var want [][]byte
-	var stream byte
-	for dispatch := 0; dispatch < 400; dispatch++ {
-		total := 1 + rng.Intn(rcvWnd)
-		if dispatch%3 == 0 {
-			total = 1 + rng.Intn(3*rcvKeep) // around the two-size threshold
-		}
-		for n := 0; n < total; {
-			seg := make([]byte, min(1+rng.Intn(wire.MSS), total-n))
-			for i := range seg {
-				seg[i] = stream
-				stream = stream*31 + 7
-			}
-			s.stageRcv(seg)
-			ref.arrive(seg)
-			n += len(seg)
-		}
-		want = append(want, ref.readAll()...)
-		k.dispatch(s)
-		if s.buf != nil {
-			t.Fatalf("dispatch %d: socket keeps its buffers after reading everything", dispatch)
-		}
-	}
-	if len(got.chunks) != len(want) {
-		t.Fatalf("%d chunks read, contiguous staging reads %d", len(got.chunks), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got.chunks[i], want[i]) {
-			t.Fatalf("chunk %d: %d bytes, contiguous staging reads %d (or the bytes differ)", i, len(got.chunks[i]), len(want[i]))
-		}
-	}
-	if inUse, _ := h.Slabs(); inUse != 0 {
-		t.Fatalf("%d slabs still attached after every read", inUse)
 	}
 }

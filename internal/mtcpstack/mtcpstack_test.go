@@ -134,6 +134,7 @@ func (echoServer) OnClosed(app.Conn)              {}
 
 type pinger struct {
 	msg  []byte
+	got  int // bytes of the message in flight echoed so far
 	rpcs int
 }
 
@@ -144,8 +145,11 @@ func (p *pinger) OnConnected(c app.Conn, ok bool) {
 	}
 }
 func (p *pinger) OnRecv(c app.Conn, data []byte) {
-	p.rpcs++
-	c.Send(p.msg)
+	if p.got += len(data); p.got >= len(p.msg) {
+		p.got = 0
+		p.rpcs++
+		c.Send(p.msg)
+	}
 }
 func (p *pinger) OnSent(app.Conn, int) {}
 func (p *pinger) OnEOF(c app.Conn)     { c.Close() }
@@ -157,8 +161,23 @@ func (p *pinger) OnClosed(app.Conn)    {}
 // place — and nothing for the handoffs between the TCP and application
 // threads, which pass typed jobs and pooled events instead of closures.
 func TestEchoAllocsPerRTT(t *testing.T) {
+	allocs, rpcs, _ := echoAllocs(t, 64)
+	perRTT := allocs / float64(rpcs)
+	t.Logf("%d RPCs, %.3f allocs per round trip", rpcs, perRTT)
+	// A write in flight at either edge of the window counts too.
+	if allocs > 2*float64(rpcs)+2 {
+		t.Fatalf("an echo round trip allocates %.3f, want the 2 write backings", perRTT)
+	}
+}
+
+// echoAllocs runs one mTCP echo connection of msg-byte messages, one in
+// flight, until it is warm, then counts the allocations of 20 ms more; it
+// returns them with the round trips completed meanwhile, and the server
+// and client hosts.
+func echoAllocs(t *testing.T, msg int) (allocs float64, rpcs int, hosts []*Host) {
+	t.Helper()
 	eng := sim.NewEngine(4)
-	cli := &pinger{msg: make([]byte, 64)}
+	cli := &pinger{msg: make([]byte, msg)}
 	srv := New(eng, Config{
 		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
@@ -183,23 +202,17 @@ func TestEchoAllocsPerRTT(t *testing.T) {
 	until := sim.Time(5 * time.Millisecond)
 	eng.RunUntil(until)
 	if cli.rpcs == 0 {
-		t.Fatal("ping-pong did not start")
+		t.Fatalf("%d B ping-pong did not start", msg)
 	}
 	// AllocsPerRun warms up with one unmeasured call, then measures one.
 	start := 0
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs = testing.AllocsPerRun(1, func() {
 		start = cli.rpcs
 		until = until.Add(20 * time.Millisecond)
 		eng.RunUntil(until)
 	})
-	rpcs := cli.rpcs - start
-	if rpcs < 100 {
-		t.Fatalf("only %d RPCs in the measured window", rpcs)
+	if rpcs = cli.rpcs - start; rpcs < 100 {
+		t.Fatalf("%d B: only %d RPCs in the measured window", msg, rpcs)
 	}
-	perRTT := allocs / float64(rpcs)
-	t.Logf("%d RPCs, %.3f allocs per round trip", rpcs, perRTT)
-	// A write in flight at either edge of the window counts too.
-	if allocs > 2*float64(rpcs)+2 {
-		t.Fatalf("an echo round trip allocates %.3f, want the 2 write backings", perRTT)
-	}
+	return allocs, rpcs, []*Host{srv, client}
 }

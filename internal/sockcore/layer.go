@@ -125,14 +125,17 @@ func (l *Layer) Slabs() (inUse, free int) {
 	return l.slabsMade - len(l.slabFree), len(l.slabFree)
 }
 
+// SockBytes and BufBytes are what Footprint charges for each socket and
+// for each attached staging buffer, before the buffer's backings.
+const (
+	SockBytes = int64(unsafe.Sizeof(Sock{}))
+	BufBytes  = int64(unsafe.Sizeof(buf{}))
+)
+
 // Footprint implements the memprobe accounting contract over engine st:
 // its tally, the socket table, each socket and — only while attached —
 // its buffers with their capacities and each slab (SlabSize bytes).
 func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
-	const (
-		sockBytes = int64(unsafe.Sizeof(Sock{}))
-		bufBytes  = int64(unsafe.Sizeof(buf{}))
-	)
 	f := st.Footprint()
 	f.Bytes += l.socks.Bytes()
 	f.Pooled += len(l.bufFree) + len(l.slabFree)
@@ -141,13 +144,13 @@ func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
 		if s == nil {
 			return // embryonic: no socket until accept
 		}
-		f.Bytes += sockBytes
+		f.Bytes += SockBytes
 		b := s.buf
 		if b == nil {
 			return
 		}
 		f.Attached++
-		f.Bytes += bufBytes + int64(cap(b.rcvbuf))
+		f.Bytes += BufBytes + int64(cap(b.rcvbuf))
 		bk := s.bulk
 		if bk == nil || bk.snd == nil {
 			f.Bytes += int64(cap(b.sndbuf)) // a slab-backed sndbuf is counted with its slab
