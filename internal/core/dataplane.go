@@ -35,8 +35,7 @@ type Config struct {
 	// MemPages is the large-page grant from the control plane
 	// (default 512 pages = 1 GB).
 	MemPages int
-	// RcvWnd, MinRTO tune the TCP engine.
-	RcvWnd int
+	// MinRTO is the TCP retransmission-timeout floor (0 = tcp default).
 	MinRTO time.Duration
 	// ExpectedConns is the anticipated host-wide steady-state flow
 	// population; each elastic thread presizes its connection table,
@@ -53,11 +52,6 @@ type Config struct {
 	// User constructs the ring-3 program for each elastic thread
 	// (libix.Program does this for applications).
 	User func(api *UserAPI, thread, threads int) UserProgram
-	// NICRing overrides the descriptor ring size.
-	NICRing int
-	// ITR is the NIC interrupt moderation (only relevant for the
-	// interrupt fallback; IX polls).
-	ITR time.Duration
 	// OnNonResponsive is notified when the §4.5 user-mode timeout
 	// interrupt marks a thread non-responsive.
 	OnNonResponsive func(thread int)
@@ -157,11 +151,7 @@ func New(eng *sim.Engine, cfg Config) *Dataplane {
 		Domain: dune.Domain{Name: cfg.Name, Ring: dune.Ring0NonRoot},
 	}
 	d.missFloor_ = time.Duration(cost.MissesPerMsg(0) * float64(d.cfg.Cost.L3Miss))
-	d.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.MaxThreads,
-		RingSize: cfg.NICRing,
-		ITR:      cfg.ITR,
-	})
+	d.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{Queues: cfg.MaxThreads})
 	return d
 }
 
@@ -214,6 +204,34 @@ func (d *Dataplane) ConnCount() int {
 	n := 0
 	for _, et := range d.threads {
 		n += et.ns.TCP().ConnCount()
+	}
+	return n
+}
+
+// EachStack calls fn with every live elastic thread's network stack.
+func (d *Dataplane) EachStack(fn func(*netstack.Stack)) {
+	for _, et := range d.threads {
+		fn(et.ns)
+	}
+}
+
+// MbufsInUse sums the receive mbufs still referenced across the live
+// threads' pools: zero once traffic has quiesced.
+func (d *Dataplane) MbufsInUse() int {
+	n := 0
+	for _, et := range d.threads {
+		n += et.pool.InUse()
+	}
+	return n
+}
+
+// TxChunksInUse sums the TX arena chunks held across the live threads'
+// pools: zero once every send is acknowledged and every dead
+// connection's arena released.
+func (d *Dataplane) TxChunksInUse() int {
+	n := 0
+	for _, et := range d.threads {
+		n += et.txpool.InUse()
 	}
 	return n
 }

@@ -141,7 +141,6 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		Events:    (*threadEvents)(et),
 		ARP:       dp.arp,
 		Seed:      dp.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
-		RcvWnd:    dp.cfg.RcvWnd,
 		MinRTO:    dp.cfg.MinRTO,
 
 		ExpectedConns: expected,

@@ -1,22 +1,33 @@
 package harness
 
-// Temporary determinism spot-capture used while refactoring the TX path:
-// prints exact fixed-seed outputs so byte-identical behaviour can be
-// verified across the change. Run with BASELINE_CAPTURE=1.
-
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
 	"ix/internal/mutilate"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/baseline_capture.golden")
+
+// TestBaselineCapture pins exact fixed-seed echo and memcached results
+// against testdata/baseline_capture.golden, so a change that moves any
+// simulated number fails here. A change that means to move them rewrites
+// the file with
+//
+//	go test ./internal/harness -run TestBaselineCapture -update
+//
+// and says why. The file is recorded on amd64: other architectures may
+// fuse floating-point multiply-adds and round a rate differently.
 func TestBaselineCapture(t *testing.T) {
-	if os.Getenv("BASELINE_CAPTURE") == "" {
-		t.Skip("set BASELINE_CAPTURE=1 to run")
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden file recorded on amd64")
 	}
+	var out bytes.Buffer
 	type cfg struct {
 		name string
 		s    EchoSetup
@@ -83,7 +94,7 @@ func TestBaselineCapture(t *testing.T) {
 	}
 	for _, c := range cases {
 		res := RunEcho(c.s)
-		fmt.Printf("%s: msgs=%.6f conns=%.6f p50=%v p99=%v mean=%v srvconns=%d kshare=%.9f batch=%.9f drops=%d kpm=%v\n",
+		fmt.Fprintf(&out, "%s: msgs=%.6f conns=%.6f p50=%v p99=%v mean=%v srvconns=%d kshare=%.9f batch=%.9f drops=%d kpm=%v\n",
 			c.name, res.MsgsPerSec, res.ConnsPerSec, res.RTTp50, res.RTTp99, res.RTTMean,
 			res.ServerConns, res.ServerKernelShare, res.MeanBatch, res.Drops, res.KernelPerMsg)
 	}
@@ -109,8 +120,22 @@ func TestBaselineCapture(t *testing.T) {
 	}
 	for _, c := range memcCases {
 		res := RunMemcached(c.s)
-		fmt.Printf("%s: rps=%.6f agentp99=%v agentmean=%v loadp99=%v kshare=%.9f hits=%d misses=%d\n",
+		fmt.Fprintf(&out, "%s: rps=%.6f agentp99=%v agentmean=%v loadp99=%v kshare=%.9f hits=%d misses=%d\n",
 			c.name, res.AchievedRPS, res.AgentP99, res.AgentMean, res.LoadP99,
 			res.ServerKernelShare, res.Hits, res.Misses)
+	}
+	const golden = "testdata/baseline_capture.golden"
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("fixed-seed results differ from %s\ngot:\n%swant:\n%s", golden, out.Bytes(), want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ix/internal/apps/echo"
 	"ix/internal/faults"
+	"ix/internal/netstack"
 )
 
 // ChaosSetup configures the randomized fault-schedule experiment: an
@@ -18,20 +19,13 @@ import (
 // no byte of any response ever differed from its request, whole-transfer
 // checksums match, and every frame pool drains to zero (nothing leaked,
 // nothing double-freed).
+//
+// The testbed is fixed: a 2-core IX server and four 2-core Linux clients
+// of 4 connections per thread, each running 32 rounds.
 type ChaosSetup struct {
-	ServerArch  Arch // zero value = ArchIX
-	ServerCores int
-	ClientHosts int
-	ClientCores int
-	// ConnsPerThread / Rounds / MsgSize follow echo semantics.
-	ConnsPerThread int
-	Rounds         int
-	MsgSize        int
-	// Phases random impairment phases of PhaseLen each.
-	Phases   int
-	PhaseLen time.Duration
-	Warmup   time.Duration
-	Seed     int64
+	// Phases is the number of random impairment phases (default 8).
+	Phases int
+	Seed   int64
 }
 
 // ChaosResult is the outcome plus every invariant input.
@@ -50,12 +44,9 @@ type ChaosResult struct {
 	BadChecksums uint64
 	OutOfOrder   uint64
 	ConnFailures uint64
-	// FramesLeaked is the cluster frame-pool imbalance after heal+drain
-	// (must be zero: the frame-conservation invariant).
-	FramesLeaked int
-	// MbufsLeaked is the receive-mbuf imbalance at the same point (must
-	// be zero too: an mbuf held past its reader pins its frame).
-	MbufsLeaked int
+	// Leaked is the cluster's pool imbalance after heal+drain (must be
+	// zero: the conservation invariants).
+	Leaked Leaks
 }
 
 // chaosMenu returns the impairment for one phase draw (clean with
@@ -85,54 +76,31 @@ func RunChaos(s ChaosSetup) ChaosResult {
 	if s.Seed == 0 {
 		s.Seed = 23
 	}
-	if s.ServerCores <= 0 {
-		s.ServerCores = 2
-	}
-	if s.ClientHosts <= 0 {
-		s.ClientHosts = 4
-	}
-	if s.ClientCores <= 0 {
-		s.ClientCores = 2
-	}
-	if s.ConnsPerThread <= 0 {
-		s.ConnsPerThread = 4
-	}
-	if s.Rounds <= 0 {
-		s.Rounds = 32
-	}
-	if s.MsgSize <= 0 {
-		// Two segments per message, so jitter phases genuinely reorder
-		// in-flight data and exercise reassembly end to end.
-		s.MsgSize = 2048
-	}
 	if s.Phases <= 0 {
 		s.Phases = 8
 	}
-	if s.PhaseLen <= 0 {
-		s.PhaseLen = time.Millisecond
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = 2 * time.Millisecond
-	}
+	// Two segments per message, so jitter phases genuinely reorder
+	// in-flight data and exercise reassembly end to end.
+	const port, msgSize = 9000, 2048
+	const phaseLen, warmup = time.Millisecond, 2 * time.Millisecond
 	cl := NewCluster(s.Seed)
 	m := echo.NewMetrics()
-	const port = 9000
 	server := cl.AddHost("server", HostSpec{
-		Arch:    s.ServerArch,
-		Cores:   s.ServerCores,
-		Factory: echo.VerifyingServerFactory(port, s.MsgSize),
+		Arch:    ArchIX,
+		Cores:   2,
+		Factory: echo.VerifyingServerFactory(port, msgSize),
 	})
 	var clients []Host
-	for i := 0; i < s.ClientHosts; i++ {
+	for i := 0; i < 4; i++ {
 		clients = append(clients, cl.AddHost("client", HostSpec{
 			Arch:  ArchLinux,
-			Cores: s.ClientCores,
+			Cores: 2,
 			Factory: echo.ClientFactory(echo.ClientConfig{
 				ServerIP:   server.IP(),
 				Port:       port,
-				MsgSize:    s.MsgSize,
-				Rounds:     s.Rounds,
-				Conns:      s.ConnsPerThread,
+				MsgSize:    msgSize,
+				Rounds:     32,
+				Conns:      4,
 				Metrics:    m,
 				Verify:     true,
 				VerifySeed: uint64(s.Seed) + uint64(i)*1313,
@@ -150,36 +118,36 @@ func RunChaos(s ChaosSetup) ChaosResult {
 		sites = append(sites, site)
 		var plan faults.Plan
 		for p := 0; p < s.Phases; p++ {
-			at := s.Warmup + time.Duration(p)*s.PhaseLen
+			at := warmup + time.Duration(p)*phaseLen
 			cfg := chaosMenu(rng)
 			plan.Steps = append(plan.Steps, faults.Step{At: at, Cfg: cfg})
 			if rng.Intn(8) == 0 {
 				// Short link flap inside the phase.
 				plan.Steps = append(plan.Steps,
-					faults.Step{At: at + s.PhaseLen/4, Cfg: faults.Config{Down: true}},
-					faults.Step{At: at + s.PhaseLen/2, Cfg: cfg})
+					faults.Step{At: at + phaseLen/4, Cfg: faults.Config{Down: true}},
+					faults.Step{At: at + phaseLen/2, Cfg: cfg})
 			}
 		}
 		plan.Steps = append(plan.Steps,
-			faults.Step{At: s.Warmup + time.Duration(s.Phases)*s.PhaseLen, Cfg: faults.Config{}})
+			faults.Step{At: warmup + time.Duration(s.Phases)*phaseLen, Cfg: faults.Config{}})
 		site.Schedule(plan)
 	}
 	srvSite := cl.Faults(server)
 	sites = append(sites, srvSite)
-	mid := s.Warmup + time.Duration(s.Phases/2)*s.PhaseLen
+	mid := warmup + time.Duration(s.Phases/2)*phaseLen
 	srvSite.Schedule(faults.Plan{Steps: []faults.Step{
 		{At: mid, Cfg: faults.Config{Down: true}},
 		{At: mid + 150*time.Microsecond, Cfg: faults.Config{}},
 	}})
 
 	cl.Start()
-	cl.Run(s.Warmup)
+	cl.Run(warmup)
 	res := ChaosResult{}
 	prev := m.Msgs.Total()
 	for p := 0; p < s.Phases; p++ {
-		cl.Run(s.PhaseLen)
+		cl.Run(phaseLen)
 		now := m.Msgs.Total()
-		res.PhaseRates = append(res.PhaseRates, float64(now-prev)/s.PhaseLen.Seconds())
+		res.PhaseRates = append(res.PhaseRates, float64(now-prev)/phaseLen.Seconds())
 		prev = now
 	}
 	// Heal everything and drain: in-flight rounds finish, retransmission
@@ -202,29 +170,13 @@ func RunChaos(s ChaosSetup) ChaosResult {
 		res.Injected.Corrupted += st.Corrupted
 		res.Injected.Delayed += st.Delayed
 	}
-	addTCP := func(rexmit, bad, ooo uint64) {
-		res.Retransmits += rexmit
-		res.BadChecksums += bad
-		res.OutOfOrder += ooo
-	}
-	for _, dp := range cl.ixs {
-		for i := 0; i < dp.Threads(); i++ {
-			t := dp.Thread(i).Stack().TCP()
-			addTCP(t.Retransmits, t.BadChecksums, t.OutOfOrderSegs)
-		}
-	}
-	for _, lh := range cl.linuxes {
-		t := lh.Stack().TCP()
-		addTCP(t.Retransmits, t.BadChecksums, t.OutOfOrderSegs)
-	}
-	for _, mh := range cl.mtcps {
-		for i := 0; i < mh.Cores(); i++ {
-			t := mh.Stack(i).TCP()
-			addTCP(t.Retransmits, t.BadChecksums, t.OutOfOrderSegs)
-		}
-	}
-	res.FramesLeaked = cl.FramesInUse()
-	res.MbufsLeaked = cl.MbufsInUse()
+	cl.eachStack(func(ns *netstack.Stack) {
+		t := ns.TCP()
+		res.Retransmits += t.Retransmits
+		res.BadChecksums += t.BadChecksums
+		res.OutOfOrder += t.OutOfOrderSegs
+	})
+	res.Leaked = cl.Leaks()
 	return res
 }
 
@@ -259,10 +211,10 @@ func Chaos(sc Scale) *Result {
 			{"conn failures (reconnected)", fmt.Sprint(res.ConnFailures)},
 			{"verify errors", fmt.Sprint(res.VerifyErrors)},
 			{"checksum mismatches", fmt.Sprint(res.SumMismatches)},
-			{"frames leaked", fmt.Sprint(res.FramesLeaked)},
+			{"frames leaked", fmt.Sprint(res.Leaked.Frames)},
 		},
 	})
-	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
+	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.Leaked != (Leaks{}) {
 		r.Notes = append(r.Notes, "INVARIANT VIOLATION — see table")
 	} else {
 		r.Notes = append(r.Notes,

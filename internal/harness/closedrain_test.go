@@ -98,14 +98,8 @@ func TestCloseDrainsQueuedBytes(t *testing.T) {
 			if eofs != 1 {
 				t.Errorf("server saw %d EOFs, want 1 (FIN never arrived?)", eofs)
 			}
-			if n := cl.FramesInUse(); n != 0 {
-				t.Errorf("%d frames leaked after drain", n)
-			}
-			if n := cl.MbufsInUse(); n != 0 {
-				t.Errorf("%d mbufs leaked after drain", n)
-			}
-			if n := cl.TxChunksInUse(); n != 0 {
-				t.Errorf("%d TX arena chunks leaked after drain", n)
+			if l := cl.Leaks(); l != (Leaks{}) {
+				t.Errorf("leaked after drain: %+v", l)
 			}
 		})
 	}
@@ -202,14 +196,8 @@ func TestSendReadyCompletesBlockedWrite(t *testing.T) {
 				t.Errorf("%d of %d send-ready wakes made no progress (spin)", st.spins, st.wakes)
 			}
 			t.Logf("%v: %d bytes in %d wakes", arch, total, st.wakes)
-			if n := cl.FramesInUse(); n != 0 {
-				t.Errorf("%d frames leaked after drain", n)
-			}
-			if n := cl.MbufsInUse(); n != 0 {
-				t.Errorf("%d mbufs leaked after drain", n)
-			}
-			if n := cl.TxChunksInUse(); n != 0 {
-				t.Errorf("%d TX arena chunks leaked after drain", n)
+			if l := cl.Leaks(); l != (Leaks{}) {
+				t.Errorf("leaked after drain: %+v", l)
 			}
 		})
 	}

@@ -45,44 +45,30 @@ func (a Arch) String() string {
 	return "?"
 }
 
-// Host abstracts over the three host models for cluster plumbing.
+// Host is what the cluster plumbing and the conservation checks use of a
+// machine; the three host models implement it directly.
 type Host interface {
 	NIC() *nicsim.NIC
 	ARP() *netstack.ARPTable
 	IP() wire.IPv4
 	MAC() wire.MAC
 	Start()
-}
-
-// linux/mtcp hosts need a Start adapter (they already have Start).
-var (
-	_ Host = (*hostAdapter)(nil)
-)
-
-// hostAdapter wraps the concrete host types. The frames/chunks closures
-// report the host's outstanding pool resources, so cluster-wide and
-// per-tenant conservation sums walk one host list instead of three
-// arch-specific ones.
-type hostAdapter struct {
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
-	ip     wire.IPv4
-	mac    wire.MAC
-	start  func()
-	tenant int
-	frames func() int
-	chunks func() int
-	mbufs  func() int
-	// footprint samples the host's per-connection memory under the
+	// ConnCount is the host's live connections.
+	ConnCount() int
+	// Footprint samples the host's per-connection memory under the
 	// memprobe contract (read-only; never perturbs the simulation).
-	footprint func() memprobe.Footprint
+	Footprint() memprobe.Footprint
+	// MbufsInUse is the receive mbufs still referenced.
+	MbufsInUse() int
+	// EachStack calls fn with every network stack of the host.
+	EachStack(fn func(*netstack.Stack))
 }
 
-func (h *hostAdapter) NIC() *nicsim.NIC        { return h.nic }
-func (h *hostAdapter) ARP() *netstack.ARPTable { return h.arp }
-func (h *hostAdapter) IP() wire.IPv4           { return h.ip }
-func (h *hostAdapter) MAC() wire.MAC           { return h.mac }
-func (h *hostAdapter) Start()                  { h.start() }
+var (
+	_ Host = (*core.Dataplane)(nil)
+	_ Host = (*linuxstack.Host)(nil)
+	_ Host = (*mtcpstack.Host)(nil)
+)
 
 // HostSpec describes one machine.
 type HostSpec struct {
@@ -99,14 +85,13 @@ type HostSpec struct {
 	MaxThreads int
 	// IXCost optionally overrides the IX cost model (ablations).
 	IXCost *cost.IX
-	// RcvWnd optionally overrides the TCP receive window.
-	RcvWnd int
 	// MinRTO optionally overrides the TCP retransmission-timeout floor
 	// (default 200 µs; the paper cites support for 16 µs incast floors).
 	MinRTO time.Duration
-	// Tenant tags the host's frame pools for multi-tenant isolation
-	// accounting (0 = untagged): every frame the host originates
-	// charges this tag at shared switch egress.
+	// Tenant tags an IX dataplane's frame pools for multi-tenant
+	// isolation accounting (0 = untagged; ignored elsewhere): every
+	// frame the host originates charges this tag at shared switch
+	// egress.
 	Tenant int
 	// ExpectedConns presizes the host's connection tables (TCP engine,
 	// syscall gate / socket table, user-library cookie table) for the
@@ -176,7 +161,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 	}
 	c.seed = c.seed*6364136223846793005 + 1442695040888963407
 	seed := c.seed
-	var h *hostAdapter
+	var h Host
 	switch spec.Arch {
 	case ArchIX:
 		ccfg := core.Config{
@@ -187,7 +172,6 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 			MaxThreads: spec.MaxThreads,
 			BatchBound: spec.BatchBound,
 			Seed:       seed,
-			RcvWnd:     spec.RcvWnd,
 			MinRTO:     spec.MinRTO,
 			Tenant:     spec.Tenant,
 			User:       libix.Program(spec.Factory),
@@ -199,29 +183,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		}
 		dp := core.New(c.Eng, ccfg)
 		c.ixs = append(c.ixs, dp)
-		h = &hostAdapter{nic: dp.NIC(), arp: dp.ARP(), ip: ip, mac: mac, start: dp.Start,
-			frames: func() int {
-				n := 0
-				for i := 0; i < dp.Threads(); i++ {
-					n += dp.Thread(i).Stack().FramePool().InUse()
-				}
-				return n
-			},
-			chunks: func() int {
-				n := 0
-				for i := 0; i < dp.Threads(); i++ {
-					n += dp.Thread(i).TxPool().InUse()
-				}
-				return n
-			},
-			mbufs: func() int {
-				n := 0
-				for i := 0; i < dp.Threads(); i++ {
-					n += dp.Thread(i).Pool().InUse()
-				}
-				return n
-			},
-			footprint: dp.Footprint}
+		h = dp
 	case ArchLinux:
 		lh := linuxstack.New(c.Eng, linuxstack.Config{
 			Name:    name,
@@ -230,18 +192,12 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 			Cores:   spec.Cores,
 			Factory: spec.Factory,
 			Seed:    seed,
-			RcvWnd:  spec.RcvWnd,
 			MinRTO:  spec.MinRTO,
 
 			ExpectedConns: spec.ExpectedConns,
 		})
-		lh.Stack().FramePool().SetTenant(spec.Tenant)
 		c.linuxes = append(c.linuxes, lh)
-		h = &hostAdapter{nic: lh.NIC(), arp: lh.ARP(), ip: ip, mac: mac, start: lh.Start,
-			frames:    func() int { return lh.Stack().FramePool().InUse() },
-			chunks:    func() int { return 0 },
-			mbufs:     lh.MbufsInUse,
-			footprint: lh.Footprint}
+		h = lh
 	case ArchMTCP:
 		mh := mtcpstack.New(c.Eng, mtcpstack.Config{
 			Name:    name,
@@ -250,30 +206,15 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 			Cores:   spec.Cores,
 			Factory: spec.Factory,
 			Seed:    seed,
-			RcvWnd:  spec.RcvWnd,
 			MinRTO:  spec.MinRTO,
 
 			ExpectedConns: spec.ExpectedConns,
 		})
-		for i := 0; i < mh.Cores(); i++ {
-			mh.Stack(i).FramePool().SetTenant(spec.Tenant)
-		}
 		c.mtcps = append(c.mtcps, mh)
-		h = &hostAdapter{nic: mh.NIC(), arp: mh.ARP(), ip: ip, mac: mac, start: mh.Start,
-			frames: func() int {
-				n := 0
-				for i := 0; i < mh.Cores(); i++ {
-					n += mh.Stack(i).FramePool().InUse()
-				}
-				return n
-			},
-			chunks:    func() int { return 0 },
-			mbufs:     mh.MbufsInUse,
-			footprint: mh.Footprint}
+		h = mh
 	default:
 		panic(fmt.Sprintf("harness: unknown arch %d", spec.Arch))
 	}
-	h.tenant = spec.Tenant
 	// Cable the NIC's ports to the switch.
 	var portIdxs []int
 	var hostLinks []*fabric.Link
@@ -363,35 +304,21 @@ func (c *Cluster) TxRingDrops() uint64 {
 	return n
 }
 
+// eachStack calls fn with every network stack of every host.
+func (c *Cluster) eachStack(fn func(*netstack.Stack)) {
+	for _, h := range c.hosts {
+		h.EachStack(fn)
+	}
+}
+
 // FramesInUse sums outstanding frames across every stack's pool: the
 // cluster-wide frame-conservation invariant. After traffic quiesces it
 // must return to zero — a dropped, duplicated or delayed frame that
 // leaks (or double-frees, which panics in fabric) shows up here.
 func (c *Cluster) FramesInUse() int {
 	n := 0
-	for _, h := range c.hosts {
-		n += h.(*hostAdapter).frames()
-	}
+	c.eachStack(func(s *netstack.Stack) { n += s.FramePool().InUse() })
 	return n
-}
-
-// MbufsInUse sums receive mbufs still referenced across every host's
-// pools. Once traffic has quiesced it must return to zero: an mbuf held
-// past its last reader also holds the frame it adopted.
-func (c *Cluster) MbufsInUse() int {
-	n := 0
-	for _, h := range c.hosts {
-		n += h.(*hostAdapter).mbufs()
-	}
-	return n
-}
-
-// HostFootprint samples one host's per-connection memory under the
-// memprobe contract: live connections and the bytes they pin across
-// every layer of that host's stack. Read-only — safe to call between
-// engine steps without perturbing fixed-seed output.
-func (c *Cluster) HostFootprint(h Host) memprobe.Footprint {
-	return c.hosts[c.hostIndex(h)].(*hostAdapter).footprint()
 }
 
 // TxChunksInUse sums TX arena chunks held across every IX dataplane
@@ -402,46 +329,66 @@ func (c *Cluster) HostFootprint(h Host) memprobe.Footprint {
 func (c *Cluster) TxChunksInUse() int {
 	n := 0
 	for _, h := range c.hosts {
-		n += h.(*hostAdapter).chunks()
-	}
-	return n
-}
-
-// TenantFramesInUse sums outstanding frames across the pools of hosts
-// tagged with tenant tag. Because every pool belongs to exactly one
-// host and every host carries exactly one tag, summing over all tags
-// reproduces FramesInUse exactly — the per-tenant half of the
-// conservation contract (no unattributed or double-charged frames).
-func (c *Cluster) TenantFramesInUse(tag int) int {
-	n := 0
-	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant == tag {
-			n += a.frames()
+		if dp, ok := h.(*core.Dataplane); ok {
+			n += dp.TxChunksInUse()
 		}
 	}
 	return n
 }
 
-// TenantTxChunksInUse is TenantFramesInUse for TX arena chunks.
+// Leaks is the cluster's pool imbalance: frames, receive mbufs and TX
+// arena chunks still in use. Once traffic has quiesced every count must
+// be zero — an mbuf held past its last reader also holds the frame it
+// adopted.
+type Leaks struct{ Frames, Mbufs, TxChunks int }
+
+// Leaks reads the three conservation counts at once.
+func (c *Cluster) Leaks() Leaks {
+	l := Leaks{Frames: c.FramesInUse(), TxChunks: c.TxChunksInUse()}
+	for _, h := range c.hosts {
+		l.Mbufs += h.MbufsInUse()
+	}
+	return l
+}
+
+// HostFootprint samples one host's per-connection memory under the
+// memprobe contract: live connections and the bytes they pin across
+// every layer of that host's stack. Read-only — safe to call between
+// engine steps without perturbing fixed-seed output.
+func (c *Cluster) HostFootprint(h Host) memprobe.Footprint { return h.Footprint() }
+
+// TenantFramesInUse sums outstanding frames across the frame pools
+// tagged with tenant tag. Because every pool carries exactly one tag,
+// summing over all tags reproduces FramesInUse exactly — the per-tenant
+// half of the conservation contract (no unattributed or double-charged
+// frames).
+func (c *Cluster) TenantFramesInUse(tag int) int {
+	n := 0
+	c.eachStack(func(s *netstack.Stack) {
+		if p := s.FramePool(); p.Tenant() == tag {
+			n += p.InUse()
+		}
+	})
+	return n
+}
+
+// TenantTxChunksInUse is TenantFramesInUse for TX arena chunks, which
+// only IX dataplanes hold.
 func (c *Cluster) TenantTxChunksInUse(tag int) int {
 	n := 0
 	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant == tag {
-			n += a.chunks()
+		if dp, ok := h.(*core.Dataplane); ok && dp.Tenant() == tag {
+			n += dp.TxChunksInUse()
 		}
 	}
 	return n
 }
 
-// MaxTenantTag returns the highest tenant tag any host carries.
+// MaxTenantTag returns the highest tenant tag any frame pool carries.
 func (c *Cluster) MaxTenantTag() int {
-	max := 0
-	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant > max {
-			max = a.tenant
-		}
-	}
-	return max
+	tag := 0
+	c.eachStack(func(s *netstack.Stack) { tag = max(tag, s.FramePool().Tenant()) })
+	return tag
 }
 
 // EgressBytes sums bytes transmitted by switch egress ports (toward

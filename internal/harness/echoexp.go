@@ -126,27 +126,12 @@ func buildEchoCluster(s *EchoSetup, m *echo.Metrics, fl *echo.Fleet) *Cluster {
 	return cl
 }
 
-// resetEchoServerStats starts a fresh server measurement window.
-func resetEchoServerStats(cl *Cluster, arch Arch) {
-	switch arch {
-	case ArchIX:
-		cl.IXServer(0).ResetStats()
-	case ArchLinux:
-		cl.LinuxHost(0).ResetStats()
+// resetEchoServerStats starts a fresh server measurement window (the
+// mTCP model keeps no CPU meters).
+func resetEchoServerStats(cl *Cluster) {
+	if srv, ok := cl.hosts[0].(meteredHost); ok {
+		srv.ResetStats()
 	}
-}
-
-// echoServerConns reads the server's live connection count.
-func echoServerConns(cl *Cluster, arch Arch) int {
-	switch arch {
-	case ArchIX:
-		return cl.IXServer(0).ConnCount()
-	case ArchLinux:
-		return cl.LinuxHost(0).ConnCount()
-	case ArchMTCP:
-		return cl.MTCPHost(0).ConnCount()
-	}
-	return 0
 }
 
 // collectEcho reads one measurement window's results off the testbed.
@@ -159,8 +144,8 @@ func collectEcho(cl *Cluster, s *EchoSetup, m *echo.Metrics, window time.Duratio
 		RTTMean:     m.Latency.Mean(),
 	}
 	res.GoodputBps = res.MsgsPerSec * float64(s.MsgSize) * 8
-	res.ServerConns = echoServerConns(cl, s.ServerArch)
-	res.ServerBytesPerConn = cl.HostFootprint(cl.hosts[0]).PerConn()
+	res.ServerConns = cl.hosts[0].ConnCount()
+	res.ServerBytesPerConn = cl.hosts[0].Footprint().PerConn()
 	if s.ServerArch == ArchIX {
 		dp := cl.IXServer(0)
 		k, u := dp.CPUBreakdown()
@@ -184,9 +169,7 @@ func RunEcho(s EchoSetup) EchoResult {
 	cl.Start()
 	cl.Run(s.Warmup)
 	m.ResetWindow()
-	if s.ServerArch == ArchIX {
-		cl.IXServer(0).ResetStats()
-	}
+	resetEchoServerStats(cl)
 	cl.Run(s.Window)
 	res := collectEcho(cl, &s, m, s.Window)
 	m.Running = false

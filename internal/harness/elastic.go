@@ -14,7 +14,8 @@ import (
 // controller, under an offered load that ramps up and back down (the
 // energy-proportionality / consolidation scenario of §3: "the control
 // plane can add or remove cores dynamically, in order to adapt to load
-// changes").
+// changes"). Each client thread keeps 8 connections open and drives the
+// ETC mix; the controller runs cp.DefaultPolicy.
 type ElasticSetup struct {
 	// MaxCores is the hardware queue-pair budget; the static baseline
 	// pins this many threads for the whole run.
@@ -28,18 +29,12 @@ type ElasticSetup struct {
 	StepWindow time.Duration
 	Warmup     time.Duration
 
-	ClientHosts    int
-	ClientCores    int
-	ConnsPerThread int
-	Workload       mutilate.Workload
+	ClientHosts int
+	ClientCores int
 
 	// Static pins MaxCores threads with no controller (the comparison
 	// baseline for the elastic run).
 	Static bool
-	// Policy overrides the controller policy (nil = DefaultPolicy).
-	Policy *cp.Policy
-
-	Seed int64
 }
 
 // ElasticPoint is one measurement window of the ramp.
@@ -96,20 +91,11 @@ func RunElastic(s ElasticSetup) ElasticResult {
 	if s.ClientCores <= 0 {
 		s.ClientCores = 2
 	}
-	if s.ConnsPerThread <= 0 {
-		s.ConnsPerThread = 8
-	}
-	if s.Workload.Keys == 0 {
-		s.Workload = mutilate.ETC
-	}
-	if s.Seed == 0 {
-		s.Seed = 23
-	}
 
-	cl := NewCluster(s.Seed)
-	const port = 11211
+	const seed, port = 23, 11211
+	cl := NewCluster(seed)
 	store := memcached.NewStore(256 << 20)
-	mutilate.Preload(store, s.Workload)
+	mutilate.Preload(store, mutilate.ETC)
 	startCores := 1
 	if s.Static {
 		startCores = s.MaxCores
@@ -153,12 +139,12 @@ func RunElastic(s ElasticSetup) ElasticResult {
 			Factory: mutilate.LoadFactory(mutilate.LoadConfig{
 				ServerIP: srv.IP(),
 				Port:     port,
-				Workload: s.Workload,
-				Conns:    s.ConnsPerThread,
+				Workload: mutilate.ETC,
+				Conns:    8,
 				Schedule: schedule,
 				Pipeline: 4,
 				Metrics:  m,
-				Seed:     uint64(s.Seed) + uint64(i)*977,
+				Seed:     seed + uint64(i)*977,
 			}),
 		})
 	}
@@ -167,9 +153,6 @@ func RunElastic(s ElasticSetup) ElasticResult {
 	var ctl *cp.Controller
 	if !s.Static {
 		pol := cp.DefaultPolicy()
-		if s.Policy != nil {
-			pol = *s.Policy
-		}
 		pol.MaxThreads = s.MaxCores
 		ctl = cp.New(cl.Eng, srv, pol)
 		ctl.Start()

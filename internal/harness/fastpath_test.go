@@ -130,16 +130,10 @@ func TestPacedTeardownConservation(t *testing.T) {
 	b.runUntil(drainBudget, drainStep, func() bool { return b.fleet.InFlight() == 0 })
 	b.cl.Run(5 * time.Millisecond)
 	b.Stop()
-	if n := b.cl.FramesInUse(); n != 0 {
-		t.Errorf("%d pooled frames leaked across mass teardown", n)
+	if l := b.cl.Leaks(); l != (Leaks{}) {
+		t.Errorf("leaked across mass teardown: %+v", l)
 	}
-	if n := b.cl.MbufsInUse(); n != 0 {
-		t.Errorf("%d mbufs leaked across mass teardown", n)
-	}
-	if n := b.cl.TxChunksInUse(); n != 0 {
-		t.Errorf("%d TX arena chunks leaked across mass teardown", n)
-	}
-	if got := echoServerConns(b.cl, ArchIX); got > 330 {
+	if got := b.cl.hosts[0].ConnCount(); got > 330 {
 		t.Errorf("server still holds %d connections after teardown", got)
 	}
 }
@@ -219,14 +213,8 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 			b.fleet.Pause()
 			b.runUntil(drainBudget, drainStep, func() bool { return b.fleet.InFlight() == 0 })
 			b.cl.Run(5 * time.Millisecond)
-			if n := b.cl.FramesInUse(); n != 0 {
-				t.Errorf("%d pooled frames leaked at 1M connections", n)
-			}
-			if n := b.cl.MbufsInUse(); n != 0 {
-				t.Errorf("%d mbufs leaked at 1M connections", n)
-			}
-			if n := b.cl.TxChunksInUse(); n != 0 {
-				t.Errorf("%d TX arena chunks leaked at 1M connections", n)
+			if l := b.cl.Leaks(); l != (Leaks{}) {
+				t.Errorf("leaked at 1M connections: %+v", l)
 			}
 		})
 	}

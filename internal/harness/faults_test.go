@@ -6,6 +6,7 @@ import (
 
 	"ix/internal/apps/echo"
 	"ix/internal/faults"
+	"ix/internal/netstack"
 )
 
 // TestClaimIncastRTOFloor: the paper's justification for fine-grained
@@ -17,11 +18,10 @@ import (
 func TestClaimIncastRTOFloor(t *testing.T) {
 	run := func(rto time.Duration) IncastResult {
 		return RunIncast(IncastSetup{
-			SenderArch: ArchLinux,
-			Senders:    16,
-			MinRTO:     rto,
-			Rounds:     6,
-			Seed:       31,
+			Senders: 16,
+			MinRTO:  rto,
+			Rounds:  6,
+			Seed:    31,
 		})
 	}
 	slow := run(200 * time.Microsecond)
@@ -43,8 +43,8 @@ func TestClaimIncastRTOFloor(t *testing.T) {
 		if r.res.Retransmits == 0 {
 			t.Fatalf("%s: no retransmissions despite drops", r.name)
 		}
-		if r.res.FramesLeaked != 0 || r.res.MbufsLeaked != 0 {
-			t.Fatalf("%s: %d frames and %d mbufs leaked", r.name, r.res.FramesLeaked, r.res.MbufsLeaked)
+		if r.res.Leaked != (Leaks{}) {
+			t.Fatalf("%s: leaked %+v", r.name, r.res.Leaked)
 		}
 	}
 	if fast.GoodputBps < 1.3*slow.GoodputBps {
@@ -58,8 +58,7 @@ func TestClaimIncastRTOFloor(t *testing.T) {
 func TestIncastDeterminism(t *testing.T) {
 	run := func() IncastResult {
 		return RunIncast(IncastSetup{
-			SenderArch: ArchLinux, Senders: 12, MinRTO: 50 * time.Microsecond,
-			Rounds: 4, Seed: 77,
+			Senders: 12, MinRTO: 50 * time.Microsecond, Rounds: 4, Seed: 77,
 		})
 	}
 	a, b := run(), run()
@@ -102,8 +101,8 @@ func TestClaimChaosInvariants(t *testing.T) {
 	if res.SumMismatches != 0 {
 		t.Fatalf("%d whole-transfer checksum mismatches", res.SumMismatches)
 	}
-	if res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
-		t.Fatalf("%d frames and %d mbufs leaked across drops/duplicates/delays", res.FramesLeaked, res.MbufsLeaked)
+	if res.Leaked != (Leaks{}) {
+		t.Fatalf("leaked across drops/duplicates/delays: %+v", res.Leaked)
 	}
 	for i, rate := range res.PhaseRates {
 		if rate <= 0 {
@@ -175,19 +174,10 @@ func TestClaimStreamIntegrityUnderBurstLoss(t *testing.T) {
 
 			stats := site.Stats()
 			var rexmit, ooo uint64
-			collect := func(rx, oo uint64) { rexmit += rx; ooo += oo }
-			for _, dp := range cl.ixs {
-				tc := dp.Thread(0).Stack().TCP()
-				collect(tc.Retransmits, tc.OutOfOrderSegs)
-			}
-			for _, lh := range cl.linuxes {
-				tc := lh.Stack().TCP()
-				collect(tc.Retransmits, tc.OutOfOrderSegs)
-			}
-			for _, mh := range cl.mtcps {
-				tc := mh.Stack(0).TCP()
-				collect(tc.Retransmits, tc.OutOfOrderSegs)
-			}
+			cl.eachStack(func(ns *netstack.Stack) {
+				rexmit += ns.TCP().Retransmits
+				ooo += ns.TCP().OutOfOrderSegs
+			})
 			t.Logf("%s: msgs=%d dropped=%d delayed=%d rexmit=%d ooo=%d",
 				arch, m.Msgs.Total(), stats.Dropped, stats.Delayed, rexmit, ooo)
 			if m.Msgs.Total() < 50 {
@@ -208,11 +198,8 @@ func TestClaimStreamIntegrityUnderBurstLoss(t *testing.T) {
 			if got := m.SumMismatches.Total(); got != 0 {
 				t.Fatalf("%d whole-transfer checksum mismatches", got)
 			}
-			if leaked := cl.FramesInUse(); leaked != 0 {
-				t.Fatalf("%d frames leaked", leaked)
-			}
-			if leaked := cl.MbufsInUse(); leaked != 0 {
-				t.Fatalf("%d mbufs leaked", leaked)
+			if l := cl.Leaks(); l != (Leaks{}) {
+				t.Fatalf("leaked %+v", l)
 			}
 		})
 	}
@@ -261,10 +248,7 @@ func TestPartitionHealsCleanly(t *testing.T) {
 	if got := m.VerifyErrors.Total() + m.SumMismatches.Total(); got != 0 {
 		t.Fatalf("%d integrity violations across the partition", got)
 	}
-	if leaked := cl.FramesInUse(); leaked != 0 {
-		t.Fatalf("%d frames leaked", leaked)
-	}
-	if leaked := cl.MbufsInUse(); leaked != 0 {
-		t.Fatalf("%d mbufs leaked", leaked)
+	if l := cl.Leaks(); l != (Leaks{}) {
+		t.Fatalf("leaked %+v", l)
 	}
 }

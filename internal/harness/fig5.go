@@ -22,7 +22,6 @@ type MemcSetup struct {
 	ConnsPerThread int
 
 	Warmup, Window time.Duration
-	Seed           int64
 }
 
 // MemcResult is one measured point.
@@ -36,28 +35,33 @@ type MemcResult struct {
 	Hits, Misses      uint64
 }
 
+// meteredHost is a server that meters its kernel and user CPU time: the
+// IX and Linux models (the §5.5 servers).
+type meteredHost interface {
+	Host
+	ResetStats()
+	CPUBreakdown() (kernel, user time.Duration)
+}
+
 // RunMemcached builds the §5.5 testbed: one memcached server (IX or
 // Linux), ClientHosts mutilate load machines, and one separate unloaded
 // latency agent, with the keyspace preloaded.
 func RunMemcached(s MemcSetup) MemcResult {
-	if s.Seed == 0 {
-		s.Seed = 7
-	}
 	if s.ConnsPerThread <= 0 {
 		s.ConnsPerThread = 32
 	}
-	cl := NewCluster(s.Seed)
-	const port = 11211
+	const seed, port = 7, 11211
+	cl := NewCluster(seed)
 	store := memcached.NewStore(256 << 20)
 	mutilate.Preload(store, s.Workload)
-	cl.AddHost("memcached", HostSpec{
+	srv := cl.AddHost("memcached", HostSpec{
 		Arch:       s.ServerArch,
 		Cores:      s.ServerCores,
 		Ports:      1,
 		BatchBound: s.BatchBound,
 		Factory:    memcached.ServerFactory(store, port),
-	})
-	srvIP := cl.hosts[0].IP()
+	}).(meteredHost)
+	srvIP := srv.IP()
 	m := mutilate.NewMetrics()
 	threads := s.ClientHosts * s.ClientCores
 	for i := 0; i < s.ClientHosts; i++ {
@@ -72,7 +76,7 @@ func RunMemcached(s MemcSetup) MemcResult {
 				TargetRPS: s.TargetRPS / float64(threads),
 				Pipeline:  4,
 				Metrics:   m,
-				Seed:      uint64(s.Seed) + uint64(i)*977,
+				Seed:      seed + uint64(i)*977,
 			}),
 		})
 	}
@@ -85,17 +89,13 @@ func RunMemcached(s MemcSetup) MemcResult {
 			Port:     port,
 			Workload: s.Workload,
 			Metrics:  m,
-			Seed:     uint64(s.Seed) * 31,
+			Seed:     seed * 31,
 		}),
 	})
 	cl.Start()
 	cl.Run(s.Warmup)
 	m.ResetWindow()
-	if s.ServerArch == ArchIX {
-		cl.IXServer(0).ResetStats()
-	} else {
-		cl.LinuxHost(0).ResetStats()
-	}
+	srv.ResetStats()
 	cl.Run(s.Window)
 	res := MemcResult{
 		AchievedRPS: float64(m.Responses.Since()) / s.Window.Seconds(),
@@ -105,13 +105,7 @@ func RunMemcached(s MemcSetup) MemcResult {
 		Hits:        store.Hits,
 		Misses:      store.Misses,
 	}
-	var k, u time.Duration
-	if s.ServerArch == ArchIX {
-		k, u = cl.IXServer(0).CPUBreakdown()
-	} else {
-		k, u = cl.LinuxHost(0).CPUBreakdown()
-	}
-	if k+u > 0 {
+	if k, u := srv.CPUBreakdown(); k+u > 0 {
 		res.ServerKernelShare = float64(k) / float64(k+u)
 	}
 	m.Running = false

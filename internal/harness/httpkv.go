@@ -7,22 +7,18 @@ import (
 	"ix/internal/apps/httpkv"
 )
 
-// HTTPKVSetup describes one blocking-facade workload run: an HTTP/1.1
-// echo server host and a KV store host (both written purely against
-// net.Conn through ixnet), plus a closed-loop pooled client fleet.
+// HTTPKVSetup describes one blocking-facade workload run: a 2-core
+// HTTP/1.1 echo server host and a 2-core KV store host (both written
+// purely against net.Conn through ixnet), plus a closed-loop pooled
+// client fleet on the same stack, 4 fibers per thread, each alternating
+// a 256 B HTTP echo and a KV SET/GET pair.
 type HTTPKVSetup struct {
-	ServerArch  Arch
-	ServerCores int
-	ClientArch  Arch
+	// Arch is the stack every host runs.
+	Arch        Arch
 	ClientHosts int
 	ClientCores int
-	// WorkersPerThread is client fibers per thread (each alternates an
-	// HTTP echo and a KV SET/GET pair).
-	WorkersPerThread int
-	BodySize         int
 
 	Warmup, Window time.Duration
-	Seed           int64
 }
 
 // HTTPKVResult is the measured steady-state behaviour.
@@ -36,10 +32,8 @@ type HTTPKVResult struct {
 	Errors       uint64
 	VerifyErrors uint64
 	KVHits       uint64
-	// Leaked frame/chunk imbalance after the run winds down.
-	FramesLeaked   int
-	TxChunksLeaked int
-	MbufsLeaked    int
+	// Leaked is the pool imbalance after the run winds down.
+	Leaked Leaks
 }
 
 const (
@@ -50,50 +44,36 @@ const (
 // RunHTTPKV builds the testbed, warms it, measures a window, then
 // winds the clients down and drains before checking pool balances.
 func RunHTTPKV(s HTTPKVSetup) HTTPKVResult {
-	if s.Seed == 0 {
-		s.Seed = 97
-	}
-	if s.ServerCores == 0 {
-		s.ServerCores = 2
-	}
 	if s.ClientHosts == 0 {
 		s.ClientHosts = 1
 	}
 	if s.ClientCores == 0 {
 		s.ClientCores = 2
 	}
-	if s.WorkersPerThread == 0 {
-		s.WorkersPerThread = 4
-	}
-	if s.BodySize == 0 {
-		s.BodySize = 256
-	}
 	m := httpkv.NewMetrics()
 	store := httpkv.NewStore()
-	cl := NewCluster(s.Seed)
-	cl.AddHost("http", HostSpec{
-		Arch:    s.ServerArch,
-		Cores:   s.ServerCores,
+	cl := NewCluster(97)
+	httpIP := cl.AddHost("http", HostSpec{
+		Arch:    s.Arch,
+		Cores:   2,
 		Factory: httpkv.HTTPServerFactory(httpPort),
-	})
-	httpIP := cl.hosts[0].IP()
-	cl.AddHost("kv", HostSpec{
-		Arch:    s.ServerArch,
-		Cores:   s.ServerCores,
+	}).IP()
+	kvIP := cl.AddHost("kv", HostSpec{
+		Arch:    s.Arch,
+		Cores:   2,
 		Factory: httpkv.KVServerFactory(kvPort, store),
-	})
-	kvIP := cl.hosts[1].IP()
+	}).IP()
 	for i := 0; i < s.ClientHosts; i++ {
 		cl.AddHost("client", HostSpec{
-			Arch:  s.ClientArch,
+			Arch:  s.Arch,
 			Cores: s.ClientCores,
 			Factory: httpkv.ClientFactory(httpkv.ClientConfig{
 				HTTPIP:   httpIP,
 				HTTPPort: httpPort,
 				KVIP:     kvIP,
 				KVPort:   kvPort,
-				Workers:  s.WorkersPerThread,
-				BodySize: s.BodySize,
+				Workers:  4,
+				BodySize: 256,
 				Metrics:  m,
 			}),
 		})
@@ -116,9 +96,7 @@ func RunHTTPKV(s HTTPKVSetup) HTTPKVResult {
 	cl.Run(50 * time.Millisecond)
 	res.Errors = m.Errors.Total()
 	res.VerifyErrors = m.VerifyErrors.Total()
-	res.FramesLeaked = cl.FramesInUse()
-	res.TxChunksLeaked = cl.TxChunksInUse()
-	res.MbufsLeaked = cl.MbufsInUse()
+	res.Leaked = cl.Leaks()
 	return res
 }
 
@@ -138,8 +116,7 @@ func HTTPKV(sc Scale) *Result {
 	var xs, ys []float64
 	for i, arch := range []Arch{ArchIX, ArchLinux} {
 		res := RunHTTPKV(HTTPKVSetup{
-			ServerArch:  arch,
-			ClientArch:  arch,
+			Arch:        arch,
 			ClientHosts: max(1, sc.EchoClients/6),
 			ClientCores: max(2, sc.ClientCores/4),
 			Warmup:      sc.Warmup,
@@ -155,7 +132,7 @@ func HTTPKV(sc Scale) *Result {
 			res.RTTp99.String(),
 			fmt.Sprint(res.Errors),
 			fmt.Sprint(res.VerifyErrors),
-			fmt.Sprint(res.FramesLeaked + res.TxChunksLeaked),
+			fmt.Sprint(res.Leaked.Frames + res.Leaked.TxChunks),
 		})
 	}
 	r.Series = []Series{{Label: "HTTP+KV ops/s", X: xs, Y: ys}}

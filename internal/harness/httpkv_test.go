@@ -14,10 +14,9 @@ import (
 
 func httpkvSetup(arch Arch) HTTPKVSetup {
 	return HTTPKVSetup{
-		ServerArch: arch,
-		ClientArch: arch,
-		Warmup:     10 * time.Millisecond,
-		Window:     40 * time.Millisecond,
+		Arch:   arch,
+		Warmup: 10 * time.Millisecond,
+		Window: 40 * time.Millisecond,
 	}
 }
 
@@ -41,9 +40,8 @@ func TestClaimHTTPKVAllStacks(t *testing.T) {
 		if res.KVHits == 0 {
 			t.Errorf("%v: KV store recorded no hits", arch)
 		}
-		if res.FramesLeaked != 0 || res.TxChunksLeaked != 0 || res.MbufsLeaked != 0 {
-			t.Errorf("%v: leaked frames=%d txchunks=%d mbufs=%d at drain", arch,
-				res.FramesLeaked, res.TxChunksLeaked, res.MbufsLeaked)
+		if res.Leaked != (Leaks{}) {
+			t.Errorf("%v: leaked %+v at drain", arch, res.Leaked)
 		}
 		ops[arch] = res.HTTPPerSec + res.KVPerSec
 	}

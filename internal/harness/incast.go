@@ -5,33 +5,23 @@ import (
 	"time"
 
 	"ix/internal/apps/incast"
+	"ix/internal/netstack"
 )
 
 // IncastSetup describes one N-to-1 synchronized-burst measurement: N
-// sender machines burst Burst bytes each at barrier instants toward one
-// sink whose switch egress port has a shallow EgressBuffer — the classic
+// Linux sender machines burst 8 KB each at barrier instants toward one IX
+// sink whose switch egress port has a shallow 32 KB buffer — the classic
 // incast collapse, swept over tcp.Config.MinRTO (the paper's §4.2 cites
 // supporting retransmission timeouts down to 16 µs for exactly this).
+// The 32 KB is a Trident+-class shallow per-port share; the 8 KB burst
+// fits the initial window, so overflow drops whole window tails and
+// recovery is RTO-bound, the regime the 16 µs floor targets.
 type IncastSetup struct {
-	// ServerArch/SenderArch select the sink and sender architectures;
-	// the zero value is ArchIX (callers wanting the paper's Linux
-	// client fleet set SenderArch: ArchLinux explicitly).
-	ServerArch Arch
-	SenderArch Arch
-	Senders    int
-	Burst      int
-	// EgressBuffer bounds the switch egress toward the sink, in bytes
-	// (default 32 KB — a Trident+-class shallow per-port share; the
-	// default 8 KB Burst fits the initial window, so overflow drops
-	// whole window tails and recovery is RTO-bound, the regime the
-	// 16 µs floor targets).
-	EgressBuffer int
+	Senders int
 	// MinRTO applies to every host (0 = the 200 µs default).
 	MinRTO time.Duration
-	// Rounds barriers are spaced Period apart, the first at Warmup.
+	// Rounds barriers are spaced 4 ms apart, the first at 1 ms.
 	Rounds int
-	Period time.Duration
-	Warmup time.Duration
 	Seed   int64
 }
 
@@ -46,15 +36,13 @@ type IncastResult struct {
 	RoundsDone     int
 	RoundsFailed   int
 	// EgressDrops counts switch tail drops toward the sink;
-	// Retransmits/Timeouts aggregate the sender stacks' counters.
+	// Retransmits aggregates every stack's counter.
 	EgressDrops uint64
 	Retransmits uint64
 	SinkBytes   uint64
-	// FramesLeaked is the cluster frame-pool imbalance after drain
-	// (must be 0: drops and retransmissions must conserve frames).
-	FramesLeaked int
-	// MbufsLeaked is the receive-mbuf imbalance at the same point.
-	MbufsLeaked int
+	// Leaked is the cluster's pool imbalance after drain (must be zero:
+	// drops and retransmissions must conserve frames).
+	Leaked Leaks
 }
 
 // RunIncast executes one synchronized incast configuration.
@@ -65,49 +53,38 @@ func RunIncast(s IncastSetup) IncastResult {
 	if s.Senders <= 0 {
 		s.Senders = 16
 	}
-	if s.Burst <= 0 {
-		s.Burst = 8 << 10
-	}
-	if s.EgressBuffer <= 0 {
-		s.EgressBuffer = 32 << 10
-	}
 	if s.Rounds <= 0 {
 		s.Rounds = 8
 	}
-	if s.Period <= 0 {
-		s.Period = 4 * time.Millisecond
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = time.Millisecond
-	}
+	const port, burst = 5001, 8 << 10
+	const period, warmup = 4 * time.Millisecond, time.Millisecond
 	cl := NewCluster(s.Seed)
 	m := incast.NewMetrics()
-	const port = 5001
 	sink := cl.AddHost("sink", HostSpec{
-		Arch:    s.ServerArch,
+		Arch:    ArchIX,
 		Cores:   1,
 		MinRTO:  s.MinRTO,
-		Factory: incast.SinkFactory(port, s.Burst, m),
+		Factory: incast.SinkFactory(port, burst, m),
 	})
-	cl.LimitEgress(sink, s.EgressBuffer)
+	cl.LimitEgress(sink, 32<<10)
 	for i := 0; i < s.Senders; i++ {
 		cl.AddHost("sender", HostSpec{
-			Arch:   s.SenderArch,
+			Arch:   ArchLinux,
 			Cores:  1,
 			MinRTO: s.MinRTO,
 			Factory: incast.SenderFactory(incast.Config{
 				ServerIP: sink.IP(),
 				Port:     port,
-				Burst:    s.Burst,
-				Start:    s.Warmup,
-				Period:   s.Period,
+				Burst:    burst,
+				Start:    warmup,
+				Period:   period,
 				Rounds:   s.Rounds,
 				Metrics:  m,
 			}),
 		})
 	}
 	cl.Start()
-	cl.Run(s.Warmup + time.Duration(s.Rounds)*s.Period + s.Period)
+	cl.Run(warmup + time.Duration(s.Rounds)*period + period)
 	m.Running = false
 	cl.Run(20 * time.Millisecond) // drain retransmissions and ACKs
 
@@ -118,24 +95,11 @@ func RunIncast(s IncastSetup) IncastResult {
 		RoundsFailed:   int(m.RoundsFailed.Total()),
 		EgressDrops:    cl.EgressDrops(sink),
 		SinkBytes:      m.SinkBytes.Total(),
-		FramesLeaked:   cl.FramesInUse(),
-		MbufsLeaked:    cl.MbufsInUse(),
+		Leaked:         cl.Leaks(),
 	}
-	for _, lh := range cl.linuxes {
-		res.Retransmits += lh.Stack().TCP().Retransmits
-	}
-	for _, mh := range cl.mtcps {
-		for i := 0; i < mh.Cores(); i++ {
-			res.Retransmits += mh.Stack(i).TCP().Retransmits
-		}
-	}
-	for _, dp := range cl.ixs {
-		for i := 0; i < dp.Threads(); i++ {
-			res.Retransmits += dp.Thread(i).Stack().TCP().Retransmits
-		}
-	}
+	cl.eachStack(func(ns *netstack.Stack) { res.Retransmits += ns.TCP().Retransmits })
 	if res.MeanCompletion > 0 {
-		total := float64(s.Senders) * float64(s.Burst) * 8
+		total := float64(s.Senders) * burst * 8
 		res.GoodputBps = total / res.MeanCompletion.Seconds()
 	}
 	return res
@@ -170,17 +134,16 @@ func Incast(sc Scale) *Result {
 	for _, rto := range incastRTOs {
 		for _, n := range fanins {
 			res := RunIncast(IncastSetup{
-				SenderArch: ArchLinux,
-				Senders:    n,
-				MinRTO:     rto,
-				Rounds:     rounds,
-				Seed:       31,
+				Senders: n,
+				MinRTO:  rto,
+				Rounds:  rounds,
+				Seed:    31,
 			})
 			r.AddPoint(fmt.Sprintf("MinRTO=%v", rto), float64(n), res.GoodputBps/1e9)
-			if res.FramesLeaked != 0 || res.MbufsLeaked != 0 {
+			if res.Leaked != (Leaks{}) {
 				r.Notes = append(r.Notes, fmt.Sprintf(
 					"INVARIANT VIOLATION: %d frames and %d mbufs leaked at MinRTO=%v N=%d",
-					res.FramesLeaked, res.MbufsLeaked, rto, n))
+					res.Leaked.Frames, res.Leaked.Mbufs, rto, n))
 			}
 		}
 	}

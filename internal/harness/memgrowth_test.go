@@ -14,7 +14,7 @@ import (
 // spilled retransmission backings) by design.
 func drainedFootprint(b *EchoBench) (int64, int) {
 	drain(b)
-	f := b.cl.HostFootprint(b.cl.hosts[0])
+	f := b.cl.hosts[0].Footprint()
 	return f.Bytes, f.Conns
 }
 
@@ -54,13 +54,13 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 			if res.ServerConns < conns || res.MsgsPerSec <= 0 {
 				t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
 			}
-			if busy := b.cl.HostFootprint(b.cl.hosts[0]); busy.Attached == 0 {
+			if busy := b.cl.hosts[0].Footprint(); busy.Attached == 0 {
 				t.Fatal("no side object attached under load — the probe is not seeing them")
 			}
 			drain(b)
 			total := 0
 			for i, h := range b.cl.hosts {
-				f := b.cl.HostFootprint(h)
+				f := h.Footprint()
 				total += f.Conns
 				if f.Attached != 0 {
 					t.Errorf("host %d: %d side objects still attached across %d idle connections", i, f.Attached, f.Conns)
@@ -92,13 +92,11 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 // and free.
 func baselineSlabs(cl *Cluster) [][2]int {
 	var out [][2]int
-	for i := range cl.linuxes {
-		inUse, free := cl.LinuxHost(i).Slabs()
-		out = append(out, [2]int{inUse, free})
-	}
-	for i := range cl.mtcps {
-		inUse, free := cl.MTCPHost(i).Slabs()
-		out = append(out, [2]int{inUse, free})
+	for _, h := range cl.hosts {
+		if sh, ok := h.(interface{ Slabs() (int, int) }); ok {
+			inUse, free := sh.Slabs()
+			out = append(out, [2]int{inUse, free})
+		}
 	}
 	return out
 }

@@ -193,14 +193,14 @@ func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) E
 		// The ring shrank immediately; wait for the FIN handshakes to
 		// clear the server's connection table too.
 		b.runUntil(b.teardownBudgetFor(delta), establishStep, func() bool {
-			return echoServerConns(b.cl, b.setup.ServerArch) <= target
+			return b.cl.hosts[0].ConnCount() <= target
 		})
 	}
 	b.cl.Run(settleRun)
 
 	// Fresh window over reused pools and meters.
 	b.m.ResetWindow()
-	resetEchoServerStats(b.cl, b.setup.ServerArch)
+	resetEchoServerStats(b.cl)
 	b.fleet.Resume()
 	b.cl.Run(window)
 	return collectEcho(b.cl, &b.setup, b.m, window)

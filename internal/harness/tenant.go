@@ -155,19 +155,16 @@ func (t *Tenant) stopLoad() {
 	}
 }
 
-// TenantsSetup configures a multi-tenant testbed.
+// TenantsSetup configures a multi-tenant testbed: one single-port IX
+// dataplane per tenant, arbitrated under cp.DefaultArbiterPolicy.
 type TenantsSetup struct {
 	// HostCores is the shared server machine's core budget (the
 	// arbiter's budget); tenant starting allocations must fit in it.
 	HostCores int
-	// Ports is NIC ports per tenant dataplane (default 1).
-	Ports int
 	// ClientHosts/ClientCores size the shared Linux client fleet; the
 	// tenants' ClientThreads must fit in ClientHosts×ClientCores.
 	ClientHosts, ClientCores int
-	// Policy overrides the arbitration policy (nil = default).
-	Policy *cp.ArbiterPolicy
-	Seed   int64
+	Seed                     int64
 
 	Tenants []TenantSpec
 }
@@ -226,9 +223,6 @@ func (idleHandler) OnClosed(app.Conn)          {}
 func BuildTenants(s TenantsSetup) *TenantCluster {
 	if s.HostCores <= 0 {
 		s.HostCores = 40
-	}
-	if s.Ports <= 0 {
-		s.Ports = 1
 	}
 	if s.ClientHosts <= 0 {
 		s.ClientHosts = 4
@@ -317,7 +311,6 @@ func BuildTenants(s TenantsSetup) *TenantCluster {
 			Arch:       ArchIX,
 			Cores:      sp.Cores,
 			MaxThreads: sp.MaxCores,
-			Ports:      s.Ports,
 			Factory:    factory,
 			Tenant:     tag,
 		})
@@ -411,10 +404,6 @@ func BuildTenants(s TenantsSetup) *TenantCluster {
 	}
 	cl.Start()
 
-	pol := cp.DefaultArbiterPolicy()
-	if s.Policy != nil {
-		pol = *s.Policy
-	}
 	members := make([]*cp.Member, len(tc.Tenants))
 	for i, t := range tc.Tenants {
 		members[i] = &cp.Member{
@@ -427,7 +416,7 @@ func BuildTenants(s TenantsSetup) *TenantCluster {
 			Util:     t.UtilWindow,
 		}
 	}
-	tc.Arb = cp.NewArbiter(cl.Eng, pol, s.HostCores, members...)
+	tc.Arb = cp.NewArbiter(cl.Eng, cp.DefaultArbiterPolicy(), s.HostCores, members...)
 	tc.Arb.Start()
 	return tc
 }

@@ -99,11 +99,8 @@ func flashCrowd(t *testing.T) flashCrowdRun {
 	tc.Stop()
 	tc.Run(8 * time.Millisecond) // drain in-flight traffic
 
-	if n := tc.Cl.FramesInUse(); n != 0 {
-		t.Errorf("frames leaked after drain: %d", n)
-	}
-	if n := tc.Cl.TxChunksInUse(); n != 0 {
-		t.Errorf("TX chunks leaked after drain: %d", n)
+	if l := tc.Cl.Leaks(); l != (Leaks{}) {
+		t.Errorf("leaked after drain: %+v", l)
 	}
 	for tag := 0; tag <= tc.Cl.MaxTenantTag(); tag++ {
 		if n := tc.Cl.TenantFramesInUse(tag); n != 0 {
@@ -275,11 +272,8 @@ func TestTenantIsolationAccounting(t *testing.T) {
 			tc.Stop()
 			tc.Run(10 * time.Millisecond)
 			checkConservation(t, tc.Cl, "after drain")
-			if n := tc.Cl.FramesInUse(); n != 0 {
-				t.Errorf("frames leaked: %d", n)
-			}
-			if n := tc.Cl.TxChunksInUse(); n != 0 {
-				t.Errorf("TX chunks leaked: %d", n)
+			if l := tc.Cl.Leaks(); l != (Leaks{}) {
+				t.Errorf("leaked: %+v", l)
 			}
 
 			// The scenario must actually have produced tagged egress

@@ -37,6 +37,10 @@ const napiBudget = 64
 // readChunk is the bytes one read() drains: one staging slab.
 const readChunk = sockcore.SlabSize
 
+// itr is the NIC interrupt moderation; the paper tunes thresholds, so it
+// is a low 4 µs.
+const itr = 4 * time.Microsecond
+
 // Config describes a Linux host.
 type Config struct {
 	Name string
@@ -46,14 +50,9 @@ type Config struct {
 	// application thread and one softirq context per core, with
 	// interrupts affinitized (§5.1's tuning).
 	Cores int
-	// Cost is the Linux cost model.
-	Cost cost.Linux
 	// Factory builds the per-thread application.
 	Factory app.Factory
-	// ITR is interrupt moderation; the paper tunes thresholds, so the
-	// default is a low 4 µs.
-	ITR time.Duration
-	// Seed, RcvWnd, MinRTO, MemPages tune the stack.
+	// Seed, RcvWnd, MinRTO, MemPages, NICRing tune the stack.
 	Seed     uint64
 	RcvWnd   int
 	MinRTO   time.Duration
@@ -69,6 +68,7 @@ type Config struct {
 type Host struct {
 	eng    *sim.Engine
 	cfg    Config
+	cost   cost.Linux
 	nic    *nicsim.NIC
 	arp    *netstack.ARPTable
 	region *mem.Region
@@ -86,6 +86,10 @@ type Host struct {
 	// admission), a run constant hoisted out of the softirq loop.
 	missFloor time.Duration
 
+	// poolDrops counts received frames released because the mbuf pool
+	// was dry.
+	poolDrops uint64
+
 	// layer holds the host-global fd-style socket table.
 	layer sockcore.Layer
 
@@ -101,18 +105,13 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	if cfg.Cost == (cost.Linux{}) {
-		cfg.Cost = cost.DefaultLinux()
-	}
-	if cfg.ITR == 0 {
-		cfg.ITR = 4 * time.Microsecond
-	}
 	if cfg.MemPages <= 0 {
 		cfg.MemPages = 512
 	}
 	h := &Host{
 		eng:       eng,
 		cfg:       cfg,
+		cost:      cost.DefaultLinux(),
 		arp:       netstack.NewARPTable(),
 		region:    mem.NewRegion(cfg.MemPages),
 		listening: make(map[uint16]bool),
@@ -121,13 +120,13 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	// Affinity accept (§2.3): a socket belongs to the core whose queue
 	// received its handshake, and its events wake that core's thread.
 	h.layer.Accepting = func() *sockcore.Owner { return &h.curCore().sock }
-	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss))
+	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(h.cost.L3Miss))
 	h.timerFired = h.onTimerWake
 	h.timerTask = h.runTimerTask
 	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
 		Queues:   cfg.Cores,
 		RingSize: cfg.NICRing,
-		ITR:      cfg.ITR,
+		ITR:      itr,
 	})
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
 	h.ns = netstack.New(netstack.Config{
@@ -167,6 +166,13 @@ func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
 
 // Stack exposes the shared kernel stack (tests).
 func (h *Host) Stack() *netstack.Stack { return h.ns }
+
+// EachStack calls fn with the shared kernel stack.
+func (h *Host) EachStack(fn func(*netstack.Stack)) { fn(h.ns) }
+
+// PoolDrops counts received frames the softirq released because the
+// mbuf pool was dry.
+func (h *Host) PoolDrops() uint64 { return h.poolDrops }
 
 // Start spawns per-core kernel contexts and application threads.
 func (h *Host) Start() {
@@ -313,7 +319,7 @@ func newKcore(h *Host, id int) *kcore {
 	}
 	k.napiFn = k.napiPoll
 	k.appRunFn = k.appRun
-	c := &h.cfg.Cost
+	c := &h.cost
 	k.sock = sockcore.Owner{
 		Layer: &h.layer,
 		Costs: sockcore.Costs{
@@ -429,7 +435,7 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	k.napiQueued = false
 	h.cur = k
 	k.curMeter = m
-	c := &h.cfg.Cost
+	c := &h.cost
 	m.Charge(c.HardIRQ)
 	k.kernelNs += int64(c.HardIRQ)
 	frames := k.rxq.Take(napiBudget)
@@ -438,6 +444,7 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	for _, f := range frames {
 		buf := k.pool.Alloc()
 		if buf == nil {
+			h.poolDrops++
 			f.Release()
 			continue
 		}
@@ -476,7 +483,7 @@ func (k *kcore) maybeWakeApp() {
 	}
 	k.appRunning = true
 	// Scheduler wakeup latency for the blocked, pinned thread.
-	k.core.SubmitAfter(k.h.cfg.Cost.WakeupLatency, sim.ClassUser, k.appRunFn)
+	k.core.SubmitAfter(k.h.cost.WakeupLatency, sim.ClassUser, k.appRunFn)
 }
 
 // appRun is the application thread resuming from epoll_wait.
@@ -485,7 +492,7 @@ func (k *kcore) appRun(m *sim.Meter) {
 	h.cur = k
 	k.curMeter = m
 	k.sysKernel = 0
-	c := &h.cfg.Cost
+	c := &h.cost
 	k.chargeK(c.SyscallEntry) // epoll_wait return
 	userStart := m.Elapsed()
 	preKernel := k.sysKernel
@@ -562,7 +569,7 @@ func (e *kenv) After(d time.Duration, fn func()) {
 func (e *kenv) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	k := e.k()
 	doConnect := func() {
-		k.chargeK(k.h.cfg.Cost.SyscallEntry + k.h.cfg.Cost.ConnSetup)
+		k.chargeK(k.h.cost.SyscallEntry + k.h.cost.ConnSetup)
 		conn, err := k.h.ns.TCP().Connect(dst, port, 0)
 		k.sock.NewSock(cookie).Open(conn, err)
 	}

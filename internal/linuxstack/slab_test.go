@@ -103,12 +103,15 @@ type stackHost interface {
 	ConnCount() int
 	Slabs() (inUse, free int)
 	Footprint() memprobe.Footprint
+	EachStack(func(*netstack.Stack))
+	PoolDrops() uint64
 }
 
-// hostTune is what a test may adjust on either host of a pair.
-type hostTune struct{ rcvWnd, nicRing int }
+// hostTune is what a test may adjust on either host of a pair (zero
+// cores means one).
+type hostTune struct{ rcvWnd, nicRing, memPages, cores int }
 
-// stack builds one-core hosts of one stack model.
+// stack builds hosts of one stack model.
 type stack struct {
 	name        string
 	build       func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost
@@ -118,13 +121,13 @@ type stack struct {
 var (
 	linux = stack{"linux",
 		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
-			return New(eng, Config{IP: ip, MAC: mac, Cores: 1, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing})
+			return New(eng, Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
 		},
 		func(h stackHost) uint64 { return h.(*Host).Stack().TCP().Retransmits },
 	}
 	mtcp = stack{"mtcp",
 		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
-			return mtcpstack.New(eng, mtcpstack.Config{IP: ip, MAC: mac, Cores: 1, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing})
+			return mtcpstack.New(eng, mtcpstack.Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
 		},
 		func(h stackHost) uint64 { return h.(*mtcpstack.Host).Stack(0).TCP().Retransmits },
 	}
@@ -165,12 +168,18 @@ func newBulkPair(st stack, msg, rounds int, tune func(srv, cli *hostTune)) *bulk
 		_ = env.Connect(srvIP, 80, nil)
 		return p.ce
 	}, ctu)
-	p.link = fabric.NewLink(p.eng, 10*fabric.Gbps, time.Microsecond)
-	p.srv.NIC().AttachPort(p.link.Port(0))
-	p.cli.NIC().AttachPort(p.link.Port(1))
-	p.srv.ARP().Learn(p.cli.IP(), p.cli.MAC())
-	p.cli.ARP().Learn(p.srv.IP(), p.srv.MAC())
+	p.link = cable(p.eng, p.srv, p.cli)
 	return p
+}
+
+// cable links srv and cli back to back: Port(0) faces the server.
+func cable(eng *sim.Engine, srv, cli stackHost) *fabric.Link {
+	link := fabric.NewLink(eng, 10*fabric.Gbps, time.Microsecond)
+	srv.NIC().AttachPort(link.Port(0))
+	cli.NIC().AttachPort(link.Port(1))
+	srv.ARP().Learn(cli.IP(), cli.MAC())
+	cli.ARP().Learn(srv.IP(), srv.MAC())
+	return link
 }
 
 // run starts the hosts on first use and runs the engine until t.
@@ -349,5 +358,70 @@ func TestTxRingDropsCounted(t *testing.T) {
 	}
 	if p.ce.done != 1 || p.ce.bad != 0 {
 		t.Fatalf("echo completed %d times, %d corrupted", p.ce.done, p.ce.bad)
+	}
+}
+
+// sink counts the bytes its connections deliver.
+type sink struct{ got int }
+
+func (s *sink) OnAccept(app.Conn)              {}
+func (s *sink) OnConnected(app.Conn, bool)     {}
+func (s *sink) OnRecv(_ app.Conn, data []byte) { s.got += len(data) }
+func (s *sink) OnSent(app.Conn, int)           {}
+func (s *sink) OnEOF(c app.Conn)               { c.Close() }
+func (s *sink) OnClosed(app.Conn)              {}
+
+// oneWrite writes msg once down every connection that opens.
+type oneWrite struct{ msg []byte }
+
+func (w oneWrite) OnAccept(app.Conn) {}
+func (w oneWrite) OnConnected(c app.Conn, ok bool) {
+	if ok {
+		c.Send(w.msg)
+	}
+}
+func (w oneWrite) OnRecv(app.Conn, []byte) {}
+func (w oneWrite) OnSent(app.Conn, int)    {}
+func (w oneWrite) OnEOF(app.Conn)          {}
+func (w oneWrite) OnClosed(app.Conn)       {}
+
+// TestPoolDropsCounted: a pool takes memory a whole 2 MB page at a time,
+// so a one-page grant feeds only one of a server's two cores and every
+// frame RSS steers to the other finds its mbuf pool dry. PoolDrops must
+// count exactly those frames — each frame the NIC put on a ring either
+// reached the stack or was a pool drop — while the core holding the page
+// keeps receiving; on either stack.
+func TestPoolDropsCounted(t *testing.T) {
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			eng := sim.NewEngine(25)
+			srvIP := wire.Addr4(10, 0, 0, 2)
+			sk := &sink{}
+			srv := st.build(eng, srvIP, wire.MAC{2, 0, 0, 0, 0, 2}, func(env app.Env, th, n int) app.Handler {
+				_ = env.Listen(80)
+				return sk
+			}, hostTune{memPages: 1, cores: 2})
+			cli := st.build(eng, wire.Addr4(10, 0, 0, 1), wire.MAC{2, 0, 0, 0, 0, 1}, func(env app.Env, th, n int) app.Handler {
+				for i := 0; i < 8; i++ {
+					_ = env.Connect(srvIP, 80, nil)
+				}
+				return oneWrite{make([]byte, 64<<10)}
+			}, hostTune{})
+			cable(eng, srv, cli)
+			srv.Start()
+			cli.Start()
+			eng.RunUntil(sim.Time(50 * time.Millisecond))
+
+			var reached uint64
+			srv.EachStack(func(s *netstack.Stack) { reached += s.RxFrames })
+			drops := srv.NIC().RxFrames - reached
+			t.Logf("%d bytes received, %d frames dropped at the pool", sk.got, drops)
+			if drops == 0 || sk.got == 0 {
+				t.Fatalf("%d frames dropped, %d bytes received: want both nonzero", drops, sk.got)
+			}
+			if n := srv.PoolDrops(); n != drops {
+				t.Errorf("PoolDrops() = %d, but %d frames on the rings never reached the stack", n, drops)
+			}
+		})
 	}
 }

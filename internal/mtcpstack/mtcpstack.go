@@ -41,11 +41,9 @@ type Config struct {
 	// Cores is the number of core pairs (TCP thread + app thread per
 	// core, as mTCP deploys).
 	Cores int
-	// Cost is the mTCP cost model.
-	Cost cost.MTCP
 	// Factory builds the per-thread application.
 	Factory app.Factory
-	// Seed, RcvWnd, MinRTO, MemPages tune the stack.
+	// Seed, RcvWnd, MinRTO, MemPages, NICRing tune the stack.
 	Seed     uint64
 	RcvWnd   int
 	MinRTO   time.Duration
@@ -61,6 +59,7 @@ type Config struct {
 type Host struct {
 	eng    *sim.Engine
 	cfg    Config
+	cost   cost.MTCP
 	nic    *nicsim.NIC
 	arp    *netstack.ARPTable
 	region *mem.Region
@@ -68,6 +67,9 @@ type Host struct {
 	// missFloor is the handshake-frame miss charge (batched SYN
 	// admission), a run constant hoisted out of the poll loop.
 	missFloor time.Duration
+	// poolDrops counts received frames released because an mbuf pool
+	// was dry.
+	poolDrops uint64
 }
 
 // New builds an mTCP host. Attach NIC ports before Start.
@@ -75,19 +77,17 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	if cfg.Cost == (cost.MTCP{}) {
-		cfg.Cost = cost.DefaultMTCP()
-	}
 	if cfg.MemPages <= 0 {
 		cfg.MemPages = 512
 	}
 	h := &Host{
-		eng:       eng,
-		cfg:       cfg,
-		arp:       netstack.NewARPTable(),
-		region:    mem.NewRegion(cfg.MemPages),
-		missFloor: time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss)),
+		eng:    eng,
+		cfg:    cfg,
+		cost:   cost.DefaultMTCP(),
+		arp:    netstack.NewARPTable(),
+		region: mem.NewRegion(cfg.MemPages),
 	}
+	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(h.cost.L3Miss))
 	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
 		Queues:   cfg.Cores,
 		RingSize: cfg.NICRing,
@@ -123,6 +123,18 @@ func (h *Host) Cores() int { return len(h.cores) }
 
 // Stack returns core i's network stack (started hosts only).
 func (h *Host) Stack(i int) *netstack.Stack { return h.cores[i].ns }
+
+// EachStack calls fn with every core's network stack (started hosts
+// only).
+func (h *Host) EachStack(fn func(*netstack.Stack)) {
+	for _, m := range h.cores {
+		fn(m.ns)
+	}
+}
+
+// PoolDrops counts received frames the TCP threads released because an
+// mbuf pool was dry.
+func (h *Host) PoolDrops() uint64 { return h.poolDrops }
 
 // MbufsInUse sums the receive mbufs still referenced across every core's
 // pool: zero once traffic has quiesced.
@@ -216,7 +228,7 @@ func newMcore(h *Host, id int) *mcore {
 	}
 	m.layer.Reserve(expected)
 	m.layer.Accepting = func() *sockcore.Owner { return &m.sock }
-	c := &h.cfg.Cost
+	c := &h.cost
 	m.sock = sockcore.Owner{
 		Layer: &m.layer,
 		Costs: sockcore.Costs{
@@ -283,7 +295,7 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 	m.tcpQueued = false
 	m.tcpPending = false
 	m.curMeter = meter
-	c := &m.h.cfg.Cost
+	c := &m.h.cost
 	meter.Charge(c.PollRound)
 
 	// Application jobs first (writes queued since last round).
@@ -302,6 +314,7 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 	for _, f := range frames {
 		buf := m.pool.Alloc()
 		if buf == nil {
+			m.h.poolDrops++
 			f.Release()
 			continue
 		}
@@ -370,7 +383,7 @@ func (m *mcore) armTCP() {
 		return
 	}
 	m.tcpPending = true
-	m.h.eng.CallAfter(m.h.cfg.Cost.HandoffInterval, mWakeTCP, m)
+	m.h.eng.CallAfter(m.h.cost.HandoffInterval, mWakeTCP, m)
 }
 
 // runJob runs one handoff on the TCP thread.
@@ -379,7 +392,7 @@ func (m *mcore) runJob(j *job) {
 		j.s.Do(j.op)
 		return
 	}
-	m.curMeter.Charge(m.h.cfg.Cost.ConnSetup)
+	m.curMeter.Charge(m.h.cost.ConnSetup)
 	conn, err := m.ns.TCP().Connect(j.dst, j.port, 0)
 	j.s.Open(conn, err)
 }
@@ -391,7 +404,7 @@ func (m *mcore) kickApp() {
 		return
 	}
 	m.appPending = true
-	m.h.eng.CallAfter(m.h.cfg.Cost.HandoffInterval, mRunApp, m)
+	m.h.eng.CallAfter(m.h.cost.HandoffInterval, mRunApp, m)
 }
 
 // appRound drains the event queue through the application handler.

@@ -73,14 +73,11 @@ type Config struct {
 	// ARP is the host-shared ARP table.
 	ARP *ARPTable
 	// TCP tuning passed through to the TCP engine.
-	RcvWnd     int
-	MSS        int
-	PortOK     func(port uint16, dst wire.IPv4, dport uint16) bool
-	Seed       uint64
-	MinRTO     time.Duration
-	MaxRexmits int
-	TimeWait   time.Duration
-	DelAck     time.Duration
+	RcvWnd int
+	PortOK func(port uint16, dst wire.IPv4, dport uint16) bool
+	Seed   uint64
+	MinRTO time.Duration
+	DelAck time.Duration
 	// ExpectedConns presizes the TCP engine's connection table.
 	ExpectedConns int
 }
@@ -120,19 +117,16 @@ func New(cfg Config) *Stack {
 		pendingARP: make(map[wire.IPv4][]*fabric.Frame),
 	}
 	s.tcp = tcp.NewStack(tcp.Config{
-		LocalIP:    cfg.LocalIP,
-		Now:        cfg.Now,
-		Wheel:      cfg.Wheel,
-		Output:     s.outputTCP,
-		Events:     cfg.Events,
-		RcvWnd:     cfg.RcvWnd,
-		MSS:        cfg.MSS,
-		PortOK:     cfg.PortOK,
-		Seed:       cfg.Seed,
-		MinRTO:     cfg.MinRTO,
-		MaxRexmits: cfg.MaxRexmits,
-		TimeWait:   cfg.TimeWait,
-		DelAck:     cfg.DelAck,
+		LocalIP: cfg.LocalIP,
+		Now:     cfg.Now,
+		Wheel:   cfg.Wheel,
+		Output:  s.outputTCP,
+		Events:  cfg.Events,
+		RcvWnd:  cfg.RcvWnd,
+		PortOK:  cfg.PortOK,
+		Seed:    cfg.Seed,
+		MinRTO:  cfg.MinRTO,
+		DelAck:  cfg.DelAck,
 
 		ExpectedConns: cfg.ExpectedConns,
 	})

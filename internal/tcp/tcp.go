@@ -138,8 +138,6 @@ type Config struct {
 	Events Events
 	// RcvWnd is the maximum receive window in bytes (default 256 KB).
 	RcvWnd int
-	// MSS is the maximum segment size (default wire.MSS).
-	MSS int
 	// PortOK, if set, filters ephemeral port choices; IX client threads
 	// use it to probe ports whose RSS hash (for the return direction of
 	// the flow to dst:dport) lands on this thread's queue (§4.4: "we
@@ -235,9 +233,6 @@ func NewStack(cfg Config) *Stack {
 	}
 	if cfg.RcvWnd <= 0 {
 		cfg.RcvWnd = defaultRcvWnd
-	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = wire.MSS
 	}
 	if cfg.MinRTO <= 0 {
 		cfg.MinRTO = defaultMinRTO
@@ -540,9 +535,6 @@ func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 // RemoteIP returns the peer address.
 func (c *Conn) RemoteIP() wire.IPv4 { return c.key.DstIP }
 
-// mss returns the effective segment size.
-func (c *Conn) mss() int { return c.stack.cfg.MSS }
-
 // flight returns bytes in flight.
 func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
 
@@ -651,7 +643,7 @@ func (s *Stack) newConn(key wire.FlowKey) *Conn {
 		stack:    s,
 		key:      key,
 		iss:      s.nextISS(),
-		cwnd:     uint32(initialCwnd * s.cfg.MSS),
+		cwnd:     uint32(initialCwnd * wire.MSS),
 		ssthresh: 1 << 30,
 		rto:      rttNs(initialRTO),
 	}
@@ -960,7 +952,7 @@ func rttNs(d time.Duration) uint32 {
 
 // growCwnd applies slow start or congestion avoidance.
 func (c *Conn) growCwnd(acked uint32) {
-	mss := uint32(c.mss())
+	mss := uint32(wire.MSS)
 	if c.cwnd < c.ssthresh {
 		// Slow start: grow by bytes acked (ABC).
 		if acked > mss {
@@ -990,7 +982,7 @@ func (c *Conn) fastRetransmit() {
 		return
 	}
 	c.stack.FastRetransmits++
-	mss := uint32(c.mss())
+	mss := uint32(wire.MSS)
 	fl := c.flight()
 	half := fl / 2
 	if half < 2*mss {
@@ -1211,7 +1203,7 @@ func (c *Conn) Sendv(bufs [][]byte) int {
 		return 0
 	}
 	total := 0
-	mss := c.mss()
+	mss := wire.MSS
 	// Assemble MSS-sized segments from the scatter-gather array in the
 	// stack's reusable scratch; sendData moves the fragment references
 	// into the tracked segment, so the scratch recycles per segment.
@@ -1353,7 +1345,7 @@ func (c *Conn) RecvDone(n int) {
 		c.unconsumed = 0
 	}
 	now := c.rcvWndAvail()
-	if prev < c.stack.cfg.RcvWnd/4 && now-prev >= c.mss() {
+	if prev < c.stack.cfg.RcvWnd/4 && now-prev >= wire.MSS {
 		c.scheduleAck()
 	}
 }
@@ -1390,7 +1382,7 @@ func (c *Conn) sendFlags(flags uint8, seq, ack uint32, withOpts bool) {
 		WScale:  -1,
 	}
 	if withOpts {
-		hdr.MSS = uint16(c.mss())
+		hdr.MSS = wire.MSS
 		hdr.WScale = wndShift
 		// SYN windows are unscaled.
 		if wnd > 0xffff {
@@ -1644,7 +1636,7 @@ func (c *Conn) onRTO() {
 	c.stack.Retransmits++
 	// Exponential backoff; collapse cwnd (Tahoe-style on timeout).
 	c.rto = rttNs(2 * time.Duration(c.rto))
-	mss := uint32(c.mss())
+	mss := uint32(wire.MSS)
 	half := c.flight() / 2
 	if half < 2*mss {
 		half = 2 * mss
