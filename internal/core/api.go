@@ -11,6 +11,7 @@
 package core
 
 import (
+	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/tcp"
 	"ix/internal/wire"
@@ -54,9 +55,12 @@ type Syscall struct {
 	// Connect parameters.
 	DstIP   wire.IPv4
 	DstPort uint16
-	// Sendv parameters: the scatter-gather array. The application must
-	// keep the referenced bytes immutable until acknowledged (§4.5).
-	SG [][]byte
+	// Sendv parameters: the scatter-gather array, and (nil, or one per
+	// entry) the pooled memory each entry lies in, which frames may then
+	// carry by reference (tcp.Conn.Sendv). The application must keep the
+	// referenced bytes immutable until acknowledged (§4.5).
+	SG    [][]byte
+	Backs []fabric.Backing
 	// RecvDone parameters: bytes consumed and the buffers to recycle.
 	Bytes int
 	Bufs  []*mem.Mbuf

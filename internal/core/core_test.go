@@ -57,7 +57,7 @@ func TestDataplaneEndToEnd(t *testing.T) {
 					api.Accept(ev.Handle, 0x517)
 				case EvRecv:
 					serverGot = append(serverGot, ev.Data...)
-					api.Sendv(ev.Handle, [][]byte{[]byte("pong")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("pong")}, nil)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
 				}
 			}
@@ -77,7 +77,7 @@ func TestDataplaneEndToEnd(t *testing.T) {
 					if !ev.Outcome {
 						t.Error("connect failed")
 					}
-					api.Sendv(ev.Handle, [][]byte{[]byte("ping")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("ping")}, nil)
 				case EvRecv:
 					clientGot = append(clientGot, ev.Data...)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
@@ -117,7 +117,7 @@ func TestRecvDoneBehindAbortFreesMbufs(t *testing.T) {
 				case EvKnock:
 					api.Accept(ev.Handle, 0)
 				case EvRecv:
-					api.Sendv(ev.Handle, [][]byte{[]byte("pong")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("pong")}, nil)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
 				}
 			}
@@ -135,7 +135,7 @@ func TestRecvDoneBehindAbortFreesMbufs(t *testing.T) {
 			for _, ev := range events {
 				switch ev.Type {
 				case EvConnected:
-					api.Sendv(ev.Handle, [][]byte{[]byte("ping")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("ping")}, nil)
 				case EvRecv:
 					api.Abort(ev.Handle)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
@@ -177,7 +177,7 @@ func TestMeanBatchBelowOnePacketPerCycle(t *testing.T) {
 				case EvKnock:
 					api.Accept(ev.Handle, 0)
 				case EvRecv:
-					api.Sendv(ev.Handle, [][]byte{[]byte("pong")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("pong")}, nil)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
 				case EvTimer:
 					ev.Fn()
@@ -191,7 +191,7 @@ func TestMeanBatchBelowOnePacketPerCycle(t *testing.T) {
 			for _, ev := range events {
 				switch ev.Type {
 				case EvConnected:
-					api.Sendv(ev.Handle, [][]byte{[]byte("ping")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("ping")}, nil)
 				case EvRecv:
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
 				}
@@ -233,7 +233,7 @@ func TestMaliciousApp(t *testing.T) {
 				case EvRecv:
 					gotMbuf = ev.Mbuf
 					// Attack 1: forge a handle.
-					api.Sendv(0xdeadbeef00000000, [][]byte{[]byte("forged")})
+					api.Sendv(0xdeadbeef00000000, [][]byte{[]byte("forged")}, nil)
 					// Attack 2: recv_done more than delivered.
 					api.RecvDone(ev.Handle, ev.Bytes*100, nil)
 					// Attack 3: write to the read-only buffer.
@@ -241,7 +241,7 @@ func TestMaliciousApp(t *testing.T) {
 						t.Error("read-only mbuf write allowed")
 					}
 					// Legitimate path still works afterwards.
-					api.Sendv(ev.Handle, [][]byte{[]byte("ok")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("ok")}, nil)
 					api.RecvDone(ev.Handle, ev.Bytes, []*mem.Mbuf{ev.Mbuf})
 				}
 			}
@@ -255,7 +255,7 @@ func TestMaliciousApp(t *testing.T) {
 			for _, ev := range events {
 				switch ev.Type {
 				case EvConnected:
-					api.Sendv(ev.Handle, [][]byte{[]byte("req")})
+					api.Sendv(ev.Handle, [][]byte{[]byte("req")}, nil)
 				case EvRecv:
 					if string(ev.Data) == "ok" {
 						clientOK = true

@@ -217,8 +217,8 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 		buf.Adopt(f)
 		et.RxPackets++
 		m.Charge(c.ProtoRx)
-		m.Charge(c.ProtoRxByte.Cost(len(f.Data)))
-		m.Charge(c.CopyPerByte.Cost(len(f.Data))) // zero-copy ablation only
+		m.Charge(c.ProtoRxByte.Cost(f.Len()))
+		m.Charge(c.CopyPerByte.Cost(f.Len())) // zero-copy ablation only
 		if nicsim.IsTCPSYN(f.Data) {
 			m.Charge(missFloor)
 		} else {
@@ -377,7 +377,7 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			return res
 		}
 		conn := obj.(*tcp.Conn)
-		n := conn.Sendv(sc.SG)
+		n := conn.Sendv(sc.SG, sc.Backs)
 		res.N = n
 		segs := (n + wire.MSS - 1) / wire.MSS
 		m.ChargeN(segs, c.ProtoTx)
@@ -546,8 +546,9 @@ func (u *UserAPI) Accept(handle uint64, cookie uint64) {
 }
 
 // Sendv issues a sendv syscall; the result's N reports accepted bytes.
-func (u *UserAPI) Sendv(handle uint64, sg [][]byte) {
-	u.Queue(Syscall{Type: SysSendv, Handle: handle, SG: sg})
+// backs is nil or names the pooled memory of each sg entry.
+func (u *UserAPI) Sendv(handle uint64, sg [][]byte, backs []fabric.Backing) {
+	u.Queue(Syscall{Type: SysSendv, Handle: handle, SG: sg, Backs: backs})
 }
 
 // RecvDone returns n consumed bytes and recycles bufs.

@@ -8,7 +8,10 @@
 // FramePool, the same object travels every hop (host → switch → host), and
 // the final consumer calls Release to hand the buffer back to the
 // originating pool. On the steady-state path no per-frame memory is
-// allocated.
+// allocated. A TCP frame may carry its payload by reference into the
+// sender's pooled transmit memory rather than in its own buffer (Carry):
+// the simulated NIC's DMA gather is a charge in the cost model, not a
+// reason to move host bytes.
 package fabric
 
 import (
@@ -37,6 +40,11 @@ const (
 // L2 framing and slack. Larger frames fall back to one-off allocations.
 const FrameCap = 1600
 
+// smallFrameCap is the buffer capacity of the pool's small frames: room
+// for every header — all a frame carrying its payload by reference holds
+// — and a short payload, such as a 64 B RPC's.
+const smallFrameCap = 256
+
 // A Frame is a packet in flight with its arrival timestamp metadata.
 // Frames allocated from a FramePool are recycled: whoever consumes the
 // frame (receiving stack, dropping queue, flooding switch) must call
@@ -48,7 +56,14 @@ const FrameCap = 1600
 // changes or hands on carry the sum the sender's NIC would have put on
 // the wire.
 type Frame struct {
+	// Data is the frame's own bytes: every header and, unless Payload
+	// carries it, the payload.
 	Data []byte
+	// Payload, when non-nil, is the TCP payload carried by reference into
+	// the sender's pooled memory (Carry): on the wire the frame is Data
+	// followed by Payload. Only an intact frame carries one; whoever
+	// writes a frame's bytes takes the payload into Data first (Own).
+	Payload []byte
 	// SentAt is when the sender posted the frame (for diagnostics).
 	SentAt sim.Time
 
@@ -58,7 +73,8 @@ type Frame struct {
 	// fail, so a receiver may skip it. Get clears the mark.
 	Intact bool
 
-	buf  []byte // full-capacity backing storage of pooled frames
+	buf  []byte  // full-capacity backing storage of pooled frames
+	back Backing // what Payload points into, pinned until Release
 	pool *FramePool
 	free bool
 
@@ -73,6 +89,55 @@ type Frame struct {
 // infrastructure traffic).
 func (f *Frame) Tenant() int { return f.tenant }
 
+// A Backing is pooled sender memory a frame's payload can point into: a
+// TX arena chunk or a socket's send slab. Its owner releases it once TCP
+// has dropped every reference — at the cumulative ACK — but a frame can
+// outlive that ACK: a retransmitted original still queued in a receive
+// ring, a receiver holding the mbuf. So every frame carrying bytes of a
+// backing pins it, and a backing released while pinned goes back to its
+// pool only at the last Unpin.
+type Backing interface {
+	Pin()
+	Unpin()
+}
+
+// Len returns the frame's L2 length: Data and the payload it carries.
+func (f *Frame) Len() int { return len(f.Data) + len(f.Payload) }
+
+// Carry makes payload the frame's payload by reference: it follows Data
+// on the wire, and back — the pooled memory it lies in — stays pinned
+// until the frame is released. The frame must be intact, and Data must
+// hold exactly the headers.
+//
+//ix:hotpath
+func (f *Frame) Carry(payload []byte, back Backing) {
+	back.Pin()
+	f.Payload, f.back = payload, back
+}
+
+// Own takes a payload carried by reference into the frame's own buffer
+// and unpins its backing, so the frame's bytes may be written without
+// touching the sender's. A no-op for a frame that carries none.
+func (f *Frame) Own() {
+	if f.back == nil {
+		return
+	}
+	f.Data = append(f.Data, f.Payload...)
+	f.unpin()
+}
+
+// unpin drops the frame's reference into its sender's memory.
+func (f *Frame) unpin() {
+	f.back.Unpin()
+	f.Payload, f.back = nil, nil
+}
+
+// AppendBytes appends the frame's wire bytes (Data, then the payload it
+// carries) to b.
+func (f *Frame) AppendBytes(b []byte) []byte {
+	return append(append(b, f.Data...), f.Payload...)
+}
+
 // MaterializeChecksum writes an intact frame's pending TCP checksum into
 // its header, computed from the frame's own IPv4 header. The frame stays
 // intact: its bytes are still the sender's, now with the sum in place.
@@ -86,7 +151,7 @@ func (f *Frame) MaterializeChecksum() {
 	if h.Unmarshal(ip) != nil {
 		return // not a header a stack built: nothing was offloaded
 	}
-	wire.SetTCPChecksum(h.Src, h.Dst, ip[wire.IPv4HdrLen:h.TotalLen])
+	wire.SetTCPChecksumv(h.Src, h.Dst, ip[wire.IPv4HdrLen:int(h.TotalLen)-len(f.Payload)], f.Payload)
 }
 
 // NewFrame wraps data in an unpooled frame (tests, broadcast replication).
@@ -118,24 +183,46 @@ func (f *Frame) Release() {
 	if f.free {
 		panic("fabric: frame double release")
 	}
+	if f.back != nil {
+		f.unpin()
+	}
 	if f.pool == nil {
 		return
 	}
 	f.free = true
-	f.pool.inUse--
-	if f.buf == nil {
+	p := f.pool
+	p.inUse--
+	switch cap(f.buf) {
+	case 0:
 		// Oversized one-off: accounted, but not recycled.
 		f.pool = nil
-		return
+	case smallFrameCap:
+		p.small = append(p.small, f)
+	default:
+		p.full = append(p.full, f)
 	}
-	f.pool.free = append(f.pool.free, f)
 }
 
+// smallFrame and fullFrame are a pooled frame and its buffer in one
+// allocation: the bytes every hop reads first lie right behind the
+// frame's fields.
+type (
+	smallFrame struct {
+		Frame
+		b [smallFrameCap]byte
+	}
+	fullFrame struct {
+		Frame
+		b [FrameCap]byte
+	}
+)
+
 // A FramePool recycles frame buffers for one sender (a network stack
-// instance).
+// instance), in two sizes: FrameCap, and small frames for those that hold
+// only headers or a short payload.
 type FramePool struct {
-	free  []*Frame
-	inUse int
+	full, small []*Frame
+	inUse       int
 
 	// tenant tags every frame allocated from this pool (multi-tenant
 	// isolation accounting; 0 = untagged).
@@ -172,10 +259,14 @@ func (p *FramePool) Get(n int) *Frame {
 		p.News++
 		return &Frame{Data: make([]byte, n), pool: p, tenant: p.tenant}
 	}
-	if ln := len(p.free); ln > 0 {
-		f := p.free[ln-1]
-		p.free[ln-1] = nil
-		p.free = p.free[:ln-1]
+	list, size := &p.full, FrameCap
+	if n <= smallFrameCap {
+		list, size = &p.small, smallFrameCap
+	}
+	if ln := len(*list); ln > 0 {
+		f := (*list)[ln-1]
+		(*list)[ln-1] = nil
+		*list = (*list)[:ln-1]
 		f.free = false
 		f.Intact = false
 		f.Data = f.buf[:n]
@@ -183,7 +274,15 @@ func (p *FramePool) Get(n int) *Frame {
 		return f
 	}
 	p.News++
-	f := &Frame{buf: make([]byte, FrameCap), pool: p, tenant: p.tenant}
+	var f *Frame
+	if size == smallFrameCap {
+		k := &smallFrame{}
+		f, k.buf = &k.Frame, k.b[:]
+	} else {
+		k := &fullFrame{}
+		f, k.buf = &k.Frame, k.b[:]
+	}
+	f.pool, f.tenant = p, p.tenant
 	f.Data = f.buf[:n]
 	return f
 }
@@ -353,7 +452,8 @@ func (p *Port) Send(f *Frame) { p.sendAt(f, p.link.eng.Now()) }
 // it has now.
 func (p *Port) sendAt(f *Frame, at sim.Time) {
 	l := p.link
-	if p.txBuffer > 0 && p.queuedBytes(at)+wire.WireLen(len(f.Data)) > p.txBuffer {
+	n := f.Len()
+	if p.txBuffer > 0 && p.queuedBytes(at)+wire.WireLen(n) > p.txBuffer {
 		// Shallow egress buffer full: tail drop at the switch port,
 		// exactly the incast failure mode (§5, 16 µs RTO discussion).
 		p.TxDropped++
@@ -365,14 +465,14 @@ func (p *Port) sendAt(f *Frame, at sim.Time) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	ser := l.serialize(len(f.Data))
+	ser := l.serialize(n)
 	depart := start.Add(ser)
 	p.busyUntil = depart
 	p.TxFrames++
-	p.TxBytes += uint64(len(f.Data))
+	p.TxBytes += uint64(n)
 	slot := p.tenantSlot(f.tenant)
 	slot.Frames++
-	slot.Bytes += uint64(len(f.Data))
+	slot.Bytes += uint64(n)
 	arrive := depart.Add(l.latency)
 	f.SentAt = at
 	seq := l.eng.ReserveSeq()

@@ -213,10 +213,11 @@ func (in *Injector) impair(f *fabric.Frame) {
 	}
 	if cfg.DupP > 0 && in.rng.Float64() < cfg.DupP {
 		// The duplicate is an unpooled copy so the original's pooled
-		// buffer is never aliased; it trails the original by nothing
-		// (same instant, later sequence number).
+		// buffer, and the sender memory it may carry, is never aliased; it
+		// trails the original by nothing (same instant, later sequence
+		// number).
 		f.MaterializeChecksum()
-		dup := fabric.NewFrame(append([]byte(nil), f.Data...))
+		dup := fabric.NewFrame(f.AppendBytes(nil))
 		dup.SentAt = f.SentAt
 		in.stats.Duplicated++
 		in.eng.Call(in.eng.Now(), in.heldFn, dup)
@@ -242,9 +243,12 @@ func (in *Injector) deliverHeld(a any) {
 // header, so L2/L3 routing and classification still work and the damage
 // is caught by the transport checksum). Non-IPv4 frames — ARP, whose
 // replicated broadcast payloads are aliased across frames — are left
-// alone; reports whether a bit was flipped.
+// alone; reports whether a bit was flipped. A payload carried by
+// reference is taken into the frame first: the flip damages this frame,
+// never the sender's bytes, which a retransmission sends again.
 func (in *Injector) corrupt(f *fabric.Frame) bool {
 	const hdr = wire.EthHdrLen + wire.IPv4HdrLen
+	f.Own()
 	d := f.Data
 	if len(d) <= hdr+1 || uint16(d[12])<<8|uint16(d[13]) != wire.EtherTypeIPv4 {
 		return false

@@ -180,6 +180,53 @@ func TestCorruptionFlipsTransportBits(t *testing.T) {
 	}
 }
 
+// TestCorruptionOwnsCarriedPayload: a frame carrying its payload by
+// reference is corrupted over its whole transport region, as a frame
+// holding its payload is — the RNG draws over the same length, and most
+// flips land in the payload — but in a copy the frame takes first: the
+// sender's bytes never change, and the frame's pin is dropped.
+func TestCorruptionOwnsCarriedPayload(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var got *fabric.Frame
+	rx := endpointFunc(func(f *fabric.Frame) { got = f })
+	in := Wrap(eng, rx, 5)
+	in.Apply(Config{CorruptP: 1.0})
+	pool := fabric.NewFramePool()
+	payload := make([]byte, 1000)
+	inPayload := 0
+	for i := 0; i < 20; i++ {
+		f := ipFrame(pool, i)
+		want := append(append([]byte(nil), f.Data...), payload...)
+		var back pinCount
+		f.Carry(payload, &back)
+		in.Deliver(f)
+		if got.Payload != nil || back.n != 0 {
+			t.Fatalf("frame %d: corrupted while still carrying the sender's bytes (%d pins)", i, back.n)
+		}
+		diff := 0
+		for j := range want {
+			if got.Data[j] != want[j] {
+				diff++
+				if j >= len(want)-len(payload) {
+					inPayload++
+				}
+			}
+		}
+		if len(got.Data) != len(want) || diff != 1 {
+			t.Fatalf("frame %d: %d bytes, %d differ; want %d and 1", i, len(got.Data), diff, len(want))
+		}
+		got.Release()
+	}
+	if inPayload == 0 {
+		t.Fatal("no flip landed in the carried payload: the frame was corrupted over its headers only")
+	}
+	for _, b := range payload {
+		if b != 0 {
+			t.Fatal("corruption reached the sender's bytes")
+		}
+	}
+}
+
 type endpointFunc func(*fabric.Frame)
 
 func (fn endpointFunc) Deliver(f *fabric.Frame) { fn(f) }

@@ -156,3 +156,51 @@ func TestDuplicateOfIntactFrameDeliveredOnce(t *testing.T) {
 		t.Fatalf("application received %q, want %q exactly once", p.b.log.got, "hello")
 	}
 }
+
+// pinCount is a Backing that counts the frames holding it.
+type pinCount struct{ n int }
+
+func (p *pinCount) Pin()   { p.n++ }
+func (p *pinCount) Unpin() { p.n-- }
+
+// TestCarriedPayloadCorruptedInFlight: the stack sends a segment from
+// pooled memory by reference; corrupted in flight, the frame is caught by
+// the receiver's checksum like any other, the sender's bytes — which a
+// retransmission sends again — are as written, and no pin outlives the
+// dropped frame.
+func TestCarriedPayloadCorruptedInFlight(t *testing.T) {
+	p := newOffloadPair(t)
+	c := p.connect(t)
+	p.in.Apply(Config{CorruptP: 1})
+	msg := []byte("bytes the sender keeps until acknowledged")
+	var back pinCount
+	c.Sendv([][]byte{msg}, []fabric.Backing{&back})
+	if f := p.a.out[0]; f.Payload == nil || back.n != 1 {
+		t.Fatalf("the data frame carries payload %q with %d pins; want it by reference, 1 pin", f.Payload, back.n)
+	}
+	p.pump()
+	if p.in.Stats().Corrupted != 1 || p.b.s.TCP().BadChecksums != 1 {
+		t.Fatalf("corrupted %d, bad checksums %d; want 1 and 1", p.in.Stats().Corrupted, p.b.s.TCP().BadChecksums)
+	}
+	if string(msg) != "bytes the sender keeps until acknowledged" || back.n != 0 {
+		t.Fatalf("sender's bytes %q, %d pins left", msg, back.n)
+	}
+}
+
+// TestDuplicateOfCarriedPayloadDeliveredOnce: the duplicate of a frame
+// carrying its payload by reference copies the carried bytes too, and
+// neither copy leaves a pin behind.
+func TestDuplicateOfCarriedPayloadDeliveredOnce(t *testing.T) {
+	p := newOffloadPair(t)
+	c := p.connect(t)
+	p.in.Apply(Config{DupP: 1})
+	var back pinCount
+	c.Sendv([][]byte{[]byte("hello")}, []fabric.Backing{&back})
+	p.pump()
+	if p.in.Stats().Duplicated != 1 || p.b.s.TCP().BadChecksums != 0 {
+		t.Fatalf("duplicated %d, bad checksums %d; want 1 and 0", p.in.Stats().Duplicated, p.b.s.TCP().BadChecksums)
+	}
+	if string(p.b.log.got) != "hello" || back.n != 0 {
+		t.Fatalf("application received %q with %d pins left; want %q once and none", p.b.log.got, back.n, "hello")
+	}
+}

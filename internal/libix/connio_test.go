@@ -8,6 +8,7 @@ import (
 	"ix/internal/app"
 	"ix/internal/core"
 	"ix/internal/fabric"
+	"ix/internal/mem"
 	"ix/internal/sim"
 	"ix/internal/wire"
 )
@@ -18,6 +19,12 @@ import (
 func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 64 {
 		t.Fatalf("libix.conn is %d bytes, budget 64", got)
+	}
+	// A held arena chunk is charged at its struct size
+	// (mem.TxArena.FootprintBytes): its frame pins share the word the
+	// write cursor leaves free.
+	if got := unsafe.Sizeof(mem.TxChunk{}); got > mem.TxChunkSize+16 {
+		t.Fatalf("mem.TxChunk is %d bytes, budget %d", got, mem.TxChunkSize+16)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"ix/internal/app"
 	"ix/internal/core"
 	"ix/internal/dune"
+	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/sockcore"
 	"ix/internal/wire"
@@ -100,6 +101,10 @@ type program struct {
 	// flight (LIFO, so the hot ones stay cache-warm).
 	ioFree []*connIO
 	dirty  []*conn // connections with work to flush this round
+	// backs holds, for this round's sendv calls, the arena chunk each
+	// scatter-gather entry lies in; the kernel phase of the same cycle
+	// consumes them, so the next round reuses the backing.
+	backs []fabric.Backing
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
 	waiters []*conn
@@ -305,6 +310,17 @@ func (io *connIO) pushTx(v []byte) {
 	io.txq = append(io.txq, v)
 }
 
+// appendBacks appends the arena chunk each pending transmit vector entry
+// lies in, so frames may carry the entries by reference. Each entry lies
+// in a chunk of its own, the newest last (pushTx merges runs within one
+// chunk), so the chunks are the arena's newest, in order.
+func (io *connIO) appendBacks(backs []fabric.Backing) []fabric.Backing {
+	for _, k := range io.arena.Newest(len(io.txq) - int(io.txHead)) {
+		backs = append(backs, k)
+	}
+	return backs
+}
+
 // armSendReady arms the writable-again condition after a short Send; a
 // no-op unless the thread's handler implements app.SendReadyHandler.
 // pool marks that the shortfall came from chunk-pool exhaustion rather
@@ -454,6 +470,7 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 	}
 	// 4. Coalesced flush: one sendv per dirty connection, plus batched
 	// recv_done recycling.
+	p.backs = p.backs[:0]
 	for _, c := range p.dirty {
 		c.inDirty = false
 		io := c.io
@@ -471,7 +488,9 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 		}
 		if c.txBytes > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
 			c.issued = true
-			api.Sendv(c.handle, io.txq[io.txHead:])
+			from := len(p.backs)
+			p.backs = io.appendBacks(p.backs)
+			api.Sendv(c.handle, io.txq[io.txHead:], p.backs[from:])
 		}
 		c.putIO()
 	}

@@ -3,6 +3,7 @@ package libix
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ix/internal/app"
 	"ix/internal/mem"
@@ -259,3 +260,47 @@ func (s *abortStorm) OnRecv(c app.Conn, data []byte) {
 func (s *abortStorm) OnSent(c app.Conn, n int) {}
 func (s *abortStorm) OnEOF(c app.Conn)         { c.Close() }
 func (s *abortStorm) OnClosed(c app.Conn)      {}
+
+// TestBacksNameEachEntrysChunk: the backing sendv names for each pending
+// transmit vector entry is the chunk the entry's bytes lie in — after
+// runs that fill, straddle and open chunks, and after the kernel has
+// taken part of the vector — so a frame carrying an entry by reference
+// pins the memory it reads.
+func TestBacksNameEachEntrysChunk(t *testing.T) {
+	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
+	io := &connIO{}
+	io.arena.Init(pool)
+	send := func(n int) {
+		for b := make([]byte, n); len(b) > 0; {
+			v := io.arena.Append(b)
+			io.pushTx(v)
+			b = b[len(v):]
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		sg := io.txq[io.txHead:]
+		backs := io.appendBacks(nil)
+		if len(backs) != len(sg) {
+			t.Fatalf("%s: %d backings for %d entries", when, len(backs), len(sg))
+		}
+		for i, e := range sg {
+			// A chunk's buffer is its first field: its bytes span the
+			// TxChunkSize bytes from the chunk's address.
+			base := uintptr(unsafe.Pointer(backs[i].(*mem.TxChunk)))
+			p := uintptr(unsafe.Pointer(&e[0]))
+			if p < base || p+uintptr(len(e)) > base+mem.TxChunkSize {
+				t.Fatalf("%s: entry %d of %d does not lie in the chunk named for it", when, i, len(sg))
+			}
+		}
+	}
+	send(5000)
+	send(mem.TxChunkSize) // straddles into a second chunk
+	send(2 * mem.TxChunkSize)
+	check("after three sends")
+	io.consumeTx(5000 + mem.TxChunkSize/2)
+	check("after a partial sendv")
+	io.consumeTx(len(io.txq[io.txHead]))
+	send(100)
+	check("after a send into the open chunk")
+}

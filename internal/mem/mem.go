@@ -118,6 +118,16 @@ func (m *Mbuf) Adopt(f *fabric.Frame) {
 // checksum offloaded, so verifying them cannot fail.
 func (m *Mbuf) Intact() bool { return m.frame != nil && m.frame.Intact }
 
+// Payload returns the TCP payload the adopted frame carries by reference
+// (fabric.Frame.Payload), nil when the payload, if any, lies in Bytes.
+// It stays valid, like Bytes, until the last Unref.
+func (m *Mbuf) Payload() []byte {
+	if m.frame == nil {
+		return nil
+	}
+	return m.frame.Payload
+}
+
 // store returns the mbuf's own storage, making it on first use.
 func (m *Mbuf) store() []byte {
 	if m.own == nil {

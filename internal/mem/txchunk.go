@@ -12,7 +12,11 @@
 // no synchronization.
 package mem
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"ix/internal/fabric"
+)
 
 // TxChunkSize is the payload capacity of one TX arena chunk. Small
 // enough that short-lived RPC traffic cycles a single chunk per
@@ -25,19 +29,44 @@ const txChunksPerPage = PageSize / TxChunkSize
 
 // A TxChunk is one fixed-size arena chunk. Bytes between the release
 // cursor of its arena and its write cursor are referenced by the
-// dataplane's transmit path (txq scatter-gather entries and TCP
-// retransmission segments) and must stay immutable.
+// dataplane's transmit path (txq scatter-gather entries, TCP
+// retransmission segments and the frames that carry them by reference)
+// and must stay immutable.
 type TxChunk struct {
 	buf  [TxChunkSize]byte
-	used int
-	pool *TxChunkPool
+	used int32
+	// frames counts the frames in flight that carry bytes of the chunk by
+	// reference (fabric.Backing); retired marks a chunk its arena has
+	// released while some still did, which the pool takes back at the
+	// last Unpin.
+	frames  int16
+	retired bool
+	pool    *TxChunkPool
 }
 
+var _ fabric.Backing = (*TxChunk)(nil)
+
 // Used returns the number of bytes written.
-func (k *TxChunk) Used() int { return k.used }
+func (k *TxChunk) Used() int { return int(k.used) }
 
 // Room returns the bytes still writable.
-func (k *TxChunk) Room() int { return TxChunkSize - k.used }
+func (k *TxChunk) Room() int { return TxChunkSize - int(k.used) }
+
+// Pin takes a frame's reference on the chunk's bytes.
+//
+//ix:hotpath
+func (k *TxChunk) Pin() { k.frames++ }
+
+// Unpin drops a frame's reference; the last one hands a retired chunk
+// back to its pool.
+//
+//ix:hotpath
+func (k *TxChunk) Unpin() {
+	if k.frames--; k.frames == 0 && k.retired {
+		k.retired = false
+		k.pool.unretire(k)
+	}
+}
 
 // Append copies as much of b as fits and returns the chunk-backed view
 // of the appended bytes (empty when the chunk is full). The view stays
@@ -48,7 +77,7 @@ func (k *TxChunk) Room() int { return TxChunkSize - k.used }
 //
 //ix:hotpath
 func (k *TxChunk) Append(b []byte) []byte {
-	n := copy(k.buf[k.used:], b)
+	n := int32(copy(k.buf[k.used:], b))
 	v := k.buf[k.used : k.used+n]
 	k.used += n
 	return v
@@ -70,6 +99,14 @@ func (k *TxChunk) Release() {
 // TxChunkPool is a per-thread free-list pool of TX arena chunks,
 // provisioned from a Region in page-sized blocks (chunks materialize
 // lazily, like mbufs).
+//
+// A chunk released while frames still pin it is free as far as the
+// modelled memory goes, but its bytes are not yet writable: it is
+// counted in retired until its last Unpin puts it on the free list. An
+// Alloc that finds only retired chunks free takes the slot of one and
+// makes a fresh object, and the retired chunk whose slot was taken is
+// dropped at its last Unpin. So the pool's counts, and every
+// allocation's outcome, are those of a pool no frame ever pinned.
 type TxChunkPool struct {
 	region *Region
 	free   []*TxChunk
@@ -78,6 +115,7 @@ type TxChunkPool struct {
 
 	allocated int // chunks backed by taken pages
 	spare     int // page-backed chunks not yet materialized
+	retired   int // free chunks still pinned by frames
 	inUse     int
 
 	// Stats.
@@ -102,16 +140,19 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		if p.spare == 0 {
-			if !p.region.TakePage() {
-				p.Exhausted++
-				return nil
-			}
-			p.spare = txChunksPerPage
+		switch {
+		case p.retired > 0:
+			p.retired-- // a free slot whose object frames still pin
+		case p.spare > 0:
+			p.spare--
+		case p.region.TakePage():
+			p.spare = txChunksPerPage - 1
 			p.allocated += txChunksPerPage
+		default:
+			p.Exhausted++
+			return nil
 		}
-		p.spare--
-		//ixvet:ignore(hotpath) lazy materialization: amortized over the page, steady state hits the free list
+		//ixvet:ignore(hotpath) lazy materialization: amortized over the page (or a rare pinned release), steady state hits the free list
 		k = &TxChunk{pool: p}
 	}
 	k.used = 0
@@ -124,7 +165,24 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 func (p *TxChunkPool) put(k *TxChunk) {
 	p.inUse--
 	p.Frees++
+	if k.frames > 0 {
+		k.retired = true
+		p.retired++
+		return
+	}
 	p.free = append(p.free, k)
+}
+
+// unretire takes back a retired chunk at its last Unpin: onto the free
+// list if its slot is still free, else (an Alloc stood a fresh object in
+// for it) nowhere.
+//
+//ix:hotpath
+func (p *TxChunkPool) unretire(k *TxChunk) {
+	if p.retired > 0 {
+		p.retired--
+		p.free = append(p.free, k)
+	}
 }
 
 // InUse returns the number of chunks held by arenas.
@@ -135,7 +193,7 @@ func (p *TxChunkPool) InUse() int { return p.inUse }
 // capacity for another page. The send-ready condition uses this to
 // avoid waking a pool-blocked writer into another failed allocation.
 func (p *TxChunkPool) Ready() bool {
-	return len(p.free) > 0 || p.spare > 0 || p.region.Used() < p.region.Cap()
+	return len(p.free) > 0 || p.retired > 0 || p.spare > 0 || p.region.Used() < p.region.Cap()
 }
 
 // Provisioned returns the number of chunks backed by pages so far.
@@ -168,6 +226,11 @@ func (a *TxArena) Live() int { return int(a.live) }
 
 // Chunks returns the number of chunks the arena currently holds.
 func (a *TxArena) Chunks() int { return len(a.chunks) - int(a.head) }
+
+// Newest returns the arena's newest n chunks, oldest first. A view
+// Append returns lies in one chunk, the newest, so n views of the newest
+// bytes, each in a different chunk, lie in these n in order.
+func (a *TxArena) Newest(n int) []*TxChunk { return a.chunks[len(a.chunks)-n:] }
 
 // Append copies a prefix of b into the arena and returns the
 // arena-backed view of it; the view's bytes stay immutable until
@@ -214,7 +277,7 @@ func (a *TxArena) Release(n int) {
 	a.relOff += int32(n)
 	for int(a.head) < len(a.chunks) {
 		k := a.chunks[a.head]
-		if int(a.relOff) < k.used {
+		if a.relOff < k.used {
 			break
 		}
 		if int(a.head) == len(a.chunks)-1 && a.live > 0 {
@@ -223,7 +286,7 @@ func (a *TxArena) Release(n int) {
 			// mirror appends).
 			break
 		}
-		a.relOff -= int32(k.used)
+		a.relOff -= k.used
 		k.Release()
 		a.chunks[a.head] = nil
 		a.head++

@@ -3,6 +3,8 @@ package mem
 import (
 	"bytes"
 	"testing"
+
+	"ix/internal/fabric"
 )
 
 // TestTxChunkPoolRegionAccounting: chunks provision from the region at
@@ -157,5 +159,63 @@ func BenchmarkTxArenaAppendRelease(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := a.Append(msg)
 		a.Release(len(v))
+	}
+}
+
+// TestPinnedChunkOutlivesRelease: a frame carrying arena bytes by
+// reference can outlive the ACK that releases them — a retransmitted
+// original still queued in a receive ring. Until the frame lets go, the
+// released chunk must not be written again, yet the pool must count as a
+// pool no frame pinned: one page still serves exactly one page of chunks.
+func TestPinnedChunkOutlivesRelease(t *testing.T) {
+	r := NewRegion(1)
+	p := NewTxChunkPool(r, 0)
+	var a TxArena
+	a.Init(p)
+	old := bytes.Repeat([]byte{'o'}, TxChunkSize)
+	v := a.Append(old)
+	k := a.Newest(1)[0]
+	f := fabric.NewFramePool().Get(64)
+	f.Carry(v[:1448], k)
+	a.Release(len(v)) // the ACK: released while the frame is in flight
+	if p.InUse() != 0 || !p.Ready() {
+		t.Fatalf("released chunk: InUse %d, Ready %v; want 0, true", p.InUse(), p.Ready())
+	}
+	var got []*TxChunk
+	for i := 0; i < txChunksPerPage; i++ {
+		n := p.Alloc()
+		if n == nil {
+			t.Fatalf("alloc %d of %d failed: the pinned chunk's slot is not free", i, txChunksPerPage)
+		}
+		if n == k {
+			t.Fatal("a chunk a frame still pins was handed out again")
+		}
+		n.Append(bytes.Repeat([]byte{'n'}, TxChunkSize))
+		got = append(got, n)
+	}
+	if p.Alloc() != nil || r.Used() != 1 {
+		t.Fatalf("allocation beyond the grant: region used %d pages", r.Used())
+	}
+	if !bytes.Equal(f.Payload, old[:1448]) {
+		t.Fatal("the frame's payload changed after its chunk was released")
+	}
+	f.Release() // its slot was taken: the chunk is dropped, not pooled
+	for _, n := range got {
+		n.Release()
+	}
+	if p.InUse() != 0 || len(p.free) != txChunksPerPage || p.retired != 0 {
+		t.Fatalf("drained pool: InUse %d, %d free, %d retired; want 0, %d, 0", p.InUse(), len(p.free), p.retired, txChunksPerPage)
+	}
+
+	// A frame released before the slot is needed hands the chunk itself
+	// back to the free list.
+	v = a.Append(old)
+	k = a.Newest(1)[0]
+	f = fabric.NewFramePool().Get(64)
+	f.Carry(v, k)
+	a.Release(len(v))
+	f.Release()
+	if p.Alloc() != k {
+		t.Fatal("an unpinned retired chunk did not return to the free list")
 	}
 }

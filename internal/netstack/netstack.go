@@ -195,11 +195,14 @@ func (s *Stack) inputIPv4(p []byte, buf *mem.Mbuf) {
 		s.RxDropped++
 		return
 	}
-	if int(iph.TotalLen) > len(p) {
+	// A frame carrying its payload by reference holds only the headers
+	// here; the payload follows in buf (mem.Mbuf.Payload).
+	end := int(iph.TotalLen) - len(buf.Payload())
+	if end > len(p) || end < wire.IPv4HdrLen {
 		s.RxDropped++
 		return
 	}
-	body := p[wire.IPv4HdrLen:iph.TotalLen]
+	body := p[wire.IPv4HdrLen:end]
 	switch iph.Proto {
 	case wire.ProtoTCP:
 		s.RxTCP++
@@ -238,11 +241,14 @@ func (s *Stack) SendUDP(dst wire.IPv4, srcPort, dstPort uint16, payload []byte) 
 	})
 }
 
-// outputTCP assembles a TCP segment into a frame (the simulated DMA
-// gather of the zero-copy scatter/gather transmit path). The checksum is
-// offloaded, as to a NIC: the frame leaves intact with its sum pending
-// (see fabric.Frame.Intact), and the receiver verifies only frames whose
-// bytes were written in flight.
+// outputTCP assembles a TCP segment into a frame: the simulated DMA
+// gather of the zero-copy scatter/gather transmit path. A payload lying
+// in one fragment of pooled sender memory (tcp.Stack.PayloadBacking)
+// rides by reference behind the headers (fabric.Frame.Carry); any other
+// is copied into the frame. The checksum is offloaded, as to a NIC: the
+// frame leaves intact with its sum pending (see fabric.Frame.Intact),
+// and the receiver verifies only frames whose bytes were written in
+// flight.
 func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 	n := 0
 	for _, b := range payload {
@@ -250,6 +256,13 @@ func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 	}
 	segLen := hdr.Len() + n
 	dst := c.Key().DstIP
+	if back := s.tcp.PayloadBacking(); back != nil {
+		f := s.buildIPv4(dst, wire.ProtoTCP, hdr.Len(), segLen)
+		hdr.Marshal(f.Data[wire.EthHdrLen+wire.IPv4HdrLen:])
+		f.Carry(payload[0], back)
+		s.route(f, dst)
+		return
+	}
 	s.sendIPv4(dst, wire.ProtoTCP, segLen, func(b []byte) {
 		hdr.Marshal(b)
 		off := hdr.Len()
@@ -264,9 +277,17 @@ func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 // frame buffer comes from the stack's pool; fill must write every body
 // byte (pooled buffers are not zeroed).
 func (s *Stack) sendIPv4(dst wire.IPv4, proto uint8, bodyLen int, fill func([]byte)) {
-	total := wire.EthHdrLen + wire.IPv4HdrLen + bodyLen
-	f := s.frames.Get(total)
-	frame := f.Data
+	f := s.buildIPv4(dst, proto, bodyLen, bodyLen)
+	fill(f.Data[wire.EthHdrLen+wire.IPv4HdrLen:])
+	s.route(f, dst)
+}
+
+// buildIPv4 takes a frame with room for an Ethernet header, the IPv4
+// header and held bytes of an IP body of bodyLen bytes, and writes the
+// IPv4 header. The body is left to the caller: the held bytes in the
+// frame, the rest — a payload carried by reference — behind it.
+func (s *Stack) buildIPv4(dst wire.IPv4, proto uint8, held, bodyLen int) *fabric.Frame {
+	f := s.frames.Get(wire.EthHdrLen + wire.IPv4HdrLen + held)
 	s.ipID++
 	iph := wire.IPv4Header{
 		TotalLen: uint16(wire.IPv4HdrLen + bodyLen),
@@ -277,9 +298,14 @@ func (s *Stack) sendIPv4(dst wire.IPv4, proto uint8, bodyLen int, fill func([]by
 		Src:      s.cfg.LocalIP,
 		Dst:      dst,
 	}
-	iph.Marshal(frame[wire.EthHdrLen:])
-	fill(frame[wire.EthHdrLen+wire.IPv4HdrLen:])
+	iph.Marshal(f.Data[wire.EthHdrLen:])
 	f.Intact = proto == wire.ProtoTCP
+	return f
+}
+
+// route sends an assembled IPv4 frame to dst, queueing it behind ARP
+// resolution when the next hop is unknown.
+func (s *Stack) route(f *fabric.Frame, dst wire.IPv4) {
 	if mac, ok := s.cfg.ARP.Lookup(dst); ok {
 		s.finishEth(f, mac)
 		return

@@ -20,7 +20,7 @@ type Layer struct {
 	socks     Table[Sock]
 	bufFree   []*buf
 	bulkFree  []*bulk
-	slabFree  [][]byte
+	slabFree  []*slab
 	slabsMade int // every slab ever allocated
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"ix/internal/app"
 	"ix/internal/cost"
+	"ix/internal/fabric"
 	"ix/internal/tcp"
 	"ix/internal/wire"
 )
@@ -68,8 +69,10 @@ type Owner struct {
 	ready []*Sock
 	head  int
 
-	// sg is the one-element scatter-gather a flush hands the engine.
-	sg [1][]byte
+	// sg is the one-element scatter-gather a flush hands the engine, and
+	// back the slab it lies in (nil for a heap backing).
+	sg   [1][]byte
+	back [1]fabric.Backing
 	// gather is the scratch a read of several slabs is copied into.
 	gather []byte
 }
@@ -270,8 +273,11 @@ func (s *Sock) flushSnd() {
 	}
 	o := s.o
 	o.sg[0] = b.sndbuf
-	n := s.conn.Sendv(o.sg[:])
-	o.sg[0] = nil
+	if bk := s.bulk; bk != nil && bk.snd != nil {
+		o.back[0] = bk.snd // a bulk write's slab: frames carry it by reference
+	}
+	n := s.conn.Sendv(o.sg[:], o.back[:])
+	o.sg[0], o.back[0] = nil, nil
 	if n > 0 {
 		o.Charge(time.Duration((n+wire.MSS-1)/wire.MSS) * o.TxSeg)
 		// The taken prefix stays immutable until acknowledged (the

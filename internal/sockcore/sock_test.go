@@ -196,3 +196,29 @@ func TestStagingMatchesContiguousAppend(t *testing.T) {
 		})
 	}
 }
+
+// TestPinnedSlabWaitsForLastUnpin: a send slab put back while frames
+// still carry its bytes by reference is not handed out again — a
+// receive would refill it under them — until the last frame lets go.
+func TestPinnedSlabWaitsForLastUnpin(t *testing.T) {
+	l := &Layer{}
+	sl := l.getSlab()
+	sl.b = append(sl.b, "bytes a frame in flight still carries"...)
+	sl.Pin()
+	sl.Pin()
+	l.putSlab(sl)
+	if next := l.getSlab(); next == sl {
+		t.Fatal("a slab frames still pin was handed out again")
+	}
+	sl.Unpin()
+	if len(l.slabFree) != 0 {
+		t.Fatal("the slab rejoined the pool before its last Unpin")
+	}
+	sl.Unpin()
+	if len(l.slabFree) != 1 || l.slabFree[0] != sl || len(sl.b) != 0 {
+		t.Fatal("the last Unpin did not return the slab, emptied, to the pool")
+	}
+	if inUse, free := l.Slabs(); inUse != 1 || free != 1 {
+		t.Fatalf("Slabs = %d in use, %d free; want 1 and 1", inUse, free)
+	}
+}

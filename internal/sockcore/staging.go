@@ -1,6 +1,10 @@
 package sockcore
 
-import "math"
+import (
+	"math"
+
+	"ix/internal/fabric"
+)
 
 // rcvKeep is the two-size staging rule's threshold: up to rcvKeep bytes
 // queued for reading, and a write of up to rcvKeep, stage in exact-size
@@ -10,6 +14,34 @@ const rcvKeep = 2 << 10
 
 // SlabSize is the size of one bulk staging slab.
 const SlabSize = 64 << 10
+
+// A slab is one bulk staging buffer from its layer's pool. Frames that
+// carry a send slab's bytes by reference pin it (fabric.Backing), so a
+// slab put back while some still do rejoins the pool at the last Unpin.
+type slab struct {
+	b       []byte
+	l       *Layer
+	frames  int32
+	retired bool
+}
+
+var _ fabric.Backing = (*slab)(nil)
+
+// Pin takes a frame's reference on the slab's bytes.
+//
+//ix:hotpath
+func (sl *slab) Pin() { sl.frames++ }
+
+// Unpin drops a frame's reference; the last one returns a slab put back
+// meanwhile to the pool.
+//
+//ix:hotpath
+func (sl *slab) Unpin() {
+	if sl.frames--; sl.frames == 0 && sl.retired {
+		sl.retired = false
+		sl.l.putSlab(sl)
+	}
+}
 
 // buf is the staging of one socket with bytes queued.
 type buf struct {
@@ -30,9 +62,9 @@ type buf struct {
 type bulk struct {
 	// rcv is the receive chain in stream order; every slab but the last
 	// is full.
-	rcv [][]byte
+	rcv []*slab
 	// snd backs sndbuf until TCP has taken all of it.
-	snd []byte
+	snd *slab
 	// parked holds slabs TCP has taken and may still retransmit from,
 	// oldest first.
 	parked []parkedSlab
@@ -41,7 +73,7 @@ type bulk struct {
 // parkedSlab is a send slab awaiting release: left is how many more
 // released bytes must be reported before its last byte is released.
 type parkedSlab struct {
-	b    []byte
+	s    *slab
 	left int
 }
 
@@ -57,23 +89,29 @@ func (bk *bulk) count() int {
 // getSlab draws an empty slab from the pool.
 //
 //ix:hotpath
-func (l *Layer) getSlab() []byte {
+func (l *Layer) getSlab() *slab {
 	if n := len(l.slabFree); n > 0 {
-		b := l.slabFree[n-1]
+		sl := l.slabFree[n-1]
 		l.slabFree[n-1] = nil
 		l.slabFree = l.slabFree[:n-1]
-		return b
+		return sl
 	}
 	l.slabsMade++
 	//ixvet:ignore(hotpath) pool miss: once per unit of peak bulk concurrency, steady state hits the free list
-	return make([]byte, 0, SlabSize)
+	return &slab{b: make([]byte, 0, SlabSize), l: l}
 }
 
-// putSlab returns a slab nothing references any more to the pool.
+// putSlab returns a slab the socket no longer references to the pool,
+// or, while frames still carry its bytes, leaves that to the last Unpin.
 //
 //ix:hotpath
-func (l *Layer) putSlab(b []byte) {
-	l.slabFree = append(l.slabFree, b[:0])
+func (l *Layer) putSlab(sl *slab) {
+	if sl.frames > 0 {
+		sl.retired = true
+		return
+	}
+	sl.b = sl.b[:0]
+	l.slabFree = append(l.slabFree, sl)
 }
 
 // getBuf returns the socket's staging buffers, borrowing them from the
@@ -153,18 +191,20 @@ func (s *Sock) stageRcv(data []byte) {
 			return
 		}
 		bk := s.getBulk()
-		bk.rcv = append(bk.rcv, append(l.getSlab(), b.rcvbuf...))
+		sl := l.getSlab()
+		sl.b = append(sl.b, b.rcvbuf...)
+		bk.rcv = append(bk.rcv, sl)
 		b.rcvbuf = keepSmall(b.rcvbuf)
 	}
 	bk := s.bulk
 	for len(data) > 0 {
-		last := len(bk.rcv) - 1
-		if len(bk.rcv[last]) == SlabSize {
-			bk.rcv = append(bk.rcv, l.getSlab())
-			last++
+		sl := bk.rcv[len(bk.rcv)-1]
+		if len(sl.b) == SlabSize {
+			sl = l.getSlab()
+			bk.rcv = append(bk.rcv, sl)
 		}
-		n := min(len(data), SlabSize-len(bk.rcv[last]))
-		bk.rcv[last] = append(bk.rcv[last], data[:n]...)
+		n := min(len(data), SlabSize-len(sl.b))
+		sl.b = append(sl.b, data[:n]...)
 		data = data[n:]
 	}
 }
@@ -179,18 +219,18 @@ func (s *Sock) nextRead() (chunk []byte, slabs int) {
 	if bk == nil || len(bk.rcv) == 0 {
 		return s.buf.rcvbuf, 0
 	}
-	n, size := 1, len(bk.rcv[0])
-	for n < len(bk.rcv) && size+len(bk.rcv[n]) <= s.o.ReadMax {
-		size += len(bk.rcv[n])
+	n, size := 1, len(bk.rcv[0].b)
+	for n < len(bk.rcv) && size+len(bk.rcv[n].b) <= s.o.ReadMax {
+		size += len(bk.rcv[n].b)
 		n++
 	}
 	if n == 1 {
-		return bk.rcv[0], 1
+		return bk.rcv[0].b, 1
 	}
 	o := s.o
 	o.gather = o.gather[:0]
-	for _, slab := range bk.rcv[:n] {
-		o.gather = append(o.gather, slab...)
+	for _, sl := range bk.rcv[:n] {
+		o.gather = append(o.gather, sl.b...)
 	}
 	return o.gather, n
 }
@@ -212,8 +252,8 @@ func (s *Sock) readDone(slabs int) {
 // dropRcv returns the first n slabs of the receive chain to the pool.
 func (s *Sock) dropRcv(n int) {
 	bk := s.bulk
-	for _, slab := range bk.rcv[:n] {
-		s.o.Layer.putSlab(slab)
+	for _, sl := range bk.rcv[:n] {
+		s.o.Layer.putSlab(sl)
 	}
 	left := copy(bk.rcv, bk.rcv[n:])
 	clear(bk.rcv[left:])
@@ -236,8 +276,10 @@ func (s *Sock) stageSnd(b []byte) {
 	sb := s.getBuf()
 	if len(sb.sndbuf) == 0 && len(b) > rcvKeep && len(b) <= SlabSize {
 		bk := s.getBulk()
-		bk.snd = append(s.o.Layer.getSlab(), b...)
-		sb.sndbuf = bk.snd[:len(b):len(b)]
+		sl := s.o.Layer.getSlab()
+		sl.b = append(sl.b, b...)
+		bk.snd = sl
+		sb.sndbuf = sl.b[:len(b):len(b)]
 		return
 	}
 	sb.sndbuf = append(sb.sndbuf, b...)
@@ -251,13 +293,13 @@ func (s *Sock) stageSnd(b []byte) {
 // it. Every byte TCP took is among those the engine still references, so
 // the slab is free once released counts add up to that many.
 func (s *Sock) parkSnd(bk *bulk) {
-	slab := bk.snd
+	sl := bk.snd
 	bk.snd = nil
 	if left := s.conn.Unreleased(); left > 0 {
-		bk.parked = append(bk.parked, parkedSlab{b: slab, left: left})
+		bk.parked = append(bk.parked, parkedSlab{s: sl, left: left})
 		return
 	}
-	s.o.Layer.putSlab(slab)
+	s.o.Layer.putSlab(sl)
 }
 
 // releaseParked applies a sent event's released count to the parked
@@ -271,7 +313,7 @@ func (s *Sock) releaseParked(released int) {
 	for i := range bk.parked {
 		p := &bk.parked[i]
 		if p.left -= released; p.left <= 0 {
-			s.o.Layer.putSlab(p.b)
+			s.o.Layer.putSlab(p.s)
 			done = i + 1
 		}
 	}

@@ -186,4 +186,10 @@ func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Conn{}); got > 160 {
 		t.Fatalf("tcp.Conn is %d bytes, budget 160", got)
 	}
+	// A tracked segment's size is part of every connection's footprint
+	// while data is in flight (Footprint): naming its backing must not
+	// grow it.
+	if got := unsafe.Sizeof(txSeg{}); got > 112 {
+		t.Fatalf("txSeg is %d bytes, budget 112", got)
+	}
 }

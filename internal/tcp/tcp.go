@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/timerwheel"
 	"ix/internal/wire"
@@ -122,7 +123,8 @@ type Events interface {
 // slices are owned by the application (zero-copy transmit) and must be
 // treated as immutable. The payload slice-of-slices itself is a scratch
 // the stack reuses across segments: Output must consume it before
-// returning (all embeddings copy into a frame synchronously).
+// returning. A single-fragment payload may be carried by reference
+// rather than copied, pinning the memory PayloadBacking names.
 type Output func(c *Conn, hdr *wire.TCPHeader, payload [][]byte)
 
 // Config parameterizes a Stack.
@@ -202,8 +204,11 @@ type Stack struct {
 	// hdr is the scratch header the hot emit paths fill: passing a
 	// stack-local header into the dynamic Output func forces it to the
 	// heap, one hidden allocation per segment. Emissions never nest
-	// (Output copies into a frame and returns), so one scratch is safe.
+	// (Output builds a frame and returns), so one scratch is safe.
 	hdr wire.TCPHeader
+	// back is the backing of the segment Output is emitting
+	// (PayloadBacking), nil outside a data segment's emission.
+	back fabric.Backing
 	// txFree recycles txState objects between connections with data in
 	// flight (LIFO, so the hot states stay cache-warm).
 	txFree []*txState
@@ -315,16 +320,20 @@ func (s *Stack) nextISS() uint32 {
 // reference dropped. The common segment is at most two fragments (one
 // contiguous arena run, or one run spanning a chunk boundary), stored
 // inline so tracking a segment does not allocate; pathological
-// scatter-gather shapes spill to extra.
+// scatter-gather shapes spill to extra. back is the pooled memory a
+// single-fragment segment lies in, when the sender named one: the frames
+// that carry the segment by reference pin it. The flags share a word
+// with seq, so back costs no bytes (TestConnStateSizes).
 type txSeg struct {
 	seq    uint32
-	length int // payload bytes (SYN/FIN consume sequence space separately)
 	fin    bool
+	rexmit bool
+	length int // payload bytes (SYN/FIN consume sequence space separately)
 	frag0  []byte
 	frag1  []byte
 	extra  [][]byte
+	back   fabric.Backing
 	sentAt int64
-	rexmit bool
 }
 
 // setPayload captures the fragment references of one assembled segment.
@@ -659,11 +668,14 @@ func connTimeWait(v any) { v.(*Conn).onTimeWait() }
 func connDelAck(v any)   { v.(*Conn).onDelAck() }
 
 // Input processes one incoming TCP segment. seg is the TCP header+payload
-// bytes; buf is the backing mbuf (retained by reassembly/delivery via
-// refcounts); src/dst are the IP addresses. Invalid segments are counted
-// and dropped. The checksum is verified unless buf holds an intact frame
-// (fabric.Frame.Intact), whose sum is offloaded and cannot fail: every
-// frame whose bytes were written in flight is still checked. The
+// bytes — the header alone when buf's frame carries the payload by
+// reference (mem.Mbuf.Payload); buf is the backing mbuf (retained by
+// reassembly/delivery via refcounts); src/dst are the IP addresses.
+// Invalid segments are counted and dropped. The checksum is verified
+// unless buf holds an intact frame (fabric.Frame.Intact), whose sum is
+// offloaded and cannot fail: every frame whose bytes were written in
+// flight is still checked, and none of those carries a payload by
+// reference (fabric.Frame.Own). The
 // connection-table demux here is both the per-message path and the
 // establishment fast path (every handshake segment of a Fig. 4 ramp
 // passes through it), so it must not allocate.
@@ -682,6 +694,9 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 	}
 	s.SegsIn++
 	payload := seg[off:]
+	if buf != nil && len(payload) == 0 {
+		payload = buf.Payload()
+	}
 	key := wire.FlowKey{ // local view
 		SrcIP: dst, DstIP: src,
 		SrcPort: hdr.DstPort, DstPort: hdr.SrcPort,
@@ -1191,10 +1206,13 @@ func (c *Conn) onTimeWait() {
 // segments as many bytes as the usable window allows, returning that
 // count (possibly zero): the IX sendv contract, which leaves send
 // buffering policy to the application. The payload slices must remain
-// immutable until acknowledged (the zero-copy contract of §4.5).
+// immutable until acknowledged (the zero-copy contract of §4.5). backs,
+// when not nil, names the pooled memory each slice lies in (nil for
+// memory that is not pooled): a segment cut from one backed slice
+// leaves in frames that carry it by reference.
 //
 //ix:hotpath
-func (c *Conn) Sendv(bufs [][]byte) int {
+func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return 0
 	}
@@ -1209,17 +1227,27 @@ func (c *Conn) Sendv(bufs [][]byte) int {
 	// into the tracked segment, so the scratch recycles per segment.
 	seg := c.stack.sg[:0]
 	segLen := 0
+	var back fabric.Backing // of seg's first fragment
 	//ixvet:ignore(hotpath) closure never escapes: called only below, so it stays on the stack (TestZeroAllocSteadySend pins it)
 	flush := func() {
 		if segLen == 0 {
 			return
 		}
-		c.sendData(seg, segLen)
+		if len(seg) > 1 {
+			back = nil // gathered from several fragments: copied
+		}
+		c.sendData(seg, segLen, back)
 		seg = seg[:0]
 		segLen = 0
 	}
-	for _, b := range bufs {
+	for i, b := range bufs {
 		for len(b) > 0 && budget > 0 {
+			if len(seg) == 0 {
+				back = nil
+				if backs != nil {
+					back = backs[i]
+				}
+			}
 			take := len(b)
 			if take > mss-segLen {
 				take = mss - segLen
@@ -1261,17 +1289,18 @@ func (c *Conn) Unreleased() int {
 }
 
 // Send is a convenience wrapper over Sendv for a single buffer.
-func (c *Conn) Send(b []byte) int { return c.Sendv([][]byte{b}) }
+func (c *Conn) Send(b []byte) int { return c.Sendv([][]byte{b}, nil) }
 
 // sendData emits one data segment and tracks it for retransmission.
 // payload is caller scratch: the fragment references are captured into
 // the tracked segment, which owns them until the cumulative ACK passes.
+// back is the pooled memory a single-fragment payload lies in, or nil.
 //
 //ix:hotpath
-func (c *Conn) sendData(payload [][]byte, length int) {
+func (c *Conn) sendData(payload [][]byte, length int, back fabric.Backing) {
 	seq := c.sndNxt
 	c.sndNxt += uint32(length)
-	ts := txSeg{seq: seq, length: length, sentAt: c.stack.cfg.Now()}
+	ts := txSeg{seq: seq, length: length, back: back, sentAt: c.stack.cfg.Now()}
 	ts.setPayload(payload)
 	if c.tx == nil {
 		c.tx = c.stack.getTxState()
@@ -1286,7 +1315,7 @@ func (c *Conn) sendData(payload [][]byte, length int) {
 	*hdr = c.makeHeader(seq, wire.TCPAck|wire.TCPPsh)
 	c.needAck = false // piggybacked
 	c.cancelDelAck()
-	c.stack.emit(c, hdr, payload)
+	c.stack.emitData(c, hdr, payload, back)
 	c.armRTO()
 }
 
@@ -1489,6 +1518,21 @@ func (s *Stack) emit(c *Conn, hdr *wire.TCPHeader, payload [][]byte) {
 	s.cfg.Output(c, hdr, payload)
 }
 
+// emitData sends a data segment whose payload lies in back (nil: in no
+// pooled memory, or in several fragments).
+func (s *Stack) emitData(c *Conn, hdr *wire.TCPHeader, payload [][]byte, back fabric.Backing) {
+	s.back = back
+	s.emit(c, hdr, payload)
+	s.back = nil
+}
+
+// PayloadBacking returns, while Output emits a data segment, the pooled
+// memory its single-fragment payload lies in; nil when the payload lies
+// in memory that is not pooled, in several fragments, or there is none.
+// A frame that carries the payload by reference pins it
+// (fabric.Frame.Carry).
+func (s *Stack) PayloadBacking() fabric.Backing { return s.back }
+
 // sendRST answers an unexpected segment with RST. key is the *local*
 // view of the flow the RST responds to.
 func (s *Stack) sendRST(key wire.FlowKey, in *wire.TCPHeader, payloadLen int) {
@@ -1674,7 +1718,7 @@ func (c *Conn) resend(ts *txSeg) {
 	hdr := &c.stack.hdr
 	*hdr = c.makeHeader(ts.seq, flags)
 	sg := ts.appendPayload(c.stack.sg[:0])
-	c.stack.emit(c, hdr, sg)
+	c.stack.emitData(c, hdr, sg, ts.back)
 	c.stack.sg = sg[:0]
 }
 

@@ -245,7 +245,7 @@ func TestLargeTransferSegmentation(t *testing.T) {
 func TestSendvScatterGather(t *testing.T) {
 	n := newTestNet(t, nil)
 	c, s := n.open(t, 80)
-	k := c.Sendv([][]byte{[]byte("one,"), []byte("two,"), []byte("three")})
+	k := c.Sendv([][]byte{[]byte("one,"), []byte("two,"), []byte("three")}, nil)
 	if k != 13 {
 		t.Fatalf("sendv accepted %d", k)
 	}
@@ -328,7 +328,7 @@ func TestFastRetransmit(t *testing.T) {
 	}
 	chunk := make([]byte, 1000)
 	for i := 0; i < 5; i++ {
-		c.Sendv([][]byte{chunk})
+		c.Sendv([][]byte{chunk}, nil)
 	}
 	n.step()
 	if n.a.stack.FastRetransmits != 1 {
@@ -367,7 +367,7 @@ func TestBurstLossRecoversWithoutSerialRTOs(t *testing.T) {
 	}
 	chunk := make([]byte, segLen)
 	for i := 0; i < segs; i++ {
-		c.Sendv([][]byte{chunk})
+		c.Sendv([][]byte{chunk}, nil)
 	}
 	n.step()
 	if got := len(n.b.recvd[s]); got != 2*segLen {
@@ -408,11 +408,11 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool {
 		return false
 	}
-	c.Sendv([][]byte{make([]byte, 1000)})
+	c.Sendv([][]byte{make([]byte, 1000)}, nil)
 	// Steal the queued delivery.
 	held = append(held, n.queue...)
 	n.queue = nil
-	c.Sendv([][]byte{[]byte("tail")})
+	c.Sendv([][]byte{[]byte("tail")}, nil)
 	n.step()
 	if len(n.b.recvd[s]) != 0 {
 		t.Fatal("out-of-order data delivered in order?!")

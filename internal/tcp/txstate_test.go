@@ -153,7 +153,7 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 	srcIP, dstIP := wire.Addr4(10, 0, 0, 2), wire.Addr4(10, 0, 0, 1)
 	ack := make([]byte, wire.TCPHdrLen) // reused: ackTo's buffer escapes
 	flight := func() {
-		if got := c.Sendv(msg); got != len(msg[0]) {
+		if got := c.Sendv(msg, nil); got != len(msg[0]) {
 			t.Fatalf("window accepted %d of %d bytes", got, len(msg[0]))
 		}
 		hdr := wire.TCPHeader{
@@ -178,7 +178,7 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 	// A deeper flight outgrows the bound: its backing is dropped.
 	deep := [][]byte{make([]byte, 2*maxPooledSpill*wire.MSS)}
 	c.sndWnd = 1 << 20
-	if got := c.Sendv(deep); got != len(deep[0]) {
+	if got := c.Sendv(deep, nil); got != len(deep[0]) {
 		t.Fatalf("window accepted %d of %d bytes", got, len(deep[0]))
 	}
 	ackTo(s, c, c.sndNxt)

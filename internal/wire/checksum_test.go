@@ -113,3 +113,24 @@ func BenchmarkChecksum1460(b *testing.B) {
 }
 
 var sink16 uint16
+
+// TestTCPChecksumv: the checksum of a segment held as header plus a
+// separate payload is the checksum of the contiguous segment, for every
+// payload length parity.
+func TestTCPChecksumv(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src, dst := Addr4(10, 0, 0, 1), Addr4(10, 0, 0, 2)
+	for _, hdrLen := range []int{TCPHdrLen, TCPHdrLen + 12} {
+		for _, n := range []int{0, 1, 2, 63, 64, 1447, 1448} {
+			seg := make([]byte, hdrLen+n)
+			rng.Read(seg)
+			SetTCPChecksum(src, dst, seg)
+			split := append([]byte(nil), seg[:hdrLen]...)
+			split[16]++ // stale sum: SetTCPChecksumv must rewrite it
+			SetTCPChecksumv(src, dst, split, seg[hdrLen:])
+			if !bytes.Equal(split, seg[:hdrLen]) {
+				t.Fatalf("header %d, payload %d: split sum %x, contiguous %x", hdrLen, n, split[16:18], seg[16:18])
+			}
+		}
+	}
+}
