@@ -27,11 +27,11 @@ func twoDataplanes(t *testing.T, userA, userB func(api *UserAPI, thread, threads
 	t.Helper()
 	eng := sim.NewEngine(5)
 	a := New(eng, Config{
-		Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
 		Threads: 1, Seed: 1, User: userA,
 	})
 	b := New(eng, Config{
-		Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
 		Threads: 1, Seed: 2, User: userB,
 	})
 	link := newLink(eng)
@@ -203,10 +203,10 @@ func TestMeanBatchBelowOnePacketPerCycle(t *testing.T) {
 	b.Start()
 	eng.RunUntil(sim.Time(10 * time.Millisecond))
 	th := b.Thread(0)
-	want := float64(th.RxPackets+th.PoolDrops) / float64(th.Cycles)
+	want := float64(th.RxPackets+th.drv.PoolDrops) / float64(th.Cycles)
 	if got := b.MeanBatch(); got != want || got <= 0 || got >= 1 {
 		t.Fatalf("MeanBatch = %v, want %d frames / %d cycles = %v, in (0, 1)",
-			got, th.RxPackets+th.PoolDrops, th.Cycles, want)
+			got, th.RxPackets+th.drv.PoolDrops, th.Cycles, want)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestBatchBoundRespected(t *testing.T) {
 	// Covered end-to-end by harness tests; here check the config default.
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
+		IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
 		Threads: 1,
 		User:    func(api *UserAPI, t, n int) UserProgram { return &scriptProgram{} },
 	})
@@ -312,7 +312,7 @@ func TestUserTimeout(t *testing.T) {
 	reported := -1
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
+		IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
 		Threads:         1,
 		OnNonResponsive: func(th int) { reported = th },
 		User: func(api *UserAPI, th, n int) UserProgram {
@@ -336,7 +336,7 @@ func TestUserTimeout(t *testing.T) {
 func TestKernelUserAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
+		IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
 		Threads: 1,
 		User: func(api *UserAPI, th, n int) UserProgram {
 			api.Charge(100 * time.Microsecond)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ix/internal/cost"
-	"ix/internal/dune"
 	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/memprobe"
@@ -19,9 +18,8 @@ import (
 
 // Config describes one IX dataplane instance (one application).
 type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
+	IP  wire.IPv4
+	MAC wire.MAC
 
 	// Threads is the number of elastic threads at start.
 	Threads int
@@ -70,9 +68,6 @@ type Dataplane struct {
 	region  *mem.Region
 	threads []*ElasticThread
 
-	// Domain is the dataplane's protection domain (VMX non-root ring 0).
-	Domain dune.Domain
-
 	// missCache avoids recomputing the DDIO penalty every cycle.
 	missConns    int
 	missPenalty_ time.Duration
@@ -118,7 +113,7 @@ func (d *Dataplane) LossTotals() (ooo, retrans, fastRetrans, poolDrops uint64) {
 		ooo += t.OutOfOrderSegs
 		retrans += t.Retransmits
 		fastRetrans += t.FastRetransmits
-		poolDrops += et.PoolDrops
+		poolDrops += et.drv.PoolDrops
 	}
 	return
 }
@@ -148,7 +143,6 @@ func New(eng *sim.Engine, cfg Config) *Dataplane {
 		cfg:    cfg,
 		arp:    netstack.NewARPTable(),
 		region: mem.NewRegion(cfg.MemPages),
-		Domain: dune.Domain{Name: cfg.Name, Ring: dune.Ring0NonRoot},
 	}
 	d.missFloor_ = time.Duration(cost.MissesPerMsg(0) * float64(d.cfg.Cost.L3Miss))
 	d.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{Queues: cfg.MaxThreads})
@@ -220,7 +214,7 @@ func (d *Dataplane) EachStack(fn func(*netstack.Stack)) {
 func (d *Dataplane) MbufsInUse() int {
 	n := 0
 	for _, et := range d.threads {
-		n += et.pool.InUse()
+		n += et.drv.Pool.InUse()
 	}
 	return n
 }
@@ -327,7 +321,7 @@ func (d *Dataplane) RemoveElasticThread() error {
 	d.retiredOOO += t.OutOfOrderSegs
 	d.retiredRetrans += t.Retransmits
 	d.retiredFastRetrans += t.FastRetransmits
-	d.retiredPoolDrops += victim.PoolDrops
+	d.retiredPoolDrops += victim.drv.PoolDrops
 	d.retiredKernelNs += victim.KernelNs
 	d.retiredUserNs += victim.UserNs
 	victim.stopped = true
@@ -390,12 +384,12 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 		// cannot yet hold frames of the moving groups (flip and drain
 		// share a virtual instant), so tail insertion preserves
 		// intra-flow order.
-		for _, f := range src.rxq.Extract(func(f *fabric.Frame) bool {
+		for _, f := range src.drv.RX.Extract(func(f *fabric.Frame) bool {
 			b, ok := d.nic.FrameBucket(f.Data)
 			return ok && dstOf[b] != nil
 		}) {
 			b, _ := d.nic.FrameBucket(f.Data)
-			if dstOf[b].rxq.Inject(f) {
+			if dstOf[b].drv.RX.Inject(f) {
 				d.FramesRehomed++
 			}
 		}
@@ -487,8 +481,7 @@ func (d *Dataplane) ResetStats() {
 	for _, et := range d.threads {
 		et.Cycles = 0
 		et.RxPackets = 0
-		et.TxPackets = 0
-		et.PoolDrops = 0
+		et.drv.PoolDrops = 0
 		et.KernelNs = 0
 		et.UserNs = 0
 		et.core.ResetStats()
@@ -524,7 +517,7 @@ func (d *Dataplane) BusyTotal() time.Duration {
 func (d *Dataplane) MeanBatch() float64 {
 	var frames, cycles uint64
 	for _, et := range d.threads {
-		frames += et.RxPackets + et.PoolDrops
+		frames += et.RxPackets + et.drv.PoolDrops
 		cycles += et.Cycles
 	}
 	if cycles == 0 {

@@ -36,12 +36,10 @@ type ElasticThread struct {
 	core *sim.Core
 
 	ns     *netstack.Stack
+	drv    netstack.Driver
 	wheel  *timerwheel.Wheel
-	pool   *mem.MbufPool
 	txpool *mem.TxChunkPool
 	gate   *dune.Gate
-	rxq    *nicsim.RxQueue
-	txq    *nicsim.TxQueue
 
 	user UserProgram
 	api  *UserAPI
@@ -56,13 +54,6 @@ type ElasticThread struct {
 	sysSpare []Syscall
 	resSpare []SyscallResult
 
-	// Frames assembled this cycle accumulate in outFrames and are posted
-	// to the TX ring at cycle end (txPending); txSpare recycles the
-	// posted backing array so the ping-pong is allocation-free.
-	outFrames []*fabric.Frame
-	txPending []*fabric.Frame
-	txSpare   []*fabric.Frame
-
 	// cycleFn/idleFn are bound methods, created once so neither a wake
 	// nor an idle-timer arming allocates a closure.
 	cycleFn func(*sim.Meter)
@@ -71,6 +62,8 @@ type ElasticThread struct {
 	cycleActive bool
 	idleWake    *sim.Event
 	descDebt    int
+	// missNs is this cycle's per-frame LLC-miss charge (rxPrice).
+	missNs time.Duration
 
 	// pendingCharge accumulates user CPU cost incurred outside a cycle
 	// (e.g. at application start), applied to the next user phase.
@@ -83,8 +76,6 @@ type ElasticThread struct {
 	// Measurements.
 	Cycles        uint64
 	RxPackets     uint64
-	TxPackets     uint64
-	PoolDrops     uint64
 	KernelNs      int64
 	UserNs        int64
 	NonResponsive bool
@@ -120,7 +111,6 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		dp:         dp,
 		id:         id,
 		core:       sim.NewCore(dp.eng, id),
-		pool:       mem.NewMbufPool(dp.region, id),
 		txpool:     mem.NewTxChunkPool(dp.region, id),
 		gate:       dune.NewGate(id, expected),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
@@ -128,16 +118,20 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 	}
 	et.cycleFn = et.cycle
 	et.idleFn = et.idleFired
-	et.rxq = dp.nic.RxQueue(id)
-	et.txq = dp.nic.TxQueue(id)
-	et.rxq.Mode = nicsim.ModePoll
-	et.rxq.OnFrame = et.wake
+	et.drv = netstack.Driver{
+		RX:    dp.nic.RxQueue(id),
+		TX:    dp.nic.TxQueue(id),
+		Pool:  mem.NewMbufPool(dp.region, id),
+		Price: et.rxPrice,
+	}
+	et.drv.RX.Mode = nicsim.ModePoll
+	et.drv.RX.OnFrame = et.wake
 	et.ns = netstack.New(netstack.Config{
 		LocalIP:   dp.cfg.IP,
 		LocalMAC:  dp.cfg.MAC,
 		Now:       func() int64 { return int64(dp.eng.Now()) },
 		Wheel:     et.wheel,
-		SendFrame: func(f *fabric.Frame) { et.outFrames = append(et.outFrames, f) },
+		SendFrame: et.drv.Stage,
 		Events:    (*threadEvents)(et),
 		ARP:       dp.arp,
 		Seed:      dp.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
@@ -183,49 +177,22 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 	m.Charge(c.CyclePoll)
 
 	// (1) Poll a bounded batch; batching is adaptive — we take whatever
-	// is present up to B, never waiting to accumulate (§3).
-	frames := et.rxq.Take(et.dp.cfg.BatchBound)
+	// is present up to B, never waiting to accumulate (§3). (2) Protocol
+	// processing, generating event conditions, runs on each frame as it
+	// is taken (rxPrice has its charge).
+	et.missNs = et.dp.missPenalty()
+	taken := et.drv.Receive(m, et.ns, et.dp.cfg.BatchBound)
 	// Replenish descriptors, coalescing PCIe doorbell writes (§6).
-	et.descDebt += len(frames)
+	et.descDebt += taken
 	if c.NoDoorbellCoalesce {
 		// Ablation: one PCIe write per descriptor, the §6 bottleneck.
 		m.ChargeN(et.descDebt, c.DescriptorPost)
-		et.rxq.PostDescriptors(et.descDebt)
+		et.drv.RX.PostDescriptors(et.descDebt)
 		et.descDebt = 0
-	} else if et.descDebt >= 32 || (et.descDebt > 0 && et.rxq.DescAvail() < 64) {
-		et.rxq.PostDescriptors(et.descDebt)
+	} else if et.descDebt >= 32 || (et.descDebt > 0 && et.drv.RX.DescAvail() < 64) {
+		et.drv.RX.PostDescriptors(et.descDebt)
 		et.descDebt = 0
 		m.Charge(c.DescriptorPost)
-	}
-
-	// (2) Protocol processing, generating event conditions. Each frame
-	// becomes a posted mbuf's data (the simulated DMA write is charged,
-	// not performed) and returns to its sender's pool when the mbuf's
-	// last reference drops. Handshake frames charge the miss floor, not
-	// the population-scaled DDIO curve (batched SYN admission:
-	// accept-path state stays LLC-resident across an establishment
-	// burst).
-	missNs := et.dp.missPenalty()
-	missFloor := et.dp.missFloor()
-	for _, f := range frames {
-		buf := et.pool.Alloc()
-		if buf == nil {
-			et.PoolDrops++
-			f.Release()
-			continue
-		}
-		buf.Adopt(f)
-		et.RxPackets++
-		m.Charge(c.ProtoRx)
-		m.Charge(c.ProtoRxByte.Cost(f.Len()))
-		m.Charge(c.CopyPerByte.Cost(f.Len())) // zero-copy ablation only
-		if nicsim.IsTCPSYN(f.Data) {
-			m.Charge(missFloor)
-		} else {
-			m.Charge(missNs)
-		}
-		et.ns.Input(buf)
-		buf.Unref()
 	}
 
 	// (3) User transition: the application consumes all event
@@ -294,27 +261,29 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 
 	// (6) Outgoing frames hit the TX descriptor ring at cycle end; the
 	// NIC DMA-reads them directly from mbuf memory (zero-copy).
-	et.txPending = et.outFrames
-	et.outFrames = et.txSpare[:0]
-	et.txSpare = nil
+	et.drv.PostAtEnd(m)
 	m.AtEndCall(cycleFinish, et)
 }
 
-// cycleFinish runs at the cycle's virtual end time: post the cycle's
-// frames, recycle the slice backing, and decide whether to run again.
-func cycleFinish(a any) {
-	et := a.(*ElasticThread)
-	out := et.txPending
-	et.txPending = nil
-	for i, f := range out {
-		if et.txq.Post(f) {
-			et.TxPackets++
-		}
-		out[i] = nil
+// rxPrice is the cost of one frame the cycle delivers, which it counts.
+// Each frame becomes a posted mbuf's data: the simulated DMA write is
+// charged, not performed. Handshake frames charge the miss floor, not
+// the population-scaled DDIO curve (batched SYN admission: accept-path
+// state stays LLC-resident across an establishment burst).
+func (et *ElasticThread) rxPrice(f *fabric.Frame) time.Duration {
+	c := &et.dp.cfg.Cost
+	et.RxPackets++
+	miss := et.missNs
+	if nicsim.IsTCPSYN(f.Data) {
+		miss = et.dp.missFloor()
 	}
-	et.txSpare = out[:0]
-	et.cycleEnd()
+	// CopyPerByte is zero but for the zero-copy ablation.
+	return c.ProtoRx + c.ProtoRxByte.Cost(f.Len()) + c.CopyPerByte.Cost(f.Len()) + miss
 }
+
+// cycleFinish runs at the cycle's virtual end time, once its frames are
+// posted: decide whether to run again.
+func cycleFinish(a any) { a.(*ElasticThread).cycleEnd() }
 
 // cycleEnd decides between another immediate cycle and quiescence.
 func (et *ElasticThread) cycleEnd() {
@@ -326,10 +295,10 @@ func (et *ElasticThread) cycleEnd() {
 	// NextFireTime, not NextDeadline: a deadline inside the current
 	// wheel tick cannot fire before the next tick boundary, and waking
 	// for it earlier re-runs cycles in which Advance makes no progress
-	// — the charged mid-tick spin the baselines' ensureTimerWake was
+	// — the charged mid-tick spin the baselines' netstack.TimerWake was
 	// already cured of.
 	ft, hasTimer := et.wheel.NextFireTime()
-	if et.rxq.Len() > 0 || len(et.events) > 0 || len(et.syscalls) > 0 ||
+	if et.drv.RX.Len() > 0 || len(et.events) > 0 || len(et.syscalls) > 0 ||
 		len(et.results) > 0 || (hasTimer && ft <= now) {
 		et.wake()
 		return
@@ -394,7 +363,7 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			obj.(*tcp.Conn).RecvDone(sc.Bytes)
 		}
 		for _, b := range sc.Bufs {
-			if b.Owner != et.pool.Owner {
+			if b.Owner != et.drv.Pool.Owner {
 				res.Err = et.gate.Deny()
 				return res
 			}
@@ -649,20 +618,14 @@ func (et *ElasticThread) quiesce() {
 	// and the frames go straight to the TX ring: a thread quiesced for
 	// revocation will not reach another cycle end to post them.
 	et.ns.Flush()
-	out := et.outFrames
-	et.outFrames = nil
-	for _, f := range out {
-		if et.txq.Post(f) {
-			et.TxPackets++
-		}
-	}
+	et.drv.Post()
 }
 
 // RxQueueLen reports the thread's RX descriptor ring occupancy — the
 // queue depth signal the dataplane exports to the control plane (§3:
 // "the dataplane can also monitor queue depths at the NIC edge and
 // signal the control plane to allocate additional resources").
-func (et *ElasticThread) RxQueueLen() int { return et.rxq.Len() }
+func (et *ElasticThread) RxQueueLen() int { return et.drv.RX.Len() }
 
 // CoreUtilization reports the busy fraction of the thread's hardware
 // thread since the last stats reset.
@@ -672,7 +635,7 @@ func (et *ElasticThread) CoreUtilization() float64 {
 }
 
 // Pool exposes the thread's mbuf pool (tests and CP accounting).
-func (et *ElasticThread) Pool() *mem.MbufPool { return et.pool }
+func (et *ElasticThread) Pool() *mem.MbufPool { return et.drv.Pool }
 
 // TxPool exposes the thread's TX arena chunk pool (conservation checks).
 func (et *ElasticThread) TxPool() *mem.TxChunkPool { return et.txpool }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ix/internal/core"
-	"ix/internal/dune"
 	"ix/internal/sim"
 	"ix/internal/stats"
 )
@@ -110,9 +109,6 @@ type Controller struct {
 	dp     *core.Dataplane
 	policy Policy
 
-	// Domain is the control plane's protection domain (VMX root).
-	Domain dune.Domain
-
 	cooldown int
 	stopped  bool
 	prevRx   uint64
@@ -150,7 +146,6 @@ func New(eng *sim.Engine, dp *core.Dataplane, policy Policy) *Controller {
 		dp:       dp,
 		policy:   policy,
 		interval: policy.Interval,
-		Domain:   dune.Domain{Name: "ixcp", Ring: dune.RingVMXRoot0},
 		SvcTime:  stats.NewHistogram(),
 	}
 }

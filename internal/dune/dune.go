@@ -27,42 +27,6 @@ import (
 	"unsafe"
 )
 
-// Ring is a protection level.
-type Ring int
-
-// Protection levels (Fig. 1a).
-const (
-	// RingVMXRoot0 runs the Linux control plane.
-	RingVMXRoot0 Ring = iota
-	// Ring0NonRoot runs the IX dataplane kernel.
-	Ring0NonRoot
-	// Ring3 runs untrusted application code.
-	Ring3
-)
-
-func (r Ring) String() string {
-	switch r {
-	case RingVMXRoot0:
-		return "vmx-root ring 0"
-	case Ring0NonRoot:
-		return "non-root ring 0"
-	case Ring3:
-		return "non-root ring 3"
-	}
-	return "unknown"
-}
-
-// A Domain is one protection context.
-type Domain struct {
-	Name string
-	Ring Ring
-}
-
-// UserTimeout is how long an elastic thread may spend in user mode before
-// the dataplane's timeout interrupt marks the application non-responsive
-// (§4.5: "in excess of 10ms").
-const UserTimeout = "10ms"
-
 // Violation kinds counted by the gate.
 type Violation int
 

@@ -84,9 +84,3 @@ func TestReadOnlyEnforcement(t *testing.T) {
 		t.Fatalf("writable buffer rejected: %v", err)
 	}
 }
-
-func TestRingStrings(t *testing.T) {
-	if RingVMXRoot0.String() == "" || Ring0NonRoot.String() == "" || Ring3.String() == "" {
-		t.Fatal("ring names empty")
-	}
-}

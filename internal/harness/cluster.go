@@ -20,6 +20,7 @@ import (
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
+	"ix/internal/sockcore"
 	"ix/internal/wire"
 )
 
@@ -150,7 +151,8 @@ func (c *Cluster) nextAddrs() (wire.IPv4, wire.MAC) {
 	return ip, mac
 }
 
-// AddHost builds a machine per spec and cables it to the switch.
+// AddHost builds a machine per spec and cables it to the switch. The
+// name labels nothing: hosts are known by the Host they return.
 func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 	ip, mac := c.nextAddrs()
 	if spec.Ports <= 0 {
@@ -165,7 +167,6 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 	switch spec.Arch {
 	case ArchIX:
 		ccfg := core.Config{
-			Name:       name,
 			IP:         ip,
 			MAC:        mac,
 			Threads:    spec.Cores,
@@ -184,9 +185,8 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		dp := core.New(c.Eng, ccfg)
 		c.ixs = append(c.ixs, dp)
 		h = dp
-	case ArchLinux:
-		lh := linuxstack.New(c.Eng, linuxstack.Config{
-			Name:    name,
+	case ArchLinux, ArchMTCP:
+		bcfg := sockcore.Config{
 			IP:      ip,
 			MAC:     mac,
 			Cores:   spec.Cores,
@@ -195,23 +195,16 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 			MinRTO:  spec.MinRTO,
 
 			ExpectedConns: spec.ExpectedConns,
-		})
-		c.linuxes = append(c.linuxes, lh)
-		h = lh
-	case ArchMTCP:
-		mh := mtcpstack.New(c.Eng, mtcpstack.Config{
-			Name:    name,
-			IP:      ip,
-			MAC:     mac,
-			Cores:   spec.Cores,
-			Factory: spec.Factory,
-			Seed:    seed,
-			MinRTO:  spec.MinRTO,
-
-			ExpectedConns: spec.ExpectedConns,
-		})
-		c.mtcps = append(c.mtcps, mh)
-		h = mh
+		}
+		if spec.Arch == ArchLinux {
+			lh := linuxstack.New(c.Eng, bcfg)
+			c.linuxes = append(c.linuxes, lh)
+			h = lh
+		} else {
+			mh := mtcpstack.New(c.Eng, bcfg)
+			c.mtcps = append(c.mtcps, mh)
+			h = mh
+		}
 	default:
 		panic(fmt.Sprintf("harness: unknown arch %d", spec.Arch))
 	}

@@ -100,12 +100,12 @@ func TestMemoryPressure(t *testing.T) {
 	srvIP := wire.Addr4(10, 0, 0, 2)
 	var got, eofs int
 	srv := core.New(eng, core.Config{
-		Name: "server", IP: srvIP, MAC: wire.MAC{2, 0, 0, 0, 0, 2},
+		IP: srvIP, MAC: wire.MAC{2, 0, 0, 0, 0, 2},
 		Threads: 2, Seed: 2, MemPages: 1,
 		User: libix.Program(sinkFactory(9000, &got, &eofs)),
 	})
 	cli := core.New(eng, core.Config{
-		Name: "client", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
 		Threads: 1, Seed: 1,
 		User: libix.Program(streamerFactory(srvIP, 9000, 8, 2<<20)),
 	})

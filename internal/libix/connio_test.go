@@ -68,11 +68,11 @@ func TestMigrationCarriesBorrowedIO(t *testing.T) {
 	mkServer := Program(serverF)
 	eng := sim.NewEngine(3)
 	a := core.New(eng, core.Config{
-		Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
 		Threads: 1, Seed: 1, User: Program(clientF),
 	})
 	b := core.New(eng, core.Config{
-		Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
 		Threads: 2, Seed: 2, MemPages: 4096,
 		User: func(api *core.UserAPI, th, n int) core.UserProgram {
 			up := mkServer(api, th, n)

@@ -51,11 +51,11 @@ func pair(t *testing.T, serverF, clientF app.Factory) (*sim.Engine, *core.Datapl
 	t.Helper()
 	eng := sim.NewEngine(3)
 	a := core.New(eng, core.Config{
-		Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
 		Threads: 1, Seed: 1, User: Program(clientF),
 	})
 	b := core.New(eng, core.Config{
-		Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
 		Threads: 1, Seed: 2, User: Program(serverF),
 	})
 	link := fabric.NewLink(eng, 10*fabric.Gbps, 500*time.Nanosecond)

@@ -41,33 +41,11 @@ const readChunk = sockcore.SlabSize
 // is a low 4 µs.
 const itr = 4 * time.Microsecond
 
-// Config describes a Linux host.
-type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
-	// Cores is the number of cores; one NIC queue pair, one pinned
-	// application thread and one softirq context per core, with
-	// interrupts affinitized (§5.1's tuning).
-	Cores int
-	// Factory builds the per-thread application.
-	Factory app.Factory
-	// Seed, RcvWnd, MinRTO, MemPages, NICRing tune the stack.
-	Seed     uint64
-	RcvWnd   int
-	MinRTO   time.Duration
-	MemPages int
-	NICRing  int
-	// ExpectedConns presizes the kernel's global connection and socket
-	// tables for the anticipated population (0 = grow on demand).
-	ExpectedConns int
-}
-
 // Host is one Linux machine: a single kernel stack, per-core NIC queues
 // and softirq contexts, and one pinned application thread per core.
 type Host struct {
 	eng    *sim.Engine
-	cfg    Config
+	cfg    sockcore.Config
 	cost   cost.Linux
 	nic    *nicsim.NIC
 	arp    *netstack.ARPTable
@@ -86,22 +64,18 @@ type Host struct {
 	// admission), a run constant hoisted out of the softirq loop.
 	missFloor time.Duration
 
-	// poolDrops counts received frames released because the mbuf pool
-	// was dry.
-	poolDrops uint64
-
 	// layer holds the host-global fd-style socket table.
 	layer sockcore.Layer
 
 	listening map[uint16]bool
-	timerWake *sim.Event
-	// Bound callbacks, created once (closures allocate).
-	timerFired func()
-	timerTask  func(*sim.Meter)
+	// wake runs the kernel wheel on core 0 when a deadline comes due.
+	wake *netstack.TimerWake
+	// timerTask is bound once (method values allocate).
+	timerTask func(*sim.Meter)
 }
 
 // New builds a Linux host. Attach NIC ports before Start.
-func New(eng *sim.Engine, cfg Config) *Host {
+func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
@@ -121,7 +95,6 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	// received its handshake, and its events wake that core's thread.
 	h.layer.Accepting = func() *sockcore.Owner { return &h.curCore().sock }
 	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(h.cost.L3Miss))
-	h.timerFired = h.onTimerWake
 	h.timerTask = h.runTimerTask
 	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
 		Queues:   cfg.Cores,
@@ -129,20 +102,18 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		ITR:      itr,
 	})
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
+	h.wake = netstack.NewTimerWake(eng, h.wheel, func() { h.cores[0].core.Submit(sim.ClassKernel, h.timerTask) })
 	h.ns = netstack.New(netstack.Config{
-		LocalIP:  cfg.IP,
-		LocalMAC: cfg.MAC,
-		Now:      func() int64 { return int64(eng.Now()) },
-		Wheel:    h.wheel,
-		SendFrame: func(f *fabric.Frame) {
-			c := h.curCore()
-			c.outFrames = append(c.outFrames, f)
-		},
-		Events: &h.layer,
-		ARP:    h.arp,
-		Seed:   cfg.Seed,
-		RcvWnd: cfg.RcvWnd,
-		MinRTO: cfg.MinRTO,
+		LocalIP:   cfg.IP,
+		LocalMAC:  cfg.MAC,
+		Now:       func() int64 { return int64(eng.Now()) },
+		Wheel:     h.wheel,
+		SendFrame: func(f *fabric.Frame) { h.curCore().drv.Stage(f) },
+		Events:    &h.layer,
+		ARP:       h.arp,
+		Seed:      cfg.Seed,
+		RcvWnd:    cfg.RcvWnd,
+		MinRTO:    cfg.MinRTO,
 		// Linux delays pure ACKs so responses piggyback them (scaled
 		// to the simulation's RTO floor).
 		DelAck: 100 * time.Microsecond,
@@ -172,7 +143,12 @@ func (h *Host) EachStack(fn func(*netstack.Stack)) { fn(h.ns) }
 
 // PoolDrops counts received frames the softirq released because the
 // mbuf pool was dry.
-func (h *Host) PoolDrops() uint64 { return h.poolDrops }
+func (h *Host) PoolDrops() (n uint64) {
+	for _, k := range h.cores {
+		n += k.drv.PoolDrops
+	}
+	return n
+}
 
 // Start spawns per-core kernel contexts and application threads.
 func (h *Host) Start() {
@@ -212,7 +188,7 @@ func (h *Host) ConnCount() int { return h.ns.TCP().ConnCount() }
 func (h *Host) MbufsInUse() int {
 	n := 0
 	for _, k := range h.cores {
-		n += k.pool.InUse()
+		n += k.drv.Pool.InUse()
 	}
 	return n
 }
@@ -234,38 +210,6 @@ func (h *Host) ResetStats() {
 	}
 }
 
-// ensureTimerWake arranges a kernel tick for the next timer deadline.
-// It arms at the wheel's NextFireTime, which quantizes a deadline
-// inside the current wheel tick up to the next tick boundary — the
-// same-instant livelock fix, now shared with mtcpstack through the
-// timerwheel API instead of the old timerRanAt re-arm guard.
-func (h *Host) ensureTimerWake() {
-	ft, ok := h.wheel.NextFireTime()
-	if !ok {
-		return
-	}
-	at := sim.Time(ft)
-	if at < h.eng.Now() {
-		// The wheel's clock lags the engine (no softirq ran lately):
-		// wake now; the task's Advance catches the wheel up and the next
-		// arming lands strictly in the future.
-		at = h.eng.Now()
-	}
-	if h.timerWake != nil {
-		if h.timerWake.At() <= at {
-			return
-		}
-		h.eng.Cancel(h.timerWake)
-	}
-	h.timerWake = h.eng.At(at, h.timerFired)
-}
-
-// onTimerWake fires the scheduled kernel timer tick.
-func (h *Host) onTimerWake() {
-	h.timerWake = nil
-	h.cores[0].core.Submit(sim.ClassKernel, h.timerTask)
-}
-
 // runTimerTask advances the kernel wheel in softirq context on core 0.
 func (h *Host) runTimerTask(m *sim.Meter) {
 	k := h.cores[0]
@@ -273,9 +217,7 @@ func (h *Host) runTimerTask(m *sim.Meter) {
 	k.curMeter = m
 	h.wheel.Advance(int64(h.eng.Now()))
 	h.ns.Flush()
-	k.curMeter = nil
-	h.cur = nil
-	k.drainAtEnd(m)
+	k.leave(m, kEndTimer)
 }
 
 // kcore is one core: a NAPI softirq context plus the pinned app thread.
@@ -284,20 +226,14 @@ type kcore struct {
 	id   int
 	core *sim.Core
 
-	pool *mem.MbufPool
-	rxq  *nicsim.RxQueue
-	txq  *nicsim.TxQueue
+	drv netstack.Driver
+	// missNs is this poll's per-frame LLC-miss charge (rxPrice).
+	missNs time.Duration
 
 	sock       sockcore.Owner // the handler and the epoll ready list
 	appRunning bool
 	napiQueued bool
-
-	// outFrames accumulates frames for the running task; txPending/
-	// txSpare ping-pong the backing array through the AtEnd post step.
-	outFrames []*fabric.Frame
-	txPending []*fabric.Frame
-	txSpare   []*fabric.Frame
-	napiMore  bool
+	napiMore   bool
 
 	// Bound methods, created once (method values allocate).
 	napiFn   func(*sim.Meter)
@@ -315,7 +251,6 @@ func newKcore(h *Host, id int) *kcore {
 		h:    h,
 		id:   id,
 		core: sim.NewCore(h.eng, id),
-		pool: mem.NewMbufPool(h.region, id),
 	}
 	k.napiFn = k.napiPoll
 	k.appRunFn = k.appRun
@@ -339,11 +274,15 @@ func newKcore(h *Host, id int) *kcore {
 		Ready:  k.maybeWakeApp,
 	}
 	k.core.CtxSwitch = c.CtxSwitch
-	k.rxq = h.nic.RxQueue(id)
-	k.txq = h.nic.TxQueue(id)
-	k.rxq.Mode = nicsim.ModeInterrupt
-	k.rxq.OnInterrupt = k.hardIRQ
-	k.rxq.EnableInterrupt()
+	k.drv = netstack.Driver{
+		RX:    h.nic.RxQueue(id),
+		TX:    h.nic.TxQueue(id),
+		Pool:  mem.NewMbufPool(h.region, id),
+		Price: k.rxPrice,
+	}
+	k.drv.RX.Mode = nicsim.ModeInterrupt
+	k.drv.RX.OnInterrupt = k.hardIRQ
+	k.drv.RX.EnableInterrupt()
 	return k
 }
 
@@ -356,67 +295,44 @@ func (k *kcore) chargeK(d time.Duration) {
 	k.sysKernel += d
 }
 
-// stageTx moves the task's accumulated frames into the pending-post slot
-// (the backing arrays ping-pong, so steady state does not allocate).
-func (k *kcore) stageTx() {
-	k.txPending = k.outFrames
-	k.outFrames = k.txSpare[:0]
-	k.txSpare = nil
-}
-
-// postTx posts the staged frames at task end and recycles the backing.
-func (k *kcore) postTx() {
-	out := k.txPending
-	k.txPending = nil
-	for i, f := range out {
-		k.txq.Post(f)
-		out[i] = nil
-	}
-	k.txSpare = out[:0]
+// leave ends k's context in the running task: the frames it staged
+// reach the TX ring at the task's end, and then end runs.
+func (k *kcore) leave(m *sim.Meter, end func(any)) {
+	k.curMeter = nil
+	k.h.cur = nil
+	k.drv.PostAtEnd(m)
+	m.AtEndCall(end, k)
 }
 
 // AtEnd trampolines (pooled events, no closures).
-func kEndTimer(a any) {
-	k := a.(*kcore)
-	k.postTx()
-	k.h.ensureTimerWake()
-}
+func kEndTimer(a any) { a.(*kcore).h.wake.Arm() }
 
 func kEndNapi(a any) {
 	k := a.(*kcore)
-	k.postTx()
 	if k.napiMore {
 		k.scheduleNAPI()
 	} else {
-		k.rxq.EnableInterrupt()
+		k.drv.RX.EnableInterrupt()
 	}
-	k.h.ensureTimerWake()
+	k.h.wake.Arm()
 }
 
 func kEndApp(a any) {
 	k := a.(*kcore)
-	k.postTx()
 	k.appRunning = false
 	k.maybeWakeApp() // events may have landed while we ran
-	k.h.ensureTimerWake()
+	k.h.wake.Arm()
 }
 
 func kEndTask(a any) {
 	k := a.(*kcore)
-	k.postTx()
 	k.maybeWakeApp()
-	k.h.ensureTimerWake()
-}
-
-// drainAtEnd posts accumulated frames at task end.
-func (k *kcore) drainAtEnd(m *sim.Meter) {
-	k.stageTx()
-	m.AtEndCall(kEndTimer, k)
+	k.h.wake.Arm()
 }
 
 // hardIRQ is the NIC interrupt: schedule softirq (NAPI) on this core.
 func (k *kcore) hardIRQ() {
-	k.rxq.DisableInterrupt()
+	k.drv.RX.DisableInterrupt()
 	k.scheduleNAPI()
 }
 
@@ -438,41 +354,29 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	c := &h.cost
 	m.Charge(c.HardIRQ)
 	k.kernelNs += int64(c.HardIRQ)
-	frames := k.rxq.Take(napiBudget)
-	k.rxq.PostDescriptors(len(frames))
-	miss := time.Duration(cost.MissesPerMsg(h.ConnCount()) * float64(c.L3Miss))
-	for _, f := range frames {
-		buf := k.pool.Alloc()
-		if buf == nil {
-			h.poolDrops++
-			f.Release()
-			continue
-		}
-		buf.Adopt(f)
-		// Handshake frames charge the miss floor, not the population-
-		// scaled DDIO curve: the accept path's lines (listener, SYN
-		// backlog, fresh PCB) stay LLC-resident across an establishment
-		// burst, so batched SYN admission amortizes the per-frame
-		// penalty.
-		d := c.SoftIRQPerPkt + miss
-		if nicsim.IsTCPSYN(f.Data) {
-			d = c.SoftIRQPerPkt + h.missFloor
-		}
-		m.Charge(d)
-		k.kernelNs += int64(d)
-		h.ns.Input(buf)
-		buf.Unref()
-	}
+	k.missNs = time.Duration(cost.MissesPerMsg(h.ConnCount()) * float64(c.L3Miss))
+	k.drv.RX.PostDescriptors(k.drv.Receive(m, h.ns, napiBudget))
 	// Kernel timers piggyback on softirq.
 	h.wheel.Advance(int64(h.eng.Now()))
 	// The kernel acks as it processes, sliding its receive window
 	// independent of the application (§3).
 	h.ns.Flush()
-	k.curMeter = nil
-	h.cur = nil
-	k.napiMore = k.rxq.Len() > 0
-	k.stageTx()
-	m.AtEndCall(kEndNapi, k)
+	k.napiMore = k.drv.RX.Len() > 0
+	k.leave(m, kEndNapi)
+}
+
+// rxPrice is the softirq's kernel time for one received frame. Handshake
+// frames charge the miss floor, not the population-scaled DDIO curve:
+// the accept path's lines (listener, SYN backlog, fresh PCB) stay
+// LLC-resident across an establishment burst, so batched SYN admission
+// amortizes the per-frame penalty.
+func (k *kcore) rxPrice(f *fabric.Frame) time.Duration {
+	d := k.h.cost.SoftIRQPerPkt + k.missNs
+	if nicsim.IsTCPSYN(f.Data) {
+		d = k.h.cost.SoftIRQPerPkt + k.h.missFloor
+	}
+	k.kernelNs += int64(d)
+	return d
 }
 
 // maybeWakeApp wakes the core's app thread if it is blocked in
@@ -501,10 +405,7 @@ func (k *kcore) appRun(m *sim.Meter) {
 	if userSpent > 0 {
 		k.userNs += int64(userSpent)
 	}
-	k.curMeter = nil
-	h.cur = nil
-	k.stageTx()
-	m.AtEndCall(kEndApp, k)
+	k.leave(m, kEndApp)
 }
 
 // env returns the app.Env for this core's application thread.
@@ -554,10 +455,7 @@ func (k *kcore) runAppTask(fn func()) {
 		k.h.cur = k
 		k.curMeter = m
 		fn()
-		k.curMeter = nil
-		k.h.cur = nil
-		k.stageTx()
-		m.AtEndCall(kEndTask, k)
+		k.leave(m, kEndTask)
 	})
 }
 

@@ -7,6 +7,8 @@ import (
 	"ix/internal/app"
 	"ix/internal/fabric"
 	"ix/internal/sim"
+	"ix/internal/sockcore"
+	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
 
@@ -41,15 +43,15 @@ func (p *pingpong) OnClosed(c app.Conn)      {}
 func TestCrossCoreFlows(t *testing.T) {
 	eng := sim.NewEngine(9)
 	var srvGot, cliGot []byte
-	srv := New(eng, Config{
-		Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 2,
+	srv := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 2,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return &pingpong{env: env, server: true, got: &srvGot}
 		},
 	})
-	cli := New(eng, Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 4,
+	cli := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 4,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			p := &pingpong{env: env, got: &cliGot, dst: wire.Addr4(10, 0, 0, 2)}
 			// Two connections per core: their RSS hashes will scatter.
@@ -84,15 +86,15 @@ func TestKernelShareDominates(t *testing.T) {
 	// are wired at all after a small run.
 	eng := sim.NewEngine(9)
 	var got []byte
-	srv := New(eng, Config{
-		Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
+	srv := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return &pingpong{env: env, server: true, got: &got}
 		},
 	})
-	cli := New(eng, Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
+	cli := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			p := &pingpong{env: env, got: new([]byte), dst: wire.Addr4(10, 0, 0, 2)}
 			_ = env.Connect(p.dst, 80, nil)
@@ -110,5 +112,26 @@ func TestKernelShareDominates(t *testing.T) {
 	k, _ := srv.CPUBreakdown()
 	if k == 0 {
 		t.Fatal("kernel time not accounted")
+	}
+}
+
+// TestTimerWakeSkipsCurrentTick: a deadline inside the current tick arms
+// the wake at the next tick boundary, and the task it wakes fires it.
+func TestTimerWakeSkipsCurrentTick(t *testing.T) {
+	eng := sim.NewEngine(1)
+	h := New(eng, sockcore.Config{IP: wire.Addr4(10, 0, 0, 9), MAC: wire.MAC{2}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler { return &pingpong{env: env, got: new([]byte)} }})
+	h.Start()
+	tick := int64(timerwheel.DefaultTick)
+	eng.RunUntil(sim.Time(10*tick + tick/2))
+	fired := false
+	h.wheel.Advance(int64(eng.Now()))
+	h.wheel.Add(int64(eng.Now()), func() { fired = true })
+	h.wake.Arm()
+	if at, _ := eng.NextEventAt(); at != sim.Time(11*tick) {
+		t.Fatalf("next event at %v, want the wake at the tick boundary %v", at, sim.Time(11*tick))
+	}
+	if eng.Run(); !fired {
+		t.Fatal("the woken timer task did not fire the deadline")
 	}
 }

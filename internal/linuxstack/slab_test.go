@@ -121,13 +121,13 @@ type stack struct {
 var (
 	linux = stack{"linux",
 		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
-			return New(eng, Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
+			return New(eng, sockcore.Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
 		},
 		func(h stackHost) uint64 { return h.(*Host).Stack().TCP().Retransmits },
 	}
 	mtcp = stack{"mtcp",
 		func(eng *sim.Engine, ip wire.IPv4, mac wire.MAC, f app.Factory, tu hostTune) stackHost {
-			return mtcpstack.New(eng, mtcpstack.Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
+			return mtcpstack.New(eng, sockcore.Config{IP: ip, MAC: mac, Cores: tu.cores, Factory: f, RcvWnd: tu.rcvWnd, NICRing: tu.nicRing, MemPages: tu.memPages})
 		},
 		func(h stackHost) uint64 { return h.(*mtcpstack.Host).Stack(0).TCP().Retransmits },
 	}

@@ -33,32 +33,10 @@ import (
 // I/O batches).
 const pollBatch = 2048
 
-// Config describes an mTCP host.
-type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
-	// Cores is the number of core pairs (TCP thread + app thread per
-	// core, as mTCP deploys).
-	Cores int
-	// Factory builds the per-thread application.
-	Factory app.Factory
-	// Seed, RcvWnd, MinRTO, MemPages, NICRing tune the stack.
-	Seed     uint64
-	RcvWnd   int
-	MinRTO   time.Duration
-	MemPages int
-	NICRing  int
-	// ExpectedConns is the anticipated host-wide flow population; each
-	// core presizes its connection tables for its RSS share (0 = grow
-	// on demand).
-	ExpectedConns int
-}
-
 // Host is one mTCP machine.
 type Host struct {
 	eng    *sim.Engine
-	cfg    Config
+	cfg    sockcore.Config
 	cost   cost.MTCP
 	nic    *nicsim.NIC
 	arp    *netstack.ARPTable
@@ -67,13 +45,10 @@ type Host struct {
 	// missFloor is the handshake-frame miss charge (batched SYN
 	// admission), a run constant hoisted out of the poll loop.
 	missFloor time.Duration
-	// poolDrops counts received frames released because an mbuf pool
-	// was dry.
-	poolDrops uint64
 }
 
 // New builds an mTCP host. Attach NIC ports before Start.
-func New(eng *sim.Engine, cfg Config) *Host {
+func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
@@ -134,14 +109,19 @@ func (h *Host) EachStack(fn func(*netstack.Stack)) {
 
 // PoolDrops counts received frames the TCP threads released because an
 // mbuf pool was dry.
-func (h *Host) PoolDrops() uint64 { return h.poolDrops }
+func (h *Host) PoolDrops() (n uint64) {
+	for _, m := range h.cores {
+		n += m.drv.PoolDrops
+	}
+	return n
+}
 
 // MbufsInUse sums the receive mbufs still referenced across every core's
 // pool: zero once traffic has quiesced.
 func (h *Host) MbufsInUse() int {
 	n := 0
 	for _, m := range h.cores {
-		n += m.pool.InUse()
+		n += m.drv.Pool.InUse()
 	}
 	return n
 }
@@ -181,10 +161,12 @@ type mcore struct {
 	core *sim.Core
 
 	ns    *netstack.Stack
+	drv   netstack.Driver
 	wheel *timerwheel.Wheel
-	pool  *mem.MbufPool
-	rxq   *nicsim.RxQueue
-	txq   *nicsim.TxQueue
+	// wake runs a TCP round when a wheel deadline comes due.
+	wake *netstack.TimerWake
+	// missNs is this round's per-frame LLC-miss charge (rxPrice).
+	missNs time.Duration
 
 	// layer is per core: each mcore owns a private TCP stack (mTCP's
 	// shared-nothing design). sock holds the handler and the event queue
@@ -200,18 +182,12 @@ type mcore struct {
 	tcpPending bool
 	tcpQueued  bool // a TCP round is scheduled right now
 
-	outFrames []*fabric.Frame
-	txPending []*fabric.Frame
-	txSpare   []*fabric.Frame
-	tcpMore   bool
-	curMeter  *sim.Meter
+	tcpMore  bool
+	curMeter *sim.Meter
 
 	// Bound callbacks, created once (method values allocate).
-	tcpFn      func(*sim.Meter)
-	appFn      func(*sim.Meter)
-	timerFired func()
-
-	timerWake *sim.Event
+	tcpFn func(*sim.Meter)
+	appFn func(*sim.Meter)
 }
 
 func newMcore(h *Host, id int) *mcore {
@@ -219,7 +195,6 @@ func newMcore(h *Host, id int) *mcore {
 		h:     h,
 		id:    id,
 		core:  sim.NewCore(h.eng, id),
-		pool:  mem.NewMbufPool(h.region, id),
 		wheel: timerwheel.New(timerwheel.DefaultTick, int64(h.eng.Now())),
 	}
 	expected := 0
@@ -251,17 +226,21 @@ func newMcore(h *Host, id int) *mcore {
 	}
 	m.tcpFn = m.tcpRound
 	m.appFn = m.appRound
-	m.timerFired = m.onTimerWake
-	m.rxq = h.nic.RxQueue(id)
-	m.txq = h.nic.TxQueue(id)
-	m.rxq.Mode = nicsim.ModePoll
-	m.rxq.OnFrame = m.wakeTCP
+	m.wake = netstack.NewTimerWake(h.eng, m.wheel, m.wakeTCP)
+	m.drv = netstack.Driver{
+		RX:    h.nic.RxQueue(id),
+		TX:    h.nic.TxQueue(id),
+		Pool:  mem.NewMbufPool(h.region, id),
+		Price: m.rxPrice,
+	}
+	m.drv.RX.Mode = nicsim.ModePoll
+	m.drv.RX.OnFrame = m.wakeTCP
 	m.ns = netstack.New(netstack.Config{
 		LocalIP:   h.cfg.IP,
 		LocalMAC:  h.cfg.MAC,
 		Now:       func() int64 { return int64(h.eng.Now()) },
 		Wheel:     m.wheel,
-		SendFrame: func(f *fabric.Frame) { m.outFrames = append(m.outFrames, f) },
+		SendFrame: m.drv.Stage,
 		Events:    &m.layer,
 		ARP:       h.arp,
 		Seed:      h.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
@@ -308,53 +287,35 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 	}
 	m.jobSpare = jobs[:0]
 
-	frames := m.rxq.Take(pollBatch)
-	m.rxq.PostDescriptors(len(frames))
-	miss := time.Duration(cost.MissesPerMsg(m.h.ConnCount()) * float64(c.L3Miss))
-	for _, f := range frames {
-		buf := m.pool.Alloc()
-		if buf == nil {
-			m.h.poolDrops++
-			f.Release()
-			continue
-		}
-		buf.Adopt(f)
-		// Handshake frames charge the miss floor (batched SYN
-		// admission); see the linuxstack napiPoll note.
-		if nicsim.IsTCPSYN(f.Data) {
-			meter.Charge(c.ProtoRx + m.h.missFloor)
-		} else {
-			meter.Charge(c.ProtoRx + miss)
-		}
-		m.ns.Input(buf)
-		buf.Unref()
-	}
+	m.missNs = time.Duration(cost.MissesPerMsg(m.h.ConnCount()) * float64(c.L3Miss))
+	m.drv.RX.PostDescriptors(m.drv.Receive(meter, m.ns, pollBatch))
 	m.wheel.Advance(int64(m.h.eng.Now()))
 	// mTCP acks from the TCP thread, independent of the app.
 	m.ns.Flush()
 	m.curMeter = nil
-	m.tcpMore = m.rxq.Len() > 0
-	m.txPending = m.outFrames
-	m.outFrames = m.txSpare[:0]
-	m.txSpare = nil
+	m.tcpMore = m.drv.RX.Len() > 0
+	m.drv.PostAtEnd(meter)
 	meter.AtEndCall(mEndTCPRound, m)
 }
 
-// mEndTCPRound posts the round's frames and re-arms polling (pooled
-// one-shot end action, no closure).
+// rxPrice is the TCP thread's cost of one received frame. Handshake
+// frames charge the miss floor (batched SYN admission); see the
+// linuxstack rxPrice note.
+func (m *mcore) rxPrice(f *fabric.Frame) time.Duration {
+	if nicsim.IsTCPSYN(f.Data) {
+		return m.h.cost.ProtoRx + m.h.missFloor
+	}
+	return m.h.cost.ProtoRx + m.missNs
+}
+
+// mEndTCPRound re-arms polling once the round's frames are posted
+// (pooled one-shot end action, no closure).
 func mEndTCPRound(a any) {
 	m := a.(*mcore)
-	out := m.txPending
-	m.txPending = nil
-	for i, f := range out {
-		m.txq.Post(f)
-		out[i] = nil
-	}
-	m.txSpare = out[:0]
 	if m.tcpMore || m.tcpPending {
 		m.wakeTCP()
 	}
-	m.ensureTimerWake()
+	m.wake.Arm()
 	m.kickApp()
 }
 
@@ -439,39 +400,6 @@ func mEndApp(a any) {
 	if len(m.jobQ) > 0 {
 		m.armTCP()
 	}
-}
-
-// ensureTimerWake arranges the next retransmission tick. It arms at the
-// wheel's NextFireTime — never the raw deadline: a deadline inside the
-// current wheel tick cannot fire before the next tick boundary, and
-// waking for it earlier spins poll rounds on an idle core at one
-// instant after another (the cousin of the linuxstack same-instant
-// livelock, now fixed the same way in both stacks).
-func (m *mcore) ensureTimerWake() {
-	ft, ok := m.wheel.NextFireTime()
-	if !ok {
-		return
-	}
-	at := sim.Time(ft)
-	if at < m.h.eng.Now() {
-		// The wheel's clock lags the engine (no poll round ran lately):
-		// wake now; the round's Advance catches the wheel up and the
-		// next arming lands strictly in the future.
-		at = m.h.eng.Now()
-	}
-	if m.timerWake != nil {
-		if m.timerWake.At() <= at {
-			return
-		}
-		m.h.eng.Cancel(m.timerWake)
-	}
-	m.timerWake = m.h.eng.At(at, m.timerFired)
-}
-
-// onTimerWake fires the scheduled retransmission tick.
-func (m *mcore) onTimerWake() {
-	m.timerWake = nil
-	m.wakeTCP()
 }
 
 // env returns the app.Env for this core.

@@ -7,6 +7,8 @@ import (
 	"ix/internal/app"
 	"ix/internal/fabric"
 	"ix/internal/sim"
+	"ix/internal/sockcore"
+	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
 
@@ -45,16 +47,16 @@ func TestHandoffLatencyFloor(t *testing.T) {
 	eng := sim.NewEngine(4)
 	var srvGot []byte
 	var rtts []time.Duration
-	srv := New(eng, Config{
-		Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
+	srv := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return &pingpong{server: true, got: &srvGot, env: env}
 		},
 	})
 	var cliGot []byte
-	cli := New(eng, Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
+	cli := New(eng, sockcore.Config{
+		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			p := &pingpong{got: &cliGot, rtts: &rtts, env: env}
 			_ = env.Connect(wire.Addr4(10, 0, 0, 2), 80, nil)
@@ -83,41 +85,24 @@ func TestHandoffLatencyFloor(t *testing.T) {
 	}
 }
 
-// TestTimerWakeSkipsCurrentTick: a deadline landing inside the wheel's
-// current tick on an idle core must arm the wake at the next tick
-// boundary — not at the current instant, which would re-run poll rounds
-// one virtual instant after another until the boundary (the cousin of
-// the linuxstack same-instant livelock, unified behind
-// timerwheel.NextFireTime).
+// TestTimerWakeSkipsCurrentTick: a deadline inside the current tick arms
+// the wake at the next tick boundary, and the round it wakes fires it.
 func TestTimerWakeSkipsCurrentTick(t *testing.T) {
 	eng := sim.NewEngine(1)
-	h := New(eng, Config{
-		Name: "m", IP: wire.Addr4(10, 0, 0, 9), MAC: wire.MAC{2, 0, 0, 0, 0, 9}, Cores: 1,
-	})
-	h.cfg.Factory = func(env app.Env, th, n int) app.Handler {
-		return &pingpong{got: new([]byte), env: env}
-	}
+	h := New(eng, sockcore.Config{IP: wire.Addr4(10, 0, 0, 9), MAC: wire.MAC{2}, Cores: 1,
+		Factory: func(env app.Env, th, n int) app.Handler { return &pingpong{got: new([]byte), env: env} }})
 	h.Start()
-	eng.Run()
-	m := h.cores[0]
-
-	// Advance the engine and wheel mid-tick, then plant a deadline
-	// inside the current tick.
-	tick := int64(16 * time.Microsecond)
-	mid := sim.Time(10*tick + tick/2)
-	eng.At(mid, func() {})
-	eng.Run()
+	tick := int64(timerwheel.DefaultTick)
+	eng.RunUntil(sim.Time(10*tick + tick/2))
+	m, fired := h.cores[0], false
 	m.wheel.Advance(int64(eng.Now()))
-	m.wheel.Add(int64(eng.Now()), func() {})
-
-	m.ensureTimerWake()
-	if m.timerWake == nil {
-		t.Fatal("no timer wake armed for a pending deadline")
+	m.wheel.Add(int64(eng.Now()), func() { fired = true })
+	m.wake.Arm()
+	if at, _ := eng.NextEventAt(); at != sim.Time(11*tick) {
+		t.Fatalf("next event at %v, want the wake at the tick boundary %v", at, sim.Time(11*tick))
 	}
-	if got := m.timerWake.At(); got == eng.Now() {
-		t.Fatalf("timer wake armed at the current instant %v (would spin rounds); want the tick boundary", got)
-	} else if want := sim.Time(11 * tick); got != want {
-		t.Fatalf("timer wake at %v, want next tick boundary %v", got, want)
+	if eng.Run(); !fired {
+		t.Fatal("the woken round did not fire the deadline")
 	}
 }
 
@@ -178,14 +163,14 @@ func echoAllocs(t *testing.T, msg int) (allocs float64, rpcs int, hosts []*Host)
 	t.Helper()
 	eng := sim.NewEngine(4)
 	cli := &pinger{msg: make([]byte, msg)}
-	srv := New(eng, Config{
+	srv := New(eng, sockcore.Config{
 		IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return echoServer{}
 		},
 	})
-	client := New(eng, Config{
+	client := New(eng, sockcore.Config{
 		IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Connect(srv.IP(), 80, nil)

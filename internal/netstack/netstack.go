@@ -2,9 +2,9 @@
 // surrounds the TCP engine: Ethernet framing, ARP (the paper implemented
 // its own RFC-compliant UDP, ARP and ICMP, §4.2), IPv4 with header
 // checksums, a minimal UDP layer, and zero-copy frame assembly for
-// transmit. ICMP is not modelled (no experiment sends it): an ICMP packet
-// counts as RxDropped, like any other unknown protocol. One Stack per elastic thread; the ARP table is the single
-// RCU-style shared structure between threads on a host (§4.4).
+// transmit; and the Driver of a NIC queue pair. ICMP is not modelled: it
+// counts as RxDropped, like any unknown protocol. One Stack per elastic
+// thread; the ARP table is the one RCU-style structure they share (§4.4).
 package netstack
 
 import (

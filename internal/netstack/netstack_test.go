@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"testing"
-	"time"
 
 	"ix/internal/fabric"
 	"ix/internal/mem"
@@ -173,5 +172,4 @@ func TestDropsCounted(t *testing.T) {
 	if h.s.RxDropped != 2 || len(h.out) != 0 {
 		t.Fatalf("ICMP: dropped = %d, frames sent = %d", h.s.RxDropped, len(h.out))
 	}
-	_ = time.Now
 }

@@ -16,6 +16,27 @@ import (
 	"ix/internal/wire"
 )
 
+// Config describes a Linux or an mTCP host.
+type Config struct {
+	IP  wire.IPv4
+	MAC wire.MAC
+	// Cores is the number of cores. Each has one NIC queue pair and one
+	// pinned application thread, beside a softirq context on Linux
+	// (interrupts affinitized, §5.1's tuning) or a TCP thread on mTCP.
+	Cores int
+	// Factory builds the per-thread application.
+	Factory app.Factory
+	// Seed, RcvWnd, MinRTO, MemPages, NICRing tune the stack.
+	Seed     uint64
+	RcvWnd   int
+	MinRTO   time.Duration
+	MemPages int
+	NICRing  int
+	// ExpectedConns presizes the connection and socket tables for the
+	// anticipated host-wide population (0 = grow on demand).
+	ExpectedConns int
+}
+
 // sndbufMax models SO_SNDBUF: bytes a socket buffers beyond what the TCP
 // window has accepted (§4.3).
 const sndbufMax = 4 << 20
