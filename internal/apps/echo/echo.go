@@ -173,13 +173,12 @@ func (m *Metrics) ResetWindow() {
 
 // ClientConfig parameterizes the echo client load.
 type ClientConfig struct {
-	ServerIP    wire.IPv4
-	Port        uint16
-	MsgSize     int
-	Rounds      int // n round trips per connection; then RST + reconnect
-	Conns       int // concurrent connections per client thread
-	Metrics     *Metrics
-	NoReconnect bool // single-shot connections (NetPIPE uses 1 conn, ∞ rounds)
+	ServerIP wire.IPv4
+	Port     uint16
+	MsgSize  int
+	Rounds   int // n round trips per connection; then RST + reconnect
+	Conns    int // concurrent connections per client thread
+	Metrics  *Metrics
 
 	// Outstanding, when non-zero, enables the §5.4 rotation mode: the
 	// thread keeps only this many RPCs in flight, rotating round-robin
@@ -216,9 +215,9 @@ type ClientConfig struct {
 
 	// Fleet, when non-nil, registers this client thread for
 	// cross-sweep-point coordination: a persistent-cluster harness
-	// pauses the fleet, drains in-flight RPCs, retargets the
-	// population (delta establishment or paced-FIN teardown) and
-	// resumes — reusing one warmed testbed across measurement points.
+	// pauses the fleet, drains in-flight RPCs, grows the population by
+	// delta establishment and resumes — reusing one warmed testbed
+	// across measurement points of ascending size.
 	Fleet *Fleet
 }
 
@@ -233,10 +232,6 @@ type clientConn struct {
 	rounds int32
 	got    int32
 	busy   bool
-	// retiring marks a connection being torn down by a fleet retarget
-	// (paced FIN); its death is expected and must not trigger the
-	// dead-connection replacement path.
-	retiring bool
 }
 
 // verifyState is a connection's verify-mode state: pat seeds its
@@ -285,9 +280,9 @@ const (
 	connectBatchGap = 50 * time.Microsecond
 )
 
-// DefaultRampPacing exposes the default connect/retire batch pacing, so
-// harnesses sizing drain budgets can compute how long a paced teardown
-// actually takes when a ClientConfig leaves RampBatch/RampGap zero.
+// DefaultRampPacing exposes the default connect batch pacing, so
+// harnesses sizing establishment budgets can compute how long a paced
+// ramp actually takes when a ClientConfig leaves RampBatch/RampGap zero.
 func DefaultRampPacing() (batch int, gap time.Duration) {
 	return connectBatch, connectBatchGap
 }
@@ -380,7 +375,7 @@ type client struct {
 	paused bool
 	// pending counts connects issued and not yet resolved either way.
 	pending int
-	// rampGen guards paced ramp/retire chains across retargets.
+	// rampGen guards paced ramp chains across retargets.
 	rampGen uint64
 }
 
@@ -397,7 +392,7 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 	}
 	if !ok {
 		cl.cfg.Metrics.Failures.Inc()
-		if cl.cfg.Metrics.Running && !cl.cfg.NoReconnect {
+		if cl.cfg.Metrics.Running {
 			cl.connect()
 		}
 		return
@@ -521,12 +516,6 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	}
 	st.busy = false
 	if cl.cfg.Outstanding > 0 {
-		if st.retiring {
-			// Late response on a retired connection: retireStep already
-			// returned its rotation slot when it cleared busy, so the
-			// completion must not give one back again.
-			return
-		}
 		// Rotation mode: move the in-flight slot to the next conn.
 		if m.Running && !cl.paused {
 			cl.issueNext()
@@ -543,7 +532,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	// Close with RST to avoid ephemeral-port exhaustion (§5.3).
 	m.Conns.Inc()
 	c.Abort()
-	if m.Running && !cl.cfg.NoReconnect {
+	if m.Running {
 		cl.connect()
 	}
 }
@@ -565,12 +554,6 @@ func (cl *client) OnEOF(c app.Conn) { c.Close() }
 func (cl *client) OnClosed(c app.Conn) {
 	st, _ := c.Cookie().(*clientConn)
 	if cl.cfg.Outstanding > 0 {
-		if st != nil && st.retiring {
-			// Paced-FIN teardown: the retarget already removed the
-			// connection from the ring; its death is the expected end
-			// of the FIN handshake, not a failure to repair.
-			return
-		}
 		// Rotation mode: drop the dead connection from the ring, free its
 		// in-flight slot, and replace it to hold the population at target.
 		for i, rc := range cl.ring {
@@ -587,7 +570,7 @@ func (cl *client) OnClosed(c app.Conn) {
 				cl.inFlight--
 			}
 		}
-		if cl.cfg.Metrics.Running && !cl.cfg.NoReconnect && len(cl.ring) < cl.target {
+		if cl.cfg.Metrics.Running && len(cl.ring) < cl.target {
 			cl.cfg.Metrics.Failures.Inc()
 			cl.connect()
 		}
@@ -595,49 +578,22 @@ func (cl *client) OnClosed(c app.Conn) {
 	}
 	// RST-closed connections already accounted in OnRecv; unexpected
 	// deaths trigger a reconnect to sustain load.
-	if st != nil && int(st.rounds) < cl.cfg.Rounds && cl.cfg.Metrics.Running && !cl.cfg.NoReconnect {
+	if st != nil && int(st.rounds) < cl.cfg.Rounds && cl.cfg.Metrics.Running {
 		cl.cfg.Metrics.Failures.Inc()
 		cl.connect()
 	}
 }
 
-// retireStep closes one paced batch of excess connections with FIN and
-// schedules the next — the teardown mirror of rampStep. Retired
-// connections leave the ring immediately (so the rotation never issues
-// on a dying stream) and are marked so their eventual death is not
-// treated as a failure to repair.
-func (cl *client) retireStep(gen uint64) {
-	if gen != cl.rampGen {
-		return
-	}
-	batch, gap := cl.rampPacing()
-	for i := 0; i < batch && len(cl.ring) > cl.target; i++ {
-		c := cl.ring[len(cl.ring)-1]
-		cl.ring[len(cl.ring)-1] = nil
-		cl.ring = cl.ring[:len(cl.ring)-1]
-		if st, _ := c.Cookie().(*clientConn); st != nil {
-			st.retiring = true
-			if st.busy {
-				// Defensive: retargets run on a drained fleet, but a
-				// busy victim must still give its in-flight slot back.
-				st.busy = false
-				cl.inFlight--
-			}
-		}
-		c.Close()
-	}
-	if len(cl.ring) > cl.target {
-		cl.env.After(gap, func() { cl.retireStep(gen) })
-	}
-}
-
-// retarget moves this thread to a new population target: quiet delta
-// establishment when growing, paced-FIN teardown when shrinking. seed is
-// the thread's slice of the sweep point's seed schedule — verify-mode
-// patterns restart from it on every connection, surviving ones included,
-// so a point's byte patterns depend only on (point seed, thread,
-// connection index), never on sweep history.
+// retarget moves this thread to a new population target by quiet delta
+// establishment; the population only grows, so a target below the open
+// connections panics. seed is the thread's slice of the sweep point's
+// seed schedule — verify-mode patterns restart from it on every
+// connection, surviving ones included, so a point's byte patterns depend
+// only on (point seed, thread, connection index), never on sweep history.
 func (cl *client) retarget(conns, outstanding int, seed uint64) {
+	if conns < len(cl.ring) {
+		panic("echo: fleet retarget below the open population")
+	}
 	cl.rampGen++
 	gen := cl.rampGen
 	cl.target = conns
@@ -660,12 +616,9 @@ func (cl *client) retarget(conns, outstanding int, seed uint64) {
 			st.rounds = 0
 		}
 	}
-	switch {
-	case len(cl.ring) < conns:
+	if len(cl.ring) < conns {
 		cl.quiet = cl.cfg.QuietRamp
 		cl.env.After(0, func() { cl.rampStep(gen, conns) })
-	case len(cl.ring) > conns:
-		cl.env.After(0, func() { cl.retireStep(gen) })
 	}
 }
 
@@ -700,9 +653,10 @@ func (f *Fleet) Resume() {
 	}
 }
 
-// Retarget moves every thread to connsPerThread connections with the
-// given rotation depth. seed heads the sweep point's seed schedule; each
-// thread derives its slice from it deterministically.
+// Retarget grows every thread to connsPerThread connections with the
+// given rotation depth; a target below a thread's open connections
+// panics. seed heads the sweep point's seed schedule; each thread
+// derives its slice from it deterministically.
 func (f *Fleet) Retarget(connsPerThread, outstanding int, seed uint64) {
 	for i, cl := range f.clients {
 		cl.retarget(connsPerThread, outstanding, seed+uint64(i+1)*0x9e3779b97f4a7c15)
@@ -736,18 +690,6 @@ func (f *Fleet) Pending() int {
 	}
 	return n
 }
-
-// Target sums the per-thread population targets.
-func (f *Fleet) Target() int {
-	n := 0
-	for _, cl := range f.clients {
-		n += cl.target
-	}
-	return n
-}
-
-// Threads returns the number of registered client threads.
-func (f *Fleet) Threads() int { return len(f.clients) }
 
 // zeroBytes backs every zero-filled payload up to its size — every
 // message size the repository runs (Fig. 2 tops out at 512 KiB). It is a

@@ -162,9 +162,6 @@ func (d *Dataplane) IP() wire.IPv4 { return d.cfg.IP }
 // MAC returns the dataplane's hardware address.
 func (d *Dataplane) MAC() wire.MAC { return d.cfg.MAC }
 
-// Engine returns the simulation engine.
-func (d *Dataplane) Engine() *sim.Engine { return d.eng }
-
 // BatchBound returns the configured adaptive batch bound B.
 func (d *Dataplane) BatchBound() int { return d.cfg.BatchBound }
 

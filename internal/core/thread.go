@@ -83,9 +83,6 @@ type ElasticThread struct {
 	stopped bool
 }
 
-// ID returns the elastic thread index within its dataplane.
-func (et *ElasticThread) ID() int { return et.id }
-
 // Gate exposes the thread's dune syscall gate (tests, security checks).
 func (et *ElasticThread) Gate() *dune.Gate { return et.gate }
 
@@ -466,9 +463,6 @@ type UserAPI struct {
 
 // Thread returns the elastic thread index.
 func (u *UserAPI) Thread() int { return u.et.id }
-
-// Threads returns the dataplane's current elastic thread count.
-func (u *UserAPI) Threads() int { return len(u.et.dp.threads) }
 
 // ExpectedConns reports the host-wide anticipated flow population from
 // the dataplane configuration (0 = unknown). User libraries presize

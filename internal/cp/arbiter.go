@@ -61,10 +61,6 @@ type ArbiterPolicy struct {
 	// is the hysteresis band that keeps near-boundary tenants out of
 	// the donor pool.
 	DonorHeadroom float64
-	// DonorUtil: a member may donate only while its mean utilization is
-	// at most this fraction (a saturated tenant is no donor even if its
-	// latency currently looks healthy).
-	DonorUtil float64
 	// Residency is the number of decisions skipped after a completed
 	// move, letting the receiver's queues drain and its p99 window
 	// reflect the new allocation before the arbiter acts again.
@@ -77,10 +73,14 @@ func DefaultArbiterPolicy() ArbiterPolicy {
 		Interval:      time.Millisecond,
 		ViolateAfter:  2,
 		DonorHeadroom: 0.6,
-		DonorUtil:     0.75,
 		Residency:     1,
 	}
 }
+
+// donorUtil: a member may donate only while its mean utilization is at
+// most this fraction (a saturated tenant is no donor even if its latency
+// currently looks healthy).
+const donorUtil = 0.75
 
 // MemberSample is one member's telemetry at one decision.
 type MemberSample struct {
@@ -127,19 +127,6 @@ type Arbiter struct {
 // subscribed machine). Member bounds are normalized here: MinCores
 // defaults to 1, MaxCores to the budget.
 func NewArbiter(eng *sim.Engine, pol ArbiterPolicy, budget int, members ...*Member) *Arbiter {
-	def := DefaultArbiterPolicy()
-	if pol.Interval <= 0 {
-		pol.Interval = def.Interval
-	}
-	if pol.ViolateAfter <= 0 {
-		pol.ViolateAfter = def.ViolateAfter
-	}
-	if pol.DonorHeadroom <= 0 {
-		pol.DonorHeadroom = def.DonorHeadroom
-	}
-	if pol.DonorUtil <= 0 {
-		pol.DonorUtil = def.DonorUtil
-	}
 	if budget <= 0 {
 		for _, m := range members {
 			budget += m.DP.Threads()
@@ -267,7 +254,7 @@ func (a *Arbiter) decide() {
 		if m.SLO > 0 && r > a.pol.DonorHeadroom {
 			continue
 		}
-		if row[i].Util > a.pol.DonorUtil {
+		if row[i].Util > donorUtil {
 			continue
 		}
 		if donor < 0 || r < best || (r == best && row[i].Util < bestUtil) {

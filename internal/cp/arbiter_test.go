@@ -180,7 +180,7 @@ func TestArbiterFreePoolGrant(t *testing.T) {
 }
 
 // TestArbiterSaturatedDonorExcluded: a tenant whose utilization exceeds
-// DonorUtil must not donate even with healthy latency.
+// the donor-utilization bar must not donate even with healthy latency.
 func TestArbiterSaturatedDonorExcluded(t *testing.T) {
 	const slo = time.Millisecond
 	eng := sim.NewEngine(4)

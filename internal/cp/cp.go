@@ -31,21 +31,9 @@ type Policy struct {
 	// RemoveUtil: shrink when average core utilization over the last
 	// interval falls below this fraction.
 	RemoveUtil float64
-	// ShrinkGuard uses the smoothed cycles-per-packet estimate to veto a
-	// shrink that would immediately saturate the survivors: the projected
-	// post-shrink utilization (this window's packet count × the EWMA of
-	// ns-per-packet, spread over one fewer thread) must stay below
-	// ShrinkGuard × AddUtil. The EWMA — not the same window's
-	// measurement, whose terms would cancel back to plain utilization —
-	// is what makes this a service-time signal: a low-load window is
-	// judged against the cost per packet the dataplane has recently
-	// demonstrated, not against its own noisy sample. Zero disables the
-	// guard.
-	ShrinkGuard float64
-	// MinThreads/MaxThreads bound the allocation.
-	MinThreads, MaxThreads int
-	// Cooldown intervals after a change before acting again.
-	Cooldown int
+	// MinThreads is the floor of the allocation; the ceiling is the
+	// dataplane's queue-pair budget.
+	MinThreads int
 	// MaxInterval, when above Interval, makes the sampling cadence
 	// load-adaptive: while the dataplane is idle (no packets, empty
 	// rings, near-zero utilization) the controller doubles its interval
@@ -62,15 +50,29 @@ func DefaultPolicy() Policy {
 		AddQueueDepth: 96,
 		AddUtil:       0.9,
 		// RemoveUtil can sit fairly high because the cycles-per-packet
-		// shrink guard below vetoes any shrink the measured service time
-		// says would immediately re-saturate the survivors.
+		// shrink guard vetoes any shrink the measured service time says
+		// would immediately re-saturate the survivors.
 		RemoveUtil:  0.45,
-		ShrinkGuard: 0.8,
 		MinThreads:  1,
-		Cooldown:    4,
 		MaxInterval: 4 * time.Millisecond,
 	}
 }
+
+const (
+	// shrinkGuard uses the smoothed cycles-per-packet estimate to veto a
+	// shrink that would immediately saturate the survivors: the projected
+	// post-shrink utilization (this window's packet count × the EWMA of
+	// ns-per-packet, spread over one fewer thread) must stay below
+	// shrinkGuard × AddUtil. The EWMA — not the same window's
+	// measurement, whose terms would cancel back to plain utilization —
+	// is what makes this a service-time signal: a low-load window is
+	// judged against the cost per packet the dataplane has recently
+	// demonstrated, not against its own noisy sample.
+	shrinkGuard = 0.8
+	// cooldownIntervals is the number of intervals after a change
+	// before the controller acts again.
+	cooldownIntervals = 4
+)
 
 // Sample is one policy-interval observation of the managed dataplane —
 // the control plane's view of the queue-depth and cycles-per-packet
@@ -132,15 +134,6 @@ type Controller struct {
 
 // New builds a controller for dp.
 func New(eng *sim.Engine, dp *core.Dataplane, policy Policy) *Controller {
-	if policy.Interval <= 0 {
-		policy.Interval = DefaultPolicy().Interval
-	}
-	if policy.MaxThreads <= 0 {
-		policy.MaxThreads = dp.MaxThreads()
-	}
-	if policy.MinThreads <= 0 {
-		policy.MinThreads = 1
-	}
 	return &Controller{
 		eng:      eng,
 		dp:       dp,
@@ -149,9 +142,6 @@ func New(eng *sim.Engine, dp *core.Dataplane, policy Policy) *Controller {
 		SvcTime:  stats.NewHistogram(),
 	}
 }
-
-// Policy returns the controller's active policy.
-func (c *Controller) Policy() Policy { return c.policy }
 
 // Start begins the periodic policy loop.
 func (c *Controller) Start() {
@@ -211,10 +201,6 @@ func (c *Controller) observe() Sample {
 	return s
 }
 
-// SvcEWMA returns the smoothed cycles-per-packet estimate (zero until
-// the first packet-carrying interval).
-func (c *Controller) SvcEWMA() time.Duration { return c.svcEWMA }
-
 func (c *Controller) tick() {
 	if c.stopped {
 		return
@@ -231,26 +217,26 @@ func (c *Controller) tick() {
 	grow := s.MaxDepth >= c.policy.AddQueueDepth ||
 		(c.policy.AddUtil > 0 && s.AvgUtil >= c.policy.AddUtil)
 	shrink := s.AvgUtil < c.policy.RemoveUtil && n > c.policy.MinThreads
-	if shrink && c.policy.ShrinkGuard > 0 && c.policy.AddUtil > 0 && c.svcEWMA > 0 && n > 1 {
+	if shrink && c.policy.AddUtil > 0 && c.svcEWMA > 0 && n > 1 {
 		// Cycles-per-packet veto: would this window's packet load, at the
 		// service time the dataplane has recently demonstrated (EWMA, not
 		// this window's own noisy sample), saturate one fewer thread?
 		projected := float64(s.Pkts) * float64(c.svcEWMA) /
 			(float64(n-1) * float64(c.policy.Interval))
-		if projected >= c.policy.ShrinkGuard*c.policy.AddUtil {
+		if projected >= shrinkGuard*c.policy.AddUtil {
 			shrink = false
 		}
 	}
 	switch {
-	case grow && n < c.policy.MaxThreads:
+	case grow && n < c.dp.MaxThreads():
 		if err := c.dp.AddElasticThread(); err == nil {
 			c.Log = append(c.Log, Event{At: c.eng.Now(), Action: "add", Threads: c.dp.Threads()})
-			c.cooldown = c.policy.Cooldown
+			c.cooldown = cooldownIntervals
 		}
 	case shrink:
 		if err := c.dp.RemoveElasticThread(); err == nil {
 			c.Log = append(c.Log, Event{At: c.eng.Now(), Action: "remove", Threads: c.dp.Threads()})
-			c.cooldown = c.policy.Cooldown
+			c.cooldown = cooldownIntervals
 		}
 	}
 	c.resetWindow()
@@ -278,6 +264,3 @@ func (c *Controller) adaptInterval(s Sample) {
 
 // Interval reports the controller's current sampling cadence.
 func (c *Controller) Interval() time.Duration { return c.interval }
-
-// Threads reports the managed dataplane's current elastic thread count.
-func (c *Controller) Threads() int { return c.dp.Threads() }

@@ -73,9 +73,6 @@ func chaosMenu(rng *rand.Rand) faults.Config {
 
 // RunChaos executes one randomized fault schedule.
 func RunChaos(s ChaosSetup) ChaosResult {
-	if s.Seed == 0 {
-		s.Seed = 23
-	}
 	if s.Phases <= 0 {
 		s.Phases = 8
 	}

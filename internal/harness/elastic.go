@@ -70,26 +70,8 @@ type ElasticResult struct {
 // RunElastic executes one load ramp against an IX memcached server and
 // samples cores-used, throughput and tail latency per window.
 func RunElastic(s ElasticSetup) ElasticResult {
-	if s.MaxCores <= 0 {
-		s.MaxCores = 4
-	}
-	if s.PeakRPS <= 0 {
-		s.PeakRPS = 400_000
-	}
-	if s.Steps <= 0 {
-		s.Steps = 4
-	}
-	if s.StepWindow <= 0 {
-		s.StepWindow = 5 * time.Millisecond
-	}
 	if s.Warmup <= 0 {
 		s.Warmup = 2 * time.Millisecond
-	}
-	if s.ClientHosts <= 0 {
-		s.ClientHosts = 4
-	}
-	if s.ClientCores <= 0 {
-		s.ClientCores = 2
 	}
 
 	const seed, port = 23, 11211
@@ -152,9 +134,7 @@ func RunElastic(s ElasticSetup) ElasticResult {
 
 	var ctl *cp.Controller
 	if !s.Static {
-		pol := cp.DefaultPolicy()
-		pol.MaxThreads = s.MaxCores
-		ctl = cp.New(cl.Eng, srv, pol)
+		ctl = cp.New(cl.Eng, srv, cp.DefaultPolicy())
 		ctl.Start()
 	}
 

@@ -47,15 +47,6 @@ type IncastResult struct {
 
 // RunIncast executes one synchronized incast configuration.
 func RunIncast(s IncastSetup) IncastResult {
-	if s.Seed == 0 {
-		s.Seed = 11
-	}
-	if s.Senders <= 0 {
-		s.Senders = 16
-	}
-	if s.Rounds <= 0 {
-		s.Rounds = 8
-	}
 	const port, burst = 5001, 8 << 10
 	const period, warmup = 4 * time.Millisecond, time.Millisecond
 	cl := NewCluster(s.Seed)

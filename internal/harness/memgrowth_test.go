@@ -200,9 +200,9 @@ func TestFootprintRecoveryAfterBurstLoss(t *testing.T) {
 }
 
 // TestPresizeGrowShrinkDeterminism pins the presized-table contract
-// with a grow → shrink → regrow cycle and ExpectedConns set: a fixed-seed
-// rerun is identical sample for sample, drained footprints included —
-// the accounting must not depend on map iteration or scheduling.
+// with three growing points up to ExpectedConns: a fixed-seed rerun is
+// identical sample for sample, drained footprints included — the
+// accounting must not depend on map iteration or scheduling.
 func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 	type sample struct {
 		bytes int64
@@ -218,7 +218,7 @@ func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 		})
 		defer b.Stop()
 		var out []sample
-		for _, point := range []int{2400, 400, 1600} {
+		for _, point := range []int{400, 1600, 2400} {
 			b.MeasurePoint(point, 3, 2*time.Millisecond)
 			bytes, conns := drainedFootprint(b)
 			out = append(out, sample{bytes, conns})
@@ -231,5 +231,5 @@ func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 			t.Errorf("point %d: rerun diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	t.Logf("grow/shrink samples: %+v", a)
+	t.Logf("grow samples: %+v", a)
 }

@@ -25,26 +25,20 @@ const (
 	establishStep    = 250 * time.Microsecond
 	establishBase    = 2 * time.Millisecond
 	establishPerConn = 4 * time.Microsecond
-	// teardownBudget is the fixed floor of the wait for paced-FIN
-	// excess to clear the server's connection table; MeasurePoint adds
-	// the time the pacing itself needs for the point's excess (see
-	// teardownBudgetFor), so one big shrink cannot exhaust a budget
-	// sized for small ones.
-	teardownBudget = 50 * time.Millisecond
-	// settleRun separates establishment/teardown from the measurement
-	// window, letting handshake tails and pure-ACK exchanges quiesce.
+	// settleRun separates establishment from the measurement window,
+	// letting handshake tails and pure-ACK exchanges quiesce.
 	settleRun = time.Millisecond
 )
 
 // EchoBench is a persistent, warmed echo testbed reused across the sweep
 // points of one configuration — the Fig. 4 establishment fast path.
 // Where RunEcho pays a full cluster build and connection ramp per point,
-// an EchoBench ramps quietly once and then moves between points by
-// draining in-flight RPCs, establishing only the delta of connections
-// (or retiring the excess via paced FIN), and resetting meters without
-// reallocating pools. Each point draws its seed material from a
-// per-point schedule, so fixed-seed output is byte-identical run to run
-// regardless of how many points preceded it.
+// an EchoBench ramps quietly once and then moves up between points by
+// draining in-flight RPCs, establishing only the delta of connections,
+// and resetting meters without reallocating pools. Points must come in
+// ascending size: the population only grows. Each point draws its seed
+// material from a per-point schedule, so fixed-seed output is
+// byte-identical run to run regardless of how many points preceded it.
 type EchoBench struct {
 	setup   EchoSetup
 	cl      *Cluster
@@ -58,16 +52,8 @@ type EchoBench struct {
 // created up front with an empty connection target; the first
 // MeasurePoint establishes its population quietly.
 func NewEchoBench(s EchoSetup) *EchoBench {
-	if s.ClientHosts <= 0 {
-		s.ClientHosts = 1
-	}
-	if s.ClientCores <= 0 {
-		s.ClientCores = 1
-	}
 	s.ConnsPerThread = 0
-	if s.Outstanding <= 0 {
-		s.Outstanding = 1
-	}
+	s.Outstanding = 1
 	s.QuietRamp = true
 	b := &EchoBench{
 		setup:   s,
@@ -80,18 +66,8 @@ func NewEchoBench(s EchoSetup) *EchoBench {
 	return b
 }
 
-// Cluster exposes the underlying testbed (conservation checks, faults).
-func (b *EchoBench) Cluster() *Cluster { return b.cl }
-
-// Fleet exposes the client-population coordinator, for callers driving
-// pause/drain/retarget cycles directly instead of through MeasurePoint.
-func (b *EchoBench) Fleet() *echo.Fleet { return b.fleet }
-
 // Threads returns the client fleet's thread count.
 func (b *EchoBench) Threads() int { return b.threads }
-
-// Established returns the fleet's current open-connection count.
-func (b *EchoBench) Established() int { return b.fleet.Open() }
 
 // Stop winds the fleet down (no further reconnects).
 func (b *EchoBench) Stop() { b.m.Running = false }
@@ -109,11 +85,11 @@ func (b *EchoBench) runUntil(budget, step time.Duration, done func() bool) bool 
 	return done()
 }
 
-// pacingTime returns how long the fleet's own connect/retire pacing
-// needs to move `delta` connections: each thread works through batches
-// of RampBatch every RampGap, so the slowest thread takes
-// ceil(perThread/batch) gaps. This is the floor any establishment or
-// teardown budget must sit above.
+// pacingTime returns how long the fleet's own connect pacing needs to
+// open `delta` connections: each thread works through batches of
+// RampBatch every RampGap, so the slowest thread takes
+// ceil(perThread/batch) gaps. This is the floor any establishment
+// budget must sit above.
 func (b *EchoBench) pacingTime(delta int) time.Duration {
 	batch, gap := b.setup.RampBatch, b.setup.RampGap
 	db, dg := echo.DefaultRampPacing()
@@ -126,17 +102,6 @@ func (b *EchoBench) pacingTime(delta int) time.Duration {
 	perThread := (delta + b.threads - 1) / b.threads
 	steps := (perThread + batch - 1) / batch
 	return time.Duration(steps) * gap
-}
-
-// teardownBudgetFor sizes the paced-FIN wait for one point's shrink of
-// `excess` connections: the time the retire pacing itself needs plus
-// the fixed teardownBudget floor for FIN-handshake completion. The
-// budget used to be the bare constant shared by every sweep point, so a
-// single large shrink — or a sweep configured with slow pacing — could
-// run out of time and leak its excess into the next point's
-// measurement.
-func (b *EchoBench) teardownBudgetFor(excess int) time.Duration {
-	return teardownBudget + b.pacingTime(excess)
 }
 
 // pointSeed is the per-point seed schedule: a splitmix64 scramble of the
@@ -152,8 +117,9 @@ func pointSeed(base int64, point uint64) uint64 {
 // MeasurePoint moves the warmed testbed to total connections (rotation
 // depth outstanding per thread) and measures one window, returning the
 // same steady-state figures RunEcho would. Between points it drains
-// in-flight RPCs, establishes only the connection delta (quiet ramp) or
-// retires the excess via paced FIN, and resets meters in place.
+// in-flight RPCs, establishes only the connection delta (quiet ramp),
+// and resets meters in place. total may not fall below the population
+// an earlier point established.
 func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) EchoResult {
 	per := (total + b.threads - 1) / b.threads
 	if per < 1 {
@@ -176,26 +142,14 @@ func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) E
 	db := drainBudget + time.Duration(b.fleet.InFlight())*drainPerMsg
 	b.runUntil(db, drainStep, func() bool { return b.fleet.InFlight() == 0 })
 
-	// Move the population: delta establishment or paced-FIN teardown.
+	// Grow the population by delta establishment.
 	b.point++
-	prevOpen := b.fleet.Open()
-	shrink := prevOpen > target
-	delta := target - prevOpen
-	if delta < 0 {
-		delta = -delta
-	}
+	delta := target - b.fleet.Open()
 	b.fleet.Retarget(per, out, pointSeed(b.setup.Seed, b.point))
 	budget := establishBase + time.Duration(delta)*establishPerConn + b.pacingTime(delta)
 	b.runUntil(budget, establishStep, func() bool {
 		return b.fleet.Open() >= target && b.fleet.Pending() == 0
 	})
-	if shrink {
-		// The ring shrank immediately; wait for the FIN handshakes to
-		// clear the server's connection table too.
-		b.runUntil(b.teardownBudgetFor(delta), establishStep, func() bool {
-			return b.cl.hosts[0].ConnCount() <= target
-		})
-	}
 	b.cl.Run(settleRun)
 
 	// Fresh window over reused pools and meters.

@@ -221,38 +221,14 @@ func (idleHandler) OnClosed(app.Conn)          {}
 // arbiter (started, deciding on its cadence as the caller runs the
 // cluster).
 func BuildTenants(s TenantsSetup) *TenantCluster {
-	if s.HostCores <= 0 {
-		s.HostCores = 40
-	}
-	if s.ClientHosts <= 0 {
-		s.ClientHosts = 4
-	}
-	if s.ClientCores <= 0 {
-		s.ClientCores = 4
-	}
-	if s.Seed == 0 {
-		s.Seed = 61
-	}
 	if len(s.Tenants) == 0 {
 		panic("harness: BuildTenants needs at least one tenant")
 	}
 	alloc := 0
 	for i := range s.Tenants {
 		sp := &s.Tenants[i]
-		if sp.Cores <= 0 {
-			sp.Cores = 1
-		}
-		if sp.MinCores <= 0 {
-			sp.MinCores = 1
-		}
 		if sp.MaxCores <= 0 {
 			sp.MaxCores = s.HostCores
-		}
-		if sp.ClientThreads <= 0 {
-			sp.ClientThreads = 1
-		}
-		if sp.Conns <= 0 {
-			sp.Conns = 8
 		}
 		if sp.MsgSize <= 0 {
 			if sp.App == TenantIncast {

@@ -27,11 +27,10 @@ import (
 // All methods must be called on the owning thread (from its fibers or
 // its timer callbacks) — never across threads.
 type Net struct {
-	env     app.Env
-	s       sched
-	thread  int
-	threads int
-	lis     *Listener
+	env    app.Env
+	s      sched
+	thread int
+	lis    *Listener
 }
 
 // Factory adapts a blocking main function to the event-driven app
@@ -40,8 +39,8 @@ type Net struct {
 // Go — every blocking call parks the fiber until the corresponding
 // stack event. One main instance runs per elastic thread.
 func Factory(main func(n *Net)) app.Factory {
-	return func(env app.Env, thread, threads int) app.Handler {
-		n := &Net{env: env, thread: thread, threads: threads}
+	return func(env app.Env, thread, _ int) app.Handler {
+		n := &Net{env: env, thread: thread}
 		n.s.spawn(func() { main(n) })
 		// Run the root fiber to its first park at start of day so
 		// listeners exist before the first SYN arrives.
@@ -52,9 +51,6 @@ func Factory(main func(n *Net)) app.Factory {
 
 // Thread returns this thread's index on its host.
 func (n *Net) Thread() int { return n.thread }
-
-// Threads returns the host's thread count.
-func (n *Net) Threads() int { return n.threads }
 
 // Now returns the simulation clock as a time.Time (nanoseconds since
 // the virtual epoch) — the clock deadlines are measured against.

@@ -50,11 +50,8 @@ func (r *Region) Used() int { return r.usedPages }
 // Cap returns the region's capacity in pages.
 func (r *Region) Cap() int { return r.limitPages }
 
-// Grow adds pages to the region (control plane granting more memory).
-func (r *Region) Grow(pages int) { r.limitPages += pages }
-
-// MbufHeadroom is reserved at the front of an mbuf's own storage so the
-// stack can prepend ethernet/IP/TCP headers without copying the payload.
+// MbufHeadroom is reserved at the front of an mbuf's own storage: room
+// for ethernet/IP/TCP headers in front of the data, as in IX's mbufs.
 const MbufHeadroom = 64
 
 // MbufSize is the capacity of an mbuf's own storage: one MTU plus
@@ -161,32 +158,6 @@ func (m *Mbuf) Append(b []byte) int {
 	return n
 }
 
-// Prepend grows the valid data forward into the headroom by n bytes and
-// returns the slice covering the new front. It panics if headroom is
-// insufficient — a stack bug, not a runtime condition. An adopted frame
-// has no headroom.
-func (m *Mbuf) Prepend(n int) []byte {
-	if n > m.off {
-		panic("mem: insufficient mbuf headroom")
-	}
-	m.off -= n
-	m.len += n
-	return m.data[m.off : m.off+n]
-}
-
-// Trim shortens the valid data to length n.
-func (m *Mbuf) Trim(n int) {
-	if n < m.len {
-		m.len = n
-	}
-}
-
-// Len returns the number of valid bytes.
-func (m *Mbuf) Len() int { return m.len }
-
-// Refs returns the current reference count.
-func (m *Mbuf) Refs() int { return m.refs }
-
 // Ref takes an additional reference on the buffer.
 func (m *Mbuf) Ref() { m.refs++ }
 
@@ -221,9 +192,8 @@ type MbufPool struct {
 	// Owner tags buffers allocated from this pool.
 	Owner int
 
-	allocated int // mbufs backed by taken pages (page granularity)
-	spare     int // page-backed mbufs not yet materialized
-	inUse     int
+	spare int // page-backed mbufs not yet materialized
+	inUse int
 
 	// Stats.
 	Allocs    uint64
@@ -257,7 +227,6 @@ func (p *MbufPool) Alloc() *Mbuf {
 				return nil
 			}
 			p.spare = mbufsPerPage
-			p.allocated += mbufsPerPage
 		}
 		p.spare--
 		//ixvet:ignore(hotpath) lazy materialization: amortized over the page, steady state hits the free list
@@ -280,6 +249,3 @@ func (p *MbufPool) put(m *Mbuf) {
 
 // InUse returns the number of live mbufs.
 func (p *MbufPool) InUse() int { return p.inUse }
-
-// Provisioned returns the number of mbufs backed by pages so far.
-func (p *MbufPool) Provisioned() int { return p.allocated }

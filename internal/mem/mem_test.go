@@ -18,10 +18,6 @@ func TestRegionAccounting(t *testing.T) {
 	if r.Used() != 2 || r.Cap() != 2 {
 		t.Fatalf("used=%d cap=%d", r.Used(), r.Cap())
 	}
-	r.Grow(1)
-	if !r.TakePage() {
-		t.Fatal("grown page not granted")
-	}
 }
 
 func TestMbufLifecycle(t *testing.T) {
@@ -88,21 +84,6 @@ func TestMbufDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	m.Unref()
-}
-
-func TestMbufHeadroom(t *testing.T) {
-	p := NewMbufPool(NewRegion(1), 0)
-	m := p.Alloc()
-	m.SetData([]byte("payload"))
-	hdr := m.Prepend(4)
-	copy(hdr, "HDRX")
-	if string(m.Bytes()) != "HDRXpayload" {
-		t.Fatalf("after prepend: %q", m.Bytes())
-	}
-	m.Trim(4)
-	if string(m.Bytes()) != "HDRX" {
-		t.Fatalf("after trim: %q", m.Bytes())
-	}
 }
 
 func TestMbufPoolExhaustion(t *testing.T) {

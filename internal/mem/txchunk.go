@@ -46,9 +46,6 @@ type TxChunk struct {
 
 var _ fabric.Backing = (*TxChunk)(nil)
 
-// Used returns the number of bytes written.
-func (k *TxChunk) Used() int { return int(k.used) }
-
 // Room returns the bytes still writable.
 func (k *TxChunk) Room() int { return TxChunkSize - int(k.used) }
 
@@ -83,10 +80,6 @@ func (k *TxChunk) Append(b []byte) []byte {
 	return v
 }
 
-// Reset rewinds the write cursor. Only legal when no live reference to
-// the chunk's bytes remains (the arena enforces this).
-func (k *TxChunk) Reset() { k.used = 0 }
-
 // Release returns the chunk to its pool. Only legal when no live
 // reference to the chunk's bytes remains.
 //
@@ -113,10 +106,9 @@ type TxChunkPool struct {
 	// Owner tags the elastic thread the pool belongs to.
 	Owner int
 
-	allocated int // chunks backed by taken pages
-	spare     int // page-backed chunks not yet materialized
-	retired   int // free chunks still pinned by frames
-	inUse     int
+	spare   int // page-backed chunks not yet materialized
+	retired int // free chunks still pinned by frames
+	inUse   int
 
 	// Stats.
 	Allocs    uint64
@@ -147,7 +139,6 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 			p.spare--
 		case p.region.TakePage():
 			p.spare = txChunksPerPage - 1
-			p.allocated += txChunksPerPage
 		default:
 			p.Exhausted++
 			return nil
@@ -195,9 +186,6 @@ func (p *TxChunkPool) InUse() int { return p.inUse }
 func (p *TxChunkPool) Ready() bool {
 	return len(p.free) > 0 || p.retired > 0 || p.spare > 0 || p.region.Used() < p.region.Cap()
 }
-
-// Provisioned returns the number of chunks backed by pages so far.
-func (p *TxChunkPool) Provisioned() int { return p.allocated }
 
 // A TxArena is one connection's FIFO transmit arena. Appends go to the
 // newest chunk; the release cursor — advanced only as TCP reports

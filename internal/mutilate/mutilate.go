@@ -220,9 +220,6 @@ const tick = 100 * time.Microsecond
 
 // LoadFactory builds load-generator threads.
 func LoadFactory(cfg LoadConfig) app.Factory {
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 4
-	}
 	return func(env app.Env, thread, threads int) app.Handler {
 		g := &loadgen{env: env, cfg: cfg, rng: cfg.Seed ^ (uint64(thread)+1)*0x9e3779b97f4a7c15}
 		for i := 0; i < cfg.Conns; i++ {

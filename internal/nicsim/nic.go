@@ -247,12 +247,6 @@ type TxQueue struct {
 	// are not monotone in post order.
 	departs []sim.Time
 
-	// OnComplete, if set, is called when a posted frame has left the
-	// wire (descriptor writeback); IX uses it to free mbufs in the
-	// separate completion pass of cycle step (6). Set it before the
-	// first Post: queues with a callback use eager completion events.
-	OnComplete func(n int)
-
 	TxFrames uint64
 	TxDrops  uint64
 }
@@ -317,27 +311,12 @@ func (t *TxQueue) Post(f *fabric.Frame) bool {
 	}
 	t.inFlight++
 	t.TxFrames++
-	n := t.nic
-	port := n.txPort(f.Data)
+	port := t.nic.txPort(f.Data)
 	port.Send(f)
-	// Completion (descriptor writeback) when serialization finishes:
-	// an eager event only when someone listens, lazy reclaim otherwise.
-	if t.OnComplete != nil {
-		n.eng.Call(port.Busy(), txComplete, t)
-	} else {
-		t.pushDepart(port.Busy())
-	}
+	// The descriptor completes (writeback) when serialization finishes;
+	// reclaim picks it up lazily.
+	t.pushDepart(port.Busy())
 	return true
-}
-
-// txComplete is the descriptor-writeback trampoline (pooled one-shot
-// event).
-func txComplete(a any) {
-	t := a.(*TxQueue)
-	t.inFlight--
-	if t.OnComplete != nil {
-		t.OnComplete(1)
-	}
 }
 
 // InFlight returns the number of un-completed descriptors.
@@ -395,9 +374,6 @@ func (n *NIC) AttachPort(p *fabric.Port) {
 	n.ports = append(n.ports, p)
 }
 
-// Ports returns the number of attached physical ports.
-func (n *NIC) Ports() int { return len(n.ports) }
-
 // RxQueue returns receive queue i.
 func (n *NIC) RxQueue(i int) *RxQueue { return n.rx[i] }
 
@@ -411,21 +387,6 @@ func (n *NIC) TxDrops() uint64 {
 		d += t.TxDrops
 	}
 	return d
-}
-
-// Queues returns the number of queue pairs.
-func (n *NIC) Queues() int { return n.cfg.Queues }
-
-// SetRETA programs the redirection table: entry i directs hash bucket i to
-// the given queue. Used by the control plane to rebalance flow groups when
-// elastic threads are added or removed.
-func (n *NIC) SetRETA(reta [RetaSize]uint8) {
-	for _, q := range reta {
-		if int(q) >= n.cfg.Queues {
-			panic("nicsim: RETA entry references nonexistent queue")
-		}
-	}
-	n.reta = reta
 }
 
 // RETA returns the current redirection table.

@@ -12,40 +12,6 @@ var DefaultRSSKey = [40]byte{
 	0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 }
 
-// Toeplitz computes the 32-bit Toeplitz hash of input under key, exactly
-// as receive-side scaling hardware does: for every set bit of the input,
-// XOR in the 32-bit window of the key starting at that bit position.
-func Toeplitz(key []byte, input []byte) uint32 {
-	var result uint32
-	// window is the leftmost 32 bits of the key, shifted as we consume
-	// input bits.
-	window := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
-	next := 4 // next key byte to shift in
-	bitsLeft := 0
-	var pending byte
-	for _, b := range input {
-		for bit := 7; bit >= 0; bit-- {
-			if b&(1<<uint(bit)) != 0 {
-				result ^= window
-			}
-			// Shift the window left by one, pulling in the next key bit.
-			if bitsLeft == 0 {
-				if next < len(key) {
-					pending = key[next]
-				} else {
-					pending = 0
-				}
-				next++
-				bitsLeft = 8
-			}
-			window = window<<1 | uint32(pending>>7)
-			pending <<= 1
-			bitsLeft--
-		}
-	}
-	return result
-}
-
 // rssTable is the byte-indexed Toeplitz lookup table for the 12-byte
 // TCP/UDP IPv4 tuple. The Toeplitz hash is linear over input bits, so the
 // hash is the XOR of one per-position table entry per input byte — this is
@@ -53,8 +19,8 @@ func Toeplitz(key []byte, input []byte) uint32 {
 // on the classification hot path.
 type rssTable [12][256]uint32
 
-// keyWindow returns the 32-bit window of key starting at bit offset off
-// (zero-padded beyond the key), exactly as the bit-serial hash shifts it.
+// keyWindow returns the 32-bit window of key starting at bit offset off,
+// zero-padded beyond the key.
 func keyWindow(key []byte, off int) uint32 {
 	bo, r := off/8, uint(off%8)
 	var v uint64
@@ -84,8 +50,9 @@ func buildRSSTable(key []byte) *rssTable {
 	return &t
 }
 
-// hash computes the Toeplitz hash of the flow tuple via table lookups;
-// identical to RSSHash(key, k) for the table's key.
+// hash computes the Toeplitz hash of the flow tuple via table lookups:
+// for every set bit of the 82599's tuple (srcIP, dstIP, srcPort, dstPort,
+// network byte order), the XOR of the key's 32-bit window at that bit.
 func (t *rssTable) hash(k wire.FlowKey) uint32 {
 	return t[0][byte(k.SrcIP>>24)] ^
 		t[1][byte(k.SrcIP>>16)] ^
@@ -99,24 +66,4 @@ func (t *rssTable) hash(k wire.FlowKey) uint32 {
 		t[9][byte(k.SrcPort)] ^
 		t[10][byte(k.DstPort>>8)] ^
 		t[11][byte(k.DstPort)]
-}
-
-// RSSHash computes the Toeplitz hash of a TCP/UDP IPv4 flow the way the
-// 82599 concatenates the tuple: srcIP, dstIP, srcPort, dstPort, all in
-// network byte order.
-func RSSHash(key []byte, k wire.FlowKey) uint32 {
-	var in [12]byte
-	in[0] = byte(k.SrcIP >> 24)
-	in[1] = byte(k.SrcIP >> 16)
-	in[2] = byte(k.SrcIP >> 8)
-	in[3] = byte(k.SrcIP)
-	in[4] = byte(k.DstIP >> 24)
-	in[5] = byte(k.DstIP >> 16)
-	in[6] = byte(k.DstIP >> 8)
-	in[7] = byte(k.DstIP)
-	in[8] = byte(k.SrcPort >> 8)
-	in[9] = byte(k.SrcPort)
-	in[10] = byte(k.DstPort >> 8)
-	in[11] = byte(k.DstPort)
-	return Toeplitz(key, in[:])
 }

@@ -4,12 +4,11 @@ import (
 	"time"
 )
 
-// endAction is one deferred end-of-task callback. The two-form layout
-// mirrors Event: fnArg+arg avoids a closure allocation on hot paths.
+// endAction is one deferred end-of-task callback: fn(arg), which avoids a
+// closure allocation on hot paths.
 type endAction struct {
-	fn    func()
-	fnArg func(any)
-	arg   any
+	fn  func(any)
+	arg any
 }
 
 // A Meter accumulates the virtual CPU cost of a task as it executes, and
@@ -21,7 +20,6 @@ type endAction struct {
 type Meter struct {
 	total time.Duration
 	atEnd []endAction
-	start Time
 }
 
 // Charge adds d of virtual CPU time to the task.
@@ -41,31 +39,21 @@ func (m *Meter) ChargeN(n int, d time.Duration) {
 // Elapsed returns the cost charged so far.
 func (m *Meter) Elapsed() time.Duration { return m.total }
 
-// Start returns the virtual time at which the task began executing.
-func (m *Meter) Start() Time { return m.start }
-
-// AtEnd registers fn to run at the task's virtual end time, after all cost
-// has been charged. Registered functions run in order.
-func (m *Meter) AtEnd(fn func()) { m.atEnd = append(m.atEnd, endAction{fn: fn}) }
-
 // AtEndCall registers the one-shot fn(arg) to run at the task's virtual
-// end time — the allocation-free AtEnd for per-cycle hot paths.
+// end time, after all cost has been charged. Registered calls run in
+// order.
 func (m *Meter) AtEndCall(fn func(any), arg any) {
-	m.atEnd = append(m.atEnd, endAction{fnArg: fn, arg: arg})
+	m.atEnd = append(m.atEnd, endAction{fn: fn, arg: arg})
 }
 
 // runEnd fires the registered end actions in order and clears them.
-// Actions registered by a running end action (re-entrant AtEnd) are
+// Actions registered by a running end action (re-entrant AtEndCall) are
 // picked up by re-reading the live slice each iteration.
 func (m *Meter) runEnd() {
 	for i := 0; i < len(m.atEnd); i++ {
 		a := m.atEnd[i]
 		m.atEnd[i] = endAction{}
-		if a.fnArg != nil {
-			a.fnArg(a.arg)
-		} else if a.fn != nil {
-			a.fn()
-		}
+		a.fn(a.arg)
 	}
 }
 
@@ -181,7 +169,6 @@ func (c *Core) runTask() {
 	c.pending = coreTask{}
 	m := &c.meter
 	m.total = 0
-	m.start = c.Eng.Now()
 	m.atEnd = m.atEnd[:0]
 	if c.lastClass >= 0 && c.lastClass != t.class && c.CtxSwitch > 0 {
 		m.Charge(c.CtxSwitch)
@@ -199,13 +186,6 @@ func (c *Core) finishTask() {
 	c.busy = false
 	c.dispatch()
 }
-
-// Busy reports whether the core is currently executing or has queued work.
-func (c *Core) Busy() bool { return c.busy || c.qHead < len(c.queue) }
-
-// QueueLen reports the number of tasks waiting (not including the running
-// one).
-func (c *Core) QueueLen() int { return len(c.queue) - c.qHead }
 
 // ResetStats zeroes utilization counters and marks the measurement epoch.
 func (c *Core) ResetStats() {

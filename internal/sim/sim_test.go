@@ -98,7 +98,7 @@ func TestCoreSerializesTasks(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Submit(ClassDataplane, func(m *Meter) {
 			m.Charge(100 * time.Nanosecond)
-			m.AtEnd(func() { done = append(done, e.Now()) })
+			m.AtEndCall(func(any) { done = append(done, e.Now()) }, nil)
 		})
 	}
 	e.Run()
@@ -118,7 +118,7 @@ func TestCoreContextSwitchCharge(t *testing.T) {
 	c.Submit(ClassKernel, func(m *Meter) { m.Charge(100 * time.Nanosecond) })
 	c.Submit(ClassUser, func(m *Meter) {
 		m.Charge(100 * time.Nanosecond)
-		m.AtEnd(func() { end = e.Now() })
+		m.AtEndCall(func(any) { end = e.Now() }, nil)
 	})
 	e.Run()
 	// 100 (kernel) + 50 (switch) + 100 (user) = 250.
@@ -158,12 +158,13 @@ func TestMeterAtEndOrder(t *testing.T) {
 	e := NewEngine(1)
 	c := NewCore(e, 0)
 	var order []int
+	record := func(a any) { order = append(order, a.(int)) }
 	c.Submit(ClassDataplane, func(m *Meter) {
-		m.AtEnd(func() { order = append(order, 1) })
-		m.AtEnd(func() { order = append(order, 2) })
+		m.AtEndCall(record, 1)
+		m.AtEndCall(record, 2)
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != 1 {
-		t.Fatalf("AtEnd order = %v", order)
+		t.Fatalf("AtEndCall order = %v", order)
 	}
 }

@@ -225,7 +225,6 @@ type Stack struct {
 	BadChecksums      uint64
 	DroppedNoListener uint64
 	AcceptedConns     uint64
-	ActiveOpens       uint64
 	// SynsAdmitted counts passive opens admitted through the batched
 	// SYN path (their SYN-ACKs coalesce into the batch-boundary Flush).
 	SynsAdmitted uint64
@@ -275,27 +274,15 @@ func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
 	l := &Listener{stack: s, Port: port, Cookie: cookie}
-	// Connections a previous listener on this port admitted and left in
-	// SynRcvd still complete (or die) against the port: they count
-	// against the new listener's backlog from the start.
-	if s.conns.n > 0 {
-		s.EachConn(func(c *Conn) {
-			if c.state == StateSynRcvd && c.key.SrcPort == port {
-				l.embryonic++
-			}
-		})
-	}
 	s.listeners[port] = l
 	return l, nil
 }
 
-// CloseListener stops accepting new connections.
-func (s *Stack) CloseListener(l *Listener) { delete(s.listeners, l.Port) }
-
 // embryonicDone takes a connection leaving SynRcvd — the state only
 // passiveOpen enters — off its port's backlog count. Connections find
-// their listener by port rather than carry a pointer to it; a port
-// whose listener has closed has no count to maintain.
+// their listener by port rather than carry a pointer to it; a stack a
+// connection migrated to without a listener on the port has no count to
+// maintain.
 func (s *Stack) embryonicDone(port uint16) {
 	if l := s.listeners[port]; l != nil {
 		l.embryonic--
@@ -541,9 +528,6 @@ func (c *Conn) State() State { return c.state }
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 
-// RemoteIP returns the peer address.
-func (c *Conn) RemoteIP() wire.IPv4 { return c.key.DstIP }
-
 // flight returns bytes in flight.
 func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
 
@@ -605,7 +589,6 @@ func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error
 	c.state = StateSynSent
 	c.sndNxt = c.iss + 1
 	s.conns.put(c)
-	s.ActiveOpens++
 	c.sendFlags(wire.TCPSyn, c.iss, 0, true)
 	c.armRTO()
 	return c, nil

@@ -51,13 +51,6 @@ type Timer struct {
 	gen uint32
 }
 
-// Deadline returns the absolute deadline in nanoseconds.
-func (t *Timer) Deadline() int64 { return t.deadline }
-
-// Pending reports whether the timer is scheduled and not yet fired or
-// cancelled.
-func (t *Timer) Pending() bool { return t.slot != nil }
-
 type slotList struct {
 	head Timer // sentinel
 }
