@@ -20,11 +20,18 @@ func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 64 {
 		t.Fatalf("libix.conn is %d bytes, budget 64", got)
 	}
-	// A held arena chunk is charged at its struct size
-	// (mem.TxArena.FootprintBytes): its frame pins share the word the
-	// write cursor leaves free.
-	if got := unsafe.Sizeof(mem.TxChunk{}); got > mem.TxChunkSize+16 {
-		t.Fatalf("mem.TxChunk is %d bytes, budget %d", got, mem.TxChunkSize+16)
+	// A chunk's header is its host buffer's slice header, the write
+	// cursor, the frame pins sharing the cursor's word, and the pool.
+	if got := unsafe.Sizeof(mem.TxChunk{}); got > 48 {
+		t.Fatalf("mem.TxChunk header is %d bytes, budget 48", got)
+	}
+	// A held chunk is charged as the modelled chunk — TxChunkSize plus
+	// its 16 B of cursor, pins and pool — however small its host buffer.
+	var a mem.TxArena
+	a.Init(mem.NewTxChunkPool(mem.NewRegion(1), 0))
+	a.Append(make([]byte, 64))
+	if got, want := a.FootprintBytes(), int64(mem.TxChunkSize+16+8); got != want {
+		t.Fatalf("an arena holding one 64 B chunk is charged %d bytes, want %d", got, want)
 	}
 }
 

@@ -263,21 +263,10 @@ func (c *conn) Send(b []byte) int {
 	if len(b) > room {
 		b = b[:room]
 	}
-	accepted := 0
-	pool := false
 	io := c.getIO()
-	for len(b) > 0 {
-		v := io.arena.Append(b)
-		if len(v) == 0 {
-			pool = true
-			break // chunk pool exhausted: accept what we have
-		}
-		io.pushTx(v)
-		accepted += len(v)
-		b = b[len(v):]
-	}
+	accepted := io.appendTx(b)
 	if accepted < want {
-		c.armSendReady(pool)
+		c.armSendReady(accepted < len(b))
 	}
 	if accepted == 0 {
 		c.putIO()
@@ -289,31 +278,46 @@ func (c *conn) Send(b []byte) int {
 	return accepted
 }
 
-// pushTx appends an arena view to the transmit vector, merging it with
-// the tail entry when contiguous (consecutive appends to one chunk), so
-// small messages coalesce into single scatter-gather entries. The
-// merged entry keeps the chunk-extending capacity TxChunk.Append hands
-// out, so any number of consecutive views coalesce, not just pairs.
+// appendTx copies b into the arena and queues the views on the transmit
+// vector. It returns the bytes accepted: fewer than len(b) only when the
+// chunk pool ran dry.
 //
 //ix:hotpath
-func (io *connIO) pushTx(v []byte) {
-	if n := len(io.txq); n > int(io.txHead) {
-		tail := io.txq[n-1]
-		if len(tail) > 0 && cap(tail) >= len(tail)+len(v) {
-			ext := tail[:len(tail)+len(v)]
-			if &ext[len(tail)] == &v[0] {
-				io.txq[n-1] = ext
-				return
-			}
+func (io *connIO) appendTx(b []byte) int {
+	n := 0
+	for n < len(b) {
+		chunks := io.arena.Chunks()
+		v := io.arena.Append(b[n:])
+		if len(v) == 0 {
+			break
 		}
+		io.pushTx(v, io.arena.Chunks() == chunks)
+		n += len(v)
+	}
+	return n
+}
+
+// pushTx appends an arena view to the transmit vector. A view that
+// landed in the chunk the pending tail entry lies in (sameChunk: the
+// append opened no new chunk) continues that entry, so the two merge
+// into one scatter-gather entry: the run of the chunk's newest bytes in
+// its current buffer, since the tail may still point into a buffer the
+// chunk has grown out of. Small messages thus coalesce, and the vector
+// holds one pending entry per chunk.
+//
+//ix:hotpath
+func (io *connIO) pushTx(v []byte, sameChunk bool) {
+	if n := len(io.txq); sameChunk && n > int(io.txHead) {
+		io.txq[n-1] = io.arena.Run(len(io.txq[n-1]) + len(v))
+		return
 	}
 	io.txq = append(io.txq, v)
 }
 
 // appendBacks appends the arena chunk each pending transmit vector entry
 // lies in, so frames may carry the entries by reference. Each entry lies
-// in a chunk of its own, the newest last (pushTx merges runs within one
-// chunk), so the chunks are the arena's newest, in order.
+// in a chunk of its own, the newest last (pushTx merges by chunk), so
+// the chunks are the arena's newest, in order.
 func (io *connIO) appendBacks(backs []fabric.Backing) []fabric.Backing {
 	for _, k := range io.arena.Newest(len(io.txq) - int(io.txHead)) {
 		backs = append(backs, k)

@@ -1,6 +1,9 @@
 package libix
 
 import (
+	"bytes"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -148,7 +151,7 @@ func TestZeroAllocLibixEchoSteadyState(t *testing.T) {
 func TestTxqBoundedWithoutDrain(t *testing.T) {
 	io := &connIO{}
 	for i := 0; i < 2000; i++ {
-		io.pushTx(make([]byte, 64))
+		io.pushTx(make([]byte, 64), false)
 		if i > 0 {
 			// Consume one entry, always leaving the newest pending.
 			io.consumeTx(64)
@@ -172,11 +175,9 @@ func TestPushTxMergesContiguousRuns(t *testing.T) {
 	io := &connIO{}
 	io.arena.Init(pool)
 	for i := 0; i < 5; i++ {
-		v := io.arena.Append(make([]byte, 64))
-		if len(v) != 64 {
+		if io.appendTx(make([]byte, 64)) != 64 {
 			t.Fatal("append failed")
 		}
-		io.pushTx(v)
 	}
 	if got := len(io.txq) - int(io.txHead); got != 1 {
 		t.Fatalf("5 contiguous appends produced %d SG entries, want 1", got)
@@ -270,29 +271,10 @@ func TestBacksNameEachEntrysChunk(t *testing.T) {
 	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
 	io := &connIO{}
 	io.arena.Init(pool)
-	send := func(n int) {
-		for b := make([]byte, n); len(b) > 0; {
-			v := io.arena.Append(b)
-			io.pushTx(v)
-			b = b[len(v):]
-		}
-	}
+	send := func(n int) { io.appendTx(make([]byte, n)) }
 	check := func(when string) {
 		t.Helper()
-		sg := io.txq[io.txHead:]
-		backs := io.appendBacks(nil)
-		if len(backs) != len(sg) {
-			t.Fatalf("%s: %d backings for %d entries", when, len(backs), len(sg))
-		}
-		for i, e := range sg {
-			// A chunk's buffer is its first field: its bytes span the
-			// TxChunkSize bytes from the chunk's address.
-			base := uintptr(unsafe.Pointer(backs[i].(*mem.TxChunk)))
-			p := uintptr(unsafe.Pointer(&e[0]))
-			if p < base || p+uintptr(len(e)) > base+mem.TxChunkSize {
-				t.Fatalf("%s: entry %d of %d does not lie in the chunk named for it", when, i, len(sg))
-			}
-		}
+		checkBacks(t, when, io)
 	}
 	send(5000)
 	send(mem.TxChunkSize) // straddles into a second chunk
@@ -303,4 +285,90 @@ func TestBacksNameEachEntrysChunk(t *testing.T) {
 	io.consumeTx(len(io.txq[io.txHead]))
 	send(100)
 	check("after a send into the open chunk")
+}
+
+// checkBacks fails t unless the backing sendv names for each pending
+// transmit vector entry is the chunk the entry lies in, in that chunk's
+// current host buffer.
+func checkBacks(t *testing.T, when string, io *connIO) {
+	t.Helper()
+	sg := io.txq[io.txHead:]
+	backs := io.appendBacks(nil)
+	if len(backs) != len(sg) {
+		t.Fatalf("%s: %d backings for %d entries", when, len(backs), len(sg))
+	}
+	for i, e := range sg {
+		// The chunk's host buffer is its unexported buf field.
+		buf := reflect.ValueOf(backs[i].(*mem.TxChunk)).Elem().FieldByName("buf")
+		base, p := buf.Pointer(), uintptr(unsafe.Pointer(&e[0]))
+		if p < base || p+uintptr(len(e)) > base+uintptr(buf.Cap()) {
+			t.Fatalf("%s: entry %d of %d does not lie in the buffer of the chunk named for it", when, i, len(sg))
+		}
+	}
+}
+
+// TestTxqFollowsChunkGrowth: messages sent in one cycle grow the write
+// chunk's host buffer while the entry they coalesce into is still
+// pending. The vector still holds one entry per chunk, each in its
+// chunk's current buffer, and the bytes that reach the peer are the
+// bytes sent: an entry left pointing into the buffer the chunk grew out
+// of could not be extended over the new bytes.
+func TestTxqFollowsChunkGrowth(t *testing.T) {
+	sizes := []int{64, 300, 1000, 5000, 12000, 20000}
+	var sent []byte
+	for i, n := range sizes {
+		for j := 0; j < n; j++ {
+			sent = append(sent, byte(i*31+j*7))
+		}
+	}
+	var srv *recorder
+	serverF := func(env app.Env, th, n int) app.Handler {
+		_ = env.Listen(80)
+		srv = &recorder{env: env}
+		return srv
+	}
+	clientF := func(env app.Env, th, n int) app.Handler {
+		cli := &recorder{env: env}
+		cli.onConn = func(c app.Conn, ok bool) {
+			if !ok {
+				t.Error("connect failed")
+				return
+			}
+			// One handler call, so one cycle: nothing reaches the kernel
+			// until every message is queued.
+			off := 0
+			for i, n := range sizes {
+				if got := c.Send(sent[off : off+n]); got != n {
+					t.Fatalf("send %d accepted %d of %d bytes", i, got, n)
+				}
+				off += n
+				checkBacks(t, "after send "+strconv.Itoa(i), c.(*conn).io)
+			}
+			io := c.(*conn).io
+			if got, want := len(io.txq)-int(io.txHead), io.arena.Chunks(); got != want {
+				t.Fatalf("%d pending entries over %d chunks, want one per chunk", got, want)
+			}
+			var queued []byte
+			for _, e := range io.txq[io.txHead:] {
+				queued = append(queued, e...)
+			}
+			if !bytes.Equal(queued, sent) {
+				t.Fatal("the transmit vector's bytes differ from the bytes sent")
+			}
+		}
+		_ = env.Connect(wire.Addr4(10, 0, 0, 2), 80, nil)
+		return cli
+	}
+	eng, a, b := pair(t, serverF, clientF)
+	a.Start()
+	b.Start()
+	eng.RunUntil(sim.Time(5 * time.Millisecond))
+	if len(srv.recvd) != 1 {
+		t.Fatalf("server saw %d connections, want 1", len(srv.recvd))
+	}
+	for _, got := range srv.recvd {
+		if !bytes.Equal(got, sent) {
+			t.Fatalf("peer received %d bytes that differ from the %d sent", len(got), len(sent))
+		}
+	}
 }

@@ -27,13 +27,31 @@ const TxChunkSize = 16 << 10
 // txChunksPerPage is how many chunks one large page provisions.
 const txChunksPerPage = PageSize / TxChunkSize
 
+// txChunkMinBuf is the host buffer a chunk's first append allocates.
+// It doubles from there as appends need it, so a chunk that only ever
+// carries a 64 B echo response holds 256 B of host memory, not 16 KiB.
+const txChunkMinBuf = 256
+
+// txChunkFootprint is what the memory model charges for one held chunk:
+// the modelled TxChunkSize bytes plus the chunk's header (every field
+// but the host buffer's slice header). It does not depend on how far the
+// host buffer has grown.
+const txChunkFootprint = TxChunkSize + int64(unsafe.Sizeof(TxChunk{})-unsafe.Sizeof([]byte(nil)))
+
 // A TxChunk is one fixed-size arena chunk. Bytes between the release
 // cursor of its arena and its write cursor are referenced by the
 // dataplane's transmit path (txq scatter-gather entries, TCP
 // retransmission segments and the frames that carry them by reference)
 // and must stay immutable.
+//
+// The model sees a TxChunkSize chunk; the host backs only the bytes
+// written. buf starts at txChunkMinBuf and doubles, copying, up to
+// TxChunkSize. Views handed out before a growth keep pointing into the
+// old buffer, which is never written again, so they stay immutable and
+// the garbage collector keeps the old buffer for as long as a view does.
+// A pooled chunk keeps its largest buffer.
 type TxChunk struct {
-	buf  [TxChunkSize]byte
+	buf  []byte // host memory behind the written bytes; len(buf) == cap(buf)
 	used int32
 	// frames counts the frames in flight that carry bytes of the chunk by
 	// reference (fabric.Backing); retired marks a chunk its arena has
@@ -68,16 +86,36 @@ func (k *TxChunk) Unpin() {
 // Append copies as much of b as fits and returns the chunk-backed view
 // of the appended bytes (empty when the chunk is full). The view stays
 // valid — and its bytes immutable — until the owning arena's release
-// cursor passes it. The view's capacity deliberately extends to the
-// chunk end so a later contiguous append can be merged into it by
-// reslicing; callers must never grow the view themselves.
+// cursor passes it. Its capacity ends at its length: a later append
+// may move the chunk's bytes to a larger buffer, so views are never
+// extended (TxArena.Run rebases a run of them instead).
 //
 //ix:hotpath
 func (k *TxChunk) Append(b []byte) []byte {
-	n := int32(copy(k.buf[k.used:], b))
-	v := k.buf[k.used : k.used+n]
-	k.used += n
+	end := int(k.used) + min(len(b), k.Room())
+	if end > len(k.buf) {
+		k.grow(end)
+	}
+	v := k.buf[k.used:end:end]
+	copy(v, b)
+	k.used = int32(end)
 	return v
+}
+
+// grow moves the written bytes to a buffer of at least n bytes: the
+// current size doubled (txChunkMinBuf for the first) until it holds n,
+// at most TxChunkSize.
+//
+//ix:hotpath
+func (k *TxChunk) grow(n int) {
+	c := max(2*len(k.buf), txChunkMinBuf)
+	for c < n {
+		c *= 2
+	}
+	//ixvet:ignore(hotpath) at most 7 buffers per chunk object (256 B doubling to 16 KiB), and a pooled chunk keeps its largest, so the steady state allocates nothing
+	buf := make([]byte, min(c, TxChunkSize))
+	copy(buf, k.buf[:k.used])
+	k.buf = buf
 }
 
 // Release returns the chunk to its pool. Only legal when no live
@@ -215,6 +253,18 @@ func (a *TxArena) Live() int { return int(a.live) }
 // Chunks returns the number of chunks the arena currently holds.
 func (a *TxArena) Chunks() int { return len(a.chunks) - int(a.head) }
 
+// Run returns a view of the write chunk's newest n bytes in its current
+// buffer. libix coalesces consecutive appends to one chunk into a single
+// transmit entry by replacing the entry with the run that covers it and
+// the new bytes: the entry's own view may point into a buffer the chunk
+// has since grown out of.
+//
+//ix:hotpath
+func (a *TxArena) Run(n int) []byte {
+	k := a.chunks[len(a.chunks)-1]
+	return k.buf[int(k.used)-n : k.used : k.used]
+}
+
 // Newest returns the arena's newest n chunks, oldest first. A view
 // Append returns lies in one chunk, the newest, so n views of the newest
 // bytes, each in a different chunk, lie in these n in order.
@@ -296,12 +346,13 @@ func (a *TxArena) Release(n int) {
 }
 
 // FootprintBytes returns the bytes the arena pins right now: held
-// chunks (whole struct size — a chunk is pinned in full no matter how
-// little of it is written) plus the chunks-slice backing. Part of the
-// memprobe per-connection accounting contract; pool free lists are
-// amortized across the population and excluded.
+// chunks, each charged as the modelled chunk (txChunkFootprint — a
+// chunk is pinned in full no matter how little of it is written, or how
+// small its host buffer still is), plus the chunks-slice backing. Part
+// of the memprobe per-connection accounting contract; pool free lists
+// are amortized across the population and excluded.
 func (a *TxArena) FootprintBytes() int64 {
-	return int64(a.Chunks())*int64(unsafe.Sizeof(TxChunk{})) +
+	return int64(a.Chunks())*txChunkFootprint +
 		int64(cap(a.chunks))*int64(unsafe.Sizeof((*TxChunk)(nil)))
 }
 

@@ -219,3 +219,66 @@ func TestPinnedChunkOutlivesRelease(t *testing.T) {
 		t.Fatal("an unpinned retired chunk did not return to the free list")
 	}
 }
+
+// TestTxChunkBufferFollowsWrites: a chunk's host buffer holds the bytes
+// written, not the modelled TxChunkSize. It starts small and doubles as
+// appends need it; a growth writes nothing into the buffer it leaves, so
+// views handed out before it keep their bytes; and the model — room,
+// pool counts, the arena's footprint — sees a 16 KiB chunk throughout.
+func TestTxChunkBufferFollowsWrites(t *testing.T) {
+	r := NewRegion(1)
+	p := NewTxChunkPool(r, 0)
+	var a TxArena
+	a.Init(p)
+	// A held chunk is charged TxChunkSize plus its 16 B header, as
+	// before the host buffer could be smaller than the chunk.
+	modelled := func() int64 { return int64(a.Chunks())*(TxChunkSize+16) + int64(cap(a.chunks))*8 }
+
+	first := a.Append(bytes.Repeat([]byte{1}, 64))
+	k := a.Newest(1)[0]
+	if c := cap(k.buf); c != 256 {
+		t.Fatalf("a 64 B append backs the chunk with %d B, want 256", c)
+	}
+	if got, want := a.FootprintBytes(), modelled(); got != want {
+		t.Fatalf("FootprintBytes = %d, want %d (the modelled chunk, not its %d B buffer)", got, want, cap(k.buf))
+	}
+	room, spare, used := k.Room(), p.spare, r.Used()
+
+	var views [][]byte
+	var want [][]byte
+	views, want = append(views, first), append(want, bytes.Clone(first))
+	old := k.buf
+	snapshot := bytes.Clone(old)
+	for i, n := range []int{300, 1000, 3000, 10000} {
+		v := a.Append(bytes.Repeat([]byte{byte(i + 2)}, n))
+		if len(v) != n || a.Chunks() != 1 {
+			t.Fatalf("append %d: %d of %d bytes over %d chunks, want all in one", i, len(v), n, a.Chunks())
+		}
+		if !bytes.Equal(old, snapshot) {
+			t.Fatalf("append %d wrote into a buffer the chunk had grown out of", i)
+		}
+		old, snapshot = k.buf, bytes.Clone(k.buf)
+		views, want = append(views, v), append(want, bytes.Clone(v))
+		room -= n
+		if k.Room() != room || p.spare != spare || r.Used() != used || p.InUse() != 1 {
+			t.Fatalf("append %d: room %d, spare %d, pages %d, in use %d; want %d, %d, %d, 1",
+				i, k.Room(), p.spare, r.Used(), p.InUse(), room, spare, used)
+		}
+		if got, w := a.FootprintBytes(), modelled(); got != w {
+			t.Fatalf("append %d: FootprintBytes = %d, want %d", i, got, w)
+		}
+	}
+	if c := cap(k.buf); c != 16<<10 {
+		t.Fatalf("14 364 B written into a %d B buffer, want 16 KiB", c)
+	}
+	for i := range views {
+		if !bytes.Equal(views[i], want[i]) {
+			t.Fatalf("view %d changed after the chunk grew", i)
+		}
+	}
+	// A pooled chunk keeps its largest buffer.
+	a.Release(a.Live())
+	if n := p.Alloc(); n != k || cap(n.buf) != 16<<10 {
+		t.Fatal("a recycled chunk did not keep its grown buffer")
+	}
+}

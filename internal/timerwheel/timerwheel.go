@@ -7,6 +7,11 @@
 // supports very high resolution timeouts — the default tick is 16 µs,
 // which the paper notes matters for TCP incast recovery.
 //
+// Each slot is one pointer to the oldest of its timers, which form a
+// circular doubly linked list through the timers themselves, so a
+// four-level wheel of 256 slots a level is about 8 KiB however many
+// cores own one. Timers in a slot fire, and cascade, oldest first.
+//
 // NextDeadline — which the dataplane calls at every run-to-completion
 // quiescence point — is served by a lazy-deletion min-heap of deadlines
 // maintained at Add/Transfer time: cancelled and fired timers are skimmed
@@ -41,7 +46,9 @@ type Timer struct {
 	argFn      func(any)
 	arg        any
 	next, prev *Timer
-	slot       *slotList
+	// slot is the list the timer is pending in; nil once it has fired or
+	// been cancelled.
+	slot *slotList
 	// wheel identifies the owning wheel while pending, so stale min-heap
 	// entries from a Transfer are recognized as dead.
 	wheel *Wheel
@@ -51,28 +58,43 @@ type Timer struct {
 	gen uint32
 }
 
+// A slotList is one wheel slot: a pointer to the oldest of its timers,
+// which form a circular list in insertion order (head.prev is the
+// newest), or nil when the slot is empty. One word per slot keeps a
+// Wheel's 1 024 slots at 8 KiB.
 type slotList struct {
-	head Timer // sentinel
+	head *Timer
 }
 
-func (s *slotList) init() {
-	s.head.next = &s.head
-	s.head.prev = &s.head
-}
-
+// push appends t at the slot's tail.
 func (s *slotList) push(t *Timer) {
 	t.slot = s
-	t.prev = s.head.prev
-	t.next = &s.head
-	s.head.prev.next = t
-	s.head.prev = t
+	h := s.head
+	if h == nil {
+		t.next, t.prev = t, t
+		s.head = t
+		return
+	}
+	t.prev = h.prev
+	t.next = h
+	h.prev.next = t
+	h.prev = t
 }
 
-func (s *slotList) empty() bool { return s.head.next == &s.head }
+func (s *slotList) empty() bool { return s.head == nil }
 
+// unlink removes t from its slot.
 func unlink(t *Timer) {
-	t.prev.next = t.next
-	t.next.prev = t.prev
+	s := t.slot
+	if t.next == t {
+		s.head = nil
+	} else {
+		t.prev.next = t.next
+		t.next.prev = t.prev
+		if s.head == t {
+			s.head = t.next
+		}
+	}
 	t.next, t.prev, t.slot = nil, nil, nil
 }
 
@@ -122,11 +144,6 @@ func New(tick time.Duration, now int64) *Wheel {
 	}
 	w := &Wheel{tick: int64(tick)}
 	w.curTick = now / w.tick
-	for l := range w.levels {
-		for s := range w.levels[l] {
-			w.levels[l][s].init()
-		}
-	}
 	return w
 }
 
@@ -363,7 +380,7 @@ func (w *Wheel) Advance(now int64) {
 // cascade re-places every timer in s one level down.
 func (w *Wheel) cascade(s *slotList) {
 	for !s.empty() {
-		t := s.head.next
+		t := s.head
 		unlink(t)
 		w.place(t)
 	}
@@ -374,7 +391,7 @@ func (w *Wheel) cascade(s *slotList) {
 // callback runs, so a callback that re-arms reuses it immediately.
 func (w *Wheel) fireSlot(s *slotList) {
 	for !s.empty() {
-		t := s.head.next
+		t := s.head
 		unlink(t)
 		w.count--
 		w.Fired++

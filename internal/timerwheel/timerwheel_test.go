@@ -2,10 +2,12 @@ package timerwheel
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestFireInOrder(t *testing.T) {
@@ -303,5 +305,64 @@ func TestZeroAllocAddCancelChurn(t *testing.T) {
 	}
 	if len(w.minHeap) != 0 {
 		t.Fatalf("idle wheel retains %d stale heap entries", len(w.minHeap))
+	}
+}
+
+// TestWheelSize pins a wheel's footprint: every elastic thread and every
+// baseline core owns one, and its 1 024 slots are one pointer each.
+func TestWheelSize(t *testing.T) {
+	if got := unsafe.Sizeof(Wheel{}); got > 8704 {
+		t.Fatalf("Wheel is %d bytes, budget 8.5 KiB", got)
+	}
+}
+
+// TestSlotFiresInInsertionOrder: timers due in the same tick share a
+// slot and fire in the order they were added, whatever their deadlines
+// within the tick — with the slot's oldest, newest and a middle timer
+// cancelled, and after the slot's timers cascade down from a higher
+// level, where a timer added once the cascade has run lines up behind
+// them.
+func TestSlotFiresInInsertionOrder(t *testing.T) {
+	tick := int64(DefaultTick)
+	w := New(DefaultTick, 0)
+	var fired []int
+	add := func(id int, deadline int64) *Timer {
+		return w.Add(deadline, func() { fired = append(fired, id) })
+	}
+
+	// Level 0: tick 6, deadlines out of insertion order.
+	base := 6 * tick
+	var tms []*Timer
+	for i, off := range []int64{900, 0, 500, 300, 100, 700} {
+		tms = append(tms, add(i, base+off))
+	}
+	w.Cancel(tms[0]) // oldest
+	w.Cancel(tms[5]) // newest
+	w.Cancel(tms[2]) // middle
+	add(6, base)
+	w.Advance(base + tick)
+	if want := []int{1, 3, 4, 6}; !slices.Equal(fired, want) {
+		t.Fatalf("level-0 slot fired %v, want %v", fired, want)
+	}
+
+	// Level 1: a tick 300 ticks out cascades into level 0 at tick 256.
+	fired = nil
+	far := 300 * tick
+	tms = tms[:0]
+	for i, off := range []int64{800, 0, 400, 200} {
+		tms = append(tms, add(i, far+off))
+	}
+	w.Cancel(tms[0])
+	w.Advance(256*tick + tick) // past the cascade
+	if len(fired) != 0 {
+		t.Fatalf("fired %v before the deadline", fired)
+	}
+	add(4, far+100)
+	w.Advance(far + tick)
+	if want := []int{1, 2, 3, 4}; !slices.Equal(fired, want) {
+		t.Fatalf("cascaded slot fired %v, want %v", fired, want)
+	}
+	if w.Len() != 0 {
+		t.Fatalf("%d timers still pending", w.Len())
 	}
 }
