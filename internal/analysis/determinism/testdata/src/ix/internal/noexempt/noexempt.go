@@ -1,6 +1,6 @@
 // Package noexempt is the determinism-analyzer fixture for the rule that
-// no package is exempt: it sits below a sim-visible root and looks like
-// an OS-thread runtime — workers, a barrier, wall-clock idle telemetry —
+// no package is exempt: it sits under ix/internal/ and looks like an
+// OS-thread runtime — workers, a barrier, wall-clock idle telemetry —
 // and every check fires on it exactly as on any other sim-visible
 // package.
 package noexempt
@@ -46,7 +46,7 @@ func (r *runtime) shuffleSeq(xs []int) {
 }
 
 func (r *runtime) drainUnordered(deliver func(int)) {
-	for _, posts := range r.queue { // want `map iteration order is randomized`
+	for _, posts := range r.queue { // want `range over a map in sim-visible package`
 		for _, p := range posts {
 			deliver(p)
 		}

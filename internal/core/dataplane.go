@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"ix/internal/cost"
@@ -433,11 +435,9 @@ func (d *Dataplane) rehomeUserTimers(src, dst *ElasticThread) {
 	// Timers sharing a wheel slot fire in insertion order, so the
 	// transfer sequence is sim-visible: walk the set in registration
 	// order, never map-iteration order (found by ixvet/determinism).
-	uts := make([]*userTimer, 0, len(src.userTimers))
-	for ut := range src.userTimers {
-		uts = append(uts, ut)
-	}
-	sort.Slice(uts, func(i, j int) bool { return uts[i].seq < uts[j].seq })
+	uts := slices.SortedFunc(maps.Keys(src.userTimers), func(a, b *userTimer) int {
+		return cmp.Compare(a.seq, b.seq)
+	})
 	moved := false
 	for _, ut := range uts {
 		delete(src.userTimers, ut)

@@ -283,33 +283,6 @@ func TestClaimFig4ScalesTo100k(t *testing.T) {
 	}
 }
 
-// TestClaimFig4LinuxFill: the Fig. 4 Linux rows at the 100k point reach
-// their target established count before measurement. The Linux kernel
-// accept path absorbs only ~400 conns/ms across 8 cores under load, so
-// these rows ramp at that rate with a matching warmup (the per-arch ramp
-// of Fig4); without it the largest Linux points under-filled to ~28%.
-func TestClaimFig4LinuxFill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second establishment ramp")
-	}
-	const total = 100_000
-	threads := 18 * 8
-	per := (total + threads - 1) / threads
-	gap, warm := Fig4Ramp(ArchLinux, total, threads) // the ramp Fig4 itself uses
-	res := RunEcho(EchoSetup{
-		ServerArch: ArchLinux, ServerCores: 8, ServerPorts: 4,
-		ClientArch: ArchLinux, ClientHosts: 18, ClientCores: 8,
-		ConnsPerThread: per, Outstanding: 3, MsgSize: 64,
-		RampBatch: 16, RampGap: gap,
-		Warmup: 2*time.Millisecond + warm,
-		Window: 6 * time.Millisecond,
-	})
-	t.Logf("established=%d target=%d msgs/s=%.3gM", res.ServerConns, threads*per, res.MsgsPerSec/1e6)
-	if res.ServerConns < threads*per*95/100 {
-		t.Fatalf("established connections = %d, want ≥ 95%% of %d", res.ServerConns, threads*per)
-	}
-}
-
 // TestClaimTable2LinuxSLA: Table 2's Linux baseline sustains a nonzero
 // SLA-compliant rate (the paper: 500K RPS for USR under a 500µs p99).
 // Guards against the SLA search bracketing out the feasible region.

@@ -126,6 +126,22 @@ var memcConfigs = []memcConfig{
 	{"IX", ArchIX, 6, 64},
 }
 
+// memcPoint is one §5.5 measurement at the scale's full load-client
+// fleet and window.
+func memcPoint(sc Scale, arch Arch, cores, batch int, w mutilate.Workload, target float64) MemcSetup {
+	return MemcSetup{
+		ServerArch:  arch,
+		ServerCores: cores,
+		BatchBound:  batch,
+		Workload:    w,
+		TargetRPS:   target,
+		ClientHosts: sc.MemcClients,
+		ClientCores: sc.MemcCores,
+		Warmup:      sc.Warmup,
+		Window:      sc.Window,
+	}
+}
+
 // rpsGrid builds the offered-load sweep, scaled to client capacity.
 func rpsGrid(sc Scale, maxRPS float64) []float64 {
 	scaleF := float64(sc.MemcClients*sc.MemcCores) / float64(Full.MemcClients*Full.MemcCores)
@@ -156,17 +172,7 @@ func Fig5(sc Scale) *Result {
 	for _, w := range []mutilate.Workload{mutilate.ETC, mutilate.USR} {
 		for _, cfg := range memcConfigs {
 			for _, target := range rpsGrid(sc, 2_000_000) {
-				res := RunMemcached(MemcSetup{
-					ServerArch:  cfg.arch,
-					ServerCores: cfg.cores,
-					BatchBound:  cfg.batch,
-					Workload:    w,
-					TargetRPS:   target,
-					ClientHosts: sc.MemcClients,
-					ClientCores: sc.MemcCores,
-					Warmup:      sc.Warmup,
-					Window:      sc.Window,
-				})
+				res := RunMemcached(memcPoint(sc, cfg.arch, cfg.cores, cfg.batch, w, target))
 				base := fmt.Sprintf("%s-%s", w.Name, cfg.label)
 				kRPS := res.AchievedRPS / 1000
 				r.AddPoint(base+"(avg)", kRPS, float64(res.AgentMean.Microseconds()))
@@ -193,17 +199,7 @@ func slaSearch(sc Scale, arch Arch, cores, batch int, w mutilate.Workload, maxRP
 	scaleF := float64(sc.MemcClients*sc.MemcCores) / float64(Full.MemcClients*Full.MemcCores)
 	hi := maxRPS * scaleF
 	run := func(target float64) (rps float64, ok bool) {
-		res := RunMemcached(MemcSetup{
-			ServerArch:  arch,
-			ServerCores: cores,
-			BatchBound:  batch,
-			Workload:    w,
-			TargetRPS:   target,
-			ClientHosts: sc.MemcClients,
-			ClientCores: sc.MemcCores,
-			Warmup:      sc.Warmup,
-			Window:      sc.Window,
-		})
+		res := RunMemcached(memcPoint(sc, arch, cores, batch, w, target))
 		return res.AchievedRPS, res.AgentP99 > 0 && res.AgentP99 < SLA
 	}
 	best := 0.0
@@ -252,17 +248,9 @@ func Table2(sc Scale) *Result {
 	for _, w := range []mutilate.Workload{mutilate.ETC, mutilate.USR} {
 		for _, cfg := range memcConfigs {
 			// Unloaded: agent only, negligible offered load.
-			un := RunMemcached(MemcSetup{
-				ServerArch:  cfg.arch,
-				ServerCores: cfg.cores,
-				BatchBound:  cfg.batch,
-				Workload:    w,
-				TargetRPS:   1000,
-				ClientHosts: 1,
-				ClientCores: 1,
-				Warmup:      sc.Warmup,
-				Window:      sc.Window,
-			})
+			unloaded := memcPoint(sc, cfg.arch, cfg.cores, cfg.batch, w, 1000)
+			unloaded.ClientHosts, unloaded.ClientCores = 1, 1
+			un := RunMemcached(unloaded)
 			// SLA search: bracket by geometric descent, then bisect.
 			best := slaSearch(sc, cfg.arch, cfg.cores, cfg.batch, w, 2_000_000)
 			label := fmt.Sprintf("%s-%s", w.Name, cfg.label)
@@ -291,17 +279,7 @@ func Fig6(sc Scale) *Result {
 	}
 	for _, b := range []int{1, 2, 8, 16, 64} {
 		for _, target := range rpsGrid(sc, 2_000_000) {
-			res := RunMemcached(MemcSetup{
-				ServerArch:  ArchIX,
-				ServerCores: 6,
-				BatchBound:  b,
-				Workload:    mutilate.USR,
-				TargetRPS:   target,
-				ClientHosts: sc.MemcClients,
-				ClientCores: sc.MemcCores,
-				Warmup:      sc.Warmup,
-				Window:      sc.Window,
-			})
+			res := RunMemcached(memcPoint(sc, ArchIX, 6, b, mutilate.USR, target))
 			r.AddPoint(fmt.Sprintf("B=%d", b), res.AchievedRPS/1000,
 				float64(res.AgentP99.Microseconds()))
 		}

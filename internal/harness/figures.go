@@ -54,40 +54,32 @@ func Fig2(sc Scale) *Result {
 	return r
 }
 
-// echoSeries runs one point of the §5.3 benchmark for a named config.
+// echoConfig is one §5.3 server configuration: a labelled architecture
+// on 1 (10GbE) or 4 (40GbE) NIC ports. mTCP is reported only at 10GbE,
+// as in the paper (no bonding support).
 type echoConfig struct {
 	label string
 	arch  Arch
 	ports int
 }
 
-var echoConfigs10G = []echoConfig{
+var echoConfigs = []echoConfig{
 	{"Linux-10", ArchLinux, 1},
 	{"mTCP-10", ArchMTCP, 1},
 	{"IX-10", ArchIX, 1},
-}
-
-var echoConfigs40G = []echoConfig{
 	{"Linux-40", ArchLinux, 4},
 	{"IX-40", ArchIX, 4},
 }
 
-// Fig3a regenerates the multi-core scalability sweep (Fig. 3a): n=1,
-// s=64 B, message (= connection) rate vs server cores. mTCP is reported
-// only at 10GbE, as in the paper (no bonding support).
-func Fig3a(sc Scale) *Result {
-	r := &Result{
-		Name:   "echo multi-core scalability (n=1, s=64B)",
-		Figure: "Figure 3a",
-		XLabel: "server cores",
-		YLabel: "messages/s",
-	}
-	configs := append(append([]echoConfig{}, echoConfigs10G...), echoConfigs40G...)
-	for _, cfgc := range configs {
-		for cores := 1; cores <= 8; cores++ {
-			res := RunEcho(EchoSetup{
+// fig3 runs one §5.3 echo sweep into r for every echoConfig: set moves
+// the base point (8 server cores, n=1, s=64 B) to each x, and y reads
+// the plotted value from the result.
+func fig3(sc Scale, r *Result, xs []int, set func(*EchoSetup, int), y func(EchoResult) float64) *Result {
+	for _, cfgc := range echoConfigs {
+		for _, x := range xs {
+			s := EchoSetup{
 				ServerArch:     cfgc.arch,
-				ServerCores:    cores,
+				ServerCores:    8,
 				ServerPorts:    cfgc.ports,
 				ClientArch:     ArchLinux,
 				ClientHosts:    sc.EchoClients,
@@ -97,93 +89,48 @@ func Fig3a(sc Scale) *Result {
 				MsgSize:        64,
 				Warmup:         sc.Warmup,
 				Window:         sc.Window,
-			})
-			r.AddPoint(cfgc.label, float64(cores), res.MsgsPerSec)
+			}
+			set(&s, x)
+			r.AddPoint(cfgc.label, float64(x), y(RunEcho(s)))
 		}
 	}
 	return r
+}
+
+func msgsPerSec(res EchoResult) float64 { return res.MsgsPerSec }
+
+// Fig3a regenerates the multi-core scalability sweep (Fig. 3a): n=1,
+// s=64 B, message (= connection) rate vs server cores.
+func Fig3a(sc Scale) *Result {
+	return fig3(sc, &Result{
+		Name:   "echo multi-core scalability (n=1, s=64B)",
+		Figure: "Figure 3a",
+		XLabel: "server cores",
+		YLabel: "messages/s",
+	}, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(s *EchoSetup, cores int) { s.ServerCores = cores }, msgsPerSec)
 }
 
 // Fig3b regenerates the round-trips-per-connection sweep (Fig. 3b):
 // 8 cores, s=64 B, n ∈ {1..1024}.
 func Fig3b(sc Scale) *Result {
-	r := &Result{
+	return fig3(sc, &Result{
 		Name:   "echo messages per connection (s=64B, 8 cores)",
 		Figure: "Figure 3b",
 		XLabel: "msgs per conn",
 		YLabel: "messages/s",
-	}
-	ns := []int{1, 2, 8, 32, 64, 128, 256, 512, 1024}
-	configs := append(append([]echoConfig{}, echoConfigs10G...), echoConfigs40G...)
-	for _, cfgc := range configs {
-		for _, n := range ns {
-			res := RunEcho(EchoSetup{
-				ServerArch:     cfgc.arch,
-				ServerCores:    8,
-				ServerPorts:    cfgc.ports,
-				ClientArch:     ArchLinux,
-				ClientHosts:    sc.EchoClients,
-				ClientCores:    sc.ClientCores,
-				ConnsPerThread: 4,
-				Rounds:         n,
-				MsgSize:        64,
-				Warmup:         sc.Warmup,
-				Window:         sc.Window,
-			})
-			r.AddPoint(cfgc.label, float64(n), res.MsgsPerSec)
-		}
-	}
-	return r
+	}, []int{1, 2, 8, 32, 64, 128, 256, 512, 1024}, func(s *EchoSetup, n int) { s.Rounds = n }, msgsPerSec)
 }
 
 // Fig3c regenerates the message-size sweep (Fig. 3c): n=1, 8 cores,
 // goodput vs message size.
 func Fig3c(sc Scale) *Result {
-	r := &Result{
+	return fig3(sc, &Result{
 		Name:   "echo message sizes (n=1, 8 cores)",
 		Figure: "Figure 3c",
 		XLabel: "msg bytes",
 		YLabel: "goodput Gbps",
-	}
-	sizes := []int{64, 256, 1024, 4096, 8192}
-	configs := append(append([]echoConfig{}, echoConfigs10G...), echoConfigs40G...)
-	for _, cfgc := range configs {
-		for _, size := range sizes {
-			res := RunEcho(EchoSetup{
-				ServerArch:     cfgc.arch,
-				ServerCores:    8,
-				ServerPorts:    cfgc.ports,
-				ClientArch:     ArchLinux,
-				ClientHosts:    sc.EchoClients,
-				ClientCores:    sc.ClientCores,
-				ConnsPerThread: 4,
-				Rounds:         1,
-				MsgSize:        size,
-				Warmup:         sc.Warmup,
-				Window:         sc.Window,
-			})
-			r.AddPoint(cfgc.label, float64(size), res.GoodputBps/1e9)
-		}
-	}
-	return r
-}
-
-// Fig4Ramp returns the connection-ramp pacing for one Fig. 4 point: the
-// gap between RampBatch-sized connect batches and the warmup extension
-// covering the ramp. Establishment rate is architecture-bound, so the
-// ramp is per-arch: an IX server ingests ~4k conns/ms, but the Linux
-// kernel's accept path (syscall entry + ConnSetup per accept, sharing
-// cores with softirq and the already-established load) absorbs only
-// ~400 conns/ms — offering SYNs faster collapses establishment into
-// synchronized retransmission waves, leaving the largest Linux points
-// under-filled at measurement time. TestClaimFig4LinuxFill pins the
-// Linux rate at the 100k point.
-func Fig4Ramp(arch Arch, total, threads int) (gap, warmup time.Duration) {
-	gapPerThread, warmPerConn := 4*time.Microsecond, 600*time.Nanosecond
-	if arch == ArchLinux && total > 20_000 {
-		gapPerThread, warmPerConn = 40*time.Microsecond, 2600*time.Nanosecond
-	}
-	return time.Duration(threads) * gapPerThread, time.Duration(total) * warmPerConn
+	}, []int{64, 256, 1024, 4096, 8192}, func(s *EchoSetup, size int) { s.MsgSize = size },
+		func(res EchoResult) float64 { return res.GoodputBps / 1e9 })
 }
 
 // Fig4QuietGap returns the connect pacing of a quiet ramp, per arch. The
@@ -193,7 +140,7 @@ func Fig4Ramp(arch Arch, total, threads int) (gap, warmup time.Duration) {
 // IX ramp paced 2× above capacity takes 3× longer in real time). With no
 // RPC traffic competing for the accept path and handshake frames charged
 // at the DDIO floor, these rates hold constant out to the paper's full
-// 250k connections, where the loaded Fig4Ramp rates collapse.
+// 250k connections, where a loaded ramp collapses.
 func Fig4QuietGap(arch Arch, threads int) time.Duration {
 	per := 8 * time.Microsecond // IX: ~2k conns/ms, retransmission-free
 	if arch == ArchLinux {
@@ -261,7 +208,9 @@ func Fig4(sc Scale) *Result {
 				if per < out {
 					out = per
 				}
-				gap, warm := Fig4Ramp(cfgc.arch, total, threads)
+				// The connect ramp: RampBatch-sized batches 4 µs per
+				// client thread apart, and 600 ns of warmup per
+				// connection to cover it.
 				res = RunEcho(EchoSetup{
 					ServerArch:     cfgc.arch,
 					ServerCores:    8,
@@ -273,8 +222,8 @@ func Fig4(sc Scale) *Result {
 					Outstanding:    out,
 					MsgSize:        64,
 					RampBatch:      16,
-					RampGap:        gap,
-					Warmup:         sc.Warmup + warm,
+					RampGap:        time.Duration(threads) * 4 * time.Microsecond,
+					Warmup:         sc.Warmup + time.Duration(total)*600*time.Nanosecond,
 					Window:         sc.Window,
 				})
 				x = float64(threads * per)

@@ -133,8 +133,7 @@ func Incast(sc Scale) *Result {
 			r.AddPoint(fmt.Sprintf("MinRTO=%v", rto), float64(n), res.GoodputBps/1e9)
 			if res.Leaked != (Leaks{}) {
 				r.Notes = append(r.Notes, fmt.Sprintf(
-					"INVARIANT VIOLATION: %d frames and %d mbufs leaked at MinRTO=%v N=%d",
-					res.Leaked.Frames, res.Leaked.Mbufs, rto, n))
+					"INVARIANT VIOLATION: leaked %+v at MinRTO=%v N=%d", res.Leaked, rto, n))
 			}
 		}
 	}

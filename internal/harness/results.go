@@ -3,7 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -72,11 +73,7 @@ func (r *Result) Fprint(w io.Writer) {
 				xs[x] = true
 			}
 		}
-		grid := make([]float64, 0, len(xs))
-		for x := range xs {
-			grid = append(grid, x)
-		}
-		sort.Float64s(grid)
+		grid := slices.Sorted(maps.Keys(xs))
 		fmt.Fprintf(w, "%-12s", r.XLabel)
 		for _, s := range r.Series {
 			fmt.Fprintf(w, " %16s", s.Label)
