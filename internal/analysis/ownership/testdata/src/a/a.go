@@ -67,7 +67,7 @@ func errPathLeak(h *host, n int, bad bool) {
 
 func leakByFallingOff(h *host) {
 	f := h.pool.Get(64) // acquired...
-	_ = f.Tenant()
+	_ = f.Len()
 } // want `return leaks pooled f`
 
 func overwriteLeak(h *host) {

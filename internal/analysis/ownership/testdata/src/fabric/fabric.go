@@ -9,9 +9,9 @@ type Frame struct {
 	free bool
 }
 
-func (f *Frame) Release()    { f.free = true }
-func (f *Frame) Detach()     {}
-func (f *Frame) Tenant() int { return 0 }
+func (f *Frame) Release() { f.free = true }
+func (f *Frame) Detach()  {}
+func (f *Frame) Len() int { return len(f.Data) }
 
 type FramePool struct{}
 

@@ -149,11 +149,6 @@ type Metrics struct {
 	SumMismatches stats.Counter
 	// Latency is per-RPC round-trip time.
 	Latency *stats.Histogram
-	// Tap, when non-nil, receives a copy of every latency sample —
-	// a second, independently reset histogram, so a control loop (the
-	// multi-tenant arbiter) can read short windowed percentiles without
-	// disturbing the experiment's measurement window.
-	Tap *stats.Histogram
 	// Running gates reconnects: when false, clients wind down.
 	Running bool
 }
@@ -504,11 +499,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	}
 	m := cl.cfg.Metrics
 	m.Msgs.Inc()
-	rtt := time.Duration(cl.env.Now() - st.t0)
-	m.Latency.Record(rtt)
-	if m.Tap != nil {
-		m.Tap.Record(rtt)
-	}
+	m.Latency.Record(time.Duration(cl.env.Now() - st.t0))
 	if v := st.v; v != nil && v.rxSum != v.txSum {
 		// Whole-transfer checksum over everything this connection ever
 		// sent vs received: equal iff the echoed stream is intact.

@@ -44,11 +44,6 @@ type Config struct {
 	ExpectedConns int
 	// Seed makes the instance deterministic.
 	Seed uint64
-	// Tenant is the isolation-accounting tag stamped on every frame
-	// pool this dataplane creates (including threads grown later), so
-	// shared fabric egress can charge this tenant's traffic separately
-	// (0 = untagged single-tenant operation).
-	Tenant int
 	// User constructs the ring-3 program for each elastic thread
 	// (libix.Program does this for applications).
 	User func(api *UserAPI, thread, threads int) UserProgram
@@ -92,8 +87,8 @@ type Dataplane struct {
 	retiredRetrans     uint64
 	retiredFastRetrans uint64
 	retiredPoolDrops   uint64
-	// Busy time carried over from revoked threads, so per-tenant cycle
-	// charges survive core revocation mid-window.
+	// Busy time carried over from revoked threads, so a window's CPU
+	// breakdown survives core revocation mid-window.
 	retiredKernelNs int64
 	retiredUserNs   int64
 
@@ -177,9 +172,6 @@ func (d *Dataplane) Start() {
 
 func (d *Dataplane) spawnThread(id int) {
 	et := newElasticThread(d, id)
-	// Tag at spawn, not just at Start: threads granted later by the
-	// control plane charge the same tenant.
-	et.ns.FramePool().SetTenant(d.cfg.Tenant)
 	d.threads = append(d.threads, et)
 	et.user = d.cfg.User(et.api, id, d.cfg.Threads)
 	// Kick once so programs that queued work at construction run.
@@ -467,9 +459,6 @@ func (d *Dataplane) moveConn(src, dst *ElasticThread, c *tcp.Conn) {
 	d.FlowsMigrated++
 }
 
-// Tenant returns the dataplane's isolation-accounting tag.
-func (d *Dataplane) Tenant() int { return d.cfg.Tenant }
-
 // ResetStats zeroes measurement counters on all threads (start of a
 // measurement window).
 func (d *Dataplane) ResetStats() {
@@ -487,9 +476,8 @@ func (d *Dataplane) ResetStats() {
 
 // CPUBreakdown reports aggregate kernel and user busy time across
 // elastic threads since ResetStats (the §5.5 kernel-time measurement),
-// including time retired with threads revoked mid-window — the charge
-// stays with the tenant that spent it, not with whoever holds the core
-// next.
+// including time retired with threads revoked mid-window, so elastic
+// revocation loses no busy time.
 func (d *Dataplane) CPUBreakdown() (kernel, user time.Duration) {
 	kernel = time.Duration(d.retiredKernelNs)
 	user = time.Duration(d.retiredUserNs)
@@ -498,14 +486,6 @@ func (d *Dataplane) CPUBreakdown() (kernel, user time.Duration) {
 		user += time.Duration(et.UserNs)
 	}
 	return kernel, user
-}
-
-// BusyTotal is kernel plus user busy time since ResetStats (revoked
-// threads included): the cycle charge of the isolation-accounting
-// contract.
-func (d *Dataplane) BusyTotal() time.Duration {
-	k, u := d.CPUBreakdown()
-	return k + u
 }
 
 // MeanBatch returns the average adaptive batch size over the window: the

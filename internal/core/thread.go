@@ -424,6 +424,9 @@ func (te *threadEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 	if buf != nil {
 		buf.Ref()
 		buf.ReadOnly = true // mapped read-only into ring 3 (§4.5)
+		// This thread's user program returns it: a flow migrated with
+		// a reassembly queue hands up buffers of the source's pool.
+		buf.Owner = et.drv.Pool.Owner
 	}
 	et.gate.Delivered(c.Handle, len(data))
 	et.events = append(et.events, Event{

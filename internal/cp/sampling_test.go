@@ -134,11 +134,11 @@ func TestSnapBackAfterIdleChain(t *testing.T) {
 }
 
 // TestSampleWindowOnMidWindowRevoke: a core revoked between ticks (by an
-// external actor — e.g. the multi-tenant arbiter — not the controller's
-// own policy) must not corrupt the next sample: the window still covers
-// the full interval, the packet count does not underflow even though the
-// revoked thread took its cumulative RxPackets with it, and the sample
-// history tiles virtual time exactly.
+// external actor, not the controller's own policy) must not corrupt the
+// next sample: the window still covers the full interval, the packet
+// count does not underflow even though the revoked thread took its
+// cumulative RxPackets with it, and the sample history tiles virtual
+// time exactly.
 func TestSampleWindowOnMidWindowRevoke(t *testing.T) {
 	cl := harness.NewCluster(35)
 	m := echo.NewMetrics()

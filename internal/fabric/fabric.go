@@ -77,17 +77,7 @@ type Frame struct {
 	back Backing // what Payload points into, pinned until Release
 	pool *FramePool
 	free bool
-
-	// tenant is the isolation-accounting tag stamped from the
-	// originating pool at Get time (frames recycle, so the stamp is
-	// refreshed per allocation). It rides the frame across every hop so
-	// shared switch egress can charge the right tenant.
-	tenant int
 }
-
-// Tenant returns the frame's isolation-accounting tag (0 = untagged
-// infrastructure traffic).
-func (f *Frame) Tenant() int { return f.tenant }
 
 // A Backing is pooled sender memory a frame's payload can point into: a
 // TX arena chunk or a socket's send slab. Its owner releases it once TCP
@@ -224,21 +214,10 @@ type FramePool struct {
 	full, small []*Frame
 	inUse       int
 
-	// tenant tags every frame allocated from this pool (multi-tenant
-	// isolation accounting; 0 = untagged).
-	tenant int
-
 	// Stats: Gets counts allocations served, News counts fresh buffers
 	// (pool misses and oversized frames).
 	Gets, News uint64
 }
-
-// SetTenant tags the pool: every frame subsequently allocated carries
-// this isolation-accounting tag.
-func (p *FramePool) SetTenant(tag int) { p.tenant = tag }
-
-// Tenant returns the pool's tag.
-func (p *FramePool) Tenant() int { return p.tenant }
 
 // InUse reports frames allocated from the pool and not yet released —
 // the frame-conservation invariant the fault-injection tests assert:
@@ -257,7 +236,7 @@ func (p *FramePool) Get(n int) *Frame {
 	p.inUse++
 	if n > FrameCap {
 		p.News++
-		return &Frame{Data: make([]byte, n), pool: p, tenant: p.tenant}
+		return &Frame{Data: make([]byte, n), pool: p}
 	}
 	list, size := &p.full, FrameCap
 	if n <= smallFrameCap {
@@ -270,7 +249,6 @@ func (p *FramePool) Get(n int) *Frame {
 		f.free = false
 		f.Intact = false
 		f.Data = f.buf[:n]
-		f.tenant = p.tenant
 		return f
 	}
 	p.News++
@@ -282,7 +260,7 @@ func (p *FramePool) Get(n int) *Frame {
 		k := &fullFrame{}
 		f, k.buf = &k.Frame, k.b[:]
 	}
-	f.pool, f.tenant = p, p.tenant
+	f.pool = p
 	f.Data = f.buf[:n]
 	return f
 }
@@ -320,42 +298,7 @@ type Port struct {
 	// frames tail-dropped by the bounded transmit buffer.
 	TxFrames, TxBytes uint64
 	TxDropped         uint64
-
-	// txTenant is the per-tenant breakdown of the totals above, indexed
-	// by frame tag and grown lazily on first sight of a tag (steady
-	// state allocates nothing). Every sent or dropped frame is charged
-	// to exactly one slot, so the slots always sum to the totals — the
-	// isolation-accounting conservation invariant.
-	txTenant []TenantTx
 }
-
-// TenantTx is one tenant tag's egress through one port.
-type TenantTx struct {
-	Frames, Bytes, Dropped uint64
-}
-
-func (p *Port) tenantSlot(tag int) *TenantTx {
-	if tag < 0 {
-		tag = 0
-	}
-	for len(p.txTenant) <= tag {
-		p.txTenant = append(p.txTenant, TenantTx{})
-	}
-	return &p.txTenant[tag]
-}
-
-// TenantTxStats returns the egress charged to tag through this port
-// (zero for never-seen tags).
-func (p *Port) TenantTxStats(tag int) TenantTx {
-	if tag < 0 || tag >= len(p.txTenant) {
-		return TenantTx{}
-	}
-	return p.txTenant[tag]
-}
-
-// TenantTags returns the number of tag slots the port has charged
-// (tags 0..TenantTags()-1 may hold traffic).
-func (p *Port) TenantTags() int { return len(p.txTenant) }
 
 // Attach sets the endpoint that receives frames arriving at this port.
 func (p *Port) Attach(ep Endpoint) { p.ep = ep }
@@ -457,7 +400,6 @@ func (p *Port) sendAt(f *Frame, at sim.Time) {
 		// Shallow egress buffer full: tail drop at the switch port,
 		// exactly the incast failure mode (§5, 16 µs RTO discussion).
 		p.TxDropped++
-		p.tenantSlot(f.tenant).Dropped++
 		f.Release()
 		return
 	}
@@ -470,9 +412,6 @@ func (p *Port) sendAt(f *Frame, at sim.Time) {
 	p.busyUntil = depart
 	p.TxFrames++
 	p.TxBytes += uint64(n)
-	slot := p.tenantSlot(f.tenant)
-	slot.Frames++
-	slot.Bytes += uint64(n)
 	arrive := depart.Add(l.latency)
 	f.SentAt = at
 	seq := l.eng.ReserveSeq()

@@ -262,84 +262,6 @@ func TestBondSpreadsFlows(t *testing.T) {
 	}
 }
 
-// TestTenantEgressAccounting: frames from tenant-tagged pools are
-// charged to the right per-tenant slot on both the transmit and the
-// tail-drop path, the slots always sum to the port totals, and
-// recycled frames are restamped from their pool at every allocation.
-func TestTenantEgressAccounting(t *testing.T) {
-	eng := sim.NewEngine(1)
-	l := NewLink(eng, 10*Gbps, time.Microsecond)
-	rx := &releaser{}
-	l.Port(1).Attach(rx)
-	p1, p2 := NewFramePool(), NewFramePool()
-	p1.SetTenant(1)
-	p2.SetTenant(2)
-
-	f := p1.Get(100)
-	if f.Tenant() != 1 {
-		t.Fatalf("tenant = %d, want 1", f.Tenant())
-	}
-	l.Port(0).Send(f)
-	l.Port(0).Send(p2.Get(200))
-	l.Port(0).Send(p2.Get(300))
-	l.Port(0).Send(NewFrame(make([]byte, 64))) // untagged → slot 0
-	eng.Run()
-
-	port := l.Port(0)
-	if got := port.TenantTxStats(1); got.Frames != 1 || got.Bytes != 100 {
-		t.Fatalf("tenant 1 stats = %+v", got)
-	}
-	if got := port.TenantTxStats(2); got.Frames != 2 || got.Bytes != 500 {
-		t.Fatalf("tenant 2 stats = %+v", got)
-	}
-	if got := port.TenantTxStats(0); got.Frames != 1 || got.Bytes != 64 {
-		t.Fatalf("untagged stats = %+v", got)
-	}
-	var frames, bytes uint64
-	for tag := 0; tag < port.TenantTags(); tag++ {
-		s := port.TenantTxStats(tag)
-		frames += s.Frames
-		bytes += s.Bytes
-	}
-	if frames != port.TxFrames || bytes != port.TxBytes {
-		t.Fatalf("tenant slots (%d frames, %d bytes) != totals (%d, %d)",
-			frames, bytes, port.TxFrames, port.TxBytes)
-	}
-
-	// Recycled buffers restamp from the pool that reissues them: move
-	// p1's recycled frame through p2's books by re-tagging the pool.
-	p1.SetTenant(7)
-	f2 := p1.Get(64)
-	if f2.Tenant() != 7 {
-		t.Fatalf("recycled frame tenant = %d, want restamped 7", f2.Tenant())
-	}
-	f2.Release()
-
-	// Tail drops are charged per tenant too, and the drop slots sum to
-	// TxDropped.
-	port.SetTxBuffer(2 * wire.WireLen(1500))
-	for i := 0; i < 6; i++ {
-		port.Send(p1.Get(1500))
-	}
-	eng.Run()
-	if port.TxDropped == 0 {
-		t.Fatal("bounded egress never dropped")
-	}
-	var dropped uint64
-	for tag := 0; tag < port.TenantTags(); tag++ {
-		dropped += port.TenantTxStats(tag).Dropped
-	}
-	if dropped != port.TxDropped {
-		t.Fatalf("tenant drop slots %d != TxDropped %d", dropped, port.TxDropped)
-	}
-	if got := port.TenantTxStats(7).Dropped; got != port.TxDropped {
-		t.Fatalf("drops charged to tag 7 = %d, want all %d", got, port.TxDropped)
-	}
-	if p1.InUse() != 0 || p2.InUse() != 0 {
-		t.Fatalf("pools leaked: %d/%d", p1.InUse(), p2.InUse())
-	}
-}
-
 // TestSwitchSealFreezesFDB: the forwarding database is a
 // construction-time artifact. Once traffic flows (or Seal is called
 // explicitly), Learn/Bond must panic rather than mutate the FDB under

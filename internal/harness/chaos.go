@@ -208,14 +208,15 @@ func Chaos(sc Scale) *Result {
 			{"conn failures (reconnected)", fmt.Sprint(res.ConnFailures)},
 			{"verify errors", fmt.Sprint(res.VerifyErrors)},
 			{"checksum mismatches", fmt.Sprint(res.SumMismatches)},
-			{"frames leaked", fmt.Sprint(res.Leaked.Frames)},
+			{"pool leaks (frames/mbufs/chunks)", fmt.Sprintf("%d/%d/%d",
+				res.Leaked.Frames, res.Leaked.Mbufs, res.Leaked.TxChunks)},
 		},
 	})
 	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.Leaked != (Leaks{}) {
 		r.Notes = append(r.Notes, "INVARIANT VIOLATION — see table")
 	} else {
 		r.Notes = append(r.Notes,
-			"invariants held: byte-exact echo streams, zero frame leaks under loss/dup/corrupt/reorder/flap")
+			"invariants held: byte-exact echo streams, zero pool leaks under loss/dup/corrupt/reorder/flap")
 	}
 	return r
 }

@@ -89,11 +89,6 @@ type HostSpec struct {
 	// MinRTO optionally overrides the TCP retransmission-timeout floor
 	// (default 200 µs; the paper cites support for 16 µs incast floors).
 	MinRTO time.Duration
-	// Tenant tags an IX dataplane's frame pools for multi-tenant
-	// isolation accounting (0 = untagged; ignored elsewhere): every
-	// frame the host originates charges this tag at shared switch
-	// egress.
-	Tenant int
 	// ExpectedConns presizes the host's connection tables (TCP engine,
 	// syscall gate / socket table, user-library cookie table) for the
 	// anticipated steady-state flow population (0 = grow on demand).
@@ -174,7 +169,6 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 			BatchBound: spec.BatchBound,
 			Seed:       seed,
 			MinRTO:     spec.MinRTO,
-			Tenant:     spec.Tenant,
 			User:       libix.Program(spec.Factory),
 
 			ExpectedConns: spec.ExpectedConns,
@@ -349,78 +343,6 @@ func (c *Cluster) Leaks() Leaks {
 // every layer of that host's stack. Read-only — safe to call between
 // engine steps without perturbing fixed-seed output.
 func (c *Cluster) HostFootprint(h Host) memprobe.Footprint { return h.Footprint() }
-
-// TenantFramesInUse sums outstanding frames across the frame pools
-// tagged with tenant tag. Because every pool carries exactly one tag,
-// summing over all tags reproduces FramesInUse exactly — the per-tenant
-// half of the conservation contract (no unattributed or double-charged
-// frames).
-func (c *Cluster) TenantFramesInUse(tag int) int {
-	n := 0
-	c.eachStack(func(s *netstack.Stack) {
-		if p := s.FramePool(); p.Tenant() == tag {
-			n += p.InUse()
-		}
-	})
-	return n
-}
-
-// TenantTxChunksInUse is TenantFramesInUse for TX arena chunks, which
-// only IX dataplanes hold.
-func (c *Cluster) TenantTxChunksInUse(tag int) int {
-	n := 0
-	for _, h := range c.hosts {
-		if dp, ok := h.(*core.Dataplane); ok && dp.Tenant() == tag {
-			n += dp.TxChunksInUse()
-		}
-	}
-	return n
-}
-
-// MaxTenantTag returns the highest tenant tag any frame pool carries.
-func (c *Cluster) MaxTenantTag() int {
-	tag := 0
-	c.eachStack(func(s *netstack.Stack) { tag = max(tag, s.FramePool().Tenant()) })
-	return tag
-}
-
-// EgressBytes sums bytes transmitted by switch egress ports (toward
-// hosts) across the cluster — the shared-fabric byte charge.
-func (c *Cluster) EgressBytes() uint64 {
-	var n uint64
-	for _, hostLinks := range c.links {
-		for _, link := range hostLinks {
-			n += link.Port(1).TxBytes
-		}
-	}
-	return n
-}
-
-// TenantEgressBytes sums switch-egress bytes charged to tenant tag
-// across every port of the cluster: frames carry their originating
-// pool's tag across hops, so a tenant's traffic toward a *shared*
-// client host is still charged to that tenant even though the egress
-// port is shared.
-func (c *Cluster) TenantEgressBytes(tag int) uint64 {
-	var n uint64
-	for _, hostLinks := range c.links {
-		for _, link := range hostLinks {
-			n += link.Port(1).TenantTxStats(tag).Bytes
-		}
-	}
-	return n
-}
-
-// TenantEgressDrops sums switch-egress tail drops charged to tag.
-func (c *Cluster) TenantEgressDrops(tag int) uint64 {
-	var n uint64
-	for _, hostLinks := range c.links {
-		for _, link := range hostLinks {
-			n += link.Port(1).TenantTxStats(tag).Dropped
-		}
-	}
-	return n
-}
 
 // IXServer returns the i-th IX dataplane added.
 func (c *Cluster) IXServer(i int) *core.Dataplane { return c.ixs[i] }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -250,5 +252,85 @@ func TestPartitionHealsCleanly(t *testing.T) {
 	}
 	if l := cl.Leaks(); l != (Leaks{}) {
 		t.Fatalf("leaked %+v", l)
+	}
+}
+
+// TestMigrationUnderFaults: elastic threads come and go on an IX server
+// while every link runs a seeded chaos schedule and the switch egress
+// toward the clients is shallow enough to tail-drop. Flow groups migrate
+// with retransmission queues, reassembly queues and timers in flight;
+// after heal and drain every echoed byte must have been exact and every
+// frame, mbuf and TX chunk back in its pool. Threads are added and
+// revoked directly, and each resize must succeed, so the property does
+// not depend on controller policy.
+func TestMigrationUnderFaults(t *testing.T) {
+	for _, seed := range []int64{3, 17, 101} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cl := NewCluster(seed)
+			m := echo.NewMetrics()
+			const port, msg = 9300, 4096 // 3 segments per message
+			cl.AddHost("server", HostSpec{
+				Arch: ArchIX, Cores: 1, MaxThreads: 3, Ports: 4,
+				Factory: echo.VerifyingServerFactory(port, msg),
+			})
+			srv := cl.IXServer(0)
+			var clients []Host
+			for i := 0; i < 2; i++ {
+				clients = append(clients, cl.AddHost("client", HostSpec{
+					Arch: ArchLinux, Cores: 2,
+					Factory: echo.ClientFactory(echo.ClientConfig{
+						ServerIP: srv.IP(), Port: port, MsgSize: msg,
+						Rounds: 32, Conns: 4, Metrics: m,
+						Verify: true, VerifySeed: uint64(seed) + uint64(i)*1313,
+					}),
+				}))
+			}
+			sites := []*faults.Site{cl.Faults(srv)}
+			for _, h := range clients {
+				cl.LimitEgress(h, 4<<10)
+				sites = append(sites, cl.Faults(h))
+			}
+			cl.Start()
+
+			resize := []func() error{
+				srv.AddElasticThread, srv.AddElasticThread, srv.RemoveElasticThread,
+				srv.AddElasticThread, srv.RemoveElasticThread, srv.RemoveElasticThread,
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for _, step := range resize {
+				for _, site := range sites {
+					site.Apply(chaosMenu(rng))
+				}
+				cl.Run(time.Millisecond)
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Run(time.Millisecond)
+
+			for _, site := range sites {
+				site.Heal()
+			}
+			m.Running = false
+			cl.Run(30 * time.Millisecond)
+
+			var drops uint64
+			for _, h := range clients {
+				drops += cl.EgressDrops(h)
+			}
+			t.Logf("msgs=%d migrated=%d egress drops=%d", m.Msgs.Total(), srv.FlowsMigrated, drops)
+			if srv.FlowsMigrated == 0 {
+				t.Error("no flow group migrated")
+			}
+			if drops == 0 {
+				t.Error("no egress tail drops: the shallow buffers went unexercised")
+			}
+			if got := m.VerifyErrors.Total() + m.SumMismatches.Total(); got != 0 {
+				t.Errorf("%d integrity violations across migration", got)
+			}
+			if l := cl.Leaks(); l != (Leaks{}) {
+				t.Errorf("leaked after drain: %+v", l)
+			}
+		})
 	}
 }

@@ -305,10 +305,6 @@ var Experiments = map[string]func(Scale) *Result{
 	// fault schedule with end-to-end invariant checks.
 	"incast": Incast,
 	"chaos":  Chaos,
-	// Multi-tenant core arbitration (§4.1 runtime policy): several IX
-	// dataplanes share one machine and an SLO-driven arbiter moves
-	// cores between them through a flash crowd.
-	"tenants": Tenants,
 	// The blocking facade: an HTTP/1.1 echo server and a redis-style
 	// KV store written purely against net.Conn, bridged onto the
 	// event-driven stacks by ixnet's deterministic fibers.

@@ -51,7 +51,7 @@ func render(r *Result) string {
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5", "fig6", "table2",
-		"elastic", "incast", "chaos", "tenants", "httpkv", "ablations",
+		"elastic", "incast", "chaos", "httpkv", "ablations",
 	}
 	for _, name := range want {
 		if Experiments[name] == nil {

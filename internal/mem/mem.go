@@ -80,9 +80,9 @@ type Mbuf struct {
 
 	// ReadOnly marks the buffer as mapped read-only into user space.
 	ReadOnly bool
-	// Owner is an opaque tag identifying the elastic thread whose pool
-	// the buffer belongs to; the dune gate uses it to reject cross-thread
-	// recv_done calls.
+	// Owner is an opaque tag identifying the elastic thread the buffer
+	// was last delivered to (its pool's thread until then); the dune
+	// gate uses it to reject cross-thread recv_done calls.
 	Owner int
 }
 

@@ -138,11 +138,6 @@ type Metrics struct {
 	AgentLatency *stats.Histogram
 	// LoadLatency is response time seen by loaded connections.
 	LoadLatency *stats.Histogram
-	// Tap, when non-nil, receives a copy of every load-latency sample —
-	// an independently reset histogram for control loops (the
-	// multi-tenant arbiter) reading short windowed percentiles without
-	// disturbing the measurement window.
-	Tap *stats.Histogram
 	// Dropped counts requests skipped because all pipelines were full
 	// (target unreachable).
 	Dropped stats.Counter
@@ -321,11 +316,7 @@ func (g *loadgen) OnRecv(c app.Conn, data []byte) {
 		g.env.Charge(clientReqCost / 2)
 		m := g.cfg.Metrics
 		m.Responses.Inc()
-		rtt := time.Duration(g.env.Now() - st.q[0].t0)
-		m.LoadLatency.Record(rtt)
-		if m.Tap != nil {
-			m.Tap.Record(rtt)
-		}
+		m.LoadLatency.Record(time.Duration(g.env.Now() - st.q[0].t0))
 		data = data[n:]
 		// Pop by copying down: the queue holds at most Pipeline entries
 		// and keeps its backing.

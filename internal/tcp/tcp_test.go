@@ -425,6 +425,43 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	}
 }
 
+// TestDuplicateOutOfOrderSegment: the same out-of-order segment arriving
+// twice, each copy in its own mbuf as a NIC would hand it up, is queued
+// once. The duplicate's mbuf goes straight back to the pool, the bytes
+// reach the app once when the hole fills, and every mbuf is returned.
+func TestDuplicateOutOfOrderSegment(t *testing.T) {
+	n := newTestNet(t, nil)
+	c, s := n.open(t, 80)
+	c.Sendv([][]byte{[]byte("head")}, nil)
+	held := n.queue
+	n.queue = nil
+	c.Sendv([][]byte{[]byte("tail")}, nil)
+	if len(n.queue) != 1 {
+		t.Fatalf("queued %d segments for one send, want 1", len(n.queue))
+	}
+	n.queue = append(n.queue, n.queue[0])
+	n.step()
+
+	if got := len(s.reasm.segs); got != 1 {
+		t.Fatalf("reassembly queue holds %d copies, want 1", got)
+	}
+	if s.reasmBytes != 4 {
+		t.Fatalf("reassembly bytes = %d, want 4", s.reasmBytes)
+	}
+	if got := n.b.pool.InUse(); got != 1 {
+		t.Fatalf("%d mbufs referenced after the duplicate, want 1", got)
+	}
+
+	n.queue = append(n.queue, held...)
+	n.step()
+	if got := string(n.b.recvd[s]); got != "headtail" {
+		t.Fatalf("app received %q, want %q", got, "headtail")
+	}
+	if got := n.b.pool.InUse(); got != 0 {
+		t.Fatalf("%d mbufs in use after the hole filled, want 0", got)
+	}
+}
+
 func TestAbortRST(t *testing.T) {
 	n := newTestNet(t, nil)
 	c, s := n.open(t, 80)

@@ -277,13 +277,13 @@ type quietEvents struct {
 	acked    int
 }
 
-func (q *quietEvents) Knock(l *Listener, key wire.FlowKey) bool      { return true }
-func (q *quietEvents) Accepted(c *Conn)                              {}
-func (q *quietEvents) Connected(c *Conn, ok bool)                    {}
-func (q *quietEvents) Recv(c *Conn, buf *mem.Mbuf, data []byte)      {}
-func (q *quietEvents) Sent(c *Conn, acked, released int)             { q.acked += acked; q.released += released }
-func (q *quietEvents) RemoteClosed(c *Conn)                          {}
-func (q *quietEvents) Dead(c *Conn, reason Reason)                   {}
+func (q *quietEvents) Knock(l *Listener, key wire.FlowKey) bool { return true }
+func (q *quietEvents) Accepted(c *Conn)                         {}
+func (q *quietEvents) Connected(c *Conn, ok bool)               {}
+func (q *quietEvents) Recv(c *Conn, buf *mem.Mbuf, data []byte) {}
+func (q *quietEvents) Sent(c *Conn, acked, released int)        { q.acked += acked; q.released += released }
+func (q *quietEvents) RemoteClosed(c *Conn)                     {}
+func (q *quietEvents) Dead(c *Conn, reason Reason)              {}
 
 // TestZeroAllocSteadySend: the per-message transmit cycle — Sendv with
 // an arena-backed view, segment tracking, cumulative ACK, retransQ trim,
