@@ -156,10 +156,12 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 		t.Skip("1M-connection establishment ramp")
 	}
 	const total = 1_000_000
-	// Ceilings are the measurement at this point plus 5% (IX 290.7,
-	// Linux 242.9 bytes/conn with the connection tables counted, once
-	// idle connections stopped holding I/O state; 424.0 / 338.1 before).
-	ceiling := map[Arch]float64{ArchIX: 305.2, ArchLinux: 255.0}
+	// Ceilings are the measurement at this point plus 5% (IX 250.7,
+	// Linux 202.9 bytes/conn once the PCB, the libix descriptor and the
+	// socket keep in-flight scalars in their borrowed side objects; 290.7
+	// / 242.9 before, and 424.0 / 338.1 while idle connections still held
+	// I/O state).
+	ceiling := map[Arch]float64{ArchIX: 263.2, ArchLinux: 213.0}
 	for _, arch := range []Arch{ArchIX, ArchLinux} {
 		t.Run(arch.String(), func(t *testing.T) {
 			threads := fig4FleetHosts * fig4FleetCores

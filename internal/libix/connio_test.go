@@ -17,8 +17,8 @@ import (
 // established connection, so growth is a reviewed decision (DESIGN.md,
 // "Per-connection memory budget").
 func TestConnStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 64 {
-		t.Fatalf("libix.conn is %d bytes, budget 64", got)
+	if got := unsafe.Sizeof(conn{}); got > 48 {
+		t.Fatalf("libix.conn is %d bytes, budget 48", got)
 	}
 	// A chunk's header is its host buffer's slice header, the write
 	// cursor, the frame pins sharing the cursor's word, and the pool.

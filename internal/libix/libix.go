@@ -111,11 +111,10 @@ type program struct {
 }
 
 // conn is the user-level connection descriptor. It holds only what an
-// idle established connection needs — identity, the application's tag,
-// byte counters and flags; everything that exists only while I/O is in
-// flight lives in a connIO borrowed from the program's pool (DESIGN.md,
-// "Per-connection memory budget"). txBytes/rdBytes are int32: both are
-// bounded by MaxPendingSend and the receive window.
+// idle established connection needs — identity, the application's tag
+// and flags; everything that exists only while I/O is in flight, the
+// byte counters included, lives in a connIO borrowed from the program's
+// pool (DESIGN.md, "Per-connection memory budget").
 type conn struct {
 	p      *program
 	handle uint64
@@ -124,9 +123,6 @@ type conn struct {
 	// io is non-nil from the first Send or EvRecv until the arena, the
 	// transmit vector and the receive recycle list are all empty again.
 	io *connIO
-
-	txBytes int32 // bytes in the transmit vector
-	rdBytes int32 // bytes consumed this round, owed to recv_done
 
 	issued  bool // a sendv is in the current batch
 	stalled bool // last sendv was trimmed; wait for a sent event
@@ -144,9 +140,10 @@ type conn struct {
 }
 
 // connIO is the in-flight I/O state of one connection: the zero-copy TX
-// arena, the transmit vector over it, and the receive recycle list. A
-// program pools them; of a 250k-connection population only the few
-// hundred connections with an RPC in flight hold one.
+// arena, the transmit vector over it, the receive recycle list, and the
+// byte counts of the last two. A program pools them; of a
+// 250k-connection population only the few hundred connections with an
+// RPC in flight hold one.
 type connIO struct {
 	// arena holds the connection's outgoing bytes; txq entries and the
 	// kernel's retransmission segments reference it in place. Released
@@ -160,6 +157,12 @@ type connIO struct {
 	// object retains at most one entry of transmit state.
 	txq    [][]byte
 	txHead int32
+	// txBytes is the bytes in the transmit vector, rdBytes those consumed
+	// this round and owed to recv_done. Both are int32, bounded by
+	// MaxPendingSend and the receive window, and both are zero when the
+	// object is pooled: putIO requires an empty vector and nothing owed.
+	txBytes int32
+	rdBytes int32
 
 	// Receive recycling accumulated during this round; the batch issued
 	// to recv_done is consumed within the same cycle.
@@ -198,7 +201,7 @@ func (c *conn) getIO() *connIO {
 //ix:hotpath
 func (c *conn) putIO() {
 	io := c.io
-	if io == nil || c.rdBytes > 0 || io.arena.Chunks() > 0 || len(io.txq) > 0 || len(io.rdBufs) > 0 {
+	if io == nil || io.rdBytes > 0 || io.arena.Chunks() > 0 || len(io.txq) > 0 || len(io.rdBufs) > 0 {
 		return
 	}
 	c.io = nil
@@ -207,13 +210,14 @@ func (c *conn) putIO() {
 
 // dropIO tears the I/O state down with the connection: nothing
 // references the arena any more (the kernel dropped the flow's
-// retransmission queue), and receive buffers still pending recycle
-// locally.
+// retransmission queue), receive buffers still pending recycle locally,
+// and unsent or unrecycled bytes are forgotten.
 func (c *conn) dropIO() {
 	io := c.io
 	if io == nil {
 		return
 	}
+	io.txBytes, io.rdBytes = 0, 0
 	io.arena.ReleaseAll()
 	for _, b := range io.rdBufs {
 		b.Unref()
@@ -255,7 +259,7 @@ func (c *conn) Send(b []byte) int {
 		return 0
 	}
 	want := len(b)
-	room := MaxPendingSend - int(c.txBytes)
+	room := MaxPendingSend - c.Unsent()
 	if room <= 0 {
 		c.armSendReady(false)
 		return 0
@@ -273,7 +277,7 @@ func (c *conn) Send(b []byte) int {
 		return 0
 	}
 	c.p.api.Charge(time.Duration(float64(accepted) * copyPerByte))
-	c.txBytes += int32(accepted)
+	io.txBytes += int32(accepted)
 	c.markDirty()
 	return accepted
 }
@@ -343,7 +347,12 @@ func (c *conn) armSendReady(pool bool) {
 }
 
 // Unsent reports bytes not yet accepted by the dataplane.
-func (c *conn) Unsent() int { return int(c.txBytes) }
+func (c *conn) Unsent() int {
+	if c.io == nil {
+		return 0
+	}
+	return int(c.io.txBytes)
+}
 
 // Close requests an orderly close after pending data drains: when the
 // transmit vector still holds bytes, the close syscall — which would
@@ -353,7 +362,7 @@ func (c *conn) Close() {
 	if c.closed || c.closing {
 		return
 	}
-	if c.txBytes > 0 {
+	if c.Unsent() > 0 {
 		c.closing = true
 		return
 	}
@@ -364,7 +373,7 @@ func (c *conn) Close() {
 // finishClose issues the deferred close syscall once the transmit
 // vector has fully drained.
 func (c *conn) finishClose() {
-	if !c.closing || c.closed || c.txBytes > 0 {
+	if !c.closing || c.closed || c.Unsent() > 0 {
 		return
 	}
 	c.closing = false
@@ -481,16 +490,16 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 		if io == nil {
 			continue // died since it was marked
 		}
-		if c.rdBytes > 0 || len(io.rdBufs) > 0 {
-			api.RecvDone(c.handle, int(c.rdBytes), io.rdBufs)
-			c.rdBytes = 0
+		if io.rdBytes > 0 || len(io.rdBufs) > 0 {
+			api.RecvDone(c.handle, int(io.rdBytes), io.rdBufs)
+			io.rdBytes = 0
 			// The issued batch is consumed by the kernel phase of this
 			// same cycle — before any user round can append, on this
 			// connection or on the next borrower of the object — so a kept
 			// one-slot backing is safely reused in place.
 			io.rdBufs = keepOneSlot(io.rdBufs)
 		}
-		if c.txBytes > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
+		if io.txBytes > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
 			c.issued = true
 			from := len(p.backs)
 			p.backs = io.appendBacks(p.backs)
@@ -528,8 +537,10 @@ func (p *program) processResult(r *core.SyscallResult) {
 		if r.Err != nil {
 			accepted = 0
 		}
-		c.consumeTx(accepted)
-		if c.txBytes > 0 {
+		// Pending bytes imply a non-empty vector, so the I/O state is
+		// attached whenever a sendv result arrives.
+		c.io.consumeTx(accepted)
+		if c.Unsent() > 0 {
 			// Trimmed by the sliding window: wait for `sent` to
 			// re-issue (§4.3).
 			c.stalled = true
@@ -558,7 +569,7 @@ func (p *program) fireSendReady() {
 			c.blockedPool = false
 			continue
 		}
-		if MaxPendingSend-c.txBytes <= 0 || (c.blockedPool && !p.txchunk.Ready()) {
+		if MaxPendingSend-c.Unsent() <= 0 || (c.blockedPool && !p.txchunk.Ready()) {
 			p.waiters = append(p.waiters, c)
 			continue
 		}
@@ -570,17 +581,12 @@ func (p *program) fireSendReady() {
 }
 
 // consumeTx retires n bytes the kernel accepted from the transmit
-// vector. Pending bytes imply a non-empty vector, so the I/O state is
-// attached whenever a sendv result arrives.
-func (c *conn) consumeTx(n int) {
-	c.txBytes -= int32(n)
-	if c.txBytes < 0 {
-		c.txBytes = 0
-	}
-	c.io.consumeTx(n)
-}
-
+// vector.
 func (io *connIO) consumeTx(n int) {
+	io.txBytes -= int32(n)
+	if io.txBytes < 0 {
+		io.txBytes = 0
+	}
 	head := int(io.txHead)
 	for n > 0 && head < len(io.txq) {
 		e := io.txq[head]
@@ -651,8 +657,8 @@ func (p *program) processEvent(ev *core.Event) {
 		p.handler.OnRecv(c, ev.Data)
 		// Recycle as soon as the handler returns (copying semantics);
 		// batched into one recv_done per round.
-		c.rdBytes += int32(ev.Bytes)
 		io := c.getIO()
+		io.rdBytes += int32(ev.Bytes)
 		if ev.Mbuf != nil {
 			io.rdBufs = append(io.rdBufs, ev.Mbuf)
 		}
@@ -672,7 +678,7 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		if c.stalled && ev.Window > 0 {
 			c.stalled = false
-			if c.txBytes > 0 {
+			if c.Unsent() > 0 {
 				c.markDirty()
 			}
 		}
@@ -697,7 +703,6 @@ func (p *program) processEvent(ev *core.Event) {
 		// handle is already revoked, so a recv_done for it would be
 		// rejected before the kernel's own Unref loop ran (leaking the
 		// delivery references taken for EvRecv).
-		c.rdBytes = 0
 		c.dropIO()
 		p.handler.OnClosed(c)
 	case core.EvTimer:
@@ -725,7 +730,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// In-flight I/O state travels with the connection (and, once
 		// drained, joins this program's pool); work it still owes a
 		// syscall for is flushed from its new home.
-		if c.txBytes > 0 || c.rdBytes > 0 {
+		if io := c.io; io != nil && (io.txBytes > 0 || io.rdBytes > 0) {
 			c.markDirty()
 		}
 		// An armed send-ready condition migrates with the connection:
@@ -755,5 +760,5 @@ func (p *program) resolve(ev *core.Event) *conn {
 
 // String aids debugging.
 func (c *conn) String() string {
-	return fmt.Sprintf("libix.conn(h=%#x pend=%d stalled=%v)", c.handle, c.txBytes, c.stalled)
+	return fmt.Sprintf("libix.conn(h=%#x pend=%d stalled=%v)", c.handle, c.Unsent(), c.stalled)
 }

@@ -151,7 +151,7 @@ func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
 		}
 		f.Attached++
 		f.Bytes += BufBytes + int64(cap(b.rcvbuf))
-		bk := s.bulk
+		bk := b.bulk
 		if bk == nil || bk.snd == nil {
 			f.Bytes += int64(cap(b.sndbuf)) // a slab-backed sndbuf is counted with its slab
 		}

@@ -205,13 +205,13 @@ const (
 // Sock is a connection as the application sees it. It holds only what an
 // idle established connection needs; staging is borrowed from the layer's
 // pools while bytes are queued (DESIGN.md, "Per-connection memory
-// budget"). The flags are bits so that the bulk pointer fits in 56 bytes.
+// budget"), and its slab half hangs off the borrowed buffers, so an idle
+// socket is 48 bytes.
 type Sock struct {
 	o      *Owner
 	conn   *tcp.Conn
 	cookie any
-	buf    *buf  // attached from the first queued byte until both directions drain
-	bulk   *bulk // attached while a slab is
+	buf    *buf // attached from the first queued byte until both directions drain
 
 	sentPending int32 // bounded by sndbufMax
 	flags       flag
@@ -294,7 +294,7 @@ func (s *Sock) flushSnd() {
 	}
 	o := s.o
 	o.sg[0] = b.sndbuf
-	if bk := s.bulk; bk != nil && bk.snd != nil {
+	if bk := b.bulk; bk != nil && bk.snd != nil {
 		o.back[0] = bk.snd // a bulk write's slab: frames carry it by reference
 	}
 	n := s.conn.Sendv(o.sg[:], o.back[:])
@@ -306,7 +306,7 @@ func (s *Sock) flushSnd() {
 		b.sndbuf = b.sndbuf[n:]
 		if len(b.sndbuf) == 0 {
 			b.sndbuf = nil
-			if bk := s.bulk; bk != nil && bk.snd != nil {
+			if bk := b.bulk; bk != nil && bk.snd != nil {
 				s.parkSnd(bk)
 			}
 			s.putBuf()

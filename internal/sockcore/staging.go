@@ -45,6 +45,9 @@ func (sl *slab) Unpin() {
 
 // buf is the staging of one socket with bytes queued.
 type buf struct {
+	// bulk is the slab half, attached while a slab is. putBuf releases it
+	// before the buffers, so a socket without buffers has no slabs.
+	bulk *bulk
 	// rcvbuf holds received bytes while all of them fit rcvKeep; a read
 	// takes it whole, and a drained backing of at most rcvKeep stays with
 	// the pooled object, so request-response traffic recycles
@@ -134,24 +137,23 @@ func (s *Sock) getBuf() *buf {
 	return s.buf
 }
 
-// getBulk returns the socket's slab half, borrowing it from the pool on
+// getBulk returns the staging's slab half, borrowing it from the pool on
 // the socket's first slab.
 //
 //ix:hotpath
-func (s *Sock) getBulk() *bulk {
-	if s.bulk != nil {
-		return s.bulk
+func (b *buf) getBulk(l *Layer) *bulk {
+	if b.bulk != nil {
+		return b.bulk
 	}
-	l := s.o.Layer
 	if n := len(l.bulkFree); n > 0 {
-		s.bulk = l.bulkFree[n-1]
+		b.bulk = l.bulkFree[n-1]
 		l.bulkFree[n-1] = nil
 		l.bulkFree = l.bulkFree[:n-1]
 	} else {
 		//ixvet:ignore(hotpath) pool miss: once per unit of peak bulk concurrency, steady state hits the free list
-		s.bulk = &bulk{}
+		b.bulk = &bulk{}
 	}
-	return s.bulk
+	return b.bulk
 }
 
 // putBuf returns the staging to the pools once nothing is queued: the
@@ -160,16 +162,19 @@ func (s *Sock) getBulk() *bulk {
 //
 //ix:hotpath
 func (s *Sock) putBuf() {
+	b := s.buf
+	if b == nil {
+		return
+	}
 	l := s.o.Layer
-	if bk := s.bulk; bk != nil {
+	if bk := b.bulk; bk != nil {
 		if bk.count() > 0 {
 			return
 		}
-		s.bulk = nil
+		b.bulk = nil
 		l.bulkFree = append(l.bulkFree, bk)
 	}
-	b := s.buf
-	if b == nil || len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
+	if len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
 		return
 	}
 	s.buf = nil
@@ -185,18 +190,18 @@ func (s *Sock) putBuf() {
 func (s *Sock) stageRcv(data []byte) {
 	b := s.getBuf()
 	l := s.o.Layer
-	if s.bulk == nil || len(s.bulk.rcv) == 0 {
+	if b.bulk == nil || len(b.bulk.rcv) == 0 {
 		if len(b.rcvbuf)+len(data) <= rcvKeep {
 			b.rcvbuf = append(b.rcvbuf, data...)
 			return
 		}
-		bk := s.getBulk()
+		bk := b.getBulk(l)
 		sl := l.getSlab()
 		sl.b = append(sl.b, b.rcvbuf...)
 		bk.rcv = append(bk.rcv, sl)
 		b.rcvbuf = keepSmall(b.rcvbuf)
 	}
-	bk := s.bulk
+	bk := b.bulk
 	for len(data) > 0 {
 		sl := bk.rcv[len(bk.rcv)-1]
 		if len(sl.b) == SlabSize {
@@ -215,7 +220,7 @@ func (s *Sock) stageRcv(data []byte) {
 // buffer. As every slab but the last is full, reading a contiguous buffer
 // SlabSize bytes at a time would cut the same chunks.
 func (s *Sock) nextRead() (chunk []byte, slabs int) {
-	bk := s.bulk
+	bk := s.buf.bulk
 	if bk == nil || len(bk.rcv) == 0 {
 		return s.buf.rcvbuf, 0
 	}
@@ -251,7 +256,7 @@ func (s *Sock) readDone(slabs int) {
 
 // dropRcv returns the first n slabs of the receive chain to the pool.
 func (s *Sock) dropRcv(n int) {
-	bk := s.bulk
+	bk := s.buf.bulk
 	for _, sl := range bk.rcv[:n] {
 		s.o.Layer.putSlab(sl)
 	}
@@ -275,7 +280,7 @@ func keepSmall(b []byte) []byte {
 func (s *Sock) stageSnd(b []byte) {
 	sb := s.getBuf()
 	if len(sb.sndbuf) == 0 && len(b) > rcvKeep && len(b) <= SlabSize {
-		bk := s.getBulk()
+		bk := sb.getBulk(s.o.Layer)
 		sl := s.o.Layer.getSlab()
 		sl.b = append(sl.b, b...)
 		bk.snd = sl
@@ -283,7 +288,7 @@ func (s *Sock) stageSnd(b []byte) {
 		return
 	}
 	sb.sndbuf = append(sb.sndbuf, b...)
-	if bk := s.bulk; bk != nil && bk.snd != nil && len(b) > 0 {
+	if bk := sb.bulk; bk != nil && bk.snd != nil && len(b) > 0 {
 		// The append moved the slab's untaken rest to a heap backing.
 		s.parkSnd(bk)
 	}
@@ -305,8 +310,11 @@ func (s *Sock) parkSnd(bk *bulk) {
 // releaseParked applies a sent event's released count to the parked
 // slabs, returning those whose last byte it covered.
 func (s *Sock) releaseParked(released int) {
-	bk := s.bulk
-	if released <= 0 || bk == nil || len(bk.parked) == 0 {
+	if released <= 0 || s.buf == nil {
+		return
+	}
+	bk := s.buf.bulk
+	if bk == nil || len(bk.parked) == 0 {
 		return
 	}
 	done := 0
@@ -333,7 +341,7 @@ func (s *Sock) dropStaging() {
 	}
 	b.rcvbuf = keepSmall(b.rcvbuf)
 	b.sndbuf = nil
-	if bk := s.bulk; bk != nil {
+	if bk := b.bulk; bk != nil {
 		s.dropRcv(len(bk.rcv))
 		if bk.snd != nil {
 			s.o.Layer.putSlab(bk.snd)
@@ -347,10 +355,10 @@ func (s *Sock) dropStaging() {
 // Slabs reports the slabs attached to s: the send slab TCP has not taken
 // all of (0 or 1), those parked until released, and the receive chain.
 func (s *Sock) Slabs() (snd, parked, rcv int) {
-	bk := s.bulk
-	if bk == nil {
+	if s.buf == nil || s.buf.bulk == nil {
 		return 0, 0, 0
 	}
+	bk := s.buf.bulk
 	if bk.snd != nil {
 		snd = 1
 	}

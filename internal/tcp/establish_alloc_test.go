@@ -34,10 +34,9 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 	}
 
 	srcIP, dstIP := wire.Addr4(10, 0, 0, 2), wire.Addr4(10, 0, 0, 1)
-	key := wire.FlowKey{
+	key := connKey{
 		SrcIP: dstIP, DstIP: srcIP,
 		SrcPort: 80, DstPort: 5000,
-		Proto: wire.ProtoTCP,
 	}
 	const peerISS = 1000
 	segBuf := make([]byte, 64)
@@ -64,7 +63,7 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 		// Final ACK completes the handshake.
 		hdr = wire.TCPHeader{
 			SrcPort: 5000, DstPort: 80,
-			Seq: peerISS + 1, Ack: c.iss + 1, Flags: wire.TCPAck,
+			Seq: peerISS + 1, Ack: c.sndUna + 1, Flags: wire.TCPAck,
 			Window: 0xffff, WScale: -1,
 		}
 		inject()

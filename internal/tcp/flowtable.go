@@ -15,6 +15,19 @@ type flowTable struct {
 	n     int
 }
 
+// connKey is a connection's 4-tuple from the local view. The protocol is
+// always TCP, so the PCB stores these 12 B and Conn.Key rebuilds the
+// wire.FlowKey.
+type connKey struct {
+	SrcIP, DstIP     wire.IPv4
+	SrcPort, DstPort uint16
+}
+
+// flow returns the key as a wire.FlowKey.
+func (k connKey) flow() wire.FlowKey {
+	return wire.FlowKey{SrcIP: k.SrcIP, DstIP: k.DstIP, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: wire.ProtoTCP}
+}
+
 // minFlowSlots is the smallest table (an unsized stack's first backing).
 const minFlowSlots = 8
 
@@ -28,13 +41,13 @@ func newFlowTable(expected int) flowTable {
 	return flowTable{slots: make([]*Conn, n)}
 }
 
-// hashFlow mixes the 4-tuple (the protocol is constant within a table).
-// The population it must spread is adversarially regular — one server
-// address and port against sequential client ports — so both words pass
-// through multiply-fold rounds before the low bits are used.
+// hashFlow mixes the 4-tuple. The population it must spread is
+// adversarially regular — one server address and port against
+// sequential client ports — so both words pass through multiply-fold
+// rounds before the low bits are used.
 //
 //ix:hotpath
-func hashFlow(k wire.FlowKey) uint64 {
+func hashFlow(k connKey) uint64 {
 	h := uint64(k.SrcIP)<<32 | uint64(k.DstIP)
 	h ^= (uint64(k.SrcPort)<<16 | uint64(k.DstPort)) * 0x9e3779b97f4a7c15
 	h ^= h >> 32
@@ -47,7 +60,7 @@ func hashFlow(k wire.FlowKey) uint64 {
 // guarantees an empty slot, so the probe always terminates.
 //
 //ix:hotpath
-func (t *flowTable) get(k wire.FlowKey) *Conn {
+func (t *flowTable) get(k connKey) *Conn {
 	mask := uint64(len(t.slots) - 1)
 	for i := hashFlow(k) & mask; ; i = (i + 1) & mask {
 		if c := t.slots[i]; c == nil || c.key == k {
@@ -82,7 +95,7 @@ func (t *flowTable) put(c *Conn) {
 // legally occupy it (its home slot is not past the hole).
 //
 //ix:hotpath
-func (t *flowTable) del(k wire.FlowKey) {
+func (t *flowTable) del(k connKey) {
 	mask := uint64(len(t.slots) - 1)
 	i := hashFlow(k) & mask
 	for {

@@ -11,11 +11,10 @@ import (
 // space: one server address and port against sequential client ports
 // from a handful of client addresses — the population shape the table
 // actually serves.
-func tableKey(i int) wire.FlowKey {
-	return wire.FlowKey{
+func tableKey(i int) connKey {
+	return connKey{
 		SrcIP: wire.Addr4(10, 0, 0, 1), DstIP: wire.Addr4(10, 0, 1, byte(i>>12)),
 		SrcPort: 80, DstPort: uint16(1024 + i&0xfff),
-		Proto: wire.ProtoTCP,
 	}
 }
 
@@ -23,7 +22,7 @@ func tableKey(i int) wire.FlowKey {
 // every member reachable by its key, and the probe invariant — no empty
 // slot between a member's home and where it sits (what backward-shift
 // deletion must preserve, including across the wrap).
-func checkTable(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn) {
+func checkTable(t testing.TB, tab *flowTable, oracle map[connKey]*Conn) {
 	t.Helper()
 	if tab.n != len(oracle) {
 		t.Fatalf("table holds %d, oracle %d", tab.n, len(oracle))
@@ -59,7 +58,7 @@ func checkTable(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn) {
 
 // applyTableOp runs one put/get/del step on both the table and the
 // oracle and cross-checks the observable result.
-func applyTableOp(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn, op, id int) {
+func applyTableOp(t testing.TB, tab *flowTable, oracle map[connKey]*Conn, op, id int) {
 	k := tableKey(id)
 	switch op % 3 {
 	case 0:
@@ -87,7 +86,7 @@ func applyTableOp(t testing.TB, tab *flowTable, oracle map[wire.FlowKey]*Conn, o
 func TestFlowTableOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20140611))
 	tab := newFlowTable(0)
-	oracle := map[wire.FlowKey]*Conn{}
+	oracle := map[connKey]*Conn{}
 	const steps = 240_000
 	for i := 0; i < steps; i++ {
 		space := 1 << (4 + uint(i/30_000)) // 16 … 2048 keys
@@ -122,7 +121,7 @@ func TestFlowTableWrapCluster(t *testing.T) {
 		if len(tab.slots) != slots {
 			t.Fatalf("presize gave %d slots, want %d", len(tab.slots), slots)
 		}
-		oracle := map[wire.FlowKey]*Conn{}
+		oracle := map[connKey]*Conn{}
 		for _, id := range ids {
 			applyTableOp(t, &tab, oracle, 0, id)
 		}
@@ -144,7 +143,7 @@ func FuzzFlowTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 2, 0, 1, 1, 0, 1, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tab := newFlowTable(0)
-		oracle := map[wire.FlowKey]*Conn{}
+		oracle := map[connKey]*Conn{}
 		for ; len(in) >= 3; in = in[3:] {
 			applyTableOp(t, &tab, oracle, int(in[0]), int(in[1])<<8|int(in[2]))
 		}

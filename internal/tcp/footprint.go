@@ -43,7 +43,7 @@ func (s *Stack) Footprint() memprobe.Footprint {
 			if cap(t.q) > retransInline {
 				b += int64(cap(t.q)) * segBytes // spilled backing
 			}
-			for i := t.head; i < len(t.q); i++ {
+			for i := int(t.head); i < len(t.q); i++ {
 				b += int64(cap(t.q[i].extra)) * sliceBytes
 			}
 		}

@@ -320,7 +320,6 @@ type txSeg struct {
 	frag1  []byte
 	extra  [][]byte
 	back   fabric.Backing
-	sentAt int64
 }
 
 // setPayload captures the fragment references of one assembled segment.
@@ -376,10 +375,35 @@ func keepSpill(q []txSeg) bool {
 // transmit and releases it whenever the queue drains, so the 250k idle
 // connections of a Fig. 4 point carry no send-queue storage at all. A
 // pooled state keeps a spilled backing of up to maxPooledSpill segments.
+//
+// The state also holds the connection's scalars that mean something only
+// while data is unacknowledged: the pending RTT sample and the NewReno
+// loss-recovery state. Neither outlives a drained queue — the draining
+// ACK takes the timed segment's sample, and a recovery ends at the ACK
+// that covers every segment — so an idle connection carries none of them.
 type txState struct {
-	q    []txSeg
-	head int
-	inl  [retransInline]txSeg
+	q []txSeg
+	// RTT timing: one segment at a time (rttSeq is its end), sampled by
+	// the ACK that covers it unless a retransmission intervened (Karn).
+	rttStart int64
+	// head is int32 so that the state stays in the 256 B size class; the
+	// queue is bounded by the window's segments.
+	head   int32
+	rttSeq uint32
+	// Loss recovery is NewReno (RFC 6582): while inRecovery, a partial
+	// ACK (one below recoverSeq, the sndNxt at loss detection) means the
+	// next hole is already known lost, so it is retransmitted immediately
+	// instead of waiting out another full RTO — without this a k-segment
+	// burst loss costs k serial timeouts, which at a 200 µs MinRTO floor
+	// is exactly the incast collapse of §5.
+	recoverSeq uint32
+	// dupAcks is uint16: one increment per received duplicate ACK, reset
+	// on any advance, so it is bounded by the segments a single flight
+	// can produce (window/MSS ≪ 64k).
+	dupAcks    uint16
+	inRecovery bool
+	rttPending bool
+	inl        [retransInline]txSeg
 }
 
 // getTxState pops a pooled state (or builds the first).
@@ -403,6 +427,9 @@ func (s *Stack) getTxState() *txState {
 // array is zeroed either way: a spill copies its contents aside but
 // leaves stale fragment references behind. The connection itself keeps
 // nothing, so a loss burst's spill is never pinned for its lifetime.
+// The timing and recovery scalars reset too: a queue drained by the ACK
+// that ends a recovery is released still marked in recovery, and a dead
+// connection's state may still time a segment.
 func (s *Stack) putTxState(t *txState) {
 	t.inl = [retransInline]txSeg{}
 	if keepSpill(t.q) {
@@ -412,6 +439,8 @@ func (s *Stack) putTxState(t *txState) {
 		t.q = t.inl[:0:retransInline]
 	}
 	t.head = 0
+	t.rttStart, t.rttSeq, t.rttPending = 0, 0, false
+	t.recoverSeq, t.dupAcks, t.inRecovery = 0, 0, false
 	s.txFree = append(s.txFree, t)
 }
 
@@ -426,8 +455,10 @@ type rxSeg struct {
 // while segments are held: allocated on the first out-of-order arrival,
 // dropped when the queue drains — reordering is the exception on this
 // fabric, so a connection that never sees one pays a nil pointer for it.
+// bytes, the payload held, is bounded by the receive window.
 type reasmQ struct {
-	segs []rxSeg
+	segs  []rxSeg
+	bytes int32
 }
 
 // Conn is a TCP connection. Fields are owned by the stack's thread.
@@ -435,10 +466,13 @@ type reasmQ struct {
 // The layout rule, here and in every layer above (DESIGN.md,
 // "Per-connection memory budget"): a field lives in the connection only
 // if an idle established connection needs it. State that exists only
-// while something is in flight — the retransmission queue, held
-// out-of-order segments — sits behind a pointer that is nil when idle.
-// Fields are ordered by alignment, widest first, so the struct carries
-// no interior padding; TestConnStateSizes pins the result.
+// while something is in flight — the retransmission queue with the RTT
+// sample and loss-recovery scalars that time and repair it, held
+// out-of-order segments with their byte count — sits behind a pointer
+// that is nil when idle. Fields are ordered by alignment, widest first,
+// so the struct carries no interior padding: 64 B of pointers and words,
+// the 12 B key, 40 B of sequence, window and estimator state, 10 B of
+// counters and flags — 128 B, which TestConnStateSizes pins.
 type Conn struct {
 	stack *Stack
 
@@ -455,8 +489,6 @@ type Conn struct {
 	// reasm holds out-of-order segments; nil unless some are held.
 	reasm *reasmQ
 
-	rttStart int64
-
 	// Timers. Callbacks are package-level trampolines passed through
 	// timerwheel.AddArg with the connection as the argument: a bound
 	// method value like c.onRTO would allocate a closure per arming (the
@@ -467,50 +499,37 @@ type Conn struct {
 	daTimer  *timerwheel.Timer
 
 	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
-	key wire.FlowKey
+	key connKey
 
-	// Send state.
-	iss    uint32
+	// Send state. Until the handshake completes sndUna is the initial
+	// send sequence: the SYN or SYN-ACK and its retransmissions carry it,
+	// and the peer's handshake reply must acknowledge sndUna+1.
 	sndUna uint32
 	sndNxt uint32
 	sndWnd uint32 // peer-advertised, scaled
 
-	// Congestion control. Loss recovery is NewReno (RFC 6582): while
-	// inRecovery, a partial ACK (one below recoverSeq, the sndNxt at loss
-	// detection) means the next hole is already known lost, so it is
-	// retransmitted immediately instead of waiting out another full RTO —
-	// without this a k-segment burst loss costs k serial timeouts, which
-	// at a 200 µs MinRTO floor is exactly the incast collapse of §5.
-	cwnd       uint32
-	ssthresh   uint32
-	recoverSeq uint32
+	// Congestion control; the loss-recovery state lives in tx.
+	cwnd     uint32
+	ssthresh uint32
 
 	// RTT estimation. srtt, rttvar and rto are nanoseconds in 32 bits:
 	// the RTO is capped at maxRTO (4 s), so nothing an estimator can
 	// usefully hold exceeds it. The arithmetic runs in time.Duration and
-	// clamps on store (rttNs).
+	// clamps on store (rttNs). The pending sample lives in tx.
 	srtt, rttvar uint32
 	rto          uint32
-	rttSeq       uint32
 
-	// Receive state. unconsumed and reasmBytes are bounded by the
-	// receive window, so 32 bits hold them.
+	// Receive state. unconsumed is bounded by the receive window, so 32
+	// bits hold it.
 	rcvNxt     uint32
 	unconsumed int32 // delivered to app, not yet RecvDone'd
-	reasmBytes int32
 
-	// dupAcks is uint16: one increment per received duplicate ACK, reset
-	// on any advance, so it is bounded by the segments a single flight
-	// can produce (window/MSS ≪ 64k).
-	dupAcks     uint16
 	rexmitCount uint16
 
 	state      State
 	peerWShift uint8
 	daSegs     uint8 // in-order segments since last ACK sent (reset at 2)
 	finQueued  bool
-	inRecovery bool
-	rttPending bool
 	finRcvd    bool
 	needAck    bool
 	// synAckOwed marks an admitted embryonic connection whose SYN-ACK
@@ -520,7 +539,7 @@ type Conn struct {
 }
 
 // Key returns the connection 4-tuple from the local perspective.
-func (c *Conn) Key() wire.FlowKey { return c.key }
+func (c *Conn) Key() wire.FlowKey { return c.key.flow() }
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
@@ -536,7 +555,7 @@ func (c *Conn) retransLen() int {
 	if c.tx == nil {
 		return 0
 	}
-	return len(c.tx.q) - c.tx.head
+	return len(c.tx.q) - int(c.tx.head)
 }
 
 // usableWindow returns how many more payload bytes the windows permit.
@@ -559,7 +578,10 @@ func (c *Conn) UsableWindow() int { return c.usableWindow() }
 // rcvWndAvail computes the receive window to advertise: total minus bytes
 // the application still holds (zero-copy flow control, §4.3).
 func (c *Conn) rcvWndAvail() int {
-	w := c.stack.cfg.RcvWnd - int(c.unconsumed) - int(c.reasmBytes)
+	w := c.stack.cfg.RcvWnd - int(c.unconsumed)
+	if q := c.reasm; q != nil {
+		w -= int(q.bytes)
+	}
 	if w < 0 {
 		w = 0
 	}
@@ -580,16 +602,15 @@ func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error
 	if err != nil {
 		return nil, err
 	}
-	c := s.newConn(wire.FlowKey{
+	c := s.newConn(connKey{
 		SrcIP: s.cfg.LocalIP, DstIP: dst,
 		SrcPort: lp, DstPort: port,
-		Proto: wire.ProtoTCP,
 	})
 	c.Cookie = cookie
 	c.state = StateSynSent
-	c.sndNxt = c.iss + 1
+	c.sndNxt = c.sndUna + 1
 	s.conns.put(c)
-	c.sendFlags(wire.TCPSyn, c.iss, 0, true)
+	c.sendFlags(wire.TCPSyn, c.sndUna, 0, true)
 	c.armRTO()
 	return c, nil
 }
@@ -618,7 +639,7 @@ func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
 		if p < 1024 {
 			continue
 		}
-		k := wire.FlowKey{SrcIP: s.cfg.LocalIP, DstIP: dst, SrcPort: p, DstPort: dport, Proto: wire.ProtoTCP}
+		k := connKey{SrcIP: s.cfg.LocalIP, DstIP: dst, SrcPort: p, DstPort: dport}
 		if s.conns.get(k) != nil {
 			continue
 		}
@@ -630,18 +651,17 @@ func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
 	return 0, errPortSpaceExhausted
 }
 
-func (s *Stack) newConn(key wire.FlowKey) *Conn {
-	c := &Conn{
+func (s *Stack) newConn(key connKey) *Conn {
+	iss := s.nextISS()
+	return &Conn{
 		stack:    s,
 		key:      key,
-		iss:      s.nextISS(),
+		sndUna:   iss,
+		sndNxt:   iss,
 		cwnd:     uint32(initialCwnd * wire.MSS),
 		ssthresh: 1 << 30,
 		rto:      rttNs(initialRTO),
 	}
-	c.sndUna = c.iss
-	c.sndNxt = c.iss
-	return c
 }
 
 // Timer trampolines: package-level functions, so arming a timer stores
@@ -680,10 +700,9 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 	if buf != nil && len(payload) == 0 {
 		payload = buf.Payload()
 	}
-	key := wire.FlowKey{ // local view
+	key := connKey{ // local view
 		SrcIP: dst, DstIP: src,
 		SrcPort: hdr.DstPort, DstPort: hdr.SrcPort,
-		Proto: wire.ProtoTCP,
 	}
 	if c := s.conns.get(key); c != nil {
 		c.input(&hdr, payload, buf)
@@ -713,11 +732,11 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 // (TestZeroAllocConnEstablish pins the whole passive handshake).
 //
 //ix:hotpath
-func (s *Stack) passiveOpen(l *Listener, key wire.FlowKey, hdr *wire.TCPHeader) {
+func (s *Stack) passiveOpen(l *Listener, key connKey, hdr *wire.TCPHeader) {
 	if l.embryonic >= s.cfg.SynBacklog {
 		return // silently drop: SYN backlog full
 	}
-	if !s.cfg.Events.Knock(l, key) {
+	if !s.cfg.Events.Knock(l, key.flow()) {
 		s.sendRST(key, hdr, 0)
 		return
 	}
@@ -725,7 +744,7 @@ func (s *Stack) passiveOpen(l *Listener, key wire.FlowKey, hdr *wire.TCPHeader) 
 	c.state = StateSynRcvd
 	c.rcvNxt = hdr.Seq + 1
 	c.applyPeerOptions(hdr)
-	c.sndNxt = c.iss + 1
+	c.sndNxt = c.sndUna + 1
 	s.conns.put(c)
 	l.embryonic++
 	s.SynsAdmitted++
@@ -761,7 +780,7 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 	switch c.state {
 	case StateSynSent:
 		if hdr.Flags&(wire.TCPSyn|wire.TCPAck) == wire.TCPSyn|wire.TCPAck {
-			if hdr.Ack != c.iss+1 {
+			if hdr.Ack != c.sndUna+1 {
 				s.sendRST(c.key, hdr, len(payload))
 				c.destroy(ReasonRefused)
 				return
@@ -776,7 +795,7 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 		}
 		return
 	case StateSynRcvd:
-		if hdr.Flags&wire.TCPAck != 0 && hdr.Ack == c.iss+1 {
+		if hdr.Flags&wire.TCPAck != 0 && hdr.Ack == c.sndUna+1 {
 			c.sndUna = hdr.Ack
 			c.applyPeerOptions(hdr)
 			c.state = StateEstablished
@@ -829,28 +848,33 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 		c.scheduleAck()
 		return
 	case seqLE(ack, c.sndUna):
-		// Duplicate ACK.
-		if c.flight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
-			c.dupAcks++
-			if c.dupAcks == 3 {
+		// Duplicate ACK. Data in flight is tracked in tx.
+		if t := c.tx; t != nil && c.flight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
+			t.dupAcks++
+			if t.dupAcks == 3 {
 				c.fastRetransmit()
 			}
 		}
 	default:
 		acked := int(seqDiff(ack, c.sndUna))
 		c.sndUna = ack
-		c.dupAcks = 0
 		c.rexmitCount = 0
-		released := c.ackRetransQ(ack)
+		// The sample is taken before the trim, which releases tx — and
+		// the timing and recovery state with it — once the queue drains.
 		c.updateRTT(ack)
+		released := c.ackRetransQ(ack)
 		c.growCwnd(uint32(acked))
-		if c.inRecovery {
-			if seqLT(ack, c.recoverSeq) && c.retransLen() > 0 {
-				// Partial ACK: retransmit the next hole now.
-				c.stack.Retransmits++
-				c.resend(&c.tx.q[c.tx.head])
-			} else {
-				c.inRecovery = false
+		// A drained queue ended any recovery along with its state.
+		if t := c.tx; t != nil {
+			t.dupAcks = 0
+			if t.inRecovery {
+				if seqLT(ack, t.recoverSeq) {
+					// Partial ACK: retransmit the next hole now.
+					c.stack.Retransmits++
+					c.resend(&t.q[t.head])
+				} else {
+					t.inRecovery = false
+				}
 			}
 		}
 		if c.retransLen() == 0 {
@@ -879,8 +903,9 @@ func (c *Conn) ackRetransQ(ack uint32) int {
 		return 0
 	}
 	released := 0
-	for t.head < len(t.q) {
-		ts := &t.q[t.head]
+	head := int(t.head)
+	for head < len(t.q) {
+		ts := &t.q[head]
 		end := ts.seq + uint32(ts.length)
 		if ts.fin {
 			end++
@@ -890,33 +915,37 @@ func (c *Conn) ackRetransQ(ack uint32) int {
 		}
 		released += ts.length
 		*ts = txSeg{}
-		t.head++
+		head++
 	}
-	if t.head == len(t.q) {
+	if head == len(t.q) {
 		c.stack.putTxState(t)
 		c.tx = nil
-	} else if t.head >= 32 && t.head*2 >= len(t.q) {
+		return released
+	}
+	if head >= 32 && head*2 >= len(t.q) {
 		// A connection that always keeps a segment in flight never hits
 		// the empty reset; compact the live suffix to the front so the
 		// dead prefix cannot grow with connection lifetime.
-		n := copy(t.q, t.q[t.head:])
+		n := copy(t.q, t.q[head:])
 		for i := n; i < len(t.q); i++ {
 			t.q[i] = txSeg{} // drop duplicated payload references
 		}
 		t.q = t.q[:n]
-		t.head = 0
+		head = 0
 	}
+	t.head = int32(head)
 	return released
 }
 
 // updateRTT takes an RTT sample if the timed segment was acked and was
 // never retransmitted (Karn's rule), then recomputes the RTO.
 func (c *Conn) updateRTT(ack uint32) {
-	if !c.rttPending || seqLT(ack, c.rttSeq) {
+	t := c.tx
+	if t == nil || !t.rttPending || seqLT(ack, t.rttSeq) {
 		return
 	}
-	c.rttPending = false
-	sample := time.Duration(c.stack.cfg.Now() - c.rttStart)
+	t.rttPending = false
+	sample := time.Duration(c.stack.cfg.Now() - t.rttStart)
 	if sample <= 0 {
 		return
 	}
@@ -972,7 +1001,8 @@ func (c *Conn) fastRetransmit() {
 	if c.retransLen() == 0 {
 		return
 	}
-	if c.inRecovery {
+	t := c.tx
+	if t.inRecovery {
 		// NewReno re-entry guard (RFC 6582): dup ACKs arriving during
 		// recovery belong to the same loss window — the partial-ACK
 		// path already retransmits the holes; halving cwnd again would
@@ -988,9 +1018,9 @@ func (c *Conn) fastRetransmit() {
 	}
 	c.ssthresh = half
 	c.cwnd = c.ssthresh
-	c.inRecovery = true
-	c.recoverSeq = c.sndNxt
-	c.resend(&c.tx.q[c.tx.head])
+	t.inRecovery = true
+	t.recoverSeq = c.sndNxt
+	c.resend(&t.q[t.head])
 	c.armRTO()
 }
 
@@ -1086,7 +1116,7 @@ func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 	q.segs = append(q.segs, rxSeg{})
 	copy(q.segs[pos+1:], q.segs[pos:])
 	q.segs[pos] = ins
-	c.reasmBytes += int32(len(payload))
+	q.bytes += int32(len(payload))
 }
 
 // drainReasm delivers now-in-order segments from the reassembly queue.
@@ -1101,7 +1131,7 @@ func (c *Conn) drainReasm() {
 			return
 		}
 		q.segs = q.segs[1:]
-		c.reasmBytes -= int32(len(rs.data))
+		q.bytes -= int32(len(rs.data))
 		data := rs.data
 		if seqLT(rs.seq, c.rcvNxt) {
 			drop := seqDiff(c.rcvNxt, rs.seq)
@@ -1283,16 +1313,17 @@ func (c *Conn) Send(b []byte) int { return c.Sendv([][]byte{b}, nil) }
 func (c *Conn) sendData(payload [][]byte, length int, back fabric.Backing) {
 	seq := c.sndNxt
 	c.sndNxt += uint32(length)
-	ts := txSeg{seq: seq, length: length, back: back, sentAt: c.stack.cfg.Now()}
+	ts := txSeg{seq: seq, length: length, back: back}
 	ts.setPayload(payload)
 	if c.tx == nil {
 		c.tx = c.stack.getTxState()
 	}
-	c.tx.q = append(c.tx.q, ts)
-	if !c.rttPending {
-		c.rttPending = true
-		c.rttSeq = c.sndNxt
-		c.rttStart = ts.sentAt
+	t := c.tx
+	t.q = append(t.q, ts)
+	if !t.rttPending {
+		t.rttPending = true
+		t.rttSeq = c.sndNxt
+		t.rttStart = c.stack.cfg.Now()
 	}
 	hdr := &c.stack.hdr
 	*hdr = c.makeHeader(seq, wire.TCPAck|wire.TCPPsh)
@@ -1336,7 +1367,7 @@ func (c *Conn) sendFIN() {
 	if c.tx == nil {
 		c.tx = c.stack.getTxState()
 	}
-	c.tx.q = append(c.tx.q, txSeg{seq: seq, fin: true, sentAt: c.stack.cfg.Now()})
+	c.tx.q = append(c.tx.q, txSeg{seq: seq, fin: true})
 	hdr := c.makeHeader(seq, wire.TCPFin|wire.TCPAck)
 	c.needAck = false
 	c.cancelDelAck()
@@ -1480,7 +1511,7 @@ func (s *Stack) Flush() {
 		if c.synAckOwed {
 			c.synAckOwed = false
 			if c.state == StateSynRcvd {
-				c.sendFlags(wire.TCPSyn|wire.TCPAck, c.iss, c.rcvNxt, true)
+				c.sendFlags(wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
 			}
 			continue
 		}
@@ -1518,7 +1549,7 @@ func (s *Stack) PayloadBacking() fabric.Backing { return s.back }
 
 // sendRST answers an unexpected segment with RST. key is the *local*
 // view of the flow the RST responds to.
-func (s *Stack) sendRST(key wire.FlowKey, in *wire.TCPHeader, payloadLen int) {
+func (s *Stack) sendRST(key connKey, in *wire.TCPHeader, payloadLen int) {
 	hdr := wire.TCPHeader{
 		SrcPort: key.SrcPort,
 		DstPort: key.DstPort,
@@ -1622,10 +1653,7 @@ func (s *Stack) Conns() []*Conn {
 		if a.SrcPort != b.SrcPort {
 			return a.SrcPort < b.SrcPort
 		}
-		if a.DstPort != b.DstPort {
-			return a.DstPort < b.DstPort
-		}
-		return a.Proto < b.Proto
+		return a.DstPort < b.DstPort
 	})
 	return out
 }
@@ -1670,17 +1698,18 @@ func (c *Conn) onRTO() {
 	}
 	c.ssthresh = half
 	c.cwnd = mss
-	c.rttPending = false // Karn
 	switch c.state {
 	case StateSynSent:
-		c.sendFlags(wire.TCPSyn, c.iss, 0, true)
+		c.sendFlags(wire.TCPSyn, c.sndUna, 0, true)
 	case StateSynRcvd:
-		c.sendFlags(wire.TCPSyn|wire.TCPAck, c.iss, c.rcvNxt, true)
+		c.sendFlags(wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
 	default:
-		if c.retransLen() > 0 {
-			c.inRecovery = true
-			c.recoverSeq = c.sndNxt
-			c.resend(&c.tx.q[c.tx.head])
+		// resend drops the pending RTT sample (Karn); with nothing
+		// tracked there is none.
+		if t := c.tx; t != nil {
+			t.inRecovery = true
+			t.recoverSeq = c.sndNxt
+			c.resend(&t.q[t.head])
 		}
 	}
 	c.armRTO()
@@ -1691,7 +1720,7 @@ func (c *Conn) onRTO() {
 // original, immutable sender bytes — retransmission is zero-copy too).
 func (c *Conn) resend(ts *txSeg) {
 	ts.rexmit = true
-	c.rttPending = false // Karn's rule: no sample from retransmitted data
+	c.tx.rttPending = false // Karn's rule: no sample from retransmitted data
 	var flags uint8 = wire.TCPAck
 	if ts.fin {
 		flags |= wire.TCPFin

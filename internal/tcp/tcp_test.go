@@ -349,7 +349,7 @@ func TestBurstLossRecoversWithoutSerialRTOs(t *testing.T) {
 	n := newTestNet(t, nil)
 	c, s := n.open(t, 80)
 	const segs, segLen = 8, 500
-	base := c.iss + 1
+	base := c.sndUna
 	seen := map[uint32]bool{}
 	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool {
 		if from != n.a || len(payload) == 0 {
@@ -383,7 +383,7 @@ func TestBurstLossRecoversWithoutSerialRTOs(t *testing.T) {
 	if n.a.sent[c] != segs*segLen {
 		t.Fatalf("acked %d, want %d", n.a.sent[c], segs*segLen)
 	}
-	if c.inRecovery {
+	if c.tx != nil && c.tx.inRecovery {
 		t.Fatal("connection still in recovery after full ACK")
 	}
 	// Recovery exited cleanly: post-recovery traffic must not trigger
@@ -445,8 +445,8 @@ func TestDuplicateOutOfOrderSegment(t *testing.T) {
 	if got := len(s.reasm.segs); got != 1 {
 		t.Fatalf("reassembly queue holds %d copies, want 1", got)
 	}
-	if s.reasmBytes != 4 {
-		t.Fatalf("reassembly bytes = %d, want 4", s.reasmBytes)
+	if s.reasm.bytes != 4 {
+		t.Fatalf("reassembly bytes = %d, want 4", s.reasm.bytes)
 	}
 	if got := n.b.pool.InUse(); got != 1 {
 		t.Fatalf("%d mbufs referenced after the duplicate, want 1", got)

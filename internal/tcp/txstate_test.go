@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"ix/internal/mem"
 	"ix/internal/timerwheel"
@@ -33,7 +34,7 @@ func txTestConn(t *testing.T, out Output) (*Stack, *Conn, *quietEvents, *int64) 
 		t.Fatal(err)
 	}
 	c.state = StateEstablished
-	c.sndUna = c.iss + 1
+	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
 	c.cancelRTO()
@@ -285,5 +286,136 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 	idle := fmt.Sprintf("%d conns / %d bytes", fp.Conns, fp.Bytes)
 	if fp.Conns != 1 {
 		t.Fatalf("unexpected population: %s", idle)
+	}
+}
+
+// TestTxStatePooledClean: the retransmission state a connection borrows
+// starts clean. A recovery that drains the queue releases the state
+// still marked in recovery — the ACK that ends it is the one that
+// empties the queue — and a connection aborted with a timed segment in
+// flight releases it with the sample pending, so putTxState must reset
+// the timing and recovery scalars before the next borrower sees them.
+func TestTxStatePooledClean(t *testing.T) {
+	n := newTestNet(t, nil)
+	c, s := n.open(t, 80)
+	c.Send([]byte("warm"))
+	n.step()
+
+	// First transmissions of segments 0 and 2 of six are lost: the dup
+	// ACKs of 1, 3, 4 and 5 fast-retransmit 0, whose ACK is partial, so
+	// recovery resends 2 and the next ACK drains the queue.
+	const segs, segLen = 6, 1000
+	base := c.sndNxt
+	seen := map[uint32]bool{}
+	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool {
+		if from != n.a || len(payload) == 0 || seen[hdr.Seq] {
+			return false
+		}
+		seen[hdr.Seq] = true
+		idx := int(hdr.Seq-base) / segLen
+		return idx == 0 || idx == 2
+	}
+	chunk := make([]byte, segLen)
+	for i := 0; i < segs; i++ {
+		c.Send(chunk)
+	}
+	tx := c.tx
+	rexmits := n.a.stack.Retransmits
+	n.step()
+	if got := n.a.stack.FastRetransmits; got != 1 {
+		t.Fatalf("fast retransmits = %d, want 1", got)
+	}
+	if got := n.a.stack.Retransmits - rexmits; got != 1 {
+		t.Fatalf("partial-ACK retransmits = %d, want 1", got)
+	}
+	if got := len(n.b.recvd[s]); got != 4+segs*segLen {
+		t.Fatalf("receiver got %d bytes, want %d", got, 4+segs*segLen)
+	}
+	if c.tx != nil {
+		t.Fatal("a drained queue kept its retransmission state")
+	}
+	checkClean := func(when string, want *txState) {
+		t.Helper()
+		got := n.a.stack.getTxState()
+		if got != want {
+			t.Fatalf("%s: the pool handed out another state", when)
+		}
+		if got.rttPending || got.inRecovery || got.dupAcks != 0 || got.rttSeq != 0 ||
+			got.rttStart != 0 || got.recoverSeq != 0 {
+			t.Fatalf("%s: pooled state not reset: rttPending=%v inRecovery=%v dupAcks=%d rttSeq=%d rttStart=%d recoverSeq=%d",
+				when, got.rttPending, got.inRecovery, got.dupAcks, got.rttSeq, got.rttStart, got.recoverSeq)
+		}
+		n.a.stack.putTxState(got)
+	}
+	checkClean("after recovery", tx)
+
+	// The next send borrows the same object and times its segment; an
+	// abort releases the state with the sample still pending.
+	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool { return true }
+	c.Send([]byte("timed"))
+	if c.tx != tx || !tx.rttPending {
+		t.Fatal("the next send did not borrow the pooled state and time its segment")
+	}
+	c.Abort()
+	checkClean("after abort", tx)
+}
+
+// TestSynRetransmitsKeepISS: a connection keeps no initial send sequence
+// apart from sndUna, which holds it until the handshake completes. With
+// the first SYN and the first SYN-ACK lost, every SYN carries the
+// client's ISS and every SYN-ACK — the one owed to Flush and its
+// retransmission — the server's, and both handshakes complete.
+func TestSynRetransmitsKeepISS(t *testing.T) {
+	n := newTestNet(t, nil)
+	if _, err := n.b.stack.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	type seg struct {
+		flags    uint8
+		seq, ack uint32
+	}
+	sent := map[*side][]seg{}
+	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool {
+		sent[from] = append(sent[from], seg{hdr.Flags, hdr.Seq, hdr.Ack})
+		return hdr.Flags&wire.TCPSyn != 0 && len(sent[from]) == 1
+	}
+	c, err := n.a.stack.Connect(n.b.ip, 80, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.step()
+	for i := 0; i < 8 && len(n.b.accepted) == 0; i++ {
+		n.advance(time.Millisecond)
+	}
+	if !n.a.connected[c] || len(n.b.accepted) != 1 {
+		t.Fatalf("handshake did not complete: connected=%v accepted=%d", n.a.connected[c], len(n.b.accepted))
+	}
+	// The first of each was lost: its sequence is the sender's ISS.
+	issA, issB := sent[n.a][0].seq, sent[n.b][0].seq
+	var syns, synAcks int
+	for _, sg := range sent[n.a] {
+		if sg.flags&wire.TCPSyn != 0 {
+			syns++
+			if sg.seq != issA {
+				t.Fatalf("SYN %d carries seq %d, want the ISS %d", syns, sg.seq, issA)
+			}
+		}
+	}
+	for _, sg := range sent[n.b] {
+		if sg.flags&wire.TCPSyn != 0 {
+			synAcks++
+			if sg.seq != issB || sg.ack != issA+1 {
+				t.Fatalf("SYN-ACK %d carries seq/ack %d/%d, want %d/%d", synAcks, sg.seq, sg.ack, issB, issA+1)
+			}
+		}
+	}
+	if syns < 2 || synAcks < 2 {
+		t.Fatalf("%d SYNs and %d SYN-ACKs sent, want a retransmission of each", syns, synAcks)
+	}
+	if c.sndUna != issA+1 || c.sndNxt != issA+1 {
+		t.Fatalf("client sndUna/sndNxt = %d/%d after the handshake, want %d", c.sndUna, c.sndNxt, issA+1)
+	}
+	if sc := n.b.accepted[0]; sc.sndUna != issB+1 || sc.sndNxt != issB+1 {
+		t.Fatalf("server sndUna/sndNxt = %d/%d after the handshake, want %d", sc.sndUna, sc.sndNxt, issB+1)
 	}
 }

@@ -218,6 +218,7 @@ func TestReleasedLagsPartialAck(t *testing.T) {
 	c, s := n.open(t, 80)
 
 	// One 1000-byte segment from a; craft a partial ACK by hand.
+	base := c.sndUna
 	msg := bytes.Repeat([]byte{0x5a}, 1000)
 	if got := c.Send(msg); got != len(msg) {
 		t.Fatalf("accepted %d", got)
@@ -235,7 +236,7 @@ func TestReleasedLagsPartialAck(t *testing.T) {
 	// Partial ACK: 400 of 1000 bytes.
 	partial := wire.TCPHeader{
 		SrcPort: s.Key().SrcPort, DstPort: s.Key().DstPort,
-		Seq: s.sndNxt, Ack: c.iss + 1 + 400, Flags: wire.TCPAck,
+		Seq: s.sndNxt, Ack: base + 400, Flags: wire.TCPAck,
 		Window: 0xffff, WScale: -1,
 	}
 	seg := make([]byte, partial.Len())
@@ -255,7 +256,7 @@ func TestReleasedLagsPartialAck(t *testing.T) {
 
 	// Full ACK releases the whole segment.
 	full := partial
-	full.Ack = c.iss + 1 + 1000
+	full.Ack = base + 1000
 	seg2 := make([]byte, full.Len())
 	full.Marshal(seg2)
 	wire.SetTCPChecksum(n.b.ip, n.a.ip, seg2)
@@ -308,7 +309,7 @@ func TestZeroAllocSteadySend(t *testing.T) {
 	}
 	// Hand-establish: the three-way handshake is not under test.
 	c.state = StateEstablished
-	c.sndUna = c.iss + 1
+	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
 	c.cancelRTO()
@@ -374,7 +375,7 @@ func TestRetransQBoundedUnderPipelining(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.state = StateEstablished
-	c.sndUna = c.iss + 1
+	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
 	c.cancelRTO()
