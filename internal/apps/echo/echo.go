@@ -217,16 +217,35 @@ type ClientConfig struct {
 }
 
 // clientConn tracks one RPC stream. One exists per open connection, so
-// it carries only what every mode needs; verify-mode state sits behind
-// a pointer that is nil unless ClientConfig.Verify. rounds and got are
-// int32: a connection's round count and a message's size fit easily.
+// it carries only what every mode needs; a verify-mode connection's
+// cookie is a verifyConn, which embeds it (see connState). rounds and
+// got are int32: a connection's round count and a message's size fit
+// easily.
 type clientConn struct {
-	t0 int64
-	// v is the verify-mode state (nil unless Verify).
-	v      *verifyState
+	t0     int64
 	rounds int32
 	got    int32
 	busy   bool
+}
+
+// verifyConn is a verify-mode connection's cookie: the RPC stream and
+// its verify state in one object.
+type verifyConn struct {
+	clientConn
+	verifyState
+}
+
+// connState resolves c's cookie to its RPC state and, for a verify-mode
+// connection, its verify state (nil otherwise). Both are nil for a
+// connection the client has not tagged.
+func connState(c app.Conn) (*clientConn, *verifyState) {
+	switch st := c.Cookie().(type) {
+	case *clientConn:
+		return st, nil
+	case *verifyConn:
+		return &st.clientConn, &st.verifyState
+	}
+	return nil, nil
 }
 
 // verifyState is a connection's verify-mode state: pat seeds its
@@ -392,16 +411,21 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 		}
 		return
 	}
-	st := &clientConn{}
+	var st *clientConn
+	var v *verifyState
 	if cl.cfg.Verify {
 		cl.connSeq++
-		st.v = &verifyState{
+		vc := &verifyConn{verifyState: verifyState{
 			pat:   (cl.cfg.VerifySeed + cl.connSeq) * 0xbf58476d1ce4e5b9,
 			buf:   make([]byte, cl.cfg.MsgSize),
 			txSum: fnvOffset, rxSum: fnvOffset,
-		}
+		}}
+		st, v = &vc.clientConn, &vc.verifyState
+		c.SetCookie(vc)
+	} else {
+		st = &clientConn{}
+		c.SetCookie(st)
 	}
-	c.SetCookie(st)
 	if cl.cfg.Outstanding > 0 {
 		cl.ring = append(cl.ring, c)
 		if cl.quiet {
@@ -417,11 +441,11 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 		}
 		if !cl.paused && cl.inFlight < cl.cfg.Outstanding {
 			cl.inFlight++
-			cl.sendReq(c, st)
+			cl.sendReq(c, st, v)
 		}
 		return
 	}
-	cl.sendReq(c, st)
+	cl.sendReq(c, st, v)
 }
 
 // startRotation opens the rotation window: up to Outstanding RPCs issued
@@ -444,22 +468,23 @@ func (cl *client) issueNext() {
 	for tries := 0; tries < len(cl.ring); tries++ {
 		c := cl.ring[cl.cursor%len(cl.ring)]
 		cl.cursor++
-		st, _ := c.Cookie().(*clientConn)
+		st, v := connState(c)
 		if st == nil || st.busy {
 			continue
 		}
-		cl.sendReq(c, st)
+		cl.sendReq(c, st, v)
 		return
 	}
 	cl.inFlight--
 }
 
-func (cl *client) sendReq(c app.Conn, st *clientConn) {
+// sendReq issues one RPC on c; v is c's verify state (nil unless Verify).
+func (cl *client) sendReq(c app.Conn, st *clientConn, v *verifyState) {
 	st.t0 = cl.env.Now()
 	st.got = 0
 	st.busy = true
 	cl.env.Charge(serverMsgCost)
-	if v := st.v; v != nil {
+	if v != nil {
 		fillPattern(v.buf, v.pat, int(st.rounds))
 		n := c.Send(v.buf)
 		v.txSum = fnvAdd(v.txSum, v.buf[:n])
@@ -472,11 +497,11 @@ func (cl *client) sendReq(c app.Conn, st *clientConn) {
 }
 
 func (cl *client) OnRecv(c app.Conn, data []byte) {
-	st, _ := c.Cookie().(*clientConn)
+	st, v := connState(c)
 	if st == nil {
 		return
 	}
-	if v := st.v; v != nil {
+	if v != nil {
 		// Integrity invariant: the response stream must equal the
 		// request stream byte-for-byte, at the right positions.
 		m := cl.cfg.Metrics
@@ -500,7 +525,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	m := cl.cfg.Metrics
 	m.Msgs.Inc()
 	m.Latency.Record(time.Duration(cl.env.Now() - st.t0))
-	if v := st.v; v != nil && v.rxSum != v.txSum {
+	if v != nil && v.rxSum != v.txSum {
 		// Whole-transfer checksum over everything this connection ever
 		// sent vs received: equal iff the echoed stream is intact.
 		m.SumMismatches.Inc()
@@ -517,7 +542,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 	}
 	st.rounds++
 	if int(st.rounds) < cl.cfg.Rounds || cl.cfg.Rounds <= 0 {
-		cl.sendReq(c, st)
+		cl.sendReq(c, st, v)
 		return
 	}
 	// Close with RST to avoid ephemeral-port exhaustion (§5.3).
@@ -533,8 +558,7 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 // verify mode it also pushes any request tail a short accept left over.
 func (cl *client) OnSent(c app.Conn, n int) {
 	cl.cfg.Metrics.TxAcked.Add(uint64(n))
-	if st, _ := c.Cookie().(*clientConn); st != nil && st.v != nil && len(st.v.unsent) > 0 {
-		v := st.v
+	if _, v := connState(c); v != nil && len(v.unsent) > 0 {
 		k := c.Send(v.unsent)
 		v.txSum = fnvAdd(v.txSum, v.unsent[:k])
 		v.unsent = v.unsent[k:]
@@ -543,7 +567,7 @@ func (cl *client) OnSent(c app.Conn, n int) {
 func (cl *client) OnEOF(c app.Conn) { c.Close() }
 
 func (cl *client) OnClosed(c app.Conn) {
-	st, _ := c.Cookie().(*clientConn)
+	st, _ := connState(c)
 	if cl.cfg.Outstanding > 0 {
 		// Rotation mode: drop the dead connection from the ring, free its
 		// in-flight slot, and replace it to hold the population at target.
@@ -588,6 +612,13 @@ func (cl *client) retarget(conns, outstanding int, seed uint64) {
 	cl.rampGen++
 	gen := cl.rampGen
 	cl.target = conns
+	if cap(cl.ring) < conns {
+		// Reserve the ring at its target: growing it by append would
+		// leave up to half its capacity as slack for the whole point.
+		ring := make([]app.Conn, len(cl.ring), conns)
+		copy(ring, cl.ring)
+		cl.ring = ring
+	}
 	cl.cfg.Outstanding = outstanding
 	cl.cfg.VerifySeed = seed
 	cl.connSeq = 0
@@ -597,13 +628,13 @@ func (cl *client) retarget(conns, outstanding int, seed uint64) {
 		// cold cluster's connections would start. The fleet is drained
 		// (no RPC in flight), so no round straddles the reset.
 		for _, c := range cl.ring {
-			st, _ := c.Cookie().(*clientConn)
-			if st == nil || st.v == nil {
+			st, v := connState(c)
+			if v == nil {
 				continue
 			}
 			cl.connSeq++
-			st.v.pat = (seed + cl.connSeq) * 0xbf58476d1ce4e5b9
-			st.v.txSum, st.v.rxSum = fnvOffset, fnvOffset
+			v.pat = (seed + cl.connSeq) * 0xbf58476d1ce4e5b9
+			v.txSum, v.rxSum = fnvOffset, fnvOffset
 			st.rounds = 0
 		}
 	}

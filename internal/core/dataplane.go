@@ -450,12 +450,13 @@ func (d *Dataplane) rehomeUserTimers(src, dst *ElasticThread) {
 // the protection-domain handle, and the user program's adoption event.
 func (d *Dataplane) moveConn(src, dst *ElasticThread, c *tcp.Conn) {
 	src.ns.TCP().Migrate(c, dst.ns.TCP())
-	// Re-grant the handle in the destination namespace; the old handle
-	// dies with the source thread's namespace.
-	src.gate.Revoke(c.Handle)
-	c.Handle = dst.gate.Grant(c)
+	// Re-grant the handle, with the user's cookie, in the destination
+	// namespace; the old handle dies with the source thread's namespace.
+	cookie := src.gate.Cookie(c.Cookie)
+	src.gate.Revoke(c.Cookie)
+	c.Cookie = dst.gate.Grant(c, cookie)
 	// Tell the destination's user program to adopt the flow.
-	dst.events = append(dst.events, Event{Type: EvMigrated, Handle: c.Handle, Cookie: c.Cookie})
+	dst.events = append(dst.events, Event{Type: EvMigrated, Handle: c.Cookie, Cookie: cookie})
 	d.FlowsMigrated++
 }
 

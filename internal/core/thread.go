@@ -39,7 +39,7 @@ type ElasticThread struct {
 	drv    netstack.Driver
 	wheel  *timerwheel.Wheel
 	txpool *mem.TxChunkPool
-	gate   *dune.Gate
+	gate   *dune.Gate[tcp.Conn]
 
 	user UserProgram
 	api  *UserAPI
@@ -84,7 +84,7 @@ type ElasticThread struct {
 }
 
 // Gate exposes the thread's dune syscall gate (tests, security checks).
-func (et *ElasticThread) Gate() *dune.Gate { return et.gate }
+func (et *ElasticThread) Gate() *dune.Gate[tcp.Conn] { return et.gate }
 
 // Stack exposes the thread's network stack instance.
 func (et *ElasticThread) Stack() *netstack.Stack { return et.ns }
@@ -109,7 +109,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		id:         id,
 		core:       sim.NewCore(dp.eng, id),
 		txpool:     mem.NewTxChunkPool(dp.region, id),
-		gate:       dune.NewGate(id, expected),
+		gate:       dune.NewGate[tcp.Conn](id, expected),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 		userTimers: make(map[*userTimer]struct{}),
 	}
@@ -320,29 +320,24 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 	switch sc.Type {
 	case SysConnect:
 		m.Charge(c.ConnSetup)
-		conn, err := et.ns.TCP().Connect(sc.DstIP, sc.DstPort, sc.Cookie)
+		conn, err := et.ns.TCP().Connect(sc.DstIP, sc.DstPort, 0)
 		if err != nil {
 			res.Err = err
 			et.events = append(et.events, Event{Type: EvConnected, Cookie: sc.Cookie, Outcome: false})
 			return res
 		}
-		conn.Handle = et.gate.Grant(conn)
-		res.Handle = conn.Handle
+		// The flow handle is the PCB's owner id; the user's cookie
+		// lives in the capability entry.
+		conn.Cookie = et.gate.Grant(conn, sc.Cookie)
+		res.Handle = conn.Cookie
 	case SysAccept:
-		obj, err := et.gate.Lookup(sc.Handle)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		conn := obj.(*tcp.Conn)
-		conn.Cookie = sc.Cookie
+		res.Err = et.gate.SetCookie(sc.Handle, sc.Cookie)
 	case SysSendv:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		conn := obj.(*tcp.Conn)
 		n := conn.Sendv(sc.SG, sc.Backs)
 		res.N = n
 		segs := (n + wire.MSS - 1) / wire.MSS
@@ -356,8 +351,8 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 		// handle the abort has already revoked, yet the mbufs it returns
 		// were delivered from this thread's pool all the same.
 		if res.Err = et.gate.RecvDone(sc.Handle, sc.Bytes); res.Err == nil {
-			obj, _ := et.gate.Lookup(sc.Handle) // RecvDone has just resolved it
-			obj.(*tcp.Conn).RecvDone(sc.Bytes)
+			conn, _ := et.gate.Lookup(sc.Handle) // RecvDone has just resolved it
+			conn.RecvDone(sc.Bytes)
 		}
 		for _, b := range sc.Bufs {
 			if b.Owner != et.drv.Pool.Owner {
@@ -367,21 +362,21 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			b.Unref()
 		}
 	case SysClose:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		m.Charge(c.ConnSetup / 2)
-		obj.(*tcp.Conn).Close()
+		conn.Close()
 	case SysAbort:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		m.Charge(c.ConnSetup / 2)
-		obj.(*tcp.Conn).Abort()
+		conn.Abort()
 	}
 	return res
 }
@@ -400,10 +395,10 @@ func (te *threadEvents) Knock(l *tcp.Listener, key wire.FlowKey) bool { return t
 
 func (te *threadEvents) Accepted(c *tcp.Conn) {
 	et := te.et()
-	c.Handle = et.gate.Grant(c)
+	c.Cookie = et.gate.Grant(c, 0) // the accept system call sets the user's cookie
 	et.events = append(et.events, Event{
 		Type:    EvKnock,
-		Handle:  c.Handle,
+		Handle:  c.Cookie,
 		SrcIP:   c.Key().DstIP,
 		SrcPort: c.Key().DstPort,
 	})
@@ -411,12 +406,12 @@ func (te *threadEvents) Accepted(c *tcp.Conn) {
 
 func (te *threadEvents) Connected(c *tcp.Conn, ok bool) {
 	et := te.et()
-	if !ok && c.Handle != 0 {
-		et.gate.Revoke(c.Handle)
+	// The cookie is read before a refused flow's handle is revoked.
+	ev := Event{Type: EvConnected, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie), Outcome: ok}
+	if !ok {
+		et.gate.Revoke(c.Cookie)
 	}
-	et.events = append(et.events, Event{
-		Type: EvConnected, Handle: c.Handle, Cookie: c.Cookie, Outcome: ok,
-	})
+	et.events = append(et.events, ev)
 }
 
 func (te *threadEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
@@ -428,9 +423,9 @@ func (te *threadEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 		// a reassembly queue hands up buffers of the source's pool.
 		buf.Owner = et.drv.Pool.Owner
 	}
-	et.gate.Delivered(c.Handle, len(data))
+	et.gate.Delivered(c.Cookie, len(data))
 	et.events = append(et.events, Event{
-		Type: EvRecv, Handle: c.Handle, Cookie: c.Cookie,
+		Type: EvRecv, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie),
 		Mbuf: buf, Data: data, Bytes: len(data),
 	})
 }
@@ -438,22 +433,22 @@ func (te *threadEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 func (te *threadEvents) Sent(c *tcp.Conn, acked, released int) {
 	et := te.et()
 	et.events = append(et.events, Event{
-		Type: EvSent, Handle: c.Handle, Cookie: c.Cookie,
+		Type: EvSent, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie),
 		Bytes: acked, Window: c.UsableWindow(), Released: released,
 	})
 }
 
 func (te *threadEvents) RemoteClosed(c *tcp.Conn) {
 	et := te.et()
-	et.events = append(et.events, Event{Type: EvEOF, Handle: c.Handle, Cookie: c.Cookie})
+	et.events = append(et.events, Event{Type: EvEOF, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie)})
 }
 
 func (te *threadEvents) Dead(c *tcp.Conn, reason tcp.Reason) {
 	et := te.et()
-	et.gate.Revoke(c.Handle)
-	et.events = append(et.events, Event{
-		Type: EvDead, Handle: c.Handle, Cookie: c.Cookie, Reason: reason,
-	})
+	// The cookie is read before the handle is revoked.
+	ev := Event{Type: EvDead, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie), Reason: reason}
+	et.gate.Revoke(c.Cookie)
+	et.events = append(et.events, ev)
 }
 
 // UserAPI is the application-visible system interface of one elastic

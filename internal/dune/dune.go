@@ -74,11 +74,14 @@ func handleGen(h uint64) uint16 { return uint16(h >> 32) }
 func HandleIndex(h uint64) uint32 { return uint32(h) }
 
 // capEntry is one capability-table slot. Field order packs it into 24
-// bytes (interface word pair, then the narrow scalars): with one entry
-// per live flow, slot size is a direct term of the per-connection
-// memory budget.
-type capEntry struct {
-	obj any
+// bytes (the typed flow pointer, the user's cookie, then the narrow
+// scalars): with one entry per live flow, slot size is a direct term of
+// the per-connection memory budget.
+type capEntry[T any] struct {
+	obj *T
+	// cookie is the user's opaque tag for the flow (Table 1), given at
+	// connect or accept and returned on every event condition.
+	cookie uint64
 	// delivered tracks bytes delivered to user space and not yet
 	// returned by recv_done, for overrun validation; bounded by the
 	// flow's receive window, so 32 bits hold it.
@@ -89,10 +92,10 @@ type capEntry struct {
 
 // Gate is the per-elastic-thread system call gate: it owns the thread's
 // flow-handle namespace and validates every batched system call before it
-// reaches the dataplane kernel proper.
-type Gate struct {
+// reaches the dataplane kernel proper. T is the dataplane flow type.
+type Gate[T any] struct {
 	thread  int
-	entries []capEntry
+	entries []capEntry[T]
 	freeIdx []uint32
 
 	violations [vioCount]uint64
@@ -103,76 +106,114 @@ type Gate struct {
 // demand): a presized table never pays append-doubling's transient
 // double allocation, and its capacity is exact rather than the next
 // power of two — both visible in the bytes/conn account.
-func NewGate(thread, expected int) *Gate {
-	g := &Gate{thread: thread}
+func NewGate[T any](thread, expected int) *Gate[T] {
+	g := &Gate[T]{thread: thread}
 	if expected > 0 {
-		g.entries = make([]capEntry, 0, expected)
+		g.entries = make([]capEntry[T], 0, expected)
 	}
 	return g
 }
 
-// Grant installs obj (a dataplane flow) into the namespace and returns
-// its handle.
-func (g *Gate) Grant(obj any) uint64 {
+// Grant installs obj (a dataplane flow) into the namespace with the
+// user's cookie and returns its handle.
+func (g *Gate[T]) Grant(obj *T, cookie uint64) uint64 {
 	var idx uint32
 	if n := len(g.freeIdx); n > 0 {
 		idx = g.freeIdx[n-1]
 		g.freeIdx = g.freeIdx[:n-1]
 	} else {
 		idx = uint32(len(g.entries))
-		g.entries = append(g.entries, capEntry{})
+		g.entries = append(g.entries, capEntry[T]{})
 	}
 	e := &g.entries[idx]
 	e.gen++
 	e.obj = obj
+	e.cookie = cookie
 	e.live = true
 	e.delivered = 0
 	return makeHandle(g.thread, e.gen, idx)
 }
 
-// Lookup validates h and returns the granted object.
-func (g *Gate) Lookup(h uint64) (any, error) {
+// entry returns h's live entry, or nil with the violation h commits.
+func (g *Gate[T]) entry(h uint64) (*capEntry[T], Violation) {
 	if handleThread(h) != g.thread {
-		g.violations[VioForeignHandle]++
-		return nil, ErrForeignHandle
+		return nil, VioForeignHandle
 	}
 	idx := HandleIndex(h)
 	if int(idx) >= len(g.entries) {
-		g.violations[VioBadHandle]++
-		return nil, ErrBadHandle
+		return nil, VioBadHandle
 	}
 	e := &g.entries[idx]
 	if !e.live {
-		g.violations[VioBadHandle]++
-		return nil, ErrBadHandle
+		return nil, VioBadHandle
 	}
 	if e.gen != handleGen(h) {
-		g.violations[VioStaleHandle]++
-		return nil, ErrStaleHandle
+		return nil, VioStaleHandle
+	}
+	return e, 0
+}
+
+// violationErr maps a handle violation to the error the caller sees.
+var violationErr = [...]error{
+	VioBadHandle:     ErrBadHandle,
+	VioForeignHandle: ErrForeignHandle,
+	VioStaleHandle:   ErrStaleHandle,
+}
+
+// check is entry for a system call: a miss counts its violation.
+func (g *Gate[T]) check(h uint64) (*capEntry[T], error) {
+	e, v := g.entry(h)
+	if e == nil {
+		g.violations[v]++
+		return nil, violationErr[v]
+	}
+	return e, nil
+}
+
+// Lookup validates h and returns the granted object.
+func (g *Gate[T]) Lookup(h uint64) (*T, error) {
+	e, err := g.check(h)
+	if err != nil {
+		return nil, err
 	}
 	return e.obj, nil
 }
 
-// Revoke removes h from the namespace (flow closed). Stale revokes are
-// ignored.
-func (g *Gate) Revoke(h uint64) {
-	if handleThread(h) != g.thread {
-		return
+// Cookie returns the user's cookie for h: 0 for a handle that is not
+// live in this namespace (stale, foreign or revoked). It is the
+// kernel's own read for an event condition, so a miss counts no
+// violation.
+func (g *Gate[T]) Cookie(h uint64) uint64 {
+	if e, _ := g.entry(h); e != nil {
+		return e.cookie
 	}
-	idx := HandleIndex(h)
-	if int(idx) >= len(g.entries) {
-		return
+	return 0
+}
+
+// SetCookie sets the user's cookie for h (the accept system call tags
+// a flow granted at establishment).
+func (g *Gate[T]) SetCookie(h uint64, cookie uint64) error {
+	e, err := g.check(h)
+	if err != nil {
+		return err
 	}
-	e := &g.entries[idx]
-	if e.live && e.gen == handleGen(h) {
+	e.cookie = cookie
+	return nil
+}
+
+// Revoke removes h from the namespace (flow closed), clearing its
+// cookie. Stale revokes are ignored.
+func (g *Gate[T]) Revoke(h uint64) {
+	if e, _ := g.entry(h); e != nil {
 		e.live = false
 		e.obj = nil
-		g.freeIdx = append(g.freeIdx, idx)
+		e.cookie = 0
+		g.freeIdx = append(g.freeIdx, HandleIndex(h))
 	}
 }
 
 // Delivered accounts bytes passed read-only to the application on h.
-func (g *Gate) Delivered(h uint64, n int) {
+func (g *Gate[T]) Delivered(h uint64, n int) {
 	idx := HandleIndex(h)
 	if int(idx) < len(g.entries) && g.entries[idx].live {
 		g.entries[idx].delivered += int32(n)
@@ -182,13 +223,11 @@ func (g *Gate) Delivered(h uint64, n int) {
 // RecvDone validates a recv_done of n bytes against what was actually
 // delivered, rejecting overruns (which could otherwise open the receive
 // window beyond buffer accounting).
-func (g *Gate) RecvDone(h uint64, n int) error {
-	obj, err := g.Lookup(h)
+func (g *Gate[T]) RecvDone(h uint64, n int) error {
+	e, err := g.check(h)
 	if err != nil {
 		return err
 	}
-	_ = obj
-	e := &g.entries[HandleIndex(h)]
 	if int32(n) > e.delivered {
 		g.violations[VioRecvDoneOverrun]++
 		return ErrRecvDone
@@ -199,7 +238,7 @@ func (g *Gate) RecvDone(h uint64, n int) error {
 
 // CheckWritable rejects writes to read-only user mappings (incoming
 // mbufs). The readOnly flag comes from the buffer's mapping.
-func (g *Gate) CheckWritable(readOnly bool) error {
+func (g *Gate[T]) CheckWritable(readOnly bool) error {
 	if readOnly {
 		g.violations[VioReadOnlyWrite]++
 		return ErrReadOnly
@@ -208,16 +247,16 @@ func (g *Gate) CheckWritable(readOnly bool) error {
 }
 
 // Deny records a rejected system call.
-func (g *Gate) Deny() error {
+func (g *Gate[T]) Deny() error {
 	g.violations[VioSyscallDenied]++
 	return ErrDenied
 }
 
 // Violations returns the count for one violation kind.
-func (g *Gate) Violations(v Violation) uint64 { return g.violations[v] }
+func (g *Gate[T]) Violations(v Violation) uint64 { return g.violations[v] }
 
 // TotalViolations sums all violation counters.
-func (g *Gate) TotalViolations() uint64 {
+func (g *Gate[T]) TotalViolations() uint64 {
 	var t uint64
 	for _, v := range g.violations {
 		t += v
@@ -230,13 +269,13 @@ func (g *Gate) TotalViolations() uint64 {
 // its high-water mark) plus the free-index stack. The memprobe
 // per-connection accounting charges this to the thread's flow
 // population.
-func (g *Gate) FootprintBytes() int64 {
-	return int64(cap(g.entries))*int64(unsafe.Sizeof(capEntry{})) +
+func (g *Gate[T]) FootprintBytes() int64 {
+	return int64(cap(g.entries))*int64(unsafe.Sizeof(capEntry[T]{})) +
 		int64(cap(g.freeIdx))*int64(unsafe.Sizeof(uint32(0)))
 }
 
 // Live returns the number of live handles (for leak tests).
-func (g *Gate) Live() int {
+func (g *Gate[T]) Live() int {
 	n := 0
 	for _, e := range g.entries {
 		if e.live {

@@ -105,8 +105,8 @@ func TestRTOBackoffClampsAtMax(t *testing.T) {
 // reviewed decision, not a side effect (DESIGN.md, "Per-connection
 // memory budget").
 func TestConnStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Conn{}); got > 128 {
-		t.Fatalf("tcp.Conn is %d bytes, budget 128", got)
+	if got := unsafe.Sizeof(Conn{}); got > 112 {
+		t.Fatalf("tcp.Conn is %d bytes, budget 112", got)
 	}
 	// The retransmission state is charged per connection with data in
 	// flight and pooled per unit of concurrency: the RTT-sample and

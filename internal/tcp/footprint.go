@@ -51,10 +51,7 @@ func (s *Stack) Footprint() memprobe.Footprint {
 			f.Attached++
 			b += reasmBytes + int64(cap(q.segs))*rxBytes
 		}
-		if c.rtoTimer != nil {
-			b += timerBytes
-		}
-		if c.twTimer != nil {
+		if c.timer != nil {
 			b += timerBytes
 		}
 		if c.daTimer != nil {

@@ -469,19 +469,22 @@ type reasmQ struct {
 // while something is in flight — the retransmission queue with the RTT
 // sample and loss-recovery scalars that time and repair it, held
 // out-of-order segments with their byte count — sits behind a pointer
-// that is nil when idle. Fields are ordered by alignment, widest first,
-// so the struct carries no interior padding: 64 B of pointers and words,
-// the 12 B key, 40 B of sequence, window and estimator state, 10 B of
-// counters and flags — 128 B, which TestConnStateSizes pins.
+// that is nil when idle. The same rule gives the connection one owner
+// id rather than a word per layer that might own it, and one slot for
+// timers whose purposes exclude each other. Fields are ordered by
+// alignment, widest first, so the struct carries no interior padding:
+// 48 B of pointers and words, the 12 B key, 40 B of sequence, window and
+// estimator state, 10 B of counters and flags — 112 B, which
+// TestConnStateSizes pins.
 type Conn struct {
 	stack *Stack
 
-	// Cookie is the user's opaque connection tag (Table 1). A compact
-	// integer handle into the owner's connection table rather than an
-	// interface box: 8 bytes inline, nothing to scan, nothing pinned.
+	// Cookie is the owning layer's id for the connection: the socket
+	// core's table id on Linux and mTCP, the dune flow handle on IX
+	// (whose capability entry holds the user's Table 1 cookie). A compact
+	// integer rather than an interface box: 8 bytes inline, nothing to
+	// scan, nothing pinned.
 	Cookie uint64
-	// Handle is assigned by the OS layer (kernel-level flow identifier).
-	Handle uint64
 
 	// tx is the retransmission queue, a pooled side-object held only
 	// while data is in flight.
@@ -494,9 +497,13 @@ type Conn struct {
 	// method value like c.onRTO would allocate a closure per arming (the
 	// RTO re-arms once per transmitted segment) or pin three per-conn
 	// closures for the connection's lifetime if bound once at setup.
-	rtoTimer *timerwheel.Timer
-	twTimer  *timerwheel.Timer
-	daTimer  *timerwheel.Timer
+	//
+	// timer is the retransmission timer until TIME_WAIT and the 2MSL
+	// timer in it: enterTimeWait cancels the RTO before arming the 2MSL
+	// deadline, and nothing arms or cancels the RTO in TIME_WAIT (no
+	// data or FIN is in flight there).
+	timer   *timerwheel.Timer
+	daTimer *timerwheel.Timer
 
 	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
 	key connKey
@@ -589,7 +596,8 @@ func (c *Conn) rcvWndAvail() int {
 }
 
 // Connect initiates an active open to dst:port, returning the new
-// connection in SynSent state. The Connected event reports the outcome.
+// connection in SynSent state with cookie as its owner id (Conn.Cookie).
+// The Connected event reports the outcome.
 // It is on the establishment fast path — the large Fig. 4 ramps open
 // millions of connections through it — so beyond the connection object
 // itself (newConn) it must not allocate: the table insert lands in
@@ -1206,12 +1214,12 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.cancelRTO()
 	w := c.stack.cfg.Wheel
-	c.twTimer = w.AddArg(c.stack.cfg.Now()+int64(c.stack.cfg.TimeWait), connTimeWait, c)
+	c.timer = w.AddArg(c.stack.cfg.Now()+int64(c.stack.cfg.TimeWait), connTimeWait, c)
 }
 
 // onTimeWait ends the 2MSL quiet period.
 func (c *Conn) onTimeWait() {
-	c.twTimer = nil
+	c.timer = nil
 	c.destroy(ReasonClosed)
 }
 
@@ -1583,7 +1591,7 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	// continuity): a retransmission, TIME_WAIT or delayed-ACK deadline
 	// set before the migration fires at the same virtual time on the
 	// destination wheel. Fired/cancelled timers are dropped.
-	for _, t := range []**timerwheel.Timer{&c.rtoTimer, &c.twTimer, &c.daTimer} {
+	for _, t := range []**timerwheel.Timer{&c.timer, &c.daTimer} {
 		if *t != nil && !s.cfg.Wheel.Transfer(*t, dst.cfg.Wheel) {
 			*t = nil
 		}
@@ -1613,7 +1621,7 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	s.conns.del(c.key)
 	c.stack = dst
 	dst.conns.put(c)
-	if c.rtoTimer == nil && c.state != StateTimeWait && c.retransLen() > 0 {
+	if c.timer == nil && c.state != StateTimeWait && c.retransLen() > 0 {
 		// Unacked data without a live timer (should not happen, but a
 		// lost RTO would hang the flow forever): re-arm defensively.
 		c.armRTO()
@@ -1664,22 +1672,24 @@ func (s *Stack) Conns() []*Conn {
 func (c *Conn) armRTO() {
 	w := c.stack.cfg.Wheel
 	deadline := c.stack.cfg.Now() + int64(c.rto)
-	if c.rtoTimer != nil && w.Reset(c.rtoTimer, deadline) {
+	if c.timer != nil && w.Reset(c.timer, deadline) {
 		return
 	}
-	c.rtoTimer = w.AddArg(deadline, connRTO, c)
+	c.timer = w.AddArg(deadline, connRTO, c)
 }
 
+// cancelRTO cancels the timer slot: the RTO, or in TIME_WAIT (reached
+// only from destroy) the 2MSL timer.
 func (c *Conn) cancelRTO() {
-	if c.rtoTimer != nil {
-		c.stack.cfg.Wheel.Cancel(c.rtoTimer)
-		c.rtoTimer = nil
+	if c.timer != nil {
+		c.stack.cfg.Wheel.Cancel(c.timer)
+		c.timer = nil
 	}
 }
 
 // onRTO fires the retransmission timeout.
 func (c *Conn) onRTO() {
-	c.rtoTimer = nil
+	c.timer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
@@ -1742,12 +1752,8 @@ func (c *Conn) destroy(reason Reason) {
 	}
 	prev := c.state
 	c.state = StateClosed
-	c.cancelRTO()
+	c.cancelRTO() // the 2MSL timer too: it shares the slot
 	c.cancelDelAck()
-	if c.twTimer != nil {
-		c.stack.cfg.Wheel.Cancel(c.twTimer)
-		c.twTimer = nil
-	}
 	if prev == StateSynRcvd {
 		c.stack.embryonicDone(c.key.SrcPort)
 	}
