@@ -37,7 +37,7 @@ func TestRTTNarrowingExact(t *testing.T) {
 		var now int64 = 1
 		s := quietStack(&now, nil)
 		c := s.newConn(tableKey(seq))
-		c.tx = s.getTxState()
+		c.fl = s.getFlight()
 		var srtt, rttvar, rto time.Duration
 		// Sample magnitudes from 1 ns to just under 4 s, log-uniform.
 		scale := time.Duration(1) << uint(rng.Intn(32))
@@ -64,7 +64,7 @@ func TestRTTNarrowingExact(t *testing.T) {
 				rto = maxRTO
 			}
 
-			c.tx.rttPending, c.tx.rttSeq, c.tx.rttStart = true, c.sndNxt, now
+			c.fl.rttPending, c.fl.rttSeq, c.fl.rttStart = true, c.sndNxt, now
 			now += int64(sample)
 			c.updateRTT(c.sndNxt)
 			if time.Duration(c.srtt) != srtt || time.Duration(c.rttvar) != rttvar || time.Duration(c.rto) != rto {
@@ -100,20 +100,43 @@ func TestRTOBackoffClampsAtMax(t *testing.T) {
 	}
 }
 
+// TestMaxRexmitsFitsCount: the retransmission limit is clamped so that
+// the count exceeding it still fits the PCB's byte — a connection with
+// a limit past it dies at the 255th timeout instead of wrapping the
+// count and retrying forever.
+func TestMaxRexmitsFitsCount(t *testing.T) {
+	var now int64
+	s := quietStack(&now, func(c *Config) { c.MaxRexmits = 1000 })
+	c, err := s.Connect(wire.Addr4(10, 0, 0, 2), 80, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxRexmits; i++ {
+		c.onRTO()
+	}
+	if c.state != StateSynSent || int(c.rexmitCount) != maxRexmits {
+		t.Fatalf("after %d timeouts: state %v, count %d", maxRexmits, c.state, c.rexmitCount)
+	}
+	c.onRTO()
+	if c.state != StateClosed {
+		t.Fatalf("after %d timeouts the connection is %v, want it dead", maxRexmits+1, c.state)
+	}
+}
+
 // TestConnStateSizes pins the PCB's size: an established connection is
 // the unit the Fig. 4 population multiplies, so growth here is a
 // reviewed decision, not a side effect (DESIGN.md, "Per-connection
 // memory budget").
 func TestConnStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Conn{}); got > 112 {
-		t.Fatalf("tcp.Conn is %d bytes, budget 112", got)
+	if got := unsafe.Sizeof(Conn{}); got > 80 {
+		t.Fatalf("tcp.Conn is %d bytes, budget 80", got)
 	}
-	// The retransmission state is charged per connection with data in
-	// flight and pooled per unit of concurrency: the RTT-sample and
-	// loss-recovery scalars beside the queue keep it in the 256 B size
-	// class.
-	if got := unsafe.Sizeof(txState{}); got > 256 {
-		t.Fatalf("txState is %d bytes, budget 256", got)
+	// The flight is charged per connection with something pending and
+	// pooled per unit of concurrency: the two timer slots and the
+	// reassembly pointer beside the queue and its scalars put it in the
+	// 288 B size class.
+	if got := unsafe.Sizeof(flight{}); got > 288 {
+		t.Fatalf("flight is %d bytes, budget 288", got)
 	}
 	// A tracked segment's size is part of every connection's footprint
 	// while data is in flight (Footprint): naming its backing must not

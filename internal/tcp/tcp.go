@@ -151,7 +151,7 @@ type Config struct {
 	// supports timeouts as low as 16 µs for incast; default 200 µs.
 	MinRTO time.Duration
 	// MaxRexmits is the retransmission limit before the connection dies
-	// with ReasonTimeout (default 8).
+	// with ReasonTimeout (default 8, at most maxRexmits).
 	MaxRexmits int
 	// TimeWait is the 2MSL quiet period (scaled down for simulation;
 	// default 1 ms). The echo benchmarks avoid it with RST closes, as
@@ -176,6 +176,9 @@ const (
 	defaultRcvWnd  = 256 << 10
 	defaultMinRTO  = 200 * time.Microsecond
 	defaultRexmits = 8
+	// maxRexmits bounds MaxRexmits so the count that exceeds it fits
+	// Conn.rexmitCount's byte.
+	maxRexmits     = 254
 	defaultTW      = time.Millisecond
 	defaultBacklog = 1024
 	initialRTO     = time.Millisecond
@@ -209,9 +212,9 @@ type Stack struct {
 	// back is the backing of the segment Output is emitting
 	// (PayloadBacking), nil outside a data segment's emission.
 	back fabric.Backing
-	// txFree recycles txState objects between connections with data in
-	// flight (LIFO, so the hot states stay cache-warm).
-	txFree []*txState
+	// flightFree recycles flight objects between connections with
+	// something pending (LIFO, so the hot objects stay cache-warm).
+	flightFree []*flight
 
 	// Stats.
 	SegsIn, SegsOut uint64
@@ -244,6 +247,7 @@ func NewStack(cfg Config) *Stack {
 	if cfg.MaxRexmits <= 0 {
 		cfg.MaxRexmits = defaultRexmits
 	}
+	cfg.MaxRexmits = min(cfg.MaxRexmits, maxRexmits)
 	if cfg.TimeWait <= 0 {
 		cfg.TimeWait = defaultTW
 	}
@@ -347,13 +351,13 @@ func (ts *txSeg) appendPayload(sg [][]byte) [][]byte {
 	return append(sg, ts.extra...)
 }
 
-// retransInline is the txState inline segment capacity: steady
+// retransInline is the flight's inline segment capacity: steady
 // request-response traffic keeps at most a couple of segments in
 // flight, so the queue almost never needs heap backing. Loss bursts
 // and deep pipelining spill to an ordinary slice.
 const retransInline = 2
 
-// maxPooledSpill bounds the spilled backing a pooled txState keeps when
+// maxPooledSpill bounds the spilled backing a pooled flight keeps when
 // its queue drains: the backing append grew for up to 64 segments is
 // kept, so a bulk sender's 64 KiB flights (45 full segments) reuse one
 // backing instead of regrowing it 2→64 per message. append rounds a
@@ -367,27 +371,47 @@ func keepSpill(q []txSeg) bool {
 	return cap(q) > retransInline && cap(q) < 2*maxPooledSpill
 }
 
-// txState is the retransmission queue of one connection with data in
-// flight: a head-indexed ring over one backing array. The cumulative-ACK
-// trim advances head (zeroing dropped segments so their payload
-// references die); q aliases the inline array until a burst spills it.
-// States are pooled per stack — a connection acquires one on first
-// transmit and releases it whenever the queue drains, so the 250k idle
-// connections of a Fig. 4 point carry no send-queue storage at all. A
-// pooled state keeps a spilled backing of up to maxPooledSpill segments.
+// flight is everything a connection holds only while something is
+// pending: unacknowledged data, held out-of-order segments or an armed
+// timer. An idle established connection has none of it, so it holds no
+// flight at all: a connection borrows one
+// from its stack's pool when the first of these appears and returns it,
+// cleared, when all of them are gone (settle). The pool is LIFO, so the
+// hot objects stay cache-warm, and it only ever holds objects that were
+// borrowed at the same instant.
 //
-// The state also holds the connection's scalars that mean something only
-// while data is unacknowledged: the pending RTT sample and the NewReno
-// loss-recovery state. Neither outlives a drained queue — the draining
-// ACK takes the timed segment's sample, and a recovery ends at the ACK
-// that covers every segment — so an idle connection carries none of them.
-type txState struct {
+// The retransmission queue is a head-indexed ring over one backing
+// array. The cumulative-ACK trim advances head (zeroing dropped
+// segments so their payload references die); q aliases the inline
+// array until a burst spills it, and a pooled flight keeps a spilled
+// backing of up to maxPooledSpill segments. Beside the queue sit the
+// scalars that mean something only while data is unacknowledged: the
+// pending RTT sample and the NewReno loss-recovery state. Neither
+// outlives a drained queue — the draining ACK takes the timed segment's
+// sample, and a recovery ends at the ACK that covers every segment.
+type flight struct {
 	q []txSeg
 	// RTT timing: one segment at a time (rttSeq is its end), sampled by
 	// the ACK that covers it unless a retransmission intervened (Karn).
 	rttStart int64
-	// head is int32 so that the state stays in the 256 B size class; the
-	// queue is bounded by the window's segments.
+
+	// Timers. Callbacks are package-level trampolines passed through
+	// timerwheel.AddArg with the connection as the argument: a bound
+	// method value like c.onRTO would allocate a closure per arming (the
+	// RTO re-arms once per transmitted segment) or pin three per-conn
+	// closures for the connection's lifetime if bound once at setup.
+	//
+	// timer is the retransmission timer until TIME_WAIT and the 2MSL
+	// timer in it: enterTimeWait cancels the RTO before arming the 2MSL
+	// deadline, and nothing arms or cancels the RTO in TIME_WAIT (no
+	// data or FIN is in flight there).
+	timer   *timerwheel.Timer
+	daTimer *timerwheel.Timer
+
+	// reasm holds out-of-order segments; nil unless some are held.
+	reasm *reasmQ
+
+	// head is int32: the queue is bounded by the window's segments.
 	head   int32
 	rttSeq uint32
 	// Loss recovery is NewReno (RFC 6582): while inRecovery, a partial
@@ -406,42 +430,81 @@ type txState struct {
 	inl        [retransInline]txSeg
 }
 
-// getTxState pops a pooled state (or builds the first).
-func (s *Stack) getTxState() *txState {
-	if n := len(s.txFree); n > 0 {
-		t := s.txFree[n-1]
-		s.txFree[n-1] = nil
-		s.txFree = s.txFree[:n-1]
-		return t
-	}
-	t := &txState{}
-	t.q = t.inl[:0:retransInline]
-	return t
+// idle reports whether nothing in f is pending: the queue is drained,
+// no segment is held for reassembly and both timers are disarmed.
+func (f *flight) idle() bool {
+	return int(f.head) == len(f.q) && f.reasm == nil && f.timer == nil && f.daTimer == nil
 }
 
-// putTxState returns a drained (or dead) state to the pool. No payload
-// reference may survive into the pool: a spilled backing grown for up to
-// maxPooledSpill segments is kept and zeroed (entries past len are
-// always zero: the trim and the compaction zero what they drop), a
-// larger one is dropped by re-aliasing q to the inline array. The inline
-// array is zeroed either way: a spill copies its contents aside but
-// leaves stale fragment references behind. The connection itself keeps
-// nothing, so a loss burst's spill is never pinned for its lifetime.
-// The timing and recovery scalars reset too: a queue drained by the ACK
-// that ends a recovery is released still marked in recovery, and a dead
-// connection's state may still time a segment.
-func (s *Stack) putTxState(t *txState) {
-	t.inl = [retransInline]txSeg{}
-	if keepSpill(t.q) {
-		clear(t.q)
-		t.q = t.q[:0]
-	} else {
-		t.q = t.inl[:0:retransInline]
+// clearTx empties the retransmission queue and resets the timing and
+// recovery scalars beside it. No payload reference may survive. Entries
+// before head and past len are always zero (the trim and the compaction
+// zero what they drop), so only the live ones — a dead connection's —
+// need clearing. A spill copies the inline entries aside but leaves
+// their references behind, so a spilled queue zeroes the inline array
+// too; its backing is kept if grown for up to maxPooledSpill segments,
+// and a larger one is dropped by re-aliasing q to the inline array. The
+// scalars reset too: a queue drained by the ACK that ends a recovery is
+// still marked in recovery, and a dead connection's queue may still
+// time a segment.
+func (f *flight) clearTx() {
+	clear(f.q[f.head:])
+	f.q = f.q[:0]
+	if cap(f.q) > retransInline {
+		f.inl = [retransInline]txSeg{}
+		if !keepSpill(f.q) {
+			f.q = f.inl[:0:retransInline]
+		}
 	}
-	t.head = 0
-	t.rttStart, t.rttSeq, t.rttPending = 0, 0, false
-	t.recoverSeq, t.dupAcks, t.inRecovery = 0, 0, false
-	s.txFree = append(s.txFree, t)
+	f.head = 0
+	f.rttStart, f.rttSeq, f.rttPending = 0, 0, false
+	f.recoverSeq, f.dupAcks, f.inRecovery = 0, 0, false
+}
+
+// getFlight pops a pooled flight (or builds the first).
+func (s *Stack) getFlight() *flight {
+	if n := len(s.flightFree); n > 0 {
+		f := s.flightFree[n-1]
+		s.flightFree[n-1] = nil
+		s.flightFree = s.flightFree[:n-1]
+		return f
+	}
+	f := &flight{}
+	f.q = f.inl[:0:retransInline]
+	return f
+}
+
+// putFlight clears f and returns it to the pool. It is the one place a
+// flight is returned, from a connection that has settled or from
+// destroy, whose timers are cancelled and whose held segments are
+// released by then. Nothing the connection held survives into the pool,
+// so a loss burst's spill is never pinned for a connection's lifetime.
+func (s *Stack) putFlight(f *flight) {
+	f.clearTx()
+	f.timer, f.daTimer, f.reasm = nil, nil, nil
+	s.flightFree = append(s.flightFree, f)
+}
+
+// borrow returns the connection's flight, borrowing one if it has none.
+func (c *Conn) borrow() *flight {
+	if c.fl == nil {
+		c.fl = c.stack.getFlight()
+	}
+	return c.fl
+}
+
+// settle returns the connection's flight once nothing in it is pending.
+// It runs where the stack hands control back after working on a
+// connection — after each input segment and after each Flush emission —
+// so a flight emptied part way through a segment's processing (a
+// drained queue whose RTO is cancelled a few lines later) or between
+// a delayed ACK's timeout and the Flush that sends it is returned once,
+// at the end.
+func (c *Conn) settle() {
+	if f := c.fl; f != nil && f.idle() {
+		c.fl = nil
+		c.stack.putFlight(f)
+	}
 }
 
 // rxSeg is an out-of-order segment held for reassembly.
@@ -454,7 +517,7 @@ type rxSeg struct {
 // reasmQ is a connection's out-of-order hold queue. It exists only
 // while segments are held: allocated on the first out-of-order arrival,
 // dropped when the queue drains — reordering is the exception on this
-// fabric, so a connection that never sees one pays a nil pointer for it.
+// fabric, so a flight that never holds one pays a nil pointer for it.
 // bytes, the payload held, is bounded by the receive window.
 type reasmQ struct {
 	segs  []rxSeg
@@ -465,17 +528,17 @@ type reasmQ struct {
 //
 // The layout rule, here and in every layer above (DESIGN.md,
 // "Per-connection memory budget"): a field lives in the connection only
-// if an idle established connection needs it. State that exists only
-// while something is in flight — the retransmission queue with the RTT
-// sample and loss-recovery scalars that time and repair it, held
-// out-of-order segments with their byte count — sits behind a pointer
-// that is nil when idle. The same rule gives the connection one owner
-// id rather than a word per layer that might own it, and one slot for
-// timers whose purposes exclude each other. Fields are ordered by
+// if an idle established connection needs it. What exists only while
+// something is pending — the retransmission queue with the RTT sample
+// and loss-recovery scalars that time and repair it, held out-of-order
+// segments, the timers and the retransmission count — sits in one
+// borrowed flight that is nil when idle. The same rule gives the
+// connection one owner id rather than a word per layer that might own
+// it, and packs its booleans into one byte. Fields are ordered by
 // alignment, widest first, so the struct carries no interior padding:
-// 48 B of pointers and words, the 12 B key, 40 B of sequence, window and
-// estimator state, 10 B of counters and flags — 112 B, which
-// TestConnStateSizes pins.
+// 24 B of pointers and words, the 12 B key, 36 B of sequence, window
+// and estimator state, 4 B of unconsumed bytes and 3 B of state and
+// flags — 80 B, which TestConnStateSizes pins.
 type Conn struct {
 	stack *Stack
 
@@ -486,24 +549,8 @@ type Conn struct {
 	// scan, nothing pinned.
 	Cookie uint64
 
-	// tx is the retransmission queue, a pooled side-object held only
-	// while data is in flight.
-	tx *txState
-	// reasm holds out-of-order segments; nil unless some are held.
-	reasm *reasmQ
-
-	// Timers. Callbacks are package-level trampolines passed through
-	// timerwheel.AddArg with the connection as the argument: a bound
-	// method value like c.onRTO would allocate a closure per arming (the
-	// RTO re-arms once per transmitted segment) or pin three per-conn
-	// closures for the connection's lifetime if bound once at setup.
-	//
-	// timer is the retransmission timer until TIME_WAIT and the 2MSL
-	// timer in it: enterTimeWait cancels the RTO before arming the 2MSL
-	// deadline, and nothing arms or cancels the RTO in TIME_WAIT (no
-	// data or FIN is in flight there).
-	timer   *timerwheel.Timer
-	daTimer *timerwheel.Timer
+	// fl is the borrowed flight: nil unless something is pending.
+	fl *flight
 
 	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
 	key connKey
@@ -515,14 +562,14 @@ type Conn struct {
 	sndNxt uint32
 	sndWnd uint32 // peer-advertised, scaled
 
-	// Congestion control; the loss-recovery state lives in tx.
+	// Congestion control; the loss-recovery state lives in fl.
 	cwnd     uint32
 	ssthresh uint32
 
 	// RTT estimation. srtt, rttvar and rto are nanoseconds in 32 bits:
 	// the RTO is capped at maxRTO (4 s), so nothing an estimator can
 	// usefully hold exceeds it. The arithmetic runs in time.Duration and
-	// clamps on store (rttNs). The pending sample lives in tx.
+	// clamps on store (rttNs). The pending sample lives in fl.
 	srtt, rttvar uint32
 	rto          uint32
 
@@ -531,19 +578,37 @@ type Conn struct {
 	rcvNxt     uint32
 	unconsumed int32 // delivered to app, not yet RecvDone'd
 
-	rexmitCount uint16
-
 	state      State
 	peerWShift uint8
-	daSegs     uint8 // in-order segments since last ACK sent (reset at 2)
-	finQueued  bool
-	finRcvd    bool
-	needAck    bool
+	flags      connFlags
+	// rexmitCount counts consecutive retransmission timeouts; an ACK
+	// that advances sndUna resets it. It fills the byte the alignment
+	// would leave as padding, and it stays here rather than in fl: the
+	// handshake's ACK does not reset it, so a connection whose SYN or
+	// SYN-ACK was retransmitted carries a count until its first data is
+	// acknowledged — in fl, that count would keep a flight borrowed by
+	// an idle connection.
+	rexmitCount uint8
+}
+
+// connFlags packs a connection's booleans into one byte.
+type connFlags uint8
+
+const (
+	finQueued connFlags = 1 << iota
+	finRcvd
+	needAck
 	// synAckOwed marks an admitted embryonic connection whose SYN-ACK
 	// is owed to the next Flush (batched SYN admission).
-	synAckOwed bool
-	inAckLst   bool
-}
+	synAckOwed
+	inAckLst
+	// daSeg marks an in-order segment whose ACK is being delayed: the
+	// next one is the second segment, which RFC 1122 acknowledges at once.
+	daSeg
+)
+
+// has reports whether all of f are set.
+func (c *Conn) has(f connFlags) bool { return c.flags&f == f }
 
 // Key returns the connection 4-tuple from the local perspective.
 func (c *Conn) Key() wire.FlowKey { return c.key.flow() }
@@ -554,15 +619,15 @@ func (c *Conn) State() State { return c.state }
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 
-// flight returns bytes in flight.
-func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
+// inFlight returns bytes in flight.
+func (c *Conn) inFlight() uint32 { return c.sndNxt - c.sndUna }
 
 // retransLen returns the number of tracked unacknowledged segments.
 func (c *Conn) retransLen() int {
-	if c.tx == nil {
+	if c.fl == nil {
 		return 0
 	}
-	return len(c.tx.q) - int(c.tx.head)
+	return len(c.fl.q) - int(c.fl.head)
 }
 
 // usableWindow returns how many more payload bytes the windows permit.
@@ -571,7 +636,7 @@ func (c *Conn) usableWindow() int {
 	if c.cwnd < wnd {
 		wnd = c.cwnd
 	}
-	fl := c.flight()
+	fl := c.inFlight()
 	if fl >= wnd {
 		return 0
 	}
@@ -586,8 +651,8 @@ func (c *Conn) UsableWindow() int { return c.usableWindow() }
 // the application still holds (zero-copy flow control, §4.3).
 func (c *Conn) rcvWndAvail() int {
 	w := c.stack.cfg.RcvWnd - int(c.unconsumed)
-	if q := c.reasm; q != nil {
-		w -= int(q.bytes)
+	if f := c.fl; f != nil && f.reasm != nil {
+		w -= int(f.reasm.bytes)
 	}
 	if w < 0 {
 		w = 0
@@ -714,6 +779,7 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 	}
 	if c := s.conns.get(key); c != nil {
 		c.input(&hdr, payload, buf)
+		c.settle()
 		return
 	}
 	// No connection: a SYN may create one via a listener.
@@ -856,10 +922,10 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 		c.scheduleAck()
 		return
 	case seqLE(ack, c.sndUna):
-		// Duplicate ACK. Data in flight is tracked in tx.
-		if t := c.tx; t != nil && c.flight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
-			t.dupAcks++
-			if t.dupAcks == 3 {
+		// Duplicate ACK. Data in flight is tracked in fl.
+		if c.retransLen() > 0 && c.inFlight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
+			c.fl.dupAcks++
+			if c.fl.dupAcks == 3 {
 				c.fastRetransmit()
 			}
 		}
@@ -867,21 +933,21 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 		acked := int(seqDiff(ack, c.sndUna))
 		c.sndUna = ack
 		c.rexmitCount = 0
-		// The sample is taken before the trim, which releases tx — and
-		// the timing and recovery state with it — once the queue drains.
+		// The sample is taken before the trim, which clears the timing
+		// and recovery state once the queue drains.
 		c.updateRTT(ack)
 		released := c.ackRetransQ(ack)
 		c.growCwnd(uint32(acked))
 		// A drained queue ended any recovery along with its state.
-		if t := c.tx; t != nil {
-			t.dupAcks = 0
-			if t.inRecovery {
-				if seqLT(ack, t.recoverSeq) {
+		if f := c.fl; f != nil {
+			f.dupAcks = 0
+			if f.inRecovery {
+				if seqLT(ack, f.recoverSeq) {
 					// Partial ACK: retransmit the next hole now.
 					c.stack.Retransmits++
-					c.resend(&t.q[t.head])
+					c.resend(&f.q[f.head])
 				} else {
-					t.inRecovery = false
+					f.inRecovery = false
 				}
 			}
 		}
@@ -902,11 +968,12 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 // so the zero-copy payload references die with them, and returns the
 // payload bytes released — the count the sent event condition carries
 // so the sender's arena can reclaim (tx_sent). The trim advances the
-// ring head; a fully drained queue releases its whole txState back to
-// the stack pool, so an idle connection holds no send-queue storage
-// (and a loss burst's spilled backing cannot outlive the burst).
+// ring head; a fully drained queue is cleared, spill and scalars with
+// it, so the flight settles back to the stack pool once its timers are
+// disarmed too (and a loss burst's spilled backing cannot outlive the
+// burst).
 func (c *Conn) ackRetransQ(ack uint32) int {
-	t := c.tx
+	t := c.fl
 	if t == nil {
 		return 0
 	}
@@ -926,8 +993,7 @@ func (c *Conn) ackRetransQ(ack uint32) int {
 		head++
 	}
 	if head == len(t.q) {
-		c.stack.putTxState(t)
-		c.tx = nil
+		t.clearTx()
 		return released
 	}
 	if head >= 32 && head*2 >= len(t.q) {
@@ -948,7 +1014,7 @@ func (c *Conn) ackRetransQ(ack uint32) int {
 // updateRTT takes an RTT sample if the timed segment was acked and was
 // never retransmitted (Karn's rule), then recomputes the RTO.
 func (c *Conn) updateRTT(ack uint32) {
-	t := c.tx
+	t := c.fl
 	if t == nil || !t.rttPending || seqLT(ack, t.rttSeq) {
 		return
 	}
@@ -1009,7 +1075,7 @@ func (c *Conn) fastRetransmit() {
 	if c.retransLen() == 0 {
 		return
 	}
-	t := c.tx
+	t := c.fl
 	if t.inRecovery {
 		// NewReno re-entry guard (RFC 6582): dup ACKs arriving during
 		// recovery belong to the same loss window — the partial-ACK
@@ -1019,7 +1085,7 @@ func (c *Conn) fastRetransmit() {
 	}
 	c.stack.FastRetransmits++
 	mss := uint32(wire.MSS)
-	fl := c.flight()
+	fl := c.inFlight()
 	half := fl / 2
 	if half < 2*mss {
 		half = 2 * mss
@@ -1080,7 +1146,7 @@ func (c *Conn) processData(seq uint32, payload []byte, buf *mem.Mbuf) {
 // recovery must not be batched).
 func (c *Conn) sendAckNow() {
 	c.cancelDelAck()
-	c.needAck = false
+	c.flags &^= needAck
 	hdr := &c.stack.hdr
 	*hdr = c.makeHeader(c.sndNxt, wire.TCPAck)
 	c.stack.emit(c, hdr, nil)
@@ -1097,10 +1163,11 @@ func (c *Conn) deliver(payload []byte, buf *mem.Mbuf) {
 // insertReasm stores an out-of-order segment (bounded queue, sorted).
 func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 	const maxReasm = 64
-	q := c.reasm
+	f := c.borrow()
+	q := f.reasm
 	if q == nil {
 		q = &reasmQ{}
-		c.reasm = q
+		f.reasm = q
 	}
 	if len(q.segs) >= maxReasm {
 		return
@@ -1129,10 +1196,10 @@ func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 
 // drainReasm delivers now-in-order segments from the reassembly queue.
 func (c *Conn) drainReasm() {
-	q := c.reasm
-	if q == nil {
+	if c.fl == nil || c.fl.reasm == nil {
 		return
 	}
+	q := c.fl.reasm
 	for len(q.segs) > 0 {
 		rs := q.segs[0]
 		if seqGT(rs.seq, c.rcvNxt) {
@@ -1159,7 +1226,7 @@ func (c *Conn) drainReasm() {
 	// Fully drained: drop the queue. Reordering is the exception on
 	// this fabric, so holding a burst's worth of rxSeg capacity on every
 	// connection that ever saw one would bleed the bytes/conn budget.
-	c.reasm = nil
+	c.fl.reasm = nil
 }
 
 // processFin handles a peer FIN at sequence finSeq.
@@ -1169,11 +1236,11 @@ func (c *Conn) processFin(finSeq uint32) {
 		// retransmit.
 		return
 	}
-	if c.finRcvd {
+	if c.has(finRcvd) {
 		c.scheduleAck()
 		return
 	}
-	c.finRcvd = true
+	c.flags |= finRcvd
 	c.rcvNxt = finSeq + 1
 	c.scheduleAck()
 	switch c.state {
@@ -1189,11 +1256,11 @@ func (c *Conn) processFin(finSeq uint32) {
 
 // maybeFinish advances closing states once our FIN is acked.
 func (c *Conn) maybeFinish(ack uint32) {
-	finAcked := c.finQueued && c.retransLen() == 0 && ack == c.sndNxt
+	finAcked := c.has(finQueued) && c.retransLen() == 0 && ack == c.sndNxt
 	switch c.state {
 	case StateFinWait1:
 		if finAcked {
-			if c.finRcvd {
+			if c.has(finRcvd) {
 				c.enterTimeWait()
 			} else {
 				c.state = StateFinWait2
@@ -1214,12 +1281,12 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.cancelRTO()
 	w := c.stack.cfg.Wheel
-	c.timer = w.AddArg(c.stack.cfg.Now()+int64(c.stack.cfg.TimeWait), connTimeWait, c)
+	c.borrow().timer = w.AddArg(c.stack.cfg.Now()+int64(c.stack.cfg.TimeWait), connTimeWait, c)
 }
 
 // onTimeWait ends the 2MSL quiet period.
 func (c *Conn) onTimeWait() {
-	c.timer = nil
+	c.fl.timer = nil
 	c.destroy(ReasonClosed)
 }
 
@@ -1298,7 +1365,7 @@ func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 // references: the sent events' released counts add up to this before
 // every byte accepted so far has been released.
 func (c *Conn) Unreleased() int {
-	t := c.tx
+	t := c.fl
 	if t == nil {
 		return 0
 	}
@@ -1323,10 +1390,7 @@ func (c *Conn) sendData(payload [][]byte, length int, back fabric.Backing) {
 	c.sndNxt += uint32(length)
 	ts := txSeg{seq: seq, length: length, back: back}
 	ts.setPayload(payload)
-	if c.tx == nil {
-		c.tx = c.stack.getTxState()
-	}
-	t := c.tx
+	t := c.borrow()
 	t.q = append(t.q, ts)
 	if !t.rttPending {
 		t.rttPending = true
@@ -1335,7 +1399,7 @@ func (c *Conn) sendData(payload [][]byte, length int, back fabric.Backing) {
 	}
 	hdr := &c.stack.hdr
 	*hdr = c.makeHeader(seq, wire.TCPAck|wire.TCPPsh)
-	c.needAck = false // piggybacked
+	c.flags &^= needAck // piggybacked
 	c.cancelDelAck()
 	c.stack.emitData(c, hdr, payload, back)
 	c.armRTO()
@@ -1369,15 +1433,13 @@ func (c *Conn) Abort() {
 }
 
 func (c *Conn) sendFIN() {
-	c.finQueued = true
+	c.flags |= finQueued
 	seq := c.sndNxt
 	c.sndNxt++
-	if c.tx == nil {
-		c.tx = c.stack.getTxState()
-	}
-	c.tx.q = append(c.tx.q, txSeg{seq: seq, fin: true})
+	f := c.borrow()
+	f.q = append(f.q, txSeg{seq: seq, fin: true})
 	hdr := c.makeHeader(seq, wire.TCPFin|wire.TCPAck)
-	c.needAck = false
+	c.flags &^= needAck
 	c.cancelDelAck()
 	c.stack.emit(c, &hdr, nil)
 	c.armRTO()
@@ -1455,9 +1517,15 @@ func (c *Conn) sendFlags(flags uint8, seq, ack uint32, withOpts bool) {
 // scheduleSynAck marks an admitted embryonic connection as owing its
 // SYN-ACK at the next Flush, on the same pending list pure ACKs use.
 func (c *Conn) scheduleSynAck() {
-	c.synAckOwed = true
-	if !c.inAckLst {
-		c.inAckLst = true
+	c.flags |= synAckOwed
+	c.queueAck()
+}
+
+// queueAck puts the connection on the stack's pending list for Flush,
+// once.
+func (c *Conn) queueAck() {
+	if !c.has(inAckLst) {
+		c.flags |= inAckLst
 		c.stack.needsAck = append(c.stack.needsAck, c)
 	}
 }
@@ -1467,11 +1535,8 @@ func (c *Conn) scheduleSynAck() {
 // probes).
 func (c *Conn) scheduleAck() {
 	c.cancelDelAck()
-	c.needAck = true
-	if !c.inAckLst {
-		c.inAckLst = true
-		c.stack.needsAck = append(c.stack.needsAck, c)
-	}
+	c.flags |= needAck
+	c.queueAck()
 }
 
 // scheduleDataAck acknowledges in-order data: immediately when delayed
@@ -1483,29 +1548,30 @@ func (c *Conn) scheduleDataAck() {
 		c.scheduleAck()
 		return
 	}
-	c.daSegs++
-	if c.daSegs >= 2 {
+	if c.has(daSeg) {
 		c.scheduleAck()
 		return
 	}
-	if c.daTimer == nil {
-		c.daTimer = c.stack.cfg.Wheel.AddArg(c.stack.cfg.Now()+int64(da), connDelAck, c)
+	c.flags |= daSeg
+	if f := c.borrow(); f.daTimer == nil {
+		f.daTimer = c.stack.cfg.Wheel.AddArg(c.stack.cfg.Now()+int64(da), connDelAck, c)
 	}
 }
 
-// onDelAck fires the delayed-acknowledgment timeout.
+// onDelAck fires the delayed-acknowledgment timeout. The ACK it owes
+// leaves at the next Flush, which settles the flight afterwards.
 func (c *Conn) onDelAck() {
-	c.daTimer = nil
+	c.fl.daTimer = nil
 	if c.state != StateClosed {
 		c.scheduleAck()
 	}
 }
 
 func (c *Conn) cancelDelAck() {
-	c.daSegs = 0
-	if c.daTimer != nil {
-		c.stack.cfg.Wheel.Cancel(c.daTimer)
-		c.daTimer = nil
+	c.flags &^= daSeg
+	if f := c.fl; f != nil && f.daTimer != nil {
+		c.stack.cfg.Wheel.Cancel(f.daTimer)
+		f.daTimer = nil
 	}
 }
 
@@ -1515,20 +1581,20 @@ func (c *Conn) cancelDelAck() {
 // as one coalesced group.
 func (s *Stack) Flush() {
 	for _, c := range s.needsAck {
-		c.inAckLst = false
-		if c.synAckOwed {
-			c.synAckOwed = false
+		c.flags &^= inAckLst
+		if c.has(synAckOwed) {
+			c.flags &^= synAckOwed
 			if c.state == StateSynRcvd {
 				c.sendFlags(wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
 			}
 			continue
 		}
-		if c.needAck && c.state != StateClosed {
-			c.needAck = false
-			c.daSegs = 0
+		if c.has(needAck) && c.state != StateClosed {
+			c.flags &^= needAck | daSeg
 			hdr := &s.hdr
 			*hdr = c.makeHeader(c.sndNxt, wire.TCPAck)
 			s.emit(c, hdr, nil)
+			c.settle()
 		}
 	}
 	s.needsAck = s.needsAck[:0]
@@ -1576,7 +1642,8 @@ func (s *Stack) sendRST(key connKey, in *wire.TCPHeader, payloadLen int) {
 }
 
 // Migrate moves connection c from its current stack to dst (same host,
-// different elastic thread), re-homing its retransmission timer. It is
+// different elastic thread), carrying its flight and re-homing the
+// timers in it. It is
 // the mechanism behind control-plane flow re-balancing when elastic
 // threads are added or removed (§4.4: "when a core is revoked ... the
 // corresponding network flows must be assigned to another elastic
@@ -1590,13 +1657,16 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	// Re-home pending timers, preserving their original deadlines (timer
 	// continuity): a retransmission, TIME_WAIT or delayed-ACK deadline
 	// set before the migration fires at the same virtual time on the
-	// destination wheel. Fired/cancelled timers are dropped.
-	for _, t := range []**timerwheel.Timer{&c.timer, &c.daTimer} {
-		if *t != nil && !s.cfg.Wheel.Transfer(*t, dst.cfg.Wheel) {
-			*t = nil
+	// destination wheel. Fired/cancelled timers are dropped. The flight
+	// itself moves with the connection and is returned to dst's pool.
+	if f := c.fl; f != nil {
+		for _, t := range []**timerwheel.Timer{&f.timer, &f.daTimer} {
+			if *t != nil && !s.cfg.Wheel.Transfer(*t, dst.cfg.Wheel) {
+				*t = nil
+			}
 		}
 	}
-	if c.inAckLst {
+	if c.has(inAckLst) {
 		// Drop from our pending-ACK list; re-add on destination.
 		for i, pc := range s.needsAck {
 			if pc == c {
@@ -1604,12 +1674,12 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 				break
 			}
 		}
-		c.inAckLst = false
+		c.flags &^= inAckLst
 	}
 	// An owed SYN-ACK migrates with the connection (embryonic
 	// connections are not normally migrated, but the owed reply must
 	// not be lost if one is).
-	reownSynAck := c.synAckOwed
+	reownSynAck := c.has(synAckOwed)
 	if c.state == StateSynRcvd {
 		// The backlog count follows the connection to the destination's
 		// listener on the port.
@@ -1621,14 +1691,13 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	s.conns.del(c.key)
 	c.stack = dst
 	dst.conns.put(c)
-	if c.timer == nil && c.state != StateTimeWait && c.retransLen() > 0 {
+	if c.retransLen() > 0 && c.fl.timer == nil && c.state != StateTimeWait {
 		// Unacked data without a live timer (should not happen, but a
 		// lost RTO would hang the flow forever): re-arm defensively.
 		c.armRTO()
 	}
-	if c.needAck || reownSynAck {
-		c.inAckLst = true
-		dst.needsAck = append(dst.needsAck, c)
+	if c.has(needAck) || reownSynAck {
+		c.queueAck()
 	}
 }
 
@@ -1672,24 +1741,27 @@ func (s *Stack) Conns() []*Conn {
 func (c *Conn) armRTO() {
 	w := c.stack.cfg.Wheel
 	deadline := c.stack.cfg.Now() + int64(c.rto)
-	if c.timer != nil && w.Reset(c.timer, deadline) {
+	f := c.borrow()
+	if f.timer != nil && w.Reset(f.timer, deadline) {
 		return
 	}
-	c.timer = w.AddArg(deadline, connRTO, c)
+	f.timer = w.AddArg(deadline, connRTO, c)
 }
 
 // cancelRTO cancels the timer slot: the RTO, or in TIME_WAIT (reached
 // only from destroy) the 2MSL timer.
 func (c *Conn) cancelRTO() {
-	if c.timer != nil {
-		c.stack.cfg.Wheel.Cancel(c.timer)
-		c.timer = nil
+	if f := c.fl; f != nil && f.timer != nil {
+		c.stack.cfg.Wheel.Cancel(f.timer)
+		f.timer = nil
 	}
 }
 
-// onRTO fires the retransmission timeout.
+// onRTO fires the retransmission timeout. The connection keeps its
+// flight: the timer is re-armed, or the connection dies.
 func (c *Conn) onRTO() {
-	c.timer = nil
+	f := c.fl
+	f.timer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
@@ -1702,7 +1774,7 @@ func (c *Conn) onRTO() {
 	// Exponential backoff; collapse cwnd (Tahoe-style on timeout).
 	c.rto = rttNs(2 * time.Duration(c.rto))
 	mss := uint32(wire.MSS)
-	half := c.flight() / 2
+	half := c.inFlight() / 2
 	if half < 2*mss {
 		half = 2 * mss
 	}
@@ -1716,10 +1788,10 @@ func (c *Conn) onRTO() {
 	default:
 		// resend drops the pending RTT sample (Karn); with nothing
 		// tracked there is none.
-		if t := c.tx; t != nil {
-			t.inRecovery = true
-			t.recoverSeq = c.sndNxt
-			c.resend(&t.q[t.head])
+		if c.retransLen() > 0 {
+			f.inRecovery = true
+			f.recoverSeq = c.sndNxt
+			c.resend(&f.q[f.head])
 		}
 	}
 	c.armRTO()
@@ -1730,7 +1802,7 @@ func (c *Conn) onRTO() {
 // original, immutable sender bytes — retransmission is zero-copy too).
 func (c *Conn) resend(ts *txSeg) {
 	ts.rexmit = true
-	c.tx.rttPending = false // Karn's rule: no sample from retransmitted data
+	c.fl.rttPending = false // Karn's rule: no sample from retransmitted data
 	var flags uint8 = wire.TCPAck
 	if ts.fin {
 		flags |= wire.TCPFin
@@ -1757,21 +1829,21 @@ func (c *Conn) destroy(reason Reason) {
 	if prev == StateSynRcvd {
 		c.stack.embryonicDone(c.key.SrcPort)
 	}
-	// Release reassembly references.
-	if q := c.reasm; q != nil {
-		for _, rs := range q.segs {
-			if rs.buf != nil {
-				rs.buf.Unref()
+	if f := c.fl; f != nil {
+		// Release reassembly references.
+		if q := f.reasm; q != nil {
+			for _, rs := range q.segs {
+				if rs.buf != nil {
+					rs.buf.Unref()
+				}
 			}
 		}
-		c.reasm = nil
-	}
-	// Drop the retransmission queue's payload references: after Dead the
-	// sender reclaims its arena wholesale. putTxState zeroes the inline
-	// array and drops any spilled backing, so the references die with it.
-	if c.tx != nil {
-		c.stack.putTxState(c.tx)
-		c.tx = nil
+		// Drop the retransmission queue's payload references: after Dead
+		// the sender reclaims its arena wholesale. putFlight zeroes the
+		// inline array and drops any spilled backing, so the references
+		// die with it.
+		c.fl = nil
+		c.stack.putFlight(f)
 	}
 	c.stack.conns.del(c.key)
 	if prev == StateSynSent {

@@ -383,7 +383,7 @@ func TestBurstLossRecoversWithoutSerialRTOs(t *testing.T) {
 	if n.a.sent[c] != segs*segLen {
 		t.Fatalf("acked %d, want %d", n.a.sent[c], segs*segLen)
 	}
-	if c.tx != nil && c.tx.inRecovery {
+	if c.fl != nil && c.fl.inRecovery {
 		t.Fatal("connection still in recovery after full ACK")
 	}
 	// Recovery exited cleanly: post-recovery traffic must not trigger
@@ -442,11 +442,11 @@ func TestDuplicateOutOfOrderSegment(t *testing.T) {
 	n.queue = append(n.queue, n.queue[0])
 	n.step()
 
-	if got := len(s.reasm.segs); got != 1 {
+	if got := len(s.fl.reasm.segs); got != 1 {
 		t.Fatalf("reassembly queue holds %d copies, want 1", got)
 	}
-	if s.reasm.bytes != 4 {
-		t.Fatalf("reassembly bytes = %d, want 4", s.reasm.bytes)
+	if s.fl.reasm.bytes != 4 {
+		t.Fatalf("reassembly bytes = %d, want 4", s.fl.reasm.bytes)
 	}
 	if got := n.b.pool.InUse(); got != 1 {
 		t.Fatalf("%d mbufs referenced after the duplicate, want 1", got)

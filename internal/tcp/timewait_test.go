@@ -58,7 +58,7 @@ func peerSegments(t *testing.T, n *testNet, c, s *Conn) {
 	if c.State() != StateTimeWait {
 		t.Fatalf("state after peer segments = %v, want TimeWait", c.State())
 	}
-	if c.timer == nil {
+	if c.fl == nil || c.fl.timer == nil {
 		t.Fatal("peer segments emptied the timer slot in TIME_WAIT")
 	}
 }
@@ -91,7 +91,9 @@ func TestTimeWaitTimerSurvivesSegments(t *testing.T) {
 // connection moves to another stack (elastic-thread rebalance): the slot
 // transfers with its deadline, segments arriving on either side of the
 // move leave it alone, and the destination destroys the connection at
-// the original deadline.
+// the original deadline. A connection with a delayed ACK and an RTO
+// both pending carries its one flight across a move, and each timer in
+// it fires at its original deadline on the destination.
 func TestTimeWaitTimerSurvivesMigrate(t *testing.T) {
 	const tw = time.Millisecond
 	n, c, s, deadline := timeWaitFixture(t, tw)
@@ -132,5 +134,77 @@ func TestTimeWaitTimerSurvivesMigrate(t *testing.T) {
 	}
 	if dst.ConnCount() != 0 {
 		t.Fatalf("%d connections left after TIME_WAIT", dst.ConnCount())
+	}
+
+	t.Run("DelAckAndRTO", migrateBothTimers)
+}
+
+// migrateBothTimers moves a connection whose flight holds an RTO (its
+// reply was lost) and a delayed ACK (for the request that arrived
+// since), and checks that the flight and both deadlines survive.
+func migrateBothTimers(t *testing.T) {
+	const da = 100 * time.Microsecond
+	n := newTestNet(t, func(cfg *Config) { cfg.DelAck = da })
+	c, s := n.open(t, 80)
+	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool { return from == n.b }
+	s.Send([]byte("reply"))
+	rtoAt := n.now + int64(s.rto)
+	n.step()
+	n.drop = nil
+	n.now += int64(da / 2)
+	c.Send([]byte("request"))
+	daAt := n.now + int64(da)
+	n.step()
+	f := s.fl
+	if f == nil || f.timer == nil || f.daTimer == nil || s.retransLen() != 1 {
+		t.Fatal("want a flight holding the reply, its RTO and the request's delayed ACK")
+	}
+
+	type emission struct {
+		at      int64
+		payload int
+	}
+	var sent []emission
+	wheel := timerwheel.New(timerwheel.DefaultTick, n.now)
+	dst := NewStack(Config{
+		LocalIP: n.b.ip,
+		Now:     func() int64 { return n.now },
+		Wheel:   wheel,
+		Output: func(_ *Conn, _ *wire.TCPHeader, payload [][]byte) {
+			sent = append(sent, emission{n.now, len(flatten(payload))})
+		},
+		Events: n.b,
+	})
+	n.b.stack.Migrate(s, dst)
+	if s.fl != f || f.timer == nil || f.daTimer == nil {
+		t.Fatal("the flight or a timer in it did not survive the move")
+	}
+	if n.b.wheel.Len() != 0 || wheel.Len() != 2 {
+		t.Fatalf("timers after the move: %d on the source wheel, %d on the destination, want 0 and 2",
+			n.b.wheel.Len(), wheel.Len())
+	}
+	advanceTo := func(at int64) {
+		n.now = at
+		wheel.Advance(at)
+		dst.Flush()
+	}
+	advanceTo(daAt - 2*int64(timerwheel.DefaultTick))
+	if len(sent) != 0 {
+		t.Fatalf("%d segments before the delayed-ACK deadline", len(sent))
+	}
+	advanceTo(daAt + 2*int64(timerwheel.DefaultTick))
+	if len(sent) != 1 || sent[0].payload != 0 {
+		t.Fatalf("at the delayed-ACK deadline: %+v, want one pure ACK", sent)
+	}
+	advanceTo(rtoAt - 2*int64(timerwheel.DefaultTick))
+	if len(sent) != 1 {
+		t.Fatalf("%d segments before the RTO deadline, want 1", len(sent))
+	}
+	advanceTo(rtoAt + 2*int64(timerwheel.DefaultTick))
+	if len(sent) != 2 || sent[1].payload != len("reply") {
+		t.Fatalf("at the RTO deadline: %+v, want the reply retransmitted", sent)
+	}
+	if s.fl != f || f.timer == nil || s.rexmitCount != 1 {
+		t.Fatal("after the RTO: want the flight kept, the RTO re-armed and one timeout counted")
 	}
 }

@@ -38,6 +38,7 @@ func txTestConn(t *testing.T, out Output) (*Stack, *Conn, *quietEvents, *int64) 
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
 	c.cancelRTO()
+	c.settle() // returns the handshake's flight, as Input would
 	return s, c, ev, &now
 }
 
@@ -57,33 +58,33 @@ func ackTo(s *Stack, c *Conn, ack uint32) {
 }
 
 // TestTxStateInlineSteadyState: request-response traffic (one segment in
-// flight at a time) must stay on the txState's inline array — no spill —
-// and an idle connection must hold no txState at all.
+// flight at a time) must stay on the flight's inline array — no spill —
+// and an idle connection must hold no flight at all.
 func TestTxStateInlineSteadyState(t *testing.T) {
 	s, c, _, _ := txTestConn(t, nil)
-	if c.tx != nil {
-		t.Fatal("fresh connection holds a txState before any transmit")
+	if c.fl != nil {
+		t.Fatal("fresh connection holds a flight before any transmit")
 	}
 	msg := make([]byte, 64)
 	for i := 0; i < 100; i++ {
 		c.Send(msg)
-		if c.tx == nil {
-			t.Fatal("in-flight segment without a txState")
+		if c.fl == nil {
+			t.Fatal("in-flight segment without a flight")
 		}
-		if got := cap(c.tx.q); got != retransInline {
+		if got := cap(c.fl.q); got != retransInline {
 			t.Fatalf("iteration %d: steady-state send spilled (cap=%d, want inline %d)",
 				i, got, retransInline)
 		}
-		if &c.tx.q[0] != &c.tx.inl[0] {
+		if &c.fl.q[0] != &c.fl.inl[0] {
 			t.Fatalf("iteration %d: queue no longer aliases the inline array", i)
 		}
 		ackTo(s, c, c.sndNxt)
-		if c.tx != nil {
-			t.Fatalf("iteration %d: drained queue kept its txState", i)
+		if c.fl != nil {
+			t.Fatalf("iteration %d: drained queue kept its flight", i)
 		}
 	}
-	if len(s.txFree) != 1 {
-		t.Fatalf("pool holds %d states after one-at-a-time traffic, want 1", len(s.txFree))
+	if len(s.flightFree) != 1 {
+		t.Fatalf("pool holds %d states after one-at-a-time traffic, want 1", len(s.flightFree))
 	}
 }
 
@@ -99,8 +100,8 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	c.Send(msg)
 	ackTo(s, c, c.sndNxt)
 	base := s.Footprint()
-	if c.tx != nil {
-		t.Fatal("baseline connection still holds a txState")
+	if c.fl != nil {
+		t.Fatal("baseline connection still holds a flight")
 	}
 
 	// Burst: pipeline well past the inline capacity without an ACK.
@@ -108,8 +109,8 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		c.Send(msg)
 	}
-	if c.tx == nil || cap(c.tx.q) <= retransInline {
-		t.Fatalf("burst of %d segments did not spill (cap=%v)", burst, c.tx != nil)
+	if c.fl == nil || cap(c.fl.q) <= retransInline {
+		t.Fatalf("burst of %d segments did not spill (cap=%v)", burst, c.fl != nil)
 	}
 	spilled := s.Footprint()
 	if spilled.Bytes <= base.Bytes {
@@ -118,8 +119,8 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 
 	// Drain: cumulative ACK for the whole burst.
 	ackTo(s, c, c.sndNxt)
-	if c.tx != nil {
-		t.Fatal("drained queue kept its txState (spill backing retained)")
+	if c.fl != nil {
+		t.Fatal("drained queue kept its flight (spill backing retained)")
 	}
 	if got := s.Footprint(); got.Bytes != base.Bytes {
 		t.Fatalf("footprint after recovery = %d bytes, want idle baseline %d (leak: %+d)",
@@ -127,18 +128,18 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	}
 	// The pooled state must come back clean: empty, and no stale payload
 	// reference anywhere in the backing it kept or in the inline array.
-	st := s.getTxState()
+	st := s.getFlight()
 	if len(st.q) != 0 || (cap(st.q) != retransInline && !keepSpill(st.q)) || st.head != 0 {
-		t.Fatalf("recycled txState not reset: len=%d cap=%d head=%d", len(st.q), cap(st.q), st.head)
+		t.Fatalf("recycled flight not reset: len=%d cap=%d head=%d", len(st.q), cap(st.q), st.head)
 	}
 	for i, ts := range st.q[:cap(st.q)] {
 		if ts.frag0 != nil || ts.frag1 != nil || ts.extra != nil {
-			t.Fatalf("recycled txState backing[%d] still references payload", i)
+			t.Fatalf("recycled flight backing[%d] still references payload", i)
 		}
 	}
 	for i := range st.inl {
 		if st.inl[i].frag0 != nil || st.inl[i].extra != nil {
-			t.Fatalf("recycled txState inline[%d] still references payload", i)
+			t.Fatalf("recycled flight inline[%d] still references payload", i)
 		}
 	}
 }
@@ -171,9 +172,9 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, flight); allocs != 0 {
 		t.Fatalf("a 40-segment flight allocates %.1f times once the spill is pooled, want 0", allocs)
 	}
-	if len(s.txFree) != 1 || cap(s.txFree[0].q) < maxPooledSpill {
+	if len(s.flightFree) != 1 || cap(s.flightFree[0].q) < maxPooledSpill {
 		t.Fatalf("pool holds %d states (first cap %d), want 1 keeping the spill grown for %d segments",
-			len(s.txFree), cap(s.txFree[0].q), maxPooledSpill)
+			len(s.flightFree), cap(s.flightFree[0].q), maxPooledSpill)
 	}
 
 	// A deeper flight outgrows the bound: its backing is dropped.
@@ -183,7 +184,7 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 		t.Fatalf("window accepted %d of %d bytes", got, len(deep[0]))
 	}
 	ackTo(s, c, c.sndNxt)
-	if got := cap(s.txFree[0].q); got != retransInline {
+	if got := cap(s.flightFree[0].q); got != retransInline {
 		t.Fatalf("pooled state kept a %d-segment backing, want the inline array", got)
 	}
 }
@@ -226,7 +227,7 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 		e := sent[len(sent)-1]
 		first[e.seq] = append([]byte(nil), e.data...)
 	}
-	if cap(c.tx.q) <= retransInline {
+	if cap(c.fl.q) <= retransInline {
 		t.Fatal("pipelined burst did not spill")
 	}
 
@@ -275,8 +276,8 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 
 	// Final cumulative ACK: queue drains, state releases, arena reclaims.
 	ackTo(s, c, c.sndNxt)
-	if c.tx != nil {
-		t.Fatal("queue drained but txState retained")
+	if c.fl != nil {
+		t.Fatal("queue drained but flight retained")
 	}
 	arena.Release(ev.released)
 	if arena.Live() != 0 || pool.InUse() != 0 {
@@ -289,12 +290,16 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 	}
 }
 
-// TestTxStatePooledClean: the retransmission state a connection borrows
-// starts clean. A recovery that drains the queue releases the state
-// still marked in recovery — the ACK that ends it is the one that
-// empties the queue — and a connection aborted with a timed segment in
-// flight releases it with the sample pending, so putTxState must reset
-// the timing and recovery scalars before the next borrower sees them.
+// TestTxStatePooledClean: the flight a connection borrows starts clean.
+// A recovery that drains the queue releases the state still marked in
+// recovery — the ACK that ends it is the one that empties the queue —
+// and a connection aborted with a timed segment in flight and its RTO
+// re-armed releases it with the sample pending and the segment queued,
+// so putFlight must reset the timing and recovery scalars and the timer
+// slots, and drop the segment's payload references, before the next
+// borrower sees them. A lost SYN leaves a timeout count behind the
+// handshake; it stays in the PCB, so the handshake's flight goes back
+// at once and the first data's ACK resets the count.
 func TestTxStatePooledClean(t *testing.T) {
 	n := newTestNet(t, nil)
 	c, s := n.open(t, 80)
@@ -319,7 +324,7 @@ func TestTxStatePooledClean(t *testing.T) {
 	for i := 0; i < segs; i++ {
 		c.Send(chunk)
 	}
-	tx := c.tx
+	fl := c.fl
 	rexmits := n.a.stack.Retransmits
 	n.step()
 	if got := n.a.stack.FastRetransmits; got != 1 {
@@ -331,12 +336,12 @@ func TestTxStatePooledClean(t *testing.T) {
 	if got := len(n.b.recvd[s]); got != 4+segs*segLen {
 		t.Fatalf("receiver got %d bytes, want %d", got, 4+segs*segLen)
 	}
-	if c.tx != nil {
+	if c.fl != nil {
 		t.Fatal("a drained queue kept its retransmission state")
 	}
-	checkClean := func(when string, want *txState) {
+	checkClean := func(when string, want *flight) {
 		t.Helper()
-		got := n.a.stack.getTxState()
+		got := n.a.stack.getFlight()
 		if got != want {
 			t.Fatalf("%s: the pool handed out another state", when)
 		}
@@ -345,19 +350,74 @@ func TestTxStatePooledClean(t *testing.T) {
 			t.Fatalf("%s: pooled state not reset: rttPending=%v inRecovery=%v dupAcks=%d rttSeq=%d rttStart=%d recoverSeq=%d",
 				when, got.rttPending, got.inRecovery, got.dupAcks, got.rttSeq, got.rttStart, got.recoverSeq)
 		}
-		n.a.stack.putTxState(got)
+		if got.timer != nil || got.daTimer != nil || got.reasm != nil {
+			t.Fatalf("%s: pooled flight not reset: timer=%v daTimer=%v reasm=%v",
+				when, got.timer != nil, got.daTimer != nil, got.reasm != nil)
+		}
+		for i, ts := range append(got.q[:cap(got.q)], got.inl[:]...) {
+			if ts.frag0 != nil || ts.frag1 != nil || ts.extra != nil {
+				t.Fatalf("%s: pooled flight entry %d still references payload", when, i)
+			}
+		}
+		n.a.stack.putFlight(got)
 	}
-	checkClean("after recovery", tx)
+	checkClean("after recovery", fl)
 
-	// The next send borrows the same object and times its segment; an
-	// abort releases the state with the sample still pending.
+	// The next send borrows the same object and times its segment; the
+	// RTO fires into the loss and re-arms, and an abort releases the
+	// state with the sample pending and the RTO armed.
 	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool { return true }
 	c.Send([]byte("timed"))
-	if c.tx != tx || !tx.rttPending {
+	if c.fl != fl || !fl.rttPending {
 		t.Fatal("the next send did not borrow the pooled state and time its segment")
 	}
+	n.advance(time.Duration(c.rto) + 2*timerwheel.DefaultTick)
+	if c.rexmitCount == 0 || fl.timer == nil {
+		t.Fatal("the RTO did not fire into the loss and re-arm")
+	}
 	c.Abort()
-	checkClean("after abort", tx)
+	checkClean("after abort", fl)
+
+	// A lost SYN: the RTO fires once and the handshake completes with the
+	// retransmission. The flight goes back at once: the timeout count the
+	// handshake leaves behind lives in the PCB, which the first data's
+	// ACK resets, and the data borrows a clean flight and returns it.
+	n = newTestNet(t, nil)
+	if _, err := n.b.stack.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	lost := false
+	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool {
+		if from == n.a && hdr.Flags&wire.TCPSyn != 0 && !lost {
+			lost = true
+			return true
+		}
+		return false
+	}
+	c, err := n.a.stack.Connect(n.b.ip, 80, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.step()
+	for i := 0; i < 8 && !n.a.connected[c]; i++ {
+		n.advance(time.Millisecond)
+	}
+	if !lost || !n.a.connected[c] {
+		t.Fatalf("handshake after a lost SYN: lost=%v connected=%v", lost, n.a.connected[c])
+	}
+	if c.rexmitCount != 1 || c.fl != nil {
+		t.Fatalf("after a lost SYN: rexmitCount=%d, flight kept %v; want 1 and no flight", c.rexmitCount, c.fl != nil)
+	}
+	fl = n.a.stack.flightFree[len(n.a.stack.flightFree)-1]
+	c.Send([]byte("data"))
+	if c.fl != fl {
+		t.Fatal("the first data did not borrow the handshake's pooled flight")
+	}
+	n.step()
+	if c.fl != nil || c.rexmitCount != 0 {
+		t.Fatalf("after the first data drained: flight kept %v, rexmitCount=%d", c.fl != nil, c.rexmitCount)
+	}
+	checkClean("after a lost SYN", fl)
 }
 
 // TestSynRetransmitsKeepISS: a connection keeps no initial send sequence

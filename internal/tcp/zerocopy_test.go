@@ -399,7 +399,7 @@ func TestRetransQBoundedUnderPipelining(t *testing.T) {
 			t.Fatalf("iteration %d: %d segments outstanding, want 1", i, c.retransLen())
 		}
 	}
-	if len(c.tx.q) > 96 {
-		t.Fatalf("retransQ backing holds %d entries for 1 live segment; dead prefix not compacted", len(c.tx.q))
+	if len(c.fl.q) > 96 {
+		t.Fatalf("retransQ backing holds %d entries for 1 live segment; dead prefix not compacted", len(c.fl.q))
 	}
 }
