@@ -34,10 +34,6 @@ type Conn interface {
 	Cookie() any
 	// SetCookie attaches a user tag (Table 1's cookie).
 	SetCookie(v any)
-	// Unsent reports bytes queued but not yet accepted by the stack
-	// (application-level transmit buffering; IX exposes this, the
-	// baselines report their unflushed buffer).
-	Unsent() int
 }
 
 // Handler receives connection events. One handler instance exists per
@@ -64,6 +60,22 @@ type Handler interface {
 	// OnClosed reports connection termination. The Conn is dead.
 	OnClosed(c Conn)
 }
+
+// Base supplies the callbacks most handlers leave alone, as libix lets
+// an application register only the event conditions it handles (§4.3):
+// OnAccept, OnConnected, OnSent and OnClosed do nothing, and OnEOF
+// answers a peer half-close with Close. A handler embeds it and writes
+// OnRecv itself. Base has no OnSendReady on purpose: an adapter arms the
+// writable-again condition only for handlers that implement
+// SendReadyHandler, so a default there would arm it for every
+// application.
+type Base struct{}
+
+func (Base) OnAccept(Conn)          {}
+func (Base) OnConnected(Conn, bool) {}
+func (Base) OnSent(Conn, int)       {}
+func (Base) OnEOF(c Conn)           { c.Close() }
+func (Base) OnClosed(Conn)          {}
 
 // SendReadyHandler is an optional Handler extension: the writable-again
 // event condition. After a Send returned short (pending-send budget or
@@ -100,8 +112,6 @@ type Env interface {
 	// After schedules fn on this thread's timer service (used by load
 	// generators for pacing and timeouts).
 	After(d time.Duration, fn func())
-	// Thread returns this thread's index on its host.
-	Thread() int
 }
 
 // Factory creates the per-thread application instance at start of day.

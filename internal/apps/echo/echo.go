@@ -38,6 +38,7 @@ func ServerFactory(port uint16, msgSize int) app.Factory {
 }
 
 type server struct {
+	app.Base
 	env  app.Env
 	size int
 	zb   []byte // zeros backing past zeroBytes (see zeros)
@@ -49,8 +50,6 @@ type srvConn struct {
 
 func (s *server) OnAccept(c app.Conn) { c.SetCookie(&srvConn{}) }
 
-func (s *server) OnConnected(c app.Conn, ok bool) {}
-
 func (s *server) OnRecv(c app.Conn, data []byte) {
 	st := c.Cookie().(*srvConn)
 	st.got += len(data)
@@ -61,10 +60,6 @@ func (s *server) OnRecv(c app.Conn, data []byte) {
 		c.Send(zeros(&s.zb, s.size))
 	}
 }
-
-func (s *server) OnSent(c app.Conn, n int) {}
-func (s *server) OnEOF(c app.Conn)         { c.Close() }
-func (s *server) OnClosed(c app.Conn)      {}
 
 // VerifyingServerFactory returns an echo server that echoes the exact
 // bytes it receives (the plain server replies with zeros of the right
@@ -83,6 +78,7 @@ func VerifyingServerFactory(port uint16, msgSize int) app.Factory {
 }
 
 type vserver struct {
+	app.Base
 	env  app.Env
 	size int
 }
@@ -96,8 +92,6 @@ type vconn struct {
 }
 
 func (s *vserver) OnAccept(c app.Conn) { c.SetCookie(&vconn{}) }
-
-func (s *vserver) OnConnected(c app.Conn, ok bool) {}
 
 func (s *vserver) OnRecv(c app.Conn, data []byte) {
 	st := c.Cookie().(*vconn)
@@ -126,9 +120,6 @@ func (s *vserver) OnSent(c app.Conn, n int) {
 	sent := c.Send(st.pend)
 	st.pend = st.pend[:copy(st.pend, st.pend[sent:])]
 }
-
-func (s *vserver) OnEOF(c app.Conn)    { c.Close() }
-func (s *vserver) OnClosed(c app.Conn) {}
 
 // Metrics aggregates client-side results. One instance is shared by all
 // client threads of an experiment (host Go memory, not simulated state).
@@ -364,6 +355,7 @@ func (cl *client) rampStep(gen uint64, remaining int) {
 }
 
 type client struct {
+	app.Base
 	env app.Env
 	cfg ClientConfig
 
@@ -397,8 +389,6 @@ func (cl *client) connect() {
 	cl.pending++
 	_ = cl.env.Connect(cl.cfg.ServerIP, cl.cfg.Port, nil)
 }
-
-func (cl *client) OnAccept(c app.Conn) {}
 
 func (cl *client) OnConnected(c app.Conn, ok bool) {
 	if cl.pending > 0 {
@@ -564,7 +554,6 @@ func (cl *client) OnSent(c app.Conn, n int) {
 		v.unsent = v.unsent[k:]
 	}
 }
-func (cl *client) OnEOF(c app.Conn) { c.Close() }
 
 func (cl *client) OnClosed(c app.Conn) {
 	st, _ := connState(c)

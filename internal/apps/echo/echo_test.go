@@ -90,7 +90,6 @@ func (e *fakeEnv) Elapsed() time.Duration               { return 0 }
 func (e *fakeEnv) Connect(wire.IPv4, uint16, any) error { return nil }
 func (e *fakeEnv) Listen(uint16) error                  { return nil }
 func (e *fakeEnv) After(_ time.Duration, fn func())     { e.after = append(e.after, fn) }
-func (e *fakeEnv) Thread() int                          { return 0 }
 
 // fakeConn keeps everything sent to it.
 type fakeConn struct {
@@ -103,7 +102,6 @@ func (c *fakeConn) Close()            {}
 func (c *fakeConn) Abort()            {}
 func (c *fakeConn) Cookie() any       { return c.cookie }
 func (c *fakeConn) SetCookie(v any)   { c.cookie = v }
-func (c *fakeConn) Unsent() int       { return 0 }
 
 // TestRetargetReservesRing: a fleet retarget reserves each thread's
 // rotation ring at exactly the new target, keeping the open population,

@@ -174,6 +174,7 @@ func SinkFactory(port uint16, burst int, m *Metrics) app.Factory {
 }
 
 type sink struct {
+	app.Base
 	env   app.Env
 	burst int
 	m     *Metrics
@@ -184,8 +185,7 @@ type sinkConn struct {
 	got, need int
 }
 
-func (s *sink) OnAccept(c app.Conn)            { c.SetCookie(&sinkConn{need: warmBytes}) }
-func (s *sink) OnConnected(c app.Conn, b bool) {}
+func (s *sink) OnAccept(c app.Conn) { c.SetCookie(&sinkConn{need: warmBytes}) }
 
 func (s *sink) OnRecv(c app.Conn, data []byte) {
 	s.env.Charge(time.Duration(float64(len(data)) * perByteCost))
@@ -205,10 +205,6 @@ func (s *sink) OnRecv(c app.Conn, data []byte) {
 	}
 }
 
-func (s *sink) OnSent(c app.Conn, n int) {}
-func (s *sink) OnEOF(c app.Conn)         { c.Close() }
-func (s *sink) OnClosed(c app.Conn)      {}
-
 var token = [1]byte{0xA5}
 
 // SenderFactory returns one synchronized sender per thread.
@@ -222,6 +218,7 @@ func SenderFactory(cfg Config) app.Factory {
 }
 
 type sender struct {
+	app.Base
 	env  app.Env
 	cfg  Config
 	conn app.Conn
@@ -239,8 +236,6 @@ type sender struct {
 func (s *sender) connect() {
 	_ = s.env.Connect(s.cfg.ServerIP, s.cfg.Port, nil)
 }
-
-func (s *sender) OnAccept(c app.Conn) {}
 
 func (s *sender) OnConnected(c app.Conn, ok bool) {
 	if !ok {
@@ -346,8 +341,6 @@ func (s *sender) OnRecv(c app.Conn, data []byte) {
 }
 
 func (s *sender) OnSent(c app.Conn, n int) { s.push() }
-
-func (s *sender) OnEOF(c app.Conn) { c.Close() }
 
 func (s *sender) OnClosed(c app.Conn) {
 	m := s.cfg.Metrics

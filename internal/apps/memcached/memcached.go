@@ -216,9 +216,6 @@ func (st *Store) unlink(it *item) {
 // Len returns the number of stored items.
 func (st *Store) Len() int { return len(st.items) }
 
-// Bytes returns stored bytes.
-func (st *Store) Bytes() int { return st.bytes }
-
 // ServerFactory returns the memcached server application sharing store,
 // listening on port on every thread.
 func ServerFactory(store *Store, port uint16) app.Factory {
@@ -235,6 +232,7 @@ func ServerFactory(store *Store, port uint16) app.Factory {
 }
 
 type server struct {
+	app.Base
 	env   app.Env
 	store *Store
 	// hdr is the scratch a GET hit's VALUE line is built in; Send copies
@@ -248,8 +246,6 @@ type connState struct {
 }
 
 func (s *server) OnAccept(c app.Conn) { c.SetCookie(&connState{}) }
-
-func (s *server) OnConnected(c app.Conn, ok bool) {}
 
 // OnRecv executes every complete command in the stream. Commands are
 // parsed straight from data unless an earlier arrival left a tail, and
@@ -385,10 +381,6 @@ func ParseCount(b []byte, limit int) (int, bool) {
 	}
 	return n, true
 }
-
-func (s *server) OnSent(c app.Conn, n int) {}
-func (s *server) OnEOF(c app.Conn)         { c.Close() }
-func (s *server) OnClosed(c app.Conn)      {}
 
 var (
 	crlf        = []byte("\r\n")

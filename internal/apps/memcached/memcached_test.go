@@ -24,7 +24,6 @@ func (f *fakeEnv) Elapsed() time.Duration               { return f.charged }
 func (f *fakeEnv) Connect(wire.IPv4, uint16, any) error { return nil }
 func (f *fakeEnv) Listen(uint16) error                  { return nil }
 func (f *fakeEnv) After(time.Duration, func())          {}
-func (f *fakeEnv) Thread() int                          { return 0 }
 
 // fakeConn records sends.
 type fakeConn struct {
@@ -38,7 +37,6 @@ func (c *fakeConn) Close()            { c.closed = true }
 func (c *fakeConn) Abort()            { c.closed = true }
 func (c *fakeConn) Cookie() any       { return c.cookie }
 func (c *fakeConn) SetCookie(v any)   { c.cookie = v }
-func (c *fakeConn) Unsent() int       { return 0 }
 
 func newServer(t *testing.T) (*server, *fakeEnv) {
 	env := &fakeEnv{}
@@ -123,8 +121,8 @@ func TestLRUEviction(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st.set(fmt.Sprintf("key%02d", i), make([]byte, 50))
 	}
-	if st.Bytes() > 1000 {
-		t.Fatalf("bytes %d exceed cap", st.Bytes())
+	if st.bytes > 1000 {
+		t.Fatalf("bytes %d exceed cap", st.bytes)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("no evictions")
@@ -234,8 +232,8 @@ func TestSetCopyReplacesInPlace(t *testing.T) {
 	for _, v := range []string{"xyz", "abcdef", "a longer value"} {
 		st.setCopy([]byte("key"), []byte(v))
 		got, ok := st.get([]byte("key"))
-		if !ok || string(got) != v || st.Bytes() != len("key")+len(v) {
-			t.Fatalf("after set %q: get = %q, %v; Bytes = %d", v, got, ok, st.Bytes())
+		if !ok || string(got) != v || st.bytes != len("key")+len(v) {
+			t.Fatalf("after set %q: get = %q, %v; Bytes = %d", v, got, ok, st.bytes)
 		}
 		if inPlace := &got[0] == backing; inPlace != (len(v) <= 6) {
 			t.Fatalf("set %q: in place = %v", v, inPlace)

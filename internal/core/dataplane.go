@@ -47,9 +47,6 @@ type Config struct {
 	// User constructs the ring-3 program for each elastic thread
 	// (libix.Program does this for applications).
 	User func(api *UserAPI, thread, threads int) UserProgram
-	// OnNonResponsive is notified when the §4.5 user-mode timeout
-	// interrupt marks a thread non-responsive.
-	OnNonResponsive func(thread int)
 }
 
 // DefaultBatchBound is the paper's B=64 (§5.1).
@@ -159,9 +156,6 @@ func (d *Dataplane) IP() wire.IPv4 { return d.cfg.IP }
 // MAC returns the dataplane's hardware address.
 func (d *Dataplane) MAC() wire.MAC { return d.cfg.MAC }
 
-// BatchBound returns the configured adaptive batch bound B.
-func (d *Dataplane) BatchBound() int { return d.cfg.BatchBound }
-
 // Start spawns the elastic threads and their user programs.
 func (d *Dataplane) Start() {
 	for i := 0; i < d.cfg.Threads; i++ {
@@ -267,12 +261,6 @@ func (d *Dataplane) missPenalty() time.Duration {
 // working set the DDIO curve models, so establishment bursts charge the
 // ≤10k-connection floor regardless of population (batched SYN admission).
 func (d *Dataplane) missFloor() time.Duration { return d.missFloor_ }
-
-func (d *Dataplane) notifyNonResponsive(et *ElasticThread) {
-	if d.cfg.OnNonResponsive != nil {
-		d.cfg.OnNonResponsive(et.id)
-	}
-}
 
 // AddElasticThread grows the dataplane by one elastic thread (control
 // plane grant). The RSS indirection table is repartitioned with minimal

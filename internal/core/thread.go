@@ -212,9 +212,8 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 		et.api.meter = nil
 		userSpent = m.Elapsed() - preUser
 		if userSpent > userTimeout {
-			// §4.5 timeout interrupt: mark non-responsive, tell the CP.
+			// §4.5 timeout interrupt: mark the thread non-responsive.
 			et.NonResponsive = true
-			et.dp.notifyNonResponsive(et)
 		}
 		// Recycle the consumed arrays (pool-allocated in spirit): zero the
 		// entries to drop mbuf/cookie references, keep the storage.
@@ -458,9 +457,6 @@ type UserAPI struct {
 	et    *ElasticThread
 	meter *sim.Meter // non-nil only during the user phase
 }
-
-// Thread returns the elastic thread index.
-func (u *UserAPI) Thread() int { return u.et.id }
 
 // ExpectedConns reports the host-wide anticipated flow population from
 // the dataplane configuration (0 = unknown). User libraries presize

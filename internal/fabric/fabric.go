@@ -531,9 +531,6 @@ func (s *Switch) Bond(mac wire.MAC, idxs []int) {
 // a partial table.
 func (s *Switch) Seal() { s.sealed = true }
 
-// Sealed reports whether the switch tables are frozen.
-func (s *Switch) Sealed() bool { return s.sealed }
-
 // forward switches a frame arriving on port in. Every frame pays the same
 // SwitchLatency, so the egress send is made now for the instant the
 // latency ends (Port.sendAt) instead of as an engine event of its own:

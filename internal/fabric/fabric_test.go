@@ -278,7 +278,7 @@ func TestSwitchSealFreezesFDB(t *testing.T) {
 	pb := sw.AddPort(lb.Port(1))
 	sw.Learn(macA, pa)
 	sw.Learn(macB, pb)
-	if sw.Sealed() {
+	if sw.sealed {
 		t.Fatal("switch sealed before construction finished")
 	}
 
@@ -291,7 +291,7 @@ func TestSwitchSealFreezesFDB(t *testing.T) {
 	if len(rxB.frames) != 1 {
 		t.Fatal("frame not switched to B")
 	}
-	if !sw.Sealed() {
+	if !sw.sealed {
 		t.Fatal("first forward did not seal the FDB")
 	}
 

@@ -37,7 +37,7 @@ func TestZeroAllocFaultFreePath(t *testing.T) {
 	}
 	// Pass-through must not even touch the stats (that is the whole
 	// point of the fast path).
-	if got := in.Stats().Delivered; got != 0 {
+	if got := in.stats.Delivered; got != 0 {
 		t.Fatalf("fast path updated stats (%d delivered)", got)
 	}
 	if pool.InUse() != 0 {

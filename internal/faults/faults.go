@@ -133,13 +133,6 @@ func Interpose(eng *sim.Engine, p *fabric.Port, seed uint64) *Injector {
 	return in
 }
 
-// Wrap interposes the injector in front of an arbitrary endpoint (tests).
-func Wrap(eng *sim.Engine, ep fabric.Endpoint, seed uint64) *Injector {
-	in := newInjector(eng, seed)
-	in.inner = ep
-	return in
-}
-
 func newInjector(eng *sim.Engine, seed uint64) *Injector {
 	// Splitmix-style scramble so adjacent caller seeds (host i, host
 	// i+1) land in unrelated stream positions.
@@ -156,9 +149,6 @@ func (in *Injector) Apply(cfg Config) {
 	in.on = cfg.active()
 	in.geBad = false
 }
-
-// Stats returns the impairment counters.
-func (in *Injector) Stats() Stats { return in.stats }
 
 // Deliver implements fabric.Endpoint. With no impairment configured this
 // is a tail call into the wrapped endpoint: no branch draws from the
@@ -273,18 +263,6 @@ type Plan struct {
 	Steps []Step
 }
 
-// Flap returns a plan that takes the link down at each start for the
-// given outage, repeating every period for n cycles, then leaves it up.
-func Flap(start, outage, period time.Duration, n int) Plan {
-	var p Plan
-	for i := 0; i < n; i++ {
-		at := start + time.Duration(i)*period
-		p.Steps = append(p.Steps, Step{At: at, Cfg: Config{Down: true}})
-		p.Steps = append(p.Steps, Step{At: at + outage, Cfg: Config{}})
-	}
-	return p
-}
-
 // Schedule arms the plan's steps on the engine relative to now.
 func (in *Injector) Schedule(p Plan) {
 	for _, st := range p.Steps {
@@ -313,10 +291,6 @@ func (s *Site) Schedule(p Plan) {
 		in.Schedule(p)
 	}
 }
-
-// Partition takes every link of the site down (switch-port partition);
-// Heal reverses it.
-func (s *Site) Partition() { s.Apply(Config{Down: true}) }
 
 // Heal clears all impairments.
 func (s *Site) Heal() { s.Apply(Config{}) }

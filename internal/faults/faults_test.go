@@ -28,6 +28,25 @@ func (c *collector) Deliver(f *fabric.Frame) {
 
 const tcpOff = wire.EthHdrLen + wire.IPv4HdrLen
 
+// Wrap interposes an injector in front of an arbitrary endpoint.
+func Wrap(eng *sim.Engine, ep fabric.Endpoint, seed uint64) *Injector {
+	in := newInjector(eng, seed)
+	in.inner = ep
+	return in
+}
+
+// Flap returns a plan that takes the link down at each start for the
+// given outage, repeating every period for n cycles, then leaves it up.
+func Flap(start, outage, period time.Duration, n int) Plan {
+	var p Plan
+	for i := 0; i < n; i++ {
+		at := start + time.Duration(i)*period
+		p.Steps = append(p.Steps, Step{At: at, Cfg: Config{Down: true}})
+		p.Steps = append(p.Steps, Step{At: at + outage, Cfg: Config{}})
+	}
+	return p
+}
+
 // ipFrame builds a minimal IPv4 frame with a 2-byte sequence tag in the
 // transport region so corruption targeting stays past the IP header.
 func ipFrame(pool *fabric.FramePool, seq int) *fabric.Frame {
@@ -57,7 +76,7 @@ func TestBernoulliLossRateAndNoLeak(t *testing.T) {
 	pool := fabric.NewFramePool()
 	const n = 10000
 	feed(eng, in, pool, n)
-	st := in.Stats()
+	st := in.stats
 	if st.Dropped+st.Delivered != n {
 		t.Fatalf("dropped %d + delivered %d != %d", st.Dropped, st.Delivered, n)
 	}
@@ -82,9 +101,9 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	runs, runLen := 0, 0
 	var lens []int
 	for i := 0; i < n; i++ {
-		before := in.Stats().Dropped
+		before := in.stats.Dropped
 		in.Deliver(ipFrame(pool, i))
-		if in.Stats().Dropped > before {
+		if in.stats.Dropped > before {
 			drops++
 			runLen++
 		} else if runLen > 0 {
@@ -152,8 +171,8 @@ func TestCorruptionFlipsTransportBits(t *testing.T) {
 	want := append([]byte(nil), orig.Data...)
 	in.Deliver(orig)
 	eng.Run()
-	if in.Stats().Corrupted != 1 {
-		t.Fatalf("corrupted = %d, want 1", in.Stats().Corrupted)
+	if in.stats.Corrupted != 1 {
+		t.Fatalf("corrupted = %d, want 1", in.stats.Corrupted)
 	}
 	diff, diffAt := 0, -1
 	for i := range got {
@@ -175,7 +194,7 @@ func TestCorruptionFlipsTransportBits(t *testing.T) {
 	}
 	in.Deliver(arp)
 	eng.Run()
-	if in.Stats().Corrupted != 1 {
+	if in.stats.Corrupted != 1 {
 		t.Fatal("non-IPv4 frame was corrupted")
 	}
 }
@@ -292,8 +311,8 @@ func TestPlanScheduleAppliesSteps(t *testing.T) {
 		in.Deliver(ipFrame(pool, i))
 	}
 	eng.Run()
-	if in.Stats().Dropped != 10 {
-		t.Fatalf("dropped %d frames, want 10 (two 50µs outages)", in.Stats().Dropped)
+	if in.stats.Dropped != 10 {
+		t.Fatalf("dropped %d frames, want 10 (two 50µs outages)", in.stats.Dropped)
 	}
 	if rx.frames != 40 {
 		t.Fatalf("delivered %d, want 40", rx.frames)

@@ -122,9 +122,9 @@ func TestCorruptedIntactFrameCaught(t *testing.T) {
 	}
 	p.pump()
 	tc := p.b.s.TCP()
-	if p.in.Stats().Corrupted != 1 || tc.BadChecksums != 1 {
+	if p.in.stats.Corrupted != 1 || tc.BadChecksums != 1 {
 		t.Fatalf("corrupted %d frames, receiver counted %d bad checksums; want 1 and 1",
-			p.in.Stats().Corrupted, tc.BadChecksums)
+			p.in.stats.Corrupted, tc.BadChecksums)
 	}
 	if len(p.b.log.got) != 0 {
 		t.Fatalf("corrupted payload %q reached the application", p.b.log.got)
@@ -143,8 +143,8 @@ func TestDuplicateOfIntactFrameDeliveredOnce(t *testing.T) {
 	p.in.Apply(Config{DupP: 1})
 	c.Send([]byte("hello"))
 	p.pump()
-	if p.in.Stats().Duplicated != 1 {
-		t.Fatalf("duplicated %d frames, want 1", p.in.Stats().Duplicated)
+	if p.in.stats.Duplicated != 1 {
+		t.Fatalf("duplicated %d frames, want 1", p.in.stats.Duplicated)
 	}
 	if tc.BadChecksums != 0 {
 		t.Fatalf("%d duplicates failed the checksum: the offloaded sum was not written before the copy", tc.BadChecksums)
@@ -179,8 +179,8 @@ func TestCarriedPayloadCorruptedInFlight(t *testing.T) {
 		t.Fatalf("the data frame carries payload %q with %d pins; want it by reference, 1 pin", f.Payload, back.n)
 	}
 	p.pump()
-	if p.in.Stats().Corrupted != 1 || p.b.s.TCP().BadChecksums != 1 {
-		t.Fatalf("corrupted %d, bad checksums %d; want 1 and 1", p.in.Stats().Corrupted, p.b.s.TCP().BadChecksums)
+	if p.in.stats.Corrupted != 1 || p.b.s.TCP().BadChecksums != 1 {
+		t.Fatalf("corrupted %d, bad checksums %d; want 1 and 1", p.in.stats.Corrupted, p.b.s.TCP().BadChecksums)
 	}
 	if string(msg) != "bytes the sender keeps until acknowledged" || back.n != 0 {
 		t.Fatalf("sender's bytes %q, %d pins left", msg, back.n)
@@ -197,8 +197,8 @@ func TestDuplicateOfCarriedPayloadDeliveredOnce(t *testing.T) {
 	var back pinCount
 	c.Sendv([][]byte{[]byte("hello")}, []fabric.Backing{&back})
 	p.pump()
-	if p.in.Stats().Duplicated != 1 || p.b.s.TCP().BadChecksums != 0 {
-		t.Fatalf("duplicated %d, bad checksums %d; want 1 and 0", p.in.Stats().Duplicated, p.b.s.TCP().BadChecksums)
+	if p.in.stats.Duplicated != 1 || p.b.s.TCP().BadChecksums != 0 {
+		t.Fatalf("duplicated %d, bad checksums %d; want 1 and 0", p.in.stats.Duplicated, p.b.s.TCP().BadChecksums)
 	}
 	if string(p.b.log.got) != "hello" || back.n != 0 {
 		t.Fatalf("application received %q with %d pins left; want %q once and none", p.b.log.got, back.n, "hello")

@@ -280,17 +280,6 @@ func (c *Cluster) EgressDrops(h Host) uint64 {
 	return n
 }
 
-// TxRingDrops sums frames dropped at full NIC TX rings over every host:
-// the one host-side discard the stacks do not see (Post reports it, the
-// kernel models carry on), so a lossless run must read 0 here.
-func (c *Cluster) TxRingDrops() uint64 {
-	var n uint64
-	for _, h := range c.hosts {
-		n += h.NIC().TxDrops()
-	}
-	return n
-}
-
 // eachStack calls fn with every network stack of every host.
 func (c *Cluster) eachStack(fn func(*netstack.Stack)) {
 	for _, h := range c.hosts {

@@ -232,7 +232,7 @@ func TestPartitionHealsCleanly(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no traffic before partition")
 	}
-	site.Partition()
+	site.Apply(faults.Config{Down: true})
 	cl.Run(2 * time.Millisecond)
 	during := m.Msgs.Total() - before
 	site.Heal()

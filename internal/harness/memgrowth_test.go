@@ -101,6 +101,17 @@ func baselineSlabs(cl *Cluster) [][2]int {
 	return out
 }
 
+// TxRingDrops sums frames dropped at full NIC TX rings over every host:
+// the one host-side discard the stacks do not see (Post reports it, the
+// kernel models carry on), so a lossless run must read 0 here.
+func (c *Cluster) TxRingDrops() uint64 {
+	var n uint64
+	for _, h := range c.hosts {
+		n += h.NIC().TxDrops()
+	}
+	return n
+}
+
 // TestLinuxBulkSlabsDrain: 64 KiB echoes with Linux on both ends, then
 // with mTCP on both ends, stage every message through slabs, on the
 // server and on every client. After the drain no slab is attached

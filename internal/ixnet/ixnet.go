@@ -93,6 +93,7 @@ func (n *Net) after(d time.Duration, fn func()) {
 // threads on one host share an engine, so running the owner's fibers
 // from here keeps exactly one party running.
 type handler struct {
+	app.Base
 	n *Net
 }
 
@@ -158,8 +159,6 @@ func (h *handler) OnRecv(ac app.Conn, data []byte) {
 	c.wakeReader()
 	c.n.s.pump()
 }
-
-func (h *handler) OnSent(ac app.Conn, acked int) {}
 
 func (h *handler) OnSendReady(ac app.Conn) {
 	c := h.conn(ac)

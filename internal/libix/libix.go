@@ -416,9 +416,6 @@ func (p *program) Charge(d time.Duration) { p.api.Charge(d) }
 // Elapsed returns CPU time charged in the current cycle.
 func (p *program) Elapsed() time.Duration { return p.api.Elapsed() }
 
-// Thread returns the elastic thread index.
-func (p *program) Thread() int { return p.api.Thread() }
-
 // Listen binds this thread's stack to port.
 func (p *program) Listen(port uint16) error { return p.api.Listen(port) }
 

@@ -72,7 +72,7 @@ func TestSendChargesOnlyAcceptedBytes(t *testing.T) {
 			big := make([]byte, 700<<10)
 			firstN = c.Send(big)
 			secondN = c.Send(big)
-			unsentAt = c.Unsent()
+			unsentAt = c.(*conn).Unsent()
 		}
 		_ = env.Connect(wire.Addr4(10, 0, 0, 2), 80, nil)
 		return cli

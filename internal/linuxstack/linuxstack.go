@@ -141,15 +141,6 @@ func (h *Host) Stack() *netstack.Stack { return h.ns }
 // EachStack calls fn with the shared kernel stack.
 func (h *Host) EachStack(fn func(*netstack.Stack)) { fn(h.ns) }
 
-// PoolDrops counts received frames the softirq released because the
-// mbuf pool was dry.
-func (h *Host) PoolDrops() (n uint64) {
-	for _, k := range h.cores {
-		n += k.drv.PoolDrops
-	}
-	return n
-}
-
 // Start spawns per-core kernel contexts and application threads.
 func (h *Host) Start() {
 	for i := 0; i < h.cfg.Cores; i++ {
@@ -176,9 +167,6 @@ func (h *Host) Footprint() memprobe.Footprint { return h.layer.Footprint(h.ns.TC
 
 // Slabs reports the host's staging slabs, attached and free.
 func (h *Host) Slabs() (inUse, free int) { return h.layer.Slabs() }
-
-// Cores returns the core count.
-func (h *Host) Cores() int { return len(h.cores) }
 
 // ConnCount returns live connections.
 func (h *Host) ConnCount() int { return h.ns.TCP().ConnCount() }
@@ -417,8 +405,6 @@ type kenv kcore
 func (e *kenv) k() *kcore { return (*kcore)(e) }
 
 func (e *kenv) Now() int64 { return int64(e.h.eng.Now()) }
-
-func (e *kenv) Thread() int { return e.id }
 
 func (e *kenv) Charge(d time.Duration) {
 	k := e.k()

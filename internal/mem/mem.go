@@ -44,12 +44,6 @@ func (r *Region) TakePage() bool {
 	return true
 }
 
-// Used returns the number of pages consumed.
-func (r *Region) Used() int { return r.usedPages }
-
-// Cap returns the region's capacity in pages.
-func (r *Region) Cap() int { return r.limitPages }
-
 // MbufHeadroom is reserved at the front of an mbuf's own storage: room
 // for ethernet/IP/TCP headers in front of the data, as in IX's mbufs.
 const MbufHeadroom = 64

@@ -15,8 +15,8 @@ func TestRegionAccounting(t *testing.T) {
 	if r.TakePage() {
 		t.Fatal("page granted beyond capacity")
 	}
-	if r.Used() != 2 || r.Cap() != 2 {
-		t.Fatalf("used=%d cap=%d", r.Used(), r.Cap())
+	if r.usedPages != 2 || r.limitPages != 2 {
+		t.Fatalf("used=%d cap=%d", r.usedPages, r.limitPages)
 	}
 }
 

@@ -222,7 +222,7 @@ func (p *TxChunkPool) InUse() int { return p.inUse }
 // capacity for another page. The send-ready condition uses this to
 // avoid waking a pool-blocked writer into another failed allocation.
 func (p *TxChunkPool) Ready() bool {
-	return len(p.free) > 0 || p.retired > 0 || p.spare > 0 || p.region.Used() < p.region.Cap()
+	return len(p.free) > 0 || p.retired > 0 || p.spare > 0 || p.region.usedPages < p.region.limitPages
 }
 
 // A TxArena is one connection's FIFO transmit arena. Appends go to the

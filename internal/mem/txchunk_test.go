@@ -21,8 +21,8 @@ func TestTxChunkPoolRegionAccounting(t *testing.T) {
 		}
 		got = append(got, k)
 	}
-	if r.Used() != 1 {
-		t.Fatalf("used pages = %d, want 1", r.Used())
+	if r.usedPages != 1 {
+		t.Fatalf("used pages = %d, want 1", r.usedPages)
 	}
 	if p.Alloc() != nil {
 		t.Fatal("allocation succeeded beyond the region grant")
@@ -44,8 +44,8 @@ func TestTxChunkPoolRegionAccounting(t *testing.T) {
 		}
 		k.Release()
 	}
-	if r.Used() != 1 {
-		t.Fatalf("used pages = %d after recycling, want 1", r.Used())
+	if r.usedPages != 1 {
+		t.Fatalf("used pages = %d after recycling, want 1", r.usedPages)
 	}
 }
 
@@ -193,8 +193,8 @@ func TestPinnedChunkOutlivesRelease(t *testing.T) {
 		n.Append(bytes.Repeat([]byte{'n'}, TxChunkSize))
 		got = append(got, n)
 	}
-	if p.Alloc() != nil || r.Used() != 1 {
-		t.Fatalf("allocation beyond the grant: region used %d pages", r.Used())
+	if p.Alloc() != nil || r.usedPages != 1 {
+		t.Fatalf("allocation beyond the grant: region used %d pages", r.usedPages)
 	}
 	if !bytes.Equal(f.Payload, old[:1448]) {
 		t.Fatal("the frame's payload changed after its chunk was released")
@@ -242,7 +242,7 @@ func TestTxChunkBufferFollowsWrites(t *testing.T) {
 	if got, want := a.FootprintBytes(), modelled(); got != want {
 		t.Fatalf("FootprintBytes = %d, want %d (the modelled chunk, not its %d B buffer)", got, want, cap(k.buf))
 	}
-	room, spare, used := k.Room(), p.spare, r.Used()
+	room, spare, used := k.Room(), p.spare, r.usedPages
 
 	var views [][]byte
 	var want [][]byte
@@ -260,9 +260,9 @@ func TestTxChunkBufferFollowsWrites(t *testing.T) {
 		old, snapshot = k.buf, bytes.Clone(k.buf)
 		views, want = append(views, v), append(want, bytes.Clone(v))
 		room -= n
-		if k.Room() != room || p.spare != spare || r.Used() != used || p.InUse() != 1 {
+		if k.Room() != room || p.spare != spare || r.usedPages != used || p.InUse() != 1 {
 			t.Fatalf("append %d: room %d, spare %d, pages %d, in use %d; want %d, %d, %d, 1",
-				i, k.Room(), p.spare, r.Used(), p.InUse(), room, spare, used)
+				i, k.Room(), p.spare, r.usedPages, p.InUse(), room, spare, used)
 		}
 		if got, w := a.FootprintBytes(), modelled(); got != w {
 			t.Fatalf("append %d: FootprintBytes = %d, want %d", i, got, w)

@@ -410,8 +410,7 @@ type menv mcore
 
 func (e *menv) m() *mcore { return (*mcore)(e) }
 
-func (e *menv) Now() int64  { return int64(e.h.eng.Now()) }
-func (e *menv) Thread() int { return e.id }
+func (e *menv) Now() int64 { return int64(e.h.eng.Now()) }
 
 func (e *menv) Charge(d time.Duration) { e.m().charge(d) }
 

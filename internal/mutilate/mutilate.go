@@ -194,6 +194,7 @@ type lconn struct {
 }
 
 type loadgen struct {
+	app.Base
 	env   app.Env
 	cfg   LoadConfig
 	conns []app.Conn
@@ -287,8 +288,6 @@ func (g *loadgen) issue(c app.Conn, st *lconn) {
 	st.q = append(st.q, pending{t0: g.env.Now(), get: get})
 }
 
-func (g *loadgen) OnAccept(c app.Conn) {}
-
 func (g *loadgen) OnConnected(c app.Conn, ok bool) {
 	if !ok {
 		return
@@ -328,10 +327,6 @@ func (g *loadgen) OnRecv(c app.Conn, data []byte) {
 	}
 }
 
-func (g *loadgen) OnSent(c app.Conn, n int) {}
-func (g *loadgen) OnEOF(c app.Conn)         { c.Close() }
-func (g *loadgen) OnClosed(c app.Conn)      {}
-
 // AgentConfig parameterizes the unloaded latency agent.
 type AgentConfig struct {
 	ServerIP wire.IPv4
@@ -355,6 +350,7 @@ func AgentFactory(cfg AgentConfig) app.Factory {
 }
 
 type agent struct {
+	app.Base
 	env app.Env
 	cfg AgentConfig
 	rng uint64
@@ -377,8 +373,6 @@ func (a *agent) issue(c app.Conn) {
 	a.req = w.appendGet(a.req[:0], int(a.rand()%uint64(w.Keys)))
 	c.Send(a.req)
 }
-
-func (a *agent) OnAccept(c app.Conn) {}
 
 func (a *agent) OnConnected(c app.Conn, ok bool) {
 	if ok {
@@ -405,18 +399,10 @@ func (a *agent) OnRecv(c app.Conn, data []byte) {
 	}
 }
 
-func (a *agent) OnSent(c app.Conn, n int) {}
-func (a *agent) OnEOF(c app.Conn)         { c.Close() }
-func (a *agent) OnClosed(c app.Conn)      {}
+// nopHandler serves the agent's idle threads, which open no connection.
+type nopHandler struct{ app.Base }
 
-type nopHandler struct{}
-
-func (nopHandler) OnAccept(app.Conn)          {}
-func (nopHandler) OnConnected(app.Conn, bool) {}
-func (nopHandler) OnRecv(app.Conn, []byte)    {}
-func (nopHandler) OnSent(app.Conn, int)       {}
-func (nopHandler) OnEOF(app.Conn)             {}
-func (nopHandler) OnClosed(app.Conn)          {}
+func (nopHandler) OnRecv(app.Conn, []byte) {}
 
 // consumeResponse returns the byte length of one complete memcached
 // response at the front of buf, or 0 if incomplete. get selects the

@@ -192,7 +192,6 @@ func (e *fakeEnv) Elapsed() time.Duration               { return 0 }
 func (e *fakeEnv) Connect(wire.IPv4, uint16, any) error { return nil }
 func (e *fakeEnv) Listen(uint16) error                  { return nil }
 func (e *fakeEnv) After(time.Duration, func())          {}
-func (e *fakeEnv) Thread() int                          { return 0 }
 
 // fakeConn keeps everything sent to it.
 type fakeConn struct {
@@ -205,7 +204,6 @@ func (c *fakeConn) Close()            {}
 func (c *fakeConn) Abort()            {}
 func (c *fakeConn) Cookie() any       { return c.cookie }
 func (c *fakeConn) SetCookie(v any)   { c.cookie = v }
-func (c *fakeConn) Unsent() int       { return 0 }
 
 // TestZeroAllocLoadgen: once warm, issuing a request and receiving its
 // complete reply allocate nothing.

@@ -18,12 +18,11 @@ import (
 )
 
 // ARPTable is the host-wide ARP cache. Reads are coherence-free in the
-// common case (single-writer updates bump a version, mimicking RCU
-// publication); the Reads/Updates counters make the paper's "common case
-// reads are coherence-free but rare updates are not" auditable in tests.
+// common case (only single-writer updates publish, mimicking RCU); the
+// Reads/Updates counters make the paper's "common case reads are
+// coherence-free but rare updates are not" auditable in tests.
 type ARPTable struct {
 	entries map[wire.IPv4]wire.MAC
-	version uint64
 
 	Reads   uint64
 	Updates uint64
@@ -44,13 +43,8 @@ func (t *ARPTable) Lookup(ip wire.IPv4) (wire.MAC, bool) {
 // Learn installs or refreshes a mapping (the RCU update path).
 func (t *ARPTable) Learn(ip wire.IPv4, mac wire.MAC) {
 	t.Updates++
-	t.version++
 	t.entries[ip] = mac
 }
-
-// Version returns the update generation, used by tests to verify the
-// read path does not publish.
-func (t *ARPTable) Version() uint64 { return t.version }
 
 // UDPHandler consumes a received datagram. The mbuf backing data follows
 // the same zero-copy reference rules as TCP receive.

@@ -319,12 +319,6 @@ func (t *TxQueue) Post(f *fabric.Frame) bool {
 	return true
 }
 
-// InFlight returns the number of un-completed descriptors.
-func (t *TxQueue) InFlight() int {
-	t.reclaim()
-	return t.inFlight
-}
-
 // NIC is the device: queues, RSS state, and its physical ports.
 type NIC struct {
 	eng *sim.Engine
@@ -388,9 +382,6 @@ func (n *NIC) TxDrops() uint64 {
 	}
 	return d
 }
-
-// RETA returns the current redirection table.
-func (n *NIC) RETA() [RetaSize]uint8 { return n.reta }
 
 // SpreadRETA programs the table to spread buckets round-robin over queues
 // [0, active).

@@ -218,6 +218,12 @@ func TestRETARebalance(t *testing.T) {
 	}
 }
 
+// InFlight returns the number of un-completed descriptors.
+func (t *TxQueue) InFlight() int {
+	t.reclaim()
+	return t.inFlight
+}
+
 // TestTxCompletion: a posted frame holds its descriptor until it has
 // left the wire, and the next InFlight reclaims it without an event.
 func TestTxCompletion(t *testing.T) {
@@ -248,7 +254,7 @@ func TestPlanRepartition(t *testing.T) {
 			if int(ch.To) >= active {
 				t.Fatalf("plan for active=%d routes bucket %d to queue %d", active, ch.Bucket, ch.To)
 			}
-			if n.RETA()[ch.Bucket] != ch.From {
+			if n.reta[ch.Bucket] != ch.From {
 				t.Fatalf("plan From mismatch at bucket %d", ch.Bucket)
 			}
 			n.SetRETAEntry(ch.Bucket, int(ch.To))
@@ -271,7 +277,7 @@ func TestPlanRepartition(t *testing.T) {
 
 	// Balanced within one at every step.
 	count := map[uint8]int{}
-	for _, q := range n.RETA() {
+	for _, q := range n.reta {
 		count[q]++
 	}
 	for q, c := range count {

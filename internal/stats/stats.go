@@ -22,7 +22,6 @@ type Histogram struct {
 	counts []uint64
 	total  uint64
 	sum    int64 // nanoseconds; exact (and float64-identical) below 2^53
-	min    int64
 	max    int64
 }
 
@@ -32,7 +31,7 @@ const subBuckets = 32
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, 64*subBuckets), min: math.MaxInt64}
+	return &Histogram{counts: make([]uint64, 64*subBuckets)}
 }
 
 func bucketOf(v int64) int {
@@ -69,9 +68,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.counts[b]++
 	h.total++
 	h.sum += int64(d)
-	if int64(d) < h.min {
-		h.min = int64(d)
-	}
 	if int64(d) > h.max {
 		h.max = int64(d)
 	}
@@ -86,14 +82,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return time.Duration(float64(h.sum) / float64(h.total))
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
 }
 
 // Max returns the largest sample.
@@ -137,7 +125,6 @@ func (h *Histogram) Reset() {
 	}
 	h.total = 0
 	h.sum = 0
-	h.min = math.MaxInt64
 	h.max = 0
 }
 
@@ -148,9 +135,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.total += o.total
 	h.sum += o.sum
-	if o.total > 0 && o.min < h.min {
-		h.min = o.min
-	}
 	if o.max > h.max {
 		h.max = o.max
 	}

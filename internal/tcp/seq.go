@@ -15,14 +15,6 @@ func seqGT(a, b uint32) bool { return int32(a-b) > 0 }
 // seqGE reports a ≥ b in sequence space.
 func seqGE(a, b uint32) bool { return int32(a-b) >= 0 }
 
-// seqMax returns the later of a and b in sequence space.
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}
-
 // seqDiff returns a - b as a signed distance.
 func seqDiff(a, b uint32) int32 { return int32(a - b) }
 

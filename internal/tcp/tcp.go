@@ -616,9 +616,6 @@ func (c *Conn) Key() wire.FlowKey { return c.key.flow() }
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
-
 // inFlight returns bytes in flight.
 func (c *Conn) inFlight() uint32 { return c.sndNxt - c.sndUna }
 

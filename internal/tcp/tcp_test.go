@@ -552,8 +552,8 @@ func TestPortProbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LocalPort()%4 != 0 {
-		t.Fatalf("port %d does not satisfy the probe", c.LocalPort())
+	if c.key.SrcPort%4 != 0 {
+		t.Fatalf("port %d does not satisfy the probe", c.key.SrcPort)
 	}
 	if probed == 0 {
 		t.Fatal("probe not consulted")
@@ -568,10 +568,10 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[c.LocalPort()] {
-			t.Fatalf("port %d reused while in use", c.LocalPort())
+		if seen[c.key.SrcPort] {
+			t.Fatalf("port %d reused while in use", c.key.SrcPort)
 		}
-		seen[c.LocalPort()] = true
+		seen[c.key.SrcPort] = true
 	}
 }
 

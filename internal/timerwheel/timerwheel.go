@@ -155,10 +155,6 @@ func (w *Wheel) Len() int { return w.count }
 // (place never puts a timer in the current tick's slot).
 func (w *Wheel) NextTickTime() int64 { return (w.curTick + 1) * w.tick }
 
-// Now returns the wheel's current time in nanoseconds (quantized to the
-// tick).
-func (w *Wheel) Now() int64 { return w.curTick * w.tick }
-
 // heapPush records a pending deadline.
 func (w *Wheel) heapPush(t *Timer) {
 	h := w.minHeap

@@ -95,7 +95,7 @@ func TestNeverEarly(t *testing.T) {
 			d := now + rng.Int63n(int64(DefaultTick)*Slots*3)
 			r := &rec{deadline: d, firedAt: -1}
 			recs = append(recs, r)
-			w.Add(d, func() { r.firedAt = w.Now() })
+			w.Add(d, func() { r.firedAt = w.curTick * w.tick })
 			now += rng.Int63n(int64(DefaultTick) * 50)
 			w.Advance(now)
 		}
@@ -157,7 +157,7 @@ func TestFireOrderProperty(t *testing.T) {
 			if dl > max {
 				max = dl
 			}
-			w.Add(dl, func() { fired = append(fired, w.Now()) })
+			w.Add(dl, func() { fired = append(fired, w.curTick*w.tick) })
 		}
 		w.Advance(max + int64(DefaultTick)*2)
 		if len(fired) != len(deadlines) {
@@ -240,8 +240,8 @@ func TestNextFireTimeNeverInCurrentTick(t *testing.T) {
 	if ft != 11*tick {
 		t.Fatalf("fire time = %d, want next boundary %d", ft, 11*tick)
 	}
-	if ft <= w.Now() {
-		t.Fatalf("fire time %d not after wheel now %d", ft, w.Now())
+	if ft <= w.curTick*w.tick {
+		t.Fatalf("fire time %d not after wheel now %d", ft, w.curTick*w.tick)
 	}
 	// And the timer really does fire when Advance crosses that boundary.
 	fired := false

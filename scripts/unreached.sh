@@ -10,6 +10,12 @@
 #
 # The analyzers under internal/analysis run under go vet, not in an
 # experiment, so the list leaves them out.
+#
+# The list is a policy: scripts/unreached.allow names every function
+# allowed to stay unreached, one per line as its file, its name (a
+# method as Type.Name) and the reason it stays. The script exits 1 when
+# an unreached function is not listed there, or when a listed one is
+# no longer unreached or no longer exists (a stale entry).
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 d="$(mktemp -d)"
@@ -34,3 +40,38 @@ grep -v '^ix/internal/analysis/' "$d/func.txt" | awk '$NF == "0.0%"' > "$d/unrea
 tail -1 "$d/func.txt"
 echo "unreached functions: $(wc -l < "$d/unreached.txt")"
 cat "$d/unreached.txt"
+
+# Key each function by its file and, for a method, Type.Name read from
+# its declaration: the coverage report gives the line but no receiver.
+awk -v root="$root" '{
+	split($1, loc, ":")
+	file = substr(loc[1], 4) # drop the module path "ix/"
+	src = ""
+	for (i = 0; (getline l < (root "/" file)) > 0; ) {
+		if (++i == loc[2]) { src = l; break }
+	}
+	close(root "/" file)
+	name = $2
+	if (match(src, /^func \([^)]*\)/)) {
+		recv = substr(src, RSTART + 6, RLENGTH - 7)
+		sub(/^[^ ]* /, "", recv)
+		gsub(/[*]|\[.*\]/, "", recv)
+		name = recv "." name
+	}
+	print file, name
+}' "$d/unreached.txt" | sort > "$d/keys.txt"
+awk '!/^#/ && NF { print $1, $2 }' "$root/scripts/unreached.allow" | sort > "$d/allowed.txt"
+comm -23 "$d/keys.txt" "$d/allowed.txt" > "$d/unlisted.txt"
+comm -13 "$d/keys.txt" "$d/allowed.txt" > "$d/stale.txt"
+status=0
+if [ -s "$d/unlisted.txt" ]; then
+	echo "unreached but not in scripts/unreached.allow:" >&2
+	sed 's/^/  /' "$d/unlisted.txt" >&2
+	status=1
+fi
+if [ -s "$d/stale.txt" ]; then
+	echo "stale entries in scripts/unreached.allow (reached or gone):" >&2
+	sed 's/^/  /' "$d/stale.txt" >&2
+	status=1
+fi
+exit "$status"
