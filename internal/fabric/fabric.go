@@ -51,10 +51,10 @@ const smallFrameCap = 256
 // Release exactly once.
 //
 // The sealed-frame rule: a TCP frame leaves its sender Intact, with the
-// checksum offloaded. Anything that writes or copies an intact frame's
-// bytes in flight calls MaterializeChecksum first, so the bytes it
-// changes or hands on carry the sum the sender's NIC would have put on
-// the wire.
+// IPv4 header and TCP checksums offloaded. Anything that writes or
+// copies an intact frame's bytes in flight calls MaterializeChecksum
+// first, so the bytes it changes or hands on carry the sums the sender's
+// NIC would have put on the wire.
 type Frame struct {
 	// Data is the frame's own bytes: every header and, unless Payload
 	// carries it, the payload.
@@ -67,10 +67,11 @@ type Frame struct {
 	// SentAt is when the sender posted the frame (for diagnostics).
 	SentAt sim.Time
 
-	// Intact marks a TCP frame whose checksum is pending: the sender left
-	// the checksum field zero and offloaded the sum, and no one has
-	// written the frame's bytes since. Verifying an intact frame cannot
-	// fail, so a receiver may skip it. Get clears the mark.
+	// Intact marks a TCP frame whose checksums are pending: the sender
+	// left the IPv4 header and TCP checksum fields zero and offloaded the
+	// sums, and no one has written the frame's bytes since. Verifying an
+	// intact frame cannot fail, so a receiver may skip it. Get clears the
+	// mark.
 	Intact bool
 
 	buf  []byte  // full-capacity backing storage of pooled frames
@@ -128,19 +129,21 @@ func (f *Frame) AppendBytes(b []byte) []byte {
 	return append(append(b, f.Data...), f.Payload...)
 }
 
-// MaterializeChecksum writes an intact frame's pending TCP checksum into
-// its header, computed from the frame's own IPv4 header. The frame stays
-// intact: its bytes are still the sender's, now with the sum in place.
-// A frame that is not intact already carries its sum.
+// MaterializeChecksum writes an intact frame's pending checksums into its
+// headers: the IPv4 header sum, then the TCP sum computed from that
+// header. The frame stays intact: its bytes are still the sender's, now
+// with the sums in place. A frame that is not intact already carries its
+// sums.
 func (f *Frame) MaterializeChecksum() {
 	if !f.Intact {
 		return
 	}
 	ip := f.Data[wire.EthHdrLen:]
 	var h wire.IPv4Header
-	if h.Unmarshal(ip) != nil {
+	if h.UnmarshalUnverified(ip) != nil {
 		return // not a header a stack built: nothing was offloaded
 	}
+	wire.SetIPv4Checksum(ip)
 	wire.SetTCPChecksumv(h.Src, h.Dst, ip[wire.IPv4HdrLen:int(h.TotalLen)-len(f.Payload)], f.Payload)
 }
 

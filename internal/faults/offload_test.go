@@ -32,9 +32,14 @@ type stackEnd struct {
 	pool *mem.MbufPool
 	log  *recvLog
 	out  []*fabric.Frame // frames the stack sent, not yet on the wire
+	// arrived, when set, sees each frame before the stack does.
+	arrived func(f *fabric.Frame)
 }
 
 func (e *stackEnd) Deliver(f *fabric.Frame) {
+	if e.arrived != nil {
+		e.arrived(f)
+	}
 	buf := e.pool.Alloc()
 	buf.Adopt(f)
 	e.s.Input(buf)
@@ -202,5 +207,67 @@ func TestDuplicateOfCarriedPayloadDeliveredOnce(t *testing.T) {
 	}
 	if string(p.b.log.got) != "hello" || back.n != 0 {
 		t.Fatalf("application received %q with %d pins left; want %q once and none", p.b.log.got, back.n, "hello")
+	}
+}
+
+// ipv4SumOK reports whether the frame's IPv4 header carries a verifying
+// checksum.
+func ipv4SumOK(f *fabric.Frame) bool {
+	return wire.Checksum(f.Data[wire.EthHdrLen:wire.EthHdrLen+wire.IPv4HdrLen]) == 0
+}
+
+// TestIPv4HeaderSumUnderSealedFrameRule: an intact TCP frame leaves its
+// sender with the IPv4 header sum pending, like its TCP sum. A frame
+// corrupted or duplicated in flight is no longer intact, and it arrives
+// with a verifying header sum, which the injector wrote before the
+// write or the copy; the receiver drops nothing at IPv4. Frames that are
+// never intact — UDP, ARP — carry what their sender computed.
+func TestIPv4HeaderSumUnderSealedFrameRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"corrupted", Config{CorruptP: 1}}, {"duplicated", Config{DupP: 1}}} {
+		p := newOffloadPair(t)
+		c := p.connect(t)
+		written := 0
+		p.b.arrived = func(f *fabric.Frame) {
+			if f.Intact {
+				return
+			}
+			written++
+			if !ipv4SumOK(f) {
+				t.Errorf("%s: a frame written in flight arrived without a verifying IPv4 header sum", tc.name)
+			}
+		}
+		p.in.Apply(tc.cfg)
+		c.Send([]byte("hello"))
+		f := p.a.out[0]
+		if !f.Intact {
+			t.Fatalf("%s: a TCP data frame left its sender without the intact mark", tc.name)
+		}
+		if sum := f.Data[wire.EthHdrLen+10 : wire.EthHdrLen+12]; sum[0] != 0 || sum[1] != 0 {
+			t.Fatalf("%s: an intact frame left its sender with IPv4 header sum %#x, want it pending (zero)", tc.name, sum)
+		}
+		p.pump()
+		if written != 1 {
+			t.Fatalf("%s: %d frames arrived no longer intact, want 1", tc.name, written)
+		}
+		if d := p.b.s.RxDropped; d != 0 {
+			t.Fatalf("%s: receiver dropped %d frames at IPv4", tc.name, d)
+		}
+	}
+
+	p := newOffloadPair(t)
+	p.a.s.SendUDP(wire.Addr4(10, 0, 0, 2), 5000, 6000, []byte("datagram"))
+	p.a.s.SendUDP(wire.Addr4(10, 0, 0, 9), 5000, 6000, []byte("unresolved")) // queued behind ARP
+	if len(p.a.out) != 2 {
+		t.Fatalf("sender emitted %d frames, want a UDP datagram and an ARP request", len(p.a.out))
+	}
+	udp, arp := p.a.out[0], p.a.out[1]
+	if udp.Intact || !ipv4SumOK(udp) {
+		t.Fatalf("UDP frame: intact %v, header sum verifies %v; want false, true", udp.Intact, ipv4SumOK(udp))
+	}
+	if arp.Intact || uint16(arp.Data[12])<<8|uint16(arp.Data[13]) != wire.EtherTypeARP {
+		t.Fatalf("second frame: intact %v, ethertype %#x; want an ARP request, not intact", arp.Intact, arp.Data[12:14])
 	}
 }

@@ -158,7 +158,8 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 	const total = 1_000_000
 	// Ceilings are the measurement at this point plus 5% (IX 202.7,
 	// Linux 154.9 bytes/conn once timers and reassembly join the
-	// retransmission queue in the one borrowed flight; 234.7 / 186.9 with
+	// retransmission queue in the one borrowed flight — 204.8 / 157.0
+	// since the demux table keeps a tag byte per slot; 234.7 / 186.9 with
 	// one owner id and one RTO/TIME_WAIT timer slot in the PCB, 250.7 /
 	// 202.9 before that, 290.7 / 242.9 before the PCB, the libix
 	// descriptor and the socket kept in-flight scalars in their borrowed

@@ -452,19 +452,23 @@ func (e *kenv) After(d time.Duration, fn func()) {
 
 func (e *kenv) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	k := e.k()
-	doConnect := func() {
-		k.chargeK(k.h.cost.SyscallEntry + k.h.cost.ConnSetup)
-		conn, err := k.h.ns.TCP().Connect(dst, port, 0)
-		k.sock.NewSock(cookie).Open(conn, err)
-	}
 	if k.curMeter != nil {
 		prev := k.h.cur
 		k.h.cur = k
-		doConnect()
+		k.connect(dst, port, cookie)
 		k.h.cur = prev
 		return nil
 	}
-	// Issued outside any task (program start): run as an app task.
-	k.runAppTask(doConnect)
+	// Issued outside any task (program start): run as an app task. Only
+	// this path builds a closure; a ramp's connects come from inside
+	// tasks, one per connection.
+	k.runAppTask(func() { k.connect(dst, port, cookie) })
 	return nil
+}
+
+// connect is the connect system call's kernel side.
+func (k *kcore) connect(dst wire.IPv4, port uint16, cookie any) {
+	k.chargeK(k.h.cost.SyscallEntry + k.h.cost.ConnSetup)
+	conn, err := k.h.ns.TCP().Connect(dst, port, 0)
+	k.sock.NewSock(cookie).Open(conn, err)
 }

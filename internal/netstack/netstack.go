@@ -141,12 +141,13 @@ func (s *Stack) FramePool() *fabric.FramePool { return s.frames }
 func (s *Stack) Input(buf *mem.Mbuf) {
 	s.RxFrames++
 	data := buf.Bytes()
-	var eth wire.EthHeader
-	if err := eth.Unmarshal(data); err != nil {
+	// Only the EtherType decides anything here: the switch has already
+	// forwarded the frame by its destination address.
+	if len(data) < wire.EthHdrLen {
 		s.RxDropped++
 		return
 	}
-	switch eth.EtherType {
+	switch uint16(data[12])<<8 | uint16(data[13]) {
 	case wire.EtherTypeARP:
 		s.RxARP++
 		s.inputARP(data[wire.EthHdrLen:])
@@ -181,7 +182,15 @@ func (s *Stack) inputARP(p []byte) {
 
 func (s *Stack) inputIPv4(p []byte, buf *mem.Mbuf) {
 	var iph wire.IPv4Header
-	if err := iph.Unmarshal(p); err != nil {
+	// An intact frame's header sum is pending, and verifying it cannot
+	// fail (buildIPv4).
+	var err error
+	if buf.Intact() {
+		err = iph.UnmarshalUnverified(p)
+	} else {
+		err = iph.Unmarshal(p)
+	}
+	if err != nil {
 		s.RxDropped++
 		return
 	}
@@ -239,10 +248,10 @@ func (s *Stack) SendUDP(dst wire.IPv4, srcPort, dstPort uint16, payload []byte) 
 // gather of the zero-copy scatter/gather transmit path. A payload lying
 // in one fragment of pooled sender memory (tcp.Stack.PayloadBacking)
 // rides by reference behind the headers (fabric.Frame.Carry); any other
-// is copied into the frame. The checksum is offloaded, as to a NIC: the
-// frame leaves intact with its sum pending (see fabric.Frame.Intact),
-// and the receiver verifies only frames whose bytes were written in
-// flight.
+// is copied into the frame. The checksums are offloaded, as to a NIC:
+// the frame leaves intact with its IPv4 header and TCP sums pending (see
+// fabric.Frame.Intact), and the receiver verifies only frames whose
+// bytes were written in flight.
 func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 	n := 0
 	for _, b := range payload {
@@ -279,7 +288,10 @@ func (s *Stack) sendIPv4(dst wire.IPv4, proto uint8, bodyLen int, fill func([]by
 // buildIPv4 takes a frame with room for an Ethernet header, the IPv4
 // header and held bytes of an IP body of bodyLen bytes, and writes the
 // IPv4 header. The body is left to the caller: the held bytes in the
-// frame, the rest — a payload carried by reference — behind it.
+// frame, the rest — a payload carried by reference — behind it. A TCP
+// frame leaves intact under the sealed-frame rule (fabric.Frame), its
+// IPv4 header sum pending along with the TCP sum; any other frame
+// carries its header sum from here.
 func (s *Stack) buildIPv4(dst wire.IPv4, proto uint8, held, bodyLen int) *fabric.Frame {
 	f := s.frames.Get(wire.EthHdrLen + wire.IPv4HdrLen + held)
 	s.ipID++
@@ -292,8 +304,12 @@ func (s *Stack) buildIPv4(dst wire.IPv4, proto uint8, held, bodyLen int) *fabric
 		Src:      s.cfg.LocalIP,
 		Dst:      dst,
 	}
-	iph.Marshal(f.Data[wire.EthHdrLen:])
 	f.Intact = proto == wire.ProtoTCP
+	if f.Intact {
+		iph.MarshalUnsummed(f.Data[wire.EthHdrLen:])
+	} else {
+		iph.Marshal(f.Data[wire.EthHdrLen:])
+	}
 	return f
 }
 

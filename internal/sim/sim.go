@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -64,7 +65,9 @@ type heapEntry struct {
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
 // wider fan-out halves tree depth versus a binary heap and the inlined
-// comparisons avoid container/heap's interface dispatch.
+// comparisons avoid container/heap's interface dispatch. No two entries
+// share a key (seq is unique), so the pop order is the key order however
+// the sifts arrange the array.
 type eventHeap []heapEntry
 
 func entLess(a, b *heapEntry) bool {
@@ -72,6 +75,17 @@ func entLess(a, b *heapEntry) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// lessBit is entLess as 0 or 1, computed without a branch: the borrow
+// out of the 128-bit subtraction (at, seq) − (at, seq), with at's sign
+// bit flipped so the unsigned borrow orders it as signed. Which of four
+// siblings is the smallest is a coin toss to the branch predictor, so
+// siftDown picks it with these and pays no mispredictions.
+func lessBit(a, b *heapEntry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^1<<63, uint64(b.at)^1<<63, borrow)
+	return int(borrow)
 }
 
 func (h *eventHeap) push(e *Event) {
@@ -101,19 +115,22 @@ func (h eventHeap) siftDown(i int, e heapEntry) {
 		if first >= n {
 			break
 		}
-		// Smallest of up to four children.
+		// Smallest of up to four children: a branch-free tournament
+		// over a full group, a scan over the last, partial one.
 		best := first
-		bc := h[first]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if entLess(&h[c], &bc) {
-				best = c
-				bc = h[c]
+		if first+3 < n {
+			g := h[first : first+4 : first+4]
+			a := lessBit(&g[1], &g[0])
+			b := 2 + lessBit(&g[3], &g[2])
+			best += a + (b-a)*lessBit(&g[b], &g[a])
+		} else {
+			for c := first + 1; c < n; c++ {
+				if entLess(&h[c], &h[best]) {
+					best = c
+				}
 			}
 		}
+		bc := h[best]
 		if !entLess(&bc, &e) {
 			break
 		}

@@ -53,6 +53,66 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineHeapOrder: events fire in (time, scheduling order) however
+// the heap arranges them — many share a time, some are cancelled from
+// the middle of the heap, and callbacks schedule more — and cancelled
+// events never fire.
+func TestEngineHeapOrder(t *testing.T) {
+	e := NewEngine(3)
+	rng := e.Rand()
+	type key struct{ at, seq int64 }
+	type sched struct {
+		ev *Event
+		k  key
+	}
+	var fired []key
+	var pending []sched
+	cancelled := map[key]bool{}
+	seq := int64(0)
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		seq++
+		k := key{at: int64(e.Now()) + rng.Int63n(64), seq: seq}
+		ev := e.At(Time(k.at), func() {
+			fired = append(fired, k)
+			if depth < 3 && rng.Intn(2) == 0 {
+				schedule(depth + 1)
+			}
+		})
+		pending = append(pending, sched{ev, k})
+	}
+	for i := 0; i < 3000; i++ {
+		schedule(0)
+		if i%7 == 0 {
+			// Only events still queued in the heap: not yet fired,
+			// so not yet recycled.
+			if p := pending[rng.Intn(len(pending))]; p.ev.index >= 0 && !cancelled[p.k] {
+				e.Cancel(p.ev)
+				cancelled[p.k] = true
+			}
+		}
+		if i%500 == 499 {
+			e.RunUntil(e.Now() + 8)
+			pending = pending[:0]
+		}
+	}
+	e.Run()
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if a.at > b.at || a.at == b.at && a.seq > b.seq {
+			t.Fatalf("event %d fired as %+v after %+v", i, b, a)
+		}
+	}
+	for _, k := range fired {
+		if cancelled[k] {
+			t.Fatalf("cancelled event %+v fired", k)
+		}
+	}
+	if len(fired) < 3000*5/7 {
+		t.Fatalf("only %d events fired", len(fired))
+	}
+}
+
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.At(100, func() {

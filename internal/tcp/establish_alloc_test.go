@@ -9,13 +9,16 @@ import (
 
 // TestZeroAllocConnEstablish: the passive-establishment cycle — SYN
 // demux miss, listener knock, connection insert into the presized
-// table, batched SYN-ACK at Flush, final-ACK demux, RST teardown —
-// performs exactly one allocation per connection: the Conn object
-// itself. Everything else on the establishment fast path (the
-// //ix:hotpath-annotated Input demux, passiveOpen insert, handshake
-// replies through the stack's shared header scratch, pooled RTO
-// timers) must be allocation-free, or the large Fig. 4 ramps pay it a
-// million times over.
+// table, batched SYN-ACK at Flush, final-ACK demux, RST teardown — and
+// the active one — port probe, SYN, SYN-ACK demux, handshake ACK at
+// Flush, RST teardown — each perform exactly one allocation per
+// connection: the Conn object itself. Everything else on the
+// establishment fast path (the //ix:hotpath-annotated Input demux,
+// passiveOpen insert, handshake replies through the stack's shared
+// header scratch, the stack's queued handshake RTOs) must be
+// allocation-free, or the large Fig. 4 ramps pay it a million times
+// over. Neither handshake borrows a flight: the stack's flight pool is
+// never touched.
 func TestZeroAllocConnEstablish(t *testing.T) {
 	ev := &quietEvents{}
 	var now int64
@@ -59,6 +62,9 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 		if c == nil || c.state != StateSynRcvd {
 			t.Fatalf("SYN not admitted: %+v", c)
 		}
+		if c.fl != nil {
+			t.Fatal("passive open borrowed a flight")
+		}
 		s.Flush() // batched SYN-ACK
 		// Final ACK completes the handshake.
 		hdr = wire.TCPHeader{
@@ -67,8 +73,8 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 			Window: 0xffff, WScale: -1,
 		}
 		inject()
-		if c.state != StateEstablished {
-			t.Fatalf("handshake did not complete: state=%v", c.state)
+		if c.state != StateEstablished || c.fl != nil {
+			t.Fatalf("handshake did not complete flight-free: state=%v, flight %p", c.state, c.fl)
 		}
 		// RST teardown, as the echo benchmarks close (avoids TIME_WAIT).
 		hdr = wire.TCPHeader{
@@ -83,10 +89,47 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 		// Skim the timer heap's dead entries, as cycleEnd does.
 		wheel.NextDeadline()
 	}
-	cycle() // warm pools, scratch, the needsAck backing
-	allocs := testing.AllocsPerRun(1000, cycle)
-	if allocs != 1 {
-		t.Fatalf("establishment cycle allocates %.2f per conn, want exactly 1 (the Conn object)", allocs)
+	active := func() {
+		c, err := s.Connect(srcIP, 80, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.fl != nil {
+			t.Fatal("active open borrowed a flight")
+		}
+		hdr = wire.TCPHeader{
+			SrcPort: 80, DstPort: c.key.SrcPort,
+			Seq: peerISS, Ack: c.sndUna + 1, Flags: wire.TCPSyn | wire.TCPAck,
+			Window: 0xffff, MSS: wire.MSS, WScale: 0,
+		}
+		inject()
+		if c.state != StateEstablished || c.fl != nil {
+			t.Fatalf("active handshake did not complete flight-free: state=%v, flight %p", c.state, c.fl)
+		}
+		s.Flush() // the handshake ACK
+		hdr = wire.TCPHeader{
+			SrcPort: 80, DstPort: c.key.SrcPort,
+			Seq: peerISS + 1, Flags: wire.TCPRst,
+			Window: 0xffff, WScale: -1,
+		}
+		inject()
+		if s.conns.n != 0 {
+			t.Fatalf("RST did not tear down: %d conns live", s.conns.n)
+		}
+		wheel.NextDeadline()
+	}
+	for _, run := range []struct {
+		name  string
+		cycle func()
+	}{{"passive", cycle}, {"active", active}} {
+		run.cycle() // warm pools, scratch, the needsAck and queue backings
+		allocs := testing.AllocsPerRun(1000, run.cycle)
+		if allocs != 1 {
+			t.Fatalf("%s establishment cycle allocates %.2f per conn, want exactly 1 (the Conn object)", run.name, allocs)
+		}
+	}
+	if n := len(s.flightFree); n != 0 {
+		t.Fatalf("handshakes left %d flights in the stack's pool, want 0: none may borrow one", n)
 	}
 }
 

@@ -6,12 +6,19 @@ import "ix/internal/wire"
 // linear probing over a power-of-two array of *Conn, load held at or
 // below 3/4, deletion by backward shift (no tombstones, so a churning
 // table never degrades). A slot is one pointer — the key is read from
-// the Conn it points at — which is what the table costs per connection
-// in the bytes/conn account, against the 36–56 B/entry of the Go map it
-// replaced. The hash is a fixed, seedless mix: slot order, and with it
-// every walk of the table, is a pure function of the keys inserted.
+// the Conn it points at — plus a one-byte tag in a separate array: the
+// top byte of the key's hash, never 0, with 0 marking an empty slot. A
+// probe walks the tags and dereferences a Conn only where the tag
+// matches, so a miss (every SYN's lookup, every allocPort uniqueness
+// probe) reads no Conn at all and a hit reads, but for a 1-in-255 tag
+// collision, exactly one. Pointer and tag are what the table costs per
+// connection in the bytes/conn account, against the 36–56 B/entry of
+// the Go map it replaced. The hash is a fixed, seedless mix: slot order,
+// and with it every walk of the table, is a pure function of the keys
+// inserted.
 type flowTable struct {
 	slots []*Conn
+	tags  []uint8
 	n     int
 }
 
@@ -38,7 +45,7 @@ func newFlowTable(expected int) flowTable {
 	for n*3 < expected*4 {
 		n <<= 1
 	}
-	return flowTable{slots: make([]*Conn, n)}
+	return flowTable{slots: make([]*Conn, n), tags: make([]uint8, n)}
 }
 
 // hashFlow mixes the 4-tuple. The population it must spread is
@@ -56,15 +63,34 @@ func hashFlow(k connKey) uint64 {
 	return h
 }
 
+// hashTag is the tag a key with hash h carries: its top byte, moved off
+// 0 (the empty slot's tag). The slot index uses the low bits, so the two
+// are independent.
+//
+//ix:hotpath
+func hashTag(h uint64) uint8 {
+	if tag := uint8(h >> 56); tag != 0 {
+		return tag
+	}
+	return 1
+}
+
 // get returns the connection with key k, or nil. The load bound
 // guarantees an empty slot, so the probe always terminates.
 //
 //ix:hotpath
 func (t *flowTable) get(k connKey) *Conn {
-	mask := uint64(len(t.slots) - 1)
-	for i := hashFlow(k) & mask; ; i = (i + 1) & mask {
-		if c := t.slots[i]; c == nil || c.key == k {
-			return c
+	h := hashFlow(k)
+	tag := hashTag(h)
+	mask := uint64(len(t.tags) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch t.tags[i] {
+		case 0:
+			return nil
+		case tag:
+			if c := t.slots[i]; c.key == k {
+				return c
+			}
 		}
 	}
 }
@@ -76,16 +102,20 @@ func (t *flowTable) put(c *Conn) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hashFlow(c.key) & mask; ; i = (i + 1) & mask {
-		switch o := t.slots[i]; {
-		case o == nil:
-			t.slots[i] = c
+	h := hashFlow(c.key)
+	tag := hashTag(h)
+	mask := uint64(len(t.tags) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch t.tags[i] {
+		case 0:
+			t.slots[i], t.tags[i] = c, tag
 			t.n++
 			return
-		case o.key == c.key:
-			t.slots[i] = c
-			return
+		case tag:
+			if t.slots[i].key == c.key {
+				t.slots[i] = c
+				return
+			}
 		}
 	}
 }
@@ -96,45 +126,46 @@ func (t *flowTable) put(c *Conn) {
 //
 //ix:hotpath
 func (t *flowTable) del(k connKey) {
-	mask := uint64(len(t.slots) - 1)
-	i := hashFlow(k) & mask
-	for {
-		c := t.slots[i]
-		if c == nil {
+	h := hashFlow(k)
+	tag := hashTag(h)
+	mask := uint64(len(t.tags) - 1)
+	i := h & mask
+probe:
+	for ; ; i = (i + 1) & mask {
+		switch t.tags[i] {
+		case 0:
 			return
+		case tag:
+			if t.slots[i].key == k {
+				break probe
+			}
 		}
-		if c.key == k {
-			break
-		}
-		i = (i + 1) & mask
 	}
-	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+	for j := (i + 1) & mask; t.tags[j] != 0; j = (j + 1) & mask {
 		c := t.slots[j]
-		if c == nil {
-			break
-		}
 		if home := hashFlow(c.key) & mask; (j-home)&mask >= (j-i)&mask {
-			t.slots[i] = c
+			t.slots[i], t.tags[i] = c, t.tags[j]
 			i = j
 		}
 	}
-	t.slots[i] = nil
+	t.slots[i], t.tags[i] = nil, 0
 	t.n--
 }
 
 // grow doubles the table, reinserting in slot order (deterministic).
 func (t *flowTable) grow() {
 	old := t.slots
-	t.slots = make([]*Conn, 2*len(old))
+	t.slots, t.tags = make([]*Conn, 2*len(old)), make([]uint8, 2*len(old))
 	mask := uint64(len(t.slots) - 1)
 	for _, c := range old {
 		if c == nil {
 			continue
 		}
-		i := hashFlow(c.key) & mask
-		for t.slots[i] != nil {
+		h := hashFlow(c.key)
+		i := h & mask
+		for t.tags[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = c
+		t.slots[i], t.tags[i] = c, hashTag(h)
 	}
 }

@@ -19,9 +19,10 @@ func tableKey(i int) connKey {
 }
 
 // checkTable verifies the table against the oracle: same population,
-// every member reachable by its key, and the probe invariant — no empty
-// slot between a member's home and where it sits (what backward-shift
-// deletion must preserve, including across the wrap).
+// every member reachable by its key, the tag invariant — a live slot's
+// tag is its key's, an empty slot's is 0 — and the probe invariant — no
+// empty slot between a member's home and where it sits (what
+// backward-shift deletion must preserve, including across the wrap).
 func checkTable(t testing.TB, tab *flowTable, oracle map[connKey]*Conn) {
 	t.Helper()
 	if tab.n != len(oracle) {
@@ -30,13 +31,22 @@ func checkTable(t testing.TB, tab *flowTable, oracle map[connKey]*Conn) {
 	if tab.n*4 > len(tab.slots)*3 {
 		t.Fatalf("load %d/%d exceeds 3/4", tab.n, len(tab.slots))
 	}
+	if len(tab.tags) != len(tab.slots) {
+		t.Fatalf("%d tags for %d slots", len(tab.tags), len(tab.slots))
+	}
 	mask := uint64(len(tab.slots) - 1)
 	live := 0
 	for i, c := range tab.slots {
 		if c == nil {
+			if tab.tags[i] != 0 {
+				t.Fatalf("empty slot %d has tag %#x", i, tab.tags[i])
+			}
 			continue
 		}
 		live++
+		if want := hashTag(hashFlow(c.key)); tab.tags[i] != want {
+			t.Fatalf("slot %d of %v has tag %#x, its key's is %#x", i, c.key, tab.tags[i], want)
+		}
 		if oracle[c.key] != c {
 			t.Fatalf("slot %d holds %v, not the oracle's entry", i, c.key)
 		}
@@ -102,6 +112,43 @@ func TestFlowTableOracle(t *testing.T) {
 		}
 	}
 	checkTable(t, &tab, oracle)
+}
+
+// TestFlowTableMissReadsOnlyTags: a probe whose tag matches no slot
+// must not read a Conn. Every stored Conn's key is overwritten with the
+// probe key, so a get that compared keys on a tag mismatch would return
+// one of them; a get that reads only tags returns nil. The stored tags
+// stay those of the original keys, and the probe starts at a live slot
+// and walks a cluster of them.
+func TestFlowTableMissReadsOnlyTags(t *testing.T) {
+	tab := newFlowTable(64)
+	var conns []*Conn
+	for i := 0; i < 40; i++ {
+		c := &Conn{key: tableKey(i)}
+		tab.put(c)
+		conns = append(conns, c)
+	}
+	present := map[uint8]bool{}
+	for _, tag := range tab.tags {
+		present[tag] = true
+	}
+	mask := uint64(len(tab.slots) - 1)
+	var probe connKey
+	found := false
+	for i := 1000; i < 1_000_000 && !found; i++ {
+		probe = tableKey(i)
+		h := hashFlow(probe)
+		found = !present[hashTag(h)] && tab.tags[h&mask] != 0 && tab.tags[(h+1)&mask] != 0
+	}
+	if !found {
+		t.Fatal("no probe key with an unused tag whose home starts a cluster")
+	}
+	for _, c := range conns {
+		c.key = probe
+	}
+	if c := tab.get(probe); c != nil {
+		t.Fatalf("get returned a Conn whose slot tag does not match the probe's")
+	}
 }
 
 // TestFlowTableWrapCluster pins the wrap-around case directly: keys

@@ -8,7 +8,9 @@ import (
 )
 
 // Footprint implements the memprobe accounting contract for the TCP
-// engine: the connection table's slot array, and per live connection
+// engine: the connection table's slot and tag arrays, the entries the
+// handshake deadline queue holds (its spare capacity, like a pool, is
+// not charged) and its one timer, and per live connection
 // the PCB struct itself plus the flight it borrows while something is
 // pending — with the retransmission queue's spilled backing and
 // scatter-gather spill slices, the reassembly queue, and the timer
@@ -28,10 +30,14 @@ func (s *Stack) Footprint() memprobe.Footprint {
 		timerBytes  = int64(unsafe.Sizeof(timerwheel.Timer{}))
 		sliceBytes  = int64(unsafe.Sizeof([]byte(nil)))
 		flightBytes = int64(unsafe.Sizeof(flight{}))
+		synBytes    = int64(unsafe.Sizeof(synEntry{}))
 	)
 	f := memprobe.Footprint{
-		Bytes:  int64(cap(s.conns.slots)) * slotBytes,
+		Bytes:  int64(cap(s.conns.slots))*slotBytes + int64(cap(s.conns.tags)) + int64(len(s.synQ)-s.synHead)*synBytes,
 		Pooled: len(s.flightFree),
+	}
+	if s.synTimer != nil {
+		f.Bytes += timerBytes
 	}
 	for _, c := range s.conns.slots {
 		if c == nil {

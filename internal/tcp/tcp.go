@@ -195,8 +195,9 @@ const (
 type Stack struct {
 	cfg   Config
 	conns flowTable
-	// listeners is keyed by local port.
-	listeners map[uint16]*Listener
+	// listeners holds one entry per listening port: a handful at most,
+	// so a scan beats hashing the port.
+	listeners []*Listener
 	needsAck  []*Conn
 	isn       uint64
 	nextPort  uint16
@@ -215,6 +216,18 @@ type Stack struct {
 	// flightFree recycles flight objects between connections with
 	// something pending (LIFO, so the hot objects stay cache-warm).
 	flightFree []*flight
+	// synQ holds each embryonic connection's first SYN or SYN-ACK
+	// retransmission deadline, from synHead on, in arming order. That
+	// deadline is always the arming instant plus initialRTO, so arming
+	// order is deadline order and one wheel timer, synTimer, serves the
+	// whole queue: it is kept on the first live deadline, at the place in
+	// the wheel's firing order the entry reserved when it was armed, and
+	// nil exactly when no entry is live. A handshake that completes (or
+	// dies) clears its connection's synTimed flag and leaves the entry
+	// behind, dead; dead entries are dropped when they reach the head.
+	synQ     []synEntry
+	synHead  int
+	synTimer *timerwheel.Timer
 
 	// Stats.
 	SegsIn, SegsOut uint64
@@ -255,11 +268,10 @@ func NewStack(cfg Config) *Stack {
 		cfg.SynBacklog = defaultBacklog
 	}
 	return &Stack{
-		cfg:       cfg,
-		conns:     newFlowTable(cfg.ExpectedConns),
-		listeners: make(map[uint16]*Listener),
-		isn:       cfg.Seed | 1,
-		nextPort:  32768,
+		cfg:      cfg,
+		conns:    newFlowTable(cfg.ExpectedConns),
+		isn:      cfg.Seed | 1,
+		nextPort: 32768,
 	}
 }
 
@@ -274,12 +286,24 @@ type Listener struct {
 
 // Listen starts accepting connections on port.
 func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
-	if _, dup := s.listeners[port]; dup {
+	if s.listener(port) != nil {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
 	l := &Listener{stack: s, Port: port, Cookie: cookie}
-	s.listeners[port] = l
+	s.listeners = append(s.listeners, l)
 	return l, nil
+}
+
+// listener returns the listener on port, or nil.
+//
+//ix:hotpath
+func (s *Stack) listener(port uint16) *Listener {
+	for _, l := range s.listeners {
+		if l.Port == port {
+			return l
+		}
+	}
+	return nil
 }
 
 // embryonicDone takes a connection leaving SynRcvd — the state only
@@ -288,7 +312,7 @@ func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
 // connection migrated to without a listener on the port has no count to
 // maintain.
 func (s *Stack) embryonicDone(port uint16) {
-	if l := s.listeners[port]; l != nil {
+	if l := s.listener(port); l != nil {
 		l.embryonic--
 	}
 }
@@ -605,6 +629,9 @@ const (
 	// daSeg marks an in-order segment whose ACK is being delayed: the
 	// next one is the second segment, which RFC 1122 acknowledges at once.
 	daSeg
+	// synTimed marks an embryonic connection whose first SYN or SYN-ACK
+	// retransmission deadline is live in its stack's synQ.
+	synTimed
 )
 
 // has reports whether all of f are set.
@@ -681,7 +708,7 @@ func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error
 	c.sndNxt = c.sndUna + 1
 	s.conns.put(c)
 	c.sendFlags(wire.TCPSyn, c.sndUna, 0, true)
-	c.armRTO()
+	c.armSynRTO()
 	return c, nil
 }
 
@@ -735,10 +762,17 @@ func (s *Stack) newConn(key connKey) *Conn {
 }
 
 // Timer trampolines: package-level functions, so arming a timer stores
-// only the connection pointer (pointer-shaped any does not box).
-func connRTO(v any)      { v.(*Conn).onRTO() }
+// only the connection (or stack) pointer (pointer-shaped any does not
+// box).
 func connTimeWait(v any) { v.(*Conn).onTimeWait() }
 func connDelAck(v any)   { v.(*Conn).onDelAck() }
+func stackSynRTO(v any)  { v.(*Stack).onSynRTO() }
+
+func connRTO(v any) {
+	c := v.(*Conn)
+	c.fl.timer = nil
+	c.onRTO()
+}
 
 // Input processes one incoming TCP segment. seg is the TCP header+payload
 // bytes — the header alone when buf's frame carries the payload by
@@ -781,7 +815,7 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 	}
 	// No connection: a SYN may create one via a listener.
 	if hdr.Flags&wire.TCPSyn != 0 && hdr.Flags&wire.TCPAck == 0 {
-		if l, ok := s.listeners[hdr.DstPort]; ok {
+		if l := s.listener(hdr.DstPort); l != nil {
 			s.passiveOpen(l, key, &hdr)
 			return
 		}
@@ -820,7 +854,7 @@ func (s *Stack) passiveOpen(l *Listener, key connKey, hdr *wire.TCPHeader) {
 	l.embryonic++
 	s.SynsAdmitted++
 	c.scheduleSynAck()
-	c.armRTO()
+	c.armSynRTO()
 }
 
 func (c *Conn) applyPeerOptions(hdr *wire.TCPHeader) {
@@ -1655,7 +1689,19 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	// continuity): a retransmission, TIME_WAIT or delayed-ACK deadline
 	// set before the migration fires at the same virtual time on the
 	// destination wheel. Fired/cancelled timers are dropped. The flight
-	// itself moves with the connection and is returned to dst's pool.
+	// itself moves with the connection and is returned to dst's pool. A
+	// queued handshake deadline leaves this stack's synQ and is re-armed
+	// below as an ordinary timer on dst's wheel.
+	synDeadline := int64(-1)
+	if c.has(synTimed) {
+		for _, e := range s.synQ[s.synHead:] {
+			if e.c == c {
+				synDeadline = e.deadline
+				break
+			}
+		}
+		c.cancelSynRTO()
+	}
 	if f := c.fl; f != nil {
 		for _, t := range []**timerwheel.Timer{&f.timer, &f.daTimer} {
 			if *t != nil && !s.cfg.Wheel.Transfer(*t, dst.cfg.Wheel) {
@@ -1681,13 +1727,16 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 		// The backlog count follows the connection to the destination's
 		// listener on the port.
 		s.embryonicDone(c.key.SrcPort)
-		if l := dst.listeners[c.key.SrcPort]; l != nil {
+		if l := dst.listener(c.key.SrcPort); l != nil {
 			l.embryonic++
 		}
 	}
 	s.conns.del(c.key)
 	c.stack = dst
 	dst.conns.put(c)
+	if synDeadline >= 0 {
+		c.borrow().timer = dst.cfg.Wheel.AddArg(synDeadline, connRTO, c)
+	}
 	if c.retransLen() > 0 && c.fl.timer == nil && c.state != StateTimeWait {
 		// Unacked data without a live timer (should not happen, but a
 		// lost RTO would hang the flow forever): re-arm defensively.
@@ -1746,19 +1795,23 @@ func (c *Conn) armRTO() {
 }
 
 // cancelRTO cancels the timer slot: the RTO, or in TIME_WAIT (reached
-// only from destroy) the 2MSL timer.
+// only from destroy) the 2MSL timer — or, for an embryonic connection,
+// its queued handshake deadline.
 func (c *Conn) cancelRTO() {
+	if c.has(synTimed) {
+		c.cancelSynRTO()
+		return
+	}
 	if f := c.fl; f != nil && f.timer != nil {
 		c.stack.cfg.Wheel.Cancel(f.timer)
 		f.timer = nil
 	}
 }
 
-// onRTO fires the retransmission timeout. The connection keeps its
-// flight: the timer is re-armed, or the connection dies.
+// onRTO fires the retransmission timeout. The timer is re-armed (the
+// connection borrows a flight for it, if it had none: a first handshake
+// timeout comes from synQ), or the connection dies.
 func (c *Conn) onRTO() {
-	f := c.fl
-	f.timer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
@@ -1786,12 +1839,109 @@ func (c *Conn) onRTO() {
 		// resend drops the pending RTT sample (Karn); with nothing
 		// tracked there is none.
 		if c.retransLen() > 0 {
+			f := c.fl
 			f.inRecovery = true
 			f.recoverSeq = c.sndNxt
 			c.resend(&f.q[f.head])
 		}
 	}
 	c.armRTO()
+}
+
+// synEntry is one queued handshake deadline (Stack.synQ) and the place
+// in the wheel's firing order a timer of its own would have taken.
+type synEntry struct {
+	c        *Conn
+	deadline int64
+	place    uint32
+}
+
+// armSynRTO arms an embryonic connection's first retransmission timeout
+// — its RTO is still initialRTO — by queueing it on synQ with the place
+// a timer of its own would take in the wheel. Beyond the queue's
+// amortized backing it neither allocates nor borrows a flight, and only
+// the first arming of an empty queue touches the wheel. A wheel so far
+// behind the clock that the deadline would not land in its lowest level
+// keeps no place; the connection then arms an ordinary timer.
+//
+//ix:hotpath
+func (c *Conn) armSynRTO() {
+	s := c.stack
+	w := s.cfg.Wheel
+	deadline := s.cfg.Now() + int64(initialRTO)
+	place, ok := w.Reserve(deadline)
+	if !ok {
+		c.armRTO()
+		return
+	}
+	c.flags |= synTimed
+	s.synQ = append(s.synQ, synEntry{c: c, deadline: deadline, place: place})
+	if s.synTimer == nil {
+		s.synTimer = w.AddArgAt(deadline, place, stackSynRTO, s)
+	}
+}
+
+// cancelSynRTO disarms a queued handshake deadline. The entry stays
+// behind, dead, unless it is the head: then the dead prefix goes and
+// the timer moves to the next live deadline, at the place that
+// connection's own timer would have held.
+//
+//ix:hotpath
+func (c *Conn) cancelSynRTO() {
+	c.flags &^= synTimed
+	if s := c.stack; s.synQ[s.synHead].c == c {
+		s.retimeSynQ()
+	}
+}
+
+// retimeSynQ drops the dead entries at synQ's head and puts synTimer on
+// the first live deadline and its place, or cancels it when none is
+// left. A dead
+// prefix of at least half the queue is compacted away, so the backing
+// stays bounded by the handshakes armed within one initialRTO however
+// long the queue never drains.
+//
+//ix:hotpath
+func (s *Stack) retimeSynQ() {
+	q, h := s.synQ, s.synHead
+	for h < len(q) && !q[h].c.has(synTimed) {
+		q[h] = synEntry{}
+		h++
+	}
+	w := s.cfg.Wheel
+	if h == len(q) {
+		s.synQ, s.synHead = q[:0], 0
+		if s.synTimer != nil {
+			w.Cancel(s.synTimer)
+			s.synTimer = nil
+		}
+		return
+	}
+	if h >= 32 && 2*h >= len(q) {
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q, h = q[:n], 0
+	}
+	s.synQ, s.synHead = q, h
+	if e := q[h]; s.synTimer == nil || !w.ResetAt(s.synTimer, e.deadline, e.place) {
+		s.synTimer = w.AddArgAt(e.deadline, e.place, stackSynRTO, s)
+	}
+}
+
+// onSynRTO fires the head entry's timeout — the timer is kept on a live
+// head — and re-times the queue. The fired connection leaves the queue:
+// its retransmissions use ordinary timers. An entry due in the same tick
+// gets the timer back at its own place in the slot being fired, so the
+// wheel fires it in this Advance, behind the timers that arrived before
+// it.
+func (s *Stack) onSynRTO() {
+	s.synTimer = nil
+	c := s.synQ[s.synHead].c
+	s.synQ[s.synHead] = synEntry{}
+	s.synHead++
+	c.flags &^= synTimed
+	c.onRTO()
+	s.retimeSynQ()
 }
 
 // resend retransmits one tracked segment, assembling its fragment

@@ -10,7 +10,11 @@
 // Each slot is one pointer to the oldest of its timers, which form a
 // circular doubly linked list through the timers themselves, so a
 // four-level wheel of 256 slots a level is about 8 KiB however many
-// cores own one. Timers in a slot fire, and cascade, oldest first.
+// cores own one. Timers in a slot fire, and cascade, oldest first: in
+// the order they arrived in the slot. A caller that keeps many deadlines
+// behind one timer can reserve each deadline's place in that order when
+// it arises (Reserve) and put the timer there later (AddArgAt, ResetAt),
+// so the one timer fires exactly where a timer per deadline would have.
 //
 // NextDeadline — which the dataplane calls at every run-to-completion
 // quiescence point — is served by a lazy-deletion min-heap of deadlines
@@ -56,12 +60,17 @@ type Timer struct {
 	// entries from a previous life are recognized as dead even after the
 	// timer is reused.
 	gen uint32
+	// order is the timer's place in its slot's firing order: its slot
+	// arrival number, or the one Reserve handed out (see slotList).
+	order uint32
 }
 
 // A slotList is one wheel slot: a pointer to the oldest of its timers,
-// which form a circular list in insertion order (head.prev is the
+// which form a circular list in arrival order (head.prev is the
 // newest), or nil when the slot is empty. One word per slot keeps a
-// Wheel's 1 024 slots at 8 KiB.
+// Wheel's 1 024 slots at 8 KiB. Arrival numbers come from one counter
+// per wheel, so the list is in ascending order; they wrap, and compare
+// by their difference (no slot holds 2³¹ arrivals).
 type slotList struct {
 	head *Timer
 }
@@ -79,6 +88,25 @@ func (s *slotList) push(t *Timer) {
 	t.next = h
 	h.prev.next = t
 	h.prev = t
+}
+
+// insert puts t at its order's place: after every timer of an earlier
+// order, before every timer of a later one.
+func (s *slotList) insert(t *Timer) {
+	h := s.head
+	if h == nil || int32(h.order-t.order) > 0 {
+		s.push(t)
+		s.head = t
+		return
+	}
+	p := h.prev
+	for int32(p.order-t.order) > 0 {
+		p = p.prev
+	}
+	t.slot = s
+	t.prev, t.next = p, p.next
+	p.next.prev = t
+	p.next = t
 }
 
 func (s *slotList) empty() bool { return s.head == nil }
@@ -126,6 +154,11 @@ type Wheel struct {
 
 	// free recycles dead timers (allocation-free add/cancel churn).
 	free []*Timer
+
+	// arrivals numbers the timers arriving in slots (slotList).
+	arrivals uint32
+	// firing is the slot Advance is firing, nil outside fireSlot.
+	firing *slotList
 
 	// Stats for the cancel-dominated workload claim.
 	Added     uint64
@@ -211,21 +244,31 @@ func (w *Wheel) heapReplaceTop(e minEntry) {
 // cancelled until it fires; once fired or cancelled it belongs to the
 // wheel again and must not be touched.
 func (w *Wheel) Add(deadline int64, fn func()) *Timer {
-	var t *Timer
+	t := w.get(deadline)
+	t.fn = fn
+	w.place(t)
+	w.armed(t)
+	return t
+}
+
+// get returns a timer for deadline, recycled from the free list when
+// possible.
+func (w *Wheel) get(deadline int64) *Timer {
 	if n := len(w.free); n > 0 {
-		t = w.free[n-1]
+		t := w.free[n-1]
 		w.free[n-1] = nil
 		w.free = w.free[:n-1]
 		t.deadline = deadline
-		t.fn = fn
-	} else {
-		t = &Timer{deadline: deadline, fn: fn}
+		return t
 	}
-	w.place(t)
+	return &Timer{deadline: deadline}
+}
+
+// armed accounts for a timer just placed.
+func (w *Wheel) armed(t *Timer) {
 	w.heapPush(t)
 	w.count++
 	w.Added++
-	return t
 }
 
 // AddArg schedules fn(arg) to fire at absolute deadline ns. It is the
@@ -237,21 +280,10 @@ func (w *Wheel) Add(deadline int64, fn func()) *Timer {
 // otherwise. A pointer (or other pointer-shaped) arg does not allocate;
 // scalar args box and lose the point.
 func (w *Wheel) AddArg(deadline int64, fn func(any), arg any) *Timer {
-	var t *Timer
-	if n := len(w.free); n > 0 {
-		t = w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		t.deadline = deadline
-	} else {
-		t = &Timer{deadline: deadline}
-	}
-	t.argFn = fn
-	t.arg = arg
+	t := w.get(deadline)
+	t.argFn, t.arg = fn, arg
 	w.place(t)
-	w.heapPush(t)
-	w.count++
-	w.Added++
+	w.armed(t)
 	return t
 }
 
@@ -295,7 +327,8 @@ func (w *Wheel) recycle(t *Timer) {
 	w.free = append(w.free, t)
 }
 
-// place inserts t into the correct level/slot for its deadline.
+// place inserts t into the correct level/slot for its deadline, as the
+// slot's newest arrival.
 func (w *Wheel) place(t *Timer) {
 	t.wheel = w
 	dt := t.deadline/w.tick - w.curTick
@@ -307,10 +340,75 @@ func (w *Wheel) place(t *Timer) {
 		span := int64(1) << (8 * uint(l+1)) // ticks covered by levels 0..l
 		if dt < span || l == Levels-1 {
 			slot := int((tickAt >> (8 * uint(l))) & (Slots - 1))
+			w.arrivals++
+			t.order = w.arrivals
 			w.levels[l][slot].push(t)
 			return
 		}
 	}
+}
+
+// Reserve returns the place in deadline's slot that a timer added now
+// would take, for AddArgAt or ResetAt to put a timer there later. It
+// reports false when such a timer would not go straight to the lowest
+// level: only there is a timer's place final, since a higher level's
+// timers take new places as they cascade down.
+//
+//ix:hotpath
+func (w *Wheel) Reserve(deadline int64) (uint32, bool) {
+	if deadline/w.tick-w.curTick >= Slots {
+		return 0, false
+	}
+	w.arrivals++
+	return w.arrivals, true
+}
+
+// placeAt inserts t at its reserved place (t.order) in its deadline's
+// lowest-level slot. A deadline in the tick being fired takes its place
+// in that slot, still to fire in this Advance, as the timer reserving it
+// would have. A place that cannot be kept — the deadline is past or out
+// of the lowest level's reach — falls back to place.
+func (w *Wheel) placeAt(t *Timer) {
+	tickAt := t.deadline / w.tick
+	s := &w.levels[0][tickAt&(Slots-1)]
+	if dt := tickAt - w.curTick; dt >= Slots || dt < 0 || dt == 0 && s != w.firing {
+		w.place(t)
+		return
+	}
+	t.wheel = w
+	s.insert(t)
+}
+
+// AddArgAt is AddArg for a timer that takes the place Reserve returned:
+// it fires after the timers that arrived in its slot before the
+// reservation and before those that arrived after it.
+func (w *Wheel) AddArgAt(deadline int64, place uint32, fn func(any), arg any) *Timer {
+	t := w.get(deadline)
+	t.argFn, t.arg = fn, arg
+	t.order = place
+	w.placeAt(t)
+	w.armed(t)
+	return t
+}
+
+// ResetAt is Reset to a deadline and the place Reserve returned for it.
+//
+//ix:hotpath
+func (w *Wheel) ResetAt(t *Timer, deadline int64, place uint32) bool {
+	if t == nil || t.slot == nil {
+		return false
+	}
+	unlink(t)
+	earlier := deadline < t.deadline
+	t.deadline = deadline
+	t.order = place
+	w.placeAt(t)
+	if earlier {
+		w.heapPush(t)
+	}
+	w.Cancelled++
+	w.Added++
+	return true
 }
 
 // Cancel removes t from the wheel; it reports whether the timer was still
@@ -386,6 +484,7 @@ func (w *Wheel) cascade(s *slotList) {
 // due (all of them, by construction). The timer is recycled before its
 // callback runs, so a callback that re-arms reuses it immediately.
 func (w *Wheel) fireSlot(s *slotList) {
+	w.firing = s
 	for !s.empty() {
 		t := s.head
 		unlink(t)
@@ -399,6 +498,7 @@ func (w *Wheel) fireSlot(s *slotList) {
 			fn()
 		}
 	}
+	w.firing = nil
 }
 
 // NextDeadline returns the earliest pending deadline in nanoseconds and

@@ -1,6 +1,7 @@
 package timerwheel
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -365,4 +366,115 @@ func TestSlotFiresInInsertionOrder(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("%d timers still pending", w.Len())
 	}
+}
+
+// TestReservedPlaceMatchesOwnTimer: deadlines kept in a FIFO behind one
+// timer — each reserving its place when it arises, the timer kept on
+// the first live one with AddArgAt or ResetAt and moved on as it fires —
+// fire at the same instants and in the same order, among other timers
+// sharing their ticks, as a timer per deadline. Deadlines arise in
+// deadline order, several per tick, and some are cancelled, at the head
+// and behind it.
+func TestReservedPlaceMatchesOwnTimer(t *testing.T) {
+	const rto = int64(time.Millisecond)
+	tick := int64(DefaultTick)
+	rng := rand.New(rand.NewSource(7))
+	own, one := New(DefaultTick, 0), New(DefaultTick, 0)
+	type entry struct {
+		id       int
+		deadline int64
+		place    uint32
+		live     bool
+	}
+	var gotOwn, gotOne []string
+	var now int64
+	fire := func(log *[]string, id int) { *log = append(*log, fmt.Sprintf("%d@%d", id, now)) }
+
+	// The FIFO side: one timer kept on the first live entry.
+	var q []*entry
+	var qt *Timer
+	var retime func()
+	var onFire func(any)
+	onFire = func(any) {
+		qt = nil
+		e := q[0]
+		q = q[1:]
+		e.live = false
+		fire(&gotOne, e.id)
+		retime()
+	}
+	retime = func() {
+		for len(q) > 0 && !q[0].live {
+			q = q[1:]
+		}
+		switch {
+		case len(q) == 0:
+			if qt != nil {
+				one.Cancel(qt)
+				qt = nil
+			}
+		case qt == nil || !one.ResetAt(qt, q[0].deadline, q[0].place):
+			qt = one.AddArgAt(q[0].deadline, q[0].place, onFire, nil)
+		}
+	}
+	ownTimers := map[int]*Timer{}
+	for id := 0; now < 30*rto; id++ {
+		now += rng.Int63n(3 * tick)
+		own.Advance(now)
+		one.Advance(now)
+		switch r := rng.Intn(10); {
+		case r < 5: // a queued deadline
+			d := now + rto
+			id := id
+			ownTimers[id] = own.AddArg(d, func(any) { fire(&gotOwn, id) }, nil)
+			p, ok := one.Reserve(d)
+			if !ok {
+				t.Fatal("deadline out of the lowest level's reach")
+			}
+			e := &entry{id: id, deadline: d, place: p, live: true}
+			q = append(q, e)
+			if qt == nil {
+				qt = one.AddArgAt(d, p, onFire, nil)
+			}
+		case r < 8: // another timer, due in a tick the queue uses
+			d := now + rto - rng.Int63n(4*tick)
+			id := id
+			own.AddArg(d, func(any) { fire(&gotOwn, id) }, nil)
+			one.AddArg(d, func(any) { fire(&gotOne, id) }, nil)
+		default: // cancel a queued deadline
+			if len(q) == 0 {
+				continue
+			}
+			e := q[rng.Intn(len(q))]
+			if !e.live {
+				continue
+			}
+			own.Cancel(ownTimers[e.id])
+			e.live = false
+			if e == q[0] {
+				retime()
+			}
+		}
+		ownAt, ownOK := own.NextFireTime()
+		oneAt, oneOK := one.NextFireTime()
+		if ownAt != oneAt || ownOK != oneOK || (own.Len() == 0) != (one.Len() == 0) {
+			t.Fatalf("at %d: next fire %d,%v against %d,%v", now, oneAt, oneOK, ownAt, ownOK)
+		}
+	}
+	now += 2 * rto
+	own.Advance(now)
+	one.Advance(now)
+	if len(gotOwn) < 500 || !slices.Equal(gotOne, gotOwn) {
+		t.Fatalf("one timer fired %d deadlines, a timer each %d; first difference at %d",
+			len(gotOne), len(gotOwn), firstDiff(gotOne, gotOwn))
+	}
+}
+
+func firstDiff(a, b []string) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }

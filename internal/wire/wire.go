@@ -163,6 +163,16 @@ const DontFragment = 0x2
 //
 //ix:hotpath
 func (h *IPv4Header) Marshal(b []byte) {
+	h.MarshalUnsummed(b)
+	h.Checksum = SetIPv4Checksum(b)
+}
+
+// MarshalUnsummed writes the header into b (≥ IPv4HdrLen bytes) with the
+// checksum field zero: the sum is pending, offloaded as a NIC would
+// compute it (SetIPv4Checksum writes it). h.Checksum is left alone.
+//
+//ix:hotpath
+func (h *IPv4Header) MarshalUnsummed(b []byte) {
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = h.TOS
 	binary.BigEndian.PutUint16(b[2:4], h.TotalLen)
@@ -173,12 +183,34 @@ func (h *IPv4Header) Marshal(b []byte) {
 	b[10], b[11] = 0, 0
 	binary.BigEndian.PutUint32(b[12:16], uint32(h.Src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(h.Dst))
-	h.Checksum = Checksum(b[:IPv4HdrLen])
-	binary.BigEndian.PutUint16(b[10:12], h.Checksum)
+}
+
+// SetIPv4Checksum computes the header checksum of the IPv4 header at the
+// start of b, stores it and returns it.
+//
+//ix:hotpath
+func SetIPv4Checksum(b []byte) uint16 {
+	b[10], b[11] = 0, 0
+	sum := Checksum(b[:IPv4HdrLen])
+	binary.BigEndian.PutUint16(b[10:12], sum)
+	return sum
 }
 
 // Unmarshal parses and validates an IPv4 header from b.
 func (h *IPv4Header) Unmarshal(b []byte) error {
+	if err := h.UnmarshalUnverified(b); err != nil {
+		return err
+	}
+	if Checksum(b[:IPv4HdrLen]) != 0 {
+		return fmt.Errorf("wire: bad ipv4 header checksum")
+	}
+	return nil
+}
+
+// UnmarshalUnverified is Unmarshal without the header checksum check:
+// for a header whose sum is pending, which no one has written since its
+// sender built it (fabric.Frame.Intact), so verifying it cannot fail.
+func (h *IPv4Header) UnmarshalUnverified(b []byte) error {
 	if len(b) < IPv4HdrLen {
 		return fmt.Errorf("wire: short ipv4 header: %d bytes", len(b))
 	}
@@ -187,9 +219,6 @@ func (h *IPv4Header) Unmarshal(b []byte) error {
 	}
 	if ihl := int(b[0]&0xf) * 4; ihl != IPv4HdrLen {
 		return fmt.Errorf("wire: unsupported ip header length %d", ihl)
-	}
-	if Checksum(b[:IPv4HdrLen]) != 0 {
-		return fmt.Errorf("wire: bad ipv4 header checksum")
 	}
 	h.TOS = b[1]
 	h.TotalLen = binary.BigEndian.Uint16(b[2:4])

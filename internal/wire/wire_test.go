@@ -58,6 +58,39 @@ func TestIPv4PropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIPv4UnsummedMarshalPlusSum: the header an intact frame leaves with
+// (MarshalUnsummed: the sum field zero) plus the offloaded sum
+// (SetIPv4Checksum) is Marshal's header byte for byte, and the pending
+// header parses unverified to the same fields.
+func TestIPv4UnsummedMarshalPlusSum(t *testing.T) {
+	f := func(tos uint8, totalLen, id uint16, flags uint8, fragOff uint16, ttl, proto uint8, src, dst uint32) bool {
+		h := IPv4Header{TOS: tos, TotalLen: totalLen, ID: id, Flags: flags & 7, FragOff: fragOff & 0x1fff,
+			TTL: ttl, Proto: proto, Src: IPv4(src), Dst: IPv4(dst)}
+		want := make([]byte, IPv4HdrLen)
+		h.Marshal(want)
+		got := make([]byte, IPv4HdrLen)
+		for i := range got {
+			got[i] = 0xa5 // stale pooled bytes
+		}
+		u := h
+		u.MarshalUnsummed(got)
+		if got[10] != 0 || got[11] != 0 {
+			return false
+		}
+		var g IPv4Header
+		if g.UnmarshalUnverified(got) != nil || g.Src != h.Src || g.Dst != h.Dst || g.TotalLen != totalLen || g.ID != id {
+			return false
+		}
+		if sum := SetIPv4Checksum(got); sum != h.Checksum {
+			return false
+		}
+		return string(got) == string(want) && g.Unmarshal(got) == nil
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTCPHeaderRoundTrip(t *testing.T) {
 	h := TCPHeader{SrcPort: 32768, DstPort: 80, Seq: 0xdeadbeef, Ack: 0x12345678,
 		Flags: TCPSyn | TCPAck, Window: 5840, MSS: 1460, WScale: 3}
