@@ -127,10 +127,6 @@ type Metrics struct {
 	Msgs     stats.Counter
 	Conns    stats.Counter
 	Failures stats.Counter
-	// TxAcked counts bytes the stack reported acknowledged through the
-	// sent event condition (tx_sent) — the zero-copy reclamation signal;
-	// experiments can assert it tracks the bytes offered.
-	TxAcked stats.Counter
 	// VerifyErrors counts response bytes that differed from the request
 	// pattern (Verify mode): any duplicate, reordered or corrupted
 	// delivery leaking through TCP shows up here.
@@ -153,7 +149,6 @@ func NewMetrics() *Metrics {
 func (m *Metrics) ResetWindow() {
 	m.Msgs.Reset()
 	m.Conns.Reset()
-	m.TxAcked.Reset()
 	m.Latency.Reset()
 }
 
@@ -547,7 +542,6 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 // acknowledged by the server and their transmit buffers reclaimed. In
 // verify mode it also pushes any request tail a short accept left over.
 func (cl *client) OnSent(c app.Conn, n int) {
-	cl.cfg.Metrics.TxAcked.Add(uint64(n))
 	if _, v := connState(c); v != nil && len(v.unsent) > 0 {
 		k := c.Send(v.unsent)
 		v.txSum = fnvAdd(v.txSum, v.unsent[:k])

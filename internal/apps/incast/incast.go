@@ -45,8 +45,6 @@ type Metrics struct {
 	// counts rounds abandoned (a sender missed the next barrier with
 	// its block unconfirmed, or its connection died).
 	RoundsDone, RoundsFailed stats.Counter
-	// Bytes counts receiver-confirmed burst bytes.
-	Bytes stats.Counter
 	// SinkBytes counts bytes the sink application received.
 	SinkBytes stats.Counter
 	// Completion records per-round completion time: last sender's
@@ -334,7 +332,6 @@ func (s *sender) OnRecv(c app.Conn, data []byte) {
 	}
 	if s.cur >= 0 && s.tokens >= s.entered {
 		m := s.cfg.Metrics
-		m.Bytes.Add(uint64(s.cfg.Burst))
 		m.finish(s.cur, s.env.Now())
 		s.cur = -1
 	}

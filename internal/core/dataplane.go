@@ -9,7 +9,6 @@ import (
 
 	"ix/internal/cost"
 	"ix/internal/fabric"
-	"ix/internal/mem"
 	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
@@ -55,28 +54,21 @@ const DefaultBatchBound = 64
 // Dataplane is one IX instance: an application-specific OS running on
 // dedicated hardware threads with pass-through NIC access.
 type Dataplane struct {
+	netstack.Host
 	eng     *sim.Engine
 	cfg     Config
-	nic     *nicsim.NIC
-	arp     *netstack.ARPTable
-	region  *mem.Region
 	threads []*ElasticThread
 
 	// missCache avoids recomputing the DDIO penalty every cycle.
 	missConns    int
 	missPenalty_ time.Duration
-	// missFloor_ is the handshake-frame miss charge, a run constant.
-	missFloor_ time.Duration
 
 	// Migration accounting (control-plane observability).
 	//
 	// Migrations counts flow-group (RETA bucket) migrations completed;
-	// FlowsMigrated counts connections re-homed; FramesRehomed counts
-	// in-flight frames drained from a source RX ring into a destination
-	// ring during migration.
+	// FlowsMigrated counts connections re-homed.
 	Migrations    uint64
 	FlowsMigrated uint64
-	FramesRehomed uint64
 
 	// Loss/reorder indicators carried over from revoked threads, so the
 	// totals below survive consolidation.
@@ -123,45 +115,23 @@ func New(eng *sim.Engine, cfg Config) *Dataplane {
 	if cfg.BatchBound <= 0 {
 		cfg.BatchBound = DefaultBatchBound
 	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
-	}
 	if cfg.Cost == (cost.IX{}) {
 		cfg.Cost = cost.DefaultIX()
 	}
 	if cfg.User == nil {
 		panic("core: Config.User is required")
 	}
-	d := &Dataplane{
-		eng:    eng,
-		cfg:    cfg,
-		arp:    netstack.NewARPTable(),
-		region: mem.NewRegion(cfg.MemPages),
-	}
-	d.missFloor_ = time.Duration(cost.MissesPerMsg(0) * float64(d.cfg.Cost.L3Miss))
-	d.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{Queues: cfg.MaxThreads})
+	d := &Dataplane{eng: eng, cfg: cfg}
+	d.Host, _ = netstack.NewHost(eng, cfg.IP, cfg.MAC, cfg.MaxThreads, cfg.MemPages, nicsim.Config{}, cfg.Cost.L3Miss)
 	return d
 }
-
-// NIC returns the dataplane's pass-through NIC (for fabric attachment).
-func (d *Dataplane) NIC() *nicsim.NIC { return d.nic }
-
-// ARP returns the host's shared ARP table (preloaded by the harness, as
-// a warmed-up testbed would be).
-func (d *Dataplane) ARP() *netstack.ARPTable { return d.arp }
-
-// IP returns the dataplane's address.
-func (d *Dataplane) IP() wire.IPv4 { return d.cfg.IP }
-
-// MAC returns the dataplane's hardware address.
-func (d *Dataplane) MAC() wire.MAC { return d.cfg.MAC }
 
 // Start spawns the elastic threads and their user programs.
 func (d *Dataplane) Start() {
 	for i := 0; i < d.cfg.Threads; i++ {
 		d.spawnThread(i)
 	}
-	d.nic.SpreadRETA(len(d.threads))
+	d.NIC().SpreadRETA(len(d.threads))
 }
 
 func (d *Dataplane) spawnThread(id int) {
@@ -256,12 +226,6 @@ func (d *Dataplane) missPenalty() time.Duration {
 	return d.missPenalty_
 }
 
-// missFloor is the handshake-frame miss charge: SYN/SYN-ACK processing
-// touches the listener and a fresh PCB, not the established-connection
-// working set the DDIO curve models, so establishment bursts charge the
-// ≤10k-connection floor regardless of population (batched SYN admission).
-func (d *Dataplane) missFloor() time.Duration { return d.missFloor_ }
-
 // AddElasticThread grows the dataplane by one elastic thread (control
 // plane grant). The RSS indirection table is repartitioned with minimal
 // movement: only the flow groups whose RETA bucket is reassigned to the
@@ -273,7 +237,7 @@ func (d *Dataplane) AddElasticThread() error {
 	}
 	id := len(d.threads)
 	d.spawnThread(id)
-	d.applyRepartition(d.nic.PlanRepartition(len(d.threads)))
+	d.applyRepartition(d.NIC().PlanRepartition(len(d.threads)))
 	return nil
 }
 
@@ -287,7 +251,7 @@ func (d *Dataplane) RemoveElasticThread() error {
 	}
 	n := len(d.threads) - 1
 	victim := d.threads[n]
-	d.applyRepartition(d.nic.PlanRepartition(n))
+	d.applyRepartition(d.NIC().PlanRepartition(n))
 	// Safety net: any connection still homed on the victim (e.g. one
 	// whose reply flow was never RSS-classified) moves to the thread its
 	// bucket now selects.
@@ -356,7 +320,7 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 		// the moving buckets now land on their destinations.
 		for _, ch := range changes {
 			dstOf[ch.Bucket] = d.threads[ch.To]
-			d.nic.SetRETAEntry(ch.Bucket, int(ch.To))
+			d.NIC().SetRETAEntry(ch.Bucket, int(ch.To))
 		}
 		// (3) One ordered pass over the source ring. Frames here belong
 		// only to buckets this source owned, and the destination rings
@@ -364,17 +328,15 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 		// share a virtual instant), so tail insertion preserves
 		// intra-flow order.
 		for _, f := range src.drv.RX.Extract(func(f *fabric.Frame) bool {
-			b, ok := d.nic.FrameBucket(f.Data)
+			b, ok := d.NIC().FrameBucket(f.Data)
 			return ok && dstOf[b] != nil
 		}) {
-			b, _ := d.nic.FrameBucket(f.Data)
-			if dstOf[b].drv.RX.Inject(f) {
-				d.FramesRehomed++
-			}
+			b, _ := d.NIC().FrameBucket(f.Data)
+			dstOf[b].drv.RX.Inject(f)
 		}
 		// (4) One pass over the source's connections.
 		for _, c := range src.ns.TCP().Conns() {
-			dst := dstOf[d.nic.RSSBucket(c.Key().Reverse())]
+			dst := dstOf[d.NIC().RSSBucket(c.Key().Reverse())]
 			if dst == nil {
 				continue
 			}
@@ -392,7 +354,7 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 func (d *Dataplane) migrateResidual(src *ElasticThread) {
 	src.quiesce()
 	for _, c := range src.ns.TCP().Conns() {
-		want := d.nic.RSSQueue(c.Key().Reverse())
+		want := d.NIC().RSSQueue(c.Key().Reverse())
 		if want == src.id {
 			want = 0
 		}
@@ -494,7 +456,7 @@ func (d *Dataplane) MeanBatch() float64 {
 
 // RxDrops reports NIC-edge drops (ring overflow) — where all queueing
 // happens in IX (§3).
-func (d *Dataplane) RxDrops() uint64 { return d.nic.RxDrops }
+func (d *Dataplane) RxDrops() uint64 { return d.NIC().RxDrops }
 
 // MaxThreads returns the hardware queue-pair budget.
 func (d *Dataplane) MaxThreads() int { return d.cfg.MaxThreads }

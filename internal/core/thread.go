@@ -108,7 +108,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		dp:         dp,
 		id:         id,
 		core:       sim.NewCore(dp.eng, id),
-		txpool:     mem.NewTxChunkPool(dp.region, id),
+		txpool:     mem.NewTxChunkPool(dp.Region(), id),
 		gate:       dune.NewGate[tcp.Conn](id, expected),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 		userTimers: make(map[*userTimer]struct{}),
@@ -116,9 +116,9 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 	et.cycleFn = et.cycle
 	et.idleFn = et.idleFired
 	et.drv = netstack.Driver{
-		RX:    dp.nic.RxQueue(id),
-		TX:    dp.nic.TxQueue(id),
-		Pool:  mem.NewMbufPool(dp.region, id),
+		RX:    dp.NIC().RxQueue(id),
+		TX:    dp.NIC().TxQueue(id),
+		Pool:  mem.NewMbufPool(dp.Region(), id),
 		Price: et.rxPrice,
 	}
 	et.drv.RX.Mode = nicsim.ModePoll
@@ -130,7 +130,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		Wheel:     et.wheel,
 		SendFrame: et.drv.Stage,
 		Events:    (*threadEvents)(et),
-		ARP:       dp.arp,
+		ARP:       dp.ARP(),
 		Seed:      dp.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
 		MinRTO:    dp.cfg.MinRTO,
 
@@ -142,7 +142,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 				SrcPort: dport, DstPort: p,
 				Proto: wire.ProtoTCP,
 			}
-			return dp.nic.RSSQueue(ret) == id
+			return dp.NIC().RSSQueue(ret) == id
 		},
 	})
 	et.api = &UserAPI{et: et}
@@ -263,18 +263,13 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 
 // rxPrice is the cost of one frame the cycle delivers, which it counts.
 // Each frame becomes a posted mbuf's data: the simulated DMA write is
-// charged, not performed. Handshake frames charge the miss floor, not
-// the population-scaled DDIO curve (batched SYN admission: accept-path
-// state stays LLC-resident across an establishment burst).
+// charged, not performed. A handshake frame charges the miss floor
+// (netstack.Host.Miss).
 func (et *ElasticThread) rxPrice(f *fabric.Frame) time.Duration {
 	c := &et.dp.cfg.Cost
 	et.RxPackets++
-	miss := et.missNs
-	if nicsim.IsTCPSYN(f.Data) {
-		miss = et.dp.missFloor()
-	}
 	// CopyPerByte is zero but for the zero-copy ablation.
-	return c.ProtoRx + c.ProtoRxByte.Cost(f.Len()) + c.CopyPerByte.Cost(f.Len()) + miss
+	return c.ProtoRx + c.ProtoRxByte.Cost(f.Len()) + c.CopyPerByte.Cost(f.Len()) + et.dp.Miss(f, et.missNs)
 }
 
 // cycleFinish runs at the cycle's virtual end time, once its frames are
@@ -386,12 +381,10 @@ type threadEvents ElasticThread
 
 func (te *threadEvents) et() *ElasticThread { return (*ElasticThread)(te) }
 
-// Knock always lets the handshake proceed; the knock event condition is
-// raised at establishment and the application accepts or closes then
-// (a batching-friendly compression of the Table 1 handshake; see
+// Accepted raises the knock event condition at establishment, and the
+// application accepts or closes then: the handshake always proceeds (a
+// batching-friendly compression of the Table 1 handshake; see
 // DESIGN.md).
-func (te *threadEvents) Knock(l *tcp.Listener, key wire.FlowKey) bool { return true }
-
 func (te *threadEvents) Accepted(c *tcp.Conn) {
 	et := te.et()
 	c.Cookie = et.gate.Grant(c, 0) // the accept system call sets the user's cookie
@@ -543,9 +536,10 @@ type userTimer struct {
 	seq uint64
 }
 
-// fire runs in wheel context (cycle step 5) on whatever thread currently
-// owns the timer.
-func (ut *userTimer) fire() {
+// fireUserTimer runs in wheel context (cycle step 5) on whatever thread
+// currently owns the timer.
+func fireUserTimer(a any) {
+	ut := a.(*userTimer)
 	delete(ut.et.userTimers, ut)
 	ut.et.events = append(ut.et.events, Event{Type: EvTimer, Fn: ut.fn})
 }
@@ -559,7 +553,7 @@ func (u *UserAPI) After(d time.Duration, fn func()) {
 	deadline := int64(et.dp.eng.Now()) + int64(d)
 	et.dp.timerSeq++
 	ut := &userTimer{et: et, fn: fn, seq: et.dp.timerSeq}
-	ut.t = et.wheel.Add(deadline, ut.fire)
+	ut.t = et.wheel.AddArg(deadline, fireUserTimer, ut)
 	et.userTimers[ut] = struct{}{}
 	if u.meter == nil {
 		// Ensure the idle loop knows about the new deadline.

@@ -127,9 +127,6 @@ type Controller struct {
 	// History holds one Sample per policy interval (telemetry for the
 	// elastic-scaling harness and tests).
 	History []Sample
-	// SvcTime is the distribution of the per-interval cycles-per-packet
-	// signal over the run.
-	SvcTime *stats.Histogram
 }
 
 // New builds a controller for dp.
@@ -139,7 +136,6 @@ func New(eng *sim.Engine, dp *core.Dataplane, policy Policy) *Controller {
 		dp:       dp,
 		policy:   policy,
 		interval: policy.Interval,
-		SvcTime:  stats.NewHistogram(),
 	}
 }
 
@@ -190,7 +186,6 @@ func (c *Controller) observe() Sample {
 	if s.Pkts > 0 {
 		busy := time.Duration(utilSum * float64(s.Window))
 		s.NsPerPkt = busy / time.Duration(s.Pkts)
-		c.SvcTime.Record(s.NsPerPkt)
 		if c.svcEWMA == 0 {
 			c.svcEWMA = s.NsPerPkt
 		} else {

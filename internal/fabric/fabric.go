@@ -64,8 +64,6 @@ type Frame struct {
 	// followed by Payload. Only an intact frame carries one; whoever
 	// writes a frame's bytes takes the payload into Data first (Own).
 	Payload []byte
-	// SentAt is when the sender posted the frame (for diagnostics).
-	SentAt sim.Time
 
 	// Intact marks a TCP frame whose checksums are pending: the sender
 	// left the IPv4 header and TCP checksum fields zero and offloaded the
@@ -297,10 +295,10 @@ type Port struct {
 	// default, matching the drop-free fabric of the figure benchmarks).
 	txBuffer int
 
-	// TxFrames/TxBytes count transmitted traffic; TxDropped counts
-	// frames tail-dropped by the bounded transmit buffer.
-	TxFrames, TxBytes uint64
-	TxDropped         uint64
+	// TxFrames counts transmitted frames; TxDropped counts frames
+	// tail-dropped by the bounded transmit buffer.
+	TxFrames  uint64
+	TxDropped uint64
 }
 
 // Attach sets the endpoint that receives frames arriving at this port.
@@ -414,9 +412,7 @@ func (p *Port) sendAt(f *Frame, at sim.Time) {
 	depart := start.Add(ser)
 	p.busyUntil = depart
 	p.TxFrames++
-	p.TxBytes += uint64(n)
 	arrive := depart.Add(l.latency)
-	f.SentAt = at
 	seq := l.eng.ReserveSeq()
 	p.stream.push(flight{f: f, at: arrive, seq: seq})
 	if p.stream.n == 1 {

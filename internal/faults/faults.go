@@ -99,8 +99,8 @@ type Stats struct {
 	Delayed uint64
 }
 
-// add accumulates.
-func (s *Stats) add(o Stats) {
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
 	s.Delivered += o.Delivered
 	s.Dropped += o.Dropped
 	s.Duplicated += o.Duplicated
@@ -208,7 +208,6 @@ func (in *Injector) impair(f *fabric.Frame) {
 		// number).
 		f.MaterializeChecksum()
 		dup := fabric.NewFrame(f.AppendBytes(nil))
-		dup.SentAt = f.SentAt
 		in.stats.Duplicated++
 		in.eng.Call(in.eng.Now(), in.heldFn, dup)
 	}
@@ -299,7 +298,7 @@ func (s *Site) Heal() { s.Apply(Config{}) }
 func (s *Site) Stats() Stats {
 	var out Stats
 	for _, in := range s.Injectors {
-		out.add(in.stats)
+		out.Add(in.stats)
 	}
 	return out
 }

@@ -15,9 +15,8 @@ import (
 // recvLog records the payload a stack delivers.
 type recvLog struct{ got []byte }
 
-func (r *recvLog) Knock(*tcp.Listener, wire.FlowKey) bool { return true }
-func (r *recvLog) Accepted(*tcp.Conn)                     {}
-func (r *recvLog) Connected(*tcp.Conn, bool)              {}
+func (r *recvLog) Accepted(*tcp.Conn)        {}
+func (r *recvLog) Connected(*tcp.Conn, bool) {}
 func (r *recvLog) Recv(_ *tcp.Conn, _ *mem.Mbuf, data []byte) {
 	r.got = append(r.got, data...)
 }

@@ -160,12 +160,7 @@ func RunChaos(s ChaosSetup) ChaosResult {
 	res.SumMismatches = m.SumMismatches.Total()
 	res.ConnFailures = m.Failures.Total()
 	for _, site := range sites {
-		st := site.Stats()
-		res.Injected.Delivered += st.Delivered
-		res.Injected.Dropped += st.Dropped
-		res.Injected.Duplicated += st.Duplicated
-		res.Injected.Corrupted += st.Corrupted
-		res.Injected.Delayed += st.Delayed
+		res.Injected.Add(site.Stats())
 	}
 	cl.eachStack(func(ns *netstack.Stack) {
 		t := ns.TCP()

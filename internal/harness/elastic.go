@@ -60,7 +60,6 @@ type ElasticResult struct {
 	// Migration mechanics observed on the server dataplane.
 	Migrations    uint64
 	FlowsMigrated uint64
-	FramesRehomed uint64
 	// Drops are NIC-edge RX drops over the whole run.
 	Drops uint64
 	// Log is the controller's action log (empty for a static run).
@@ -176,7 +175,6 @@ func RunElastic(s ElasticSetup) ElasticResult {
 	}
 	res.Migrations = srv.Migrations
 	res.FlowsMigrated = srv.FlowsMigrated
-	res.FramesRehomed = srv.FramesRehomed
 	res.Drops = srv.RxDrops()
 	return res
 }

@@ -44,13 +44,11 @@ const itr = 4 * time.Microsecond
 // Host is one Linux machine: a single kernel stack, per-core NIC queues
 // and softirq contexts, and one pinned application thread per core.
 type Host struct {
-	eng    *sim.Engine
-	cfg    sockcore.Config
-	cost   cost.Linux
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
-	region *mem.Region
-	cores  []*kcore
+	netstack.Host
+	eng   *sim.Engine
+	cfg   sockcore.Config
+	cost  cost.Linux
+	cores []*kcore
 
 	// ns is the *shared* kernel network stack (global PCB table).
 	ns *netstack.Stack
@@ -59,10 +57,6 @@ type Host struct {
 	// cur is the core whose context is currently executing kernel or
 	// app work; stack callbacks attribute costs and output to it.
 	cur *kcore
-
-	// missFloor is the handshake-frame miss charge (batched SYN
-	// admission), a run constant hoisted out of the softirq loop.
-	missFloor time.Duration
 
 	// layer holds the host-global fd-style socket table.
 	layer sockcore.Layer
@@ -76,31 +70,18 @@ type Host struct {
 
 // New builds a Linux host. Attach NIC ports before Start.
 func New(eng *sim.Engine, cfg sockcore.Config) *Host {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
-	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
-	}
 	h := &Host{
 		eng:       eng,
-		cfg:       cfg,
 		cost:      cost.DefaultLinux(),
-		arp:       netstack.NewARPTable(),
-		region:    mem.NewRegion(cfg.MemPages),
 		listening: make(map[uint16]bool),
 	}
+	h.Host, cfg.Cores = netstack.NewHost(eng, cfg.IP, cfg.MAC, cfg.Cores, cfg.MemPages, nicsim.Config{RingSize: cfg.NICRing, ITR: itr}, h.cost.L3Miss)
+	h.cfg = cfg
 	h.layer.Reserve(cfg.ExpectedConns)
 	// Affinity accept (§2.3): a socket belongs to the core whose queue
 	// received its handshake, and its events wake that core's thread.
 	h.layer.Accepting = func() *sockcore.Owner { return &h.curCore().sock }
-	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(h.cost.L3Miss))
 	h.timerTask = h.runTimerTask
-	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.Cores,
-		RingSize: cfg.NICRing,
-		ITR:      itr,
-	})
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
 	h.wake = netstack.NewTimerWake(eng, h.wheel, func() { h.cores[0].core.Submit(sim.ClassKernel, h.timerTask) })
 	h.ns = netstack.New(netstack.Config{
@@ -110,7 +91,7 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 		Wheel:     h.wheel,
 		SendFrame: func(f *fabric.Frame) { h.curCore().drv.Stage(f) },
 		Events:    &h.layer,
-		ARP:       h.arp,
+		ARP:       h.ARP(),
 		Seed:      cfg.Seed,
 		RcvWnd:    cfg.RcvWnd,
 		MinRTO:    cfg.MinRTO,
@@ -122,18 +103,6 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 	})
 	return h
 }
-
-// NIC returns the host NIC for fabric attachment.
-func (h *Host) NIC() *nicsim.NIC { return h.nic }
-
-// ARP returns the host ARP table.
-func (h *Host) ARP() *netstack.ARPTable { return h.arp }
-
-// IP returns the host address.
-func (h *Host) IP() wire.IPv4 { return h.cfg.IP }
-
-// MAC returns the hardware address.
-func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
 
 // Stack exposes the shared kernel stack (tests).
 func (h *Host) Stack() *netstack.Stack { return h.ns }
@@ -263,9 +232,9 @@ func newKcore(h *Host, id int) *kcore {
 	}
 	k.core.CtxSwitch = c.CtxSwitch
 	k.drv = netstack.Driver{
-		RX:    h.nic.RxQueue(id),
-		TX:    h.nic.TxQueue(id),
-		Pool:  mem.NewMbufPool(h.region, id),
+		RX:    h.NIC().RxQueue(id),
+		TX:    h.NIC().TxQueue(id),
+		Pool:  mem.NewMbufPool(h.Region(), id),
 		Price: k.rxPrice,
 	}
 	k.drv.RX.Mode = nicsim.ModeInterrupt
@@ -353,16 +322,10 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	k.leave(m, kEndNapi)
 }
 
-// rxPrice is the softirq's kernel time for one received frame. Handshake
-// frames charge the miss floor, not the population-scaled DDIO curve:
-// the accept path's lines (listener, SYN backlog, fresh PCB) stay
-// LLC-resident across an establishment burst, so batched SYN admission
-// amortizes the per-frame penalty.
+// rxPrice is the softirq's kernel time for one received frame; a
+// handshake frame charges the miss floor (netstack.Host.Miss).
 func (k *kcore) rxPrice(f *fabric.Frame) time.Duration {
-	d := k.h.cost.SoftIRQPerPkt + k.missNs
-	if nicsim.IsTCPSYN(f.Data) {
-		d = k.h.cost.SoftIRQPerPkt + k.h.missFloor
-	}
+	d := k.h.cost.SoftIRQPerPkt + k.h.Miss(f, k.missNs)
 	k.kernelNs += int64(d)
 	return d
 }

@@ -126,7 +126,7 @@ func TestTimerWakeSkipsCurrentTick(t *testing.T) {
 	eng.RunUntil(sim.Time(10*tick + tick/2))
 	fired := false
 	h.wheel.Advance(int64(eng.Now()))
-	h.wheel.Add(int64(eng.Now()), func() { fired = true })
+	h.wheel.AddArg(int64(eng.Now()), func(any) { fired = true }, nil)
 	h.wake.Arm()
 	if at, _ := eng.NextEventAt(); at != sim.Time(11*tick) {
 		t.Fatalf("next event at %v, want the wake at the tick boundary %v", at, sim.Time(11*tick))

@@ -191,7 +191,6 @@ type MbufPool struct {
 
 	// Stats.
 	Allocs    uint64
-	Frees     uint64
 	Exhausted uint64 // allocation failures
 }
 
@@ -237,7 +236,6 @@ func (p *MbufPool) Alloc() *Mbuf {
 //ix:hotpath
 func (p *MbufPool) put(m *Mbuf) {
 	p.inUse--
-	p.Frees++
 	p.free = append(p.free, m)
 }
 

@@ -150,7 +150,6 @@ type TxChunkPool struct {
 
 	// Stats.
 	Allocs    uint64
-	Frees     uint64
 	Exhausted uint64 // allocation failures (region dry)
 }
 
@@ -193,7 +192,6 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 //ix:hotpath
 func (p *TxChunkPool) put(k *TxChunk) {
 	p.inUse--
-	p.Frees++
 	if k.frames > 0 {
 		k.retired = true
 		p.retired++

@@ -35,52 +35,20 @@ const pollBatch = 2048
 
 // Host is one mTCP machine.
 type Host struct {
-	eng    *sim.Engine
-	cfg    sockcore.Config
-	cost   cost.MTCP
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
-	region *mem.Region
-	cores  []*mcore
-	// missFloor is the handshake-frame miss charge (batched SYN
-	// admission), a run constant hoisted out of the poll loop.
-	missFloor time.Duration
+	netstack.Host
+	eng   *sim.Engine
+	cfg   sockcore.Config
+	cost  cost.MTCP
+	cores []*mcore
 }
 
 // New builds an mTCP host. Attach NIC ports before Start.
 func New(eng *sim.Engine, cfg sockcore.Config) *Host {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
-	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
-	}
-	h := &Host{
-		eng:    eng,
-		cfg:    cfg,
-		cost:   cost.DefaultMTCP(),
-		arp:    netstack.NewARPTable(),
-		region: mem.NewRegion(cfg.MemPages),
-	}
-	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(h.cost.L3Miss))
-	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.Cores,
-		RingSize: cfg.NICRing,
-	})
+	h := &Host{eng: eng, cost: cost.DefaultMTCP()}
+	h.Host, cfg.Cores = netstack.NewHost(eng, cfg.IP, cfg.MAC, cfg.Cores, cfg.MemPages, nicsim.Config{RingSize: cfg.NICRing}, h.cost.L3Miss)
+	h.cfg = cfg
 	return h
 }
-
-// NIC returns the host NIC.
-func (h *Host) NIC() *nicsim.NIC { return h.nic }
-
-// ARP returns the host ARP table.
-func (h *Host) ARP() *netstack.ARPTable { return h.arp }
-
-// IP returns the host address.
-func (h *Host) IP() wire.IPv4 { return h.cfg.IP }
-
-// MAC returns the hardware address.
-func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
 
 // Start spawns the per-core thread pairs.
 func (h *Host) Start() {
@@ -228,9 +196,9 @@ func newMcore(h *Host, id int) *mcore {
 	m.appFn = m.appRound
 	m.wake = netstack.NewTimerWake(h.eng, m.wheel, m.wakeTCP)
 	m.drv = netstack.Driver{
-		RX:    h.nic.RxQueue(id),
-		TX:    h.nic.TxQueue(id),
-		Pool:  mem.NewMbufPool(h.region, id),
+		RX:    h.NIC().RxQueue(id),
+		TX:    h.NIC().TxQueue(id),
+		Pool:  mem.NewMbufPool(h.Region(), id),
 		Price: m.rxPrice,
 	}
 	m.drv.RX.Mode = nicsim.ModePoll
@@ -242,7 +210,7 @@ func newMcore(h *Host, id int) *mcore {
 		Wheel:     m.wheel,
 		SendFrame: m.drv.Stage,
 		Events:    &m.layer,
-		ARP:       h.arp,
+		ARP:       h.ARP(),
 		Seed:      h.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
 		RcvWnd:    h.cfg.RcvWnd,
 		MinRTO:    h.cfg.MinRTO,
@@ -252,7 +220,7 @@ func newMcore(h *Host, id int) *mcore {
 			// mTCP also partitions flows per core (it splits the
 			// ephemeral port space by RSS, like IX).
 			ret := wire.FlowKey{SrcIP: dst, DstIP: h.cfg.IP, SrcPort: dport, DstPort: p, Proto: wire.ProtoTCP}
-			return h.nic.RSSQueue(ret) == id
+			return h.NIC().RSSQueue(ret) == id
 		},
 	})
 	return m
@@ -298,14 +266,10 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 	meter.AtEndCall(mEndTCPRound, m)
 }
 
-// rxPrice is the TCP thread's cost of one received frame. Handshake
-// frames charge the miss floor (batched SYN admission); see the
-// linuxstack rxPrice note.
+// rxPrice is the TCP thread's cost of one received frame; a handshake
+// frame charges the miss floor (netstack.Host.Miss).
 func (m *mcore) rxPrice(f *fabric.Frame) time.Duration {
-	if nicsim.IsTCPSYN(f.Data) {
-		return m.h.cost.ProtoRx + m.h.missFloor
-	}
-	return m.h.cost.ProtoRx + m.missNs
+	return m.h.cost.ProtoRx + m.h.Miss(f, m.missNs)
 }
 
 // mEndTCPRound re-arms polling once the round's frames are posted

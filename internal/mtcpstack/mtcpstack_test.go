@@ -96,7 +96,7 @@ func TestTimerWakeSkipsCurrentTick(t *testing.T) {
 	eng.RunUntil(sim.Time(10*tick + tick/2))
 	m, fired := h.cores[0], false
 	m.wheel.Advance(int64(eng.Now()))
-	m.wheel.Add(int64(eng.Now()), func() { fired = true })
+	m.wheel.AddArg(int64(eng.Now()), func(any) { fired = true }, nil)
 	m.wake.Arm()
 	if at, _ := eng.NextEventAt(); at != sim.Time(11*tick) {
 		t.Fatalf("next event at %v, want the wake at the tick boundary %v", at, sim.Time(11*tick))

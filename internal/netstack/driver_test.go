@@ -166,7 +166,7 @@ func TestTimerWake(t *testing.T) {
 	}
 	t.Run("skips-current-tick", func(t *testing.T) {
 		eng, w, wake, _ := setup(int64(mid))
-		w.Add(int64(eng.Now()), func() {})
+		w.AddArg(int64(eng.Now()), func(any) {}, nil)
 		wake.Arm()
 		if wake.ev == nil {
 			t.Fatal("no wake armed for a pending deadline")
@@ -177,7 +177,7 @@ func TestTimerWake(t *testing.T) {
 	})
 	t.Run("lagging-wheel-wakes-now", func(t *testing.T) {
 		eng, w, wake, fired := setup(0)
-		w.Add(3*tick, func() {})
+		w.AddArg(3*tick, func(any) {}, nil)
 		wake.Arm()
 		if wake.ev == nil || wake.ev.At() != eng.Now() {
 			t.Fatalf("wake for a wheel behind the engine armed at %v, want now (%v)", wake.ev, eng.Now())
@@ -189,10 +189,10 @@ func TestTimerWake(t *testing.T) {
 	})
 	t.Run("earlier-kept", func(t *testing.T) {
 		_, w, wake, _ := setup(int64(mid))
-		w.Add(20*tick, func() {})
+		w.AddArg(20*tick, func(any) {}, nil)
 		wake.Arm()
 		first := wake.ev
-		w.Add(40*tick, func() {})
+		w.AddArg(40*tick, func(any) {}, nil)
 		wake.Arm()
 		if wake.ev != first || first.At() != sim.Time(20*tick) {
 			t.Fatalf("a later deadline moved the wake armed at 20 ticks")
@@ -200,9 +200,9 @@ func TestTimerWake(t *testing.T) {
 	})
 	t.Run("later-replaced", func(t *testing.T) {
 		eng, w, wake, fired := setup(int64(mid))
-		w.Add(40*tick, func() {})
+		w.AddArg(40*tick, func(any) {}, nil)
 		wake.Arm()
-		w.Add(20*tick, func() {})
+		w.AddArg(20*tick, func(any) {}, nil)
 		wake.Arm()
 		if got, want := wake.ev.At(), sim.Time(20*tick); got != want {
 			t.Fatalf("wake at %v after an earlier deadline, want %v", got, want)

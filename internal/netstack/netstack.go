@@ -90,9 +90,6 @@ type Stack struct {
 
 	// Stats.
 	RxFrames    uint64
-	RxARP       uint64
-	RxUDP       uint64
-	RxTCP       uint64
 	RxDropped   uint64
 	TxFrames    uint64
 	ARPRequests uint64
@@ -149,7 +146,6 @@ func (s *Stack) Input(buf *mem.Mbuf) {
 	}
 	switch uint16(data[12])<<8 | uint16(data[13]) {
 	case wire.EtherTypeARP:
-		s.RxARP++
 		s.inputARP(data[wire.EthHdrLen:])
 	case wire.EtherTypeIPv4:
 		s.inputIPv4(data[wire.EthHdrLen:], buf)
@@ -208,10 +204,8 @@ func (s *Stack) inputIPv4(p []byte, buf *mem.Mbuf) {
 	body := p[wire.IPv4HdrLen:end]
 	switch iph.Proto {
 	case wire.ProtoTCP:
-		s.RxTCP++
 		s.tcp.Input(iph.Src, iph.Dst, body, buf)
 	case wire.ProtoUDP:
-		s.RxUDP++
 		s.inputUDP(iph.Src, body, buf)
 	default:
 		s.RxDropped++

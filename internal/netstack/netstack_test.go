@@ -12,9 +12,8 @@ import (
 
 type nullEvents struct{ recvd []byte }
 
-func (n *nullEvents) Knock(l *tcp.Listener, key wire.FlowKey) bool { return true }
-func (n *nullEvents) Accepted(c *tcp.Conn)                         {}
-func (n *nullEvents) Connected(c *tcp.Conn, ok bool)               {}
+func (n *nullEvents) Accepted(c *tcp.Conn)           {}
+func (n *nullEvents) Connected(c *tcp.Conn, ok bool) {}
 func (n *nullEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 	n.recvd = append(n.recvd, data...)
 }

@@ -91,7 +91,6 @@ type Core struct {
 	CtxSwitch time.Duration
 
 	busy      bool
-	freeAt    Time
 	lastClass TaskClass
 	queue     []coreTask
 	qHead     int
@@ -176,7 +175,6 @@ func (c *Core) runTask() {
 	c.lastClass = t.class
 	t.fn(m)
 	end := c.Eng.Now().Add(m.total)
-	c.freeAt = end
 	c.busyTime[t.class] += m.total
 	c.Eng.Call(end, coreFinish, c)
 }

@@ -9,8 +9,8 @@
 //
 // The event queue is built for the per-packet simulation hot path: events
 // scheduled at the current instant go to a FIFO ring instead of the heap
-// (most dispatches are "run this now"), one-shot fire-and-forget events
-// created with Call/CallAfter are pooled and recycled without garbage, and
+// (most dispatches are "run this now"), every event is pooled and
+// recycled without garbage once it fires or is cancelled, and
 // cancellation is lazy (cancelled events are skipped when popped rather
 // than removed from the middle of the heap).
 package sim
@@ -36,8 +36,10 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // An Event is a scheduled callback. Events are created with Engine.At or
-// Engine.After and may be cancelled before they fire. One-shot events
-// created with Call/CallAfter are pooled internally and never returned.
+// Engine.After and may be cancelled before they fire. Every event is
+// pooled: it returns to the engine's free list once it fires or is
+// cancelled. One-shot events created with Call/CallAfter are never
+// handed out.
 type Event struct {
 	at  Time
 	seq uint64
@@ -48,7 +50,6 @@ type Event struct {
 	arg      any
 	index    int // heap index, -1 if not queued in the heap
 	canceled bool
-	pooled   bool // recycled into the engine free list after firing
 }
 
 // At returns the virtual time the event is scheduled to fire.
@@ -188,7 +189,7 @@ type Engine struct {
 	// first.
 	ring     []*Event
 	ringHead int
-	free     []*Event // recycled pooled events
+	free     []*Event // recycled events
 	rng      *rand.Rand
 
 	// Processed counts events executed, for diagnostics.
@@ -221,20 +222,18 @@ func (e *Engine) alloc() *Event {
 		return ev
 	}
 	//ixvet:ignore(hotpath) pool growth: every event recycles, so steady state hits the free list
-	return &Event{pooled: true}
+	return &Event{}
 }
 
-// recycle clears a popped event and returns pooled ones to the free list.
+// recycle clears a popped event and returns it to the free list.
 //
 //ix:hotpath
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.fnArg = nil
 	ev.arg = nil
-	if ev.pooled {
-		ev.canceled = false
-		e.free = append(e.free, ev)
-	}
+	ev.canceled = false
+	e.free = append(e.free, ev)
 }
 
 // schedule assigns the sequence number and queues ev: the same-instant

@@ -6,7 +6,6 @@ import (
 	"ix/internal/mem"
 	"ix/internal/memprobe"
 	"ix/internal/tcp"
-	"ix/internal/wire"
 )
 
 // Layer is the socket layer over one TCP engine (per host on Linux, per
@@ -31,8 +30,6 @@ func (l *Layer) Reserve(n int) { l.socks.Reserve(n) }
 
 // sock resolves an engine connection's socket (nil before accept and after Dead).
 func (l *Layer) sock(c *tcp.Conn) *Sock { return l.socks.Lookup(c.Cookie) }
-
-func (l *Layer) Knock(*tcp.Listener, wire.FlowKey) bool { return true }
 
 func (l *Layer) Accepted(c *tcp.Conn) {
 	s := &Sock{o: l.Accepting(), conn: c, flags: acceptPending}

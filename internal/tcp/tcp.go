@@ -90,11 +90,8 @@ func (r Reason) String() string {
 // Events receives protocol events. The OS architecture model implements
 // this to surface event conditions (Table 1) to applications.
 type Events interface {
-	// Knock reports a remotely initiated connection; returning false
-	// rejects it with RST. (IX surfaces this as the knock event and the
-	// app replies with an accept or close syscall.)
-	Knock(l *Listener, key wire.FlowKey) bool
-	// Accepted fires when a knocked connection completes the handshake.
+	// Accepted fires when a remotely initiated connection completes the
+	// handshake.
 	Accepted(c *Conn)
 	// Connected fires when a locally initiated connection finishes
 	// opening (outcome true) or fails (false).
@@ -235,12 +232,11 @@ type Stack struct {
 	// and entered reassembly. On a lossless fabric this stays zero unless
 	// something — e.g. a buggy flow migration — reorders a flow's frames,
 	// so migration tests assert on it directly.
-	OutOfOrderSegs    uint64
-	Retransmits       uint64
-	FastRetransmits   uint64
-	BadChecksums      uint64
-	DroppedNoListener uint64
-	AcceptedConns     uint64
+	OutOfOrderSegs  uint64
+	Retransmits     uint64
+	FastRetransmits uint64
+	BadChecksums    uint64
+	AcceptedConns   uint64
 	// SynsAdmitted counts passive opens admitted through the batched
 	// SYN path (their SYN-ACKs coalesce into the batch-boundary Flush).
 	SynsAdmitted uint64
@@ -337,12 +333,11 @@ func (s *Stack) nextISS() uint32 {
 // inline so tracking a segment does not allocate; pathological
 // scatter-gather shapes spill to extra. back is the pooled memory a
 // single-fragment segment lies in, when the sender named one: the frames
-// that carry the segment by reference pin it. The flags share a word
+// that carry the segment by reference pin it. fin shares a word
 // with seq, so back costs no bytes (TestConnStateSizes).
 type txSeg struct {
 	seq    uint32
 	fin    bool
-	rexmit bool
 	length int // payload bytes (SYN/FIN consume sequence space separately)
 	frag0  []byte
 	frag1  []byte
@@ -820,7 +815,6 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 			return
 		}
 	}
-	s.DroppedNoListener++
 	if hdr.Flags&wire.TCPRst == 0 {
 		s.sendRST(key, &hdr, len(payload))
 	}
@@ -840,10 +834,6 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 func (s *Stack) passiveOpen(l *Listener, key connKey, hdr *wire.TCPHeader) {
 	if l.embryonic >= s.cfg.SynBacklog {
 		return // silently drop: SYN backlog full
-	}
-	if !s.cfg.Events.Knock(l, key.flow()) {
-		s.sendRST(key, hdr, 0)
-		return
 	}
 	c := s.newConn(key)
 	c.state = StateSynRcvd
@@ -1948,7 +1938,6 @@ func (s *Stack) onSynRTO() {
 // references in the stack scratch (the bytes themselves are still the
 // original, immutable sender bytes — retransmission is zero-copy too).
 func (c *Conn) resend(ts *txSeg) {
-	ts.rexmit = true
 	c.fl.rttPending = false // Karn's rule: no sample from retransmitted data
 	var flags uint8 = wire.TCPAck
 	if ts.fin {

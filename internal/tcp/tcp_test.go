@@ -47,9 +47,8 @@ type side struct {
 	onRelease func(c *Conn, released int)
 }
 
-func (s *side) Knock(l *Listener, key wire.FlowKey) bool { return true }
-func (s *side) Accepted(c *Conn)                         { s.accepted = append(s.accepted, c) }
-func (s *side) Connected(c *Conn, ok bool)               { s.connected[c] = ok }
+func (s *side) Accepted(c *Conn)           { s.accepted = append(s.accepted, c) }
+func (s *side) Connected(c *Conn, ok bool) { s.connected[c] = ok }
 func (s *side) Recv(c *Conn, buf *mem.Mbuf, data []byte) {
 	s.recvd[c] = append(s.recvd[c], data...)
 }

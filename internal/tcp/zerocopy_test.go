@@ -278,7 +278,6 @@ type quietEvents struct {
 	acked    int
 }
 
-func (q *quietEvents) Knock(l *Listener, key wire.FlowKey) bool { return true }
 func (q *quietEvents) Accepted(c *Conn)                         {}
 func (q *quietEvents) Connected(c *Conn, ok bool)               {}
 func (q *quietEvents) Recv(c *Conn, buf *mem.Mbuf, data []byte) {}

@@ -11,14 +11,17 @@
 // circular doubly linked list through the timers themselves, so a
 // four-level wheel of 256 slots a level is about 8 KiB however many
 // cores own one. Timers in a slot fire, and cascade, oldest first: in
-// the order they arrived in the slot. A caller that keeps many deadlines
-// behind one timer can reserve each deadline's place in that order when
-// it arises (Reserve) and put the timer there later (AddArgAt, ResetAt),
-// so the one timer fires exactly where a timer per deadline would have.
+// the order they arrived in the slot. Every timer goes into its slot
+// through one placement routine, at its place in that order: a fresh
+// arrival number, the newest, appended at the tail, or a place reserved
+// earlier. A caller that keeps many deadlines behind one timer reserves
+// each deadline's place when it arises (Reserve) and puts the timer
+// there later (AddArgAt, ResetAt), so the one timer fires exactly where
+// a timer per deadline would have.
 //
 // NextDeadline — which the dataplane calls at every run-to-completion
 // quiescence point — is served by a lazy-deletion min-heap of deadlines
-// maintained at Add/Transfer time: cancelled and fired timers are skimmed
+// maintained at AddArg/Transfer time: cancelled and fired timers are skimmed
 // off the heap top when encountered, so the query is O(1) amortized even
 // when thousands of timers share one wheel slot. Reset, the in-place
 // re-arm, pushes nothing when the deadline moves later: the timer's entry
@@ -38,16 +41,15 @@ const (
 	DefaultTick = 16 * time.Microsecond
 )
 
-// A Timer is a pending timeout. Timers are intrusive list nodes, and
-// fired or cancelled timers return to a per-wheel free list, so the
-// add/fire and add/cancel cycles are allocation-free — the
-// per-retransmission-arming pattern of the TCP hot path. A timer that
-// has fired or been cancelled belongs to the wheel again and must not
-// be used by the caller.
+// A Timer is a pending timeout: fn(arg) at deadline. Timers are
+// intrusive list nodes, and fired or cancelled timers return to a
+// per-wheel free list, so the add/fire and add/cancel cycles are
+// allocation-free — the per-retransmission-arming pattern of the TCP hot
+// path. A timer that has fired or been cancelled belongs to the wheel
+// again and must not be used by the caller.
 type Timer struct {
 	deadline   int64 // ns
-	fn         func()
-	argFn      func(any)
+	fn         func(any)
 	arg        any
 	next, prev *Timer
 	// slot is the list the timer is pending in; nil once it has fired or
@@ -70,13 +72,15 @@ type Timer struct {
 // newest), or nil when the slot is empty. One word per slot keeps a
 // Wheel's 1 024 slots at 8 KiB. Arrival numbers come from one counter
 // per wheel, so the list is in ascending order; they wrap, and compare
-// by their difference (no slot holds 2³¹ arrivals).
+// by their difference (no timer waits in a slot through 2³¹ arrivals).
 type slotList struct {
 	head *Timer
 }
 
-// push appends t at the slot's tail.
-func (s *slotList) push(t *Timer) {
+// insert puts t at its order's place: after every timer of an earlier
+// order, before every timer of a later one. The newest order goes at the
+// tail without a walk, and so does the oldest, as the new head.
+func (s *slotList) insert(t *Timer) {
 	t.slot = s
 	h := s.head
 	if h == nil {
@@ -84,26 +88,14 @@ func (s *slotList) push(t *Timer) {
 		s.head = t
 		return
 	}
-	t.prev = h.prev
-	t.next = h
-	h.prev.next = t
-	h.prev = t
-}
-
-// insert puts t at its order's place: after every timer of an earlier
-// order, before every timer of a later one.
-func (s *slotList) insert(t *Timer) {
-	h := s.head
-	if h == nil || int32(h.order-t.order) > 0 {
-		s.push(t)
+	p := h.prev // the newest
+	if int32(h.order-t.order) > 0 {
 		s.head = t
-		return
+	} else {
+		for int32(p.order-t.order) > 0 {
+			p = p.prev
+		}
 	}
-	p := h.prev
-	for int32(p.order-t.order) > 0 {
-		p = p.prev
-	}
-	t.slot = s
 	t.prev, t.next = p, p.next
 	p.next.prev = t
 	p.next = t
@@ -146,7 +138,7 @@ type Wheel struct {
 	levels  [Levels][Slots]slotList
 	count   int
 
-	// minHeap tracks pending deadlines with lazy deletion: every Add or
+	// minHeap tracks pending deadlines with lazy deletion: every AddArg or
 	// Transfer-in pushes an entry; entries whose timer has fired, been
 	// cancelled, moved wheels, or been reused are dropped when they
 	// surface at the top.
@@ -239,61 +231,43 @@ func (w *Wheel) heapReplaceTop(e minEntry) {
 	h[i] = e
 }
 
-// Add schedules fn to fire at absolute deadline ns. Deadlines at or before
-// the current tick fire on the next Advance. The returned timer may be
-// cancelled until it fires; once fired or cancelled it belongs to the
-// wheel again and must not be touched.
-func (w *Wheel) Add(deadline int64, fn func()) *Timer {
-	t := w.get(deadline)
-	t.fn = fn
-	w.place(t)
-	w.armed(t)
-	return t
+// AddArg schedules fn(arg) to fire at absolute deadline ns. Deadlines at
+// or before the current tick fire on the next Advance. The returned timer
+// may be cancelled until it fires; once fired or cancelled it belongs to
+// the wheel again and must not be touched. A package-level fn plus a
+// pointer arg costs nothing per arming, where a bound method value like
+// c.onRTO would allocate a two-word closure that lives as long as the
+// timer. A scalar arg boxes and loses the point.
+func (w *Wheel) AddArg(deadline int64, fn func(any), arg any) *Timer {
+	return w.add(deadline, 0, false, fn, arg)
 }
 
-// get returns a timer for deadline, recycled from the free list when
-// possible.
-func (w *Wheel) get(deadline int64) *Timer {
+// add arms a timer, recycled from the free list when possible, at
+// deadline and, when reserved, at the place order (see place).
+func (w *Wheel) add(deadline int64, order uint32, reserved bool, fn func(any), arg any) *Timer {
+	var t *Timer
 	if n := len(w.free); n > 0 {
-		t := w.free[n-1]
+		t = w.free[n-1]
 		w.free[n-1] = nil
 		w.free = w.free[:n-1]
-		t.deadline = deadline
-		return t
+	} else {
+		t = &Timer{}
 	}
-	return &Timer{deadline: deadline}
-}
-
-// armed accounts for a timer just placed.
-func (w *Wheel) armed(t *Timer) {
+	t.deadline, t.order, t.fn, t.arg = deadline, order, fn, arg
+	w.place(t, reserved)
 	w.heapPush(t)
 	w.count++
 	w.Added++
-}
-
-// AddArg schedules fn(arg) to fire at absolute deadline ns. It is the
-// closure-free variant of Add for per-object timers armed in bulk: a
-// package-level fn plus a pointer arg costs nothing per arming, where a
-// bound method value like c.onRTO allocates a two-word closure that
-// lives as long as the timer — 48 bytes per connection across the
-// three TCP timers at Fig. 4 populations. Same contract as Add
-// otherwise. A pointer (or other pointer-shaped) arg does not allocate;
-// scalar args box and lose the point.
-func (w *Wheel) AddArg(deadline int64, fn func(any), arg any) *Timer {
-	t := w.get(deadline)
-	t.argFn, t.arg = fn, arg
-	w.place(t)
-	w.armed(t)
 	return t
 }
 
 // Reset moves the pending timer t to a new deadline in place, keeping
 // its callback: the re-arm a TCP connection performs on every segment it
 // transmits. It counts as one cancel plus one add, and t lands at the
-// tail of its new slot — exactly where Cancel followed by Add would put
-// it, since that Add reuses the just-cancelled timer from the free list.
-// It reports whether t was pending; a fired, cancelled or nil timer is
-// left alone, and the caller adds a new one.
+// tail of its new slot — exactly where Cancel followed by AddArg would
+// put it, since that AddArg reuses the just-cancelled timer from the free
+// list. It reports whether t was pending; a fired, cancelled or nil timer
+// is left alone, and the caller adds a new one.
 //
 // The min-heap is touched only when the deadline moves earlier. A later
 // deadline leaves t's entry behind as a lower bound, which NextDeadline
@@ -302,13 +276,20 @@ func (w *Wheel) AddArg(deadline int64, fn func(any), arg any) *Timer {
 //
 //ix:hotpath
 func (w *Wheel) Reset(t *Timer, deadline int64) bool {
+	return w.reset(t, deadline, 0, false)
+}
+
+// reset is Reset to deadline and, when reserved, to the place order.
+//
+//ix:hotpath
+func (w *Wheel) reset(t *Timer, deadline int64, order uint32, reserved bool) bool {
 	if t == nil || t.slot == nil {
 		return false
 	}
 	unlink(t)
 	earlier := deadline < t.deadline
-	t.deadline = deadline
-	w.place(t)
+	t.deadline, t.order = deadline, order
+	w.place(t, reserved)
 	if earlier {
 		w.heapPush(t)
 	}
@@ -322,30 +303,38 @@ func (w *Wheel) Reset(t *Timer, deadline int64) bool {
 func (w *Wheel) recycle(t *Timer) {
 	t.gen++
 	t.fn = nil
-	t.argFn = nil
 	t.arg = nil
 	w.free = append(w.free, t)
 }
 
-// place inserts t into the correct level/slot for its deadline, as the
-// slot's newest arrival.
-func (w *Wheel) place(t *Timer) {
+// place inserts t into the slot for its deadline, at its place in that
+// slot's firing order. A reserved place (t.order, from Reserve) is kept
+// in the deadline's lowest-level slot, where places are final; a
+// deadline in the tick being fired takes its place in that slot, still
+// to fire in this Advance, as the timer reserving it would have. Any
+// other timer — fresh, cascading, transferred, or reserved for a place
+// that cannot be kept because its deadline is past or out of the lowest
+// level's reach — takes the next arrival number: the newest in its slot.
+//
+//ix:hotpath
+func (w *Wheel) place(t *Timer, reserved bool) {
 	t.wheel = w
-	dt := t.deadline/w.tick - w.curTick
-	if dt < 1 {
-		dt = 1
-	}
-	tickAt := w.curTick + dt
-	for l := 0; l < Levels; l++ {
-		span := int64(1) << (8 * uint(l+1)) // ticks covered by levels 0..l
-		if dt < span || l == Levels-1 {
-			slot := int((tickAt >> (8 * uint(l))) & (Slots - 1))
-			w.arrivals++
-			t.order = w.arrivals
-			w.levels[l][slot].push(t)
-			return
+	tickAt := t.deadline / w.tick
+	dt := tickAt - w.curTick
+	s := &w.levels[0][tickAt&(Slots-1)]
+	if !reserved || dt < 0 || dt >= Slots || dt == 0 && s != w.firing {
+		if dt < 1 {
+			dt, tickAt = 1, w.curTick+1
 		}
+		l := 0
+		for l < Levels-1 && dt >= int64(1)<<(8*uint(l+1)) { // beyond levels 0..l
+			l++
+		}
+		s = &w.levels[l][(tickAt>>(8*uint(l)))&(Slots-1)]
+		w.arrivals++
+		t.order = w.arrivals
 	}
+	s.insert(t)
 }
 
 // Reserve returns the place in deadline's slot that a timer added now
@@ -363,52 +352,18 @@ func (w *Wheel) Reserve(deadline int64) (uint32, bool) {
 	return w.arrivals, true
 }
 
-// placeAt inserts t at its reserved place (t.order) in its deadline's
-// lowest-level slot. A deadline in the tick being fired takes its place
-// in that slot, still to fire in this Advance, as the timer reserving it
-// would have. A place that cannot be kept — the deadline is past or out
-// of the lowest level's reach — falls back to place.
-func (w *Wheel) placeAt(t *Timer) {
-	tickAt := t.deadline / w.tick
-	s := &w.levels[0][tickAt&(Slots-1)]
-	if dt := tickAt - w.curTick; dt >= Slots || dt < 0 || dt == 0 && s != w.firing {
-		w.place(t)
-		return
-	}
-	t.wheel = w
-	s.insert(t)
-}
-
 // AddArgAt is AddArg for a timer that takes the place Reserve returned:
 // it fires after the timers that arrived in its slot before the
 // reservation and before those that arrived after it.
 func (w *Wheel) AddArgAt(deadline int64, place uint32, fn func(any), arg any) *Timer {
-	t := w.get(deadline)
-	t.argFn, t.arg = fn, arg
-	t.order = place
-	w.placeAt(t)
-	w.armed(t)
-	return t
+	return w.add(deadline, place, true, fn, arg)
 }
 
 // ResetAt is Reset to a deadline and the place Reserve returned for it.
 //
 //ix:hotpath
 func (w *Wheel) ResetAt(t *Timer, deadline int64, place uint32) bool {
-	if t == nil || t.slot == nil {
-		return false
-	}
-	unlink(t)
-	earlier := deadline < t.deadline
-	t.deadline = deadline
-	t.order = place
-	w.placeAt(t)
-	if earlier {
-		w.heapPush(t)
-	}
-	w.Cancelled++
-	w.Added++
-	return true
+	return w.reset(t, deadline, place, true)
 }
 
 // Cancel removes t from the wheel; it reports whether the timer was still
@@ -440,7 +395,7 @@ func (w *Wheel) Transfer(t *Timer, dst *Wheel) bool {
 	}
 	unlink(t)
 	w.count--
-	dst.place(t)
+	dst.place(t, false)
 	dst.heapPush(t)
 	dst.count++
 	w.TransferredOut++
@@ -476,7 +431,7 @@ func (w *Wheel) cascade(s *slotList) {
 	for !s.empty() {
 		t := s.head
 		unlink(t)
-		w.place(t)
+		w.place(t, false)
 	}
 }
 
@@ -490,13 +445,9 @@ func (w *Wheel) fireSlot(s *slotList) {
 		unlink(t)
 		w.count--
 		w.Fired++
-		fn, argFn, arg := t.fn, t.argFn, t.arg
+		fn, arg := t.fn, t.arg
 		w.recycle(t)
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 	}
 	w.firing = nil
 }
@@ -505,7 +456,7 @@ func (w *Wheel) fireSlot(s *slotList) {
 // true, or zero and false if no timers are pending. Dead heap entries
 // (fired, cancelled, or transferred timers, or deadlines a Reset has
 // moved earlier) surfacing at the top are discarded, and a lower bound
-// left by Reset is re-keyed to its timer's deadline; each Add or Reset
+// left by Reset is re-keyed to its timer's deadline; each AddArg or Reset
 // pays for at most one such step, so the query is O(1) amortized.
 func (w *Wheel) NextDeadline() (int64, bool) {
 	if w.count == 0 {

@@ -11,12 +11,15 @@ import (
 	"unsafe"
 )
 
+// call is the trampoline that arms a closure with AddArg.
+func call(a any) { a.(func())() }
+
 func TestFireInOrder(t *testing.T) {
 	w := New(DefaultTick, 0)
 	var fired []int
-	w.Add(100_000, func() { fired = append(fired, 2) })
-	w.Add(50_000, func() { fired = append(fired, 1) })
-	w.Add(200_000, func() { fired = append(fired, 3) })
+	w.AddArg(100_000, call, func() { fired = append(fired, 2) })
+	w.AddArg(50_000, call, func() { fired = append(fired, 1) })
+	w.AddArg(200_000, call, func() { fired = append(fired, 3) })
 	w.Advance(300_000)
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
 		t.Fatalf("fire order = %v", fired)
@@ -29,7 +32,7 @@ func TestFireInOrder(t *testing.T) {
 func TestCancel(t *testing.T) {
 	w := New(DefaultTick, 0)
 	fired := false
-	tm := w.Add(100_000, func() { fired = true })
+	tm := w.AddArg(100_000, call, func() { fired = true })
 	if !w.Cancel(tm) {
 		t.Fatal("cancel reported failure")
 	}
@@ -50,7 +53,7 @@ func TestCascade(t *testing.T) {
 	// A deadline several wheel-levels out.
 	far := int64(DefaultTick) * Slots * 10
 	fired := int64(0)
-	w.Add(far, func() { fired = 1 })
+	w.AddArg(far, call, func() { fired = 1 })
 	w.Advance(far - int64(DefaultTick))
 	if fired != 0 {
 		t.Fatal("fired early")
@@ -64,7 +67,7 @@ func TestCascade(t *testing.T) {
 func TestLongJumpWithEmptyWheel(t *testing.T) {
 	w := New(DefaultTick, 0)
 	w.Advance(int64(time.Hour)) // must not loop for hours of ticks
-	w.Add(int64(time.Hour)+50_000, func() {})
+	w.AddArg(int64(time.Hour)+50_000, call, func() {})
 	if w.Len() != 1 {
 		t.Fatal("timer lost after long jump")
 	}
@@ -75,8 +78,8 @@ func TestNextDeadline(t *testing.T) {
 	if _, ok := w.NextDeadline(); ok {
 		t.Fatal("empty wheel reported a deadline")
 	}
-	w.Add(500_000, func() {})
-	w.Add(100_000, func() {})
+	w.AddArg(500_000, call, func() {})
+	w.AddArg(100_000, call, func() {})
 	nd, ok := w.NextDeadline()
 	if !ok || nd != 100_000 {
 		t.Fatalf("next deadline = %d, %v; want 100000", nd, ok)
@@ -96,7 +99,7 @@ func TestNeverEarly(t *testing.T) {
 			d := now + rng.Int63n(int64(DefaultTick)*Slots*3)
 			r := &rec{deadline: d, firedAt: -1}
 			recs = append(recs, r)
-			w.Add(d, func() { r.firedAt = w.curTick * w.tick })
+			w.AddArg(d, call, func() { r.firedAt = w.curTick * w.tick })
 			now += rng.Int63n(int64(DefaultTick) * 50)
 			w.Advance(now)
 		}
@@ -125,7 +128,7 @@ func TestCancelDominatedWorkload(t *testing.T) {
 	now := int64(0)
 	firedCount := 0
 	for i := 0; i < 10_000; i++ {
-		tm := w.Add(now+int64(200*time.Microsecond), func() { firedCount++ })
+		tm := w.AddArg(now+int64(200*time.Microsecond), call, func() { firedCount++ })
 		live = append(live, tm)
 		if len(live) > 8 {
 			// Cancel an old timer (ack arrived).
@@ -158,7 +161,7 @@ func TestFireOrderProperty(t *testing.T) {
 			if dl > max {
 				max = dl
 			}
-			w.Add(dl, func() { fired = append(fired, w.curTick*w.tick) })
+			w.AddArg(dl, call, func() { fired = append(fired, w.curTick*w.tick) })
 		}
 		w.Advance(max + int64(DefaultTick)*2)
 		if len(fired) != len(deadlines) {
@@ -177,7 +180,7 @@ func TestTransfer(t *testing.T) {
 	src := New(DefaultTick, 0)
 	dst := New(DefaultTick, 0)
 	fired := 0
-	tm := src.Add(100_000, func() { fired++ })
+	tm := src.AddArg(100_000, call, func() { fired++ })
 	if !src.Transfer(tm, dst) {
 		t.Fatal("Transfer refused a pending timer")
 	}
@@ -198,7 +201,7 @@ func TestTransfer(t *testing.T) {
 		t.Fatal("Transfer moved a fired timer")
 	}
 	// Cancelled timers do not transfer.
-	tm2 := src.Add(300_000, func() {})
+	tm2 := src.AddArg(300_000, call, func() {})
 	src.Cancel(tm2)
 	if src.Transfer(tm2, dst) {
 		t.Fatal("Transfer moved a cancelled timer")
@@ -215,7 +218,7 @@ func TestTransferPastDeadline(t *testing.T) {
 	dst := New(DefaultTick, 0)
 	dst.Advance(500_000) // destination clock is ahead of the deadline
 	fired := false
-	tm := src.Add(100_000, func() { fired = true })
+	tm := src.AddArg(100_000, call, func() { fired = true })
 	src.Transfer(tm, dst)
 	dst.Advance(600_000)
 	if !fired {
@@ -233,7 +236,7 @@ func TestNextFireTimeNeverInCurrentTick(t *testing.T) {
 	w.Advance(10 * tick)
 
 	// Deadline inside the current tick: fire time is the next boundary.
-	tm := w.Add(10*tick+tick/2, func() {})
+	tm := w.AddArg(10*tick+tick/2, call, func() {})
 	ft, ok := w.NextFireTime()
 	if !ok {
 		t.Fatal("no fire time with a pending timer")
@@ -247,14 +250,14 @@ func TestNextFireTimeNeverInCurrentTick(t *testing.T) {
 	// And the timer really does fire when Advance crosses that boundary.
 	fired := false
 	w.Cancel(tm)
-	w.Add(10*tick+tick/2, func() { fired = true })
+	w.AddArg(10*tick+tick/2, call, func() { fired = true })
 	w.Advance(11 * tick)
 	if !fired {
 		t.Fatal("timer did not fire at the reported fire time")
 	}
 
 	// A deadline beyond the current tick is reported as-is.
-	w.Add(20*tick+5, func() {})
+	w.AddArg(20*tick+5, call, func() {})
 	ft, _ = w.NextFireTime()
 	if ft != 20*tick+5 {
 		t.Fatalf("future deadline fire time = %d, want %d", ft, 20*tick+5)
@@ -272,10 +275,10 @@ func TestNextFireTimeNeverInCurrentTick(t *testing.T) {
 // as NextDeadline after the timer object is reused with a later one.
 func TestTimerReuseGenerations(t *testing.T) {
 	w := New(DefaultTick, 0)
-	early := w.Add(100_000, func() {})
+	early := w.AddArg(100_000, call, func() {})
 	w.Cancel(early)
 	// Reuses the recycled object with a later deadline.
-	late := w.Add(900_000, func() {})
+	late := w.AddArg(900_000, call, func() {})
 	if late != early {
 		t.Skip("free list did not reuse the timer object")
 	}
@@ -292,12 +295,12 @@ func TestZeroAllocAddCancelChurn(t *testing.T) {
 	w := New(DefaultTick, 0)
 	now := int64(0)
 	// Warm.
-	tm := w.Add(now+1_000_000, func() {})
+	tm := w.AddArg(now+1_000_000, call, func() {})
 	w.Cancel(tm)
 	w.NextDeadline()
 	allocs := testing.AllocsPerRun(1000, func() {
 		now += 50_000
-		tm := w.Add(now+1_000_000, func() {})
+		tm := w.AddArg(now+1_000_000, call, func() {})
 		w.Cancel(tm)
 		w.NextDeadline()
 	})
@@ -328,7 +331,7 @@ func TestSlotFiresInInsertionOrder(t *testing.T) {
 	w := New(DefaultTick, 0)
 	var fired []int
 	add := func(id int, deadline int64) *Timer {
-		return w.Add(deadline, func() { fired = append(fired, id) })
+		return w.AddArg(deadline, call, func() { fired = append(fired, id) })
 	}
 
 	// Level 0: tick 6, deadlines out of insertion order.
