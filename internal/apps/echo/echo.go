@@ -41,7 +41,6 @@ type server struct {
 	app.Base
 	env  app.Env
 	size int
-	zb   []byte // zeros backing past zeroBytes (see zeros)
 }
 
 type srvConn struct {
@@ -57,7 +56,7 @@ func (s *server) OnRecv(c app.Conn, data []byte) {
 	for st.got >= s.size {
 		st.got -= s.size
 		s.env.Charge(serverMsgCost)
-		c.Send(zeros(&s.zb, s.size))
+		c.Send(zeros(s.size))
 	}
 }
 
@@ -354,9 +353,6 @@ type client struct {
 	env app.Env
 	cfg ClientConfig
 
-	// zb backs zero-filled request payloads past zeroBytes (see zeros).
-	zb []byte
-
 	// connSeq numbers connections for verify-mode pattern seeding.
 	connSeq uint64
 
@@ -478,7 +474,7 @@ func (cl *client) sendReq(c app.Conn, st *clientConn, v *verifyState) {
 		v.unsent = v.buf[n:]
 		return
 	}
-	c.Send(zeros(&cl.zb, cl.cfg.MsgSize))
+	c.Send(zeros(cl.cfg.MsgSize))
 }
 
 func (cl *client) OnRecv(c app.Conn, data []byte) {
@@ -696,22 +692,13 @@ func (f *Fleet) Pending() int {
 	return n
 }
 
-// zeroBytes backs every zero-filled payload up to its size — every
-// message size the repository runs (Fig. 2 tops out at 512 KiB). It is a
+// zeroBytes backs every zero-filled payload: it covers every message
+// size the repository runs (Fig. 2 tops out at exactly 512 KiB). It is a
 // package-level array, so it lives in the binary's zero segment rather
 // than the heap, and nothing ever writes it: the stacks copy out of a
 // sent buffer and applications treat transmitted buffers as immutable,
 // so sharing it across instances shares no mutable state.
 var zeroBytes [512 << 10]byte
 
-// zeros returns a read-only buffer of n zero bytes: a view of zeroBytes,
-// or for a larger n a per-instance backing in *buf grown on demand.
-func zeros(buf *[]byte, n int) []byte {
-	if n <= len(zeroBytes) {
-		return zeroBytes[:n:n]
-	}
-	for cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	return (*buf)[:n]
-}
+// zeros returns a read-only view of n zero bytes, n ≤ len(zeroBytes).
+func zeros(n int) []byte { return zeroBytes[:n:n] }

@@ -45,10 +45,9 @@ func TestFnvStreamSumPositionSensitive(t *testing.T) {
 }
 
 func TestZerosReuse(t *testing.T) {
-	var zb []byte
-	a := zeros(&zb, 64)
-	b := zeros(&zb, 128)
-	if len(a) != 64 || len(b) != 128 {
+	a := zeros(64)
+	b := zeros(len(zeroBytes))
+	if len(a) != 64 || cap(a) != 64 || len(b) != len(zeroBytes) {
 		t.Fatal("zeros sizing broken")
 	}
 	for _, x := range b {

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"ix/internal/cost"
@@ -55,9 +52,13 @@ const DefaultBatchBound = 64
 // dedicated hardware threads with pass-through NIC access.
 type Dataplane struct {
 	netstack.Host
-	eng     *sim.Engine
-	cfg     Config
+	eng *sim.Engine
+	cfg Config
+	// threads are the live elastic threads; all holds every thread ever
+	// spawned, revoked ones included, so totals and the conservation
+	// counts still see what a revoked thread counted or lent out.
 	threads []*ElasticThread
+	all     []*ElasticThread
 
 	// missCache avoids recomputing the DDIO penalty every cycle.
 	missConns    int
@@ -69,22 +70,6 @@ type Dataplane struct {
 	// FlowsMigrated counts connections re-homed.
 	Migrations    uint64
 	FlowsMigrated uint64
-
-	// Loss/reorder indicators carried over from revoked threads, so the
-	// totals below survive consolidation.
-	retiredOOO         uint64
-	retiredRetrans     uint64
-	retiredFastRetrans uint64
-	retiredPoolDrops   uint64
-	// Busy time carried over from revoked threads, so a window's CPU
-	// breakdown survives core revocation mid-window.
-	retiredKernelNs int64
-	retiredUserNs   int64
-
-	// timerSeq numbers user-timer registrations dataplane-wide so
-	// re-homing can replay them in registration order (wheel slots fire
-	// in insertion order, so transfer order is sim-visible).
-	timerSeq uint64
 }
 
 // LossTotals aggregates the loss and reordering indicators across all
@@ -92,9 +77,7 @@ type Dataplane struct {
 // assert on these, and a violation on a thread that is later revoked
 // must stay visible.
 func (d *Dataplane) LossTotals() (ooo, retrans, fastRetrans, poolDrops uint64) {
-	ooo, retrans, fastRetrans, poolDrops =
-		d.retiredOOO, d.retiredRetrans, d.retiredFastRetrans, d.retiredPoolDrops
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		t := et.ns.TCP()
 		ooo += t.OutOfOrderSegs
 		retrans += t.Retransmits
@@ -137,6 +120,7 @@ func (d *Dataplane) Start() {
 func (d *Dataplane) spawnThread(id int) {
 	et := newElasticThread(d, id)
 	d.threads = append(d.threads, et)
+	d.all = append(d.all, et)
 	et.user = d.cfg.User(et.api, id, d.cfg.Threads)
 	// Kick once so programs that queued work at construction run.
 	et.wake()
@@ -157,29 +141,32 @@ func (d *Dataplane) ConnCount() int {
 	return n
 }
 
-// EachStack calls fn with every live elastic thread's network stack.
+// EachStack calls fn with every elastic thread's network stack, revoked
+// threads' included: their frame pools still count what they lent out.
 func (d *Dataplane) EachStack(fn func(*netstack.Stack)) {
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		fn(et.ns)
 	}
 }
 
-// MbufsInUse sums the receive mbufs still referenced across the live
-// threads' pools: zero once traffic has quiesced.
+// MbufsInUse sums the receive mbufs still referenced across every
+// thread's pool, revoked threads' included: zero once traffic has
+// quiesced.
 func (d *Dataplane) MbufsInUse() int {
 	n := 0
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		n += et.drv.Pool.InUse()
 	}
 	return n
 }
 
-// TxChunksInUse sums the TX arena chunks held across the live threads'
-// pools: zero once every send is acknowledged and every dead
+// TxChunksInUse sums the TX arena chunks held across every thread's
+// pool, revoked threads' included (a migrated connection keeps the
+// chunks it holds): zero once every send is acknowledged and every dead
 // connection's arena released.
 func (d *Dataplane) TxChunksInUse() int {
 	n := 0
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		n += et.txpool.InUse()
 	}
 	return n
@@ -244,7 +231,13 @@ func (d *Dataplane) AddElasticThread() error {
 // RemoveElasticThread revokes the highest elastic thread (control plane
 // revocation): each of its flow groups migrates — with its in-flight
 // frames and timers — to a surviving thread chosen by the repartition
-// plan, its user timers re-home to thread 0, and the thread halts.
+// plan, and the thread halts. It stays in the dataplane's totals.
+//
+// Every connection lives on the thread its RSS bucket maps to (a SYN
+// arrives on that queue, an active open picks a port to match, and a
+// repartition moves connections with their buckets), and the plan moves
+// every bucket of the revoked queue. A connection left on the victim
+// breaks that invariant: it panics.
 func (d *Dataplane) RemoveElasticThread() error {
 	if len(d.threads) <= 1 {
 		return fmt.Errorf("core: cannot remove the last elastic thread")
@@ -252,21 +245,10 @@ func (d *Dataplane) RemoveElasticThread() error {
 	n := len(d.threads) - 1
 	victim := d.threads[n]
 	d.applyRepartition(d.NIC().PlanRepartition(n))
-	// Safety net: any connection still homed on the victim (e.g. one
-	// whose reply flow was never RSS-classified) moves to the thread its
-	// bucket now selects.
-	d.migrateResidual(victim)
-	// User timers survive core revocation: they re-home to thread 0 with
-	// deadlines intact.
-	d.rehomeUserTimers(victim, d.threads[0])
+	if conns := victim.ns.TCP().Conns(); len(conns) > 0 {
+		panic(fmt.Sprintf("core: flow %v is still on revoked thread %d after the repartition", conns[0].Key(), victim.id))
+	}
 	d.threads = d.threads[:n]
-	t := victim.ns.TCP()
-	d.retiredOOO += t.OutOfOrderSegs
-	d.retiredRetrans += t.Retransmits
-	d.retiredFastRetrans += t.FastRetransmits
-	d.retiredPoolDrops += victim.drv.PoolDrops
-	d.retiredKernelNs += victim.KernelNs
-	d.retiredUserNs += victim.UserNs
 	victim.stopped = true
 	if victim.idleWake != nil {
 		d.eng.Cancel(victim.idleWake)
@@ -349,53 +331,6 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 	}
 }
 
-// migrateResidual sweeps src for connections whose bucket no longer maps
-// to it and re-homes them (removal safety net).
-func (d *Dataplane) migrateResidual(src *ElasticThread) {
-	src.quiesce()
-	for _, c := range src.ns.TCP().Conns() {
-		want := d.NIC().RSSQueue(c.Key().Reverse())
-		if want == src.id {
-			want = 0
-		}
-		if want >= len(d.threads) || d.threads[want] == src {
-			want = 0
-		}
-		dst := d.threads[want]
-		if dst == src {
-			continue
-		}
-		d.moveConn(src, dst, c)
-		dst.wake()
-	}
-}
-
-// rehomeUserTimers transfers every pending user timer from src's wheel to
-// dst's, preserving deadlines. The timer records carry their owning
-// thread, so the EvTimer condition fires in dst's user phase.
-func (d *Dataplane) rehomeUserTimers(src, dst *ElasticThread) {
-	// Timers sharing a wheel slot fire in insertion order, so the
-	// transfer sequence is sim-visible: walk the set in registration
-	// order, never map-iteration order (found by ixvet/determinism).
-	uts := slices.SortedFunc(maps.Keys(src.userTimers), func(a, b *userTimer) int {
-		return cmp.Compare(a.seq, b.seq)
-	})
-	moved := false
-	for _, ut := range uts {
-		delete(src.userTimers, ut)
-		if !src.wheel.Transfer(ut.t, dst.wheel) {
-			continue
-		}
-		ut.et = dst
-		dst.userTimers[ut] = struct{}{}
-		moved = true
-	}
-	if moved {
-		// Re-evaluate dst's idle wakeup against the new earliest deadline.
-		dst.wake()
-	}
-}
-
 // moveConn re-homes one connection from src to dst: TCP state and timers,
 // the protection-domain handle, and the user program's adoption event.
 func (d *Dataplane) moveConn(src, dst *ElasticThread, c *tcp.Conn) {
@@ -413,9 +348,7 @@ func (d *Dataplane) moveConn(src, dst *ElasticThread, c *tcp.Conn) {
 // ResetStats zeroes measurement counters on all threads (start of a
 // measurement window).
 func (d *Dataplane) ResetStats() {
-	d.retiredKernelNs = 0
-	d.retiredUserNs = 0
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		et.Cycles = 0
 		et.RxPackets = 0
 		et.drv.PoolDrops = 0
@@ -427,12 +360,10 @@ func (d *Dataplane) ResetStats() {
 
 // CPUBreakdown reports aggregate kernel and user busy time across
 // elastic threads since ResetStats (the §5.5 kernel-time measurement),
-// including time retired with threads revoked mid-window, so elastic
+// including the time of threads revoked mid-window, so elastic
 // revocation loses no busy time.
 func (d *Dataplane) CPUBreakdown() (kernel, user time.Duration) {
-	kernel = time.Duration(d.retiredKernelNs)
-	user = time.Duration(d.retiredUserNs)
-	for _, et := range d.threads {
+	for _, et := range d.all {
 		kernel += time.Duration(et.KernelNs)
 		user += time.Duration(et.UserNs)
 	}

@@ -69,10 +69,6 @@ type ElasticThread struct {
 	// (e.g. at application start), applied to the next user phase.
 	pendingCharge time.Duration
 
-	// userTimers tracks live application timers so the control plane can
-	// re-home them when it revokes this thread's core.
-	userTimers map[*userTimer]struct{}
-
 	// Measurements.
 	Cycles        uint64
 	RxPackets     uint64
@@ -93,25 +89,14 @@ func (et *ElasticThread) Stack() *netstack.Stack { return et.ns }
 func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 	// Per-thread share of the host's expected flow population: RSS
 	// spreads flows near-uniformly over the provisioned queue pairs.
-	expected := 0
-	if n := dp.cfg.ExpectedConns; n > 0 {
-		threads := dp.cfg.MaxThreads
-		if threads <= 0 {
-			threads = dp.cfg.Threads
-		}
-		if threads <= 0 {
-			threads = 1
-		}
-		expected = n / threads
-	}
+	expected := dp.cfg.ExpectedConns / dp.cfg.MaxThreads
 	et := &ElasticThread{
-		dp:         dp,
-		id:         id,
-		core:       sim.NewCore(dp.eng, id),
-		txpool:     mem.NewTxChunkPool(dp.Region(), id),
-		gate:       dune.NewGate[tcp.Conn](id, expected),
-		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
-		userTimers: make(map[*userTimer]struct{}),
+		dp:     dp,
+		id:     id,
+		core:   sim.NewCore(dp.eng, id),
+		txpool: mem.NewTxChunkPool(dp.Region(), id),
+		gate:   dune.NewGate[tcp.Conn](id, expected),
+		wheel:  timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 	}
 	et.cycleFn = et.cycle
 	et.idleFn = et.idleFired
@@ -524,41 +509,19 @@ func (u *UserAPI) Listen(port uint16) error {
 	return err
 }
 
-// userTimer is one live application timer. It records its current owning
-// thread so a control-plane core revocation can re-home it (the EvTimer
-// condition must fire on a thread that still exists).
-type userTimer struct {
-	et *ElasticThread
-	fn func()
-	t  *timerwheel.Timer
-	// seq is the dataplane-wide registration number; re-homing replays
-	// timers in seq order so same-slot timers keep their firing order.
-	seq uint64
-}
-
-// fireUserTimer runs in wheel context (cycle step 5) on whatever thread
-// currently owns the timer.
-func fireUserTimer(a any) {
-	ut := a.(*userTimer)
-	delete(ut.et.userTimers, ut)
-	ut.et.events = append(ut.et.events, Event{Type: EvTimer, Fn: ut.fn})
-}
-
-// After registers a user timer; it fires as an EvTimer event condition in
-// a subsequent cycle's user phase. The timer survives control-plane
-// revocation of this thread's core: it is re-homed with its deadline
-// intact.
+// After registers a user timer: at its deadline it appends an EvTimer
+// event condition to this thread, or to thread 0 if this thread's core
+// has been revoked by then, and wakes that thread, whose next user phase
+// runs it.
 func (u *UserAPI) After(d time.Duration, fn func()) {
 	et := u.et
-	deadline := int64(et.dp.eng.Now()) + int64(d)
-	et.dp.timerSeq++
-	ut := &userTimer{et: et, fn: fn, seq: et.dp.timerSeq}
-	ut.t = et.wheel.AddArg(deadline, fireUserTimer, ut)
-	et.userTimers[ut] = struct{}{}
-	if u.meter == nil {
-		// Ensure the idle loop knows about the new deadline.
+	et.dp.eng.After(d, func() {
+		if et.stopped {
+			et = et.dp.threads[0]
+		}
+		et.events = append(et.events, Event{Type: EvTimer, Fn: fn})
 		et.wake()
-	}
+	})
 }
 
 // TryWriteMbuf attempts to modify a message buffer, enforcing the

@@ -114,7 +114,7 @@ func TestFlowGroupMigration141(t *testing.T) {
 
 	// No packet loss and no intra-flow reordering — aggregated across
 	// every elastic thread the server ever had, including the revoked
-	// ones (LossTotals carries their counters over, so a violation on a
+	// ones (LossTotals still reads revoked threads, so a violation on a
 	// thread that later disappears still fails the test).
 	if d := srv.RxDrops(); d != 0 {
 		t.Errorf("server NIC-edge drops: %d", d)
@@ -199,5 +199,57 @@ func TestMigrationDeterminism(t *testing.T) {
 		if l1[i] != l2[i] {
 			t.Fatalf("controller log event %d diverged: %+v vs %+v", i, l1[i], l2[i])
 		}
+	}
+}
+
+// TestRevokedPoolsStayCounted: a connection migrated off a revoked thread
+// keeps the TX arena chunks and receive mbufs it holds from that
+// thread's pools, so the dataplane's conservation counts go on seeing
+// the revoked thread's pools: TxChunksInUse and MbufsInUse read the same
+// just before and just after the revocation, and the cluster drains to
+// zero of each once the load stops.
+func TestRevokedPoolsStayCounted(t *testing.T) {
+	const size = 64 << 10
+	cl := harness.NewCluster(37)
+	m := echo.NewMetrics()
+	cl.AddHost("server", harness.HostSpec{
+		Arch: harness.ArchIX, Cores: 2, MaxThreads: 2,
+		Factory: echo.ServerFactory(9000, size),
+	})
+	srv := cl.IXServer(0)
+	for i := 0; i < 2; i++ {
+		cl.AddHost("client", harness.HostSpec{
+			Arch: harness.ArchLinux, Cores: 2,
+			Factory: echo.ClientFactory(echo.ClientConfig{
+				ServerIP: srv.IP(), Port: 9000, MsgSize: size,
+				Rounds: 16, Conns: 2, Metrics: m,
+			}),
+		})
+	}
+	cl.Start()
+	cl.Run(2 * time.Millisecond)
+
+	victim := srv.Thread(1)
+	if victim.TxPool().InUse() == 0 {
+		t.Fatal("the thread about to be revoked lends out no TX chunks")
+	}
+	chunks, mbufs := srv.TxChunksInUse(), srv.MbufsInUse()
+	if err := srv.RemoveElasticThread(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.FlowsMigrated == 0 {
+		t.Fatal("no connection migrated off the revoked thread")
+	}
+	if got := srv.TxChunksInUse(); got != chunks {
+		t.Errorf("TxChunksInUse %d before the revocation, %d after", chunks, got)
+	}
+	if got := srv.MbufsInUse(); got != mbufs {
+		t.Errorf("MbufsInUse %d before the revocation, %d after", mbufs, got)
+	}
+
+	m.Running = false
+	cl.Run(50 * time.Millisecond)
+	if l := cl.Leaks(); l != (harness.Leaks{}) {
+		t.Errorf("pools not drained after the load stopped: %+v", l)
 	}
 }
