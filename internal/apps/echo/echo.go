@@ -10,6 +10,7 @@
 package echo
 
 import (
+	"slices"
 	"time"
 
 	"ix/internal/app"
@@ -135,7 +136,9 @@ type Metrics struct {
 	SumMismatches stats.Counter
 	// Latency is per-RPC round-trip time.
 	Latency *stats.Histogram
-	// Running gates reconnects: when false, clients wind down.
+	// Running is the stop switch. Once it clears, clients open no
+	// connection and start no RPC but the first one of a connection
+	// already opening; RPCs in flight complete.
 	Running bool
 }
 
@@ -156,16 +159,14 @@ type ClientConfig struct {
 	ServerIP wire.IPv4
 	Port     uint16
 	MsgSize  int
-	Rounds   int // n round trips per connection; then RST + reconnect
+	Rounds   int // n round trips per connection, then RST + reconnect; 0 = never
 	Conns    int // concurrent connections per client thread
 	Metrics  *Metrics
 
-	// Outstanding, when non-zero, enables the §5.4 rotation mode: the
-	// thread keeps only this many RPCs in flight, rotating round-robin
-	// over its (many) open connections — "each thread repeatedly
-	// performing a 64B RPC with a variable number of active
-	// connections". Rounds is ignored in this mode (connections stay
-	// open).
+	// Outstanding is how many RPCs the thread keeps in flight, rotating
+	// round-robin over its open connections: §5.4's "each thread
+	// repeatedly performing a 64B RPC with a variable number of active
+	// connections". Zero means Conns, one RPC per connection.
 	Outstanding int
 
 	// RampBatch/RampGap override the connection ramp pacing (defaults
@@ -185,12 +186,12 @@ type ClientConfig struct {
 	VerifySeed uint64
 
 	// QuietRamp defers all RPC traffic until this thread's target
-	// connection population is established (rotation mode only):
-	// during the ramp, handshake frames have the NIC rings, the event
-	// queues and the client CPU to themselves, so establishment runs
-	// several times faster than it would while competing with data
-	// segments. Traffic starts on the thread the instant its target
-	// population is reached (unless the thread is fleet-paused).
+	// connection population is established: during the ramp, handshake
+	// frames have the NIC rings, the event queues and the client CPU to
+	// themselves, so establishment runs several times faster than it
+	// would while competing with data segments. Traffic starts on the
+	// thread the instant its target population is reached (unless the
+	// thread is fleet-paused).
 	QuietRamp bool
 
 	// Fleet, when non-nil, registers this client thread for
@@ -288,20 +289,18 @@ func DefaultRampPacing() (batch int, gap time.Duration) {
 
 // ClientFactory returns an app.Factory generating echo load per cfg.
 func ClientFactory(cfg ClientConfig) app.Factory {
+	if cfg.Outstanding == 0 {
+		cfg.Outstanding = cfg.Conns
+	}
 	return func(env app.Env, thread, threads int) app.Handler {
-		c := &client{env: env, cfg: cfg, target: cfg.Conns}
-		c.quiet = cfg.QuietRamp && cfg.Outstanding > 0
+		c := &client{env: env, cfg: cfg, target: cfg.Conns, quiet: cfg.QuietRamp}
 		if cfg.Fleet != nil {
 			cfg.Fleet.clients = append(cfg.Fleet.clients, c)
 		}
-		c.rampConnect(cfg.Conns)
+		c.rampStep(c.rampGen)
 		return c
 	}
 }
-
-// rampConnect opens up to one batch of connections now and schedules the
-// remainder.
-func (cl *client) rampConnect(remaining int) { cl.rampStep(cl.rampGen, remaining) }
 
 // rampPacing returns the effective connect batch size and inter-batch gap.
 func (cl *client) rampPacing() (batch int, gap time.Duration) {
@@ -317,34 +316,19 @@ func (cl *client) rampPacing() (batch int, gap time.Duration) {
 
 // rampStep opens one paced batch and schedules the next. gen guards the
 // chain: a fleet retarget bumps rampGen, killing stale chains from the
-// previous sweep point. In rotation mode the remaining work is recomputed
-// from the live population (ring + unresolved connects vs target) so a
-// chain self-terminates exactly when the point's delta is covered.
-func (cl *client) rampStep(gen uint64, remaining int) {
-	if gen != cl.rampGen {
+// previous sweep point. Each step recomputes the work from the live
+// population (ring + unresolved connects vs target), so a chain ends
+// exactly when the target is covered, or when the load stops.
+func (cl *client) rampStep(gen uint64) {
+	if gen != cl.rampGen || !cl.cfg.Metrics.Running {
 		return
 	}
 	batch, gap := cl.rampPacing()
-	n := remaining
-	if cl.cfg.Outstanding > 0 {
-		if want := cl.target - len(cl.ring) - cl.pending; want < n {
-			n = want
-		}
-	}
-	if n > batch {
-		n = batch
-	}
-	for i := 0; i < n; i++ {
+	for n := min(cl.target-len(cl.ring)-cl.pending, batch); n > 0; n-- {
 		cl.connect()
 	}
-	rest := remaining - n
-	more := rest > 0
-	if cl.cfg.Outstanding > 0 {
-		more = cl.target-len(cl.ring)-cl.pending > 0
-		rest = cl.target // upper bound; the live recomputation paces it
-	}
-	if more {
-		cl.env.After(gap, func() { cl.rampStep(gen, rest) })
+	if cl.target-len(cl.ring)-cl.pending > 0 {
+		cl.env.After(gap, func() { cl.rampStep(gen) })
 	}
 }
 
@@ -356,7 +340,8 @@ type client struct {
 	// connSeq numbers connections for verify-mode pattern seeding.
 	connSeq uint64
 
-	// Rotation mode state.
+	// ring holds the open connections in rotation order; inFlight counts
+	// the busy ones, at most cfg.Outstanding.
 	ring     []app.Conn
 	cursor   int
 	inFlight int
@@ -407,46 +392,39 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 		st = &clientConn{}
 		c.SetCookie(st)
 	}
-	if cl.cfg.Outstanding > 0 {
-		cl.ring = append(cl.ring, c)
-		if cl.quiet {
-			// Quiet ramp: hold all traffic until the population is
-			// complete, then open the rotation at full outstanding.
-			if len(cl.ring) >= cl.target {
-				cl.quiet = false
-				if !cl.paused {
-					cl.startRotation()
-				}
-			}
-			return
-		}
-		if !cl.paused && cl.inFlight < cl.cfg.Outstanding {
-			cl.inFlight++
-			cl.sendReq(c, st, v)
+	cl.ring = append(cl.ring, c)
+	if cl.quiet {
+		// Quiet ramp: hold all traffic until the population is
+		// complete, then open the rotation at full outstanding.
+		if len(cl.ring) >= cl.target {
+			cl.quiet = false
+			cl.startRotation()
 		}
 		return
 	}
-	cl.sendReq(c, st, v)
+	if !cl.paused && cl.inFlight < cl.cfg.Outstanding {
+		cl.inFlight++
+		cl.sendReq(c, st, v)
+	}
 }
 
 // startRotation opens the rotation window: up to Outstanding RPCs issued
 // over the ring (the moment quiet ramp completes, or a fleet resume).
 func (cl *client) startRotation() {
-	n := cl.cfg.Outstanding
-	if n > len(cl.ring) {
-		n = len(cl.ring)
-	}
+	n := min(cl.cfg.Outstanding, len(cl.ring))
 	// Bounded by slot count, not inFlight: issueNext gives a slot back
-	// when every ring entry is already busy.
+	// when it cannot issue.
 	for i := cl.inFlight; i < n; i++ {
 		cl.inFlight++
 		cl.issueNext()
 	}
 }
 
-// issueNext launches an RPC on the next idle connection in the ring.
+// issueNext launches an RPC on the next idle connection in the ring. It
+// gives the in-flight slot back when no connection is idle, the load has
+// stopped or the fleet is paused.
 func (cl *client) issueNext() {
-	for tries := 0; tries < len(cl.ring); tries++ {
+	for tries := 0; tries < len(cl.ring) && cl.cfg.Metrics.Running && !cl.paused; tries++ {
 		c := cl.ring[cl.cursor%len(cl.ring)]
 		cl.cursor++
 		st, v := connState(c)
@@ -512,25 +490,28 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 		m.SumMismatches.Inc()
 	}
 	st.busy = false
-	if cl.cfg.Outstanding > 0 {
-		// Rotation mode: move the in-flight slot to the next conn.
-		if m.Running && !cl.paused {
-			cl.issueNext()
-		} else {
-			cl.inFlight--
+	st.rounds++
+	if cl.cfg.Rounds > 0 && int(st.rounds) >= cl.cfg.Rounds {
+		// Close with RST to avoid ephemeral-port exhaustion (§5.3). The
+		// client forgets the connection, and its slot goes to the
+		// replacement.
+		m.Conns.Inc()
+		c.SetCookie(nil)
+		c.Abort()
+		cl.leave(c)
+		cl.inFlight--
+		if m.Running {
+			cl.connect()
 		}
 		return
 	}
-	st.rounds++
-	if int(st.rounds) < cl.cfg.Rounds || cl.cfg.Rounds <= 0 {
-		cl.sendReq(c, st, v)
-		return
-	}
-	// Close with RST to avoid ephemeral-port exhaustion (§5.3).
-	m.Conns.Inc()
-	c.Abort()
-	if m.Running {
-		cl.connect()
+	cl.issueNext()
+}
+
+// leave drops c from the ring.
+func (cl *client) leave(c app.Conn) {
+	if i := slices.Index(cl.ring, c); i >= 0 {
+		cl.ring = slices.Delete(cl.ring, i, i+1)
 	}
 }
 
@@ -545,34 +526,20 @@ func (cl *client) OnSent(c app.Conn, n int) {
 	}
 }
 
+// OnClosed handles an unexpected death (OnRecv forgot the connections it
+// reset): the connection leaves the ring, its in-flight slot moves on,
+// and a replacement holds the population at target.
 func (cl *client) OnClosed(c app.Conn) {
 	st, _ := connState(c)
-	if cl.cfg.Outstanding > 0 {
-		// Rotation mode: drop the dead connection from the ring, free its
-		// in-flight slot, and replace it to hold the population at target.
-		for i, rc := range cl.ring {
-			if rc == c {
-				cl.ring = append(cl.ring[:i], cl.ring[i+1:]...)
-				break
-			}
-		}
-		if st != nil && st.busy {
-			st.busy = false
-			if cl.cfg.Metrics.Running && !cl.paused && len(cl.ring) > 0 {
-				cl.issueNext()
-			} else {
-				cl.inFlight--
-			}
-		}
-		if cl.cfg.Metrics.Running && len(cl.ring) < cl.target {
-			cl.cfg.Metrics.Failures.Inc()
-			cl.connect()
-		}
+	if st == nil {
 		return
 	}
-	// RST-closed connections already accounted in OnRecv; unexpected
-	// deaths trigger a reconnect to sustain load.
-	if st != nil && int(st.rounds) < cl.cfg.Rounds && cl.cfg.Metrics.Running {
+	cl.leave(c)
+	if st.busy {
+		st.busy = false
+		cl.issueNext()
+	}
+	if cl.cfg.Metrics.Running && len(cl.ring) < cl.target {
 		cl.cfg.Metrics.Failures.Inc()
 		cl.connect()
 	}
@@ -619,15 +586,15 @@ func (cl *client) retarget(conns, outstanding int, seed uint64) {
 	}
 	if len(cl.ring) < conns {
 		cl.quiet = cl.cfg.QuietRamp
-		cl.env.After(0, func() { cl.rampStep(gen, conns) })
+		cl.env.After(0, func() { cl.rampStep(gen) })
 	}
 }
 
-// Fleet coordinates a rotation-mode client population across the sweep
-// points of a persistent-cluster experiment. All methods are host-side
-// (Go memory, not simulated state) and must be called between simulation
-// runs; actions they trigger are scheduled into each thread's own task
-// context so CPU time is charged where the work happens.
+// Fleet coordinates a client population across the sweep points of a
+// persistent-cluster experiment. All methods are host-side (Go memory,
+// not simulated state) and must be called between simulation runs;
+// actions they trigger are scheduled into each thread's own task context
+// so CPU time is charged where the work happens.
 type Fleet struct {
 	clients []*client
 }
@@ -645,12 +612,7 @@ func (f *Fleet) Resume() {
 	for _, cl := range f.clients {
 		cl.paused = false
 		cl.quiet = false
-		c := cl
-		cl.env.After(0, func() {
-			if !c.paused && c.cfg.Metrics.Running {
-				c.startRotation()
-			}
-		})
+		cl.env.After(0, cl.startRotation)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestVerifyStateThroughCookie(t *testing.T) {
 	for _, corrupt := range []bool{false, true} {
 		m := NewMetrics()
 		env := &fakeEnv{}
-		h := ClientFactory(ClientConfig{MsgSize: 64, Rounds: 2, Verify: true, VerifySeed: 9, Metrics: m})(env, 0, 1)
+		h := ClientFactory(ClientConfig{MsgSize: 64, Rounds: 2, Conns: 1, Verify: true, VerifySeed: 9, Metrics: m})(env, 0, 1)
 		c := &fakeConn{}
 		h.OnConnected(c, true)
 		if st, v := connState(c); st == nil || v == nil || !st.busy {

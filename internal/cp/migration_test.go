@@ -222,7 +222,7 @@ func TestRevokedPoolsStayCounted(t *testing.T) {
 			Arch: harness.ArchLinux, Cores: 2,
 			Factory: echo.ClientFactory(echo.ClientConfig{
 				ServerIP: srv.IP(), Port: 9000, MsgSize: size,
-				Rounds: 16, Conns: 2, Metrics: m,
+				Conns: 2, Metrics: m,
 			}),
 		})
 	}

@@ -22,17 +22,18 @@ type EchoSetup struct {
 	ClientCores int
 	// ConnsPerThread is connections each client thread keeps open.
 	ConnsPerThread int
-	// Outstanding enables §5.4 rotation mode when non-zero.
+	// Outstanding is the RPCs each client thread keeps in flight (see
+	// echo.ClientConfig); zero means one per connection.
 	Outstanding int
 	// RampBatch/RampGap pace connection establishment (see
 	// echo.ClientConfig); zero means the echo defaults.
 	RampBatch int
 	RampGap   time.Duration
 	// QuietRamp defers all RPC traffic until each client thread's full
-	// connection population is established (rotation mode), letting
-	// handshakes run without data segments competing for NIC rings,
-	// event queues or client CPU — the establishment fast path of the
-	// large Fig. 4 points.
+	// connection population is established, letting handshakes run
+	// without data segments competing for NIC rings, event queues or
+	// client CPU — the establishment fast path of the large Fig. 4
+	// points.
 	QuietRamp bool
 	// Rounds is n round trips per connection before RST (0 = infinite).
 	Rounds  int
@@ -171,7 +172,5 @@ func RunEcho(s EchoSetup) EchoResult {
 	m.ResetWindow()
 	resetEchoServerStats(cl)
 	cl.Run(s.Window)
-	res := collectEcho(cl, &s, m, s.Window)
-	m.Running = false
-	return res
+	return collectEcho(cl, &s, m, s.Window)
 }

@@ -156,7 +156,6 @@ func RunElastic(s ElasticSetup) ElasticResult {
 			res.PeakAchievedRPS = p.AchievedRPS
 		}
 	}
-	m.Running = false
 
 	// Core-seconds: integrate the controller's per-interval samples over
 	// the ramp; a static run used MaxCores throughout.

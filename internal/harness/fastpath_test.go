@@ -69,7 +69,6 @@ func benchSetup(arch Arch) EchoSetup {
 func TestPersistentSweepDeterminism(t *testing.T) {
 	run := func() string {
 		b := NewEchoBench(benchSetup(ArchIX))
-		defer b.Stop()
 		out := ""
 		for _, total := range []int{800, 1600, 4800} {
 			out += fmt.Sprintf("%d: %+v\n", total, b.MeasurePoint(total, 3, 3*time.Millisecond))
@@ -94,11 +93,9 @@ func TestPersistentColdEquivalence(t *testing.T) {
 	warm := NewEchoBench(benchSetup(ArchIX))
 	warm.MeasurePoint(1600, 3, window)
 	wres := warm.MeasurePoint(4800, 3, window)
-	warm.Stop()
 
 	cold := NewEchoBench(benchSetup(ArchIX))
 	cres := cold.MeasurePoint(4800, 3, window)
-	cold.Stop()
 
 	t.Logf("warm: conns=%d msgs/s=%.0f; cold: conns=%d msgs/s=%.0f",
 		wres.ServerConns, wres.MsgsPerSec, cres.ServerConns, cres.MsgsPerSec)
@@ -131,7 +128,6 @@ func TestClaimFig4ScalesTo250k(t *testing.T) {
 				ClientArch: ArchLinux, ClientHosts: fig4FleetHosts, ClientCores: fig4FleetCores,
 				MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(arch, threads),
 			})
-			defer b.Stop()
 			res := b.MeasurePoint(total, 3, 4*time.Millisecond)
 			t.Logf("%s: established=%d msgs/s=%.3gM", arch, res.ServerConns, res.MsgsPerSec/1e6)
 			if res.ServerConns < total*95/100 {
@@ -175,7 +171,6 @@ func TestClaimFig4ScalesTo1M(t *testing.T) {
 				MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(arch, threads),
 				ExpectedConns: total,
 			})
-			defer b.Stop()
 			res := b.MeasurePoint(total, 3, 4*time.Millisecond)
 			t.Logf("%s: established=%d bytes/conn=%.1f msgs/s=%.3gM",
 				arch, res.ServerConns, res.ServerBytesPerConn, res.MsgsPerSec/1e6)
@@ -218,7 +213,6 @@ func TestRetargetWithInFlightRPCs(t *testing.T) {
 	}
 	// The testbed must still measure sanely afterwards.
 	res := b.MeasurePoint(3200, 3, 2*time.Millisecond)
-	b.Stop()
 	if res.MsgsPerSec <= 0 {
 		t.Fatal("no traffic after undrained retarget")
 	}
@@ -235,7 +229,6 @@ func TestRetargetBelowOpenPanics(t *testing.T) {
 		ClientArch: ArchLinux, ClientHosts: 1, ClientCores: 2,
 		MsgSize: 64, Seed: 7,
 	})
-	defer b.Stop()
 	if res := b.MeasurePoint(80, 2, time.Millisecond); res.ServerConns != 80 {
 		t.Fatalf("established %d server conns, want 80", res.ServerConns)
 	}

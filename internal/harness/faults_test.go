@@ -156,8 +156,6 @@ func TestClaimStreamIntegrityUnderBurstLoss(t *testing.T) {
 				Arch: arch, Cores: 1,
 				Factory: echo.ClientFactory(echo.ClientConfig{
 					ServerIP: server.IP(), Port: port, MsgSize: msg,
-					// Finite rounds so Running=false quiesces the fleet
-					// (the frame-conservation check needs drained wires).
 					Rounds: 64, Conns: 4, Metrics: m,
 					Verify: true, VerifySeed: 7,
 				}),

@@ -108,7 +108,6 @@ func RunMemcached(s MemcSetup) MemcResult {
 	if k, u := srv.CPUBreakdown(); k+u > 0 {
 		res.ServerKernelShare = float64(k) / float64(k+u)
 	}
-	m.Running = false
 	return res
 }
 

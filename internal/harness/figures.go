@@ -263,9 +263,6 @@ func Fig4(sc Scale) *Result {
 				topBytesPerConn = res.ServerBytesPerConn
 			}
 		}
-		if bench != nil {
-			bench.Stop()
-		}
 		r.Notes = append(r.Notes,
 			fmt.Sprintf("%s: %d connections established at the largest point, %.0f bytes/conn",
 				cfgc.label, topConns, topBytesPerConn))

@@ -49,7 +49,6 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 				MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(arch, hosts*cores),
 				ExpectedConns: conns,
 			})
-			defer b.Stop()
 			res := b.MeasurePoint(conns, outstanding, 3*time.Millisecond)
 			if res.ServerConns < conns || res.MsgsPerSec <= 0 {
 				t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
@@ -126,7 +125,6 @@ func TestLinuxBulkSlabsDrain(t *testing.T) {
 				ClientArch: arch, ClientHosts: 2, ClientCores: 2,
 				MsgSize: 64 << 10, ExpectedConns: conns,
 			})
-			defer b.Stop()
 			res := b.MeasurePoint(conns, 1, 4*time.Millisecond)
 			if res.ServerConns < conns || res.MsgsPerSec <= 0 {
 				t.Fatalf("established %d of %d connections, %.0f msgs/s", res.ServerConns, conns, res.MsgsPerSec)
@@ -169,7 +167,6 @@ func TestFootprintRecoveryAfterBurstLoss(t *testing.T) {
 		RampBatch: 16, RampGap: Fig4QuietGap(ArchIX, threads),
 		ExpectedConns: conns,
 	})
-	defer b.Stop()
 
 	b.MeasurePoint(conns, 3, 3*time.Millisecond)
 	baseBytes, baseConns := drainedFootprint(b)
@@ -227,7 +224,6 @@ func TestPresizeGrowShrinkDeterminism(t *testing.T) {
 			MsgSize: 64, RampBatch: 16, RampGap: Fig4QuietGap(ArchIX, threads),
 			ExpectedConns: 2400,
 		})
-		defer b.Stop()
 		var out []sample
 		for _, point := range []int{400, 1600, 2400} {
 			b.MeasurePoint(point, 3, 2*time.Millisecond)

@@ -69,9 +69,6 @@ func NewEchoBench(s EchoSetup) *EchoBench {
 // Threads returns the client fleet's thread count.
 func (b *EchoBench) Threads() int { return b.threads }
 
-// Stop winds the fleet down (no further reconnects).
-func (b *EchoBench) Stop() { b.m.Running = false }
-
 // runUntil advances the simulation in fixed steps until done reports
 // true or the budget is exhausted; it reports whether done held. The
 // polling cadence is fixed, so the stopping time is deterministic.
