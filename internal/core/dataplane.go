@@ -82,9 +82,8 @@ func (d *Dataplane) LossTotals() (ooo, retrans, fastRetrans, poolDrops uint64) {
 		ooo += t.OutOfOrderSegs
 		retrans += t.Retransmits
 		fastRetrans += t.FastRetransmits
-		poolDrops += et.drv.PoolDrops
 	}
-	return
+	return ooo, retrans, fastRetrans, d.PoolDrops()
 }
 
 // New creates a dataplane. Attach NIC ports (links) before Start.
@@ -131,34 +130,6 @@ func (d *Dataplane) Threads() int { return len(d.threads) }
 
 // Thread returns elastic thread i.
 func (d *Dataplane) Thread(i int) *ElasticThread { return d.threads[i] }
-
-// ConnCount sums live connections across elastic threads.
-func (d *Dataplane) ConnCount() int {
-	n := 0
-	for _, et := range d.threads {
-		n += et.ns.TCP().ConnCount()
-	}
-	return n
-}
-
-// EachStack calls fn with every elastic thread's network stack, revoked
-// threads' included: their frame pools still count what they lent out.
-func (d *Dataplane) EachStack(fn func(*netstack.Stack)) {
-	for _, et := range d.all {
-		fn(et.ns)
-	}
-}
-
-// MbufsInUse sums the receive mbufs still referenced across every
-// thread's pool, revoked threads' included: zero once traffic has
-// quiesced.
-func (d *Dataplane) MbufsInUse() int {
-	n := 0
-	for _, et := range d.all {
-		n += et.drv.Pool.InUse()
-	}
-	return n
-}
 
 // TxChunksInUse sums the TX arena chunks held across every thread's
 // pool, revoked threads' included (a migrated connection keeps the
@@ -384,10 +355,6 @@ func (d *Dataplane) MeanBatch() float64 {
 	}
 	return float64(frames) / float64(cycles)
 }
-
-// RxDrops reports NIC-edge drops (ring overflow) — where all queueing
-// happens in IX (§3).
-func (d *Dataplane) RxDrops() uint64 { return d.NIC().RxDrops }
 
 // MaxThreads returns the hardware queue-pair budget.
 func (d *Dataplane) MaxThreads() int { return d.cfg.MaxThreads }

@@ -36,7 +36,7 @@ type ElasticThread struct {
 	core *sim.Core
 
 	ns     *netstack.Stack
-	drv    netstack.Driver
+	drv    *netstack.Driver
 	wheel  *timerwheel.Wheel
 	txpool *mem.TxChunkPool
 	gate   *dune.Gate[tcp.Conn]
@@ -100,35 +100,18 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 	}
 	et.cycleFn = et.cycle
 	et.idleFn = et.idleFired
-	et.drv = netstack.Driver{
-		RX:    dp.NIC().RxQueue(id),
-		TX:    dp.NIC().TxQueue(id),
-		Pool:  mem.NewMbufPool(dp.Region(), id),
-		Price: et.rxPrice,
-	}
+	et.drv = dp.QueuePair(id, et.rxPrice)
 	et.drv.RX.Mode = nicsim.ModePoll
 	et.drv.RX.OnFrame = et.wake
-	et.ns = netstack.New(netstack.Config{
-		LocalIP:   dp.cfg.IP,
-		LocalMAC:  dp.cfg.MAC,
-		Now:       func() int64 { return int64(dp.eng.Now()) },
+	et.ns = dp.NewStack(netstack.Config{
 		Wheel:     et.wheel,
 		SendFrame: et.drv.Stage,
 		Events:    (*threadEvents)(et),
-		ARP:       dp.ARP(),
 		Seed:      dp.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
 		MinRTO:    dp.cfg.MinRTO,
+		PortOK:    dp.RepliesTo(id),
 
 		ExpectedConns: expected,
-		PortOK: func(p uint16, dst wire.IPv4, dport uint16) bool {
-			// Probe until replies for this flow RSS-hash to our queue.
-			ret := wire.FlowKey{
-				SrcIP: dst, DstIP: dp.cfg.IP,
-				SrcPort: dport, DstPort: p,
-				Proto: wire.ProtoTCP,
-			}
-			return dp.NIC().RSSQueue(ret) == id
-		},
 	})
 	et.api = &UserAPI{et: et}
 	return et
@@ -574,10 +557,7 @@ func (et *ElasticThread) RxQueueLen() int { return et.drv.RX.Len() }
 
 // CoreUtilization reports the busy fraction of the thread's hardware
 // thread since the last stats reset.
-func (et *ElasticThread) CoreUtilization() float64 {
-	_, total := et.core.Utilization()
-	return total
-}
+func (et *ElasticThread) CoreUtilization() float64 { return et.core.Utilization() }
 
 // Pool exposes the thread's mbuf pool (tests and CP accounting).
 func (et *ElasticThread) Pool() *mem.MbufPool { return et.drv.Pool }

@@ -116,7 +116,7 @@ func TestFlowGroupMigration141(t *testing.T) {
 	// every elastic thread the server ever had, including the revoked
 	// ones (LossTotals still reads revoked threads, so a violation on a
 	// thread that later disappears still fails the test).
-	if d := srv.RxDrops(); d != 0 {
+	if d := srv.NIC().RxDrops; d != 0 {
 		t.Errorf("server NIC-edge drops: %d", d)
 	}
 	ooo, retrans, fastRetrans, poolDrops := srv.LossTotals()

@@ -157,7 +157,7 @@ func collectEcho(cl *Cluster, s *EchoSetup, m *echo.Metrics, window time.Duratio
 			res.KernelPerMsg = k / time.Duration(msgs)
 		}
 		res.MeanBatch = dp.MeanBatch()
-		res.Drops = dp.RxDrops()
+		res.Drops = dp.NIC().RxDrops
 	}
 	return res
 }

@@ -174,7 +174,7 @@ func RunElastic(s ElasticSetup) ElasticResult {
 	}
 	res.Migrations = srv.Migrations
 	res.FlowsMigrated = srv.FlowsMigrated
-	res.Drops = srv.RxDrops()
+	res.Drops = srv.NIC().RxDrops
 	return res
 }
 

@@ -40,7 +40,7 @@ func TestOverloadDropsAtNICEdge(t *testing.T) {
 	if m.Msgs.Total() == 0 {
 		t.Fatal("server made no progress under overload")
 	}
-	t.Logf("overload: %d msgs, %d NIC-edge drops", m.Msgs.Total(), srv.RxDrops())
+	t.Logf("overload: %d msgs, %d NIC-edge drops", m.Msgs.Total(), srv.NIC().RxDrops)
 	// Retransmissions recovered whatever was dropped; steady service.
 	rate := float64(m.Msgs.Total()) / 0.03
 	if rate < 500_000 {

@@ -21,7 +21,6 @@ import (
 	"ix/internal/app"
 	"ix/internal/cost"
 	"ix/internal/fabric"
-	"ix/internal/mem"
 	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
@@ -84,14 +83,10 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 	h.timerTask = h.runTimerTask
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
 	h.wake = netstack.NewTimerWake(eng, h.wheel, func() { h.cores[0].core.Submit(sim.ClassKernel, h.timerTask) })
-	h.ns = netstack.New(netstack.Config{
-		LocalIP:   cfg.IP,
-		LocalMAC:  cfg.MAC,
-		Now:       func() int64 { return int64(eng.Now()) },
+	h.ns = h.NewStack(netstack.Config{
 		Wheel:     h.wheel,
 		SendFrame: func(f *fabric.Frame) { h.curCore().drv.Stage(f) },
 		Events:    &h.layer,
-		ARP:       h.ARP(),
 		Seed:      cfg.Seed,
 		RcvWnd:    cfg.RcvWnd,
 		MinRTO:    cfg.MinRTO,
@@ -106,9 +101,6 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 
 // Stack exposes the shared kernel stack (tests).
 func (h *Host) Stack() *netstack.Stack { return h.ns }
-
-// EachStack calls fn with the shared kernel stack.
-func (h *Host) EachStack(fn func(*netstack.Stack)) { fn(h.ns) }
 
 // Start spawns per-core kernel contexts and application threads.
 func (h *Host) Start() {
@@ -136,19 +128,6 @@ func (h *Host) Footprint() memprobe.Footprint { return h.layer.Footprint(h.ns.TC
 
 // Slabs reports the host's staging slabs, attached and free.
 func (h *Host) Slabs() (inUse, free int) { return h.layer.Slabs() }
-
-// ConnCount returns live connections.
-func (h *Host) ConnCount() int { return h.ns.TCP().ConnCount() }
-
-// MbufsInUse sums the receive mbufs still referenced across every core's
-// pool: zero once traffic has quiesced.
-func (h *Host) MbufsInUse() int {
-	n := 0
-	for _, k := range h.cores {
-		n += k.drv.Pool.InUse()
-	}
-	return n
-}
 
 // CPUBreakdown reports kernel vs user busy time since ResetStats.
 func (h *Host) CPUBreakdown() (kernel, user time.Duration) {
@@ -183,7 +162,7 @@ type kcore struct {
 	id   int
 	core *sim.Core
 
-	drv netstack.Driver
+	drv *netstack.Driver
 	// missNs is this poll's per-frame LLC-miss charge (rxPrice).
 	missNs time.Duration
 
@@ -231,12 +210,7 @@ func newKcore(h *Host, id int) *kcore {
 		Ready:  k.maybeWakeApp,
 	}
 	k.core.CtxSwitch = c.CtxSwitch
-	k.drv = netstack.Driver{
-		RX:    h.NIC().RxQueue(id),
-		TX:    h.NIC().TxQueue(id),
-		Pool:  mem.NewMbufPool(h.Region(), id),
-		Price: k.rxPrice,
-	}
+	k.drv = h.QueuePair(id, k.rxPrice)
 	k.drv.RX.Mode = nicsim.ModeInterrupt
 	k.drv.RX.OnInterrupt = k.hardIRQ
 	k.drv.RX.EnableInterrupt()

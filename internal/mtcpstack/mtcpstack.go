@@ -19,7 +19,6 @@ import (
 	"ix/internal/app"
 	"ix/internal/cost"
 	"ix/internal/fabric"
-	"ix/internal/mem"
 	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
@@ -67,42 +66,6 @@ func (h *Host) Cores() int { return len(h.cores) }
 // Stack returns core i's network stack (started hosts only).
 func (h *Host) Stack(i int) *netstack.Stack { return h.cores[i].ns }
 
-// EachStack calls fn with every core's network stack (started hosts
-// only).
-func (h *Host) EachStack(fn func(*netstack.Stack)) {
-	for _, m := range h.cores {
-		fn(m.ns)
-	}
-}
-
-// PoolDrops counts received frames the TCP threads released because an
-// mbuf pool was dry.
-func (h *Host) PoolDrops() (n uint64) {
-	for _, m := range h.cores {
-		n += m.drv.PoolDrops
-	}
-	return n
-}
-
-// MbufsInUse sums the receive mbufs still referenced across every core's
-// pool: zero once traffic has quiesced.
-func (h *Host) MbufsInUse() int {
-	n := 0
-	for _, m := range h.cores {
-		n += m.drv.Pool.InUse()
-	}
-	return n
-}
-
-// ConnCount sums live connections.
-func (h *Host) ConnCount() int {
-	n := 0
-	for _, m := range h.cores {
-		n += m.ns.TCP().ConnCount()
-	}
-	return n
-}
-
 // Footprint implements the memprobe accounting contract for the mTCP
 // host model: each core's TCP engine tally and its socket layer.
 func (h *Host) Footprint() memprobe.Footprint {
@@ -129,7 +92,7 @@ type mcore struct {
 	core *sim.Core
 
 	ns    *netstack.Stack
-	drv   netstack.Driver
+	drv   *netstack.Driver
 	wheel *timerwheel.Wheel
 	// wake runs a TCP round when a wheel deadline comes due.
 	wake *netstack.TimerWake
@@ -195,33 +158,21 @@ func newMcore(h *Host, id int) *mcore {
 	m.tcpFn = m.tcpRound
 	m.appFn = m.appRound
 	m.wake = netstack.NewTimerWake(h.eng, m.wheel, m.wakeTCP)
-	m.drv = netstack.Driver{
-		RX:    h.NIC().RxQueue(id),
-		TX:    h.NIC().TxQueue(id),
-		Pool:  mem.NewMbufPool(h.Region(), id),
-		Price: m.rxPrice,
-	}
+	m.drv = h.QueuePair(id, m.rxPrice)
 	m.drv.RX.Mode = nicsim.ModePoll
 	m.drv.RX.OnFrame = m.wakeTCP
-	m.ns = netstack.New(netstack.Config{
-		LocalIP:   h.cfg.IP,
-		LocalMAC:  h.cfg.MAC,
-		Now:       func() int64 { return int64(h.eng.Now()) },
+	m.ns = h.NewStack(netstack.Config{
 		Wheel:     m.wheel,
 		SendFrame: m.drv.Stage,
 		Events:    &m.layer,
-		ARP:       h.ARP(),
 		Seed:      h.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
 		RcvWnd:    h.cfg.RcvWnd,
 		MinRTO:    h.cfg.MinRTO,
+		// mTCP also partitions flows per core: it splits the ephemeral
+		// port space by RSS, like IX.
+		PortOK: h.RepliesTo(id),
 
 		ExpectedConns: expected,
-		PortOK: func(p uint16, dst wire.IPv4, dport uint16) bool {
-			// mTCP also partitions flows per core (it splits the
-			// ephemeral port space by RSS, like IX).
-			ret := wire.FlowKey{SrcIP: dst, DstIP: h.cfg.IP, SrcPort: dport, DstPort: p, Proto: wire.ProtoTCP}
-			return h.NIC().RSSQueue(ret) == id
-		},
 	})
 	return m
 }

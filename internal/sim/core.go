@@ -69,9 +69,6 @@ const (
 	ClassTCPThread                  // mTCP per-core TCP thread
 )
 
-// numClasses sizes the per-class accounting array.
-const numClasses = 4
-
 type coreTask struct {
 	class TaskClass
 	fn    func(*Meter)
@@ -80,8 +77,8 @@ type coreTask struct {
 
 // A Core models one hardware thread. Tasks submitted to a core run
 // serially; each task's virtual duration is whatever its function charges
-// to the Meter. Cores track utilization for the kernel-time/user-time
-// breakdowns reported in the paper's §5.5.
+// to the Meter. Cores track their busy time: the control plane's
+// utilization signal.
 type Core struct {
 	Eng *Engine
 	ID  int
@@ -100,8 +97,8 @@ type Core struct {
 	pending coreTask
 	meter   Meter
 
-	// Utilization accounting, by class.
-	busyTime  [numClasses]time.Duration
+	// Utilization accounting.
+	busyTime  time.Duration
 	statStart Time
 }
 
@@ -175,7 +172,7 @@ func (c *Core) runTask() {
 	c.lastClass = t.class
 	t.fn(m)
 	end := c.Eng.Now().Add(m.total)
-	c.busyTime[t.class] += m.total
+	c.busyTime += m.total
 	c.Eng.Call(end, coreFinish, c)
 }
 
@@ -187,25 +184,16 @@ func (c *Core) finishTask() {
 
 // ResetStats zeroes utilization counters and marks the measurement epoch.
 func (c *Core) ResetStats() {
-	c.busyTime = [numClasses]time.Duration{}
+	c.busyTime = 0
 	c.statStart = c.Eng.Now()
 }
 
-// Utilization returns the fraction of time since ResetStats the core spent
-// in each class, and the total busy fraction. Returns zeros before any
-// time has passed.
-func (c *Core) Utilization() (byClass map[TaskClass]float64, total float64) {
+// Utilization returns the fraction of time since ResetStats the core
+// spent busy, or zero before any time has passed.
+func (c *Core) Utilization() float64 {
 	elapsed := c.Eng.Now().Sub(c.statStart)
-	byClass = make(map[TaskClass]float64)
 	if elapsed <= 0 {
-		return byClass, 0
+		return 0
 	}
-	var busy time.Duration
-	for cl, d := range c.busyTime {
-		if d > 0 {
-			byClass[TaskClass(cl)] = float64(d) / float64(elapsed)
-		}
-		busy += d
-	}
-	return byClass, float64(busy) / float64(elapsed)
+	return float64(c.busyTime) / float64(elapsed)
 }

@@ -43,10 +43,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 type Event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn / fnArg is set; fnArg avoids a closure allocation
-	// for hot-path callbacks that need a single argument.
-	fn       func()
-	fnArg    func(any)
+	// fn(arg) is the callback. At and After store their func() as the
+	// arg of callFunc, so firing is one call whichever way it was made.
+	fn       func(any)
 	arg      any
 	index    int // heap index, -1 if not queued in the heap
 	canceled bool
@@ -230,7 +229,6 @@ func (e *Engine) alloc() *Event {
 //ix:hotpath
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.fnArg = nil
 	ev.arg = nil
 	ev.canceled = false
 	e.free = append(e.free, ev)
@@ -267,10 +265,15 @@ func (e *Engine) schedule(ev *Event) {
 func (e *Engine) At(t Time, fn func()) *Event {
 	ev := e.alloc()
 	ev.at = t
-	ev.fn = fn
+	ev.fn = callFunc
+	ev.arg = fn
 	e.schedule(ev)
 	return ev
 }
+
+// callFunc is At's trampoline: a func() held in an interface is a
+// pointer, so storing it there does not allocate.
+func callFunc(a any) { a.(func())() }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
 func (e *Engine) After(d time.Duration, fn func()) *Event {
@@ -289,7 +292,7 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 func (e *Engine) Call(t Time, fn func(any), arg any) {
 	ev := e.alloc()
 	ev.at = t
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 	e.schedule(ev)
 }
@@ -332,7 +335,7 @@ func (e *Engine) CallReserved(t Time, seq uint64, fn func(any), arg any) {
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = seq
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 	// Always the heap: a reserved seq may be older than same-instant ring
 	// events, and next merges the two by seq.
@@ -402,13 +405,9 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.Processed++
-	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	fn, arg := ev.fn, ev.arg
 	e.recycle(ev)
-	if fnArg != nil {
-		fnArg(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 

@@ -205,12 +205,8 @@ func TestCoreUtilization(t *testing.T) {
 	c.Submit(ClassUser, func(m *Meter) { m.Charge(100 * time.Nanosecond) })
 	e.Run()
 	e.RunUntil(1000)
-	by, total := c.Utilization()
-	if total < 0.39 || total > 0.41 {
+	if total := c.Utilization(); total < 0.39 || total > 0.41 {
 		t.Fatalf("total utilization = %v, want ~0.4", total)
-	}
-	if by[ClassKernel] < 0.29 || by[ClassKernel] > 0.31 {
-		t.Fatalf("kernel utilization = %v, want ~0.3", by[ClassKernel])
 	}
 }
 

@@ -684,6 +684,67 @@ func TestRTTEstimation(t *testing.T) {
 	}
 }
 
+// TestRTORule pins the retransmission timeout a connection stores, with
+// the expected values written out rather than read from the constants:
+// 1 ms before any RTT sample, exactly the 200 µs floor after samples whose
+// SRTT + 4·RTTVAR is below it, and a doubling per timeout up to the 4 s
+// cap. Each sample is a 10 µs round trip; the timeouts follow them with
+// every segment from the client lost.
+func TestRTORule(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	for _, tc := range []struct {
+		name              string
+		samples, timeouts int
+		want              time.Duration
+	}{
+		{"no sample", 0, 0, 1 * ms},
+		{"one sample below the floor", 1, 0, 200 * us},
+		{"three samples below the floor", 3, 0, 200 * us},
+		{"handshake timeout", 0, 1, 2 * ms},
+		{"one timeout", 1, 1, 400 * us},
+		{"two timeouts", 1, 2, 800 * us},
+		{"fourteen timeouts", 1, 14, 3276800 * us},
+		{"fifteen timeouts reach the cap", 1, 15, 4000 * ms},
+		{"sixteen timeouts stay at the cap", 1, 16, 4000 * ms},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newTestNet(t, func(c *Config) { c.MaxRexmits = 20 })
+			var c *Conn
+			if tc.samples == 0 {
+				if _, err := n.b.stack.Listen(80, nil); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if c, err = n.a.stack.Connect(n.b.ip, 80, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c, _ = n.open(t, 80)
+			}
+			for range tc.samples {
+				c.Send([]byte("timed"))
+				n.advance(10 * us)
+			}
+			if tc.timeouts > 0 {
+				n.drop = func(from *side, _ *wire.TCPHeader, _ []byte) bool { return from == n.a }
+				if tc.samples > 0 {
+					c.Send([]byte("lost"))
+				}
+			}
+			for range tc.timeouts {
+				// Past the deadline by one wheel tick, short of the next.
+				n.advance(time.Duration(c.rto) + timerwheel.DefaultTick)
+			}
+			if got := time.Duration(c.rto); got != tc.want {
+				t.Fatalf("rto = %v, want %v", got, tc.want)
+			}
+			if tc.timeouts > 0 && n.a.stack.Retransmits != uint64(tc.timeouts) {
+				t.Fatalf("%d retransmissions, want %d", n.a.stack.Retransmits, tc.timeouts)
+			}
+		})
+	}
+}
+
 func TestConnectionTimeout(t *testing.T) {
 	n := newTestNet(t, func(c *Config) { c.MaxRexmits = 2 })
 	c, s := n.open(t, 80)
