@@ -53,12 +53,17 @@ type Metrics struct {
 	// Running gates reconnects and new rounds.
 	Running bool
 
-	// Per-round tracking, keyed by round number.
-	start   map[int]int64
-	entered map[int]int
-	skipped map[int]int
-	done    map[int]int
-	failed  map[int]bool
+	// rounds tracks each unsettled round, keyed by round number.
+	rounds map[int]*round
+}
+
+// round is one round's tracking: the first sender's burst start, how
+// many senders entered it, skipped it and confirmed it, and whether it
+// failed.
+type round struct {
+	start                  int64
+	entered, skipped, done int
+	failed                 bool
 }
 
 // NewMetrics returns a running metrics sink.
@@ -66,81 +71,80 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		Completion: stats.NewHistogram(),
 		Running:    true,
-		start:      map[int]int64{},
-		entered:    map[int]int{},
-		skipped:    map[int]int{},
-		done:       map[int]int{},
-		failed:     map[int]bool{},
+		rounds:     map[int]*round{},
 	}
 }
 
 // Every sender accounts for every round exactly once — enter (burst at
 // the barrier) or skip (dead/reconnecting at the barrier) — so rounds
-// always land in RoundsDone or RoundsFailed and the tracking maps stay
+// always land in RoundsDone or RoundsFailed and the tracking map stays
 // bounded.
+
+// track returns round k's tracking, opening it on first use.
+func (m *Metrics) track(k int) *round {
+	r := m.rounds[k]
+	if r == nil {
+		r = &round{}
+		m.rounds[k] = r
+	}
+	return r
+}
 
 // enter records the round's burst start: the first sender to enter has
 // the earliest virtual time.
-func (m *Metrics) enter(round int, now int64) {
-	if _, ok := m.start[round]; !ok {
-		m.start[round] = now
+func (m *Metrics) enter(k int, now int64) {
+	r := m.track(k)
+	if r.entered == 0 {
+		r.start = now
 	}
-	m.entered[round]++
+	r.entered++
 }
 
 // finish records a confirmation: completion time is the last sender's
 // finishing virtual time minus the round start.
-func (m *Metrics) finish(round int, now int64) {
-	if _, live := m.start[round]; !live {
+func (m *Metrics) finish(k int, now int64) {
+	r := m.rounds[k]
+	if r == nil || r.entered == 0 {
 		return // already settled (e.g. failed and forgotten)
 	}
-	m.done[round]++
-	if m.done[round] == m.Senders && m.entered[round] == m.Senders && !m.failed[round] {
+	r.done++
+	if r.done == m.Senders && r.entered == m.Senders && !r.failed {
 		m.RoundsDone.Inc()
-		m.Completion.Record(time.Duration(now - m.start[round]))
-		m.forget(round)
+		m.Completion.Record(time.Duration(now - r.start))
+		delete(m.rounds, k)
 		return
 	}
-	m.settle(round)
+	m.settle(k, r)
 }
 
 // skip accounts a barrier a sender could not make (no live connection,
 // or it was behind after a reconnect): the round can no longer complete
 // cleanly.
-func (m *Metrics) skip(round int) {
-	m.skipped[round]++
-	if !m.failed[round] {
-		m.failed[round] = true
+func (m *Metrics) skip(k int) {
+	r := m.track(k)
+	r.skipped++
+	if !r.failed {
+		r.failed = true
 		m.RoundsFailed.Inc()
 	}
-	m.settle(round)
+	m.settle(k, r)
 }
 
-func (m *Metrics) fail(round int) {
-	if round < 0 || m.failed[round] {
-		return
+func (m *Metrics) fail(k int) {
+	r := m.rounds[k]
+	if r == nil || r.entered == 0 || r.failed {
+		return // idle, already failed, or completed and forgotten
 	}
-	if _, live := m.start[round]; !live {
-		return // already completed and forgotten
-	}
-	m.failed[round] = true
+	r.failed = true
 	m.RoundsFailed.Inc()
-	m.settle(round)
-}
-
-func (m *Metrics) forget(round int) {
-	delete(m.start, round)
-	delete(m.entered, round)
-	delete(m.skipped, round)
-	delete(m.done, round)
-	delete(m.failed, round)
+	m.settle(k, r)
 }
 
 // settle drops a failed round's tracking once every sender has
 // accounted for it (bounded memory under sustained overrun or churn).
-func (m *Metrics) settle(round int) {
-	if m.failed[round] && m.entered[round]+m.skipped[round] >= m.Senders {
-		m.forget(round)
+func (m *Metrics) settle(k int, r *round) {
+	if r.failed && r.entered+r.skipped >= m.Senders {
+		delete(m.rounds, k)
 	}
 }
 

@@ -4,7 +4,7 @@ import "testing"
 
 // TestMetricsRoundAccounting: every round settles into RoundsDone or
 // RoundsFailed no matter how senders account for it, and the tracking
-// maps drain (bounded memory under churn).
+// drains (bounded memory under churn).
 func TestMetricsRoundAccounting(t *testing.T) {
 	m := NewMetrics()
 	m.Senders = 3
@@ -51,9 +51,8 @@ func TestMetricsRoundAccounting(t *testing.T) {
 		t.Fatalf("pure-skip round not failed: %d", m.RoundsFailed.Total())
 	}
 
-	if len(m.start)+len(m.entered)+len(m.skipped)+len(m.done)+len(m.failed) != 0 {
-		t.Fatalf("tracking maps not drained: start=%d entered=%d skipped=%d done=%d failed=%d",
-			len(m.start), len(m.entered), len(m.skipped), len(m.done), len(m.failed))
+	if len(m.rounds) != 0 {
+		t.Fatalf("round tracking not drained: %d rounds left", len(m.rounds))
 	}
 	if m.RoundsDone.Total() != 1 {
 		t.Fatalf("done = %d, want 1", m.RoundsDone.Total())

@@ -73,6 +73,9 @@ type Syscall struct {
 type SyscallResult struct {
 	Type   SyscallType
 	Handle uint64
+	// Cookie echoes the call's own cookie (connect, accept); a sendv's
+	// is the flow's, read from its capability entry as the event
+	// conditions' is (0 when the handle was refused).
 	Cookie uint64
 	// N is the primary result: bytes accepted for sendv.
 	N int

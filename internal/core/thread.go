@@ -300,6 +300,9 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			res.Err = err
 			return res
 		}
+		// The return code carries the flow's cookie, as its event
+		// conditions do.
+		res.Cookie = et.gate.Cookie(sc.Handle)
 		n := conn.Sendv(sc.SG, sc.Backs)
 		res.N = n
 		segs := (n + wire.MSS - 1) / wire.MSS

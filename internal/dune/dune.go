@@ -66,12 +66,8 @@ func makeHandle(thread int, gen uint16, idx uint32) uint64 {
 func handleThread(h uint64) int { return int(h >> 48) }
 func handleGen(h uint64) uint16 { return uint16(h >> 32) }
 
-// HandleIndex returns the capability-table slot a handle names. Within
-// one elastic thread's namespace the indices of live handles are dense
-// (freed slots recycle first), so a user-level library can key its own
-// per-flow table by it — checking the full handle on lookup, since a
-// recycled slot serves a new generation.
-func HandleIndex(h uint64) uint32 { return uint32(h) }
+// handleIndex returns the capability-table slot a handle names.
+func handleIndex(h uint64) uint32 { return uint32(h) }
 
 // capEntry is one capability-table slot. Field order packs it into 24
 // bytes (the typed flow pointer, the user's cookie, then the narrow
@@ -139,7 +135,7 @@ func (g *Gate[T]) entry(h uint64) (*capEntry[T], Violation) {
 	if handleThread(h) != g.thread {
 		return nil, VioForeignHandle
 	}
-	idx := HandleIndex(h)
+	idx := handleIndex(h)
 	if int(idx) >= len(g.entries) {
 		return nil, VioBadHandle
 	}
@@ -208,13 +204,13 @@ func (g *Gate[T]) Revoke(h uint64) {
 		e.live = false
 		e.obj = nil
 		e.cookie = 0
-		g.freeIdx = append(g.freeIdx, HandleIndex(h))
+		g.freeIdx = append(g.freeIdx, handleIndex(h))
 	}
 }
 
 // Delivered accounts bytes passed read-only to the application on h.
 func (g *Gate[T]) Delivered(h uint64, n int) {
-	idx := HandleIndex(h)
+	idx := handleIndex(h)
 	if int(idx) < len(g.entries) && g.entries[idx].live {
 		g.entries[idx].delivered += int32(n)
 	}

@@ -143,7 +143,7 @@ func TestRevokeClearsCookie(t *testing.T) {
 		t.Fatalf("revoked handle's cookie = %d", got)
 	}
 	h2 := g.Grant(&flow{"b"}, 0) // recycles the slot
-	if HandleIndex(h2) != HandleIndex(h) {
+	if handleIndex(h2) != handleIndex(h) {
 		t.Fatal("slot not recycled")
 	}
 	if got := g.Cookie(h2); got != 0 {

@@ -99,11 +99,11 @@ func TestMigrationCarriesBorrowedIO(t *testing.T) {
 	victim := b.Thread(1)
 	attached := func(p *program) int {
 		n := 0
-		for _, c := range p.byHandle {
-			if c != nil && c.io != nil {
+		p.tab.Each(func(c *conn) {
+			if c.p == p && c.io != nil {
 				n++
 			}
-		}
+		})
 		return n
 	}
 	moving := attached(progs[1])
@@ -118,7 +118,7 @@ func TestMigrationCarriesBorrowedIO(t *testing.T) {
 
 	eng.RunUntil(sim.Time(200 * time.Millisecond))
 	if n := attached(progs[1]); n != 0 {
-		t.Fatalf("%d connections still bound to the revoked thread's program", n)
+		t.Fatalf("%d connections still homed on the revoked thread's program", n)
 	}
 	if got != conns*size {
 		t.Fatalf("clients received %d of %d bytes across the migration", got, conns*size)

@@ -28,7 +28,6 @@ import (
 
 	"ix/internal/app"
 	"ix/internal/core"
-	"ix/internal/dune"
 	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/sockcore"
@@ -69,9 +68,6 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 			tab:     tab,
 			first:   thread == 0,
 		}
-		if n := api.ExpectedConns(); n > 0 && threads > 0 {
-			p.byHandle = make([]*conn, 0, n/threads)
-		}
 		p.handler = factory(p, thread, threads)
 		p.sendReady, _ = p.handler.(app.SendReadyHandler)
 		return p
@@ -86,17 +82,17 @@ type program struct {
 	// sendReady is the handler's optional writable-again extension
 	// (nil when not implemented).
 	sendReady app.SendReadyHandler
-	// tab is the dataplane-shared cookie table (see Program); first
-	// marks thread 0's program, which accounts the table's footprint so
-	// the shared bytes are charged exactly once per host.
+	// tab is the dataplane-shared cookie table (see Program), the one
+	// place a connection is found by; first marks thread 0's program,
+	// which accounts the table and the connections it names once per
+	// host (Footprint).
 	tab   *sockcore.Table[conn]
 	first bool
-	// byHandle resolves a kernel flow handle to its connection: indexed
-	// by the handle's dense slot index in this thread's capability
-	// namespace, verified against the full handle (slots recycle under a
-	// new generation). Needed where no cookie travels — sendv return
-	// codes, and events raised before the accept syscall has executed.
-	byHandle []*conn
+	// knocks are this round's accepted flows. Events raised in the same
+	// batch as a knock, before the accept syscall has tagged the flow,
+	// carry no cookie and resolve here by handle; the accept runs in
+	// this cycle's syscall phase, so the list is emptied after the batch.
+	knocks []knock
 	// ioFree recycles connIO objects between connections with I/O in
 	// flight (LIFO, so the hot ones stay cache-warm).
 	ioFree []*connIO
@@ -108,6 +104,12 @@ type program struct {
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
 	waiters []*conn
+}
+
+// knock is one of this round's accepted flows and the id it was granted.
+type knock struct {
+	c  *conn
+	id uint64
 }
 
 // conn is the user-level connection descriptor. It holds only what an
@@ -429,37 +431,6 @@ func (p *program) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	return nil
 }
 
-// bindHandle records c under its kernel flow handle.
-//
-//ix:hotpath
-func (p *program) bindHandle(c *conn) {
-	i := int(dune.HandleIndex(c.handle))
-	for len(p.byHandle) <= i {
-		p.byHandle = append(p.byHandle, nil)
-	}
-	p.byHandle[i] = c
-}
-
-// byHandleLookup resolves a flow handle; unknown and stale handles (the
-// slot now serves another generation) return nil.
-//
-//ix:hotpath
-func (p *program) byHandleLookup(h uint64) *conn {
-	if i := int(dune.HandleIndex(h)); i < len(p.byHandle) {
-		if c := p.byHandle[i]; c != nil && c.handle == h {
-			return c
-		}
-	}
-	return nil
-}
-
-// unbindHandle forgets c's handle (flow dead or migrated away).
-func (p *program) unbindHandle(c *conn) {
-	if p.byHandleLookup(c.handle) == c {
-		p.byHandle[dune.HandleIndex(c.handle)] = nil
-	}
-}
-
 // Run is the ring-3 phase of the run-to-completion cycle: consume return
 // codes, consume event conditions, run handlers, then coalesce and issue
 // this round's batched system calls.
@@ -472,6 +443,8 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 	for i := range events {
 		p.processEvent(&events[i])
 	}
+	clear(p.knocks)
+	p.knocks = p.knocks[:0]
 	// 3. Writable-again deliveries: after results reopened pending-send
 	// budgets and events released arena chunks, wake armed writers whose
 	// shortfall has actually cleared (so every wake makes progress).
@@ -522,10 +495,11 @@ func (p *program) processResult(r *core.SyscallResult) {
 			return
 		}
 		c.handle = r.Handle
-		p.bindHandle(c)
 		// Outcome arrives via the connected event condition.
 	case core.SysSendv:
-		c := p.byHandleLookup(r.Handle)
+		// The kernel returns the flow's cookie; a refused handle returns
+		// none, and that flow's death has been or is being delivered.
+		c := p.tab.Lookup(r.Cookie)
 		if c == nil {
 			return
 		}
@@ -621,19 +595,19 @@ func (p *program) processEvent(ev *core.Event) {
 	switch ev.Type {
 	case core.EvKnock:
 		c := &conn{p: p, handle: ev.Handle}
-		p.bindHandle(c)
 		// Accept with the conn's table id as kernel cookie so later
 		// events resolve with one bounds-checked indexed load (the
 		// Table 1 cookie design, minus the interface box).
-		p.api.Accept(ev.Handle, p.tab.Grant(c))
+		id := p.tab.Grant(c)
+		p.knocks = append(p.knocks, knock{c, id})
+		p.api.Accept(ev.Handle, id)
 		p.handler.OnAccept(c)
 	case core.EvConnected:
-		c := p.resolve(ev)
+		c, _ := p.resolve(ev)
 		if c == nil {
 			return
 		}
 		if !ev.Outcome {
-			p.unbindHandle(c)
 			p.tab.Revoke(ev.Cookie)
 			c.closed = true
 			c.dropIO()
@@ -642,7 +616,7 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		p.handler.OnConnected(c, true)
 	case core.EvRecv:
-		c := p.resolve(ev)
+		c, _ := p.resolve(ev)
 		if c == nil {
 			// Connection vanished (e.g. aborted earlier in this batch);
 			// still recycle the buffer.
@@ -661,7 +635,7 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		c.markDirty()
 	case core.EvSent:
-		c := p.resolve(ev)
+		c, _ := p.resolve(ev)
 		if c == nil {
 			return
 		}
@@ -681,18 +655,17 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		p.handler.OnSent(c, ev.Bytes)
 	case core.EvEOF:
-		c := p.resolve(ev)
+		c, _ := p.resolve(ev)
 		if c == nil {
 			return
 		}
 		p.handler.OnEOF(c)
 	case core.EvDead:
-		c := p.resolve(ev)
+		c, id := p.resolve(ev)
 		if c == nil {
 			return
 		}
-		p.unbindHandle(c)
-		p.tab.Revoke(ev.Cookie)
+		p.tab.Revoke(id)
 		c.closed = true
 		// The kernel dropped the connection's retransmission queue with
 		// the flow, so nothing references the arena any more; receive
@@ -716,14 +689,12 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		// Re-home the connection: it now belongs to this thread's
 		// program and namespace.
-		if c.p != nil && c.p != p {
-			c.p.unbindHandle(c)
+		if c.p != p {
 			c.inDirty = false
 		}
 		c.p = p
 		c.handle = ev.Handle
 		c.issued = false
-		p.bindHandle(c)
 		// In-flight I/O state travels with the connection (and, once
 		// drained, joins this program's pool); work it still owes a
 		// syscall for is flushed from its new home.
@@ -744,15 +715,22 @@ func (p *program) processEvent(ev *core.Event) {
 	}
 }
 
-// resolve finds the libix conn for an event via its cookie (fast path) or
-// its handle.
+// resolve finds the libix conn for an event, and its table id: by the
+// event's cookie, or — for a flow knocked in this batch and not yet
+// accepted, whose events carry none — by its handle among this round's
+// knocks, newest first (a flow's events follow its knock).
 //
 //ix:hotpath
-func (p *program) resolve(ev *core.Event) *conn {
-	if c := p.tab.Lookup(ev.Cookie); c != nil {
-		return c
+func (p *program) resolve(ev *core.Event) (*conn, uint64) {
+	if ev.Cookie != 0 {
+		return p.tab.Lookup(ev.Cookie), ev.Cookie
 	}
-	return p.byHandleLookup(ev.Handle)
+	for i := len(p.knocks) - 1; i >= 0; i-- {
+		if k := &p.knocks[i]; k.c.handle == ev.Handle {
+			return k.c, k.id
+		}
+	}
+	return nil, 0
 }
 
 // String aids debugging.

@@ -147,3 +147,87 @@ func TestFlowControlReissue(t *testing.T) {
 		t.Fatalf("server received %d of %d bytes", got, total)
 	}
 }
+
+// doomedServer records, per accepted connection, the virtual time of its
+// accept; a death at the same instant was delivered in the same user
+// phase as the knock.
+type doomedServer struct {
+	env      app.Env
+	acceptAt map[app.Conn]int64
+	accepted int
+	sameRun  int
+	closed   int
+}
+
+func (s *doomedServer) OnAccept(c app.Conn) {
+	s.accepted++
+	s.acceptAt[c] = s.env.Now()
+	// A slow accept keeps the server's core busy, so the frames that
+	// arrive meanwhile share its next poll.
+	s.env.Charge(20 * time.Microsecond)
+}
+func (s *doomedServer) OnConnected(c app.Conn, ok bool) {}
+func (s *doomedServer) OnRecv(c app.Conn, data []byte)  {}
+func (s *doomedServer) OnSent(c app.Conn, n int)        {}
+func (s *doomedServer) OnEOF(c app.Conn)                { c.Close() }
+func (s *doomedServer) OnClosed(c app.Conn) {
+	s.closed++
+	if s.acceptAt[c] == s.env.Now() {
+		s.sameRun++
+	}
+}
+
+// TestKnockAndDeathInOneBatch: a client that aborts right after it
+// connects sends its handshake ACK and its RST back to back; while the
+// server is busy accepting an earlier connection both reach it in one
+// poll, so it raises the knock and the death in one event batch, before
+// the accept has tagged the flow with its cookie. The death must still
+// revoke the id the knock granted: afterwards no id resolves to a
+// connection.
+func TestKnockAndDeathInOneBatch(t *testing.T) {
+	const conns = 8
+	var srv *program
+	var doomed *doomedServer
+	serverF := func(env app.Env, th, n int) app.Handler {
+		_ = env.Listen(80)
+		srv = env.(*program)
+		doomed = &doomedServer{env: env, acceptAt: map[app.Conn]int64{}}
+		return doomed
+	}
+	clientF := func(env app.Env, th, n int) app.Handler {
+		cli := &recorder{env: env}
+		cli.onConn = func(c app.Conn, ok bool) {
+			if ok {
+				// One round later: the pending handshake ACK goes out
+				// first, so the server's flow is established.
+				env.After(time.Microsecond, c.Abort)
+			}
+		}
+		for i := 0; i < conns; i++ {
+			_ = env.Connect(wire.Addr4(10, 0, 0, 2), 80, nil)
+		}
+		return cli
+	}
+	eng, a, b := pair(t, serverF, clientF)
+	a.Start()
+	b.Start()
+	eng.RunUntil(sim.Time(5 * time.Millisecond))
+	if doomed.accepted == 0 || doomed.closed != doomed.accepted {
+		t.Fatalf("server accepted %d connections and closed %d", doomed.accepted, doomed.closed)
+	}
+	if doomed.sameRun == 0 {
+		t.Fatal("no knock shared its event batch with the flow's death")
+	}
+	for id := uint64(1); id <= uint64(doomed.accepted); id++ {
+		if c := srv.tab.Lookup(id); c != nil {
+			t.Errorf("id %d still resolves to %v after every flow died", id, c)
+		}
+	}
+	// The round's knock list is emptied with each batch, and holds no
+	// dead connection in its reused backing.
+	for _, k := range srv.knocks[:cap(srv.knocks)] {
+		if k.c != nil {
+			t.Errorf("knock list keeps %v after its batch", k.c)
+		}
+	}
+}

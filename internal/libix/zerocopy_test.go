@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"ix/internal/app"
+	"ix/internal/core"
 	"ix/internal/mem"
 	"ix/internal/sim"
 	"ix/internal/wire"
@@ -142,6 +143,32 @@ func TestZeroAllocLibixEchoSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state echo allocates %.2f per %v window (%.4f/msg), want 0",
 			allocs, window, perMsg)
+	}
+}
+
+// TestZeroAllocKnockResolve: an event raised in its flow's knock batch,
+// before the accept tagged the flow, carries no cookie and resolves by
+// handle among the round's knocks to the conn and the id it was granted,
+// without allocating; a handle no knock names resolves to nothing.
+func TestZeroAllocKnockResolve(t *testing.T) {
+	p := &program{}
+	for h := uint64(1); h <= 8; h++ {
+		p.knocks = append(p.knocks, knock{&conn{p: p, handle: h << 32}, h + 100})
+	}
+	hit := core.Event{Type: core.EvDead, Handle: 5 << 32}
+	miss := core.Event{Type: core.EvDead, Handle: 9 << 32}
+	if c, id := p.resolve(&hit); c != p.knocks[4].c || id != 105 {
+		t.Fatalf("knocked handle resolved to %v, id %d; want the fifth knock, id 105", c, id)
+	}
+	if c, id := p.resolve(&miss); c != nil || id != 0 {
+		t.Fatalf("unknown handle resolved to %v, id %d", c, id)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.resolve(&hit)
+		p.resolve(&miss)
+	})
+	if allocs != 0 {
+		t.Fatalf("knock-batch lookup allocates %.2f per pair of events, want 0", allocs)
 	}
 }
 

@@ -54,6 +54,15 @@ func (t *Table[T]) Revoke(id uint64) {
 	t.free = append(t.free, uint32(id-1))
 }
 
+// Each calls fn for every registered entry, in slot order.
+func (t *Table[T]) Each(fn func(*T)) {
+	for _, v := range t.slots {
+		if v != nil {
+			fn(v)
+		}
+	}
+}
+
 // Bytes is the table's memprobe charge: its slot and free-list backings.
 func (t *Table[T]) Bytes() int64 {
 	return int64(cap(t.slots))*int64(unsafe.Sizeof((*T)(nil))) + int64(cap(t.free))*4

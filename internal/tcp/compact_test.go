@@ -75,31 +75,6 @@ func TestRTTNarrowingExact(t *testing.T) {
 	}
 }
 
-// TestRTOBackoffClampsAtMax: exponential backoff doubles the timeout up
-// to exactly maxRTO and holds there — the bound that lets the stored
-// form be 32 bits.
-func TestRTOBackoffClampsAtMax(t *testing.T) {
-	var now int64
-	s := quietStack(&now, func(c *Config) { c.MaxRexmits = 64 })
-	c, err := s.Connect(wire.Addr4(10, 0, 0, 2), 80, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := initialRTO
-	for i := 0; i < 40; i++ {
-		if got := time.Duration(c.rto); got != want {
-			t.Fatalf("after %d timeouts rto = %v, want %v", i, got, want)
-		}
-		c.onRTO()
-		if want *= 2; want > maxRTO {
-			want = maxRTO
-		}
-	}
-	if time.Duration(c.rto) != 4*time.Second {
-		t.Fatalf("rto settled at %v, want exactly 4s", time.Duration(c.rto))
-	}
-}
-
 // TestMaxRexmitsFitsCount: the retransmission limit is clamped so that
 // the count exceeding it still fits the PCB's byte — a connection with
 // a limit past it dies at the 255th timeout instead of wrapping the

@@ -689,7 +689,8 @@ func TestRTTEstimation(t *testing.T) {
 // 1 ms before any RTT sample, exactly the 200 µs floor after samples whose
 // SRTT + 4·RTTVAR is below it, and a doubling per timeout up to the 4 s
 // cap. Each sample is a 10 µs round trip; the timeouts follow them with
-// every segment from the client lost.
+// every segment from the client lost, its first SYN included when no
+// sample precedes them.
 func TestRTORule(t *testing.T) {
 	const us, ms = time.Microsecond, time.Millisecond
 	for _, tc := range []struct {
@@ -701,19 +702,21 @@ func TestRTORule(t *testing.T) {
 		{"one sample below the floor", 1, 0, 200 * us},
 		{"three samples below the floor", 3, 0, 200 * us},
 		{"handshake timeout", 0, 1, 2 * ms},
+		{"eleven handshake timeouts", 0, 11, 2048 * ms},
+		{"twelve handshake timeouts reach the cap", 0, 12, 4000 * ms},
 		{"one timeout", 1, 1, 400 * us},
 		{"two timeouts", 1, 2, 800 * us},
 		{"fourteen timeouts", 1, 14, 3276800 * us},
 		{"fifteen timeouts reach the cap", 1, 15, 4000 * ms},
 		{"sixteen timeouts stay at the cap", 1, 16, 4000 * ms},
+		{"twenty timeouts stay at the cap", 1, 20, 4000 * ms},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := newTestNet(t, func(c *Config) { c.MaxRexmits = 20 })
+			lose := func(from *side, _ *wire.TCPHeader, _ []byte) bool { return from == n.a }
 			var c *Conn
 			if tc.samples == 0 {
-				if _, err := n.b.stack.Listen(80, nil); err != nil {
-					t.Fatal(err)
-				}
+				n.drop = lose // the first SYN too
 				var err error
 				if c, err = n.a.stack.Connect(n.b.ip, 80, 0); err != nil {
 					t.Fatal(err)
@@ -725,11 +728,9 @@ func TestRTORule(t *testing.T) {
 				c.Send([]byte("timed"))
 				n.advance(10 * us)
 			}
-			if tc.timeouts > 0 {
-				n.drop = func(from *side, _ *wire.TCPHeader, _ []byte) bool { return from == n.a }
-				if tc.samples > 0 {
-					c.Send([]byte("lost"))
-				}
+			if tc.timeouts > 0 && tc.samples > 0 {
+				n.drop = lose
+				c.Send([]byte("lost"))
 			}
 			for range tc.timeouts {
 				// Past the deadline by one wheel tick, short of the next.
