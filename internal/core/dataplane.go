@@ -216,8 +216,8 @@ func (d *Dataplane) RemoveElasticThread() error {
 	n := len(d.threads) - 1
 	victim := d.threads[n]
 	d.applyRepartition(d.NIC().PlanRepartition(n))
-	if conns := victim.ns.TCP().Conns(); len(conns) > 0 {
-		panic(fmt.Sprintf("core: flow %v is still on revoked thread %d after the repartition", conns[0].Key(), victim.id))
+	if st := victim.ns.TCP(); st.ConnCount() > 0 {
+		panic(fmt.Sprintf("core: flow %v is still on revoked thread %d after the repartition", st.Conn(st.Conns()[0]).Key(), victim.id))
 	}
 	d.threads = d.threads[:n]
 	victim.stopped = true
@@ -288,12 +288,13 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 			dstOf[b].drv.RX.Inject(f)
 		}
 		// (4) One pass over the source's connections.
-		for _, c := range src.ns.TCP().Conns() {
-			dst := dstOf[d.NIC().RSSBucket(c.Key().Reverse())]
+		st := src.ns.TCP()
+		for _, id := range st.Conns() {
+			dst := dstOf[d.NIC().RSSBucket(st.Conn(id).Key().Reverse())]
 			if dst == nil {
 				continue
 			}
-			d.moveConn(src, dst, c)
+			d.moveConn(src, dst, id)
 		}
 		d.Migrations += uint64(len(changes))
 		for _, ch := range changes {
@@ -304,15 +305,16 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 
 // moveConn re-homes one connection from src to dst: TCP state and timers,
 // the protection-domain handle, and the user program's adoption event.
-func (d *Dataplane) moveConn(src, dst *ElasticThread, c *tcp.Conn) {
-	src.ns.TCP().Migrate(c, dst.ns.TCP())
+func (d *Dataplane) moveConn(src, dst *ElasticThread, id tcp.ConnID) {
 	// Re-grant the handle, with the user's cookie, in the destination
 	// namespace; the old handle dies with the source thread's namespace.
-	cookie := src.gate.Cookie(c.Cookie)
-	src.gate.Revoke(c.Cookie)
-	c.Cookie = dst.gate.Grant(c, cookie)
+	old := src.gate.Handle(uint32(id))
+	cookie := src.gate.Cookie(old)
+	src.gate.Revoke(old)
+	id = src.ns.TCP().Migrate(id, dst.ns.TCP())
+	h := dst.gate.Grant(uint32(id), cookie)
 	// Tell the destination's user program to adopt the flow.
-	dst.events = append(dst.events, Event{Type: EvMigrated, Handle: c.Cookie, Cookie: cookie})
+	dst.events = append(dst.events, Event{Type: EvMigrated, Handle: h, Cookie: cookie})
 	d.FlowsMigrated++
 }
 

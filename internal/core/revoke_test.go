@@ -63,13 +63,13 @@ func TestRevokedThreadConnPanics(t *testing.T) {
 	if len(conns) != 1 {
 		t.Fatalf("thread 0 holds %d connections, want 1", len(conns))
 	}
-	c := conns[0]
-	a.moveConn(a.Thread(0), a.Thread(1), c)
+	key := a.Thread(0).Stack().TCP().Conn(conns[0]).Key()
+	a.moveConn(a.Thread(0), a.Thread(1), conns[0])
 
 	defer func() {
 		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, c.Key().String()) || !strings.Contains(msg, "thread 1") {
-			t.Fatalf("RemoveElasticThread recovered %q, want a panic naming flow %v on thread 1", msg, c.Key())
+		if !strings.Contains(msg, key.String()) || !strings.Contains(msg, "thread 1") {
+			t.Fatalf("RemoveElasticThread recovered %q, want a panic naming flow %v on thread 1", msg, key)
 		}
 	}()
 	_ = a.RemoveElasticThread()

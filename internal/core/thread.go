@@ -39,7 +39,7 @@ type ElasticThread struct {
 	drv    *netstack.Driver
 	wheel  *timerwheel.Wheel
 	txpool *mem.TxChunkPool
-	gate   *dune.Gate[tcp.Conn]
+	gate   *dune.Gate
 
 	user UserProgram
 	api  *UserAPI
@@ -80,7 +80,7 @@ type ElasticThread struct {
 }
 
 // Gate exposes the thread's dune syscall gate (tests, security checks).
-func (et *ElasticThread) Gate() *dune.Gate[tcp.Conn] { return et.gate }
+func (et *ElasticThread) Gate() *dune.Gate { return et.gate }
 
 // Stack exposes the thread's network stack instance.
 func (et *ElasticThread) Stack() *netstack.Stack { return et.ns }
@@ -95,7 +95,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		id:     id,
 		core:   sim.NewCore(dp.eng, id),
 		txpool: mem.NewTxChunkPool(dp.Region(), id),
-		gate:   dune.NewGate[tcp.Conn](id, expected),
+		gate:   dune.NewGate(id, tcp.SlotSpan(expected)),
 		wheel:  timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 	}
 	et.cycleFn = et.cycle
@@ -288,14 +288,13 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			et.events = append(et.events, Event{Type: EvConnected, Cookie: sc.Cookie, Outcome: false})
 			return res
 		}
-		// The flow handle is the PCB's owner id; the user's cookie
-		// lives in the capability entry.
-		conn.Cookie = et.gate.Grant(conn, sc.Cookie)
-		res.Handle = conn.Cookie
+		// The flow handle is the PCB's id; the user's cookie lives in the
+		// capability entry.
+		res.Handle = et.gate.Grant(uint32(conn.ID()), sc.Cookie)
 	case SysAccept:
 		res.Err = et.gate.SetCookie(sc.Handle, sc.Cookie)
 	case SysSendv:
-		conn, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.conn(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
@@ -316,8 +315,10 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 		// handle the abort has already revoked, yet the mbufs it returns
 		// were delivered from this thread's pool all the same.
 		if res.Err = et.gate.RecvDone(sc.Handle, sc.Bytes); res.Err == nil {
-			conn, _ := et.gate.Lookup(sc.Handle) // RecvDone has just resolved it
-			conn.RecvDone(sc.Bytes)
+			var conn *tcp.Conn
+			if conn, res.Err = et.conn(sc.Handle); conn != nil {
+				conn.RecvDone(sc.Bytes)
+			}
 		}
 		for _, b := range sc.Bufs {
 			if b.Owner != et.drv.Pool.Owner {
@@ -326,25 +327,36 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			}
 			b.Unref()
 		}
-	case SysClose:
-		conn, err := et.gate.Lookup(sc.Handle)
+	case SysClose, SysAbort:
+		conn, err := et.conn(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		m.Charge(c.ConnSetup / 2)
-		conn.Close()
-	case SysAbort:
-		conn, err := et.gate.Lookup(sc.Handle)
-		if err != nil {
-			res.Err = err
-			return res
+		if sc.Type == SysClose {
+			conn.Close()
+		} else {
+			conn.Abort()
 		}
-		m.Charge(c.ConnSetup / 2)
-		conn.Abort()
 	}
 	return res
 }
+
+// conn resolves handle h through the gate to its connection.
+func (et *ElasticThread) conn(h uint64) (*tcp.Conn, error) {
+	id, err := et.gate.Lookup(h)
+	if err != nil {
+		return nil, err
+	}
+	if c := et.ns.TCP().Conn(tcp.ConnID(id)); c != nil {
+		return c, nil
+	}
+	return nil, dune.ErrStaleHandle
+}
+
+// handle returns c's flow handle.
+func (et *ElasticThread) handle(c *tcp.Conn) uint64 { return et.gate.Handle(uint32(c.ID())) }
 
 // threadEvents adapts tcp.Events callbacks into event conditions.
 // (Methods run in dataplane kernel context during protocol processing.)
@@ -358,10 +370,10 @@ func (te *threadEvents) et() *ElasticThread { return (*ElasticThread)(te) }
 // DESIGN.md).
 func (te *threadEvents) Accepted(c *tcp.Conn) {
 	et := te.et()
-	c.Cookie = et.gate.Grant(c, 0) // the accept system call sets the user's cookie
+	h := et.gate.Grant(uint32(c.ID()), 0) // the accept system call sets the user's cookie
 	et.events = append(et.events, Event{
 		Type:    EvKnock,
-		Handle:  c.Cookie,
+		Handle:  h,
 		SrcIP:   c.Key().DstIP,
 		SrcPort: c.Key().DstPort,
 	})
@@ -369,10 +381,11 @@ func (te *threadEvents) Accepted(c *tcp.Conn) {
 
 func (te *threadEvents) Connected(c *tcp.Conn, ok bool) {
 	et := te.et()
+	h := et.handle(c)
 	// The cookie is read before a refused flow's handle is revoked.
-	ev := Event{Type: EvConnected, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie), Outcome: ok}
+	ev := Event{Type: EvConnected, Handle: h, Cookie: et.gate.Cookie(h), Outcome: ok}
 	if !ok {
-		et.gate.Revoke(c.Cookie)
+		et.gate.Revoke(h)
 	}
 	et.events = append(et.events, ev)
 }
@@ -386,31 +399,35 @@ func (te *threadEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
 		// a reassembly queue hands up buffers of the source's pool.
 		buf.Owner = et.drv.Pool.Owner
 	}
-	et.gate.Delivered(c.Cookie, len(data))
+	h := et.handle(c)
+	et.gate.Delivered(h, len(data))
 	et.events = append(et.events, Event{
-		Type: EvRecv, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie),
+		Type: EvRecv, Handle: h, Cookie: et.gate.Cookie(h),
 		Mbuf: buf, Data: data, Bytes: len(data),
 	})
 }
 
 func (te *threadEvents) Sent(c *tcp.Conn, acked, released int) {
 	et := te.et()
+	h := et.handle(c)
 	et.events = append(et.events, Event{
-		Type: EvSent, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie),
+		Type: EvSent, Handle: h, Cookie: et.gate.Cookie(h),
 		Bytes: acked, Window: c.UsableWindow(), Released: released,
 	})
 }
 
 func (te *threadEvents) RemoteClosed(c *tcp.Conn) {
 	et := te.et()
-	et.events = append(et.events, Event{Type: EvEOF, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie)})
+	h := et.handle(c)
+	et.events = append(et.events, Event{Type: EvEOF, Handle: h, Cookie: et.gate.Cookie(h)})
 }
 
 func (te *threadEvents) Dead(c *tcp.Conn, reason tcp.Reason) {
 	et := te.et()
+	h := et.handle(c)
 	// The cookie is read before the handle is revoked.
-	ev := Event{Type: EvDead, Handle: c.Cookie, Cookie: et.gate.Cookie(c.Cookie), Reason: reason}
-	et.gate.Revoke(c.Cookie)
+	ev := Event{Type: EvDead, Handle: h, Cookie: et.gate.Cookie(h), Reason: reason}
+	et.gate.Revoke(h)
 	et.events = append(et.events, ev)
 }
 

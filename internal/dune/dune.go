@@ -3,23 +3,14 @@
 // VMX root ring 0), the dataplane kernel (VMX non-root ring 0), and
 // untrusted application code (VMX non-root ring 3).
 //
-// Go cannot take hardware faults on stray pointers, so what this package
-// enforces is the *security model* — the set of checks that make the IX
-// API safe against a malicious or buggy application:
-//
-//   - flow handles live in per-elastic-thread capability namespaces, so a
-//     thread cannot operate on flows it does not own (the commutativity
-//     property of §4.4) and forged or stale handles are rejected;
-//   - recv_done accounting rejects double frees and over-returns of
-//     message buffers;
-//   - read-only mbuf mappings are checked on the write paths.
-//
-// The §4.1 intermediation of POSIX calls on their way to the Linux
-// control plane is not modelled: no experiment issues one.
-//
-// Violations never corrupt dataplane state: they return errors and bump
-// counters, which is exactly the paper's claim — "a malicious or
-// misbehaving application can only hurt itself."
+// Go cannot take hardware faults, so this package enforces the security
+// model, the checks that make the IX API safe against a buggy or
+// malicious application: flow handles live in per-thread namespaces that
+// reject foreign, forged and stale handles (§4.4); recv_done accounting
+// rejects over-returns; read-only mbufs refuse writes. §4.1's POSIX
+// intermediation is not modelled. Violations return errors and count;
+// they never corrupt dataplane state — "a malicious or misbehaving
+// application can only hurt itself."
 package dune
 
 import (
@@ -58,92 +49,72 @@ var (
 	ErrDenied        = errors.New("dune: operation not permitted")
 )
 
-// handle bit layout: [16 bits thread | 16 bits generation | 32 bits index].
-func makeHandle(thread int, gen uint16, idx uint32) uint64 {
-	return uint64(thread)<<48 | uint64(gen)<<32 | uint64(idx)
-}
+// A flow's handle is [16 bits thread | 16 zero | 32 bits flow id]. A flow
+// id names its slot in the thread's flow arena in its low 24 bits and
+// carries the slot's generation above (tcp.ConnID), so a handle is
+// rebuilt from its flow and goes stale with it.
+func slotOf(id uint32) uint32 { return id & (1<<24 - 1) }
 
-func handleThread(h uint64) int { return int(h >> 48) }
-func handleGen(h uint64) uint16 { return uint16(h >> 32) }
-
-// handleIndex returns the capability-table slot a handle names.
-func handleIndex(h uint64) uint32 { return uint32(h) }
-
-// capEntry is one capability-table slot. Field order packs it into 24
-// bytes (the typed flow pointer, the user's cookie, then the narrow
-// scalars): with one entry per live flow, slot size is a direct term of
-// the per-connection memory budget.
-type capEntry[T any] struct {
-	obj *T
-	// cookie is the user's opaque tag for the flow (Table 1), given at
-	// connect or accept and returned on every event condition.
-	cookie uint64
-	// delivered tracks bytes delivered to user space and not yet
-	// returned by recv_done, for overrun validation; bounded by the
-	// flow's receive window, so 32 bits hold it.
+// capEntry is one capability-table slot: the flow's id (0 while not
+// granted), the user's cookie (Table 1), returned on every event
+// condition, and the bytes delivered and not yet returned by recv_done.
+// One exists per flow slot: its 16 B are a term of the per-connection
+// memory budget.
+type capEntry struct {
+	cookie    uint64
+	id        uint32
 	delivered int32
-	gen       uint16
-	live      bool
 }
 
 // Gate is the per-elastic-thread system call gate: it owns the thread's
-// flow-handle namespace and validates every batched system call before it
-// reaches the dataplane kernel proper. T is the dataplane flow type.
-type Gate[T any] struct {
+// flow-handle namespace, a table indexed by the flows' arena slots, and
+// validates every batched system call before it reaches the kernel.
+type Gate struct {
 	thread  int
-	entries []capEntry[T]
-	freeIdx []uint32
+	entries []capEntry
 
 	violations [vioCount]uint64
 }
 
-// NewGate creates the gate for elastic thread id. expected presizes the
-// capability table for the anticipated flow population (0 = grow on
-// demand): a presized table never pays append-doubling's transient
-// double allocation, and its capacity is exact rather than the next
-// power of two — both visible in the bytes/conn account.
-func NewGate[T any](thread, expected int) *Gate[T] {
-	g := &Gate[T]{thread: thread}
+// NewGate creates the gate for elastic thread id, its table presized for
+// expected flow slots (0 = grow on demand).
+func NewGate(thread, expected int) *Gate {
+	g := &Gate{thread: thread}
 	if expected > 0 {
-		g.entries = make([]capEntry[T], 0, expected)
+		g.entries = make([]capEntry, 0, expected)
 	}
 	return g
 }
 
-// Grant installs obj (a dataplane flow) into the namespace with the
+// Grant installs flow id (a dataplane flow) into the namespace with the
 // user's cookie and returns its handle.
-func (g *Gate[T]) Grant(obj *T, cookie uint64) uint64 {
-	var idx uint32
-	if n := len(g.freeIdx); n > 0 {
-		idx = g.freeIdx[n-1]
-		g.freeIdx = g.freeIdx[:n-1]
-	} else {
-		idx = uint32(len(g.entries))
-		g.entries = append(g.entries, capEntry[T]{})
+func (g *Gate) Grant(id uint32, cookie uint64) uint64 {
+	idx := int(slotOf(id))
+	for idx >= len(g.entries) {
+		g.entries = append(g.entries, capEntry{})
 	}
-	e := &g.entries[idx]
-	e.gen++
-	e.obj = obj
-	e.cookie = cookie
-	e.live = true
-	e.delivered = 0
-	return makeHandle(g.thread, e.gen, idx)
+	g.entries[idx] = capEntry{cookie: cookie, id: id}
+	return g.Handle(id)
 }
 
+// Handle returns the handle of flow id in this namespace.
+func (g *Gate) Handle(id uint32) uint64 { return uint64(g.thread)<<48 | uint64(id) }
+
 // entry returns h's live entry, or nil with the violation h commits.
-func (g *Gate[T]) entry(h uint64) (*capEntry[T], Violation) {
-	if handleThread(h) != g.thread {
+func (g *Gate) entry(h uint64) (*capEntry, Violation) {
+	if int(h>>48) != g.thread {
 		return nil, VioForeignHandle
 	}
-	idx := handleIndex(h)
+	id := uint32(h)
+	idx := slotOf(id)
 	if int(idx) >= len(g.entries) {
 		return nil, VioBadHandle
 	}
 	e := &g.entries[idx]
-	if !e.live {
+	if e.id == 0 {
 		return nil, VioBadHandle
 	}
-	if e.gen != handleGen(h) {
+	if e.id != id {
 		return nil, VioStaleHandle
 	}
 	return e, 0
@@ -157,7 +128,7 @@ var violationErr = [...]error{
 }
 
 // check is entry for a system call: a miss counts its violation.
-func (g *Gate[T]) check(h uint64) (*capEntry[T], error) {
+func (g *Gate) check(h uint64) (*capEntry, error) {
 	e, v := g.entry(h)
 	if e == nil {
 		g.violations[v]++
@@ -166,20 +137,20 @@ func (g *Gate[T]) check(h uint64) (*capEntry[T], error) {
 	return e, nil
 }
 
-// Lookup validates h and returns the granted object.
-func (g *Gate[T]) Lookup(h uint64) (*T, error) {
+// Lookup validates h and returns the flow id it was granted for.
+func (g *Gate) Lookup(h uint64) (uint32, error) {
 	e, err := g.check(h)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return e.obj, nil
+	return e.id, nil
 }
 
 // Cookie returns the user's cookie for h: 0 for a handle that is not
 // live in this namespace (stale, foreign or revoked). It is the
 // kernel's own read for an event condition, so a miss counts no
 // violation.
-func (g *Gate[T]) Cookie(h uint64) uint64 {
+func (g *Gate) Cookie(h uint64) uint64 {
 	if e, _ := g.entry(h); e != nil {
 		return e.cookie
 	}
@@ -188,7 +159,7 @@ func (g *Gate[T]) Cookie(h uint64) uint64 {
 
 // SetCookie sets the user's cookie for h (the accept system call tags
 // a flow granted at establishment).
-func (g *Gate[T]) SetCookie(h uint64, cookie uint64) error {
+func (g *Gate) SetCookie(h uint64, cookie uint64) error {
 	e, err := g.check(h)
 	if err != nil {
 		return err
@@ -199,27 +170,23 @@ func (g *Gate[T]) SetCookie(h uint64, cookie uint64) error {
 
 // Revoke removes h from the namespace (flow closed), clearing its
 // cookie. Stale revokes are ignored.
-func (g *Gate[T]) Revoke(h uint64) {
+func (g *Gate) Revoke(h uint64) {
 	if e, _ := g.entry(h); e != nil {
-		e.live = false
-		e.obj = nil
-		e.cookie = 0
-		g.freeIdx = append(g.freeIdx, handleIndex(h))
+		*e = capEntry{}
 	}
 }
 
 // Delivered accounts bytes passed read-only to the application on h.
-func (g *Gate[T]) Delivered(h uint64, n int) {
-	idx := handleIndex(h)
-	if int(idx) < len(g.entries) && g.entries[idx].live {
-		g.entries[idx].delivered += int32(n)
+func (g *Gate) Delivered(h uint64, n int) {
+	if e, _ := g.entry(h); e != nil {
+		e.delivered += int32(n)
 	}
 }
 
 // RecvDone validates a recv_done of n bytes against what was actually
 // delivered, rejecting overruns (which could otherwise open the receive
 // window beyond buffer accounting).
-func (g *Gate[T]) RecvDone(h uint64, n int) error {
+func (g *Gate) RecvDone(h uint64, n int) error {
 	e, err := g.check(h)
 	if err != nil {
 		return err
@@ -234,7 +201,7 @@ func (g *Gate[T]) RecvDone(h uint64, n int) error {
 
 // CheckWritable rejects writes to read-only user mappings (incoming
 // mbufs). The readOnly flag comes from the buffer's mapping.
-func (g *Gate[T]) CheckWritable(readOnly bool) error {
+func (g *Gate) CheckWritable(readOnly bool) error {
 	if readOnly {
 		g.violations[VioReadOnlyWrite]++
 		return ErrReadOnly
@@ -243,16 +210,16 @@ func (g *Gate[T]) CheckWritable(readOnly bool) error {
 }
 
 // Deny records a rejected system call.
-func (g *Gate[T]) Deny() error {
+func (g *Gate) Deny() error {
 	g.violations[VioSyscallDenied]++
 	return ErrDenied
 }
 
 // Violations returns the count for one violation kind.
-func (g *Gate[T]) Violations(v Violation) uint64 { return g.violations[v] }
+func (g *Gate) Violations(v Violation) uint64 { return g.violations[v] }
 
 // TotalViolations sums all violation counters.
-func (g *Gate[T]) TotalViolations() uint64 {
+func (g *Gate) TotalViolations() uint64 {
 	var t uint64
 	for _, v := range g.violations {
 		t += v
@@ -261,20 +228,18 @@ func (g *Gate[T]) TotalViolations() uint64 {
 }
 
 // FootprintBytes returns the capability-table bytes the gate pins: the
-// entries backing (live and freed slots — the table never shrinks below
-// its high-water mark) plus the free-index stack. The memprobe
-// per-connection accounting charges this to the thread's flow
-// population.
-func (g *Gate[T]) FootprintBytes() int64 {
-	return int64(cap(g.entries))*int64(unsafe.Sizeof(capEntry[T]{})) +
-		int64(cap(g.freeIdx))*int64(unsafe.Sizeof(uint32(0)))
+// entries backing (live and free slots — the table never shrinks below
+// its high-water mark). The memprobe per-connection accounting charges
+// this to the thread's flow population.
+func (g *Gate) FootprintBytes() int64 {
+	return int64(cap(g.entries)) * int64(unsafe.Sizeof(capEntry{}))
 }
 
 // Live returns the number of live handles (for leak tests).
-func (g *Gate[T]) Live() int {
+func (g *Gate) Live() int {
 	n := 0
 	for _, e := range g.entries {
-		if e.live {
+		if e.id != 0 {
 			n++
 		}
 	}

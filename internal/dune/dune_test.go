@@ -5,16 +5,20 @@ import (
 	"unsafe"
 )
 
-// flow stands in for the dataplane's flow type.
-type flow struct{ name string }
+// flowID builds a flow id the way the TCP arena names a connection: the
+// slot in the low 24 bits, its generation above.
+func flowID(gen uint8, slot uint32) uint32 { return uint32(gen)<<24 | slot }
 
 func TestHandleLifecycle(t *testing.T) {
-	g := NewGate[flow](3, 0)
-	obj := &flow{"flow"}
-	h := g.Grant(obj, 0)
+	g := NewGate(3, 0)
+	id := flowID(1, 5)
+	h := g.Grant(id, 0)
 	got, err := g.Lookup(h)
-	if err != nil || got != obj {
-		t.Fatalf("lookup: %v, %v", got, err)
+	if err != nil || got != id {
+		t.Fatalf("lookup: %#x, %v", got, err)
+	}
+	if g.Handle(id) != h {
+		t.Fatal("the handle rebuilt from the flow id differs from the granted one")
 	}
 	g.Revoke(h)
 	if _, err := g.Lookup(h); err == nil {
@@ -26,29 +30,29 @@ func TestHandleLifecycle(t *testing.T) {
 }
 
 func TestStaleGeneration(t *testing.T) {
-	g := NewGate[flow](0, 0)
-	h1 := g.Grant(&flow{"first"}, 0)
+	g := NewGate(0, 0)
+	h1 := g.Grant(flowID(1, 0), 0)
 	g.Revoke(h1)
-	second := &flow{"second"}
+	second := flowID(2, 0)
 	h2 := g.Grant(second, 0) // reuses the slot with a new generation
 	if h1 == h2 {
 		t.Fatal("generations not distinguishing reused slots")
 	}
-	if _, err := g.Lookup(h1); err == nil {
-		t.Fatal("stale handle accepted")
+	if _, err := g.Lookup(h1); err != ErrStaleHandle {
+		t.Fatalf("stale handle: %v, want ErrStaleHandle", err)
 	}
 	if got, err := g.Lookup(h2); err != nil || got != second {
-		t.Fatalf("fresh handle rejected: %v %v", got, err)
+		t.Fatalf("fresh handle rejected: %#x %v", got, err)
 	}
-	if g.Violations(VioStaleHandle) == 0 && g.Violations(VioBadHandle) == 0 {
+	if g.Violations(VioStaleHandle) != 1 {
 		t.Fatal("stale use not counted")
 	}
 }
 
 func TestForeignHandleRejected(t *testing.T) {
-	g0 := NewGate[flow](0, 0)
-	g1 := NewGate[flow](1, 0)
-	h := g0.Grant(&flow{"thread0 flow"}, 0)
+	g0 := NewGate(0, 0)
+	g1 := NewGate(1, 0)
+	h := g0.Grant(flowID(1, 0), 0)
 	if _, err := g1.Lookup(h); err != ErrForeignHandle {
 		t.Fatalf("foreign handle error = %v", err)
 	}
@@ -58,15 +62,15 @@ func TestForeignHandleRejected(t *testing.T) {
 }
 
 func TestForgedHandleRejected(t *testing.T) {
-	g := NewGate[flow](0, 0)
+	g := NewGate(0, 0)
 	if _, err := g.Lookup(0xdead); err == nil {
 		t.Fatal("forged handle accepted")
 	}
 }
 
 func TestRecvDoneAccounting(t *testing.T) {
-	g := NewGate[flow](0, 0)
-	h := g.Grant(&flow{"flow"}, 0)
+	g := NewGate(0, 0)
+	h := g.Grant(flowID(1, 0), 0)
 	g.Delivered(h, 100)
 	if err := g.RecvDone(h, 60); err != nil {
 		t.Fatal(err)
@@ -83,7 +87,7 @@ func TestRecvDoneAccounting(t *testing.T) {
 }
 
 func TestReadOnlyEnforcement(t *testing.T) {
-	g := NewGate[flow](0, 0)
+	g := NewGate(0, 0)
 	if err := g.CheckWritable(true); err != ErrReadOnly {
 		t.Fatalf("got %v", err)
 	}
@@ -93,17 +97,17 @@ func TestReadOnlyEnforcement(t *testing.T) {
 }
 
 // TestCookieRoundTrip: the cookie given at grant (connect) comes back
-// unchanged, alongside the granted object.
+// unchanged, alongside the granted flow.
 func TestCookieRoundTrip(t *testing.T) {
-	g := NewGate[flow](2, 0)
-	obj := &flow{"client"}
+	g := NewGate(2, 0)
+	id := flowID(1, 3)
 	const cookie uint64 = 0xfeedface_00c0ffee
-	h := g.Grant(obj, cookie)
+	h := g.Grant(id, cookie)
 	if got := g.Cookie(h); got != cookie {
 		t.Fatalf("cookie = %#x, want %#x", got, cookie)
 	}
-	if got, err := g.Lookup(h); err != nil || got != obj {
-		t.Fatalf("lookup: %v, %v", got, err)
+	if got, err := g.Lookup(h); err != nil || got != id {
+		t.Fatalf("lookup: %#x, %v", got, err)
 	}
 	if g.TotalViolations() != 0 {
 		t.Fatalf("violations = %d", g.TotalViolations())
@@ -114,8 +118,8 @@ func TestCookieRoundTrip(t *testing.T) {
 // cookie until the accept system call tags it; a refused SetCookie
 // counts its violation like any other handle check.
 func TestSetCookieAtAccept(t *testing.T) {
-	g := NewGate[flow](1, 0)
-	h := g.Grant(&flow{"server"}, 0)
+	g := NewGate(1, 0)
+	h := g.Grant(flowID(1, 0), 0)
 	if got := g.Cookie(h); got != 0 {
 		t.Fatalf("cookie before accept = %#x", got)
 	}
@@ -136,14 +140,14 @@ func TestSetCookieAtAccept(t *testing.T) {
 // TestRevokeClearsCookie: a revoked handle's cookie is gone, and the
 // slot's next grant starts from its own cookie, not the old one.
 func TestRevokeClearsCookie(t *testing.T) {
-	g := NewGate[flow](0, 0)
-	h := g.Grant(&flow{"a"}, 99)
+	g := NewGate(0, 0)
+	h := g.Grant(flowID(1, 4), 99)
 	g.Revoke(h)
 	if got := g.Cookie(h); got != 0 {
 		t.Fatalf("revoked handle's cookie = %d", got)
 	}
-	h2 := g.Grant(&flow{"b"}, 0) // recycles the slot
-	if handleIndex(h2) != handleIndex(h) {
+	h2 := g.Grant(flowID(2, 4), 0) // the flow's next occupant of the slot
+	if slotOf(uint32(h2)) != slotOf(uint32(h)) {
 		t.Fatal("slot not recycled")
 	}
 	if got := g.Cookie(h2); got != 0 {
@@ -155,12 +159,12 @@ func TestRevokeClearsCookie(t *testing.T) {
 // live in this namespace and, being the kernel's own read, counts no
 // violation.
 func TestCookieOfStaleOrForeignHandle(t *testing.T) {
-	g0 := NewGate[flow](0, 0)
-	g1 := NewGate[flow](1, 0)
-	stale := g0.Grant(&flow{"old"}, 5)
+	g0 := NewGate(0, 0)
+	g1 := NewGate(1, 0)
+	stale := g0.Grant(flowID(1, 0), 5)
 	g0.Revoke(stale)
-	fresh := g0.Grant(&flow{"new"}, 6)
-	foreign := g1.Grant(&flow{"other"}, 7)
+	fresh := g0.Grant(flowID(2, 0), 6)
+	foreign := g1.Grant(flowID(1, 0), 7)
 	for _, tc := range []struct {
 		name string
 		h    uint64
@@ -181,13 +185,11 @@ func TestCookieOfStaleOrForeignHandle(t *testing.T) {
 // table allocates nothing — the gate sits on every connect, accept,
 // event condition and system call.
 func TestZeroAllocGate(t *testing.T) {
-	g := NewGate[flow](0, 64)
-	obj := &flow{"f"}
-	// Warm the free-index stack to its steady capacity.
-	g.Revoke(g.Grant(obj, 1))
+	g := NewGate(0, 64)
+	id := flowID(1, 7)
 	allocs := testing.AllocsPerRun(1000, func() {
-		h := g.Grant(obj, 1)
-		if got, err := g.Lookup(h); err != nil || got != obj {
+		h := g.Grant(id, 1)
+		if got, err := g.Lookup(h); err != nil || got != id {
 			t.Fatal("lookup failed")
 		}
 		if g.Cookie(h) != 1 {
@@ -200,11 +202,11 @@ func TestZeroAllocGate(t *testing.T) {
 	}
 }
 
-// TestCapEntrySize pins the capability entry: one exists per live flow,
-// so with the user's cookie in it the entry must still fit 24 bytes
-// (DESIGN.md, "Per-connection memory budget").
+// TestCapEntrySize pins the capability entry: one exists per flow slot,
+// so with the user's cookie in it the entry must fit 16 bytes (DESIGN.md,
+// "Per-connection memory budget").
 func TestCapEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(capEntry[flow]{}); got > 24 {
-		t.Fatalf("capEntry is %d bytes, budget 24", got)
+	if got := unsafe.Sizeof(capEntry{}); got > 16 {
+		t.Fatalf("capEntry is %d bytes, budget 16", got)
 	}
 }

@@ -96,6 +96,7 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 
 		ExpectedConns: cfg.ExpectedConns,
 	})
+	h.layer.TCP = h.ns.TCP()
 	return h
 }
 

@@ -174,6 +174,7 @@ func newMcore(h *Host, id int) *mcore {
 
 		ExpectedConns: expected,
 	})
+	m.layer.TCP = m.ns.TCP()
 	return m
 }
 

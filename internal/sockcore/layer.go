@@ -9,14 +9,17 @@ import (
 )
 
 // Layer is the socket layer over one TCP engine (per host on Linux, per
-// core on mTCP): the engine's tcp.Events, a slot table resolving the
-// engine's cookie to its socket, and the pools sockets borrow staging
-// from — plain LIFO free lists, so the hot objects stay cache-warm.
+// core on mTCP): the engine's tcp.Events, a table resolving an engine
+// connection to its socket by the connection's arena slot, and the pools
+// sockets borrow staging from — plain LIFO free lists, so the hot objects
+// stay cache-warm.
 type Layer struct {
 	// Accepting returns the owner of a socket the engine just accepted.
 	Accepting func() *Owner
+	// TCP is the engine; sockets name their connections in it by id.
+	TCP *tcp.Stack
 
-	socks     Table[Sock]
+	socks     []*Sock // at each connection's slot, from accept to Dead
 	bufFree   []*buf
 	bulkFree  []*bulk
 	slabFree  []*slab
@@ -26,14 +29,38 @@ type Layer struct {
 var _ tcp.Events = (*Layer)(nil)
 
 // Reserve presizes the socket table for n connections.
-func (l *Layer) Reserve(n int) { l.socks.Reserve(n) }
+func (l *Layer) Reserve(n int) {
+	if n > 0 && cap(l.socks) == 0 {
+		l.socks = make([]*Sock, 0, tcp.SlotSpan(n))
+	}
+}
 
 // sock resolves an engine connection's socket (nil before accept and after Dead).
-func (l *Layer) sock(c *tcp.Conn) *Sock { return l.socks.Lookup(c.Cookie) }
+func (l *Layer) sock(c *tcp.Conn) *Sock {
+	if i := int(c.ID().Slot()); i < len(l.socks) {
+		return l.socks[i]
+	}
+	return nil
+}
+
+// bind makes s the socket of engine connection c, and unbind undoes it.
+func (l *Layer) bind(c *tcp.Conn, s *Sock) {
+	i := int(c.ID().Slot())
+	for i >= len(l.socks) {
+		l.socks = append(l.socks, nil)
+	}
+	l.socks[i] = s
+	s.conn = c.ID()
+}
+
+func (l *Layer) unbind(c *tcp.Conn, s *Sock) {
+	l.socks[c.ID().Slot()] = nil
+	s.conn = 0
+}
 
 func (l *Layer) Accepted(c *tcp.Conn) {
-	s := &Sock{o: l.Accepting(), conn: c, flags: acceptPending}
-	c.Cookie = l.socks.Grant(s)
+	s := &Sock{o: l.Accepting(), flags: acceptPending}
+	l.bind(c, s)
 	s.ready()
 }
 
@@ -52,7 +79,7 @@ func (l *Layer) Connected(c *tcp.Conn, ok bool) {
 		// reports SynSent teardown as Connected(false) only), so the
 		// cookie slot is released here.
 		s.flags |= dead
-		l.socks.Revoke(c.Cookie)
+		l.unbind(c, s)
 	}
 	s.ready()
 }
@@ -111,7 +138,7 @@ func (l *Layer) Dead(c *tcp.Conn, _ tcp.Reason) {
 	if s == nil {
 		return
 	}
-	l.socks.Revoke(c.Cookie)
+	l.unbind(c, s)
 	s.flags |= deadPending
 	s.ready()
 }
@@ -134,7 +161,7 @@ const (
 // its buffers with their capacities and each slab (SlabSize bytes).
 func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
 	f := st.Footprint()
-	f.Bytes += l.socks.Bytes()
+	f.Bytes += int64(cap(l.socks)) * int64(unsafe.Sizeof((*Sock)(nil)))
 	f.Pooled += len(l.bufFree) + len(l.slabFree)
 	st.EachConn(func(c *tcp.Conn) {
 		s := l.sock(c)

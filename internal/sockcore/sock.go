@@ -153,8 +153,8 @@ func (o *Owner) dispatch(s *Sock) {
 			break
 		}
 		o.Charge(o.Read + o.CopyPerByte.Cost(n))
-		if s.conn != nil {
-			s.conn.RecvDone(n) // the window opens as the app consumes
+		if c := s.tcp(); c != nil {
+			c.RecvDone(n) // the window opens as the app consumes
 		}
 		h.OnRecv(s, chunk)
 		s.readDone(slabs)
@@ -209,9 +209,10 @@ const (
 // socket is 48 bytes.
 type Sock struct {
 	o      *Owner
-	conn   *tcp.Conn
 	cookie any
 	buf    *buf // attached from the first queued byte until both directions drain
+	// conn names the engine connection, 0 before Open and after Dead.
+	conn tcp.ConnID
 
 	sentPending int32 // bounded by sndbufMax
 	flags       flag
@@ -244,8 +245,15 @@ func (s *Sock) Open(c *tcp.Conn, err error) {
 		s.ready()
 		return
 	}
-	s.conn = c
-	c.Cookie = s.o.Layer.socks.Grant(s)
+	s.o.Layer.bind(c, s)
+}
+
+// tcp resolves the socket's engine connection: nil before Open and after Dead.
+func (s *Sock) tcp() *tcp.Conn {
+	if s.conn == 0 {
+		return nil
+	}
+	return s.o.Layer.TCP.Conn(s.conn)
 }
 
 // Do performs op on s now.
@@ -256,8 +264,8 @@ func (s *Sock) Do(op Op) {
 	case OpClose:
 		s.finishClose()
 	case OpAbort:
-		if s.conn != nil {
-			s.conn.Abort()
+		if c := s.tcp(); c != nil {
+			c.Abort()
 		}
 	}
 }
@@ -289,7 +297,8 @@ func (s *Sock) Send(b []byte) int {
 // Owner.Run puts a Send's flush, and on every ACK.
 func (s *Sock) flushSnd() {
 	b := s.buf
-	if b == nil || len(b.sndbuf) == 0 || s.conn == nil || s.flags&dead != 0 {
+	c := s.tcp()
+	if b == nil || len(b.sndbuf) == 0 || c == nil || s.flags&dead != 0 {
 		return
 	}
 	o := s.o
@@ -297,7 +306,7 @@ func (s *Sock) flushSnd() {
 	if bk := b.bulk; bk != nil && bk.snd != nil {
 		o.back[0] = bk.snd // a bulk write's slab: frames carry it by reference
 	}
-	n := s.conn.Sendv(o.sg[:], o.back[:])
+	n := c.Sendv(o.sg[:], o.back[:])
 	o.sg[0], o.back[0] = nil, nil
 	if n > 0 {
 		o.Charge(time.Duration((n+wire.MSS-1)/wire.MSS) * o.TxSeg)
@@ -347,11 +356,12 @@ func (s *Sock) Close() {
 // finishClose issues the owed FIN once nothing is left unsent; until then
 // it stays owed to the Sent event that drains the staging.
 func (s *Sock) finishClose() {
-	if s.flags&(closing|finSent|dead) != closing || s.conn == nil || s.Unsent() > 0 {
+	c := s.tcp()
+	if s.flags&(closing|finSent|dead) != closing || c == nil || s.Unsent() > 0 {
 		return
 	}
 	s.flags |= finSent
-	s.conn.Close()
+	c.Close()
 }
 
 // Abort is close(2) with SO_LINGER 0 → RST.

@@ -300,7 +300,11 @@ func (s *Sock) stageSnd(b []byte) {
 func (s *Sock) parkSnd(bk *bulk) {
 	sl := bk.snd
 	bk.snd = nil
-	if left := s.conn.Unreleased(); left > 0 {
+	left := 0
+	if c := s.tcp(); c != nil {
+		left = c.Unreleased() // a connection gone holds no reference
+	}
+	if left > 0 {
 		bk.parked = append(bk.parked, parkedSlab{s: sl, left: left})
 		return
 	}

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -37,7 +38,7 @@ func TestRTTNarrowingExact(t *testing.T) {
 		var now int64 = 1
 		s := quietStack(&now, nil)
 		c := s.newConn(tableKey(seq))
-		c.fl = s.getFlight()
+		f := c.borrow(c.stack())
 		var srtt, rttvar, rto time.Duration
 		// Sample magnitudes from 1 ns to just under 4 s, log-uniform.
 		scale := time.Duration(1) << uint(rng.Intn(32))
@@ -64,9 +65,9 @@ func TestRTTNarrowingExact(t *testing.T) {
 				rto = maxRTO
 			}
 
-			c.fl.rttPending, c.fl.rttSeq, c.fl.rttStart = true, c.sndNxt, now
+			f.rttPending, f.rttSeq, f.rttStart = true, c.sndNxt, now
 			now += int64(sample)
-			c.updateRTT(c.sndNxt)
+			c.updateRTT(c.stack(), c.sndNxt)
 			if time.Duration(c.srtt) != srtt || time.Duration(c.rttvar) != rttvar || time.Duration(c.rto) != rto {
 				t.Fatalf("seq %d sample %d (%v): stored srtt/rttvar/rto = %d/%d/%d ns, reference %d/%d/%d",
 					seq, i, sample, c.srtt, c.rttvar, c.rto, srtt, rttvar, rto)
@@ -87,12 +88,12 @@ func TestMaxRexmitsFitsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxRexmits; i++ {
-		c.onRTO()
+		c.onRTO(c.stack())
 	}
 	if c.state != StateSynSent || int(c.rexmitCount) != maxRexmits {
 		t.Fatalf("after %d timeouts: state %v, count %d", maxRexmits, c.state, c.rexmitCount)
 	}
-	c.onRTO()
+	c.onRTO(c.stack())
 	if c.state != StateClosed {
 		t.Fatalf("after %d timeouts the connection is %v, want it dead", maxRexmits+1, c.state)
 	}
@@ -101,10 +102,19 @@ func TestMaxRexmitsFitsCount(t *testing.T) {
 // TestConnStateSizes pins the PCB's size: an established connection is
 // the unit the Fig. 4 population multiplies, so growth here is a
 // reviewed decision, not a side effect (DESIGN.md, "Per-connection
-// memory budget").
+// memory budget"). The PCB is one cache line and holds nothing the
+// collector would scan: a field with a pointer, slice, map, interface,
+// string, channel or function in it would make every arena block a
+// scanned object.
 func TestConnStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Conn{}); got > 80 {
-		t.Fatalf("tcp.Conn is %d bytes, budget 80", got)
+	if got := unsafe.Sizeof(Conn{}); got > 64 {
+		t.Fatalf("tcp.Conn is %d bytes, budget 64", got)
+	}
+	if f := pointerField(reflect.TypeOf(Conn{}), "Conn"); f != "" {
+		t.Fatalf("tcp.Conn field %s holds a pointer", f)
+	}
+	if got := unsafe.Sizeof(block[[firstBlock - 1]Conn]{}); int(got) != firstBlock*connSize-8 {
+		t.Fatalf("a %d-slot block is %d bytes, want %d: 8 short of its size class", firstBlock, got, firstBlock*connSize-8)
 	}
 	// The flight is charged per connection with something pending and
 	// pooled per unit of concurrency: the two timer slots and the
@@ -119,4 +129,23 @@ func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(txSeg{}); got > 104 {
 		t.Fatalf("txSeg is %d bytes, budget 104", got)
 	}
+}
+
+// pointerField returns the path of the first field in t that holds
+// anything the garbage collector scans, or "".
+func pointerField(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+		return path
+	case reflect.Array:
+		return pointerField(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := pointerField(t.Field(i).Type, path+"."+t.Field(i).Name); f != "" {
+				return f
+			}
+		}
+	}
+	return ""
 }

@@ -17,20 +17,20 @@ func TestFlightDelAck(t *testing.T) {
 	const da = 100 * time.Microsecond
 	n := newTestNet(t, func(c *Config) { c.DelAck = da })
 	c, s := n.open(t, 80)
-	if c.fl != nil || s.fl != nil {
+	if c.fl != 0 || s.fl != 0 {
 		t.Fatal("idle established connections hold a flight")
 	}
 
 	// The timeout sends the ACK.
 	c.Send([]byte("x"))
 	n.step()
-	f := s.fl
-	if f == nil || f.daTimer == nil || f.timer != nil || s.retransLen() != 0 {
+	f := s.flight(s.stack())
+	if f == nil || f.daTimer == nil || f.timer != nil || s.retransLen(s.stack()) != 0 {
 		t.Fatal("a delayed ACK alone did not borrow a flight holding only its timer")
 	}
 	n.now += int64(2 * da)
 	n.b.wheel.Advance(n.now)
-	if s.fl != f || f.daTimer != nil || !s.has(needAck) {
+	if s.flight(s.stack()) != f || f.daTimer != nil || !s.has(needAck) {
 		t.Fatal("after the timeout: want the flight kept, its timer fired and the ACK owed to Flush")
 	}
 	out := n.b.stack.SegsOut
@@ -39,33 +39,33 @@ func TestFlightDelAck(t *testing.T) {
 		t.Fatalf("Flush sent %d segments, want the one delayed ACK", n.b.stack.SegsOut-out)
 	}
 	free := n.b.stack.flightFree
-	if s.fl != nil || len(free) == 0 || free[len(free)-1] != f {
+	if s.fl != 0 || len(free) == 0 || n.b.stack.flights[free[len(free)-1]-1] != f {
 		t.Fatal("the flight was not returned to the pool once the delayed ACK left")
 	}
 	n.step()
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("the sender kept its flight after its data was acknowledged")
 	}
 
 	// A reply carries the ACK.
 	c.Send([]byte("y"))
 	n.step()
-	f = s.fl
+	f = s.flight(s.stack())
 	if f == nil || f.daTimer == nil {
 		t.Fatal("the second request's delayed ACK did not borrow a flight")
 	}
 	out = n.b.stack.SegsOut
 	s.Send([]byte("reply"))
-	if s.fl != f || f.daTimer != nil || s.retransLen() != 1 {
+	if s.flight(s.stack()) != f || f.daTimer != nil || s.retransLen(s.stack()) != 1 {
 		t.Fatal("the reply did not cancel the delayed ACK and keep the flight for itself")
 	}
 	n.step()
-	if s.fl != f {
+	if s.flight(s.stack()) != f {
 		t.Fatal("the flight was returned before the reply was acknowledged")
 	}
 	n.advance(2 * da) // the client's own delayed ACK acknowledges the reply
-	if s.fl != nil || c.fl != nil {
-		t.Fatalf("flights kept after the reply was acknowledged: server %v, client %v", s.fl != nil, c.fl != nil)
+	if s.fl != 0 || c.fl != 0 {
+		t.Fatalf("flights kept after the reply was acknowledged: server %v, client %v", s.fl != 0, c.fl != 0)
 	}
 	if got := n.b.stack.SegsOut - out; got != 1 {
 		t.Fatalf("the server sent %d segments, want the reply alone (no pure ACK)", got)
@@ -77,21 +77,21 @@ func TestFlightDelAck(t *testing.T) {
 func TestFlightTimeWait(t *testing.T) {
 	const tw = time.Millisecond
 	n, c, _, deadline := timeWaitFixture(t, tw)
-	f := c.fl
-	if f == nil || f.timer == nil || f.daTimer != nil || f.reasm != nil || c.retransLen() != 0 {
+	f := c.flight(c.stack())
+	if f == nil || f.timer == nil || f.daTimer != nil || f.reasm != nil || c.retransLen(c.stack()) != 0 {
 		t.Fatal("TIME_WAIT does not hold a flight with the 2MSL timer alone")
 	}
 	n.advance(time.Duration(deadline-n.now) - 2*timerwheel.DefaultTick)
-	if c.State() != StateTimeWait || c.fl != f {
-		t.Fatalf("before the 2MSL deadline: state %v, flight kept %v", c.State(), c.fl == f)
+	if c.State() != StateTimeWait || c.flight(c.stack()) != f {
+		t.Fatalf("before the 2MSL deadline: state %v, flight kept %v", c.State(), c.flight(c.stack()) == f)
 	}
 	free := len(n.a.stack.flightFree)
 	n.advance(2 * timerwheel.DefaultTick)
-	if c.State() != StateClosed || c.fl != nil {
-		t.Fatalf("at the 2MSL deadline: state %v, flight kept %v", c.State(), c.fl != nil)
+	if c.State() != StateClosed || c.fl != 0 {
+		t.Fatalf("at the 2MSL deadline: state %v, flight kept %v", c.State(), c.fl != 0)
 	}
 	pool := n.a.stack.flightFree
-	if len(pool) != free+1 || pool[len(pool)-1] != f {
+	if len(pool) != free+1 || n.a.stack.flights[pool[len(pool)-1]-1] != f {
 		t.Fatal("destroy did not return the flight to the pool")
 	}
 	if f.timer != nil {
@@ -116,8 +116,8 @@ func TestZeroAllocDelAckBorrow(t *testing.T) {
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
 	c.rcvNxt = 1000
-	c.cancelRTO()
-	c.settle()
+	c.cancelRTO(c.stack())
+	c.settle(c.stack())
 
 	payload := []byte("sixteen byte msg")
 	segBuf := make([]byte, 64)
@@ -133,14 +133,14 @@ func TestZeroAllocDelAckBorrow(t *testing.T) {
 		copy(seg[hdr.Len():], payload)
 		wire.SetTCPChecksum(srcIP, dstIP, seg)
 		s.Input(srcIP, dstIP, seg, nil)
-		if c.fl == nil || c.fl.daTimer == nil {
+		if c.fl == 0 || c.flight(c.stack()).daTimer == nil {
 			t.Fatal("the segment's ACK was not deferred on a borrowed flight")
 		}
 		c.RecvDone(len(payload))
 		now += int64(200 * time.Microsecond)
 		s.cfg.Wheel.Advance(now)
 		s.Flush()
-		if c.fl != nil {
+		if c.fl != 0 {
 			t.Fatal("the flight was not returned once the delayed ACK left")
 		}
 		// The OS models' quiescence query trims the wheel's heap.

@@ -2,25 +2,24 @@ package tcp
 
 import "ix/internal/wire"
 
-// flowTable is a stack's connection demux table: open addressing with
-// linear probing over a power-of-two array of *Conn, load held at or
-// below 3/4, deletion by backward shift (no tombstones, so a churning
-// table never degrades). A slot is one pointer — the key is read from
-// the Conn it points at — plus a one-byte tag in a separate array: the
-// top byte of the key's hash, never 0, with 0 marking an empty slot. A
-// probe walks the tags and dereferences a Conn only where the tag
-// matches, so a miss (every SYN's lookup, every allocPort uniqueness
-// probe) reads no Conn at all and a hit reads, but for a 1-in-255 tag
-// collision, exactly one. Pointer and tag are what the table costs per
-// connection in the bytes/conn account, against the 36–56 B/entry of
-// the Go map it replaced. The hash is a fixed, seedless mix: slot order,
-// and with it every walk of the table, is a pure function of the keys
-// inserted.
+// flowTable is a stack's connection demux table: linear probing over a
+// power-of-two array, load at most 3/4, deletion by backward shift (no
+// tombstones). A slot is one word: the connection's arena slot in the
+// low 24 bits and a tag, the top byte of the key's hash (never 0), above;
+// 0 is empty. The key is read from the PCB only where the tag matches, so
+// a miss reads no PCB and a hit, but for a 1-in-255 tag collision, one
+// word and one PCB. The hash is a fixed, seedless mix: slot order, and
+// every walk of the table, is a pure function of the keys inserted.
 type flowTable struct {
-	slots []*Conn
-	tags  []uint8
+	a     *arena
+	slots []uint32
 	n     int
 }
+
+// entry packs a tag and an arena slot into a table slot, and entryTag
+// unpacks the tag.
+func entry(tag uint8, slot uint32) uint32 { return uint32(tag)<<slotBits | slot }
+func entryTag(e uint32) uint8             { return uint8(e >> slotBits) }
 
 // connKey is a connection's 4-tuple from the local view. The protocol is
 // always TCP, so the PCB stores these 12 B and Conn.Key rebuilds the
@@ -38,14 +37,14 @@ func (k connKey) flow() wire.FlowKey {
 // minFlowSlots is the smallest table (an unsized stack's first backing).
 const minFlowSlots = 8
 
-// newFlowTable returns a table that holds expected connections without
-// growing.
-func newFlowTable(expected int) flowTable {
+// newFlowTable returns a table over the PCBs of a that holds expected
+// connections without growing.
+func newFlowTable(a *arena, expected int) flowTable {
 	n := minFlowSlots
 	for n*3 < expected*4 {
 		n <<= 1
 	}
-	return flowTable{slots: make([]*Conn, n), tags: make([]uint8, n)}
+	return flowTable{a: a, slots: make([]uint32, n)}
 }
 
 // hashFlow mixes the 4-tuple. The population it must spread is
@@ -82,13 +81,14 @@ func hashTag(h uint64) uint8 {
 func (t *flowTable) get(k connKey) *Conn {
 	h := hashFlow(k)
 	tag := hashTag(h)
-	mask := uint64(len(t.tags) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		switch t.tags[i] {
-		case 0:
+		e := t.slots[i]
+		if e == 0 {
 			return nil
-		case tag:
-			if c := t.slots[i]; c.key == k {
+		}
+		if entryTag(e) == tag {
+			if c := t.a.at(e & slotMask); c.key == k {
 				return c
 			}
 		}
@@ -104,18 +104,17 @@ func (t *flowTable) put(c *Conn) {
 	}
 	h := hashFlow(c.key)
 	tag := hashTag(h)
-	mask := uint64(len(t.tags) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		switch t.tags[i] {
-		case 0:
-			t.slots[i], t.tags[i] = c, tag
+		e := t.slots[i]
+		if e == 0 {
+			t.slots[i] = entry(tag, c.id.Slot())
 			t.n++
 			return
-		case tag:
-			if t.slots[i].key == c.key {
-				t.slots[i] = c
-				return
-			}
+		}
+		if entryTag(e) == tag && t.a.at(e&slotMask).key == c.key {
+			t.slots[i] = entry(tag, c.id.Slot())
+			return
 		}
 	}
 }
@@ -128,44 +127,41 @@ func (t *flowTable) put(c *Conn) {
 func (t *flowTable) del(k connKey) {
 	h := hashFlow(k)
 	tag := hashTag(h)
-	mask := uint64(len(t.tags) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := h & mask
-probe:
 	for ; ; i = (i + 1) & mask {
-		switch t.tags[i] {
-		case 0:
+		e := t.slots[i]
+		if e == 0 {
 			return
-		case tag:
-			if t.slots[i].key == k {
-				break probe
-			}
+		}
+		if entryTag(e) == tag && t.a.at(e&slotMask).key == k {
+			break
 		}
 	}
-	for j := (i + 1) & mask; t.tags[j] != 0; j = (j + 1) & mask {
-		c := t.slots[j]
-		if home := hashFlow(c.key) & mask; (j-home)&mask >= (j-i)&mask {
-			t.slots[i], t.tags[i] = c, t.tags[j]
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		e := t.slots[j]
+		if home := hashFlow(t.a.at(e&slotMask).key) & mask; (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = e
 			i = j
 		}
 	}
-	t.slots[i], t.tags[i] = nil, 0
+	t.slots[i] = 0
 	t.n--
 }
 
 // grow doubles the table, reinserting in slot order (deterministic).
 func (t *flowTable) grow() {
 	old := t.slots
-	t.slots, t.tags = make([]*Conn, 2*len(old)), make([]uint8, 2*len(old))
+	t.slots = make([]uint32, 2*len(old))
 	mask := uint64(len(t.slots) - 1)
-	for _, c := range old {
-		if c == nil {
+	for _, e := range old {
+		if e == 0 {
 			continue
 		}
-		h := hashFlow(c.key)
-		i := h & mask
-		for t.tags[i] != 0 {
+		i := hashFlow(t.a.at(e&slotMask).key) & mask
+		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i], t.tags[i] = c, hashTag(h)
+		t.slots[i] = e
 	}
 }

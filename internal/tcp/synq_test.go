@@ -267,7 +267,7 @@ func TestMigrateEmbryonicKeepsDeadline(t *testing.T) {
 		Events: n.a,
 	})
 	n.now = int64(300 * time.Microsecond)
-	n.a.stack.Migrate(c, dst)
+	c = dst.Conn(n.a.stack.Migrate(c.ID(), dst))
 	if got := n.a.wheel.Len(); got != 0 {
 		t.Fatalf("source wheel holds %d timers after the migration, want 0", got)
 	}

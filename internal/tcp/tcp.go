@@ -1,33 +1,24 @@
-// Package tcp is a from-scratch TCP protocol engine playing the role lwIP
-// played in IX (§4.2): RFC-style connection management (three-way
-// handshake, sliding windows, retransmission with Jacobson RTT estimation
-// and exponential backoff, fast retransmit, slow start and congestion
-// avoidance, reassembly, FIN/RST teardown), restructured — as the paper
-// describes — for per-core shared-nothing operation and fine-grained
-// timer management.
-//
-// One Stack instance exists per elastic thread (or per kernel core for the
-// baselines); instances share nothing. The engine is policy-free about
-// execution: the embedding OS model supplies the clock, a timer wheel, an
-// output function, and receives events through callbacks. Crucially for
-// IX semantics:
-//
-//   - Sendv accepts only the bytes permitted by the congestion and peer
-//     windows and transmits them immediately (the paper's "returns the
-//     number of bytes that were accepted and sent by the TCP stack");
-//     the application owns all send buffering policy.
-//   - Received payload is delivered as zero-copy references into mbufs;
-//     the receive window advances only when the application returns
-//     buffers via RecvDone (the recv_done batched system call).
-//   - Pure ACKs are emitted at Flush, called by the OS model at the end
-//     of a processing batch — "the networking stack sends acknowledgments
-//     to peers only as fast as the application can process them" (§3).
+// Package tcp is a from-scratch TCP engine in the role lwIP played in IX
+// (§4.2): handshake, sliding windows, Jacobson RTT estimation with
+// exponential backoff, fast retransmit, slow start and congestion
+// avoidance, reassembly and FIN/RST teardown, restructured for per-core
+// shared-nothing operation and fine-grained timers. One Stack exists per
+// elastic thread (or kernel core, or Linux host) and they share nothing;
+// the embedding OS model supplies the clock, a timer wheel and an output
+// function, and receives events through callbacks. For IX semantics:
+//   - Sendv accepts only what the congestion and peer windows permit and
+//     transmits it at once; the application owns send buffering.
+//   - Received payload is delivered as zero-copy mbuf references; the
+//     receive window advances only when RecvDone (recv_done) returns them.
+//   - Pure ACKs leave at Flush, at the end of a processing batch, so
+//     acknowledgments follow application progress (§3).
 package tcp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ix/internal/fabric"
@@ -73,55 +64,43 @@ const (
 	ReasonRefused               // connect failed (RST to SYN)
 )
 
+var reasonNames = [...]string{"closed", "reset", "timeout", "refused"}
+
 func (r Reason) String() string {
-	switch r {
-	case ReasonClosed:
-		return "closed"
-	case ReasonReset:
-		return "reset"
-	case ReasonTimeout:
-		return "timeout"
-	case ReasonRefused:
-		return "refused"
+	if r < 0 || int(r) >= len(reasonNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return reasonNames[r]
 }
 
-// Events receives protocol events. The OS architecture model implements
-// this to surface event conditions (Table 1) to applications.
+// Events receives protocol events; the OS model surfaces them as event
+// conditions (Table 1).
 type Events interface {
-	// Accepted fires when a remotely initiated connection completes the
-	// handshake.
+	// Accepted fires when a remotely initiated connection is established.
 	Accepted(c *Conn)
-	// Connected fires when a locally initiated connection finishes
-	// opening (outcome true) or fails (false).
+	// Connected fires when a local open succeeds (true) or fails (false).
 	Connected(c *Conn, ok bool)
-	// Recv delivers in-order payload as a zero-copy view into buf. The
-	// receiver must Ref the buf if it holds it past the callback, and
-	// the receive window stays closed until RecvDone returns the bytes.
+	// Recv delivers in-order payload as a zero-copy view into buf, which
+	// the receiver must Ref to hold past the callback; the window stays
+	// closed until RecvDone returns the bytes.
 	Recv(c *Conn, buf *mem.Mbuf, data []byte)
-	// Sent fires when previously accepted bytes are acknowledged and/or
-	// the usable send window grows (the sent event condition). released
-	// is the payload-byte count of transmit segments this cumulative ACK
-	// fully covered: the stack has dropped every reference to those
-	// bytes, so the zero-copy sender may reclaim them (the ACK-driven
-	// release hook of the tx arena). released never exceeds acked and
-	// lags it while a segment is only partially acknowledged.
+	// Sent fires when accepted bytes are acknowledged or the usable
+	// window grows. released counts the payload of segments this ACK
+	// fully covered, which the stack no longer references, so the
+	// zero-copy sender may reclaim them; it lags acked while a segment is
+	// partly acknowledged.
 	Sent(c *Conn, acked, released int)
-	// RemoteClosed fires when the peer sends FIN (half-close); the
-	// usual response is to Close. libix maps it to an EOF-style event.
+	// RemoteClosed fires on the peer's FIN (half-close).
 	RemoteClosed(c *Conn)
 	// Dead fires when the connection terminates.
 	Dead(c *Conn, reason Reason)
 }
 
-// Output is how the stack emits segments: the embedding layer prepends
-// IP/Ethernet framing and hands the frame to its NIC queue. payload
-// slices are owned by the application (zero-copy transmit) and must be
-// treated as immutable. The payload slice-of-slices itself is a scratch
-// the stack reuses across segments: Output must consume it before
-// returning. A single-fragment payload may be carried by reference
-// rather than copied, pinning the memory PayloadBacking names.
+// Output emits a segment: the embedding layer frames it and queues it on
+// its NIC. The payload slices are the application's and immutable (zero
+// copy); the slice of them is a scratch Output must consume before it
+// returns. A one-fragment payload may ride by reference, pinning the
+// memory PayloadBacking names.
 type Output func(c *Conn, hdr *wire.TCPHeader, payload [][]byte)
 
 // Config parameterizes a Stack.
@@ -137,10 +116,8 @@ type Config struct {
 	Events Events
 	// RcvWnd is the maximum receive window in bytes (default 256 KB).
 	RcvWnd int
-	// PortOK, if set, filters ephemeral port choices; IX client threads
-	// use it to probe ports whose RSS hash (for the return direction of
-	// the flow to dst:dport) lands on this thread's queue (§4.4: "we
-	// simply probe the ephemeral port range").
+	// PortOK, if set, filters ephemeral ports: IX probes for one whose
+	// return-direction RSS hash lands on this thread's queue (§4.4).
 	PortOK func(port uint16, dst wire.IPv4, dport uint16) bool
 	// Seed initializes the ISS generator (deterministic).
 	Seed uint64
@@ -150,21 +127,15 @@ type Config struct {
 	// MaxRexmits is the retransmission limit before the connection dies
 	// with ReasonTimeout (default 8, at most maxRexmits).
 	MaxRexmits int
-	// TimeWait is the 2MSL quiet period (scaled down for simulation;
-	// default 1 ms). The echo benchmarks avoid it with RST closes, as
-	// in the paper.
+	// TimeWait is the 2MSL quiet period (scaled down; default 1 ms).
 	TimeWait time.Duration
 	// SynBacklog bounds embryonic connections per listener (default 1024).
 	SynBacklog int
-	// ExpectedConns presizes the connection table for the anticipated
-	// steady-state flow population (0 = grow on demand). Presizing
-	// avoids the doubling churn of ramping to a large population.
+	// ExpectedConns presizes the connection table (0 = grow on demand).
 	ExpectedConns int
-	// DelAck, when positive, enables delayed acknowledgments: a pure
-	// ACK for in-order data is deferred up to this long (or until a
-	// second segment arrives, per RFC 1122), giving responses a chance
-	// to piggyback it. The Linux baseline uses this; IX does not need
-	// it — its ACKs are already paced by application progress (§3).
+	// DelAck, when positive, defers a pure ACK for in-order data up to
+	// this long or to the second segment (RFC 1122), for a response to
+	// carry. Linux uses it; IX's ACKs are paced by the application (§3).
 	DelAck time.Duration
 }
 
@@ -173,15 +144,11 @@ const (
 	defaultRcvWnd  = 256 << 10
 	defaultMinRTO  = 200 * time.Microsecond
 	defaultRexmits = 8
-	// maxRexmits bounds MaxRexmits so the count that exceeds it fits
-	// Conn.rexmitCount's byte.
-	maxRexmits     = 254
+	maxRexmits     = 254 // the count past it still fits Conn.rexmitCount
 	defaultTW      = time.Millisecond
 	defaultBacklog = 1024
 	initialRTO     = time.Millisecond
-	// maxRTO caps the retransmission timeout (and with it the stored RTT
-	// estimator: 4 s of nanoseconds fits 32 bits).
-	maxRTO = 4 * time.Second
+	maxRTO         = 4 * time.Second // caps the RTO and the stored estimator (32-bit ns)
 	// initialCwnd is IW10 in segments.
 	initialCwnd = 10
 	// wscale used on both directions (fixed shift covering 256 KB).
@@ -191,55 +158,50 @@ const (
 // Stack is a shared-nothing TCP instance: one per elastic thread.
 type Stack struct {
 	cfg   Config
+	arena arena // the PCBs, which conns indexes by flow key
 	conns flowTable
 	// listeners holds one entry per listening port: a handful at most,
 	// so a scan beats hashing the port.
 	listeners []*Listener
-	needsAck  []*Conn
+	needsAck  []ConnID // owing Flush a segment; Flush skips the stale
 	isn       uint64
 	nextPort  uint16
-	// sg is the scratch scatter-gather array segments are assembled in
-	// before their fragment references move into the txSeg; reused so
-	// steady-state transmit does not allocate.
-	sg [][]byte
-	// hdr is the scratch header the hot emit paths fill: passing a
-	// stack-local header into the dynamic Output func forces it to the
-	// heap, one hidden allocation per segment. Emissions never nest
-	// (Output builds a frame and returns), so one scratch is safe.
+	// sg is the scratch segments are assembled in. hdr is the scratch
+	// header the emit paths fill: a local one passed to the dynamic
+	// Output escapes, one allocation per segment. Emissions never nest.
+	sg  [][]byte
 	hdr wire.TCPHeader
 	// back is the backing of the segment Output is emitting
 	// (PayloadBacking), nil outside a data segment's emission.
 	back fabric.Backing
-	// flightFree recycles flight objects between connections with
-	// something pending (LIFO, so the hot objects stay cache-warm).
-	flightFree []*flight
-	// synQ holds each embryonic connection's first SYN or SYN-ACK
-	// retransmission deadline, from synHead on, in arming order. That
-	// deadline is always the arming instant plus initialRTO, so arming
-	// order is deadline order and one wheel timer, synTimer, serves the
-	// whole queue: it is kept on the first live deadline, at the place in
-	// the wheel's firing order the entry reserved when it was armed, and
-	// nil exactly when no entry is live. A handshake that completes (or
-	// dies) clears its connection's synTimed flag and leaves the entry
-	// behind, dead; dead entries are dropped when they reach the head.
+	// flights is the directory of every flight the stack has built, one
+	// named n by index n-1; flightFree names those pooled (LIFO, so the
+	// hot objects stay cache-warm).
+	flights    []*flight
+	flightFree []uint32
+	// synQ holds each embryonic connection's first handshake
+	// retransmission deadline, from synHead on. Each is its arming instant
+	// plus initialRTO, so arming order is deadline order and one timer,
+	// synTimer, serves the queue: kept on the first live deadline at the
+	// place in the wheel's order its entry reserved, nil when none is
+	// live. A handshake that completes or dies leaves its entry behind,
+	// dead, dropped when it reaches the head.
 	synQ     []synEntry
 	synHead  int
 	synTimer *timerwheel.Timer
 
 	// Stats.
 	SegsIn, SegsOut uint64
-	// OutOfOrderSegs counts data segments that arrived ahead of rcvNxt
-	// and entered reassembly. On a lossless fabric this stays zero unless
-	// something — e.g. a buggy flow migration — reorders a flow's frames,
-	// so migration tests assert on it directly.
+	// OutOfOrderSegs counts data segments that entered reassembly: on a
+	// lossless fabric only a reordering (a buggy migration) raises it.
 	OutOfOrderSegs  uint64
 	Retransmits     uint64
 	FastRetransmits uint64
 	BadChecksums    uint64
 	AcceptedConns   uint64
-	// SynsAdmitted counts passive opens admitted through the batched
-	// SYN path (their SYN-ACKs coalesce into the batch-boundary Flush).
+	// SynsAdmitted counts passive opens (their SYN-ACKs leave at Flush).
 	SynsAdmitted uint64
+	StaleIDs     uint64 // ids refused by Conn
 }
 
 // NewStack builds a stack from cfg, applying defaults.
@@ -263,29 +225,29 @@ func NewStack(cfg Config) *Stack {
 	if cfg.SynBacklog <= 0 {
 		cfg.SynBacklog = defaultBacklog
 	}
-	return &Stack{
+	s := &Stack{
 		cfg:      cfg,
-		conns:    newFlowTable(cfg.ExpectedConns),
 		isn:      cfg.Seed | 1,
 		nextPort: 32768,
 	}
+	s.arena.owner = s
+	s.conns = newFlowTable(&s.arena, cfg.ExpectedConns)
+	return s
 }
 
 // A Listener accepts connections on a local port.
 type Listener struct {
-	stack *Stack
-	Port  uint16
-	// Cookie is the opaque user value for knock events.
-	Cookie    any
+	Port      uint16
 	embryonic int
 }
 
-// Listen starts accepting connections on port.
-func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
+// Listen starts accepting connections on port. The second argument is
+// not used.
+func (s *Stack) Listen(port uint16, _ any) (*Listener, error) {
 	if s.listener(port) != nil {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
-	l := &Listener{stack: s, Port: port, Cookie: cookie}
+	l := &Listener{Port: port}
 	s.listeners = append(s.listeners, l)
 	return l, nil
 }
@@ -302,11 +264,8 @@ func (s *Stack) listener(port uint16) *Listener {
 	return nil
 }
 
-// embryonicDone takes a connection leaving SynRcvd — the state only
-// passiveOpen enters — off its port's backlog count. Connections find
-// their listener by port rather than carry a pointer to it; a stack a
-// connection migrated to without a listener on the port has no count to
-// maintain.
+// embryonicDone takes a connection leaving SynRcvd off its port's
+// backlog count, if the stack listens on the port.
 func (s *Stack) embryonicDone(port uint16) {
 	if l := s.listener(port); l != nil {
 		l.embryonic--
@@ -323,18 +282,12 @@ func (s *Stack) nextISS() uint32 {
 	return uint32(s.isn >> 32)
 }
 
-// txSeg is one unacknowledged transmitted segment. It references the
-// sender's bytes in place — (chunk, offset, len) references into the
-// libix tx arena, or views into a kernel sndbuf for the baselines —
-// rather than owning a copy: the zero-copy contract is that those bytes
-// stay immutable until the segment is fully acknowledged and the
-// reference dropped. The common segment is at most two fragments (one
-// contiguous arena run, or one run spanning a chunk boundary), stored
-// inline so tracking a segment does not allocate; pathological
-// scatter-gather shapes spill to extra. back is the pooled memory a
-// single-fragment segment lies in, when the sender named one: the frames
-// that carry the segment by reference pin it. fin shares a word
-// with seq, so back costs no bytes (TestConnStateSizes).
+// txSeg is one unacknowledged segment. It references the sender's bytes
+// in place (libix tx arena runs, or a kernel sndbuf), which stay
+// immutable until the segment is acknowledged. Up to two fragments are
+// inline, so tracking one does not allocate; more spill to extra. back is
+// the pooled memory a one-fragment segment lies in, if named: the frames
+// carrying it by reference pin it.
 type txSeg struct {
 	seq    uint32
 	fin    bool
@@ -370,19 +323,14 @@ func (ts *txSeg) appendPayload(sg [][]byte) [][]byte {
 	return append(sg, ts.extra...)
 }
 
-// retransInline is the flight's inline segment capacity: steady
-// request-response traffic keeps at most a couple of segments in
-// flight, so the queue almost never needs heap backing. Loss bursts
-// and deep pipelining spill to an ordinary slice.
+// retransInline is the flight's inline segment capacity, enough for
+// request-response traffic; bursts spill to an ordinary slice.
 const retransInline = 2
 
-// maxPooledSpill bounds the spilled backing a pooled flight keeps when
-// its queue drains: the backing append grew for up to 64 segments is
-// kept, so a bulk sender's 64 KiB flights (45 full segments) reuse one
-// backing instead of regrowing it 2→64 per message. append rounds a
-// capacity up to its allocation size class, so that backing holds a few
-// more than 64; keepSpill accepts anything below the next doubling.
-// Anything larger was grown by an unusual burst and is dropped.
+// maxPooledSpill bounds the spilled backing a pooled flight keeps, so a
+// bulk sender's 64 KiB flights (45 segments) reuse one instead of
+// regrowing it per message. keepSpill accepts append's size-class
+// rounding up to the next doubling; larger backings are dropped.
 const maxPooledSpill = 64
 
 // keepSpill reports whether a drained queue's backing stays pooled.
@@ -392,38 +340,27 @@ func keepSpill(q []txSeg) bool {
 
 // flight is everything a connection holds only while something is
 // pending: unacknowledged data, held out-of-order segments or an armed
-// timer. An idle established connection has none of it, so it holds no
-// flight at all: a connection borrows one
-// from its stack's pool when the first of these appears and returns it,
-// cleared, when all of them are gone (settle). The pool is LIFO, so the
-// hot objects stay cache-warm, and it only ever holds objects that were
-// borrowed at the same instant.
+// timer. An idle connection holds none; it borrows one from its stack's
+// LIFO pool when the first appears and returns it, cleared, when all are
+// gone (settle).
 //
-// The retransmission queue is a head-indexed ring over one backing
-// array. The cumulative-ACK trim advances head (zeroing dropped
-// segments so their payload references die); q aliases the inline
-// array until a burst spills it, and a pooled flight keeps a spilled
-// backing of up to maxPooledSpill segments. Beside the queue sit the
-// scalars that mean something only while data is unacknowledged: the
-// pending RTT sample and the NewReno loss-recovery state. Neither
-// outlives a drained queue — the draining ACK takes the timed segment's
-// sample, and a recovery ends at the ACK that covers every segment.
+// The retransmission queue is a head-indexed ring: the cumulative-ACK
+// trim advances head, zeroing what it drops; q aliases the inline array
+// until a burst spills it. Beside it sit the pending RTT sample and the
+// NewReno recovery state, neither of which outlives a drained queue.
 type flight struct {
 	q []txSeg
 	// RTT timing: one segment at a time (rttSeq is its end), sampled by
 	// the ACK that covers it unless a retransmission intervened (Karn).
 	rttStart int64
 
-	// Timers. Callbacks are package-level trampolines passed through
-	// timerwheel.AddArg with the connection as the argument: a bound
-	// method value like c.onRTO would allocate a closure per arming (the
-	// RTO re-arms once per transmitted segment) or pin three per-conn
-	// closures for the connection's lifetime if bound once at setup.
-	//
-	// timer is the retransmission timer until TIME_WAIT and the 2MSL
-	// timer in it: enterTimeWait cancels the RTO before arming the 2MSL
-	// deadline, and nothing arms or cancels the RTO in TIME_WAIT (no
-	// data or FIN is in flight there).
+	// c is the connection that borrowed the flight; Migrate moves it.
+	c *Conn
+
+	// Timers take the flight as their argument to package-level
+	// trampolines: a bound method value would allocate per arming. timer
+	// is the RTO until TIME_WAIT and the 2MSL timer in it; nothing arms
+	// the RTO in TIME_WAIT.
 	timer   *timerwheel.Timer
 	daTimer *timerwheel.Timer
 
@@ -433,16 +370,12 @@ type flight struct {
 	// head is int32: the queue is bounded by the window's segments.
 	head   int32
 	rttSeq uint32
-	// Loss recovery is NewReno (RFC 6582): while inRecovery, a partial
-	// ACK (one below recoverSeq, the sndNxt at loss detection) means the
-	// next hole is already known lost, so it is retransmitted immediately
-	// instead of waiting out another full RTO — without this a k-segment
-	// burst loss costs k serial timeouts, which at a 200 µs MinRTO floor
-	// is exactly the incast collapse of §5.
+	// Loss recovery is NewReno (RFC 6582): in recovery, a partial ACK
+	// (below recoverSeq, sndNxt at detection) retransmits the next hole at
+	// once rather than after another RTO, which at a 200 µs floor would be
+	// the incast collapse of §5.
 	recoverSeq uint32
-	// dupAcks is uint16: one increment per received duplicate ACK, reset
-	// on any advance, so it is bounded by the segments a single flight
-	// can produce (window/MSS ≪ 64k).
+	// dupAcks is bounded by the segments of one flight.
 	dupAcks    uint16
 	inRecovery bool
 	rttPending bool
@@ -455,17 +388,10 @@ func (f *flight) idle() bool {
 	return int(f.head) == len(f.q) && f.reasm == nil && f.timer == nil && f.daTimer == nil
 }
 
-// clearTx empties the retransmission queue and resets the timing and
-// recovery scalars beside it. No payload reference may survive. Entries
-// before head and past len are always zero (the trim and the compaction
-// zero what they drop), so only the live ones — a dead connection's —
-// need clearing. A spill copies the inline entries aside but leaves
-// their references behind, so a spilled queue zeroes the inline array
-// too; its backing is kept if grown for up to maxPooledSpill segments,
-// and a larger one is dropped by re-aliasing q to the inline array. The
-// scalars reset too: a queue drained by the ACK that ends a recovery is
-// still marked in recovery, and a dead connection's queue may still
-// time a segment.
+// clearTx empties the retransmission queue, leaving no payload
+// reference, and resets the timing and recovery scalars. Only live
+// entries need clearing (trim and compaction zero what they drop), and
+// the inline array once spilled; a spilled backing stays if keepSpill.
 func (f *flight) clearTx() {
 	clear(f.q[f.head:])
 	f.q = f.q[:0]
@@ -480,49 +406,52 @@ func (f *flight) clearTx() {
 	f.recoverSeq, f.dupAcks, f.inRecovery = 0, 0, false
 }
 
-// getFlight pops a pooled flight (or builds the first).
-func (s *Stack) getFlight() *flight {
+// getFlight pops a pooled flight (or builds one) and returns its name.
+func (s *Stack) getFlight() uint32 {
 	if n := len(s.flightFree); n > 0 {
-		f := s.flightFree[n-1]
-		s.flightFree[n-1] = nil
+		fl := s.flightFree[n-1]
 		s.flightFree = s.flightFree[:n-1]
-		return f
+		return fl
 	}
 	f := &flight{}
 	f.q = f.inl[:0:retransInline]
-	return f
+	s.flights = append(s.flights, f)
+	return uint32(len(s.flights))
 }
 
-// putFlight clears f and returns it to the pool. It is the one place a
-// flight is returned, from a connection that has settled or from
-// destroy, whose timers are cancelled and whose held segments are
-// released by then. Nothing the connection held survives into the pool,
-// so a loss burst's spill is never pinned for a connection's lifetime.
-func (s *Stack) putFlight(f *flight) {
+// putFlight clears flight fl, whose timers are cancelled and held
+// segments released, and returns it to the pool.
+func (s *Stack) putFlight(fl uint32) {
+	f := s.flights[fl-1]
 	f.clearTx()
-	f.timer, f.daTimer, f.reasm = nil, nil, nil
-	s.flightFree = append(s.flightFree, f)
+	f.c, f.timer, f.daTimer, f.reasm = nil, nil, nil, nil
+	s.flightFree = append(s.flightFree, fl)
+}
+
+// flight returns the connection's flight, or nil if it holds none.
+func (c *Conn) flight(s *Stack) *flight {
+	if c.fl == 0 {
+		return nil
+	}
+	return s.flights[c.fl-1]
 }
 
 // borrow returns the connection's flight, borrowing one if it has none.
-func (c *Conn) borrow() *flight {
-	if c.fl == nil {
-		c.fl = c.stack.getFlight()
+func (c *Conn) borrow(s *Stack) *flight {
+	if c.fl == 0 {
+		c.fl = s.getFlight()
+		s.flights[c.fl-1].c = c
 	}
-	return c.fl
+	return s.flights[c.fl-1]
 }
 
 // settle returns the connection's flight once nothing in it is pending.
-// It runs where the stack hands control back after working on a
-// connection — after each input segment and after each Flush emission —
-// so a flight emptied part way through a segment's processing (a
-// drained queue whose RTO is cancelled a few lines later) or between
-// a delayed ACK's timeout and the Flush that sends it is returned once,
-// at the end.
-func (c *Conn) settle() {
-	if f := c.fl; f != nil && f.idle() {
-		c.fl = nil
-		c.stack.putFlight(f)
+// It runs after each input segment and each Flush emission, so a flight
+// emptied part way through is returned once, at the end.
+func (c *Conn) settle(s *Stack) {
+	if f := c.flight(s); f != nil && f.idle() {
+		s.putFlight(c.fl)
+		c.fl = 0
 	}
 }
 
@@ -533,11 +462,8 @@ type rxSeg struct {
 	buf  *mem.Mbuf
 }
 
-// reasmQ is a connection's out-of-order hold queue. It exists only
-// while segments are held: allocated on the first out-of-order arrival,
-// dropped when the queue drains — reordering is the exception on this
-// fabric, so a flight that never holds one pays a nil pointer for it.
-// bytes, the payload held, is bounded by the receive window.
+// reasmQ is a connection's out-of-order hold queue, allocated on the
+// first out-of-order arrival and dropped when it drains.
 type reasmQ struct {
 	segs  []rxSeg
 	bytes int32
@@ -547,30 +473,13 @@ type reasmQ struct {
 //
 // The layout rule, here and in every layer above (DESIGN.md,
 // "Per-connection memory budget"): a field lives in the connection only
-// if an idle established connection needs it. What exists only while
-// something is pending — the retransmission queue with the RTT sample
-// and loss-recovery scalars that time and repair it, held out-of-order
-// segments, the timers and the retransmission count — sits in one
-// borrowed flight that is nil when idle. The same rule gives the
-// connection one owner id rather than a word per layer that might own
-// it, and packs its booleans into one byte. Fields are ordered by
-// alignment, widest first, so the struct carries no interior padding:
-// 24 B of pointers and words, the 12 B key, 36 B of sequence, window
-// and estimator state, 4 B of unconsumed bytes and 3 B of state and
-// flags — 80 B, which TestConnStateSizes pins.
+// if an idle established connection needs it; what exists only while
+// something is pending sits in the borrowed flight. A PCB lives in a
+// slot of its stack's arena (arena.go) and holds no pointer: the stack is
+// its block's header, the flight an index into the stack's directory,
+// and an owning layer finds its state by the connection's slot. It is
+// 64 B, one cache line (TestConnStateSizes).
 type Conn struct {
-	stack *Stack
-
-	// Cookie is the owning layer's id for the connection: the socket
-	// core's table id on Linux and mTCP, the dune flow handle on IX
-	// (whose capability entry holds the user's Table 1 cookie). A compact
-	// integer rather than an interface box: 8 bytes inline, nothing to
-	// scan, nothing pinned.
-	Cookie uint64
-
-	// fl is the borrowed flight: nil unless something is pending.
-	fl *flight
-
 	// key is the local view: SrcIP/SrcPort local, DstIP/DstPort remote.
 	key connKey
 
@@ -585,28 +494,27 @@ type Conn struct {
 	cwnd     uint32
 	ssthresh uint32
 
-	// RTT estimation. srtt, rttvar and rto are nanoseconds in 32 bits:
-	// the RTO is capped at maxRTO (4 s), so nothing an estimator can
-	// usefully hold exceeds it. The arithmetic runs in time.Duration and
-	// clamps on store (rttNs). The pending sample lives in fl.
+	// RTT estimation in nanoseconds: 32 bits hold the 4 s maxRTO cap,
+	// applied on store (rttNs).
 	srtt, rttvar uint32
 	rto          uint32
 
-	// Receive state. unconsumed is bounded by the receive window, so 32
-	// bits hold it.
+	// Receive state.
 	rcvNxt     uint32
 	unconsumed int32 // delivered to app, not yet RecvDone'd
+
+	// fl names the borrowed flight in the stack's directory (index plus
+	// one): 0 unless something is pending.
+	fl uint32
+	// id is the connection's name in its stack (ConnID).
+	id ConnID
 
 	state      State
 	peerWShift uint8
 	flags      connFlags
-	// rexmitCount counts consecutive retransmission timeouts; an ACK
-	// that advances sndUna resets it. It fills the byte the alignment
-	// would leave as padding, and it stays here rather than in fl: the
-	// handshake's ACK does not reset it, so a connection whose SYN or
-	// SYN-ACK was retransmitted carries a count until its first data is
-	// acknowledged — in fl, that count would keep a flight borrowed by
-	// an idle connection.
+	// rexmitCount counts consecutive timeouts until an ACK advances
+	// sndUna. It is not in fl: the handshake's ACK does not reset it, and
+	// a count kept there would keep an idle connection's flight borrowed.
 	rexmitCount uint8
 }
 
@@ -642,15 +550,17 @@ func (c *Conn) State() State { return c.state }
 func (c *Conn) inFlight() uint32 { return c.sndNxt - c.sndUna }
 
 // retransLen returns the number of tracked unacknowledged segments.
-func (c *Conn) retransLen() int {
-	if c.fl == nil {
+func (c *Conn) retransLen(s *Stack) int {
+	f := c.flight(s)
+	if f == nil {
 		return 0
 	}
-	return len(c.fl.q) - int(c.fl.head)
+	return len(f.q) - int(f.head)
 }
 
-// usableWindow returns how many more payload bytes the windows permit.
-func (c *Conn) usableWindow() int {
+// UsableWindow returns how many more payload bytes the windows permit
+// (the sent event condition's window_size).
+func (c *Conn) UsableWindow() int {
 	wnd := c.sndWnd
 	if c.cwnd < wnd {
 		wnd = c.cwnd
@@ -662,15 +572,11 @@ func (c *Conn) usableWindow() int {
 	return int(wnd - fl)
 }
 
-// UsableWindow exposes the current usable send window (for the sent event
-// condition's window_size parameter).
-func (c *Conn) UsableWindow() int { return c.usableWindow() }
-
 // rcvWndAvail computes the receive window to advertise: total minus bytes
 // the application still holds (zero-copy flow control, §4.3).
-func (c *Conn) rcvWndAvail() int {
-	w := c.stack.cfg.RcvWnd - int(c.unconsumed)
-	if f := c.fl; f != nil && f.reasm != nil {
+func (c *Conn) rcvWndAvail(s *Stack) int {
+	w := s.cfg.RcvWnd - int(c.unconsumed)
+	if f := c.flight(s); f != nil && f.reasm != nil {
 		w -= int(f.reasm.bytes)
 	}
 	if w < 0 {
@@ -679,17 +585,13 @@ func (c *Conn) rcvWndAvail() int {
 	return w
 }
 
-// Connect initiates an active open to dst:port, returning the new
-// connection in SynSent state with cookie as its owner id (Conn.Cookie).
-// The Connected event reports the outcome.
-// It is on the establishment fast path — the large Fig. 4 ramps open
-// millions of connections through it — so beyond the connection object
-// itself (newConn) it must not allocate: the table insert lands in
-// presized slots and the SYN is assembled in the stack's shared
-// header scratch (TestZeroAllocConnEstablish pins this).
+// Connect opens dst:port actively, returning the connection in SynSent;
+// the Connected event reports the outcome. The third argument is not
+// used. On the establishment fast path it allocates nothing but a new
+// arena block once per block (TestZeroAllocConnEstablish).
 //
 //ix:hotpath
-func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error) {
+func (s *Stack) Connect(dst wire.IPv4, port uint16, _ uint64) (*Conn, error) {
 	lp, err := s.allocPort(dst, port)
 	if err != nil {
 		return nil, err
@@ -698,21 +600,18 @@ func (s *Stack) Connect(dst wire.IPv4, port uint16, cookie uint64) (*Conn, error
 		SrcIP: s.cfg.LocalIP, DstIP: dst,
 		SrcPort: lp, DstPort: port,
 	})
-	c.Cookie = cookie
 	c.state = StateSynSent
 	c.sndNxt = c.sndUna + 1
 	s.conns.put(c)
-	c.sendFlags(wire.TCPSyn, c.sndUna, 0, true)
-	c.armSynRTO()
+	c.sendFlags(s, wire.TCPSyn, c.sndUna, 0, true)
+	c.armSynRTO(s)
 	return c, nil
 }
 
 var errPortSpaceExhausted = errors.New("tcp: ephemeral port space exhausted")
 
 // allocPort picks an ephemeral port not in use for the destination,
-// honoring the PortOK probe. The uniqueness probe is an establishment-path
-// table lookup; the exhaustion error is hoisted so the probe loop itself
-// never allocates.
+// honoring the PortOK probe, without allocating.
 //
 //ix:hotpath
 func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
@@ -720,12 +619,9 @@ func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
 		p := s.nextPort
 		s.nextPort++
 		if s.nextPort == 0 {
-			// Recycle through the full user range (the p < 1024 guard
-			// skips the reserved ports), not just 32768+: a shared-kernel
-			// client host opening >32k connections to one destination
-			// needs the widened ip_local_port_range, exactly as a real
-			// load-generator host sets it. Allocation starts at 32768, so
-			// runs that never exhaust the upper half are unaffected.
+			// Recycle through the full user range, as a load generator
+			// widens ip_local_port_range: a Linux client host may hold
+			// more than 32k connections to one destination.
 			s.nextPort = 1024
 		}
 		if p < 1024 {
@@ -743,44 +639,39 @@ func (s *Stack) allocPort(dst wire.IPv4, dport uint16) (uint16, error) {
 	return 0, errPortSpaceExhausted
 }
 
+// newConn takes a PCB from the arena and opens it on key.
+//
+//ix:hotpath
 func (s *Stack) newConn(key connKey) *Conn {
 	iss := s.nextISS()
-	return &Conn{
-		stack:    s,
-		key:      key,
-		sndUna:   iss,
-		sndNxt:   iss,
-		cwnd:     uint32(initialCwnd * wire.MSS),
-		ssthresh: 1 << 30,
-		rto:      rttNs(initialRTO),
-	}
+	c := s.arena.alloc()
+	c.key = key
+	c.sndUna, c.sndNxt = iss, iss
+	c.cwnd = uint32(initialCwnd * wire.MSS)
+	c.ssthresh = 1 << 30
+	c.rto = rttNs(initialRTO)
+	return c
 }
 
-// Timer trampolines: package-level functions, so arming a timer stores
-// only the connection (or stack) pointer (pointer-shaped any does not
-// box).
-func connTimeWait(v any) { v.(*Conn).onTimeWait() }
-func connDelAck(v any)   { v.(*Conn).onDelAck() }
+// Timer trampolines: arming stores only the flight or stack pointer,
+// which does not box. A flight names the connection it serves.
+func connTimeWait(v any) { c := v.(*flight).c; c.onTimeWait(c.stack()) }
+func connDelAck(v any)   { c := v.(*flight).c; c.onDelAck(c.stack()) }
 func stackSynRTO(v any)  { v.(*Stack).onSynRTO() }
 
 func connRTO(v any) {
-	c := v.(*Conn)
-	c.fl.timer = nil
-	c.onRTO()
+	f := v.(*flight)
+	f.timer = nil
+	f.c.onRTO(f.c.stack())
 }
 
-// Input processes one incoming TCP segment. seg is the TCP header+payload
-// bytes — the header alone when buf's frame carries the payload by
-// reference (mem.Mbuf.Payload); buf is the backing mbuf (retained by
-// reassembly/delivery via refcounts); src/dst are the IP addresses.
-// Invalid segments are counted and dropped. The checksum is verified
-// unless buf holds an intact frame (fabric.Frame.Intact), whose sum is
-// offloaded and cannot fail: every frame whose bytes were written in
-// flight is still checked, and none of those carries a payload by
-// reference (fabric.Frame.Own). The
-// connection-table demux here is both the per-message path and the
-// establishment fast path (every handshake segment of a Fig. 4 ramp
-// passes through it), so it must not allocate.
+// Input processes one incoming segment: seg is the TCP header and
+// payload — the header alone when buf's frame carries the payload by
+// reference (mem.Mbuf.Payload) — and buf the backing mbuf, retained by
+// refcount. Invalid segments are counted and dropped. The checksum is
+// verified unless buf holds an intact frame (fabric.Frame.Intact), whose
+// offloaded sum cannot fail. It is the per-message and the establishment
+// path, so it must not allocate.
 //
 //ix:hotpath
 func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
@@ -804,8 +695,8 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 		SrcPort: hdr.DstPort, DstPort: hdr.SrcPort,
 	}
 	if c := s.conns.get(key); c != nil {
-		c.input(&hdr, payload, buf)
-		c.settle()
+		c.input(s, &hdr, payload, buf)
+		c.settle(s)
 		return
 	}
 	// No connection: a SYN may create one via a listener.
@@ -820,15 +711,10 @@ func (s *Stack) Input(src, dst wire.IPv4, seg []byte, buf *mem.Mbuf) {
 	}
 }
 
-// passiveOpen handles SYN to a listener. The SYN-ACK is not emitted here
-// but owed to the next Flush — batched SYN admission: a burst of SYNs
-// arriving in one processing batch is admitted as a group, with every
-// handshake reply assembled back-to-back through the stack's shared
-// header scratch at the batch boundary (where pure ACKs already leave).
-// The retransmission timer armed here covers the reply either way.
-// Beyond the connection object itself (newConn) the SYN-accept path must
-// not allocate: the table insert lands in presized slots
-// (TestZeroAllocConnEstablish pins the whole passive handshake).
+// passiveOpen handles SYN to a listener. The SYN-ACK is owed to the next
+// Flush (batched SYN admission: a batch's replies leave together at its
+// boundary); the timer armed here covers it. It allocates nothing but a
+// new arena block (TestZeroAllocConnEstablish).
 //
 //ix:hotpath
 func (s *Stack) passiveOpen(l *Listener, key connKey, hdr *wire.TCPHeader) {
@@ -843,8 +729,8 @@ func (s *Stack) passiveOpen(l *Listener, key connKey, hdr *wire.TCPHeader) {
 	s.conns.put(c)
 	l.embryonic++
 	s.SynsAdmitted++
-	c.scheduleSynAck()
-	c.armSynRTO()
+	c.scheduleSynAck(s)
+	c.armSynRTO(s)
 }
 
 func (c *Conn) applyPeerOptions(hdr *wire.TCPHeader) {
@@ -861,14 +747,13 @@ func (c *Conn) applyPeerOptions(hdr *wire.TCPHeader) {
 }
 
 // input runs the per-connection state machine on one segment.
-func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
-	s := c.stack
+func (c *Conn) input(s *Stack, hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 	// RST processing first.
 	if hdr.Flags&wire.TCPRst != 0 {
 		if c.state == StateSynSent {
-			c.destroy(ReasonRefused)
+			c.destroy(s, ReasonRefused)
 		} else {
-			c.destroy(ReasonReset)
+			c.destroy(s, ReasonReset)
 		}
 		return
 	}
@@ -877,15 +762,15 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 		if hdr.Flags&(wire.TCPSyn|wire.TCPAck) == wire.TCPSyn|wire.TCPAck {
 			if hdr.Ack != c.sndUna+1 {
 				s.sendRST(c.key, hdr, len(payload))
-				c.destroy(ReasonRefused)
+				c.destroy(s, ReasonRefused)
 				return
 			}
 			c.rcvNxt = hdr.Seq + 1
 			c.sndUna = hdr.Ack
 			c.applyPeerOptions(hdr)
 			c.state = StateEstablished
-			c.cancelRTO()
-			c.scheduleAck() // the handshake ACK
+			c.cancelRTO(s)
+			c.scheduleAck(s) // the handshake ACK
 			s.cfg.Events.Connected(c, true)
 		}
 		return
@@ -894,7 +779,7 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 			c.sndUna = hdr.Ack
 			c.applyPeerOptions(hdr)
 			c.state = StateEstablished
-			c.cancelRTO()
+			c.cancelRTO(s)
 			s.embryonicDone(c.key.SrcPort)
 			s.AcceptedConns++
 			s.cfg.Events.Accepted(c)
@@ -910,44 +795,43 @@ func (c *Conn) input(hdr *wire.TCPHeader, payload []byte, buf *mem.Mbuf) {
 	// this the peer re-sends SYN-ACKs into silence until its
 	// retransmission limit kills the embryonic connection.
 	if hdr.Flags&wire.TCPSyn != 0 {
-		c.sendAckNow()
+		c.sendAckNow(s)
 		return
 	}
 
 	// ACK processing for synchronized states.
 	if hdr.Flags&wire.TCPAck != 0 {
-		c.processAck(hdr)
+		c.processAck(s, hdr)
 		if c.state == StateClosed {
 			return
 		}
 	}
 	// Data processing.
 	if len(payload) > 0 {
-		c.processData(hdr.Seq, payload, buf)
+		c.processData(s, hdr.Seq, payload, buf)
 	}
 	// FIN processing.
 	if hdr.Flags&wire.TCPFin != 0 {
-		c.processFin(hdr.Seq + uint32(len(payload)))
+		c.processFin(s, hdr.Seq+uint32(len(payload)))
 	}
 }
 
 // processAck handles acknowledgement and window updates.
-func (c *Conn) processAck(hdr *wire.TCPHeader) {
-	s := c.stack
+func (c *Conn) processAck(s *Stack, hdr *wire.TCPHeader) {
 	ack := hdr.Ack
-	prevUsable := c.usableWindow()
+	prevUsable := c.UsableWindow()
 	c.applyPeerOptions(hdr)
 	switch {
 	case seqGT(ack, c.sndNxt):
 		// Acks data never sent: protocol violation; answer with ACK.
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	case seqLE(ack, c.sndUna):
 		// Duplicate ACK. Data in flight is tracked in fl.
-		if c.retransLen() > 0 && c.inFlight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
-			c.fl.dupAcks++
-			if c.fl.dupAcks == 3 {
-				c.fastRetransmit()
+		if c.retransLen(s) > 0 && c.inFlight() > 0 && seqDiff(c.sndNxt, c.sndUna) > 0 {
+			f := c.flight(s)
+			if f.dupAcks++; f.dupAcks == 3 {
+				c.fastRetransmit(s)
 			}
 		}
 	default:
@@ -956,45 +840,41 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 		c.rexmitCount = 0
 		// The sample is taken before the trim, which clears the timing
 		// and recovery state once the queue drains.
-		c.updateRTT(ack)
-		released := c.ackRetransQ(ack)
+		c.updateRTT(s, ack)
+		released := c.ackRetransQ(s, ack)
 		c.growCwnd(uint32(acked))
 		// A drained queue ended any recovery along with its state.
-		if f := c.fl; f != nil {
+		if f := c.flight(s); f != nil {
 			f.dupAcks = 0
 			if f.inRecovery {
 				if seqLT(ack, f.recoverSeq) {
 					// Partial ACK: retransmit the next hole now.
-					c.stack.Retransmits++
-					c.resend(&f.q[f.head])
+					s.Retransmits++
+					c.resend(s, &f.q[f.head])
 				} else {
 					f.inRecovery = false
 				}
 			}
 		}
-		if c.retransLen() == 0 {
-			c.cancelRTO()
+		if c.retransLen(s) == 0 {
+			c.cancelRTO(s)
 		} else {
-			c.armRTO()
+			c.armRTO(s)
 		}
 		// sent event condition: bytes acked and/or window growth.
-		if acked > 0 || c.usableWindow() > prevUsable {
+		if acked > 0 || c.UsableWindow() > prevUsable {
 			s.cfg.Events.Sent(c, acked, released)
 		}
-		c.maybeFinish(ack)
+		c.maybeFinish(s, ack)
 	}
 }
 
 // ackRetransQ drops fully acknowledged segments, zeroing their entries
-// so the zero-copy payload references die with them, and returns the
-// payload bytes released — the count the sent event condition carries
-// so the sender's arena can reclaim (tx_sent). The trim advances the
-// ring head; a fully drained queue is cleared, spill and scalars with
-// it, so the flight settles back to the stack pool once its timers are
-// disarmed too (and a loss burst's spilled backing cannot outlive the
-// burst).
-func (c *Conn) ackRetransQ(ack uint32) int {
-	t := c.fl
+// so their payload references die, and returns the payload bytes
+// released (the sent event's count, tx_sent). A drained queue is
+// cleared, spill and scalars with it.
+func (c *Conn) ackRetransQ(s *Stack, ack uint32) int {
+	t := c.flight(s)
 	if t == nil {
 		return 0
 	}
@@ -1034,13 +914,13 @@ func (c *Conn) ackRetransQ(ack uint32) int {
 
 // updateRTT takes an RTT sample if the timed segment was acked and was
 // never retransmitted (Karn's rule), then recomputes the RTO.
-func (c *Conn) updateRTT(ack uint32) {
-	t := c.fl
+func (c *Conn) updateRTT(s *Stack, ack uint32) {
+	t := c.flight(s)
 	if t == nil || !t.rttPending || seqLT(ack, t.rttSeq) {
 		return
 	}
 	t.rttPending = false
-	sample := time.Duration(c.stack.cfg.Now() - t.rttStart)
+	sample := time.Duration(s.cfg.Now() - t.rttStart)
 	if sample <= 0 {
 		return
 	}
@@ -1057,8 +937,8 @@ func (c *Conn) updateRTT(ack uint32) {
 		srtt = (7*srtt + sample) / 8
 	}
 	rto := srtt + 4*rttvar
-	if rto < c.stack.cfg.MinRTO {
-		rto = c.stack.cfg.MinRTO
+	if rto < s.cfg.MinRTO {
+		rto = s.cfg.MinRTO
 	}
 	c.srtt, c.rttvar, c.rto = rttNs(srtt), rttNs(rttvar), rttNs(rto)
 }
@@ -1092,11 +972,11 @@ func (c *Conn) growCwnd(acked uint32) {
 }
 
 // fastRetransmit reacts to triple duplicate ACKs.
-func (c *Conn) fastRetransmit() {
-	if c.retransLen() == 0 {
+func (c *Conn) fastRetransmit(s *Stack) {
+	if c.retransLen(s) == 0 {
 		return
 	}
-	t := c.fl
+	t := c.flight(s)
 	if t.inRecovery {
 		// NewReno re-entry guard (RFC 6582): dup ACKs arriving during
 		// recovery belong to the same loss window — the partial-ACK
@@ -1104,7 +984,7 @@ func (c *Conn) fastRetransmit() {
 		// collapse it once per hole.
 		return
 	}
-	c.stack.FastRetransmits++
+	s.FastRetransmits++
 	mss := uint32(wire.MSS)
 	fl := c.inFlight()
 	half := fl / 2
@@ -1115,19 +995,19 @@ func (c *Conn) fastRetransmit() {
 	c.cwnd = c.ssthresh
 	t.inRecovery = true
 	t.recoverSeq = c.sndNxt
-	c.resend(&t.q[t.head])
-	c.armRTO()
+	c.resend(s, &t.q[t.head])
+	c.armRTO(s)
 }
 
 // processData handles payload: in-order delivery plus bounded reassembly.
-func (c *Conn) processData(seq uint32, payload []byte, buf *mem.Mbuf) {
+func (c *Conn) processData(s *Stack, seq uint32, payload []byte, buf *mem.Mbuf) {
 	if c.state != StateEstablished && c.state != StateFinWait1 && c.state != StateFinWait2 {
 		return
 	}
 	end := seq + uint32(len(payload))
 	if seqLE(end, c.rcvNxt) {
 		// Entirely old: re-ACK.
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	if seqLT(seq, c.rcvNxt) {
@@ -1136,55 +1016,55 @@ func (c *Conn) processData(seq uint32, payload []byte, buf *mem.Mbuf) {
 		payload = payload[drop:]
 		seq = c.rcvNxt
 	}
-	wnd := uint32(c.rcvWndAvail())
+	wnd := uint32(c.rcvWndAvail(s))
 	if !seqInWindow(seq, c.rcvNxt, wnd+1) {
 		// Beyond our window: drop, re-ACK (window probe handling).
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	if avail := seqDiff(c.rcvNxt+wnd, seq+uint32(len(payload))); avail < 0 {
 		payload = payload[:len(payload)+int(avail)]
 	}
 	if len(payload) == 0 {
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	if seq == c.rcvNxt {
-		c.deliver(payload, buf)
-		c.drainReasm()
-		c.scheduleDataAck()
+		c.deliver(s, payload, buf)
+		c.drainReasm(s)
+		c.scheduleDataAck(s)
 	} else {
-		c.stack.OutOfOrderSegs++
-		c.insertReasm(seq, payload, buf)
+		s.OutOfOrderSegs++
+		c.insertReasm(s, seq, payload, buf)
 		// RFC 5681: an out-of-order segment generates an immediate
 		// duplicate ACK so the sender's fast retransmit can count it —
 		// it must not be coalesced with other ACKs at Flush.
-		c.sendAckNow()
+		c.sendAckNow(s)
 	}
 }
 
 // sendAckNow emits a pure ACK immediately (duplicate ACKs for loss
 // recovery must not be batched).
-func (c *Conn) sendAckNow() {
-	c.cancelDelAck()
+func (c *Conn) sendAckNow(s *Stack) {
+	c.cancelDelAck(s)
 	c.flags &^= needAck
-	hdr := &c.stack.hdr
-	*hdr = c.makeHeader(c.sndNxt, wire.TCPAck)
-	c.stack.emit(c, hdr, nil)
+	hdr := &s.hdr
+	*hdr = c.makeHeader(s, c.sndNxt, wire.TCPAck)
+	s.emit(c, hdr, nil)
 }
 
 // deliver hands in-order bytes to the application (zero-copy) and
 // advances rcvNxt; the window shrinks until RecvDone.
-func (c *Conn) deliver(payload []byte, buf *mem.Mbuf) {
+func (c *Conn) deliver(s *Stack, payload []byte, buf *mem.Mbuf) {
 	c.rcvNxt += uint32(len(payload))
 	c.unconsumed += int32(len(payload))
-	c.stack.cfg.Events.Recv(c, buf, payload)
+	s.cfg.Events.Recv(c, buf, payload)
 }
 
 // insertReasm stores an out-of-order segment (bounded queue, sorted).
-func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
+func (c *Conn) insertReasm(s *Stack, seq uint32, payload []byte, buf *mem.Mbuf) {
 	const maxReasm = 64
-	f := c.borrow()
+	f := c.borrow(s)
 	q := f.reasm
 	if q == nil {
 		q = &reasmQ{}
@@ -1216,11 +1096,12 @@ func (c *Conn) insertReasm(seq uint32, payload []byte, buf *mem.Mbuf) {
 }
 
 // drainReasm delivers now-in-order segments from the reassembly queue.
-func (c *Conn) drainReasm() {
-	if c.fl == nil || c.fl.reasm == nil {
+func (c *Conn) drainReasm(s *Stack) {
+	f := c.flight(s)
+	if f == nil || f.reasm == nil {
 		return
 	}
-	q := c.fl.reasm
+	q := f.reasm
 	for len(q.segs) > 0 {
 		rs := q.segs[0]
 		if seqGT(rs.seq, c.rcvNxt) {
@@ -1239,7 +1120,7 @@ func (c *Conn) drainReasm() {
 			}
 			data = data[drop:]
 		}
-		c.deliver(data, rs.buf)
+		c.deliver(s, data, rs.buf)
 		if rs.buf != nil {
 			rs.buf.Unref() // deliver took its own semantics; see Recv contract
 		}
@@ -1247,94 +1128,92 @@ func (c *Conn) drainReasm() {
 	// Fully drained: drop the queue. Reordering is the exception on
 	// this fabric, so holding a burst's worth of rxSeg capacity on every
 	// connection that ever saw one would bleed the bytes/conn budget.
-	c.fl.reasm = nil
+	f.reasm = nil
 }
 
 // processFin handles a peer FIN at sequence finSeq.
-func (c *Conn) processFin(finSeq uint32) {
+func (c *Conn) processFin(s *Stack, finSeq uint32) {
 	if seqGT(finSeq, c.rcvNxt) {
 		// FIN beyond in-order point (data missing): ignore; peer will
 		// retransmit.
 		return
 	}
 	if c.has(finRcvd) {
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	c.flags |= finRcvd
 	c.rcvNxt = finSeq + 1
-	c.scheduleAck()
+	c.scheduleAck(s)
 	switch c.state {
 	case StateEstablished:
 		c.state = StateCloseWait
-		c.stack.cfg.Events.RemoteClosed(c)
+		s.cfg.Events.RemoteClosed(c)
 	case StateFinWait1:
 		c.state = StateClosing
 	case StateFinWait2:
-		c.enterTimeWait()
+		c.enterTimeWait(s)
 	}
 }
 
 // maybeFinish advances closing states once our FIN is acked.
-func (c *Conn) maybeFinish(ack uint32) {
-	finAcked := c.has(finQueued) && c.retransLen() == 0 && ack == c.sndNxt
+func (c *Conn) maybeFinish(s *Stack, ack uint32) {
+	finAcked := c.has(finQueued) && c.retransLen(s) == 0 && ack == c.sndNxt
 	switch c.state {
 	case StateFinWait1:
 		if finAcked {
 			if c.has(finRcvd) {
-				c.enterTimeWait()
+				c.enterTimeWait(s)
 			} else {
 				c.state = StateFinWait2
 			}
 		}
 	case StateClosing:
 		if finAcked {
-			c.enterTimeWait()
+			c.enterTimeWait(s)
 		}
 	case StateLastAck:
 		if finAcked {
-			c.destroy(ReasonClosed)
+			c.destroy(s, ReasonClosed)
 		}
 	}
 }
 
-func (c *Conn) enterTimeWait() {
+func (c *Conn) enterTimeWait(s *Stack) {
 	c.state = StateTimeWait
-	c.cancelRTO()
-	w := c.stack.cfg.Wheel
-	c.borrow().timer = w.AddArg(c.stack.cfg.Now()+int64(c.stack.cfg.TimeWait), connTimeWait, c)
+	c.cancelRTO(s)
+	f := c.borrow(s)
+	f.timer = s.cfg.Wheel.AddArg(s.cfg.Now()+int64(s.cfg.TimeWait), connTimeWait, f)
 }
 
 // onTimeWait ends the 2MSL quiet period.
-func (c *Conn) onTimeWait() {
-	c.fl.timer = nil
-	c.destroy(ReasonClosed)
+func (c *Conn) onTimeWait(s *Stack) {
+	c.flight(s).timer = nil
+	c.destroy(s, ReasonClosed)
 }
 
-// Sendv transmits a scatter-gather array. It accepts and immediately
-// segments as many bytes as the usable window allows, returning that
-// count (possibly zero): the IX sendv contract, which leaves send
-// buffering policy to the application. The payload slices must remain
-// immutable until acknowledged (the zero-copy contract of §4.5). backs,
-// when not nil, names the pooled memory each slice lies in (nil for
-// memory that is not pooled): a segment cut from one backed slice
-// leaves in frames that carry it by reference.
+// Sendv accepts and at once segments as many bytes of a scatter-gather
+// array as the usable window allows and returns the count, possibly 0
+// (IX sendv). The slices stay immutable until acknowledged (§4.5). backs,
+// if not nil, names the pooled memory each slice lies in: a segment cut
+// from one backed slice leaves in frames that carry it by reference.
 //
 //ix:hotpath
 func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return 0
 	}
-	budget := c.usableWindow()
+	budget := c.UsableWindow()
 	if budget <= 0 {
 		return 0
 	}
 	total := 0
 	mss := wire.MSS
+	s := c.stack()
 	// Assemble MSS-sized segments from the scatter-gather array in the
 	// stack's reusable scratch; sendData moves the fragment references
 	// into the tracked segment, so the scratch recycles per segment.
-	seg := c.stack.sg[:0]
+	seg := s.sg[:0]
 	segLen := 0
 	var back fabric.Backing // of seg's first fragment
 	//ixvet:ignore(hotpath) closure never escapes: called only below, so it stays on the stack (TestZeroAllocSteadySend pins it)
@@ -1345,7 +1224,7 @@ func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 		if len(seg) > 1 {
 			back = nil // gathered from several fragments: copied
 		}
-		c.sendData(seg, segLen, back)
+		c.sendData(s, seg, segLen, back)
 		seg = seg[:0]
 		segLen = 0
 	}
@@ -1378,15 +1257,14 @@ func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 		}
 	}
 	flush()
-	c.stack.sg = seg[:0]
+	s.sg = seg[:0]
 	return total
 }
 
 // Unreleased returns the payload bytes the retransmission queue still
-// references: the sent events' released counts add up to this before
-// every byte accepted so far has been released.
+// references, which sent events have yet to release.
 func (c *Conn) Unreleased() int {
-	t := c.fl
+	t := c.flight(c.stack())
 	if t == nil {
 		return 0
 	}
@@ -1400,30 +1278,29 @@ func (c *Conn) Unreleased() int {
 // Send is a convenience wrapper over Sendv for a single buffer.
 func (c *Conn) Send(b []byte) int { return c.Sendv([][]byte{b}, nil) }
 
-// sendData emits one data segment and tracks it for retransmission.
-// payload is caller scratch: the fragment references are captured into
-// the tracked segment, which owns them until the cumulative ACK passes.
-// back is the pooled memory a single-fragment payload lies in, or nil.
+// sendData emits one data segment and tracks it for retransmission,
+// capturing the fragment references of the caller's scratch payload.
+// back is the pooled memory a one-fragment payload lies in, or nil.
 //
 //ix:hotpath
-func (c *Conn) sendData(payload [][]byte, length int, back fabric.Backing) {
+func (c *Conn) sendData(s *Stack, payload [][]byte, length int, back fabric.Backing) {
 	seq := c.sndNxt
 	c.sndNxt += uint32(length)
 	ts := txSeg{seq: seq, length: length, back: back}
 	ts.setPayload(payload)
-	t := c.borrow()
+	t := c.borrow(s)
 	t.q = append(t.q, ts)
 	if !t.rttPending {
 		t.rttPending = true
 		t.rttSeq = c.sndNxt
-		t.rttStart = c.stack.cfg.Now()
+		t.rttStart = s.cfg.Now()
 	}
-	hdr := &c.stack.hdr
-	*hdr = c.makeHeader(seq, wire.TCPAck|wire.TCPPsh)
+	hdr := &s.hdr
+	*hdr = c.makeHeader(s, seq, wire.TCPAck|wire.TCPPsh)
 	c.flags &^= needAck // piggybacked
-	c.cancelDelAck()
-	c.stack.emitData(c, hdr, payload, back)
-	c.armRTO()
+	c.cancelDelAck(s)
+	s.emitData(c, hdr, payload, back)
+	c.armRTO(s)
 }
 
 // Close initiates an orderly close (FIN). Further sends are rejected.
@@ -1439,7 +1316,7 @@ func (c *Conn) Close() {
 	default:
 		return
 	}
-	c.sendFIN()
+	c.sendFIN(c.stack())
 }
 
 // Abort closes with RST (used by the benchmarks to avoid exhausting
@@ -1448,45 +1325,47 @@ func (c *Conn) Abort() {
 	if c.state == StateClosed {
 		return
 	}
-	hdr := c.makeHeader(c.sndNxt, wire.TCPRst|wire.TCPAck)
-	c.stack.emit(c, &hdr, nil)
-	c.destroy(ReasonClosed)
+	s := c.stack()
+	hdr := c.makeHeader(s, c.sndNxt, wire.TCPRst|wire.TCPAck)
+	s.emit(c, &hdr, nil)
+	c.destroy(s, ReasonClosed)
 }
 
-func (c *Conn) sendFIN() {
+func (c *Conn) sendFIN(s *Stack) {
 	c.flags |= finQueued
 	seq := c.sndNxt
 	c.sndNxt++
-	f := c.borrow()
+	f := c.borrow(s)
 	f.q = append(f.q, txSeg{seq: seq, fin: true})
-	hdr := c.makeHeader(seq, wire.TCPFin|wire.TCPAck)
+	hdr := c.makeHeader(s, seq, wire.TCPFin|wire.TCPAck)
 	c.flags &^= needAck
-	c.cancelDelAck()
-	c.stack.emit(c, &hdr, nil)
-	c.armRTO()
+	c.cancelDelAck(s)
+	s.emit(c, &hdr, nil)
+	c.armRTO(s)
 }
 
-// RecvDone returns n received bytes to the stack, reopening the receive
-// window (the recv_done batched system call: "advances the receive window
-// and frees memory buffers"). A window-update ACK is scheduled only when
-// the window had shrunk enough for the peer to have throttled (growth of
-// at least one MSS from below a quarter of the full window), avoiding a
-// gratuitous pure ACK per application read.
+// RecvDone returns n received bytes, reopening the receive window
+// (recv_done). A window update is owed only when the window grew by an
+// MSS from below a quarter of its size, where the peer may have stalled.
 func (c *Conn) RecvDone(n int) {
-	prev := c.rcvWndAvail()
+	if c.state == StateClosed {
+		return
+	}
+	s := c.stack()
+	prev := c.rcvWndAvail(s)
 	c.unconsumed -= int32(n)
 	if c.unconsumed < 0 {
 		c.unconsumed = 0
 	}
-	now := c.rcvWndAvail()
-	if prev < c.stack.cfg.RcvWnd/4 && now-prev >= wire.MSS {
-		c.scheduleAck()
+	now := c.rcvWndAvail(s)
+	if prev < s.cfg.RcvWnd/4 && now-prev >= wire.MSS {
+		c.scheduleAck(s)
 	}
 }
 
 // makeHeader builds a header for the current state.
-func (c *Conn) makeHeader(seq uint32, flags uint8) wire.TCPHeader {
-	wnd := c.rcvWndAvail() >> wndShift
+func (c *Conn) makeHeader(s *Stack, seq uint32, flags uint8) wire.TCPHeader {
+	wnd := c.rcvWndAvail(s) >> wndShift
 	if wnd > 0xffff {
 		wnd = 0xffff
 	}
@@ -1501,12 +1380,11 @@ func (c *Conn) makeHeader(seq uint32, flags uint8) wire.TCPHeader {
 	}
 }
 
-// sendFlags emits a control segment (SYN, SYN|ACK) with options, through
-// the stack's header scratch (emissions never nest, and a burst of
-// admitted SYNs reuses the one header across its coalesced SYN-ACKs).
-func (c *Conn) sendFlags(flags uint8, seq, ack uint32, withOpts bool) {
-	wnd := c.rcvWndAvail()
-	hdr := &c.stack.hdr
+// sendFlags emits a control segment (SYN, SYN|ACK) with options through
+// the stack's header scratch.
+func (c *Conn) sendFlags(s *Stack, flags uint8, seq, ack uint32, withOpts bool) {
+	wnd := c.rcvWndAvail(s)
+	hdr := &s.hdr
 	*hdr = wire.TCPHeader{
 		SrcPort: c.key.SrcPort,
 		DstPort: c.key.DstPort,
@@ -1530,92 +1408,92 @@ func (c *Conn) sendFlags(flags uint8, seq, ack uint32, withOpts bool) {
 		}
 		hdr.Window = uint16(w)
 	}
-	c.stack.emit(c, hdr, nil)
+	s.emit(c, hdr, nil)
 	// SYN and SYN|ACK retransmission is driven by connection state in
 	// onRTO rather than the retransmission queue.
 }
 
 // scheduleSynAck marks an admitted embryonic connection as owing its
 // SYN-ACK at the next Flush, on the same pending list pure ACKs use.
-func (c *Conn) scheduleSynAck() {
+func (c *Conn) scheduleSynAck(s *Stack) {
 	c.flags |= synAckOwed
-	c.queueAck()
+	c.queueAck(s)
 }
 
 // queueAck puts the connection on the stack's pending list for Flush,
 // once.
-func (c *Conn) queueAck() {
+func (c *Conn) queueAck(s *Stack) {
 	if !c.has(inAckLst) {
 		c.flags |= inAckLst
-		c.stack.needsAck = append(c.stack.needsAck, c)
+		s.needsAck = append(s.needsAck, c.id)
 	}
 }
 
-// scheduleAck marks the connection as owing a pure ACK at the next Flush
-// (immediately — used for handshakes, duplicates, out-of-order data and
-// probes).
-func (c *Conn) scheduleAck() {
-	c.cancelDelAck()
+// scheduleAck owes a pure ACK to the next Flush, undelayed.
+func (c *Conn) scheduleAck(s *Stack) {
+	c.cancelDelAck(s)
 	c.flags |= needAck
-	c.queueAck()
+	c.queueAck(s)
 }
 
 // scheduleDataAck acknowledges in-order data: immediately when delayed
 // ACKs are off or every second segment, otherwise after the delack
 // timeout — unless a data segment piggybacks it first.
-func (c *Conn) scheduleDataAck() {
-	da := c.stack.cfg.DelAck
+func (c *Conn) scheduleDataAck(s *Stack) {
+	da := s.cfg.DelAck
 	if da <= 0 {
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	if c.has(daSeg) {
-		c.scheduleAck()
+		c.scheduleAck(s)
 		return
 	}
 	c.flags |= daSeg
-	if f := c.borrow(); f.daTimer == nil {
-		f.daTimer = c.stack.cfg.Wheel.AddArg(c.stack.cfg.Now()+int64(da), connDelAck, c)
+	if f := c.borrow(s); f.daTimer == nil {
+		f.daTimer = s.cfg.Wheel.AddArg(s.cfg.Now()+int64(da), connDelAck, f)
 	}
 }
 
 // onDelAck fires the delayed-acknowledgment timeout. The ACK it owes
 // leaves at the next Flush, which settles the flight afterwards.
-func (c *Conn) onDelAck() {
-	c.fl.daTimer = nil
+func (c *Conn) onDelAck(s *Stack) {
+	c.flight(s).daTimer = nil
 	if c.state != StateClosed {
-		c.scheduleAck()
+		c.scheduleAck(s)
 	}
 }
 
-func (c *Conn) cancelDelAck() {
+func (c *Conn) cancelDelAck(s *Stack) {
 	c.flags &^= daSeg
-	if f := c.fl; f != nil && f.daTimer != nil {
-		c.stack.cfg.Wheel.Cancel(f.daTimer)
+	if f := c.flight(s); f != nil && f.daTimer != nil {
+		s.cfg.Wheel.Cancel(f.daTimer)
 		f.daTimer = nil
 	}
 }
 
-// Flush emits pending pure ACKs — and the SYN-ACKs of the batch's
-// admitted SYNs — at the end of each input batch, so acknowledgment
-// pacing follows application progress (§3) and handshake replies leave
-// as one coalesced group.
+// Flush emits the batch's pending pure ACKs and SYN-ACKs at its end, so
+// acknowledgments follow application progress (§3).
 func (s *Stack) Flush() {
-	for _, c := range s.needsAck {
+	for _, id := range s.needsAck {
+		c := s.arena.lookup(id)
+		if c == nil {
+			continue // died since it was queued
+		}
 		c.flags &^= inAckLst
 		if c.has(synAckOwed) {
 			c.flags &^= synAckOwed
 			if c.state == StateSynRcvd {
-				c.sendFlags(wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
+				c.sendFlags(s, wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
 			}
 			continue
 		}
 		if c.has(needAck) && c.state != StateClosed {
 			c.flags &^= needAck | daSeg
 			hdr := &s.hdr
-			*hdr = c.makeHeader(c.sndNxt, wire.TCPAck)
+			*hdr = c.makeHeader(s, c.sndNxt, wire.TCPAck)
 			s.emit(c, hdr, nil)
-			c.settle()
+			c.settle(s)
 		}
 	}
 	s.needsAck = s.needsAck[:0]
@@ -1636,10 +1514,8 @@ func (s *Stack) emitData(c *Conn, hdr *wire.TCPHeader, payload [][]byte, back fa
 }
 
 // PayloadBacking returns, while Output emits a data segment, the pooled
-// memory its single-fragment payload lies in; nil when the payload lies
-// in memory that is not pooled, in several fragments, or there is none.
-// A frame that carries the payload by reference pins it
-// (fabric.Frame.Carry).
+// memory its one-fragment payload lies in, or nil. A frame carrying the
+// payload by reference pins it (fabric.Frame.Carry).
 func (s *Stack) PayloadBacking() fabric.Backing { return s.back }
 
 // sendRST answers an unexpected segment with RST. key is the *local*
@@ -1659,40 +1535,38 @@ func (s *Stack) sendRST(key connKey, in *wire.TCPHeader, payloadLen int) {
 		hdr.Seq = in.Ack
 	}
 	s.SegsOut++
-	s.cfg.Output(&Conn{stack: s, key: key, state: StateClosed}, &hdr, nil)
+	// The PCB Output sees is outside the arena: only its key and
+	// (closed) state are meaningful.
+	s.cfg.Output(&Conn{key: key}, &hdr, nil)
 }
 
-// Migrate moves connection c from its current stack to dst (same host,
-// different elastic thread), carrying its flight and re-homing the
-// timers in it. It is
-// the mechanism behind control-plane flow re-balancing when elastic
-// threads are added or removed (§4.4: "when a core is revoked ... the
-// corresponding network flows must be assigned to another elastic
-// thread"). The caller is responsible for quiescence (no in-flight
-// processing of this flow), which the run-to-completion model provides
-// between cycles.
-func (s *Stack) Migrate(c *Conn, dst *Stack) {
-	if c.stack != s || dst == s {
-		return
+// Migrate moves the connection id names from s to dst, another elastic
+// thread's stack (§4.4 flow re-balancing), and returns its id there: the
+// PCB is copied into dst's arena and its slot here freed, so id goes
+// stale. Its flight moves into dst's directory with its timers, and s
+// keeps a pooled flight in exchange. The caller ensures quiescence.
+func (s *Stack) Migrate(id ConnID, dst *Stack) ConnID {
+	c := s.Conn(id)
+	if c == nil || dst == s {
+		return id
 	}
 	// Re-home pending timers, preserving their original deadlines (timer
 	// continuity): a retransmission, TIME_WAIT or delayed-ACK deadline
 	// set before the migration fires at the same virtual time on the
-	// destination wheel. Fired/cancelled timers are dropped. The flight
-	// itself moves with the connection and is returned to dst's pool. A
-	// queued handshake deadline leaves this stack's synQ and is re-armed
-	// below as an ordinary timer on dst's wheel.
+	// destination wheel. Fired/cancelled timers are dropped. A queued
+	// handshake deadline leaves this stack's synQ and is re-armed below as
+	// an ordinary timer on dst's wheel.
 	synDeadline := int64(-1)
 	if c.has(synTimed) {
 		for _, e := range s.synQ[s.synHead:] {
-			if e.c == c {
+			if e.id == id {
 				synDeadline = e.deadline
 				break
 			}
 		}
-		c.cancelSynRTO()
+		c.cancelSynRTO(s)
 	}
-	if f := c.fl; f != nil {
+	if f := c.flight(s); f != nil {
 		for _, t := range []**timerwheel.Timer{&f.timer, &f.daTimer} {
 			if *t != nil && !s.cfg.Wheel.Transfer(*t, dst.cfg.Wheel) {
 				*t = nil
@@ -1701,8 +1575,8 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 	}
 	if c.has(inAckLst) {
 		// Drop from our pending-ACK list; re-add on destination.
-		for i, pc := range s.needsAck {
-			if pc == c {
+		for i, pid := range s.needsAck {
+			if pid == id {
 				s.needsAck = append(s.needsAck[:i], s.needsAck[i+1:]...)
 				break
 			}
@@ -1722,78 +1596,81 @@ func (s *Stack) Migrate(c *Conn, dst *Stack) {
 		}
 	}
 	s.conns.del(c.key)
-	c.stack = dst
+	nc := dst.arena.alloc()
+	nid := nc.id
+	*nc = *c
+	nc.id = nid
+	if c.fl != 0 {
+		fl := dst.getFlight()
+		s.flights[c.fl-1], dst.flights[fl-1] = dst.flights[fl-1], s.flights[c.fl-1]
+		s.flightFree = append(s.flightFree, c.fl)
+		dst.flights[fl-1].c = nc
+		nc.fl = fl
+	}
+	s.arena.release(c)
+	c = nc
 	dst.conns.put(c)
 	if synDeadline >= 0 {
-		c.borrow().timer = dst.cfg.Wheel.AddArg(synDeadline, connRTO, c)
+		f := c.borrow(dst)
+		f.timer = dst.cfg.Wheel.AddArg(synDeadline, connRTO, f)
 	}
-	if c.retransLen() > 0 && c.fl.timer == nil && c.state != StateTimeWait {
+	if c.retransLen(dst) > 0 && c.flight(dst).timer == nil && c.state != StateTimeWait {
 		// Unacked data without a live timer (should not happen, but a
 		// lost RTO would hang the flow forever): re-arm defensively.
-		c.armRTO()
+		c.armRTO(dst)
 	}
 	if c.has(needAck) || reownSynAck {
-		c.queueAck()
+		c.queueAck(dst)
 	}
+	return c.id
 }
 
-// EachConn calls fn for every live connection (any state) in table slot
-// order, without allocating: the walk for tallies that do not care about
-// order. fn must not open, close or migrate connections.
+// EachConn calls fn for every live connection in table slot order, for
+// tallies; fn must not open, close or migrate connections.
 func (s *Stack) EachConn(fn func(*Conn)) {
-	for _, c := range s.conns.slots {
-		if c != nil {
-			fn(c)
+	for _, e := range s.conns.slots {
+		if e != 0 {
+			fn(s.arena.at(e & slotMask))
 		}
 	}
 }
 
-// Conns returns the live connections (any state), for control-plane
-// rebalancing sweeps. The slice is freshly allocated and sorted by flow
-// key: migration walks it, and its order reaches handle numbering and
-// event order, so it is defined by the keys alone, not by table layout.
-func (s *Stack) Conns() []*Conn {
-	out := make([]*Conn, 0, s.conns.n)
-	s.EachConn(func(c *Conn) { out = append(out, c) })
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.SrcIP != b.SrcIP {
-			return a.SrcIP < b.SrcIP
-		}
-		if a.DstIP != b.DstIP {
-			return a.DstIP < b.DstIP
-		}
-		if a.SrcPort != b.SrcPort {
-			return a.SrcPort < b.SrcPort
-		}
-		return a.DstPort < b.DstPort
+// Conns returns the live connections' ids sorted by flow key: migration
+// walks them, and their order reaches handle numbering and event order,
+// so it is the keys', not the table layout's.
+func (s *Stack) Conns() []ConnID {
+	out := make([]ConnID, 0, s.conns.n)
+	s.EachConn(func(c *Conn) { out = append(out, c.id) })
+	slices.SortFunc(out, func(i, j ConnID) int {
+		a, b := s.arena.at(i.Slot()).key, s.arena.at(j.Slot()).key
+		return cmp.Or(cmp.Compare(a.SrcIP, b.SrcIP), cmp.Compare(a.DstIP, b.DstIP),
+			cmp.Compare(a.SrcPort, b.SrcPort), cmp.Compare(a.DstPort, b.DstPort))
 	})
 	return out
 }
 
-// armRTO (re)arms the retransmission timer. A pending timer is moved in
-// place (timerwheel.Wheel.Reset), which fires exactly where cancelling
-// it and adding a new one would.
-func (c *Conn) armRTO() {
-	w := c.stack.cfg.Wheel
-	deadline := c.stack.cfg.Now() + int64(c.rto)
-	f := c.borrow()
+// armRTO (re)arms the retransmission timer, moving a pending one in
+// place (timerwheel.Wheel.Reset).
+func (c *Conn) armRTO(s *Stack) {
+	w := s.cfg.Wheel
+	deadline := s.cfg.Now() + int64(c.rto)
+	f := c.borrow(s)
 	if f.timer != nil && w.Reset(f.timer, deadline) {
 		return
 	}
-	f.timer = w.AddArg(deadline, connRTO, c)
+	f.timer = w.AddArg(deadline, connRTO, f)
 }
 
 // cancelRTO cancels the timer slot: the RTO, or in TIME_WAIT (reached
 // only from destroy) the 2MSL timer — or, for an embryonic connection,
 // its queued handshake deadline.
-func (c *Conn) cancelRTO() {
+func (c *Conn) cancelRTO(s *Stack) {
 	if c.has(synTimed) {
-		c.cancelSynRTO()
+		c.cancelSynRTO(s)
 		return
 	}
-	if f := c.fl; f != nil && f.timer != nil {
-		c.stack.cfg.Wheel.Cancel(f.timer)
+	if f := c.flight(s); f != nil && f.timer != nil {
+		s.cfg.Wheel.Cancel(f.timer)
 		f.timer = nil
 	}
 }
@@ -1801,16 +1678,16 @@ func (c *Conn) cancelRTO() {
 // onRTO fires the retransmission timeout. The timer is re-armed (the
 // connection borrows a flight for it, if it had none: a first handshake
 // timeout comes from synQ), or the connection dies.
-func (c *Conn) onRTO() {
+func (c *Conn) onRTO(s *Stack) {
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
 	c.rexmitCount++
-	if int(c.rexmitCount) > c.stack.cfg.MaxRexmits {
-		c.destroy(ReasonTimeout)
+	if int(c.rexmitCount) > s.cfg.MaxRexmits {
+		c.destroy(s, ReasonTimeout)
 		return
 	}
-	c.stack.Retransmits++
+	s.Retransmits++
 	// Exponential backoff; collapse cwnd (Tahoe-style on timeout).
 	c.rto = rttNs(2 * time.Duration(c.rto))
 	mss := uint32(wire.MSS)
@@ -1822,79 +1699,73 @@ func (c *Conn) onRTO() {
 	c.cwnd = mss
 	switch c.state {
 	case StateSynSent:
-		c.sendFlags(wire.TCPSyn, c.sndUna, 0, true)
+		c.sendFlags(s, wire.TCPSyn, c.sndUna, 0, true)
 	case StateSynRcvd:
-		c.sendFlags(wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
+		c.sendFlags(s, wire.TCPSyn|wire.TCPAck, c.sndUna, c.rcvNxt, true)
 	default:
 		// resend drops the pending RTT sample (Karn); with nothing
 		// tracked there is none.
-		if c.retransLen() > 0 {
-			f := c.fl
+		if c.retransLen(s) > 0 {
+			f := c.flight(s)
 			f.inRecovery = true
 			f.recoverSeq = c.sndNxt
-			c.resend(&f.q[f.head])
+			c.resend(s, &f.q[f.head])
 		}
 	}
-	c.armRTO()
+	c.armRTO(s)
 }
 
 // synEntry is one queued handshake deadline (Stack.synQ) and the place
 // in the wheel's firing order a timer of its own would have taken.
 type synEntry struct {
-	c        *Conn
 	deadline int64
+	id       ConnID
 	place    uint32
 }
 
-// armSynRTO arms an embryonic connection's first retransmission timeout
-// — its RTO is still initialRTO — by queueing it on synQ with the place
-// a timer of its own would take in the wheel. Beyond the queue's
-// amortized backing it neither allocates nor borrows a flight, and only
-// the first arming of an empty queue touches the wheel. A wheel so far
-// behind the clock that the deadline would not land in its lowest level
-// keeps no place; the connection then arms an ordinary timer.
+// armSynRTO queues an embryonic connection's first retransmission
+// deadline on synQ with the place a timer of its own would take in the
+// wheel, borrowing no flight. A wheel too far behind to reserve a place
+// gets an ordinary timer.
 //
 //ix:hotpath
-func (c *Conn) armSynRTO() {
-	s := c.stack
+func (c *Conn) armSynRTO(s *Stack) {
 	w := s.cfg.Wheel
 	deadline := s.cfg.Now() + int64(initialRTO)
 	place, ok := w.Reserve(deadline)
 	if !ok {
-		c.armRTO()
+		c.armRTO(s)
 		return
 	}
 	c.flags |= synTimed
-	s.synQ = append(s.synQ, synEntry{c: c, deadline: deadline, place: place})
+	s.synQ = append(s.synQ, synEntry{id: c.id, deadline: deadline, place: place})
 	if s.synTimer == nil {
 		s.synTimer = w.AddArgAt(deadline, place, stackSynRTO, s)
 	}
 }
 
-// cancelSynRTO disarms a queued handshake deadline. The entry stays
-// behind, dead, unless it is the head: then the dead prefix goes and
-// the timer moves to the next live deadline, at the place that
-// connection's own timer would have held.
+// cancelSynRTO disarms a queued handshake deadline, re-timing the queue
+// if it was the head.
 //
 //ix:hotpath
-func (c *Conn) cancelSynRTO() {
+func (c *Conn) cancelSynRTO(s *Stack) {
 	c.flags &^= synTimed
-	if s := c.stack; s.synQ[s.synHead].c == c {
+	if s := s; s.synQ[s.synHead].id == c.id {
 		s.retimeSynQ()
 	}
 }
 
-// retimeSynQ drops the dead entries at synQ's head and puts synTimer on
-// the first live deadline and its place, or cancels it when none is
-// left. A dead
-// prefix of at least half the queue is compacted away, so the backing
-// stays bounded by the handshakes armed within one initialRTO however
-// long the queue never drains.
+// retimeSynQ drops the dead entries at synQ's head (disarmed, or their
+// connection gone) and puts synTimer on the first live deadline and its
+// place, or cancels it. A dead prefix of half the queue is compacted.
 //
 //ix:hotpath
 func (s *Stack) retimeSynQ() {
 	q, h := s.synQ, s.synHead
-	for h < len(q) && !q[h].c.has(synTimed) {
+	for h < len(q) {
+		if c := s.arena.lookup(q[h].id); c != nil && c.has(synTimed) {
+			break
+		}
 		q[h] = synEntry{}
 		h++
 	}
@@ -1918,54 +1789,51 @@ func (s *Stack) retimeSynQ() {
 	}
 }
 
-// onSynRTO fires the head entry's timeout — the timer is kept on a live
-// head — and re-times the queue. The fired connection leaves the queue:
-// its retransmissions use ordinary timers. An entry due in the same tick
-// gets the timer back at its own place in the slot being fired, so the
-// wheel fires it in this Advance, behind the timers that arrived before
-// it.
+// onSynRTO fires the head entry's timeout and re-times the queue; the
+// fired connection's retransmissions use ordinary timers. An entry due
+// in the same tick gets the timer back at its own place in the slot
+// being fired, so this Advance fires it too.
 func (s *Stack) onSynRTO() {
 	s.synTimer = nil
-	c := s.synQ[s.synHead].c
+	c := s.arena.at(s.synQ[s.synHead].id.Slot())
 	s.synQ[s.synHead] = synEntry{}
 	s.synHead++
 	c.flags &^= synTimed
-	c.onRTO()
+	c.onRTO(s)
 	s.retimeSynQ()
 }
 
-// resend retransmits one tracked segment, assembling its fragment
-// references in the stack scratch (the bytes themselves are still the
-// original, immutable sender bytes — retransmission is zero-copy too).
-func (c *Conn) resend(ts *txSeg) {
-	c.fl.rttPending = false // Karn's rule: no sample from retransmitted data
+// resend retransmits one tracked segment from its fragment references:
+// retransmission is zero-copy too.
+func (c *Conn) resend(s *Stack, ts *txSeg) {
+	c.flight(s).rttPending = false // Karn's rule: no sample from retransmitted data
 	var flags uint8 = wire.TCPAck
 	if ts.fin {
 		flags |= wire.TCPFin
 	} else if ts.length > 0 {
 		flags |= wire.TCPPsh
 	}
-	hdr := &c.stack.hdr
-	*hdr = c.makeHeader(ts.seq, flags)
-	sg := ts.appendPayload(c.stack.sg[:0])
-	c.stack.emitData(c, hdr, sg, ts.back)
-	c.stack.sg = sg[:0]
+	hdr := &s.hdr
+	*hdr = c.makeHeader(s, ts.seq, flags)
+	sg := ts.appendPayload(s.sg[:0])
+	s.emitData(c, hdr, sg, ts.back)
+	s.sg = sg[:0]
 }
 
-// destroy tears the connection down and reports the terminal event:
-// Connected(false) for failed active opens, Dead otherwise (exactly once).
-func (c *Conn) destroy(reason Reason) {
+// destroy tears the connection down, reports Connected(false) for a
+// failed active open or Dead otherwise, once, then frees its slot.
+func (c *Conn) destroy(s *Stack, reason Reason) {
 	if c.state == StateClosed {
 		return
 	}
 	prev := c.state
 	c.state = StateClosed
-	c.cancelRTO() // the 2MSL timer too: it shares the slot
-	c.cancelDelAck()
+	c.cancelRTO(s) // the 2MSL timer too: it shares the slot
+	c.cancelDelAck(s)
 	if prev == StateSynRcvd {
-		c.stack.embryonicDone(c.key.SrcPort)
+		s.embryonicDone(c.key.SrcPort)
 	}
-	if f := c.fl; f != nil {
+	if f := c.flight(s); f != nil {
 		// Release reassembly references.
 		if q := f.reasm; q != nil {
 			for _, rs := range q.segs {
@@ -1978,13 +1846,14 @@ func (c *Conn) destroy(reason Reason) {
 		// the sender reclaims its arena wholesale. putFlight zeroes the
 		// inline array and drops any spilled backing, so the references
 		// die with it.
-		c.fl = nil
-		c.stack.putFlight(f)
+		s.putFlight(c.fl)
+		c.fl = 0
 	}
-	c.stack.conns.del(c.key)
+	s.conns.del(c.key)
 	if prev == StateSynSent {
-		c.stack.cfg.Events.Connected(c, false)
-		return
+		s.cfg.Events.Connected(c, false)
+	} else {
+		s.cfg.Events.Dead(c, reason)
 	}
-	c.stack.cfg.Events.Dead(c, reason)
+	s.arena.release(c)
 }

@@ -183,9 +183,8 @@ func TestHandshake(t *testing.T) {
 	if c.Key().Reverse() != s.Key() {
 		t.Fatalf("keys inconsistent: %v vs %v", c.Key(), s.Key())
 	}
-	if s.Cookie != 0 {
-		// Server cookie assigned by accept; zero until then.
-		t.Fatalf("unexpected server cookie %v", s.Cookie)
+	if n.a.stack.Conn(c.ID()) != c || n.b.stack.Conn(s.ID()) != s {
+		t.Fatal("a connection's id does not name it in its stack")
 	}
 }
 
@@ -274,7 +273,7 @@ func TestWindowTrimAndReopen(t *testing.T) {
 	// recv_done opens the window; the window-update ACK lets a resume.
 	s.RecvDone(4096)
 	n.step()
-	if c.usableWindow() == 0 {
+	if c.UsableWindow() == 0 {
 		t.Fatal("window did not reopen after recv_done")
 	}
 	again := c.Send(big[acc:])
@@ -382,7 +381,7 @@ func TestBurstLossRecoversWithoutSerialRTOs(t *testing.T) {
 	if n.a.sent[c] != segs*segLen {
 		t.Fatalf("acked %d, want %d", n.a.sent[c], segs*segLen)
 	}
-	if c.fl != nil && c.fl.inRecovery {
+	if f := c.flight(c.stack()); f != nil && f.inRecovery {
 		t.Fatal("connection still in recovery after full ACK")
 	}
 	// Recovery exited cleanly: post-recovery traffic must not trigger
@@ -441,11 +440,11 @@ func TestDuplicateOutOfOrderSegment(t *testing.T) {
 	n.queue = append(n.queue, n.queue[0])
 	n.step()
 
-	if got := len(s.fl.reasm.segs); got != 1 {
+	if got := len(s.flight(s.stack()).reasm.segs); got != 1 {
 		t.Fatalf("reassembly queue holds %d copies, want 1", got)
 	}
-	if s.fl.reasm.bytes != 4 {
-		t.Fatalf("reassembly bytes = %d, want 4", s.fl.reasm.bytes)
+	if s.flight(s.stack()).reasm.bytes != 4 {
+		t.Fatalf("reassembly bytes = %d, want 4", s.flight(s.stack()).reasm.bytes)
 	}
 	if got := n.b.pool.InUse(); got != 1 {
 		t.Fatalf("%d mbufs referenced after the duplicate, want 1", got)
@@ -607,7 +606,7 @@ func TestMigration(t *testing.T) {
 		},
 		Events: s2side,
 	})
-	n.b.stack.Migrate(s, dst)
+	s = dst.Conn(n.b.stack.Migrate(s.ID(), dst))
 	if n.b.stack.ConnCount() != 0 || dst.ConnCount() != 1 {
 		t.Fatalf("migration counts: src=%d dst=%d", n.b.stack.ConnCount(), dst.ConnCount())
 	}
@@ -679,7 +678,7 @@ func TestRTTEstimation(t *testing.T) {
 	if srtt := time.Duration(c.srtt); srtt < 200*time.Microsecond || srtt > 400*time.Microsecond {
 		t.Fatalf("srtt = %v, want ~300µs", srtt)
 	}
-	if rto := time.Duration(c.rto); rto < c.stack.cfg.MinRTO {
+	if rto := time.Duration(c.rto); rto < c.stack().cfg.MinRTO {
 		t.Fatalf("rto %v below floor", rto)
 	}
 }

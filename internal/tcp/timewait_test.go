@@ -41,8 +41,8 @@ func inject(n *testNet, c, s *Conn, seq, ack uint32, flags uint8, payload []byte
 	hdr.Marshal(seg)
 	copy(seg[hdr.Len():], payload)
 	wire.SetTCPChecksum(n.b.ip, n.a.ip, seg)
-	c.stack.Input(n.b.ip, n.a.ip, seg, nil)
-	c.stack.Flush()
+	c.stack().Input(n.b.ip, n.a.ip, seg, nil)
+	c.stack().Flush()
 	n.queue = nil
 }
 
@@ -58,7 +58,7 @@ func peerSegments(t *testing.T, n *testNet, c, s *Conn) {
 	if c.State() != StateTimeWait {
 		t.Fatalf("state after peer segments = %v, want TimeWait", c.State())
 	}
-	if c.fl == nil || c.fl.timer == nil {
+	if f := c.flight(c.stack()); f == nil || f.timer == nil {
 		t.Fatal("peer segments emptied the timer slot in TIME_WAIT")
 	}
 }
@@ -113,7 +113,7 @@ func TestTimeWaitTimerSurvivesMigrate(t *testing.T) {
 		Output:  func(*Conn, *wire.TCPHeader, [][]byte) {},
 		Events:  dstSide,
 	})
-	n.a.stack.Migrate(c, dst)
+	c = dst.Conn(n.a.stack.Migrate(c.ID(), dst))
 	if n.a.stack.ConnCount() != 0 || dst.ConnCount() != 1 {
 		t.Fatalf("migration counts: src=%d dst=%d", n.a.stack.ConnCount(), dst.ConnCount())
 	}
@@ -155,8 +155,8 @@ func migrateBothTimers(t *testing.T) {
 	c.Send([]byte("request"))
 	daAt := n.now + int64(da)
 	n.step()
-	f := s.fl
-	if f == nil || f.timer == nil || f.daTimer == nil || s.retransLen() != 1 {
+	f := s.flight(s.stack())
+	if f == nil || f.timer == nil || f.daTimer == nil || s.retransLen(s.stack()) != 1 {
 		t.Fatal("want a flight holding the reply, its RTO and the request's delayed ACK")
 	}
 
@@ -175,8 +175,8 @@ func migrateBothTimers(t *testing.T) {
 		},
 		Events: n.b,
 	})
-	n.b.stack.Migrate(s, dst)
-	if s.fl != f || f.timer == nil || f.daTimer == nil {
+	s = dst.Conn(n.b.stack.Migrate(s.ID(), dst))
+	if s.flight(s.stack()) != f || f.timer == nil || f.daTimer == nil {
 		t.Fatal("the flight or a timer in it did not survive the move")
 	}
 	if n.b.wheel.Len() != 0 || wheel.Len() != 2 {
@@ -204,7 +204,7 @@ func migrateBothTimers(t *testing.T) {
 	if len(sent) != 2 || sent[1].payload != len("reply") {
 		t.Fatalf("at the RTO deadline: %+v, want the reply retransmitted", sent)
 	}
-	if s.fl != f || f.timer == nil || s.rexmitCount != 1 {
+	if s.flight(s.stack()) != f || f.timer == nil || s.rexmitCount != 1 {
 		t.Fatal("after the RTO: want the flight kept, the RTO re-armed and one timeout counted")
 	}
 }

@@ -37,8 +37,8 @@ func txTestConn(t *testing.T, out Output) (*Stack, *Conn, *quietEvents, *int64) 
 	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
-	c.cancelRTO()
-	c.settle() // returns the handshake's flight, as Input would
+	c.cancelRTO(c.stack())
+	c.settle(c.stack()) // returns the handshake's flight, as Input would
 	return s, c, ev, &now
 }
 
@@ -62,24 +62,24 @@ func ackTo(s *Stack, c *Conn, ack uint32) {
 // and an idle connection must hold no flight at all.
 func TestTxStateInlineSteadyState(t *testing.T) {
 	s, c, _, _ := txTestConn(t, nil)
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("fresh connection holds a flight before any transmit")
 	}
 	msg := make([]byte, 64)
 	for i := 0; i < 100; i++ {
 		c.Send(msg)
-		if c.fl == nil {
+		if c.fl == 0 {
 			t.Fatal("in-flight segment without a flight")
 		}
-		if got := cap(c.fl.q); got != retransInline {
+		if got := cap(c.flight(c.stack()).q); got != retransInline {
 			t.Fatalf("iteration %d: steady-state send spilled (cap=%d, want inline %d)",
 				i, got, retransInline)
 		}
-		if &c.fl.q[0] != &c.fl.inl[0] {
+		if &c.flight(c.stack()).q[0] != &c.flight(c.stack()).inl[0] {
 			t.Fatalf("iteration %d: queue no longer aliases the inline array", i)
 		}
 		ackTo(s, c, c.sndNxt)
-		if c.fl != nil {
+		if c.fl != 0 {
 			t.Fatalf("iteration %d: drained queue kept its flight", i)
 		}
 	}
@@ -100,7 +100,7 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	c.Send(msg)
 	ackTo(s, c, c.sndNxt)
 	base := s.Footprint()
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("baseline connection still holds a flight")
 	}
 
@@ -109,8 +109,8 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		c.Send(msg)
 	}
-	if c.fl == nil || cap(c.fl.q) <= retransInline {
-		t.Fatalf("burst of %d segments did not spill (cap=%v)", burst, c.fl != nil)
+	if c.fl == 0 || cap(c.flight(c.stack()).q) <= retransInline {
+		t.Fatalf("burst of %d segments did not spill (cap=%v)", burst, c.fl != 0)
 	}
 	spilled := s.Footprint()
 	if spilled.Bytes <= base.Bytes {
@@ -119,7 +119,7 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 
 	// Drain: cumulative ACK for the whole burst.
 	ackTo(s, c, c.sndNxt)
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("drained queue kept its flight (spill backing retained)")
 	}
 	if got := s.Footprint(); got.Bytes != base.Bytes {
@@ -128,7 +128,7 @@ func TestTxStateSpillReleasedOnDrain(t *testing.T) {
 	}
 	// The pooled state must come back clean: empty, and no stale payload
 	// reference anywhere in the backing it kept or in the inline array.
-	st := s.getFlight()
+	st := s.flights[s.getFlight()-1]
 	if len(st.q) != 0 || (cap(st.q) != retransInline && !keepSpill(st.q)) || st.head != 0 {
 		t.Fatalf("recycled flight not reset: len=%d cap=%d head=%d", len(st.q), cap(st.q), st.head)
 	}
@@ -172,9 +172,9 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, flight); allocs != 0 {
 		t.Fatalf("a 40-segment flight allocates %.1f times once the spill is pooled, want 0", allocs)
 	}
-	if len(s.flightFree) != 1 || cap(s.flightFree[0].q) < maxPooledSpill {
+	if len(s.flightFree) != 1 || cap(s.flights[s.flightFree[0]-1].q) < maxPooledSpill {
 		t.Fatalf("pool holds %d states (first cap %d), want 1 keeping the spill grown for %d segments",
-			len(s.flightFree), cap(s.flightFree[0].q), maxPooledSpill)
+			len(s.flightFree), cap(s.flights[s.flightFree[0]-1].q), maxPooledSpill)
 	}
 
 	// A deeper flight outgrows the bound: its backing is dropped.
@@ -184,7 +184,7 @@ func TestTxStateSpillReusedAcrossFlights(t *testing.T) {
 		t.Fatalf("window accepted %d of %d bytes", got, len(deep[0]))
 	}
 	ackTo(s, c, c.sndNxt)
-	if got := cap(s.flightFree[0].q); got != retransInline {
+	if got := cap(s.flights[s.flightFree[0]-1].q); got != retransInline {
 		t.Fatalf("pooled state kept a %d-segment backing, want the inline array", got)
 	}
 }
@@ -227,7 +227,7 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 		e := sent[len(sent)-1]
 		first[e.seq] = append([]byte(nil), e.data...)
 	}
-	if cap(c.fl.q) <= retransInline {
+	if cap(c.flight(c.stack()).q) <= retransInline {
 		t.Fatal("pipelined burst did not spill")
 	}
 
@@ -276,7 +276,7 @@ func TestTxStateRTOStormOrdering(t *testing.T) {
 
 	// Final cumulative ACK: queue drains, state releases, arena reclaims.
 	ackTo(s, c, c.sndNxt)
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("queue drained but flight retained")
 	}
 	arena.Release(ev.released)
@@ -324,7 +324,7 @@ func TestTxStatePooledClean(t *testing.T) {
 	for i := 0; i < segs; i++ {
 		c.Send(chunk)
 	}
-	fl := c.fl
+	fl := c.flight(c.stack())
 	rexmits := n.a.stack.Retransmits
 	n.step()
 	if got := n.a.stack.FastRetransmits; got != 1 {
@@ -336,12 +336,13 @@ func TestTxStatePooledClean(t *testing.T) {
 	if got := len(n.b.recvd[s]); got != 4+segs*segLen {
 		t.Fatalf("receiver got %d bytes, want %d", got, 4+segs*segLen)
 	}
-	if c.fl != nil {
+	if c.fl != 0 {
 		t.Fatal("a drained queue kept its retransmission state")
 	}
 	checkClean := func(when string, want *flight) {
 		t.Helper()
-		got := n.a.stack.getFlight()
+		idx := n.a.stack.getFlight()
+		got := n.a.stack.flights[idx-1]
 		if got != want {
 			t.Fatalf("%s: the pool handed out another state", when)
 		}
@@ -359,7 +360,7 @@ func TestTxStatePooledClean(t *testing.T) {
 				t.Fatalf("%s: pooled flight entry %d still references payload", when, i)
 			}
 		}
-		n.a.stack.putFlight(got)
+		n.a.stack.putFlight(idx)
 	}
 	checkClean("after recovery", fl)
 
@@ -368,7 +369,7 @@ func TestTxStatePooledClean(t *testing.T) {
 	// state with the sample pending and the RTO armed.
 	n.drop = func(from *side, hdr *wire.TCPHeader, payload []byte) bool { return true }
 	c.Send([]byte("timed"))
-	if c.fl != fl || !fl.rttPending {
+	if c.flight(c.stack()) != fl || !fl.rttPending {
 		t.Fatal("the next send did not borrow the pooled state and time its segment")
 	}
 	n.advance(time.Duration(c.rto) + 2*timerwheel.DefaultTick)
@@ -405,17 +406,17 @@ func TestTxStatePooledClean(t *testing.T) {
 	if !lost || !n.a.connected[c] {
 		t.Fatalf("handshake after a lost SYN: lost=%v connected=%v", lost, n.a.connected[c])
 	}
-	if c.rexmitCount != 1 || c.fl != nil {
-		t.Fatalf("after a lost SYN: rexmitCount=%d, flight kept %v; want 1 and no flight", c.rexmitCount, c.fl != nil)
+	if c.rexmitCount != 1 || c.fl != 0 {
+		t.Fatalf("after a lost SYN: rexmitCount=%d, flight kept %v; want 1 and no flight", c.rexmitCount, c.fl != 0)
 	}
-	fl = n.a.stack.flightFree[len(n.a.stack.flightFree)-1]
+	fl = n.a.stack.flights[n.a.stack.flightFree[len(n.a.stack.flightFree)-1]-1]
 	c.Send([]byte("data"))
-	if c.fl != fl {
+	if c.flight(c.stack()) != fl {
 		t.Fatal("the first data did not borrow the handshake's pooled flight")
 	}
 	n.step()
-	if c.fl != nil || c.rexmitCount != 0 {
-		t.Fatalf("after the first data drained: flight kept %v, rexmitCount=%d", c.fl != nil, c.rexmitCount)
+	if c.fl != 0 || c.rexmitCount != 0 {
+		t.Fatalf("after the first data drained: flight kept %v, rexmitCount=%d", c.fl != 0, c.rexmitCount)
 	}
 	checkClean("after a lost SYN", fl)
 }

@@ -311,7 +311,7 @@ func TestZeroAllocSteadySend(t *testing.T) {
 	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
-	c.cancelRTO()
+	c.cancelRTO(c.stack())
 
 	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
 	var arena mem.TxArena
@@ -347,9 +347,9 @@ func TestZeroAllocSteadySend(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state send cycle allocates %.2f per op, want 0", allocs)
 	}
-	if c.retransLen() != 0 || arena.Live() != 0 || pool.InUse() != 0 {
+	if c.retransLen(c.stack()) != 0 || arena.Live() != 0 || pool.InUse() != 0 {
 		t.Fatalf("cycle left state: retransQ=%d live=%d chunks=%d",
-			c.retransLen(), arena.Live(), pool.InUse())
+			c.retransLen(c.stack()), arena.Live(), pool.InUse())
 	}
 }
 
@@ -377,7 +377,7 @@ func TestRetransQBoundedUnderPipelining(t *testing.T) {
 	c.sndUna++ // the SYN is acknowledged
 	c.sndNxt = c.sndUna
 	c.sndWnd = 1 << 20
-	c.cancelRTO()
+	c.cancelRTO(c.stack())
 	msg := make([]byte, 64)
 	ackBuf := make([]byte, 64)
 	srcIP, dstIP := wire.Addr4(10, 0, 0, 2), wire.Addr4(10, 0, 0, 1)
@@ -394,11 +394,11 @@ func TestRetransQBoundedUnderPipelining(t *testing.T) {
 		hdr.Marshal(seg)
 		wire.SetTCPChecksum(srcIP, dstIP, seg)
 		s.Input(srcIP, dstIP, seg, nil)
-		if c.retransLen() != 1 {
-			t.Fatalf("iteration %d: %d segments outstanding, want 1", i, c.retransLen())
+		if c.retransLen(c.stack()) != 1 {
+			t.Fatalf("iteration %d: %d segments outstanding, want 1", i, c.retransLen(c.stack()))
 		}
 	}
-	if len(c.fl.q) > 96 {
-		t.Fatalf("retransQ backing holds %d entries for 1 live segment; dead prefix not compacted", len(c.fl.q))
+	if len(c.flight(c.stack()).q) > 96 {
+		t.Fatalf("retransQ backing holds %d entries for 1 live segment; dead prefix not compacted", len(c.flight(c.stack()).q))
 	}
 }
