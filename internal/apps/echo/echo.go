@@ -29,12 +29,17 @@ const perByteCost = 0.05 // ns per byte
 // ServerFactory returns an app.Factory serving echo on port with
 // expected message size s.
 func ServerFactory(port uint16, msgSize int) app.Factory {
+	return listen(port, func(env app.Env) app.Handler { return &server{env: env, size: msgSize} })
+}
+
+// listen returns a factory whose threads listen on port and serve it
+// with the handler h makes.
+func listen(port uint16, h func(app.Env) app.Handler) app.Factory {
 	return func(env app.Env, thread, threads int) app.Handler {
-		s := &server{env: env, size: msgSize}
 		if err := env.Listen(port); err != nil {
 			panic(err)
 		}
-		return s
+		return h(env)
 	}
 }
 
@@ -42,24 +47,58 @@ type server struct {
 	app.Base
 	env  app.Env
 	size int
+	free pool[srvConn]
 }
 
+// srvConn counts the bytes of a message that an OnRecv left partial. A
+// connection borrows one from its thread's pool only then and returns it
+// when the message completes, so between messages its cookie is nil.
 type srvConn struct {
 	got int
 }
 
-func (s *server) OnAccept(c app.Conn) { c.SetCookie(&srvConn{}) }
-
 func (s *server) OnRecv(c app.Conn, data []byte) {
-	st := c.Cookie().(*srvConn)
-	st.got += len(data)
+	st, _ := c.Cookie().(*srvConn)
+	got := len(data)
+	if st != nil {
+		got += st.got
+	}
 	s.env.Charge(time.Duration(float64(len(data)) * perByteCost))
-	for st.got >= s.size {
-		st.got -= s.size
+	for ; got >= s.size; got -= s.size {
 		s.env.Charge(serverMsgCost)
 		c.Send(zeros(s.size))
 	}
+	switch {
+	case got > 0:
+		if st == nil {
+			st = s.free.get()
+			c.SetCookie(st)
+		}
+		st.got = got
+	case st != nil:
+		c.SetCookie(nil)
+		s.free.put(st)
+	}
 }
+
+// pool is a LIFO free list of the records a handler borrows while an
+// RPC is in flight: one per thread, so it is never shared, and its size
+// follows the thread's peak concurrency, not its connections. get
+// returns a cleared record.
+type pool[T any] []*T
+
+func (p *pool[T]) get() *T {
+	n := len(*p)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*p)[n-1]
+	*p = (*p)[:n-1]
+	*x = *new(T)
+	return x
+}
+
+func (p *pool[T]) put(x *T) { *p = append(*p, x) }
 
 // VerifyingServerFactory returns an echo server that echoes the exact
 // bytes it receives (the plain server replies with zeros of the right
@@ -68,20 +107,12 @@ func (s *server) OnRecv(c app.Conn, data []byte) {
 // corrupted delivery that leaks through TCP under fault injection is
 // caught at the application. msgSize only drives CPU charging.
 func VerifyingServerFactory(port uint16, msgSize int) app.Factory {
-	return func(env app.Env, thread, threads int) app.Handler {
-		s := &vserver{env: env, size: msgSize}
-		if err := env.Listen(port); err != nil {
-			panic(err)
-		}
-		return s
-	}
+	return listen(port, func(env app.Env) app.Handler { return &vserver{server{env: env, size: msgSize}} })
 }
 
-type vserver struct {
-	app.Base
-	env  app.Env
-	size int
-}
+// vserver is the plain server with its own message handling; its pool
+// stays empty.
+type vserver struct{ server }
 
 // vconn buffers bytes received but not yet accepted by Send: the echo
 // must preserve stream order even when the send budget momentarily
@@ -170,7 +201,7 @@ type ClientConfig struct {
 	Outstanding int
 
 	// RampBatch/RampGap override the connection ramp pacing (defaults
-	// connectBatch/connectBatchGap). Large Fig. 4 fleets set these so
+	// ConnectBatch/ConnectBatchGap). Large Fig. 4 fleets set these so
 	// the aggregate SYN rate stays below the server's ingest capacity;
 	// otherwise NIC-edge drops leave establishment to synchronized
 	// retransmission waves.
@@ -202,11 +233,14 @@ type ClientConfig struct {
 	Fleet *Fleet
 }
 
-// clientConn tracks one RPC stream. One exists per open connection, so
-// it carries only what every mode needs; a verify-mode connection's
-// cookie is a verifyConn, which embeds it (see connState). rounds and
-// got are int32: a connection's round count and a message's size fit
-// easily.
+// clientConn tracks one RPC stream while it has an RPC in flight. A
+// rotation connection (Rounds 0, no Verify) borrows one from its
+// thread's pool when an RPC starts and returns it when the RPC
+// completes, so an idle connection's cookie is nil. A rounds-mode
+// connection keeps its record through its rounds and returns it when it
+// is forgotten. A verify-mode connection's cookie is a verifyConn, which
+// embeds it, for the connection's life (see connState). rounds and got
+// are int32: a connection's round count and a message's size fit easily.
 type clientConn struct {
 	t0     int64
 	rounds int32
@@ -222,8 +256,8 @@ type verifyConn struct {
 }
 
 // connState resolves c's cookie to its RPC state and, for a verify-mode
-// connection, its verify state (nil otherwise). Both are nil for a
-// connection the client has not tagged.
+// connection, its verify state (nil otherwise). Both are nil for an idle
+// connection and for one the client has forgotten.
 func connState(c app.Conn) (*clientConn, *verifyState) {
 	switch st := c.Cookie().(type) {
 	case *clientConn:
@@ -270,27 +304,26 @@ func fillPattern(buf []byte, pat uint64, round int) {
 	}
 }
 
-// connectBatch/connectBatchGap pace connection ramp-up for large
+// ConnectBatch/ConnectBatchGap pace connection ramp-up for large
 // connection counts (§5.4 scale): opening tens of thousands of
 // connections in one instant would overrun listener SYN backlogs and
 // leave establishment to retransmission backoff. Counts up to one batch
 // open immediately, exactly as before.
 const (
-	connectBatch    = 64
-	connectBatchGap = 50 * time.Microsecond
+	ConnectBatch    = 64
+	ConnectBatchGap = 50 * time.Microsecond
 )
-
-// DefaultRampPacing exposes the default connect batch pacing, so
-// harnesses sizing establishment budgets can compute how long a paced
-// ramp actually takes when a ClientConfig leaves RampBatch/RampGap zero.
-func DefaultRampPacing() (batch int, gap time.Duration) {
-	return connectBatch, connectBatchGap
-}
 
 // ClientFactory returns an app.Factory generating echo load per cfg.
 func ClientFactory(cfg ClientConfig) app.Factory {
 	if cfg.Outstanding == 0 {
 		cfg.Outstanding = cfg.Conns
+	}
+	if cfg.RampBatch <= 0 {
+		cfg.RampBatch = ConnectBatch
+	}
+	if cfg.RampGap <= 0 {
+		cfg.RampGap = ConnectBatchGap
 	}
 	return func(env app.Env, thread, threads int) app.Handler {
 		c := &client{env: env, cfg: cfg, target: cfg.Conns, quiet: cfg.QuietRamp}
@@ -302,18 +335,6 @@ func ClientFactory(cfg ClientConfig) app.Factory {
 	}
 }
 
-// rampPacing returns the effective connect batch size and inter-batch gap.
-func (cl *client) rampPacing() (batch int, gap time.Duration) {
-	batch, gap = cl.cfg.RampBatch, cl.cfg.RampGap
-	if batch <= 0 {
-		batch = connectBatch
-	}
-	if gap <= 0 {
-		gap = connectBatchGap
-	}
-	return batch, gap
-}
-
 // rampStep opens one paced batch and schedules the next. gen guards the
 // chain: a fleet retarget bumps rampGen, killing stale chains from the
 // previous sweep point. Each step recomputes the work from the live
@@ -323,12 +344,11 @@ func (cl *client) rampStep(gen uint64) {
 	if gen != cl.rampGen || !cl.cfg.Metrics.Running {
 		return
 	}
-	batch, gap := cl.rampPacing()
-	for n := min(cl.target-len(cl.ring)-cl.pending, batch); n > 0; n-- {
+	for n := min(cl.target-len(cl.ring)-cl.pending, cl.cfg.RampBatch); n > 0; n-- {
 		cl.connect()
 	}
 	if cl.target-len(cl.ring)-cl.pending > 0 {
-		cl.env.After(gap, func() { cl.rampStep(gen) })
+		cl.env.After(cl.cfg.RampGap, func() { cl.rampStep(gen) })
 	}
 }
 
@@ -341,10 +361,11 @@ type client struct {
 	connSeq uint64
 
 	// ring holds the open connections in rotation order; inFlight counts
-	// the busy ones, at most cfg.Outstanding.
+	// the busy ones, at most cfg.Outstanding. free pools their records.
 	ring     []app.Conn
 	cursor   int
 	inFlight int
+	free     pool[clientConn]
 
 	// target is the current connection-population goal; it starts at
 	// cfg.Conns and moves with fleet retargets. OnClosed replaces dead
@@ -388,9 +409,6 @@ func (cl *client) OnConnected(c app.Conn, ok bool) {
 		}}
 		st, v = &vc.clientConn, &vc.verifyState
 		c.SetCookie(vc)
-	} else {
-		st = &clientConn{}
-		c.SetCookie(st)
 	}
 	cl.ring = append(cl.ring, c)
 	if cl.quiet {
@@ -428,7 +446,7 @@ func (cl *client) issueNext() {
 		c := cl.ring[cl.cursor%len(cl.ring)]
 		cl.cursor++
 		st, v := connState(c)
-		if st == nil || st.busy {
+		if st != nil && st.busy {
 			continue
 		}
 		cl.sendReq(c, st, v)
@@ -437,8 +455,13 @@ func (cl *client) issueNext() {
 	cl.inFlight--
 }
 
-// sendReq issues one RPC on c; v is c's verify state (nil unless Verify).
+// sendReq issues one RPC on c; st is its record, borrowed here when nil,
+// and v its verify state (nil unless Verify).
 func (cl *client) sendReq(c app.Conn, st *clientConn, v *verifyState) {
+	if st == nil {
+		st = cl.free.get()
+		c.SetCookie(st)
+	}
 	st.t0 = cl.env.Now()
 	st.got = 0
 	st.busy = true
@@ -496,23 +519,38 @@ func (cl *client) OnRecv(c app.Conn, data []byte) {
 		// client forgets the connection, and its slot goes to the
 		// replacement.
 		m.Conns.Inc()
-		c.SetCookie(nil)
-		c.Abort()
+		cl.drop(c)
 		cl.leave(c)
+		c.Abort()
 		cl.inFlight--
 		if m.Running {
 			cl.connect()
 		}
 		return
 	}
+	if cl.cfg.Rounds == 0 && v == nil {
+		cl.drop(c)
+	}
 	cl.issueNext()
 }
 
-// leave drops c from the ring.
-func (cl *client) leave(c app.Conn) {
-	if i := slices.Index(cl.ring, c); i >= 0 {
+// drop clears c's cookie and pools its record, unless the record is part
+// of a verifyConn.
+func (cl *client) drop(c app.Conn) {
+	if st, ok := c.Cookie().(*clientConn); ok {
+		cl.free.put(st)
+	}
+	c.SetCookie(nil)
+}
+
+// leave drops c from the ring and reports whether it was there: a
+// connection the client has forgotten is not.
+func (cl *client) leave(c app.Conn) bool {
+	i := slices.Index(cl.ring, c)
+	if i >= 0 {
 		cl.ring = slices.Delete(cl.ring, i, i+1)
 	}
+	return i >= 0
 }
 
 // OnSent consumes the tx_sent event condition: n request bytes were
@@ -527,16 +565,17 @@ func (cl *client) OnSent(c app.Conn, n int) {
 }
 
 // OnClosed handles an unexpected death (OnRecv forgot the connections it
-// reset): the connection leaves the ring, its in-flight slot moves on,
-// and a replacement holds the population at target.
+// reset, and they are off the ring): the connection leaves the ring, its
+// record and in-flight slot move on, and a replacement holds the
+// population at target.
 func (cl *client) OnClosed(c app.Conn) {
-	st, _ := connState(c)
-	if st == nil {
+	if !cl.leave(c) {
 		return
 	}
-	cl.leave(c)
-	if st.busy {
-		st.busy = false
+	st, _ := connState(c)
+	busy := st != nil && st.busy
+	cl.drop(c)
+	if busy {
 		cl.issueNext()
 	}
 	if cl.cfg.Metrics.Running && len(cl.ring) < cl.target {
@@ -628,28 +667,18 @@ func (f *Fleet) Retarget(connsPerThread, outstanding int, seed uint64) {
 
 // InFlight sums outstanding RPCs across the fleet (zero once a pause has
 // drained).
-func (f *Fleet) InFlight() int {
-	n := 0
-	for _, cl := range f.clients {
-		n += cl.inFlight
-	}
-	return n
-}
+func (f *Fleet) InFlight() int { return f.sum(func(cl *client) int { return cl.inFlight }) }
 
 // Open sums established connections across the fleet.
-func (f *Fleet) Open() int {
-	n := 0
-	for _, cl := range f.clients {
-		n += len(cl.ring)
-	}
-	return n
-}
+func (f *Fleet) Open() int { return f.sum(func(cl *client) int { return len(cl.ring) }) }
 
 // Pending sums connects issued and not yet resolved.
-func (f *Fleet) Pending() int {
+func (f *Fleet) Pending() int { return f.sum(func(cl *client) int { return cl.pending }) }
+
+func (f *Fleet) sum(of func(*client) int) int {
 	n := 0
 	for _, cl := range f.clients {
-		n += cl.pending
+		n += of(cl)
 	}
 	return n
 }

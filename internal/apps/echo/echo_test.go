@@ -74,6 +74,9 @@ func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(clientConn{}); got > 24 {
 		t.Fatalf("echo.clientConn is %d bytes, budget 24", got)
 	}
+	if got := unsafe.Sizeof(srvConn{}); got > 8 {
+		t.Fatalf("echo.srvConn is %d bytes, budget 8", got)
+	}
 }
 
 // fakeEnv is an app.Env that records scheduled callbacks instead of
@@ -169,10 +172,169 @@ func TestVerifyStateThroughCookie(t *testing.T) {
 				m.VerifyErrors.Total(), m.SumMismatches.Total())
 		}
 	}
-	h := ClientFactory(ClientConfig{MsgSize: 64, Metrics: NewMetrics()})(&fakeEnv{}, 0, 1)
+	// A plain connection's record has no verify state and exists only
+	// while its RPC is in flight.
+	h := ClientFactory(ClientConfig{MsgSize: 64, Conns: 1, Metrics: NewMetrics()})(&fakeEnv{}, 0, 1)
 	c := &fakeConn{}
 	h.OnConnected(c, true)
-	if st, v := connState(c); st == nil || v != nil {
-		t.Fatalf("plain conn state %v / %v", st, v)
+	if st, v := connState(c); st == nil || v != nil || !st.busy {
+		t.Fatalf("plain conn state in flight %v / %v", st, v)
+	}
+	// Stopped, the rotation issues no next RPC, so the completion leaves
+	// the connection idle.
+	h.(*client).cfg.Metrics.Running = false
+	h.OnRecv(c, make([]byte, 64))
+	if c.cookie != nil {
+		t.Fatalf("idle plain conn keeps cookie %v", c.cookie)
+	}
+}
+
+// dial opens n fake connections on cl.
+func dial(cl *client, n int) []*fakeConn {
+	conns := make([]*fakeConn, n)
+	for i := range conns {
+		conns[i] = &fakeConn{}
+		cl.OnConnected(conns[i], true)
+	}
+	return conns
+}
+
+// records counts cl's RPC records: pooled plus attached to a connection.
+func records(cl *client, conns []*fakeConn) int {
+	n := len(cl.free)
+	for _, c := range conns {
+		if c.cookie != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRotationBorrowsOnlyInFlight: a rotation thread with 3 RPCs in
+// flight over 64 connections never holds more than 3 records, and an
+// idle connection holds none.
+func TestRotationBorrowsOnlyInFlight(t *testing.T) {
+	m := NewMetrics()
+	cl := ClientFactory(ClientConfig{MsgSize: 64, Conns: 64, Outstanding: 3, Metrics: m})(&fakeEnv{}, 0, 1).(*client)
+	conns := dial(cl, 64)
+	reply := make([]byte, 64)
+	for i := 0; i < 1000; i++ {
+		c := conns[i%len(conns)]
+		st, _ := connState(c)
+		if st == nil || !st.busy {
+			continue
+		}
+		cl.OnRecv(c, reply)
+		if n := records(cl, conns); n > 3 {
+			t.Fatalf("after %d RPCs: %d records for 3 in flight", m.Msgs.Total(), n)
+		}
+		for j, c := range conns {
+			if st, _ := connState(c); st != nil && !st.busy {
+				t.Fatalf("idle connection %d keeps a record", j)
+			}
+		}
+	}
+	if m.Msgs.Total() < 300 || cl.inFlight != 3 {
+		t.Fatalf("%d RPCs completed, %d in flight", m.Msgs.Total(), cl.inFlight)
+	}
+}
+
+// TestRoundsKeepRecordUntilForgotten: a rounds-mode connection keeps one
+// record through its rounds and returns it when it is forgotten.
+func TestRoundsKeepRecordUntilForgotten(t *testing.T) {
+	cl := ClientFactory(ClientConfig{MsgSize: 64, Conns: 1, Rounds: 3, Metrics: NewMetrics()})(&fakeEnv{}, 0, 1).(*client)
+	c := dial(cl, 1)[0]
+	first := c.cookie
+	for round := 1; round < 3; round++ {
+		cl.OnRecv(c, make([]byte, 64))
+		if c.cookie != first || len(cl.free) != 0 {
+			t.Fatalf("round %d: cookie %v (first %v), %d pooled", round, c.cookie, first, len(cl.free))
+		}
+	}
+	cl.OnRecv(c, make([]byte, 64))
+	if c.cookie != nil || len(cl.ring) != 0 || len(cl.free) != 1 || any(cl.free[0]) != first {
+		t.Fatalf("forgotten: cookie %v, ring %d, pool %v", c.cookie, len(cl.ring), cl.free)
+	}
+}
+
+// TestIdleDeathReplaced: an idle connection (nil cookie) that dies leaves
+// the ring and is replaced while the load runs; a forgotten one is not.
+func TestIdleDeathReplaced(t *testing.T) {
+	m := NewMetrics()
+	cl := ClientFactory(ClientConfig{MsgSize: 64, Conns: 4, Outstanding: 1, Rounds: 2, Metrics: m})(&fakeEnv{}, 0, 1).(*client)
+	conns := dial(cl, 4)
+	idle := conns[3]
+	if idle.cookie != nil {
+		t.Fatalf("idle connection has cookie %v", idle.cookie)
+	}
+	cl.OnClosed(idle)
+	if len(cl.ring) != 3 || cl.pending != 1 || m.Failures.Total() != 1 {
+		t.Fatalf("idle death: ring %d, pending %d, failures %d", len(cl.ring), cl.pending, m.Failures.Total())
+	}
+	busy := conns[0]
+	cl.OnRecv(busy, make([]byte, 64)) // round 1: the rotation reissues on it
+	cl.OnRecv(busy, make([]byte, 64)) // round 2: forgotten and replaced
+	if busy.cookie != nil || len(cl.ring) != 2 || cl.pending != 2 {
+		t.Fatalf("forget: cookie %v, ring %d, pending %d", busy.cookie, len(cl.ring), cl.pending)
+	}
+	cl.OnClosed(busy)
+	if len(cl.ring) != 2 || cl.pending != 2 || m.Failures.Total() != 1 {
+		t.Fatalf("forgotten death: ring %d, pending %d, failures %d", len(cl.ring), cl.pending, m.Failures.Total())
+	}
+}
+
+// TestServerBorrowsOnlyForPartialMessage: a whole message in one OnRecv
+// borrows nothing; a message split over two borrows one record and
+// returns it.
+func TestServerBorrowsOnlyForPartialMessage(t *testing.T) {
+	s := ServerFactory(9000, 64)(&fakeEnv{}, 0, 1).(*server)
+	c := &fakeConn{}
+	s.OnAccept(c)
+	s.OnRecv(c, make([]byte, 64))
+	if c.cookie != nil || len(s.free) != 0 || len(c.out) != 64 {
+		t.Fatalf("whole message: cookie %v, pool %d, echoed %d", c.cookie, len(s.free), len(c.out))
+	}
+	s.OnRecv(c, make([]byte, 100))
+	if st, _ := c.cookie.(*srvConn); st == nil || st.got != 36 || len(c.out) != 128 {
+		t.Fatalf("partial message: cookie %v, echoed %d", c.cookie, len(c.out))
+	}
+	s.OnRecv(c, make([]byte, 28))
+	if c.cookie != nil || len(s.free) != 1 || len(c.out) != 192 {
+		t.Fatalf("completed message: cookie %v, pool %d, echoed %d", c.cookie, len(s.free), len(c.out))
+	}
+}
+
+// TestZeroAllocEchoRotation: once warm, a full RPC allocates nothing on
+// either side: the client's borrow and return, and a server message
+// that arrives in two pieces.
+func TestZeroAllocEchoRotation(t *testing.T) {
+	const n = 8
+	s := ServerFactory(9000, 64)(&fakeEnv{}, 0, 1).(*server)
+	cl := ClientFactory(ClientConfig{MsgSize: 64, Conns: n, Outstanding: 1, Metrics: NewMetrics()})(&fakeEnv{}, 0, 1).(*client)
+	conns := dial(cl, n)
+	peers := make([]*fakeConn, n)
+	for i := range peers {
+		peers[i] = &fakeConn{}
+	}
+	rpc := func() {
+		for i, c := range conns {
+			if c.cookie == nil {
+				continue
+			}
+			p := peers[i]
+			s.OnRecv(p, c.out[:20])
+			s.OnRecv(p, c.out[20:])
+			c.out = c.out[:0]
+			cl.OnRecv(c, p.out)
+			p.out = p.out[:0]
+			return
+		}
+		t.Fatal("no RPC in flight")
+	}
+	for i := 0; i < 2*n; i++ {
+		rpc()
+	}
+	if a := testing.AllocsPerRun(100, rpc); a != 0 {
+		t.Fatalf("one RPC allocates %v times", a)
 	}
 }

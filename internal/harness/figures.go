@@ -198,16 +198,10 @@ func Fig4(sc Scale) *Result {
 			if total <= 20_000 {
 				hosts, cores := sc.EchoClients, sc.ClientCores
 				threads := hosts * cores
-				per := (total + threads - 1) / threads
-				if per < 1 {
-					per = 1
-				}
+				per := max((total+threads-1)/threads, 1)
 				// The paper maximizes throughput at n=24 threads/client;
 				// we bound in-flight RPCs per thread similarly.
-				out := 3
-				if per < out {
-					out = per
-				}
+				out := min(3, per)
 				// The connect ramp: RampBatch-sized batches 4 µs per
 				// client thread apart, and 600 ns of warmup per
 				// connection to cover it.

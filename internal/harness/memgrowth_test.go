@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,7 +34,10 @@ func drain(b *EchoBench) {
 // side object — retransmission state, reassembly queue, borrowed
 // connIO or socket buffers — and what the pools retain is bounded by
 // how many connections ever had something in flight at once, not by the
-// population.
+// population. The same drained point pins the Go heap the testbed holds
+// live per connection pair, which memprobe does not see all of:
+// application state (the echo records an idle connection does without)
+// as well as the PCBs, sockets and tables.
 func TestIdleConnsHoldNoIOState(t *testing.T) {
 	const (
 		conns       = 10_240
@@ -41,8 +45,11 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 		hosts       = 4
 		cores       = 4
 	)
+	// Live heap per connection pair when the ceiling was set, plus 5 %.
+	heapCeiling := map[Arch]float64{ArchIX: 400, ArchLinux: 347, ArchMTCP: 364}
 	for _, arch := range []Arch{ArchIX, ArchLinux, ArchMTCP} {
 		t.Run(arch.String(), func(t *testing.T) {
+			before := liveHeap()
 			b := NewEchoBench(EchoSetup{
 				ServerArch: arch, ServerCores: 4,
 				ClientArch: ArchLinux, ClientHosts: hosts, ClientCores: cores,
@@ -57,6 +64,12 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 				t.Fatal("no side object attached under load — the probe is not seeing them")
 			}
 			drain(b)
+			perPair := float64(liveHeap()-before) / conns
+			runtime.KeepAlive(b)
+			t.Logf("live heap %.1f B per connection pair", perPair)
+			if perPair > heapCeiling[arch] {
+				t.Errorf("live heap %.1f B per connection pair, ceiling %.0f B", perPair, heapCeiling[arch])
+			}
 			total := 0
 			for i, h := range b.cl.hosts {
 				f := h.Footprint()
@@ -85,6 +98,14 @@ func TestIdleConnsHoldNoIOState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// liveHeap returns the bytes of Go heap live after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // baselineSlabs lists each Linux and mTCP host's staging slabs, attached

@@ -89,12 +89,11 @@ func (b *EchoBench) runUntil(budget, step time.Duration, done func() bool) bool 
 // budget must sit above.
 func (b *EchoBench) pacingTime(delta int) time.Duration {
 	batch, gap := b.setup.RampBatch, b.setup.RampGap
-	db, dg := echo.DefaultRampPacing()
 	if batch <= 0 {
-		batch = db
+		batch = echo.ConnectBatch
 	}
 	if gap <= 0 {
-		gap = dg
+		gap = echo.ConnectBatchGap
 	}
 	perThread := (delta + b.threads - 1) / b.threads
 	steps := (perThread + batch - 1) / batch
@@ -118,17 +117,8 @@ func pointSeed(base int64, point uint64) uint64 {
 // and resets meters in place. total may not fall below the population
 // an earlier point established.
 func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) EchoResult {
-	per := (total + b.threads - 1) / b.threads
-	if per < 1 {
-		per = 1
-	}
-	out := outstanding
-	if out < 1 {
-		out = 1
-	}
-	if per < out {
-		out = per
-	}
+	per := max((total+b.threads-1)/b.threads, 1)
+	out := min(max(outstanding, 1), per)
 	target := per * b.threads
 
 	// Quiesce: no new RPCs, in-flight ones complete. The budget is

@@ -198,7 +198,7 @@ type loadgen struct {
 	env   app.Env
 	cfg   LoadConfig
 	conns []app.Conn
-	rng   uint64
+	rng   xorshift
 	// pacing
 	budget float64
 	next   int    // round-robin cursor
@@ -217,24 +217,27 @@ const tick = 100 * time.Microsecond
 // LoadFactory builds load-generator threads.
 func LoadFactory(cfg LoadConfig) app.Factory {
 	return func(env app.Env, thread, threads int) app.Handler {
-		g := &loadgen{env: env, cfg: cfg, rng: cfg.Seed ^ (uint64(thread)+1)*0x9e3779b97f4a7c15}
+		g := &loadgen{env: env, cfg: cfg, rng: xorshift(cfg.Seed ^ (uint64(thread)+1)*0x9e3779b97f4a7c15)}
 		for i := 0; i < cfg.Conns; i++ {
 			_ = env.Connect(cfg.ServerIP, cfg.Port, nil)
 		}
 		// Stagger thread phases so independent generators don't tick in
 		// lock-step (synchronized bursts would inflate tails).
-		stagger := time.Duration(g.rand() % uint64(tick))
+		stagger := time.Duration(g.rng.next() % uint64(tick))
 		g.paceFn = g.pace
 		env.After(tick+stagger, g.paceFn)
 		return g
 	}
 }
 
-func (g *loadgen) rand() uint64 {
-	g.rng ^= g.rng << 13
-	g.rng ^= g.rng >> 7
-	g.rng ^= g.rng << 17
-	return g.rng
+// xorshift is the generators' seeded request stream.
+type xorshift uint64
+
+func (x *xorshift) next() uint64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return uint64(*x)
 }
 
 // pace issues this tick's request budget across connections.
@@ -276,8 +279,8 @@ func (g *loadgen) pace() {
 //ix:hotpath
 func (g *loadgen) issue(c app.Conn, st *lconn) {
 	w := &g.cfg.Workload
-	i := int(g.rand() % uint64(w.Keys))
-	get := float64(g.rand()%10000)/10000.0 < w.GetFrac
+	i := int(g.rng.next() % uint64(w.Keys))
+	get := float64(g.rng.next()%10000)/10000.0 < w.GetFrac
 	g.env.Charge(clientReqCost)
 	if get {
 		g.req = w.appendGet(g.req[:0], i)
@@ -343,7 +346,7 @@ func AgentFactory(cfg AgentConfig) app.Factory {
 		if thread != 0 {
 			return nopHandler{}
 		}
-		a := &agent{env: env, cfg: cfg, rng: cfg.Seed | 1}
+		a := &agent{env: env, cfg: cfg, rng: xorshift(cfg.Seed | 1)}
 		_ = env.Connect(cfg.ServerIP, cfg.Port, nil)
 		return a
 	}
@@ -353,24 +356,17 @@ type agent struct {
 	app.Base
 	env app.Env
 	cfg AgentConfig
-	rng uint64
+	rng xorshift
 	t0  int64
 	buf []byte
 	req []byte // request scratch, as loadgen's
-}
-
-func (a *agent) rand() uint64 {
-	a.rng ^= a.rng << 13
-	a.rng ^= a.rng >> 7
-	a.rng ^= a.rng << 17
-	return a.rng
 }
 
 func (a *agent) issue(c app.Conn) {
 	w := a.cfg.Workload
 	a.t0 = a.env.Now()
 	a.env.Charge(clientReqCost)
-	a.req = w.appendGet(a.req[:0], int(a.rand()%uint64(w.Keys)))
+	a.req = w.appendGet(a.req[:0], int(a.rng.next()%uint64(w.Keys)))
 	c.Send(a.req)
 }
 
