@@ -19,7 +19,8 @@
 //     chan, map and func values fit an interface word and do not
 //     allocate — the engine's `any`-typed event trampolines rely on
 //     exactly that — but ints, structs and slices heap-allocate)
-//   - calls that materialize a variadic interface slice (fmt-style APIs)
+//   - calls that materialize a variadic interface slice (fmt-style APIs;
+//     the builtin append, which writes into its first argument, does not)
 //
 // Appends are allowed: the repository's hot paths append into slices
 // whose capacity is hoisted and ping-ponged, which the runtime
@@ -165,6 +166,7 @@ func (c *checker) call(call *ast.CallExpr) {
 		}
 	}
 	// Builtins and conversions.
+	builtinAppend := false
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
@@ -174,6 +176,8 @@ func (c *checker) call(call *ast.CallExpr) {
 			case "make":
 				c.report(call, "make(...) allocates per call; hoist the buffer")
 				return
+			case "append":
+				builtinAppend = true
 			}
 		}
 	}
@@ -199,7 +203,7 @@ func (c *checker) call(call *ast.CallExpr) {
 				continue
 			}
 			pt = st.Elem()
-			if call.Ellipsis == 0 && isInterface(pt) && i == np-1 {
+			if call.Ellipsis == 0 && isInterface(pt) && i == np-1 && !builtinAppend {
 				c.report(call, "call materializes a variadic %s slice per call", pt)
 			}
 		case i < np:

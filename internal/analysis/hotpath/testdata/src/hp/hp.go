@@ -12,6 +12,7 @@ type ring struct {
 	scratch [64]byte
 	onFire  func(any)
 	sink    []int
+	anys    []any
 }
 
 type frame struct{ n int }
@@ -106,6 +107,11 @@ func variadicBox(r *ring, n int) {
 	variadic(n, n) // want `call materializes a variadic any slice per call` `boxing int into any` `boxing int into any`
 }
 
+//ix:hotpath
+func appendBox(r *ring, n int) {
+	r.anys = append(r.anys, n) // want `boxing int into any`
+}
+
 // --- green cases ---
 
 //ix:hotpath
@@ -121,6 +127,7 @@ func hoistedAppend(r *ring, b []byte) {
 func pointerShapedAny(r *ring, f *frame) {
 	sinkAny(f) // *frame rides the interface word: no allocation
 	r.onFire(f)
+	r.anys = append(r.anys, f) // the builtin append builds no variadic slice
 }
 
 //ix:hotpath

@@ -131,18 +131,6 @@ func (d *Dataplane) Threads() int { return len(d.threads) }
 // Thread returns elastic thread i.
 func (d *Dataplane) Thread(i int) *ElasticThread { return d.threads[i] }
 
-// TxChunksInUse sums the TX arena chunks held across every thread's
-// pool, revoked threads' included (a migrated connection keeps the
-// chunks it holds): zero once every send is acknowledged and every dead
-// connection's arena released.
-func (d *Dataplane) TxChunksInUse() int {
-	n := 0
-	for _, et := range d.all {
-		n += et.txpool.InUse()
-	}
-	return n
-}
-
 // Footprinter is implemented by user programs (libix) that account
 // their per-flow state under the memprobe contract.
 type Footprinter interface {

@@ -94,7 +94,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		dp:     dp,
 		id:     id,
 		core:   sim.NewCore(dp.eng, id),
-		txpool: mem.NewTxChunkPool(dp.Region(), id),
+		txpool: dp.TxPool(dp.Region(), id),
 		gate:   dune.NewGate(id, tcp.SlotSpan(expected)),
 		wheel:  timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 	}

@@ -79,7 +79,7 @@ type Frame struct {
 }
 
 // A Backing is pooled sender memory a frame's payload can point into: a
-// TX arena chunk or a socket's send slab. Its owner releases it once TCP
+// TX arena chunk (mem.TxChunk). Its owner releases it once TCP
 // has dropped every reference — at the cumulative ACK — but a frame can
 // outlive that ACK: a retransmitted original still queued in a receive
 // ring, a receiver holding the mbuf. So every frame carrying bytes of a

@@ -18,8 +18,7 @@ func (t tap) Deliver(f *fabric.Frame) { t.see(f); t.next.Deliver(f) }
 
 // TestBulkFramesCarriedByReference: on every stack, 64 KiB echoes leave
 // in full-sized frames that carry their payload by reference into the
-// sender's arena chunk or send slab; only a segment straddling two
-// chunks is copied. Once the load stops, every frame, mbuf and chunk —
+// sender's arena chunk; only a segment straddling two chunks is copied. Once the load stops, every frame, mbuf and chunk —
 // and so every pin the frames held — is back in its pool.
 func TestBulkFramesCarriedByReference(t *testing.T) {
 	const msg = 64 << 10

@@ -61,6 +61,8 @@ type Host interface {
 	Footprint() memprobe.Footprint
 	// MbufsInUse is the receive mbufs still referenced.
 	MbufsInUse() int
+	// TxChunksInUse is the TX arena chunks still held.
+	TxChunksInUse() int
 	// EachStack calls fn with every network stack of the host.
 	EachStack(fn func(*netstack.Stack))
 }
@@ -297,17 +299,16 @@ func (c *Cluster) FramesInUse() int {
 	return n
 }
 
-// TxChunksInUse sums TX arena chunks held across every IX dataplane
-// thread: the zero-copy-arena conservation invariant. Once traffic has
-// quiesced (all sends acknowledged, dead connections torn down) it must
-// return to zero — a teardown path that fails to release a connection's
-// arena shows up here.
+// TxChunksInUse sums TX arena chunks held across every host — IX
+// threads, Linux hosts and mTCP cores alike: the transmit-memory
+// conservation invariant. Once traffic has quiesced (all sends
+// acknowledged, dead connections torn down) it must return to zero — a
+// teardown path that fails to release a connection's arena shows up
+// here.
 func (c *Cluster) TxChunksInUse() int {
 	n := 0
 	for _, h := range c.hosts {
-		if dp, ok := h.(*core.Dataplane); ok {
-			n += dp.TxChunksInUse()
-		}
+		n += h.TxChunksInUse()
 	}
 	return n
 }

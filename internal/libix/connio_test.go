@@ -20,23 +20,25 @@ func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 48 {
 		t.Fatalf("libix.conn is %d bytes, budget 48", got)
 	}
-	// A chunk's header is its host buffer's slice header, the write
-	// cursor, the frame pins sharing the cursor's word, and the pool.
+	// A chunk's header is its host buffer's slice header, the write and
+	// release cursors and the frame pins sharing one word, the pool, and
+	// the link to the arena's next chunk.
 	if got := unsafe.Sizeof(mem.TxChunk{}); got > 48 {
 		t.Fatalf("mem.TxChunk header is %d bytes, budget 48", got)
 	}
 	// A held chunk is charged as the modelled chunk — TxChunkSize plus
-	// its 16 B of cursor, pins and pool — however small its host buffer.
+	// its 24 B of cursors, pins, pool and link — however small its host
+	// buffer; the arena keeps no list of its own.
 	var a mem.TxArena
 	a.Init(mem.NewTxChunkPool(mem.NewRegion(1), 0))
 	a.Append(make([]byte, 64))
-	if got, want := a.FootprintBytes(), int64(mem.TxChunkSize+16+8); got != want {
+	if got, want := a.FootprintBytes(), int64(mem.TxChunkSize+24); got != want {
 		t.Fatalf("an arena holding one 64 B chunk is charged %d bytes, want %d", got, want)
 	}
 }
 
 // bulkServer answers every accepted connection with one large response,
-// so its sends stay in flight (arena chunks held, transmit vector
+// so its sends stay in flight (arena chunks held, untaken bytes
 // flow-controlled) for many cycles.
 type bulkServer struct{ size int }
 
@@ -49,7 +51,7 @@ func (s bulkServer) OnClosed(c app.Conn)             {}
 
 // TestMigrationCarriesBorrowedIO: a connection migrated with a send in
 // flight takes its connIO along — arena chunks from the source thread's
-// pool, transmit vector mid-drain — and finishes the send from its new
+// pool, some bytes not yet taken — and finishes the send from its new
 // home. Once everything is acknowledged no chunk or frame is left in
 // use on either thread and the I/O objects, the revoked thread's
 // included, sit in the surviving program's pool.

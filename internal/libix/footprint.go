@@ -10,8 +10,8 @@ import (
 // Footprint implements the memprobe accounting contract for the
 // user-level library: the cookie table's backing and, for each
 // connection it names, the descriptor — plus, only while one is
-// attached, the borrowed connIO with the capacities of its transmit
-// vector and receive-recycling batch and the TX arena's pinned chunks.
+// attached, the borrowed connIO with the capacity of its
+// receive-recycling batch and the TX arena's pinned chunks.
 // Every thread's program shares the table, so thread 0's walks it once
 // for the host; each program adds only its own pooled connIO count.
 // Reported as a layer on top of the TCP engine's own tally
@@ -20,10 +20,9 @@ import (
 // connections that have not knocked yet.
 func (p *program) Footprint() memprobe.Footprint {
 	const (
-		connBytes  = int64(unsafe.Sizeof(conn{}))
-		ioBytes    = int64(unsafe.Sizeof(connIO{}))
-		sliceBytes = int64(unsafe.Sizeof([]byte(nil)))
-		ptrBytes   = int64(unsafe.Sizeof((*mem.Mbuf)(nil)))
+		connBytes = int64(unsafe.Sizeof(conn{}))
+		ioBytes   = int64(unsafe.Sizeof(connIO{}))
+		ptrBytes  = int64(unsafe.Sizeof((*mem.Mbuf)(nil)))
 	)
 	f := memprobe.Footprint{Pooled: len(p.ioFree)}
 	if !p.first {
@@ -35,8 +34,7 @@ func (p *program) Footprint() memprobe.Footprint {
 		f.Bytes += connBytes
 		if io := c.io; io != nil {
 			f.Attached++
-			f.Bytes += ioBytes + int64(cap(io.txq))*sliceBytes +
-				int64(cap(io.rdBufs))*ptrBytes + io.arena.FootprintBytes()
+			f.Bytes += ioBytes + int64(cap(io.rdBufs))*ptrBytes + io.arena.FootprintBytes()
 		}
 	})
 	return f

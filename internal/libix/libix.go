@@ -5,16 +5,16 @@
 //   - coalesces multiple application writes into a single sendv system
 //     call per batching round, preserving stream order across partial
 //     accepts;
-//   - tracks outgoing buffers in the transmit vector and re-issues
-//     trimmed writes when the `sent` event condition reports window
-//     space, so send-window policy lives entirely in user space;
+//   - re-issues trimmed writes from the arena's taken cursor when the
+//     `sent` event condition reports window space, so send-window policy
+//     lives entirely in user space;
 //   - enforces a maximum pending-send byte limit (the paper's "very
 //     basic" buffer sizing policy);
 //   - owns a per-connection zero-copy TX arena (borrowed from a pool
 //     while the connection has bytes in flight): Send appends the message
-//     into pooled arena chunks (one warm-cache copy, no allocation), the
-//     transmit vector and the kernel's retransmission queue reference
-//     arena bytes in place, and the `sent` event condition's release
+//     into pooled arena chunks (one warm-cache copy, no allocation),
+//     sendv and the kernel's retransmission queue reference arena bytes
+//     in place, and the `sent` event condition's release
 //     count — cumulative-ACK-driven — reclaims chunks. This is the
 //     paper's §3.3 ownership contract ("may not be modified until the
 //     sent event condition signals the peer's ACK") made explicit;
@@ -97,9 +97,10 @@ type program struct {
 	// flight (LIFO, so the hot ones stay cache-warm).
 	ioFree []*connIO
 	dirty  []*conn // connections with work to flush this round
-	// backs holds, for this round's sendv calls, the arena chunk each
-	// scatter-gather entry lies in; the kernel phase of the same cycle
-	// consumes them, so the next round reuses the backing.
+	// sg holds this round's sendv scatter-gather entries and backs the
+	// arena chunk each lies in; the kernel phase of the same cycle
+	// consumes them, so the next round reuses the backings.
+	sg    [][]byte
 	backs []fabric.Backing
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
@@ -122,14 +123,14 @@ type conn struct {
 	handle uint64
 	cookie any
 
-	// io is non-nil from the first Send or EvRecv until the arena, the
-	// transmit vector and the receive recycle list are all empty again.
+	// io is non-nil from the first Send or EvRecv until the arena and
+	// the receive recycle list are both empty again.
 	io *connIO
 
 	issued  bool // a sendv is in the current batch
 	stalled bool // last sendv was trimmed; wait for a sent event
-	// closing: Close was called with bytes still in the txq; the close
-	// syscall is deferred until the transmit vector drains, so queued
+	// closing: Close was called with bytes still untaken; the close
+	// syscall is deferred until the kernel has taken them all, so queued
 	// data reaches the wire ahead of the FIN.
 	closing bool
 	closed  bool
@@ -142,28 +143,16 @@ type conn struct {
 }
 
 // connIO is the in-flight I/O state of one connection: the zero-copy TX
-// arena, the transmit vector over it, the receive recycle list, and the
-// byte counts of the last two. A program pools them; of a
-// 250k-connection population only the few hundred connections with an
-// RPC in flight hold one.
+// arena, the receive recycle list and the bytes owed to recv_done. A
+// program pools them; of a 250k-connection population only the few
+// hundred connections with an RPC in flight hold one.
 type connIO struct {
-	// arena holds the connection's outgoing bytes; txq entries and the
-	// kernel's retransmission segments reference it in place. Released
-	// by the sent event condition's cumulative-ACK count.
+	// arena holds the connection's outgoing bytes from Send until the
+	// sent event condition's cumulative-ACK count releases them; its
+	// taken cursor follows what sendv accepted.
 	arena mem.TxArena
-
-	// Transmit vector: arena views not yet accepted by the kernel.
-	// txHead is the consumption cursor. On full drain a one-entry backing
-	// (the request-response steady state) is kept and anything larger —
-	// grown by a bulk or flow-controlled send — is released, so a pooled
-	// object retains at most one entry of transmit state.
-	txq    [][]byte
-	txHead int32
-	// txBytes is the bytes in the transmit vector, rdBytes those consumed
-	// this round and owed to recv_done. Both are int32, bounded by
-	// MaxPendingSend and the receive window, and both are zero when the
-	// object is pooled: putIO requires an empty vector and nothing owed.
-	txBytes int32
+	// rdBytes is the bytes consumed this round and owed to recv_done,
+	// bounded by the receive window; zero when the object is pooled.
 	rdBytes int32
 
 	// Receive recycling accumulated during this round; the batch issued
@@ -197,13 +186,12 @@ func (c *conn) getIO() *connIO {
 }
 
 // putIO returns the I/O state to the owning program's pool once nothing
-// is in flight: no unacknowledged arena bytes, an empty transmit vector,
-// nothing owed to recv_done.
+// is in flight: no unacknowledged arena bytes, nothing owed to recv_done.
 //
 //ix:hotpath
 func (c *conn) putIO() {
 	io := c.io
-	if io == nil || io.rdBytes > 0 || io.arena.Chunks() > 0 || len(io.txq) > 0 || len(io.rdBufs) > 0 {
+	if io == nil || io.rdBytes > 0 || io.arena.Live() > 0 || len(io.rdBufs) > 0 {
 		return
 	}
 	c.io = nil
@@ -219,16 +207,13 @@ func (c *conn) dropIO() {
 	if io == nil {
 		return
 	}
-	io.txBytes, io.rdBytes = 0, 0
+	io.rdBytes = 0
 	io.arena.ReleaseAll()
 	for _, b := range io.rdBufs {
 		b.Unref()
 	}
 	clear(io.rdBufs)
 	io.rdBufs = keepOneSlot(io.rdBufs)
-	clear(io.txq)
-	io.txq = keepOneSlot(io.txq)
-	io.txHead = 0
 	c.putIO()
 }
 
@@ -236,7 +221,7 @@ func (c *conn) dropIO() {
 // request-response steady state — is kept so the steady cycle stays
 // allocation-free, anything larger was grown by a burst and is
 // released, bounding what a pooled connIO retains.
-func keepOneSlot[T any](s []T) []T {
+func keepOneSlot(s []*mem.Mbuf) []*mem.Mbuf {
 	if cap(s) > 1 {
 		return nil
 	}
@@ -246,10 +231,10 @@ func keepOneSlot[T any](s []T) []T {
 var _ app.Conn = (*conn)(nil)
 
 // Send appends b to the connection's TX arena and schedules a coalesced
-// sendv over the arena views. No allocation happens: the bytes take one
-// warm-cache copy into a pooled chunk and are then referenced in place
-// by the transmit vector and, once transmitted, the kernel's
-// retransmission queue — immutable until the sent event condition's
+// sendv over the arena's untaken bytes. No allocation happens: the bytes
+// take one warm-cache copy into a pooled chunk and are then referenced
+// in place by sendv and, once transmitted, the kernel's retransmission
+// queue — immutable until the sent event condition's
 // release count passes them (the §3.3 ownership contract). Bytes beyond
 // the pending-send limit (or an exhausted chunk pool) are dropped and
 // reported short, pushing the buffering decision back to the
@@ -270,7 +255,7 @@ func (c *conn) Send(b []byte) int {
 		b = b[:room]
 	}
 	io := c.getIO()
-	accepted := io.appendTx(b)
+	accepted := io.arena.Write(b)
 	if accepted < want {
 		c.armSendReady(accepted < len(b))
 	}
@@ -279,56 +264,8 @@ func (c *conn) Send(b []byte) int {
 		return 0
 	}
 	c.p.api.Charge(time.Duration(float64(accepted) * copyPerByte))
-	io.txBytes += int32(accepted)
 	c.markDirty()
 	return accepted
-}
-
-// appendTx copies b into the arena and queues the views on the transmit
-// vector. It returns the bytes accepted: fewer than len(b) only when the
-// chunk pool ran dry.
-//
-//ix:hotpath
-func (io *connIO) appendTx(b []byte) int {
-	n := 0
-	for n < len(b) {
-		chunks := io.arena.Chunks()
-		v := io.arena.Append(b[n:])
-		if len(v) == 0 {
-			break
-		}
-		io.pushTx(v, io.arena.Chunks() == chunks)
-		n += len(v)
-	}
-	return n
-}
-
-// pushTx appends an arena view to the transmit vector. A view that
-// landed in the chunk the pending tail entry lies in (sameChunk: the
-// append opened no new chunk) continues that entry, so the two merge
-// into one scatter-gather entry: the run of the chunk's newest bytes in
-// its current buffer, since the tail may still point into a buffer the
-// chunk has grown out of. Small messages thus coalesce, and the vector
-// holds one pending entry per chunk.
-//
-//ix:hotpath
-func (io *connIO) pushTx(v []byte, sameChunk bool) {
-	if n := len(io.txq); sameChunk && n > int(io.txHead) {
-		io.txq[n-1] = io.arena.Run(len(io.txq[n-1]) + len(v))
-		return
-	}
-	io.txq = append(io.txq, v)
-}
-
-// appendBacks appends the arena chunk each pending transmit vector entry
-// lies in, so frames may carry the entries by reference. Each entry lies
-// in a chunk of its own, the newest last (pushTx merges by chunk), so
-// the chunks are the arena's newest, in order.
-func (io *connIO) appendBacks(backs []fabric.Backing) []fabric.Backing {
-	for _, k := range io.arena.Newest(len(io.txq) - int(io.txHead)) {
-		backs = append(backs, k)
-	}
-	return backs
 }
 
 // armSendReady arms the writable-again condition after a short Send; a
@@ -353,13 +290,13 @@ func (c *conn) Unsent() int {
 	if c.io == nil {
 		return 0
 	}
-	return int(c.io.txBytes)
+	return c.io.arena.Untaken()
 }
 
-// Close requests an orderly close after pending data drains: when the
-// transmit vector still holds bytes, the close syscall — which would
-// sequence the FIN at sndNxt, ahead of them — is deferred until the
-// sent event condition drains the vector. Further writes are rejected.
+// Close requests an orderly close after pending data drains: when bytes
+// are still untaken, the close syscall — which would sequence the FIN
+// at sndNxt, ahead of them — is deferred until the kernel has taken
+// them. Further writes are rejected.
 func (c *conn) Close() {
 	if c.closed || c.closing {
 		return
@@ -372,8 +309,8 @@ func (c *conn) Close() {
 	c.p.api.Close(c.handle)
 }
 
-// finishClose issues the deferred close syscall once the transmit
-// vector has fully drained.
+// finishClose issues the deferred close syscall once the kernel has
+// taken every byte.
 func (c *conn) finishClose() {
 	if !c.closing || c.closed || c.Unsent() > 0 {
 		return
@@ -453,7 +390,7 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 	}
 	// 4. Coalesced flush: one sendv per dirty connection, plus batched
 	// recv_done recycling.
-	p.backs = p.backs[:0]
+	p.sg, p.backs = p.sg[:0], p.backs[:0]
 	for _, c := range p.dirty {
 		c.inDirty = false
 		io := c.io
@@ -469,11 +406,11 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 			// one-slot backing is safely reused in place.
 			io.rdBufs = keepOneSlot(io.rdBufs)
 		}
-		if io.txBytes > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
+		if io.arena.Untaken() > 0 && !c.issued && !c.stalled && !c.closed && c.handle != 0 {
 			c.issued = true
-			from := len(p.backs)
-			p.backs = io.appendBacks(p.backs)
-			api.Sendv(c.handle, io.txq[io.txHead:], p.backs[from:])
+			from := len(p.sg)
+			p.sg, p.backs = io.arena.Pending(p.sg, p.backs)
+			api.Sendv(c.handle, p.sg[from:], p.backs[from:])
 		}
 		c.putIO()
 	}
@@ -508,15 +445,15 @@ func (p *program) processResult(r *core.SyscallResult) {
 		if r.Err != nil {
 			accepted = 0
 		}
-		// Pending bytes imply a non-empty vector, so the I/O state is
-		// attached whenever a sendv result arrives.
-		c.io.consumeTx(accepted)
+		// A sendv was issued over untaken bytes, so the I/O state is
+		// attached whenever its result arrives.
+		c.io.arena.Took(accepted)
 		if c.Unsent() > 0 {
 			// Trimmed by the sliding window: wait for `sent` to
 			// re-issue (§4.3).
 			c.stalled = true
 		}
-		// A deferred orderly close fires once the vector drains.
+		// A deferred orderly close fires once every byte is taken.
 		c.finishClose()
 	}
 }
@@ -549,45 +486,6 @@ func (p *program) fireSendReady() {
 		p.api.Charge(dispatchCost)
 		p.sendReady.OnSendReady(c)
 	}
-}
-
-// consumeTx retires n bytes the kernel accepted from the transmit
-// vector.
-func (io *connIO) consumeTx(n int) {
-	io.txBytes -= int32(n)
-	if io.txBytes < 0 {
-		io.txBytes = 0
-	}
-	head := int(io.txHead)
-	for n > 0 && head < len(io.txq) {
-		e := io.txq[head]
-		if len(e) <= n {
-			n -= len(e)
-			io.txq[head] = nil
-			head++
-		} else {
-			io.txq[head] = e[n:]
-			n = 0
-		}
-	}
-	if head == len(io.txq) {
-		// Fully drained (every entry nil'd above). In the request-response
-		// steady state contiguous views merge into a single scatter-gather
-		// entry, which is the backing that is kept.
-		io.txq = keepOneSlot(io.txq)
-		head = 0
-	} else if head >= 32 && head*2 >= len(io.txq) {
-		// A flow-controlled connection that never fully drains would
-		// otherwise grow the dead prefix forever; compact the live
-		// entries to the front.
-		k := copy(io.txq, io.txq[head:])
-		for i := k; i < len(io.txq); i++ {
-			io.txq[i] = nil
-		}
-		io.txq = io.txq[:k]
-		head = 0
-	}
-	io.txHead = int32(head)
 }
 
 func (p *program) processEvent(ev *core.Event) {
@@ -698,7 +596,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// In-flight I/O state travels with the connection (and, once
 		// drained, joins this program's pool); work it still owes a
 		// syscall for is flushed from its new home.
-		if io := c.io; io != nil && (io.txBytes > 0 || io.rdBytes > 0) {
+		if io := c.io; io != nil && (io.arena.Untaken() > 0 || io.rdBytes > 0) {
 			c.markDirty()
 		}
 		// An armed send-ready condition migrates with the connection:

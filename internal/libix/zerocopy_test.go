@@ -172,24 +172,28 @@ func TestZeroAllocKnockResolve(t *testing.T) {
 	}
 }
 
-// TestTxqBoundedWithoutDrain: a transmit vector that never fully drains
-// (flow-controlled connection sending within budget) must compact its
-// consumed prefix rather than growing with connection lifetime.
+// TestTxqBoundedWithoutDrain: a connection whose sends never fully
+// drain (flow-controlled, always the newest message pending) holds
+// transmit state bounded by what is pending, not by its lifetime: at
+// most two chunks, and one or two pending views.
 func TestTxqBoundedWithoutDrain(t *testing.T) {
+	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
 	io := &connIO{}
+	io.arena.Init(pool)
 	for i := 0; i < 2000; i++ {
-		io.pushTx(make([]byte, 64), false)
+		io.arena.Write(make([]byte, 64))
 		if i > 0 {
-			// Consume one entry, always leaving the newest pending.
-			io.consumeTx(64)
+			// The kernel takes one message and the peer acknowledges it.
+			io.arena.Took(64)
+			io.arena.Release(64)
 		}
-		if live := len(io.txq) - int(io.txHead); live < 1 || live > 2 {
-			t.Fatalf("iteration %d: %d live entries, want 1-2", i, live)
+		sg, _ := io.arena.Pending(nil, nil)
+		if len(sg) < 1 || len(sg) > 2 || io.arena.Chunks() > 2 {
+			t.Fatalf("iteration %d: %d pending views over %d chunks, want 1-2 over at most 2", i, len(sg), io.arena.Chunks())
 		}
 	}
-	if len(io.txq) > 96 {
-		t.Fatalf("txq backing holds %d entries for %d live; dead prefix not compacted",
-			len(io.txq), len(io.txq)-int(io.txHead))
+	if n := pool.InUse(); n > 2 {
+		t.Fatalf("%d chunks held for one pending message", n)
 	}
 }
 
@@ -202,14 +206,15 @@ func TestPushTxMergesContiguousRuns(t *testing.T) {
 	io := &connIO{}
 	io.arena.Init(pool)
 	for i := 0; i < 5; i++ {
-		if io.appendTx(make([]byte, 64)) != 64 {
+		if io.arena.Write(make([]byte, 64)) != 64 {
 			t.Fatal("append failed")
 		}
 	}
-	if got := len(io.txq) - int(io.txHead); got != 1 {
-		t.Fatalf("5 contiguous appends produced %d SG entries, want 1", got)
+	sg, _ := io.arena.Pending(nil, nil)
+	if len(sg) != 1 {
+		t.Fatalf("5 contiguous appends produced %d SG entries, want 1", len(sg))
 	}
-	if got := len(io.txq[io.txHead]); got != 320 {
+	if got := len(sg[0]); got != 320 {
 		t.Fatalf("merged entry holds %d bytes, want 320", got)
 	}
 }
@@ -290,37 +295,33 @@ func (s *abortStorm) OnEOF(c app.Conn)         { c.Close() }
 func (s *abortStorm) OnClosed(c app.Conn)      {}
 
 // TestBacksNameEachEntrysChunk: the backing sendv names for each pending
-// transmit vector entry is the chunk the entry's bytes lie in — after
+// scatter-gather entry is the chunk the entry's bytes lie in — after
 // runs that fill, straddle and open chunks, and after the kernel has
-// taken part of the vector — so a frame carrying an entry by reference
-// pins the memory it reads.
+// taken part of them — so a frame carrying an entry by reference pins
+// the memory it reads.
 func TestBacksNameEachEntrysChunk(t *testing.T) {
 	pool := mem.NewTxChunkPool(mem.NewRegion(4), 0)
 	io := &connIO{}
 	io.arena.Init(pool)
-	send := func(n int) { io.appendTx(make([]byte, n)) }
-	check := func(when string) {
-		t.Helper()
-		checkBacks(t, when, io)
-	}
+	send := func(n int) { io.arena.Write(make([]byte, n)) }
 	send(5000)
 	send(mem.TxChunkSize) // straddles into a second chunk
 	send(2 * mem.TxChunkSize)
-	check("after three sends")
-	io.consumeTx(5000 + mem.TxChunkSize/2)
-	check("after a partial sendv")
-	io.consumeTx(len(io.txq[io.txHead]))
+	checkBacks(t, "after three sends", io)
+	io.arena.Took(5000 + mem.TxChunkSize/2)
+	checkBacks(t, "after a partial sendv", io)
+	sg, _ := io.arena.Pending(nil, nil)
+	io.arena.Took(len(sg[0]))
 	send(100)
-	check("after a send into the open chunk")
+	checkBacks(t, "after a send into the open chunk", io)
 }
 
 // checkBacks fails t unless the backing sendv names for each pending
-// transmit vector entry is the chunk the entry lies in, in that chunk's
+// scatter-gather entry is the chunk the entry lies in, in that chunk's
 // current host buffer.
 func checkBacks(t *testing.T, when string, io *connIO) {
 	t.Helper()
-	sg := io.txq[io.txHead:]
-	backs := io.appendBacks(nil)
+	sg, backs := io.arena.Pending(nil, nil)
 	if len(backs) != len(sg) {
 		t.Fatalf("%s: %d backings for %d entries", when, len(backs), len(sg))
 	}
@@ -335,11 +336,11 @@ func checkBacks(t *testing.T, when string, io *connIO) {
 }
 
 // TestTxqFollowsChunkGrowth: messages sent in one cycle grow the write
-// chunk's host buffer while the entry they coalesce into is still
-// pending. The vector still holds one entry per chunk, each in its
+// chunk's host buffer while the bytes they coalesce with are still
+// pending. The pending entries are still one per chunk, each in its
 // chunk's current buffer, and the bytes that reach the peer are the
 // bytes sent: an entry left pointing into the buffer the chunk grew out
-// of could not be extended over the new bytes.
+// of would not cover the new bytes.
 func TestTxqFollowsChunkGrowth(t *testing.T) {
 	sizes := []int{64, 300, 1000, 5000, 12000, 20000}
 	var sent []byte
@@ -372,15 +373,16 @@ func TestTxqFollowsChunkGrowth(t *testing.T) {
 				checkBacks(t, "after send "+strconv.Itoa(i), c.(*conn).io)
 			}
 			io := c.(*conn).io
-			if got, want := len(io.txq)-int(io.txHead), io.arena.Chunks(); got != want {
+			sg, _ := io.arena.Pending(nil, nil)
+			if got, want := len(sg), io.arena.Chunks(); got != want {
 				t.Fatalf("%d pending entries over %d chunks, want one per chunk", got, want)
 			}
 			var queued []byte
-			for _, e := range io.txq[io.txHead:] {
+			for _, e := range sg {
 				queued = append(queued, e...)
 			}
 			if !bytes.Equal(queued, sent) {
-				t.Fatal("the transmit vector's bytes differ from the bytes sent")
+				t.Fatal("the pending entries' bytes differ from the bytes sent")
 			}
 		}
 		_ = env.Connect(wire.Addr4(10, 0, 0, 2), 80, nil)

@@ -77,6 +77,7 @@ func New(eng *sim.Engine, cfg sockcore.Config) *Host {
 	h.Host, cfg.Cores = netstack.NewHost(eng, cfg.IP, cfg.MAC, cfg.Cores, cfg.MemPages, nicsim.Config{RingSize: cfg.NICRing, ITR: itr}, h.cost.L3Miss)
 	h.cfg = cfg
 	h.layer.Reserve(cfg.ExpectedConns)
+	h.layer.Tx = sockcore.SendPool(&h.Host, 0)
 	// Affinity accept (§2.3): a socket belongs to the core whose queue
 	// received its handshake, and its events wake that core's thread.
 	h.layer.Accepting = func() *sockcore.Owner { return &h.curCore().sock }
@@ -127,7 +128,7 @@ func (h *Host) curCore() *kcore {
 // host model: the shared kernel stack's tally and its socket layer.
 func (h *Host) Footprint() memprobe.Footprint { return h.layer.Footprint(h.ns.TCP()) }
 
-// Slabs reports the host's staging slabs, attached and free.
+// Slabs reports the host's receive slabs, attached and free.
 func (h *Host) Slabs() (inUse, free int) { return h.layer.Slabs() }
 
 // CPUBreakdown reports kernel vs user busy time since ResetStats.

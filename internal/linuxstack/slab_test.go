@@ -101,6 +101,7 @@ type stackHost interface {
 	Start()
 	ConnCount() int
 	Slabs() (inUse, free int)
+	TxChunksInUse() int
 	Footprint() memprobe.Footprint
 	EachStack(func(*netstack.Stack))
 }
@@ -201,12 +202,16 @@ func (p *bulkPair) run(t time.Duration) {
 	p.eng.RunUntil(sim.Time(t))
 }
 
-// checkDrained fails t unless both hosts hold no slab and no side object.
+// checkDrained fails t unless both hosts hold no slab, no send chunk and
+// no side object.
 func (p *bulkPair) checkDrained(t *testing.T) {
 	t.Helper()
 	for name, h := range map[string]stackHost{"server": p.srv, "client": p.cli} {
 		if inUse, free := h.Slabs(); inUse != 0 {
 			t.Errorf("%s: %d slabs still attached (%d free)", name, inUse, free)
+		}
+		if n := h.TxChunksInUse(); n != 0 {
+			t.Errorf("%s: %d send chunks still held", name, n)
 		}
 		if f := h.Footprint(); f.Attached != 0 {
 			t.Errorf("%s: %d side objects still attached", name, f.Attached)
@@ -221,10 +226,10 @@ func slabsMade(h stackHost) int {
 }
 
 // TestBulkEchoSlabsCycle: 200 byte-exact 64 KiB echoes over one pair of
-// either stack draw at most four slabs between the two hosts — the pool
-// recycles rather than allocating per message — drop nothing at the TX
-// rings, and leave every slab back on a free list once the last echo is
-// acknowledged.
+// either stack draw at most four receive slabs between the two hosts —
+// the pool recycles rather than allocating per message — drop nothing at
+// the TX rings, and leave every slab and send chunk back on a free list
+// once the last echo is acknowledged.
 func TestBulkEchoSlabsCycle(t *testing.T) {
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {
@@ -245,11 +250,11 @@ func TestBulkEchoSlabsCycle(t *testing.T) {
 }
 
 // TestBulkEchoIntactUnderLoss: with two messages pipelined and frames
-// lost in both directions, TCP retransmits from parked slabs while newer
-// bytes are staged. A slab returned to the pool before the engine
-// released its last byte would be refilled — by a later write or by
-// received bytes — while a retransmission still read it; the byte-exact
-// echo catches that. Several loss schedules, because the overlap needs a
+// lost in both directions, TCP retransmits from taken arena bytes while
+// newer bytes are staged behind them. A chunk returned to the pool
+// before the engine released its last byte would be refilled by a later
+// write while a retransmission still read it; the byte-exact echo
+// catches that. Several loss schedules, because the overlap needs a
 // loss at the right moment.
 func TestBulkEchoIntactUnderLoss(t *testing.T) {
 	for _, st := range stacks {
@@ -274,15 +279,15 @@ func TestBulkEchoIntactUnderLoss(t *testing.T) {
 }
 
 // abortWhen polls a socket every simulated microsecond and aborts it the
-// first time its slabs satisfy cond, recording that in *hit.
-func abortWhen(hit *bool, cond func(snd, parked, rcv int) bool) func(*bulkEcho, app.Conn) {
+// first time its staging satisfies cond, recording that in *hit.
+func abortWhen(hit *bool, cond func(untaken, unreleased, slabs int) bool) func(*bulkEcho, app.Conn) {
 	return func(e *bulkEcho, c app.Conn) {
 		var poll func()
 		poll = func() {
 			if e.closed {
 				return
 			}
-			if cond(c.(*sockcore.Sock).Slabs()) {
+			if cond(c.(*sockcore.Sock).Staged()) {
 				*hit = true
 				c.Abort()
 				return
@@ -293,15 +298,16 @@ func abortWhen(hit *bool, cond func(snd, parked, rcv int) bool) func(*bulkEcho, 
 	}
 }
 
-// TestSlabsReturnOnTeardown: a flow that dies with slabs attached — a
-// send slab TCP has not fully taken, a parked one awaiting its ACK,
-// received bytes in the chain — returns every slab on both hosts to the
-// pool, whether it was aborted locally, reset by the peer, or reset while
-// its unsent bytes sat behind a closed window; on either stack.
+// TestSlabsReturnOnTeardown: a flow that dies with bytes staged — sent
+// bytes TCP has not taken, bytes it took that await their ACK, received
+// bytes in the slab chain — returns every send chunk and slab on both
+// hosts to its pool, whether it was aborted locally, reset by the peer,
+// or reset while its unsent bytes sat behind a closed window; on either
+// stack.
 func TestSlabsReturnOnTeardown(t *testing.T) {
-	unsent := func(snd, _, _ int) bool { return snd > 0 }
-	parked := func(_, parked, _ int) bool { return parked > 0 }
-	chained := func(_, _, rcv int) bool { return rcv > 0 }
+	unsent := func(untaken, _, _ int) bool { return untaken > 0 }
+	parked := func(_, unreleased, _ int) bool { return unreleased > 0 }
+	chained := func(_, _, slabs int) bool { return slabs > 0 }
 	cases := []struct {
 		name     string
 		srv, cli func(*bool, *bulkEcho)
@@ -311,7 +317,7 @@ func TestSlabsReturnOnTeardown(t *testing.T) {
 		{name: "abort-parked", cli: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, parked) }},
 		{name: "peer-rst-mid-chain", srv: func(hit *bool, e *bulkEcho) { e.onConn = abortWhen(hit, chained) }},
 		{
-			// A window far below one message keeps the client's send slab
+			// A window far below one message keeps the client's send arena
 			// holding untaken bytes when the server's reset arrives.
 			name: "peer-rst-closed-window",
 			srv: func(hit *bool, e *bulkEcho) {
@@ -336,8 +342,8 @@ func TestSlabsReturnOnTeardown(t *testing.T) {
 					}
 					if tc.name == "peer-rst-closed-window" {
 						p.run(250 * time.Microsecond)
-						if p.ce.conn == nil || !unsent(p.ce.conn.(*sockcore.Sock).Slabs()) {
-							t.Fatal("client holds no partly sent slab before the reset")
+						if p.ce.conn == nil || !unsent(p.ce.conn.(*sockcore.Sock).Staged()) {
+							t.Fatal("client holds no untaken bytes before the reset")
 						}
 					}
 					p.run(20 * time.Millisecond)

@@ -12,8 +12,8 @@ import (
 // TestConnStateSizes pins the socket state the Linux model charges per
 // established connection: the shared socket, one per connection, within
 // 48 B, and the staging buffer Footprint charges per attached socket,
-// which holds the slab half's pointer an idle socket does not carry
-// (DESIGN.md, "Per-connection memory budget").
+// which holds the receive chain's pointer and the send arena an idle
+// socket does not carry (DESIGN.md, "Per-connection memory budget").
 func TestConnStateSizes(t *testing.T) {
 	if sockcore.SockBytes > 48 {
 		t.Fatalf("a Linux socket is %d bytes, budget 48", sockcore.SockBytes)
@@ -59,19 +59,17 @@ func echoAllocs(t *testing.T, msg int) (allocs float64, echoes int, p *bulkPair)
 // TestZeroAllocSockBufPool: once warm, a Linux echo connection's staging
 // cycles through the layer's pools. A 4 KiB echo — the small buffer
 // borrowed first, then a slab on each side for the bytes past it, and a
-// slab for each write — allocates nothing on either host. A 64 B echo
-// allocates only its two writes' exact-size backings, dropped once TCP
-// has taken them: receiving through the pooled small buffer costs
-// nothing, and each host's pool holds the one buffer object its one
-// socket needs.
+// pooled send chunk for each write — allocates nothing on either host.
+// So does a 64 B echo: each write lands in a pooled chunk, receiving
+// goes through the pooled small buffer, and each host's pool holds the
+// one buffer object its one socket needs.
 func TestZeroAllocSockBufPool(t *testing.T) {
 	if allocs, echoes, _ := echoAllocs(t, 4<<10); allocs != 0 {
 		t.Fatalf("%d warm 4 KiB echoes allocate %.0f times, want 0", echoes, allocs)
 	}
 	allocs, echoes, p := echoAllocs(t, 64)
-	// A write in flight at either edge of the window counts too.
-	if allocs > 2*float64(echoes)+2 {
-		t.Fatalf("a warm 64 B echo allocates %.3f times, want the 2 write backings", allocs/float64(echoes))
+	if allocs != 0 {
+		t.Fatalf("%d warm 64 B echoes allocate %.0f times, want 0", echoes, allocs)
 	}
 	for name, h := range map[string]*Host{"server": p.srv.(*Host), "client": p.cli.(*Host)} {
 		// The socket layer's objects: the host's less its TCP engine's.

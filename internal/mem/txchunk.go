@@ -1,15 +1,16 @@
-// TX arena chunks: the memory behind the zero-copy libix transmit path.
+// TX arena chunks: the memory behind every stack's transmit path.
 //
 // The paper's sendv contract (§3.3, §4.5) is that the application hands
 // buffers to the dataplane and may not touch them until the `sent` event
-// condition reports the peer's acknowledgment. libix implements that
-// contract with a per-connection arena built from pooled, fixed-size
-// chunks: Send appends message bytes to the arena, the transmit vector
-// and the TCP retransmission queue reference arena bytes in place, and a
-// release cursor — advanced only by cumulative ACK — returns drained
-// chunks to the pool. Chunks follow the §4.2 region model: per-thread
-// pools provisioned from the dataplane's large-page grant, free lists,
-// no synchronization.
+// condition reports the peer's acknowledgment. Each connection's
+// TxArena implements that contract over pooled, fixed-size chunks: a
+// send appends message bytes to the arena, TCP's scatter-gather input
+// and retransmission queue reference arena bytes in place, and a release
+// cursor — advanced only by cumulative ACK — returns drained chunks to
+// the pool. libix and the Linux and mTCP socket layers (sockcore) all
+// hold their send bytes this way. Chunks follow the §4.2 region model:
+// per-thread pools provisioned from a large-page grant, free lists, no
+// synchronization.
 package mem
 
 import (
@@ -40,9 +41,8 @@ const txChunkFootprint = TxChunkSize + int64(unsafe.Sizeof(TxChunk{})-unsafe.Siz
 
 // A TxChunk is one fixed-size arena chunk. Bytes between the release
 // cursor of its arena and its write cursor are referenced by the
-// dataplane's transmit path (txq scatter-gather entries, TCP
-// retransmission segments and the frames that carry them by reference)
-// and must stay immutable.
+// transmit path (Pending's views, TCP retransmission segments and the
+// frames that carry them by reference) and must stay immutable.
 //
 // The model sees a TxChunkSize chunk; the host backs only the bytes
 // written. buf starts at txChunkMinBuf and doubles, copying, up to
@@ -51,8 +51,11 @@ const txChunkFootprint = TxChunkSize + int64(unsafe.Sizeof(TxChunk{})-unsafe.Siz
 // the garbage collector keeps the old buffer for as long as a view does.
 // A pooled chunk keeps its largest buffer.
 type TxChunk struct {
-	buf  []byte // host memory behind the written bytes; len(buf) == cap(buf)
-	used int32
+	buf []byte // host memory behind the written bytes; len(buf) == cap(buf)
+	// used and rel are the chunk's write cursor and the bytes of it its
+	// arena has released (only the oldest chunk's is ever nonzero); both
+	// are at most TxChunkSize.
+	used, rel int16
 	// frames counts the frames in flight that carry bytes of the chunk by
 	// reference (fabric.Backing); retired marks a chunk its arena has
 	// released while some still did, which the pool takes back at the
@@ -60,6 +63,7 @@ type TxChunk struct {
 	frames  int16
 	retired bool
 	pool    *TxChunkPool
+	next    *TxChunk // the arena's next newer chunk; the newest links to the oldest
 }
 
 var _ fabric.Backing = (*TxChunk)(nil)
@@ -88,7 +92,7 @@ func (k *TxChunk) Unpin() {
 // valid — and its bytes immutable — until the owning arena's release
 // cursor passes it. Its capacity ends at its length: a later append
 // may move the chunk's bytes to a larger buffer, so views are never
-// extended (TxArena.Run rebases a run of them instead).
+// extended (TxArena.Pending cuts fresh ones instead).
 //
 //ix:hotpath
 func (k *TxChunk) Append(b []byte) []byte {
@@ -98,7 +102,7 @@ func (k *TxChunk) Append(b []byte) []byte {
 	}
 	v := k.buf[k.used:end:end]
 	copy(v, b)
-	k.used = int32(end)
+	k.used = int16(end)
 	return v
 }
 
@@ -123,7 +127,7 @@ func (k *TxChunk) grow(n int) {
 //
 //ix:hotpath
 func (k *TxChunk) Release() {
-	k.used = 0
+	k.used, k.rel = 0, 0
 	k.pool.put(k)
 }
 
@@ -147,6 +151,10 @@ type TxChunkPool struct {
 	spare   int // page-backed chunks not yet materialized
 	retired int // free chunks still pinned by frames
 	inUse   int
+	// low is the shortest the free list has been over the last
+	// txTrimEvery allocations, counted in sinceTrim: chunks below it
+	// went unused all that while (trim).
+	low, sinceTrim int
 
 	// Stats.
 	Allocs    uint64
@@ -168,6 +176,7 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 		k = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
+		p.low = min(p.low, n-1)
 	} else {
 		switch {
 		case p.retired > 0:
@@ -183,10 +192,27 @@ func (p *TxChunkPool) Alloc() *TxChunk {
 		//ixvet:ignore(hotpath) lazy materialization: amortized over the page (or a rare pinned release), steady state hits the free list
 		k = &TxChunk{pool: p}
 	}
-	k.used = 0
 	p.inUse++
 	p.Allocs++
+	if p.sinceTrim++; p.sinceTrim == txTrimEvery {
+		p.trim()
+	}
 	return k
+}
+
+// txTrimEvery is the allocations between two trims of a pool.
+const txTrimEvery = 1024
+
+// trim drops the host buffers of the free chunks no allocation reached
+// since the last trim, the bottom of the LIFO free list: the host keeps
+// the memory its senders keep using, not the peak of a burst long past.
+// The modelled chunks stay pooled, and a chunk taken again regrows its
+// buffer as it is written.
+func (p *TxChunkPool) trim() {
+	for _, k := range p.free[:p.low] {
+		k.buf = nil
+	}
+	p.low, p.sinceTrim = len(p.free), 0
 }
 
 //ix:hotpath
@@ -223,23 +249,25 @@ func (p *TxChunkPool) Ready() bool {
 	return len(p.free) > 0 || p.retired > 0 || p.spare > 0 || p.region.usedPages < p.region.limitPages
 }
 
-// A TxArena is one connection's FIFO transmit arena. Appends go to the
-// newest chunk; the release cursor — advanced only as TCP reports
-// segments fully acknowledged — trails through the oldest. Between the
-// two cursors the bytes are immutable: they are referenced in place by
-// the transmit vector and the retransmission queue. Chunks return to
-// the pool the moment the release cursor passes them, so a connection
-// in request-response steady state cycles one chunk through the free
-// list with no allocation.
+// A TxArena is one connection's FIFO transmit arena: the one place a
+// stack holds written bytes until the peer acknowledges them. Appends go
+// to the newest chunk. Two cursors trail them: the taken cursor, which
+// Took advances as TCP accepts bytes, and the release cursor, which
+// Release advances as TCP reports segments fully acknowledged. Bytes
+// behind the write cursor are immutable until the release cursor passes
+// them: untaken ones are what Pending hands TCP, taken ones are what the
+// retransmission queue references in place. Chunks return to the pool
+// the moment the release cursor passes them, so a connection in
+// request-response steady state cycles one chunk through the free list
+// with no allocation, and an idle one holds none.
 type TxArena struct {
-	pool   *TxChunkPool
-	chunks []*TxChunk // chunks[head:] are live; the last is the write chunk
-	// The cursors are int32 — head counts chunks, relOff stays below
-	// TxChunkSize, live below the pending-send budget — so the arena
-	// header packs with its owner (the per-connection byte budget).
-	head   int32
-	relOff int32 // released bytes within chunks[head]
-	live   int32 // appended and not yet released bytes
+	pool *TxChunkPool
+	// tail is the write chunk. The chunks held form a ring through next,
+	// from tail.next, the oldest, round to tail, so the arena needs no
+	// list of its own and packs into three words.
+	tail    *TxChunk
+	live    int32 // appended, not yet released
+	untaken int32 // appended, not yet taken
 }
 
 // Init points the arena at its chunk pool.
@@ -248,25 +276,19 @@ func (a *TxArena) Init(pool *TxChunkPool) { a.pool = pool }
 // Live returns bytes appended but not yet released.
 func (a *TxArena) Live() int { return int(a.live) }
 
+// Untaken returns bytes appended but not yet taken.
+func (a *TxArena) Untaken() int { return int(a.untaken) }
+
 // Chunks returns the number of chunks the arena currently holds.
-func (a *TxArena) Chunks() int { return len(a.chunks) - int(a.head) }
-
-// Run returns a view of the write chunk's newest n bytes in its current
-// buffer. libix coalesces consecutive appends to one chunk into a single
-// transmit entry by replacing the entry with the run that covers it and
-// the new bytes: the entry's own view may point into a buffer the chunk
-// has since grown out of.
-//
-//ix:hotpath
-func (a *TxArena) Run(n int) []byte {
-	k := a.chunks[len(a.chunks)-1]
-	return k.buf[int(k.used)-n : k.used : k.used]
+func (a *TxArena) Chunks() int {
+	n := 0
+	for k := a.tail; k != nil; k = k.next {
+		if n++; k.next == a.tail {
+			break
+		}
+	}
+	return n
 }
-
-// Newest returns the arena's newest n chunks, oldest first. A view
-// Append returns lies in one chunk, the newest, so n views of the newest
-// bytes, each in a different chunk, lie in these n in order.
-func (a *TxArena) Newest(n int) []*TxChunk { return a.chunks[len(a.chunks)-n:] }
 
 // Append copies a prefix of b into the arena and returns the
 // arena-backed view of it; the view's bytes stay immutable until
@@ -279,91 +301,118 @@ func (a *TxArena) Append(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	var k *TxChunk
-	if n := len(a.chunks); n > int(a.head) {
-		k = a.chunks[n-1]
-	}
+	k := a.tail
 	if k == nil || k.Room() == 0 {
-		k = a.pool.Alloc()
-		if k == nil {
+		if k = a.pool.Alloc(); k == nil {
 			return nil
 		}
-		a.chunks = append(a.chunks, k)
+		if a.tail == nil {
+			k.next = k
+		} else {
+			k.next, a.tail.next = a.tail.next, k
+		}
+		a.tail = k
 	}
 	v := k.Append(b)
 	a.live += int32(len(v))
+	a.untaken += int32(len(v))
 	return v
 }
 
-// Release advances the release cursor by n bytes — the ACK-driven
-// reclamation step. Chunks the cursor has fully passed return to the
-// pool; the write chunk is released too once every appended byte is
-// acknowledged (the request-response steady state), so idle connections
-// pin no chunks.
+// Write appends as much of b as the pool allows and returns the count:
+// fewer than len(b) only when the pool ran dry.
+//
+//ix:hotpath
+func (a *TxArena) Write(b []byte) int {
+	n := 0
+	for n < len(b) {
+		v := a.Append(b[n:])
+		if len(v) == 0 {
+			break
+		}
+		n += len(v)
+	}
+	return n
+}
+
+// Pending appends to sg a view of the untaken bytes of each chunk that
+// holds some, oldest first, cut from the chunk's current buffer (a view
+// Append returned may lie in a buffer the chunk has since grown out of),
+// and to backs the chunk itself, so frames may carry the views by
+// reference. It returns both.
+//
+//ix:hotpath
+func (a *TxArena) Pending(sg [][]byte, backs []fabric.Backing) ([][]byte, []fabric.Backing) {
+	if a.untaken == 0 {
+		return sg, backs
+	}
+	skip := int(a.live - a.untaken) // taken bytes, oldest first
+	for k := a.tail.next; ; k = k.next {
+		if from := int(k.rel) + skip; from < int(k.used) {
+			sg = append(sg, k.buf[from:k.used:k.used])
+			backs = append(backs, k)
+			skip = 0
+		} else {
+			skip = from - int(k.used)
+		}
+		if k == a.tail {
+			return sg, backs
+		}
+	}
+}
+
+// Took advances the taken cursor by the n bytes TCP accepted of what
+// Pending handed it.
+//
+//ix:hotpath
+func (a *TxArena) Took(n int) { a.untaken -= int32(n) }
+
+// Release advances the release cursor by n taken bytes — the ACK-driven
+// reclamation step. Chunks the cursor passes return to the pool; the
+// write chunk does too once every appended byte is released.
 //
 //ix:hotpath
 func (a *TxArena) Release(n int) {
-	if n <= 0 {
-		return
-	}
-	a.live -= int32(n)
-	if a.live < 0 {
-		a.live = 0
-	}
-	a.relOff += int32(n)
-	for int(a.head) < len(a.chunks) {
-		k := a.chunks[a.head]
-		if a.relOff < k.used {
-			break
+	a.live -= int32(max(n, 0))
+	for n > 0 && a.tail != nil {
+		k := a.tail.next
+		left := int(k.used - k.rel)
+		if n < left {
+			k.rel += int16(n)
+			return
 		}
-		if int(a.head) == len(a.chunks)-1 && a.live > 0 {
-			// The write chunk still holds unreleased bytes beyond the
-			// cursor arithmetic (defensive; cannot happen when releases
-			// mirror appends).
-			break
-		}
-		a.relOff -= k.used
-		k.Release()
-		a.chunks[a.head] = nil
-		a.head++
+		n -= left
+		a.drop(k)
 	}
-	if int(a.head) == len(a.chunks) {
-		// Fully drained. A one-slot backing (the request-response steady
-		// state: one chunk cycling through the free list) is kept so the
-		// steady cycle stays allocation-free; anything larger — grown by
-		// a bulk send — is released, so an idle connection pins at most
-		// one pointer slot.
-		if cap(a.chunks) > 1 {
-			a.chunks = nil
-		} else {
-			a.chunks = a.chunks[:0]
-		}
-		a.head = 0
-		a.relOff = 0
+}
+
+// drop returns the oldest chunk k to the pool.
+//
+//ix:hotpath
+func (a *TxArena) drop(k *TxChunk) {
+	if k == a.tail {
+		a.tail = nil
+	} else {
+		a.tail.next = k.next
 	}
+	k.next = nil
+	k.Release()
 }
 
 // FootprintBytes returns the bytes the arena pins right now: held
 // chunks, each charged as the modelled chunk (txChunkFootprint — a
 // chunk is pinned in full no matter how little of it is written, or how
-// small its host buffer still is), plus the chunks-slice backing. Part
-// of the memprobe per-connection accounting contract; pool free lists
-// are amortized across the population and excluded.
-func (a *TxArena) FootprintBytes() int64 {
-	return int64(a.Chunks())*txChunkFootprint +
-		int64(cap(a.chunks))*int64(unsafe.Sizeof((*TxChunk)(nil)))
-}
+// small its host buffer still is). Part of the memprobe per-connection
+// accounting contract; pool free lists are amortized across the
+// population and excluded.
+func (a *TxArena) FootprintBytes() int64 { return int64(a.Chunks()) * txChunkFootprint }
 
-// ReleaseAll returns every chunk to the pool regardless of the release
-// cursor. Only legal once nothing references the arena — i.e. the
-// owning connection is dead and its retransmission queue dropped.
+// ReleaseAll returns every chunk to the pool regardless of the cursors.
+// Only legal once nothing references the arena — i.e. the owning
+// connection is dead and its retransmission queue dropped.
 func (a *TxArena) ReleaseAll() {
-	for i := int(a.head); i < len(a.chunks); i++ {
-		a.chunks[i].Release()
-		a.chunks[i] = nil
+	for a.tail != nil {
+		a.drop(a.tail.next)
 	}
-	a.chunks = nil
-	a.head = 0
-	a.relOff = 0
-	a.live = 0
+	a.live, a.untaken = 0, 0
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ix/internal/fabric"
@@ -174,7 +175,7 @@ func TestPinnedChunkOutlivesRelease(t *testing.T) {
 	a.Init(p)
 	old := bytes.Repeat([]byte{'o'}, TxChunkSize)
 	v := a.Append(old)
-	k := a.Newest(1)[0]
+	k := a.tail
 	f := fabric.NewFramePool().Get(64)
 	f.Carry(v[:1448], k)
 	a.Release(len(v)) // the ACK: released while the frame is in flight
@@ -210,7 +211,7 @@ func TestPinnedChunkOutlivesRelease(t *testing.T) {
 	// A frame released before the slot is needed hands the chunk itself
 	// back to the free list.
 	v = a.Append(old)
-	k = a.Newest(1)[0]
+	k = a.tail
 	f = fabric.NewFramePool().Get(64)
 	f.Carry(v, k)
 	a.Release(len(v))
@@ -230,12 +231,12 @@ func TestTxChunkBufferFollowsWrites(t *testing.T) {
 	p := NewTxChunkPool(r, 0)
 	var a TxArena
 	a.Init(p)
-	// A held chunk is charged TxChunkSize plus its 16 B header, as
-	// before the host buffer could be smaller than the chunk.
-	modelled := func() int64 { return int64(a.Chunks())*(TxChunkSize+16) + int64(cap(a.chunks))*8 }
+	// A held chunk is charged TxChunkSize plus its 24 B header (cursors,
+	// pins, pool and ring link), however small its host buffer.
+	modelled := func() int64 { return int64(a.Chunks()) * (TxChunkSize + 24) }
 
 	first := a.Append(bytes.Repeat([]byte{1}, 64))
-	k := a.Newest(1)[0]
+	k := a.tail
 	if c := cap(k.buf); c != 256 {
 		t.Fatalf("a 64 B append backs the chunk with %d B, want 256", c)
 	}
@@ -280,5 +281,148 @@ func TestTxChunkBufferFollowsWrites(t *testing.T) {
 	a.Release(a.Live())
 	if n := p.Alloc(); n != k || cap(n.buf) != 16<<10 {
 		t.Fatal("a recycled chunk did not keep its grown buffer")
+	}
+}
+
+// FuzzTxArena drives an arena through random Append, Pending, Took,
+// Release and ReleaseAll calls against a byte-stream reference: every
+// byte appended, a taken and a released cursor into them, and the
+// chunks the arena must hold — a chunk fills to TxChunkSize, a new one
+// opens when the last is full or gone, and one returns to the pool the
+// moment the release cursor passes its last byte. After each call the
+// pending views are the untaken bytes in order, one view per chunk in
+// the chunk's current buffer, and Live, Untaken, the chunks held and the
+// pool's InUse all match the reference.
+func FuzzTxArena(f *testing.F) {
+	f.Add([]byte{0, 0, 64, 1, 2, 0, 64, 1, 3, 0, 64, 0, 0, 64, 1})
+	f.Add([]byte{0, 255, 255, 1, 2, 0, 200, 1, 3, 0, 100, 1, 0, 1, 0, 1, 4, 1})
+	f.Add([]byte{0, 127, 255, 2, 127, 255, 3, 64, 0, 1, 0, 0, 10, 3, 255, 255, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		p := NewTxChunkPool(NewRegion(1), 0)
+		var a TxArena
+		a.Init(p)
+		type span struct {
+			k   *TxChunk
+			end int // stream offset past the chunk's last byte
+		}
+		var (
+			stream     []byte // every byte appended
+			taken, rel int    // cursors into stream
+			held       []span // the chunks the arena must hold, oldest first
+		)
+		for len(ops) > 0 {
+			op, arg := ops[0]%5, 0
+			if ops = ops[1:]; len(ops) >= 2 {
+				arg, ops = int(ops[0])<<8|int(ops[1]), ops[2:]
+			}
+			switch op {
+			case 0: // Append
+				b := make([]byte, 1+arg%(2*TxChunkSize))
+				for i := range b {
+					pos := len(stream) + i
+					b[i] = byte(pos ^ pos>>8 ^ pos>>16)
+				}
+				open := len(held) == 0 || held[len(held)-1].k.Room() == 0
+				want := 0
+				if !open {
+					want = min(len(b), held[len(held)-1].k.Room())
+				} else if len(held) < txChunksPerPage {
+					want = min(len(b), TxChunkSize)
+				}
+				v := a.Append(b)
+				if len(v) != want || !bytes.Equal(v, b[:want]) {
+					t.Fatalf("Append(%d B) returned %d B, want %d", len(b), len(v), want)
+				}
+				if open && want > 0 {
+					held = append(held, span{k: a.tail})
+				}
+				stream = append(stream, v...)
+				if want > 0 {
+					held[len(held)-1].end = len(stream)
+				}
+			case 1: // Pending
+				sg, backs := a.Pending(nil, nil)
+				if len(sg) != len(backs) {
+					t.Fatalf("Pending: %d views, %d backings", len(sg), len(backs))
+				}
+				var first int // the oldest chunk holding untaken bytes
+				for first < len(held) && held[first].end <= taken {
+					first++
+				}
+				if len(sg) != len(held)-first {
+					t.Fatalf("Pending: %d views over %d chunks with untaken bytes", len(sg), len(held)-first)
+				}
+				var got []byte
+				for i, v := range sg {
+					k := held[first+i].k
+					if backs[i] != k {
+						t.Fatalf("Pending: view %d is backed by another chunk than the one holding it", i)
+					}
+					if len(v) == 0 || &v[len(v)-1] != &k.buf[k.used-1] {
+						t.Fatalf("Pending: view %d does not end at its chunk's write cursor in the current buffer", i)
+					}
+					got = append(got, v...)
+				}
+				if !bytes.Equal(got, stream[taken:]) {
+					t.Fatalf("Pending: %d B of views, want the %d untaken bytes in order", len(got), len(stream)-taken)
+				}
+			case 2: // Took
+				n := arg % (len(stream) - taken + 1)
+				a.Took(n)
+				taken += n
+			case 3: // Release
+				n := arg % (taken - rel + 1)
+				a.Release(n)
+				rel += n
+				for len(held) > 0 && held[0].end <= rel {
+					held = held[1:]
+				}
+			case 4: // ReleaseAll
+				a.ReleaseAll()
+				taken, rel, held = len(stream), len(stream), nil
+			}
+			if a.Live() != len(stream)-rel || a.Untaken() != len(stream)-taken {
+				t.Fatalf("Live %d, Untaken %d; want %d, %d", a.Live(), a.Untaken(), len(stream)-rel, len(stream)-taken)
+			}
+			if p.InUse() != len(held) || a.Chunks() != len(held) {
+				t.Fatalf("pool InUse %d, arena holds %d chunks; want %d", p.InUse(), a.Chunks(), len(held))
+			}
+			for i, k := 0, a.tail; i < len(held); i++ {
+				if k = k.next; k != held[i].k {
+					t.Fatalf("chunk %d of %d held is not the one the reference holds there", i, len(held))
+				}
+			}
+		}
+	})
+}
+
+// TestTrimDropsIdleBuffers: a burst leaves full chunks on the free list.
+// Once a trim interval passes with the steady state cycling only the
+// newest of them, the ones it never reached give their host buffers
+// back and the one it kept using keeps its own; the model's chunks all
+// stay pooled, and the cycle allocates nothing.
+func TestTrimDropsIdleBuffers(t *testing.T) {
+	p := NewTxChunkPool(NewRegion(1), 0)
+	var a TxArena
+	a.Init(p)
+	burst := make([]byte, 3*TxChunkSize)
+	a.Release(a.Write(burst))
+	if len(p.free) != 3 {
+		t.Fatalf("a 3-chunk burst left %d chunks free", len(p.free))
+	}
+	idle, hot := slices.Clone(p.free[:2]), p.free[2]
+	msg := make([]byte, 64)
+	cycle := func() { a.Release(len(a.Append(msg))) }
+	allocs := testing.AllocsPerRun(2*txTrimEvery, cycle)
+	if allocs != 0 {
+		t.Fatalf("the steady cycle allocates %.2f per op, want 0", allocs)
+	}
+	for i, k := range idle {
+		if k.buf != nil {
+			t.Fatalf("idle chunk %d kept its %d B buffer across a trim interval", i, cap(k.buf))
+		}
+	}
+	if cap(hot.buf) != TxChunkSize || len(p.free) != 3 || p.InUse() != 0 {
+		t.Fatalf("hot chunk holds %d B, %d chunks free, %d in use; want %d, 3, 0", cap(hot.buf), len(p.free), p.InUse(), TxChunkSize)
 	}
 }

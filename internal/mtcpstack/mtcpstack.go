@@ -76,7 +76,7 @@ func (h *Host) Footprint() memprobe.Footprint {
 	return f
 }
 
-// Slabs reports the host's staging slabs, attached and free.
+// Slabs reports the host's receive slabs, attached and free.
 func (h *Host) Slabs() (inUse, free int) {
 	for _, m := range h.cores {
 		u, f := m.layer.Slabs()
@@ -133,6 +133,7 @@ func newMcore(h *Host, id int) *mcore {
 		expected = n / h.cfg.Cores
 	}
 	m.layer.Reserve(expected)
+	m.layer.Tx = sockcore.SendPool(&h.Host, id)
 	m.layer.Accepting = func() *sockcore.Owner { return &m.sock }
 	c := &h.cost
 	m.sock = sockcore.Owner{

@@ -14,9 +14,9 @@ import (
 // Host is the shell the three host models embed (core.Dataplane,
 // linuxstack.Host and mtcpstack.Host): the address, the NIC, the ARP
 // table, the memory region every core's pools draw from, and what a
-// handshake frame costs in LLC misses. It makes every queue pair and
-// stack of the host and keeps them, in creation order, for the host's
-// sums.
+// handshake frame costs in LLC misses. It makes every queue pair, stack
+// and TX chunk pool of the host and keeps them, in creation order, for
+// the host's sums.
 type Host struct {
 	ip     wire.IPv4
 	mac    wire.MAC
@@ -29,6 +29,7 @@ type Host struct {
 
 	stacks []*Stack
 	qps    []*Driver
+	txs    []*mem.TxChunkPool
 }
 
 // NewHost builds the shell of a host of cores cores, each with one NIC
@@ -91,6 +92,14 @@ func (h *Host) QueuePair(i int, price func(*fabric.Frame) time.Duration) *Driver
 	return d
 }
 
+// TxPool returns a TX chunk pool tagged owner that draws from region,
+// and keeps it.
+func (h *Host) TxPool(region *mem.Region, owner int) *mem.TxChunkPool {
+	p := mem.NewTxChunkPool(region, owner)
+	h.txs = append(h.txs, p)
+	return p
+}
+
 // RepliesTo is the ephemeral-port filter of a stack served by queue q: a
 // local port passes when the reply to the flow RSS-hashes to q (§4.4).
 func (h *Host) RepliesTo(q int) func(port uint16, dst wire.IPv4, dport uint16) bool {
@@ -123,6 +132,17 @@ func (h *Host) MbufsInUse() int {
 	n := 0
 	for _, d := range h.qps {
 		n += d.Pool.InUse()
+	}
+	return n
+}
+
+// TxChunksInUse sums the TX arena chunks held across every chunk pool
+// of the host: zero once every send is acknowledged and every dead
+// connection's arena released.
+func (h *Host) TxChunksInUse() int {
+	n := 0
+	for _, p := range h.txs {
+		n += p.InUse()
 	}
 	return n
 }

@@ -18,11 +18,13 @@ type Layer struct {
 	Accepting func() *Owner
 	// TCP is the engine; sockets name their connections in it by id.
 	TCP *tcp.Stack
+	// Tx is the chunk pool every socket's send arena draws from.
+	Tx *mem.TxChunkPool
 
 	socks     []*Sock // at each connection's slot, from accept to Dead
 	bufFree   []*buf
 	bulkFree  []*bulk
-	slabFree  []*slab
+	slabFree  [][]byte
 	slabsMade int // every slab ever allocated
 }
 
@@ -95,17 +97,14 @@ func (l *Layer) Recv(c *tcp.Conn, _ *mem.Mbuf, data []byte) {
 	s.ready()
 }
 
-// Sent slides the send staging by accepted bytes; released only returns
-// parked send slabs to the pool.
+// Sent releases what the ACK let go of, flushes what the window now
+// allows, and issues the owed FIN if that drained the staging.
 func (l *Layer) Sent(c *tcp.Conn, acked, released int) {
 	s := l.sock(c)
 	if s == nil {
 		return
 	}
-	// Release before flushing: a slab the flush parks counts only the
-	// bytes still referenced after this ACK. Then an ACK-clocked flush,
-	// and the owed FIN if that drained the staging.
-	s.releaseParked(released)
+	s.release(released)
 	s.flushSnd()
 	s.finishClose()
 	// Wake the app for write progress only while it still has staged
@@ -143,8 +142,8 @@ func (l *Layer) Dead(c *tcp.Conn, _ tcp.Reason) {
 	s.ready()
 }
 
-// Slabs reports the layer's staging slabs: attached to sockets (queued
-// bytes or awaiting release), and idle on the free list.
+// Slabs reports the layer's receive slabs: attached to sockets, and idle
+// on the free list.
 func (l *Layer) Slabs() (inUse, free int) {
 	return l.slabsMade - len(l.slabFree), len(l.slabFree)
 }
@@ -158,7 +157,9 @@ const (
 
 // Footprint implements the memprobe accounting contract over engine st:
 // its tally, the socket table, each socket and — only while attached —
-// its buffers with their capacities and each slab (SlabSize bytes).
+// its buffers with the small buffer's capacity, the bytes its send arena
+// holds (Linux's sk_wmem_queued, not the chunks' modelled size, which
+// would weigh a 64 B response at 16 KiB) and each slab (SlabSize bytes).
 func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
 	f := st.Footprint()
 	f.Bytes += int64(cap(l.socks)) * int64(unsafe.Sizeof((*Sock)(nil)))
@@ -174,15 +175,10 @@ func (l *Layer) Footprint(st *tcp.Stack) memprobe.Footprint {
 			return
 		}
 		f.Attached++
-		f.Bytes += BufBytes + int64(cap(b.rcvbuf))
-		bk := b.bulk
-		if bk == nil || bk.snd == nil {
-			f.Bytes += int64(cap(b.sndbuf)) // a slab-backed sndbuf is counted with its slab
-		}
-		if bk != nil {
-			n := bk.count()
-			f.Attached += n
-			f.Bytes += int64(n) * SlabSize
+		f.Bytes += BufBytes + int64(cap(b.rcvbuf)) + int64(b.tx.Live())
+		if bk := b.bulk; bk != nil {
+			f.Attached += len(bk.rcv)
+			f.Bytes += int64(len(bk.rcv)) * SlabSize
 		}
 	})
 	return f

@@ -7,11 +7,14 @@
 package sockcore
 
 import (
+	"math"
 	"time"
 
 	"ix/internal/app"
 	"ix/internal/cost"
 	"ix/internal/fabric"
+	"ix/internal/mem"
+	"ix/internal/netstack"
 	"ix/internal/tcp"
 	"ix/internal/wire"
 )
@@ -40,6 +43,14 @@ type Config struct {
 // sndbufMax models SO_SNDBUF: bytes a socket buffers beyond what the TCP
 // window has accepted (§4.3).
 const sndbufMax = 4 << 20
+
+// SendPool returns the chunk pool a layer's sockets send from, made and
+// kept by host h. Its region is unbounded, so sndbufMax is a socket's
+// only send limit and the host's MemPages grant stays its mbuf pools'
+// alone.
+func SendPool(h *netstack.Host, owner int) *mem.TxChunkPool {
+	return h.TxPool(mem.NewRegion(math.MaxInt), owner)
+}
 
 // Costs is a stack's charge table, in simulated CPU time.
 type Costs struct {
@@ -90,10 +101,11 @@ type Owner struct {
 	ready []*Sock
 	head  int
 
-	// sg is the one-element scatter-gather a flush hands the engine, and
-	// back the slab it lies in (nil for a heap backing).
-	sg   [1][]byte
-	back [1]fabric.Backing
+	// sg is the scatter-gather a flush hands the engine, and backs the
+	// arena chunk each entry lies in; the engine consumes both before
+	// Sendv returns.
+	sg    [][]byte
+	backs []fabric.Backing
 	// gather is the scratch a read of several slabs is copied into.
 	gather []byte
 }
@@ -288,7 +300,7 @@ func (s *Sock) Send(b []byte) int {
 		b = b[:room]
 		s.armSendReady()
 	}
-	s.stageSnd(b)
+	s.getBuf().tx.Write(b)
 	o.Run(s, OpFlush)
 	return len(b)
 }
@@ -298,28 +310,16 @@ func (s *Sock) Send(b []byte) int {
 func (s *Sock) flushSnd() {
 	b := s.buf
 	c := s.tcp()
-	if b == nil || len(b.sndbuf) == 0 || c == nil || s.flags&dead != 0 {
+	if b == nil || b.tx.Untaken() == 0 || c == nil || s.flags&dead != 0 {
 		return
 	}
 	o := s.o
-	o.sg[0] = b.sndbuf
-	if bk := b.bulk; bk != nil && bk.snd != nil {
-		o.back[0] = bk.snd // a bulk write's slab: frames carry it by reference
-	}
-	n := c.Sendv(o.sg[:], o.back[:])
-	o.sg[0], o.back[0] = nil, nil
+	o.sg, o.backs = b.tx.Pending(o.sg[:0], o.backs[:0])
+	n := c.Sendv(o.sg, o.backs)
+	clear(o.sg)
 	if n > 0 {
 		o.Charge(time.Duration((n+wire.MSS-1)/wire.MSS) * o.TxSeg)
-		// The taken prefix stays immutable until acknowledged (the
-		// engine's zero-copy contract): nothing writes behind the cursor.
-		b.sndbuf = b.sndbuf[n:]
-		if len(b.sndbuf) == 0 {
-			b.sndbuf = nil
-			if bk := b.bulk; bk != nil && bk.snd != nil {
-				s.parkSnd(bk)
-			}
-			s.putBuf()
-		}
+		b.tx.Took(n)
 	}
 }
 
@@ -337,7 +337,7 @@ func (s *Sock) Unsent() int {
 	if s.buf == nil {
 		return 0
 	}
-	return len(s.buf.sndbuf)
+	return s.buf.tx.Untaken()
 }
 
 // Close is close(2) → FIN. Staged bytes are not dropped: ACKs keep

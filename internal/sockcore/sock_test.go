@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"ix/internal/app"
+	"ix/internal/mem"
 	"ix/internal/wire"
 )
 
@@ -22,7 +23,7 @@ var readSizes = []struct {
 // newOwner returns an owner over a fresh layer that charges nothing,
 // runs operations inline and delivers to h.
 func newOwner(readMax int, h app.Handler) (*Owner, *Layer) {
-	l := &Layer{}
+	l := &Layer{Tx: mem.NewTxChunkPool(mem.NewRegion(1), 0)}
 	o := &Owner{
 		Layer:   l,
 		ReadMax: readMax,
@@ -38,8 +39,9 @@ func newOwner(readMax int, h app.Handler) (*Owner, *Layer) {
 // connection, so growth is a reviewed decision (DESIGN.md,
 // "Per-connection memory budget"), and memprobe.bytes_per_conn — a
 // sim_digest input — charges it. The borrowed buffers are charged per
-// attached socket, so their size is pinned too: 56 B, the two staging
-// slices and the slab half's pointer, which an idle socket does not pay.
+// attached socket, so their size is pinned too: 56 B, the small receive
+// buffer, the receive slab chain's pointer and the three-word send
+// arena, which an idle socket does not pay.
 func TestConnStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Sock{}); got != 48 {
 		t.Fatalf("sockcore.Sock is %d bytes, want 48", got)
@@ -106,7 +108,7 @@ func TestZeroAllocSockBufPool(t *testing.T) {
 			}
 			// A socket with unsent bytes keeps its buffers across a read drain.
 			sb = a.getBuf()
-			sb.sndbuf = append(sb.sndbuf, msg...)
+			sb.tx.Write(msg)
 			cycle(a, msg)
 			if a.buf != sb {
 				t.Fatal("buffers returned to the pool with bytes still unsent")
@@ -195,31 +197,5 @@ func TestStagingMatchesContiguousAppend(t *testing.T) {
 				t.Fatalf("%d slabs still attached after every read", inUse)
 			}
 		})
-	}
-}
-
-// TestPinnedSlabWaitsForLastUnpin: a send slab put back while frames
-// still carry its bytes by reference is not handed out again — a
-// receive would refill it under them — until the last frame lets go.
-func TestPinnedSlabWaitsForLastUnpin(t *testing.T) {
-	l := &Layer{}
-	sl := l.getSlab()
-	sl.b = append(sl.b, "bytes a frame in flight still carries"...)
-	sl.Pin()
-	sl.Pin()
-	l.putSlab(sl)
-	if next := l.getSlab(); next == sl {
-		t.Fatal("a slab frames still pin was handed out again")
-	}
-	sl.Unpin()
-	if len(l.slabFree) != 0 {
-		t.Fatal("the slab rejoined the pool before its last Unpin")
-	}
-	sl.Unpin()
-	if len(l.slabFree) != 1 || l.slabFree[0] != sl || len(sl.b) != 0 {
-		t.Fatal("the last Unpin did not return the slab, emptied, to the pool")
-	}
-	if inUse, free := l.Slabs(); inUse != 1 || free != 1 {
-		t.Fatalf("Slabs = %d in use, %d free; want 1 and 1", inUse, free)
 	}
 }

@@ -1,98 +1,40 @@
 package sockcore
 
-import (
-	"math"
+import "ix/internal/mem"
 
-	"ix/internal/fabric"
-)
-
-// rcvKeep is the two-size staging rule's threshold: up to rcvKeep bytes
-// queued for reading, and a write of up to rcvKeep, stage in exact-size
-// buffers; anything larger in SlabSize slabs from the layer's pool
-// (DESIGN.md, "What a byte costs").
+// rcvKeep is the two-size receive rule's threshold: up to rcvKeep bytes
+// queued for reading stage in an exact-size buffer, anything more in
+// SlabSize slabs from the layer's pool (DESIGN.md, "What a byte costs").
 const rcvKeep = 2 << 10
 
-// SlabSize is the size of one bulk staging slab.
+// SlabSize is the size of one receive staging slab.
 const SlabSize = 64 << 10
-
-// A slab is one bulk staging buffer from its layer's pool. Frames that
-// carry a send slab's bytes by reference pin it (fabric.Backing), so a
-// slab put back while some still do rejoins the pool at the last Unpin.
-type slab struct {
-	b       []byte
-	l       *Layer
-	frames  int32
-	retired bool
-}
-
-var _ fabric.Backing = (*slab)(nil)
-
-// Pin takes a frame's reference on the slab's bytes.
-//
-//ix:hotpath
-func (sl *slab) Pin() { sl.frames++ }
-
-// Unpin drops a frame's reference; the last one returns a slab put back
-// meanwhile to the pool.
-//
-//ix:hotpath
-func (sl *slab) Unpin() {
-	if sl.frames--; sl.frames == 0 && sl.retired {
-		sl.retired = false
-		sl.l.putSlab(sl)
-	}
-}
 
 // buf is the staging of one socket with bytes queued.
 type buf struct {
-	// bulk is the slab half, attached while a slab is. putBuf releases it
-	// before the buffers, so a socket without buffers has no slabs.
+	// bulk is the receive slab chain, attached while a slab is. putBuf
+	// releases it before the buffers, so a socket without buffers has no
+	// slabs.
 	bulk *bulk
 	// rcvbuf holds received bytes while all of them fit rcvKeep; a read
 	// takes it whole, and a drained backing of at most rcvKeep stays with
 	// the pooled object, so request-response traffic recycles
 	// allocation-free.
 	rcvbuf []byte
-	// sndbuf holds bytes written beyond the TCP window: a view of bulk.snd
-	// for a bulk write into an empty buffer, else an exact-size heap
-	// backing. Retransmission segments reference the transmitted prefix in
-	// place until acknowledged, so a drained heap backing is dropped and a
-	// slab is parked until the released count passes its last byte.
-	sndbuf []byte
+	// tx holds written bytes from the write until the sent events'
+	// released count passes them: TCP takes them from it as the window
+	// allows and retransmits from it in place (DESIGN.md, "Zero-copy TX").
+	tx mem.TxArena
 }
 
-// bulk is the slab half of a socket's staging.
-type bulk struct {
-	// rcv is the receive chain in stream order; every slab but the last
-	// is full.
-	rcv []*slab
-	// snd backs sndbuf until TCP has taken all of it.
-	snd *slab
-	// parked holds slabs TCP has taken and may still retransmit from,
-	// oldest first.
-	parked []parkedSlab
-}
-
-// parkedSlab is a send slab awaiting release: left is how many more
-// released bytes must be reported before its last byte is released.
-type parkedSlab struct {
-	s    *slab
-	left int
-}
-
-// count returns the slabs attached.
-func (bk *bulk) count() int {
-	n := len(bk.rcv) + len(bk.parked)
-	if bk.snd != nil {
-		n++
-	}
-	return n
-}
+// bulk is the receive slab chain in stream order; every slab but the
+// last is full.
+type bulk struct{ rcv [][]byte }
 
 // getSlab draws an empty slab from the pool.
 //
 //ix:hotpath
-func (l *Layer) getSlab() *slab {
+func (l *Layer) getSlab() []byte {
 	if n := len(l.slabFree); n > 0 {
 		sl := l.slabFree[n-1]
 		l.slabFree[n-1] = nil
@@ -101,20 +43,7 @@ func (l *Layer) getSlab() *slab {
 	}
 	l.slabsMade++
 	//ixvet:ignore(hotpath) pool miss: once per unit of peak bulk concurrency, steady state hits the free list
-	return &slab{b: make([]byte, 0, SlabSize), l: l}
-}
-
-// putSlab returns a slab the socket no longer references to the pool,
-// or, while frames still carry its bytes, leaves that to the last Unpin.
-//
-//ix:hotpath
-func (l *Layer) putSlab(sl *slab) {
-	if sl.frames > 0 {
-		sl.retired = true
-		return
-	}
-	sl.b = sl.b[:0]
-	l.slabFree = append(l.slabFree, sl)
+	return make([]byte, 0, SlabSize)
 }
 
 // getBuf returns the socket's staging buffers, borrowing them from the
@@ -133,12 +62,13 @@ func (s *Sock) getBuf() *buf {
 	} else {
 		//ixvet:ignore(hotpath) pool miss: once per unit of peak concurrency, steady state hits the free list
 		s.buf = &buf{}
+		s.buf.tx.Init(l.Tx)
 	}
 	return s.buf
 }
 
-// getBulk returns the staging's slab half, borrowing it from the pool on
-// the socket's first slab.
+// getBulk returns the staging's slab chain, borrowing it from the pool
+// on the socket's first slab.
 //
 //ix:hotpath
 func (b *buf) getBulk(l *Layer) *bulk {
@@ -157,8 +87,9 @@ func (b *buf) getBulk(l *Layer) *bulk {
 }
 
 // putBuf returns the staging to the pools once nothing is queued: the
-// bulk half when no slab is attached, then the buffers when both drained.
-// Read bytes stay queued until readDone, after OnRecv has returned.
+// slab chain when it is empty, then the buffers when both directions
+// drained. Read bytes stay queued until readDone, after OnRecv has
+// returned; written bytes until the sent events release them.
 //
 //ix:hotpath
 func (s *Sock) putBuf() {
@@ -168,13 +99,13 @@ func (s *Sock) putBuf() {
 	}
 	l := s.o.Layer
 	if bk := b.bulk; bk != nil {
-		if bk.count() > 0 {
+		if len(bk.rcv) > 0 {
 			return
 		}
 		b.bulk = nil
 		l.bulkFree = append(l.bulkFree, bk)
 	}
-	if len(b.rcvbuf) > 0 || len(b.sndbuf) > 0 {
+	if len(b.rcvbuf) > 0 || b.tx.Live() > 0 {
 		return
 	}
 	s.buf = nil
@@ -196,20 +127,18 @@ func (s *Sock) stageRcv(data []byte) {
 			return
 		}
 		bk := b.getBulk(l)
-		sl := l.getSlab()
-		sl.b = append(sl.b, b.rcvbuf...)
-		bk.rcv = append(bk.rcv, sl)
+		bk.rcv = append(bk.rcv, append(l.getSlab(), b.rcvbuf...))
 		b.rcvbuf = keepSmall(b.rcvbuf)
 	}
 	bk := b.bulk
 	for len(data) > 0 {
-		sl := bk.rcv[len(bk.rcv)-1]
-		if len(sl.b) == SlabSize {
-			sl = l.getSlab()
-			bk.rcv = append(bk.rcv, sl)
+		last := len(bk.rcv) - 1
+		if len(bk.rcv[last]) == SlabSize {
+			bk.rcv = append(bk.rcv, l.getSlab())
+			last++
 		}
-		n := min(len(data), SlabSize-len(sl.b))
-		sl.b = append(sl.b, data[:n]...)
+		n := min(len(data), SlabSize-len(bk.rcv[last]))
+		bk.rcv[last] = append(bk.rcv[last], data[:n]...)
 		data = data[n:]
 	}
 }
@@ -224,18 +153,18 @@ func (s *Sock) nextRead() (chunk []byte, slabs int) {
 	if bk == nil || len(bk.rcv) == 0 {
 		return s.buf.rcvbuf, 0
 	}
-	n, size := 1, len(bk.rcv[0].b)
-	for n < len(bk.rcv) && size+len(bk.rcv[n].b) <= s.o.ReadMax {
-		size += len(bk.rcv[n].b)
+	n, size := 1, len(bk.rcv[0])
+	for n < len(bk.rcv) && size+len(bk.rcv[n]) <= s.o.ReadMax {
+		size += len(bk.rcv[n])
 		n++
 	}
 	if n == 1 {
-		return bk.rcv[0].b, 1
+		return bk.rcv[0], 1
 	}
 	o := s.o
 	o.gather = o.gather[:0]
 	for _, sl := range bk.rcv[:n] {
-		o.gather = append(o.gather, sl.b...)
+		o.gather = append(o.gather, sl...)
 	}
 	return o.gather, n
 }
@@ -257,8 +186,9 @@ func (s *Sock) readDone(slabs int) {
 // dropRcv returns the first n slabs of the receive chain to the pool.
 func (s *Sock) dropRcv(n int) {
 	bk := s.buf.bulk
+	l := s.o.Layer
 	for _, sl := range bk.rcv[:n] {
-		s.o.Layer.putSlab(sl)
+		l.slabFree = append(l.slabFree, sl[:0])
 	}
 	left := copy(bk.rcv, bk.rcv[n:])
 	clear(bk.rcv[left:])
@@ -274,97 +204,42 @@ func keepSmall(b []byte) []byte {
 	return b[:0]
 }
 
-// stageSnd copies a write into the send staging. A bulk write into an
-// empty buffer lands in a slab, capacity-capped so that a later append
-// moves the untaken rest to a heap backing instead of into the slab.
-func (s *Sock) stageSnd(b []byte) {
-	sb := s.getBuf()
-	if len(sb.sndbuf) == 0 && len(b) > rcvKeep && len(b) <= SlabSize {
-		bk := sb.getBulk(s.o.Layer)
-		sl := s.o.Layer.getSlab()
-		sl.b = append(sl.b, b...)
-		bk.snd = sl
-		sb.sndbuf = sl.b[:len(b):len(b)]
-		return
+// release applies a sent event's released count to the send arena,
+// returning the staging once nothing is left queued.
+//
+//ix:hotpath
+func (s *Sock) release(n int) {
+	if b := s.buf; b != nil && n > 0 {
+		b.tx.Release(n)
+		s.putBuf()
 	}
-	sb.sndbuf = append(sb.sndbuf, b...)
-	if bk := sb.bulk; bk != nil && bk.snd != nil && len(b) > 0 {
-		// The append moved the slab's untaken rest to a heap backing.
-		s.parkSnd(bk)
-	}
-}
-
-// parkSnd parks the slab behind sndbuf once TCP has taken all it will of
-// it. Every byte TCP took is among those the engine still references, so
-// the slab is free once released counts add up to that many.
-func (s *Sock) parkSnd(bk *bulk) {
-	sl := bk.snd
-	bk.snd = nil
-	left := 0
-	if c := s.tcp(); c != nil {
-		left = c.Unreleased() // a connection gone holds no reference
-	}
-	if left > 0 {
-		bk.parked = append(bk.parked, parkedSlab{s: sl, left: left})
-		return
-	}
-	s.o.Layer.putSlab(sl)
-}
-
-// releaseParked applies a sent event's released count to the parked
-// slabs, returning those whose last byte it covered.
-func (s *Sock) releaseParked(released int) {
-	if released <= 0 || s.buf == nil {
-		return
-	}
-	bk := s.buf.bulk
-	if bk == nil || len(bk.parked) == 0 {
-		return
-	}
-	done := 0
-	for i := range bk.parked {
-		p := &bk.parked[i]
-		if p.left -= released; p.left <= 0 {
-			s.o.Layer.putSlab(p.s)
-			done = i + 1
-		}
-	}
-	n := copy(bk.parked, bk.parked[done:])
-	clear(bk.parked[n:])
-	bk.parked = bk.parked[:n]
-	s.putBuf()
 }
 
 // dropStaging tears a dead socket's staging down: the engine dropped its
-// references with the flow, so every slab returns to the pool and unread
-// or unsent bytes die with the socket.
+// references with the flow, so every chunk and slab returns to its pool
+// and unread or unsent bytes die with the socket.
 func (s *Sock) dropStaging() {
 	b := s.buf
 	if b == nil {
 		return
 	}
 	b.rcvbuf = keepSmall(b.rcvbuf)
-	b.sndbuf = nil
+	b.tx.ReleaseAll()
 	if bk := b.bulk; bk != nil {
 		s.dropRcv(len(bk.rcv))
-		if bk.snd != nil {
-			s.o.Layer.putSlab(bk.snd)
-			bk.snd = nil
-		}
-		s.releaseParked(math.MaxInt)
 	}
 	s.putBuf()
 }
 
-// Slabs reports the slabs attached to s: the send slab TCP has not taken
-// all of (0 or 1), those parked until released, and the receive chain.
-func (s *Sock) Slabs() (snd, parked, rcv int) {
-	if s.buf == nil || s.buf.bulk == nil {
+// Staged reports what s holds: written bytes TCP has not taken, bytes it
+// took and has not released, and receive slabs.
+func (s *Sock) Staged() (untaken, unreleased, slabs int) {
+	b := s.buf
+	if b == nil {
 		return 0, 0, 0
 	}
-	bk := s.buf.bulk
-	if bk.snd != nil {
-		snd = 1
+	if b.bulk != nil {
+		slabs = len(b.bulk.rcv)
 	}
-	return snd, len(bk.parked), len(bk.rcv)
+	return b.tx.Untaken(), b.tx.Live() - b.tx.Untaken(), slabs
 }

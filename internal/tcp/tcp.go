@@ -283,7 +283,7 @@ func (s *Stack) nextISS() uint32 {
 }
 
 // txSeg is one unacknowledged segment. It references the sender's bytes
-// in place (libix tx arena runs, or a kernel sndbuf), which stay
+// in place (runs of its TX arena's chunks), which stay
 // immutable until the segment is acknowledged. Up to two fragments are
 // inline, so tracking one does not allocate; more spill to extra. back is
 // the pooled memory a one-fragment segment lies in, if named: the frames
@@ -1259,20 +1259,6 @@ func (c *Conn) Sendv(bufs [][]byte, backs []fabric.Backing) int {
 	flush()
 	s.sg = seg[:0]
 	return total
-}
-
-// Unreleased returns the payload bytes the retransmission queue still
-// references, which sent events have yet to release.
-func (c *Conn) Unreleased() int {
-	t := c.flight(c.stack())
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, ts := range t.q[t.head:] {
-		n += ts.length
-	}
-	return n
 }
 
 // Send is a convenience wrapper over Sendv for a single buffer.
